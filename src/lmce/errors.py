@@ -6,7 +6,8 @@ class PreconditionError(ValueError):
 
 
 class LinearSolveError(RuntimeError):
-    """The linear solver broke down or stagnated before reaching tolerance."""
+    """The sparse LU factorization failed, or its solve missed the residual
+    tolerance (or was not finite); iterations counts the solves completed."""
 
     def __init__(self, message, iterations=0):
         super().__init__(message)

@@ -7,7 +7,9 @@ by construction and doubles as ground truth for convergence studies.  The
 Newton solver discretizes the arctangent form of the equation, whose
 linearization has the inverse graph metric as coefficients and is therefore
 uniformly elliptic at every iterate; the product form is kept only as a
-residual cross-check elsewhere.
+residual cross-check elsewhere.  Each Newton step is one sparse LU solve of
+that well-conditioned 9-point system, and the initial iterate's harmonic
+extensions are exact sine-transform Poisson solves.
 """
 
 from __future__ import annotations
@@ -191,6 +193,7 @@ class SolveState:
 
     When converged is set, residuals is strictly decreasing and ends at or
     below the tolerance; every iterate carries the boundary trace exactly.
+    lin_iterations holds the linear solves each Newton step used (1 each).
     """
 
     u: ScalarField2
@@ -216,110 +219,100 @@ def phase_residual(u: ScalarField2, psi: ScalarField2) -> float:
     return float(np.max(np.abs(r[1:-1, 1:-1])))
 
 
-def _interior_arrays(grid: Grid2):
-    n = grid.n
-    idx = -np.ones((n, n), dtype=np.int64)
-    k = np.arange((n - 2) * (n - 2), dtype=np.int64)
-    idx[1:-1, 1:-1] = k.reshape(n - 2, n - 2)
-    return idx
-
-
-def _assemble_linearization(grid: Grid2, inv11, inv12, inv22) -> sp.csr_matrix:
+def _assemble_linearization(grid: Grid2, inv11, inv12, inv22) -> sp.csc_matrix:
     """Sparse matrix of inv11*D11 + 2*inv12*D12 + inv22*D22 on interior nodes.
 
     Central stencils throughout (interior nodes have full neighborhoods);
     couplings to boundary nodes are dropped since corrections vanish there.
+    Coefficients are node arrays or scalars.  Every in-grid coupling is
+    stored, zero coefficients included: (3n-8)^2 entries, so the pattern
+    (and the fill-reducing ordering) depends only on n.
     """
     n = grid.n
+    m = n - 2
+    size = m * m
     h2 = grid.h * grid.h
-    idx = _interior_arrays(grid)
-    ii, jj = np.meshgrid(np.arange(1, n - 1), np.arange(1, n - 1), indexing="ij")
-    ii = ii.ravel()
-    jj = jj.ravel()
-    rows_base = idx[ii, jj]
-    a = inv11[ii, jj] / h2
-    c = inv22[ii, jj] / h2
-    b = 2.0 * inv12[ii, jj] / (4.0 * h2)
 
-    offsets = [
+    def interior(v):
+        return np.broadcast_to(np.asarray(v, dtype=float), (n, n))[1:-1, 1:-1]
+
+    a = interior(inv11) / h2
+    c = interior(inv22) / h2
+    b = interior(inv12) / (2.0 * h2)
+    # (di, dj, coefficient at each row node) for the neighbour (i+di, j+dj);
+    # in the row-major interior numbering it sits di*m + dj columns right
+    stencil = [
         (0, 0, -2.0 * a - 2.0 * c),
-        (1, 0, a),
-        (-1, 0, a),
-        (0, 1, c),
-        (0, -1, c),
-        (1, 1, b),
-        (-1, -1, b),
-        (1, -1, -b),
-        (-1, 1, -b),
+        (1, 0, a), (-1, 0, a),
+        (0, 1, c), (0, -1, c),
+        (1, 1, b), (-1, -1, b),
+        (1, -1, -b), (-1, 1, -b),
     ]
-    rows = []
-    cols = []
-    data = []
-    for di, dj, coef in offsets:
-        ci = idx[ii + di, jj + dj]
-        keep = ci >= 0
-        rows.append(rows_base[keep])
-        cols.append(ci[keep])
-        data.append(np.asarray(coef)[keep] if np.ndim(coef) else np.full(keep.sum(), coef))
-    mat = sp.coo_matrix(
-        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(rows_base.size, rows_base.size),
-    )
-    return mat.tocsr()
+    coef = np.empty((len(stencil), m, m))
+    ids = np.arange(1, coef.size + 1).reshape(coef.shape)
+    for k, (_, dj, v) in enumerate(stencil):
+        coef[k] = v
+        # a row neighbour off the grid would wrap onto the next or previous row
+        if dj:
+            ids[k, :, m - 1 if dj > 0 else 0] = 0
+    # the row-indexed coefficient arrays are the diagonals of A^T (offsets
+    # negated), and CSR of A^T is CSC of A; the conversion drops the masked
+    # (zero-id) slots, and the ids it keeps say where each value comes from
+    offsets = [-(di * m + dj) for di, dj, _ in stencil]
+    pattern = sp.dia_matrix((ids.reshape(len(stencil), size), offsets), shape=(size, size)).tocsr()
+    values = np.take(coef.ravel(), pattern.data - 1)
+    return sp.csc_matrix((values, pattern.indices, pattern.indptr), shape=(size, size))
 
 
-def linear_solve(A, rhs: np.ndarray, tol: float = 1e-12, direct_threshold: int = 4900):
-    """Solve A x = rhs to relative residual tol.
+def linear_solve(A, rhs: np.ndarray, tol: float = 1e-12):
+    """Solve A x = rhs by one sparse LU factorization.
 
-    Small systems (and iterative failures) go straight to a sparse direct
-    factorization; otherwise an incomplete-LU-preconditioned LGMRES handles
-    the nonsymmetric system.  Returns (x, iterations).  Breakdown or
-    stagnation past the direct fallback raises LinearSolveError carrying the
-    iteration count.
+    The Newton systems are well-conditioned 9-point operators, so a direct
+    solve reaches round-off; the measured relative residual still certifies
+    it.  Returns (x, linear solves used): (x, 1), or (zeros, 0) for a zero
+    right-hand side.  A failed factorization, or a residual that is not
+    finite or above max(10 tol, 1e-9), raises LinearSolveError.
     """
     rhs = np.asarray(rhs, dtype=float)
     norm = float(np.linalg.norm(rhs))
     if norm == 0.0:
         return np.zeros_like(rhs), 0
-    A = sp.csr_matrix(A)
-    iterations = 0
-    if rhs.size > direct_threshold:
-        try:
-            # strong incomplete factorization: the Krylov loop then needs only
-            # a handful of iterations even at rtol 1e-12
-            ilu = spla.spilu(A.tocsc(), drop_tol=1e-7, fill_factor=30)
-            M = spla.LinearOperator(A.shape, ilu.solve)
-            counter = {"k": 0}
-
-            def cb(_):
-                counter["k"] += 1
-
-            x, info = spla.lgmres(A, rhs, M=M, rtol=tol, atol=0.0, maxiter=20, callback=cb)
-            iterations = counter["k"]
-            # judge by the measured residual, not the flag: stagnation a
-            # whisker above rtol (round-off floor) is still a usable solve
-            res = float(np.linalg.norm(A @ x - rhs)) / norm
-            if res <= 10.0 * tol:
-                return x, iterations
-        except RuntimeError:
-            pass
+    A = sp.csc_matrix(A)
     try:
-        x = spla.splu(A.tocsc()).solve(rhs)
+        x = spla.splu(A, permc_spec="MMD_AT_PLUS_A").solve(rhs)
     except RuntimeError as exc:
-        raise LinearSolveError(f"direct factorization failed: {exc}", iterations) from exc
+        raise LinearSolveError(f"direct factorization failed: {exc}", 0) from exc
     res = float(np.linalg.norm(A @ x - rhs)) / norm
     if not np.isfinite(res) or res > max(10.0 * tol, 1e-9):
-        raise LinearSolveError(
-            f"linear solve stagnated at relative residual {res:.3e}", iterations + 1
-        )
-    return x, iterations + 1
+        raise LinearSolveError(f"linear solve stagnated at relative residual {res:.3e}", 1)
+    return x, 1
 
 
-def _laplace_matrix(grid: Grid2) -> sp.csr_matrix:
-    n = grid.n
-    ones = np.ones((n, n))
-    zeros = np.zeros((n, n))
-    return _assemble_linearization(grid, ones, zeros, ones)
+def _dst1(x: np.ndarray, axis: int) -> np.ndarray:
+    """Unnormalized type-I sine transform y_k = sum_j x_j sin(pi j k/(m+1)),
+    j, k = 1..m, along one axis, from the FFT of the odd extension.
+
+    Applied twice it returns x scaled by (m+1)/2.
+    """
+    x = np.moveaxis(x, axis, -1)
+    m = x.shape[-1]
+    z = np.zeros(x.shape[:-1] + (2 * m + 2,))
+    z[..., 1 : m + 1] = x
+    z[..., m + 2 :] = -x[..., ::-1]
+    y = -0.5 * np.fft.rfft(z, axis=-1)[..., 1 : m + 1].imag
+    return np.moveaxis(y, -1, axis)
+
+
+def _poisson_solve(grid: Grid2, rhs: np.ndarray) -> np.ndarray:
+    """Exact solve of the 5-point Dirichlet Laplacian on interior nodes, the
+    system _assemble_linearization(grid, 1, 0, 1), by diagonalizing it with
+    the sine transform.  rhs and the result are flat interior vectors.
+    """
+    m = grid.n - 2
+    lam = -4.0 * np.sin(0.5 * np.pi * np.arange(1, m + 1) / (m + 1)) ** 2 / (grid.h * grid.h)
+    f = _dst1(_dst1(np.reshape(rhs, (m, m)), 0), 1)
+    f /= lam[:, None] + lam[None, :]
+    return (_dst1(_dst1(f, 0), 1) * (2.0 / (m + 1)) ** 2).ravel()
 
 
 def _dirichlet_rhs(grid: Grid2, boundary_vals: np.ndarray, source: float) -> np.ndarray:
@@ -345,11 +338,9 @@ def _initial_iterate(grid: Grid2, boundary: ScalarField2, psi: ScalarField2, mod
     it starts the iteration at the right mean curvature.
     """
     n = grid.n
-    lap = _laplace_matrix(grid)
-    lu = spla.splu(lap.tocsc())
     bvals = boundary.values
     u0 = bvals.copy()
-    u0[1:-1, 1:-1] = lu.solve(_dirichlet_rhs(grid, bvals, 0.0)).reshape(n - 2, n - 2)
+    u0[1:-1, 1:-1] = _poisson_solve(grid, _dirichlet_rhs(grid, bvals, 0.0)).reshape(n - 2, n - 2)
     if mode == "harmonic":
         return u0
     if mode != "phase_matched":
@@ -358,7 +349,7 @@ def _initial_iterate(grid: Grid2, boundary: ScalarField2, psi: ScalarField2, mod
     t = math.tan(0.5 * psibar)
     q = 0.5 * grid.radius2()
     harm_q = q.copy()
-    harm_q[1:-1, 1:-1] = lu.solve(_dirichlet_rhs(grid, q, 0.0)).reshape(n - 2, n - 2)
+    harm_q[1:-1, 1:-1] = _poisson_solve(grid, _dirichlet_rhs(grid, q, 0.0)).reshape(n - 2, n - 2)
     # q - harm_q vanishes on the boundary ring and has discrete Laplacian 2,
     # so u0 keeps the trace exactly while matching the mean curvature; for
     # isotropic quadratic data it is the exact discrete solution
