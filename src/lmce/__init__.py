@@ -11,7 +11,7 @@ isoperimetric inequality, volume-element bounds in both phase regimes, and
 the exponential Hessian bound itself.
 """
 
-from .errors import ConfigError, LinearSolveError, PreconditionError
+from .errors import ConfigError, LinearSolveError, NonConvergenceError, PreconditionError
 from .geometry import (
     GeometryBundle,
     SlopeConstants,
@@ -41,7 +41,7 @@ from .grid import (
     sup_norm_disk,
 )
 from .identities import (
-    IdentityReport,
+    CheckReport,
     check_complex_factorization,
     check_coordinate_laplacian,
     check_cutoff_volume_identity,
@@ -50,7 +50,6 @@ from .identities import (
     check_volume_formula,
 )
 from .inequalities import (
-    InequalityReport,
     check_hessian_estimate,
     check_jacobi_integral,
     check_jacobi_pointwise,

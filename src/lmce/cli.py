@@ -15,7 +15,7 @@ Outputs are CSV tables (RFC-4180, header row, repr-formatted floats: a given
 config and seed reproduce them byte for byte), one JSON summary per run, and
 optional 8-bit P5 graymaps with their min/max recorded in the JSON.  Exit
 codes: 0 all pass, 1 a check failed, 2 solver non-convergence, 3 invalid
-input.
+input; any other fault propagates as an exception.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, PreconditionError
+from .errors import ConfigError, NonConvergenceError, PreconditionError
 from .geometry import SlopeConstants, bundle as make_bundle, modified_slope
 from .grid import ScalarField2, build_grid, make_cutoff
 from .identities import (
@@ -74,25 +74,6 @@ __all__ = [
     "main",
 ]
 
-IDENTITY_CHECKS = [
-    "form_equivalence",
-    "complex_factorization",
-    "volume_formula",
-    "cutoff_volume",
-    "slope_volume",
-    "coordinate_laplacian",
-]
-INEQUALITY_CHECKS = [
-    "weak_max_principle",
-    "super_iso",
-    "jacobi_pointwise",
-    "subharmonic",
-    "jacobi_integral",
-    "volume_bound",
-    "hessian_estimate",
-]
-ALL_CHECKS = IDENTITY_CHECKS + INEQUALITY_CHECKS
-
 EXIT_PASS = 0
 EXIT_CHECK_FAILED = 1
 EXIT_NO_CONVERGENCE = 2
@@ -132,6 +113,18 @@ class RunConfig:
 
     def __post_init__(self):
         self.checks = _expand_checks(self.checks)
+        for name in ("n", "trials", "max_iter", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+        for name in ("L", "R", "rho", "delta", "tol"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, float)) or not value > 0:
+                raise ConfigError(f"{name} must be a positive number, got {value!r}")
+        if self.trials < 1:
+            raise ConfigError(f"trials must be at least 1, got {self.trials}")
+        if self.max_iter < 0:
+            raise ConfigError(f"max_iter must be non-negative, got {self.max_iter}")
         if self.source not in ("manufactured", "solved"):
             raise ConfigError(f"source must be manufactured or solved, got {self.source!r}")
         if self.family not in ("quadratic", "anisotropic", "perturbed", "field"):
@@ -140,8 +133,6 @@ class RunConfig:
             raise ConfigError("family=field needs field_file")
         if isinstance(self.A, str) and self.A != "fit":
             raise ConfigError(f"A must be a number or 'fit', got {self.A!r}")
-        if not self.delta > 0:
-            raise ConfigError(f"delta must be positive, got {self.delta}")
         if self.sweep_param and self.sweep_param not in ("a", "A", "n", "eps"):
             raise ConfigError(f"sweep_param must be one of a, A, n, eps, got {self.sweep_param!r}")
 
@@ -207,25 +198,13 @@ def _coerce(value: str):
 def _expand_checks(requested) -> list[str]:
     if isinstance(requested, str):
         requested = [requested]
-    out: list[str] = []
+    groups = {"identity": IDENTITY_CHECKS, "inequality": INEQUALITY_CHECKS, "all": ALL_CHECKS}
+    out: dict[str, None] = {}
     for name in requested:
-        if name == "identity":
-            out.extend(IDENTITY_CHECKS)
-        elif name == "inequality":
-            out.extend(INEQUALITY_CHECKS)
-        elif name == "all":
-            out.extend(ALL_CHECKS)
-        elif name in ALL_CHECKS:
-            out.append(name)
-        else:
+        if not isinstance(name, str) or (name not in groups and name not in ALL_CHECKS):
             raise ConfigError(f"unknown check {name!r}")
-    seen = set()
-    unique = []
-    for name in out:
-        if name not in seen:
-            seen.add(name)
-            unique.append(name)
-    return unique
+        out.update(dict.fromkeys(groups.get(name, [name])))
+    return list(out)
 
 
 @dataclass
@@ -338,32 +317,6 @@ def _write_report_csv(path: Path, entries: list[dict]) -> None:
             )
 
 
-def _identity_entry(rep) -> dict:
-    return {
-        "check": rep.name,
-        "kind": f"identity/{rep.tol_class}",
-        "passed": bool(rep.passed),
-        "residual": rep.max_residual,
-        "tolerance": rep.tolerance,
-        "fitted": {},
-        "details": dict(rep.details),
-    }
-
-
-def _inequality_entry(rep) -> dict:
-    return {
-        "check": rep.name,
-        "kind": "inequality",
-        "passed": bool(rep.passed),
-        "lhs": rep.lhs,
-        "rhs": rep.rhs,
-        "margin": rep.margin,
-        "slack": rep.slack,
-        "fitted": dict(rep.fitted),
-        "details": dict(rep.details),
-    }
-
-
 def _build_family(cfg: RunConfig):
     if cfg.family == "quadratic":
         return quadratic_family(cfg.a)
@@ -393,7 +346,7 @@ class _Context:
                     max_iter=cfg.max_iter,
                 )
                 if not self.solve_state.converged:
-                    raise RuntimeError(
+                    raise NonConvergenceError(
                         f"solver did not converge: {self.solve_state.message}"
                     )
                 self.u = self.solve_state.u
@@ -452,62 +405,46 @@ def _detect_regime(B, delta: float) -> str:
     return "subcritical"
 
 
-def _run_check(name: str, ctx: _Context) -> dict:
-    cfg = ctx.cfg
-    if name == "form_equivalence":
-        return _identity_entry(check_form_equivalence(ctx.u, ctx.psi))
-    if name == "complex_factorization":
-        return _identity_entry(check_complex_factorization(ctx.bundle))
-    if name == "volume_formula":
-        return _identity_entry(check_volume_formula(ctx.bundle))
-    if name == "cutoff_volume":
-        return _identity_entry(check_cutoff_volume_identity(ctx.bundle, ctx.cutoff))
-    if name == "slope_volume":
-        return _identity_entry(check_slope_volume(ctx.bundle))
-    if name == "coordinate_laplacian":
-        return _identity_entry(check_coordinate_laplacian(ctx.bundle))
-    if name == "weak_max_principle":
-        return _inequality_entry(
-            check_weak_max_principle(ctx.bmod, trials=cfg.trials, seed=cfg.seed)
+def _volume_bound(ctx: _Context):
+    if ctx.regime not in ("case1", "case2"):
+        raise PreconditionError(
+            f"volume bound needs a supercritical regime, got {ctx.regime!r}"
         )
-    if name == "super_iso":
-        return _inequality_entry(
-            check_super_iso(ctx.bmod, trials=cfg.trials, seed=cfg.seed)
-        )
-    if name == "jacobi_pointwise":
-        budget = cfg.C_budget if cfg.C_budget is not None else math.inf
-        return _inequality_entry(
-            check_jacobi_pointwise(ctx.bundle, ctx.constants, C_budget=budget)
-        )
-    if name == "subharmonic":
-        return _inequality_entry(
-            check_subharmonic_modified_slope(
-                ctx.bundle,
-                ctx.constants,
-                rho=cfg.rho,
-                trials=cfg.trials,
-                seed=cfg.seed,
-            )
-        )
-    if name == "jacobi_integral":
-        return _inequality_entry(
-            check_jacobi_integral(ctx.bundle, ctx.cutoff, ctx.constants)
-        )
-    if name == "volume_bound":
-        if ctx.regime not in ("case1", "case2"):
-            raise PreconditionError(
-                f"volume bound needs a supercritical regime, got {ctx.regime!r}"
-            )
-        return _inequality_entry(
-            check_volume_bound(ctx.bundle, ctx.regime, ctx.constants)
-        )
-    if name == "hessian_estimate":
-        return _inequality_entry(
-            check_hessian_estimate(
-                ctx.u, cfg.R, regime="auto", K=ctx.constants, C_budget=cfg.Cstar_budget
-            )
-        )
-    raise ConfigError(f"unknown check {name!r}")
+    return check_volume_bound(ctx.bundle, ctx.regime, ctx.constants)
+
+
+# Canonical check name -> the check run on a verify context.  Each entry looks
+# its check function up by module-global name when it runs, so a caller that
+# rebinds `lmce.cli.check_*` (a tracer, a test stub) sees its own function.
+IDENTITY_CHECKS = {
+    "form_equivalence": lambda ctx: check_form_equivalence(ctx.u, ctx.psi),
+    "complex_factorization": lambda ctx: check_complex_factorization(ctx.bundle),
+    "volume_formula": lambda ctx: check_volume_formula(ctx.bundle),
+    "cutoff_volume": lambda ctx: check_cutoff_volume_identity(ctx.bundle, ctx.cutoff),
+    "slope_volume": lambda ctx: check_slope_volume(ctx.bundle),
+    "coordinate_laplacian": lambda ctx: check_coordinate_laplacian(ctx.bundle),
+}
+INEQUALITY_CHECKS = {
+    "weak_max_principle": lambda ctx: check_weak_max_principle(
+        ctx.bmod, trials=ctx.cfg.trials, seed=ctx.cfg.seed
+    ),
+    "super_iso": lambda ctx: check_super_iso(ctx.bmod, trials=ctx.cfg.trials, seed=ctx.cfg.seed),
+    "jacobi_pointwise": lambda ctx: check_jacobi_pointwise(
+        ctx.bundle,
+        ctx.constants,
+        C_budget=ctx.cfg.C_budget if ctx.cfg.C_budget is not None else math.inf,
+    ),
+    "subharmonic": lambda ctx: check_subharmonic_modified_slope(
+        ctx.bundle, ctx.constants, rho=ctx.cfg.rho, trials=ctx.cfg.trials, seed=ctx.cfg.seed
+    ),
+    "jacobi_integral": lambda ctx: check_jacobi_integral(ctx.bundle, ctx.cutoff, ctx.constants),
+    "volume_bound": _volume_bound,
+    "hessian_estimate": lambda ctx: check_hessian_estimate(
+        ctx.u, ctx.cfg.R, regime="auto", K=ctx.constants, C_budget=ctx.cfg.Cstar_budget
+    ),
+}
+_CHECKS = {**IDENTITY_CHECKS, **INEQUALITY_CHECKS}
+ALL_CHECKS = list(_CHECKS)
 
 
 def _json_default(obj):
@@ -540,7 +477,7 @@ def cmd_verify(cfg: RunConfig) -> tuple[RunReport, int]:
     for name in cfg.checks:
         t1 = time.perf_counter()
         try:
-            entry = _run_check(name, ctx)
+            entry = _CHECKS[name](ctx).entry()
         except PreconditionError as exc:
             entry = {
                 "check": name,
@@ -815,7 +752,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, ValueError, OSError) as exc:
         print(f"lmce: invalid input: {exc}", file=sys.stderr)
         return EXIT_INVALID_INPUT
-    except RuntimeError as exc:
+    except NonConvergenceError as exc:
         print(f"lmce: {exc}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
     for entry in report.entries:

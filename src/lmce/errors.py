@@ -16,3 +16,7 @@ class LinearSolveError(RuntimeError):
 
 class ConfigError(ValueError):
     """A run configuration is malformed or internally inconsistent."""
+
+
+class NonConvergenceError(RuntimeError):
+    """The Newton solve ended without reaching its residual tolerance."""

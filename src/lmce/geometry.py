@@ -126,6 +126,16 @@ def _ro(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _induced_metric(m11, m12, m22):
+    """The metric g = I + M^2 of a symmetric Hessian M and its inverse,
+    elementwise: (g11, g12, g22, inv11, inv12, inv22)."""
+    g11 = 1.0 + m11 * m11 + m12 * m12
+    g12 = m12 * (m11 + m22)
+    g22 = 1.0 + m22 * m22 + m12 * m12
+    detg = g11 * g22 - g12 * g12
+    return g11, g12, g22, g22 / detg, -g12 / detg, g11 / detg
+
+
 def bundle_from_hessian(hess: SymMat2Field, grad: Vec2Field | None = None) -> GeometryBundle:
     """Assemble a GeometryBundle from a (possibly analytic) Hessian field."""
     m11 = hess.m11.values
@@ -136,13 +146,7 @@ def bundle_from_hessian(hess: SymMat2Field, grad: Vec2Field | None = None) -> Ge
     sig1 = lam1 + lam2
     sig2 = lam1 * lam2
     vol = np.sqrt((1.0 + lam1 * lam1) * (1.0 + lam2 * lam2))
-    g11 = 1.0 + m11 * m11 + m12 * m12
-    g12 = m12 * (m11 + m22)
-    g22 = 1.0 + m22 * m22 + m12 * m12
-    detg = g11 * g22 - g12 * g12
-    inv11 = g22 / detg
-    inv12 = -g12 / detg
-    inv22 = g11 / detg
+    g11, g12, g22, inv11, inv12, inv22 = _induced_metric(m11, m12, m22)
     b = 0.5 * np.log1p(lam1 * lam1)
     return GeometryBundle(
         grid=hess.grid,
@@ -284,16 +288,9 @@ def laplace_beltrami(f: ScalarField2, B: GeometryBundle) -> ScalarField2:
     return ScalarField2(g, out)
 
 
-def mean_curvature(B: GeometryBundle, psi: ScalarField2):
-    """Mean curvature vector of the graph: the quarter-turn of the lifted
-    metric gradient of the phase.
-
-    For w = g^{-1} D(psi), the tangential lift of the metric gradient is
-    (w, M w) in R^2 x R^2 with M the Hessian; applying the quarter-turn
-    J(a, b) = (-b, a) gives the ambient mean curvature vector.  Returns the
-    (n, n, 4) ambient components and the pointwise norm field, which equals
-    sqrt(g^{ij} psi_i psi_j).
-    """
+def _lift_phase_gradient(B: GeometryBundle, psi: ScalarField2):
+    """The differenced gradient p = D(psi), the metric gradient w = g^{-1} p
+    and its lift M w by the Hessian M, each as a pair of (n, n) arrays."""
     if psi.grid != B.grid:
         raise ValueError("phase field and bundle grids differ")
     gpsi = gradient_fd(psi)
@@ -304,8 +301,20 @@ def mean_curvature(B: GeometryBundle, psi: ScalarField2):
     m11 = B.hess.m11.values
     m12 = B.hess.m12.values
     m22 = B.hess.m22.values
-    t1 = m11 * w1 + m12 * w2
-    t2 = m12 * w1 + m22 * w2
+    return (p1, p2), (w1, w2), (m11 * w1 + m12 * w2, m12 * w1 + m22 * w2)
+
+
+def mean_curvature(B: GeometryBundle, psi: ScalarField2):
+    """Mean curvature vector of the graph: the quarter-turn of the lifted
+    metric gradient of the phase.
+
+    For w = g^{-1} D(psi), the tangential lift of the metric gradient is
+    (w, M w) in R^2 x R^2 with M the Hessian; applying the quarter-turn
+    J(a, b) = (-b, a) gives the ambient mean curvature vector.  Returns the
+    (n, n, 4) ambient components and the pointwise norm field, which equals
+    sqrt(g^{ij} psi_i psi_j).
+    """
+    (p1, p2), (w1, w2), (t1, t2) = _lift_phase_gradient(B, psi)
     H = np.stack([-t1, -t2, w1, w2], axis=-1)
     norm2 = _quadform_inv(B, p1, p2)
     hnorm = ScalarField2(B.grid, np.sqrt(np.maximum(norm2, 0.0)))

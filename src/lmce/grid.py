@@ -248,11 +248,6 @@ class CutoffProfile:
     def grid(self) -> Grid2:
         return self.phi.grid
 
-    def value_radial(self, rho):
-        """Profile value as a function of radius (vectorized)."""
-        t = np.clip((np.asarray(rho, dtype=float) - self.r1) / (self.r2 - self.r1), 0.0, 1.0)
-        return 1.0 - t * t * t * (10.0 + t * (-15.0 + 6.0 * t))
-
     def slope_radial(self, rho):
         """Radial derivative of the profile (vectorized)."""
         rho = np.asarray(rho, dtype=float)

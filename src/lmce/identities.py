@@ -1,8 +1,9 @@
-"""Exact algebraic and structural identity checks on geometry bundles.
+"""Exact algebraic and structural identity checks on geometry bundles, and
+the CheckReport that every identity and inequality check returns.
 
-Every check produces an IdentityReport with a named tolerance class:
-"algebraic" residuals are pure eigenvalue algebra and must sit at round-off
-(1e-10 to 1e-12 relative), while "differencing" residuals involve finite
+An identity's report kind names its tolerance class: "identity/algebraic"
+residuals are pure eigenvalue algebra and must sit at round-off (1e-10 to
+1e-12 relative), while "identity/differencing" residuals involve finite
 differences and are allowed C*h^2.  Discretization noise must never be able
 to mask an algebraic failure, so the two classes are never mixed.
 """
@@ -15,11 +16,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import PreconditionError
-from .geometry import GeometryBundle, bundle as make_bundle, laplace_beltrami
-from .grid import CutoffProfile, ScalarField2, gradient_fd
+from .geometry import (
+    GeometryBundle,
+    _lift_phase_gradient,
+    _quadform_inv,
+    bundle as make_bundle,
+    laplace_beltrami,
+)
+from .grid import CutoffProfile, ScalarField2
 
 __all__ = [
-    "IdentityReport",
+    "CheckReport",
     "check_form_equivalence",
     "check_complex_factorization",
     "check_volume_formula",
@@ -30,16 +37,49 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class IdentityReport:
-    """Outcome of one identity check: pass iff max residual <= tolerance."""
+class CheckReport:
+    """Outcome of one check.
+
+    kind is "identity/algebraic", "identity/differencing" or "inequality".
+    An identity passes iff max_residual <= tolerance, with location the node
+    of the largest residual; an inequality passes iff margin >= -slack, with
+    lhs and rhs its two sides.  Fields that do not apply to the kind are None.
+    fitted holds the constants the check fitted, excluded the number of nodes
+    or trials it left out.
+    """
 
     name: str
-    max_residual: float
-    location: tuple[int, int]
-    tolerance: float
+    kind: str
     passed: bool
-    tol_class: str
+    max_residual: float | None = None
+    tolerance: float | None = None
+    location: tuple[int, int] | None = None
+    lhs: float | None = None
+    rhs: float | None = None
+    margin: float | None = None
+    slack: float | None = None
+    fitted: dict = field(default_factory=dict)
+    excluded: int = 0
     details: dict = field(default_factory=dict)
+
+    def entry(self) -> dict:
+        """The report as one `verify.json` entry, without the None fields."""
+        entry = {
+            "check": self.name,
+            "kind": self.kind,
+            "passed": bool(self.passed),
+            "residual": self.max_residual,
+            "tolerance": self.tolerance,
+            "location": self.location,
+            "lhs": self.lhs,
+            "rhs": self.rhs,
+            "margin": self.margin,
+            "slack": self.slack,
+            "fitted": dict(self.fitted),
+            "excluded": self.excluded,
+            "details": dict(self.details),
+        }
+        return {k: v for k, v in entry.items() if v is not None}
 
 
 def _argmax_abs(arr: np.ndarray) -> tuple[int, int]:
@@ -47,23 +87,24 @@ def _argmax_abs(arr: np.ndarray) -> tuple[int, int]:
     return int(i), int(j)
 
 
-def _report(name, resid, tol, tol_class, **details) -> IdentityReport:
+def _report(name, resid, tol, tol_class, details=None, excluded=0) -> CheckReport:
     loc = _argmax_abs(resid)
     mx = float(np.abs(resid[loc]))
-    return IdentityReport(
+    return CheckReport(
         name=name,
-        max_residual=mx,
-        location=loc,
-        tolerance=float(tol),
+        kind=f"identity/{tol_class}",
         passed=bool(mx <= tol),
-        tol_class=tol_class,
-        details=details,
+        max_residual=mx,
+        tolerance=float(tol),
+        location=loc,
+        excluded=excluded,
+        details=details or {},
     )
 
 
 def check_form_equivalence(
     u: ScalarField2, psi: ScalarField2, slack_coeff: float = 10.0
-) -> IdentityReport:
+) -> CheckReport:
     """Equivalence of the arctangent form and the product form of the equation.
 
     Computes both residuals from the differenced Hessian of u:
@@ -89,14 +130,13 @@ def check_form_equivalence(
     phase_tol = slack_coeff * h * h
     loc = _argmax_abs(r2)
     max_r2 = float(np.abs(r2[loc]))
-    passed = (max_r2 <= scale_tol) and (max_r1 <= phase_tol)
-    return IdentityReport(
+    return CheckReport(
         name="form_equivalence",
+        kind="identity/differencing",
+        passed=(max_r2 <= scale_tol) and (max_r1 <= phase_tol),
         max_residual=max_r2,
-        location=loc,
         tolerance=float(scale_tol),
-        passed=passed,
-        tol_class="differencing",
+        location=loc,
         details={
             "max_arctan_residual": max_r1,
             "phase_tolerance": phase_tol,
@@ -107,7 +147,7 @@ def check_form_equivalence(
 
 def check_complex_factorization(
     B: GeometryBundle, rtol: float = 1e-12
-) -> IdentityReport:
+) -> CheckReport:
     """(1 + i lam1)(1 + i lam2) = (1 - sig2) + i sig1 = V e^{i phase}, node-wise.
 
     Pure eigenvalue algebra; tolerance rtol*(1 + max V), class algebraic.
@@ -121,7 +161,7 @@ def check_complex_factorization(
 
 def check_volume_formula(
     B: GeometryBundle, delta: float = 1e-3, rtol: float = 1e-10
-) -> IdentityReport:
+) -> CheckReport:
     """V = sig1 / sin(phase) on nodes with sin(phase) >= sin(delta).
 
     Requires phase in (0, pi) everywhere on the bundle; nodes too close to
@@ -138,18 +178,15 @@ def check_volume_formula(
     resid = np.zeros_like(B.vol)
     resid[mask] = B.vol[mask] - B.sig1[mask] / np.sin(B.phase[mask])
     tol = rtol * float(np.max(B.vol))
+    excluded = int(np.size(mask) - np.count_nonzero(mask))
     return _report(
-        "volume_formula",
-        resid,
-        tol,
-        "algebraic",
-        excluded_nodes=int(np.size(mask) - np.count_nonzero(mask)),
+        "volume_formula", resid, tol, "algebraic", {"excluded_nodes": excluded}, excluded
     )
 
 
 def check_cutoff_volume_identity(
     B: GeometryBundle, cutoff: CutoffProfile, slack_coeff: float = 10.0
-) -> IdentityReport:
+) -> CheckReport:
     """|grad_g phi|^2 V <= |D phi|^2 (2 cos(phase) + sig1 sin(phase)), node-wise.
 
     The left side contracts the analytic cutoff gradient with g^{-1}; the
@@ -161,42 +198,30 @@ def check_cutoff_volume_identity(
     """
     if cutoff.grid != B.grid:
         raise ValueError("cutoff and bundle grids differ")
-    lhs = (
-        _quadform(B, cutoff.grad.c1.values, cutoff.grad.c2.values) * B.vol
-    )
+    lhs = _quadform_inv(B, cutoff.grad.c1.values, cutoff.grad.c2.values) * B.vol
     dphi2 = cutoff.grad.c1.values ** 2 + cutoff.grad.c2.values ** 2
     rhs = dphi2 * (2.0 * np.cos(B.phase) + B.sig1 * np.sin(B.phase))
     violation = np.maximum(lhs - rhs, 0.0)
     tol = slack_coeff * B.grid.h ** 2
-    rep = _report("cutoff_volume", violation, tol, "differencing")
-    return IdentityReport(
-        name=rep.name,
-        max_residual=rep.max_residual,
-        location=rep.location,
-        tolerance=rep.tolerance,
-        passed=rep.passed,
-        tol_class=rep.tol_class,
-        details={"min_margin": float(np.min(rhs - lhs))},
+    return _report(
+        "cutoff_volume", violation, tol, "differencing",
+        {"min_margin": float(np.min(rhs - lhs))},
     )
 
 
-def _quadform(B: GeometryBundle, v1, v2):
-    return B.inv11 * v1 * v1 + 2.0 * B.inv12 * v1 * v2 + B.inv22 * v2 * v2
-
-
-def check_slope_volume(B: GeometryBundle) -> IdentityReport:
+def check_slope_volume(B: GeometryBundle) -> CheckReport:
     """Slope dominated by volume element: b <= V node-wise (zero tolerance)."""
     resid = B.slope - B.vol
     i, j = np.unravel_index(np.argmax(resid), resid.shape)
     loc = (int(i), int(j))
     mx = float(resid[loc])
-    return IdentityReport(
+    return CheckReport(
         name="slope_volume",
-        max_residual=mx,
-        location=loc,
-        tolerance=0.0,
+        kind="identity/algebraic",
         passed=bool(mx <= 0.0),
-        tol_class="algebraic",
+        max_residual=mx,
+        tolerance=0.0,
+        location=loc,
         details={"min_margin": float(np.min(B.vol - B.slope))},
     )
 
@@ -206,7 +231,7 @@ def check_coordinate_laplacian(
     psi: ScalarField2 | None = None,
     slack_coeff: float = 20.0,
     margin_cells: int = 2,
-) -> IdentityReport:
+) -> CheckReport:
     """Laplace-Beltrami of the coordinates against the mean curvature algebra.
 
     For the graph of Du, the manifold Laplacian of an ambient coordinate
@@ -220,16 +245,8 @@ def check_coordinate_laplacian(
     g = B.grid
     if psi is None:
         psi = ScalarField2(g, B.phase)
-    elif psi.grid != g:
-        raise ValueError("phase field and bundle grids differ")
-    gpsi = gradient_fd(psi)
-    p1, p2 = gpsi.c1.values, gpsi.c2.values
-    w1 = B.inv11 * p1 + B.inv12 * p2
-    w2 = B.inv12 * p1 + B.inv22 * p2
-    m11 = B.hess.m11.values
-    m12 = B.hess.m12.values
-    m22 = B.hess.m22.values
-    alg = np.stack([-(m11 * w1 + m12 * w2), -(m12 * w1 + m22 * w2)])
+    _, _, (mw1, mw2) = _lift_phase_gradient(B, psi)
+    alg = np.stack([-mw1, -mw2])
     x1, x2 = g.coords()
     lap1 = laplace_beltrami(ScalarField2(g, x1 + np.zeros_like(x2)), B).values
     lap2 = laplace_beltrami(ScalarField2(g, x2 + np.zeros_like(x1)), B).values
@@ -240,12 +257,12 @@ def check_coordinate_laplacian(
     tol = slack_coeff * g.h ** 2 * scale
     k, i, j = np.unravel_index(np.argmax(np.abs(core)), core.shape)
     mx = float(np.abs(core[k, i, j]))
-    return IdentityReport(
+    return CheckReport(
         name="coordinate_laplacian",
-        max_residual=mx,
-        location=(int(i) + m, int(j) + m),
-        tolerance=float(tol),
+        kind="identity/differencing",
         passed=bool(mx <= tol),
-        tol_class="differencing",
+        max_residual=mx,
+        tolerance=float(tol),
+        location=(int(i) + m, int(j) + m),
         details={"component": int(k) + 1},
     )

@@ -1,12 +1,12 @@
 """Differential inequality checks and the interior Hessian-estimate harness.
 
-Each check returns an InequalityReport with explicit left/right sides, the
-slack that was granted (quadrature or Lipschitz), and any fitted constants.
-Constants with no analytic value (the slope-curvature additive constant, the
-quadratic modification weight, the volume-bound prefactor, the exponential
-budget) are fitted and reported rather than assumed: the point of the suite
-is to verify the structure of each inequality and the stability of its
-constants under refinement.
+Each check returns a CheckReport of kind "inequality" with explicit
+left/right sides, the slack that was granted (quadrature or Lipschitz), and
+any fitted constants.  Constants with no analytic value (the slope-curvature
+additive constant, the quadratic modification weight, the volume-bound
+prefactor, the exponential budget) are fitted and reported rather than
+assumed: the point of the suite is to verify the structure of each
+inequality and the stability of its constants under refinement.
 
 Quadrature slack convention: node-indicator disk quadrature carries an O(h)
 boundary layer, so integral comparisons over a disk of radius r receive
@@ -19,7 +19,6 @@ uniformly negative-phase bundles are canonicalized by negating the potential.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -27,6 +26,7 @@ from .errors import PreconditionError
 from .geometry import (
     GeometryBundle,
     SlopeConstants,
+    _quadform_inv,
     bundle as make_bundle,
     grad_g_norm2,
     laplace_beltrami,
@@ -42,9 +42,9 @@ from .grid import (
     integrate_disk,
     sup_norm_disk,
 )
+from .identities import CheckReport
 
 __all__ = [
-    "InequalityReport",
     "check_weak_max_principle",
     "check_super_iso",
     "check_jacobi_pointwise",
@@ -58,21 +58,6 @@ __all__ = [
 
 REGIME_CUSHION = 1e-12
 PHASE_SPLIT = 0.75 * math.pi
-
-
-@dataclass(frozen=True)
-class InequalityReport:
-    """Outcome of one inequality check: pass iff margin >= -slack."""
-
-    name: str
-    lhs: float
-    rhs: float
-    margin: float
-    passed: bool
-    slack: float = 0.0
-    fitted: dict = field(default_factory=dict)
-    excluded: int = 0
-    details: dict = field(default_factory=dict)
 
 
 def _disk_quad_slack(h: float, r: float, sup_integrand: float) -> float:
@@ -92,7 +77,7 @@ def check_weak_max_principle(
     seed: int = 0,
     slack_coeff: float = 2.0,
     radius: float = 2.0,
-) -> InequalityReport:
+) -> CheckReport:
     """Sampled weak maximum principle on subdomains of the disk |x| <= radius.
 
     Draws `trials` random sub-disks and sub-rectangles inside the disk and
@@ -181,8 +166,9 @@ def check_weak_max_principle(
 
     if ran == 0:
         raise PreconditionError("no admissible subdomains at this resolution")
-    return InequalityReport(
+    return CheckReport(
         name="weak_max_principle",
+        kind="inequality",
         lhs=worst_lhs,
         rhs=worst_rhs,
         margin=worst,
@@ -198,7 +184,7 @@ def check_super_iso(
     trials: int = 200,
     seed: int = 0,
     grad: Vec2Field | None = None,
-) -> InequalityReport:
+) -> CheckReport:
     """Sup over the unit disk bounded by gradient and value integrals over B2.
 
     Asserts  sup_{|x|<=1} f  <=  int_{B2} |Df| dx + int_{B2} f dx  + slack.
@@ -226,8 +212,9 @@ def check_super_iso(
     slack = _disk_quad_slack(g.h, 2.0, sup_int)
     rhs = int_grad + int_f
     margin = rhs + slack - lhs
-    return InequalityReport(
+    return CheckReport(
         name="super_iso",
+        kind="inequality",
         lhs=lhs,
         rhs=rhs,
         margin=margin,
@@ -250,7 +237,7 @@ def check_jacobi_pointwise(
     C_budget: float = math.inf,
     radius: float | None = None,
     margin_cells: int = 2,
-) -> InequalityReport:
+) -> CheckReport:
     """Pointwise slope curvature inequality lap_g b >= c |grad_g b|^2 - C.
 
     Evaluates m = min(lap_g b - c |grad_g b|^2) over interior nodes (2h from
@@ -285,12 +272,14 @@ def check_jacobi_pointwise(
             raise PreconditionError("eigenvalue-gap filter excluded every node")
     m = float(np.min((lap - K.c * gn)[mask]))
     c_hat = max(0.0, -m)
-    return InequalityReport(
+    return CheckReport(
         name="jacobi_pointwise",
+        kind="inequality",
         lhs=c_hat,
         rhs=float(C_budget),
         margin=float(C_budget) - c_hat,
         passed=bool(c_hat <= C_budget),
+        slack=0.0,
         fitted={"C_hat": c_hat, "c": K.c, "min_defect": m},
         excluded=excluded,
         details={"canonicalized": flipped, "nodes_checked": int(np.count_nonzero(mask))},
@@ -344,7 +333,7 @@ def check_subharmonic_modified_slope(
     margin_cells: int = 2,
     trials: int = 200,
     seed: int = 0,
-) -> InequalityReport:
+) -> CheckReport:
     """Subharmonicity of the modified slope b + (A/2)|x|^2 on |x| <= rho.
 
     Requires supercritical phase (phase >= delta) on the region.  Evaluates
@@ -364,8 +353,9 @@ def check_subharmonic_modified_slope(
     m = float(np.min(lap[mask]))
     wmp = check_weak_max_principle(bmod, trials=trials, seed=seed, radius=min(rho, 2.0))
     passed = (m >= -slack) and wmp.passed
-    return InequalityReport(
+    return CheckReport(
         name="subharmonic_modified_slope",
+        kind="inequality",
         lhs=0.0,
         rhs=m,
         margin=m,
@@ -382,7 +372,7 @@ def check_jacobi_integral(
     K: SlopeConstants,
     C_hat: float | None = None,
     ibp_coeff: float = 10.0,
-) -> InequalityReport:
+) -> CheckReport:
     """Integral form of the slope curvature inequality through a cutoff.
 
     With dv = V dx and a cutoff phi (support radius r2, plateau radius r1),
@@ -408,11 +398,7 @@ def check_jacobi_integral(
     b = slope(B)
     gnb = grad_g_norm2(b, B).values
     phi = cutoff.phi.values
-    gnphi = (
-        B.inv11 * cutoff.grad.c1.values ** 2
-        + 2.0 * B.inv12 * cutoff.grad.c1.values * cutoff.grad.c2.values
-        + B.inv22 * cutoff.grad.c2.values ** 2
-    )
+    gnphi = _quadform_inv(B, cutoff.grad.c1.values, cutoff.grad.c2.values)
     V = B.vol
     lhs = integrate_disk(ScalarField2(g, gnb * V), cutoff.r1)
     i_phi = integrate_disk(ScalarField2(g, gnphi * V), cutoff.r2)
@@ -435,8 +421,9 @@ def check_jacobi_integral(
     ibp_resid = abs(ibp_lhs - ibp_rhs)
     ibp_tol = ibp_coeff * h
     passed = (margin >= 0.0) and (ibp_resid <= ibp_tol)
-    return InequalityReport(
+    return CheckReport(
         name="jacobi_integral",
+        kind="inequality",
         lhs=lhs,
         rhs=rhs,
         margin=margin,
@@ -454,7 +441,7 @@ def check_volume_bound(
     inner: float = 2.0,
     mid: float = 3.0,
     outer: float = 4.0,
-) -> InequalityReport:
+) -> CheckReport:
     """Volume-element bounds for the two supercritical phase regimes.
 
     regime "case1" (delta <= phase <= 3pi/4 on B_inner): asserts the exact
@@ -495,8 +482,9 @@ def check_volume_bound(
         int_v = integrate_disk(ScalarField2(g, B.vol), inner)
         du_sup = sup_norm_disk(dmag, mid)
         c2 = sd * int_v / du_sup if du_sup > 0 else 0.0
-        return InequalityReport(
+        return CheckReport(
             name="volume_bound_case1",
+            kind="inequality",
             lhs=float(np.max(B.vol[region] * sd)),
             rhs=float(np.max(B.sig1[region])),
             margin=node_min,
@@ -521,8 +509,9 @@ def check_volume_bound(
     du_mid = sup_norm_disk(dmag, mid)
     alt_rhs = math.pi * du_mid * du_mid
     alt_slack = _disk_quad_slack(h, mid, float(np.max(np.abs(B.sig2 - 1.0))))
-    return InequalityReport(
+    return CheckReport(
         name="volume_bound_case2",
+        kind="inequality",
         lhs=lhs,
         rhs=rhs,
         margin=margin,
@@ -567,7 +556,7 @@ def check_hessian_estimate(
     regime: str = "auto",
     K: SlopeConstants | None = None,
     C_budget: float = math.inf,
-) -> InequalityReport:
+) -> CheckReport:
     """Interior Hessian estimate harness on the disk of radius R.
 
     Computes L = |D^2 u(0)| (spectral norm from the central stencil at the
@@ -592,12 +581,14 @@ def check_hessian_estimate(
     dmag = B.grad.magnitude()
     du_sup = sup_norm_disk(dmag, R)
     if level <= 1e-14:
-        return InequalityReport(
+        return CheckReport(
             name="hessian_estimate",
+            kind="inequality",
             lhs=0.0,
             rhs=float(C_budget),
             margin=float(C_budget),
             passed=True,
+            slack=0.0,
             fitted={"C_star": 0.0, "hess_origin": level, "growth": du_sup / R},
             details={"regime": "degenerate", "canonicalized": flipped},
         )
@@ -626,12 +617,14 @@ def check_hessian_estimate(
         raise ValueError(f"unknown regime {regime!r}")
     growth = du_sup / R if regime == "case1" else (du_sup / R) ** 2
     c_star = fit_exp_budget(level, growth)
-    return InequalityReport(
+    return CheckReport(
         name="hessian_estimate",
+        kind="inequality",
         lhs=c_star,
         rhs=float(C_budget),
         margin=float(C_budget) - c_star,
         passed=bool(c_star <= C_budget),
+        slack=0.0,
         fitted={"C_star": c_star, "hess_origin": level, "growth": growth},
         details={"regime": regime, "canonicalized": flipped, "grad_sup": du_sup},
     )

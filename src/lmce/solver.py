@@ -22,7 +22,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import LinearSolveError, PreconditionError
-from .geometry import eigen_sym2
+from .geometry import _induced_metric, eigen_sym2
 from .grid import Grid2, ScalarField2, SymMat2Field, gradient_fd, hessian_fd, sample
 
 __all__ = [
@@ -397,16 +397,9 @@ def newton_solve(
 
     def coefficients(uarr: np.ndarray):
         hess = hessian_fd(ScalarField2(grid, uarr))
-        m11 = hess.m11.values
-        m12 = hess.m12.values
-        m22 = hess.m22.values
-        g11 = 1.0 + m11 * m11 + m12 * m12
-        g12 = m12 * (m11 + m22)
-        g22 = 1.0 + m22 * m22 + m12 * m12
-        detg = g11 * g22 - g12 * g12
-        inv11 = g22 / detg
-        inv12 = -g12 / detg
-        inv22 = g11 / detg
+        *_, inv11, inv12, inv22 = _induced_metric(
+            hess.m11.values, hess.m12.values, hess.m22.values
+        )
         ell = 0.5 * (inv11 + inv22) - np.sqrt(
             (0.5 * (inv11 - inv22)) ** 2 + inv12 * inv12
         )

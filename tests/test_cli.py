@@ -1,14 +1,20 @@
 """Config parsing, commands, exit codes, output formats, determinism."""
 
+import importlib
+import importlib.util
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import lmce.cli
 from lmce.cli import (
+    ALL_CHECKS,
     EXIT_CHECK_FAILED,
     EXIT_INVALID_INPUT,
+    EXIT_NO_CONVERGENCE,
     EXIT_PASS,
     RunConfig,
     cmd_report,
@@ -22,6 +28,9 @@ from lmce.cli import (
 )
 from lmce.errors import ConfigError
 from lmce.grid import build_grid, sample
+from lmce.identities import CheckReport
+
+SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
 
 class TestConfig:
@@ -276,3 +285,71 @@ class TestMainExitCodes:
         assert code == EXIT_PASS
         data = json.loads((tmp_path / "ov" / "verify.json").read_text())
         assert data["config"]["seed"] == 42
+
+
+class TestStrictConfig:
+    BASE = {"family": "perturbed", "n": 33, "checks": ["weak_max_principle", "super_iso"]}
+
+    @pytest.mark.parametrize(
+        "command,override",
+        [
+            ("verify", {"n": 33.7}),
+            ("verify", {"n": 33.0}),
+            ("verify", {"trials": 0}),
+            ("verify", {"trials": -5}),
+            ("verify", {"R": -1.0}),
+            ("verify", {"rho": 0}),
+            ("solve", {"tol": -1}),
+            ("solve", {"max_iter": -2}),
+        ],
+    )
+    def test_bad_config_exit_3(self, tmp_path, command, override):
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps({**self.BASE, **override, "out": str(tmp_path / "o")}))
+        assert main([command, "--config", str(p)]) == EXIT_INVALID_INPUT
+        assert not (tmp_path / "o").exists()
+
+
+class TestNonConvergence:
+    def _config(self, tmp_path):
+        p = tmp_path / "solved.cfg"
+        p.write_text(
+            "family=perturbed\neps=0.1\nn=33\nsource=solved\nmax_iter=0\n"
+            f"checks=slope_volume\nout={tmp_path / 'o'}\n"
+        )
+        return p
+
+    def test_solved_verify_nonconvergence_exit_2(self, tmp_path):
+        assert main(["verify", "--config", str(self._config(tmp_path))]) == EXIT_NO_CONVERGENCE
+
+    def test_other_runtime_error_not_exit_2(self, tmp_path, monkeypatch):
+        def broken(*args, **kwargs):
+            raise RuntimeError("internal fault")
+
+        monkeypatch.setattr(lmce.cli, "newton_solve", broken)
+        with pytest.raises(RuntimeError, match="internal fault"):
+            main(["verify", "--config", str(self._config(tmp_path))])
+
+
+class TestCheckRegistry:
+    def test_tracer_names_every_check(self):
+        spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+        spans = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(spans)
+        assert list(spans.CHECK_FUNCTIONS) == ALL_CHECKS
+        for module, function in spans.CHECK_FUNCTIONS.values():
+            assert function in importlib.import_module(f"lmce.{module}").__all__
+
+    def test_check_looked_up_at_call_time(self, tmp_path, monkeypatch):
+        stub = CheckReport(
+            name="slope_volume", kind="identity/algebraic", passed=False,
+            max_residual=123.0, tolerance=0.0, location=(1, 2),
+        )
+        monkeypatch.setattr(lmce.cli, "check_slope_volume", lambda B: stub)
+        cfg = RunConfig(family="quadratic", n=17, checks=["slope_volume"], out=str(tmp_path / "o"))
+        report, code = cmd_verify(cfg)
+        assert code == EXIT_CHECK_FAILED
+        (entry,) = report.entries
+        assert entry["residual"] == 123.0
+        assert entry["location"] == (1, 2)
+        assert "lhs" not in entry and "margin" not in entry

@@ -1,0 +1,89 @@
+"""Byte-for-byte regression of `verify.csv` and `sweep.csv` at fixed configs.
+
+The files under `tests/golden/` were written by the code before the check
+layer was refactored; every later change must reproduce them exactly.  The
+`entries` of each `verify.json` are kept too: a later run may add keys to an
+entry, never drop or change one.
+
+Regenerate (only when an output change is intended) with
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+GOLDEN = Path(__file__).parent / "golden"
+
+VERIFY_CASES = {
+    "verify_perturbed": dict(family="perturbed", eps=0.1, n=65, checks=["all"], seed=3),
+    "verify_quadratic_case2": dict(family="quadratic", a=4.0, n=65, checks=["all"]),
+    "verify_perturbed_solved": dict(
+        family="perturbed", eps=0.1, n=65, source="solved", checks=["all"]
+    ),
+}
+
+SWEEP_CASES = {
+    "sweep_a": dict(family="quadratic", n=65, sweep_param="a", sweep_values=[1.0, 2.0, 4.0, 8.0]),
+    "sweep_A": dict(
+        family="perturbed", eps=0.1, n=65, sweep_param="A",
+        sweep_values=[0.0, 0.5, 1.0, 2.0], trials=50, seed=5,
+    ),
+    "sweep_n": dict(family="perturbed", eps=0.1, sweep_param="n", sweep_values=[17, 33, 65]),
+    "sweep_eps": dict(
+        family="perturbed", n=65, sweep_param="eps", sweep_values=[0.0, 0.05, 0.1, 0.2]
+    ),
+}
+
+
+def _run(name: str, out: Path) -> Path:
+    from lmce.cli import RunConfig, cmd_sweep, cmd_verify
+
+    if name in VERIFY_CASES:
+        cmd_verify(RunConfig(**VERIFY_CASES[name], out=str(out)))
+        return out / "verify.csv"
+    cmd_sweep(RunConfig(**SWEEP_CASES[name], out=str(out)))
+    return out / "sweep.csv"
+
+
+def _entries(out: Path) -> list[dict]:
+    return json.loads((out / "verify.json").read_text())["entries"]
+
+
+@pytest.mark.parametrize("name", sorted(VERIFY_CASES) + sorted(SWEEP_CASES))
+def test_csv_byte_identical(name, tmp_path):
+    produced = _run(name, tmp_path / "o")
+    assert produced.read_bytes() == (GOLDEN / f"{name}.csv").read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(VERIFY_CASES))
+def test_verify_json_entries_only_gain_keys(name, tmp_path):
+    _run(name, tmp_path / "o")
+    new = _entries(tmp_path / "o")
+    old = json.loads((GOLDEN / f"{name}.entries.json").read_text())
+    assert [e["check"] for e in new] == [e["check"] for e in old]
+    for before, after in zip(old, new):
+        for key, value in before.items():
+            assert after[key] == value, (before["check"], key)
+
+
+def _regenerate() -> None:
+    import tempfile
+
+    for name in list(VERIFY_CASES) + list(SWEEP_CASES):
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp)
+            produced = _run(name, out)
+            (GOLDEN / f"{name}.csv").write_bytes(produced.read_bytes())
+            if name in VERIFY_CASES:
+                (GOLDEN / f"{name}.entries.json").write_text(
+                    json.dumps(_entries(out), indent=2, sort_keys=True) + "\n"
+                )
+        print(f"wrote {name}", file=sys.stderr)
+
+
+if __name__ == "__main__":
+    _regenerate()
