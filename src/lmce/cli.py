@@ -28,6 +28,7 @@ import math
 import sys
 import time
 from dataclasses import dataclass, field
+from functools import cached_property, wraps
 from pathlib import Path
 
 import numpy as np
@@ -327,8 +328,31 @@ def _build_family(cfg: RunConfig):
     return None
 
 
+def _timed_lazy(build):
+    """A cached property of `_Context` that records how long its build took,
+    under `timings["<name>_s"]`, less any lazy state built inside it."""
+    key = f"{build.__name__}_s"
+
+    @wraps(build)
+    def timed(self):
+        outer = self.lazy_s
+        t0 = time.perf_counter()
+        value = build(self)
+        spent = time.perf_counter() - t0
+        self.timings[key] = spent - (self.lazy_s - outer)
+        self.lazy_s = outer + spent
+        return value
+
+    return cached_property(timed)
+
+
 class _Context:
-    """Lazily built shared state for one verify run."""
+    """Lazily built shared state for one verify run.
+
+    The slope constants (with the fit of A), the cutoff and the modified slope
+    are built on first use; `timings` holds each one's own build time and
+    `lazy_s` their total, so no check is charged for state it builds first.
+    """
 
     def __init__(self, cfg: RunConfig):
         self.cfg = cfg
@@ -366,33 +390,24 @@ class _Context:
             self.psi = ScalarField2(self.grid, self.bundle.phase)
         if not self.regime:
             self.regime = _detect_regime(self.bundle, cfg.delta)
-        self._constants = None
-        self._cutoff = None
-        self._bmod = None
+        self.timings: dict[str, float] = {}
+        self.lazy_s = 0.0
 
-    @property
+    @_timed_lazy
     def constants(self) -> SlopeConstants:
-        if self._constants is None:
-            a = self.cfg.A
-            if a == "fit":
-                base = SlopeConstants(delta=self.cfg.delta, c=self.cfg.c, A=0.0)
-                a, _ = fit_modification_weight(self.bundle, base, rho=self.cfg.rho)
-            self._constants = SlopeConstants(
-                delta=self.cfg.delta, c=self.cfg.c, A=float(a)
-            )
-        return self._constants
+        a = self.cfg.A
+        if a == "fit":
+            base = SlopeConstants(delta=self.cfg.delta, c=self.cfg.c, A=0.0)
+            a, _ = fit_modification_weight(self.bundle, base, rho=self.cfg.rho)
+        return SlopeConstants(delta=self.cfg.delta, c=self.cfg.c, A=float(a))
 
-    @property
+    @_timed_lazy
     def cutoff(self):
-        if self._cutoff is None:
-            self._cutoff = make_cutoff(2.0, 3.0, self.grid)
-        return self._cutoff
+        return make_cutoff(2.0, 3.0, self.grid)
 
-    @property
+    @_timed_lazy
     def bmod(self) -> ScalarField2:
-        if self._bmod is None:
-            self._bmod = modified_slope(self.bundle, self.constants)
-        return self._bmod
+        return modified_slope(self.bundle, self.constants)
 
 
 def _detect_regime(B, delta: float) -> str:
@@ -417,7 +432,7 @@ def _volume_bound(ctx: _Context):
 # its check function up by module-global name when it runs, so a caller that
 # rebinds `lmce.cli.check_*` (a tracer, a test stub) sees its own function.
 IDENTITY_CHECKS = {
-    "form_equivalence": lambda ctx: check_form_equivalence(ctx.u, ctx.psi),
+    "form_equivalence": lambda ctx: check_form_equivalence(ctx.bundle, ctx.psi),
     "complex_factorization": lambda ctx: check_complex_factorization(ctx.bundle),
     "volume_formula": lambda ctx: check_volume_formula(ctx.bundle),
     "cutoff_volume": lambda ctx: check_cutoff_volume_identity(ctx.bundle, ctx.cutoff),
@@ -440,7 +455,7 @@ INEQUALITY_CHECKS = {
     "jacobi_integral": lambda ctx: check_jacobi_integral(ctx.bundle, ctx.cutoff, ctx.constants),
     "volume_bound": _volume_bound,
     "hessian_estimate": lambda ctx: check_hessian_estimate(
-        ctx.u, ctx.cfg.R, regime="auto", K=ctx.constants, C_budget=ctx.cfg.Cstar_budget
+        ctx.bundle, ctx.cfg.R, regime="auto", K=ctx.constants, C_budget=ctx.cfg.Cstar_budget
     ),
 }
 _CHECKS = {**IDENTITY_CHECKS, **INEQUALITY_CHECKS}
@@ -476,6 +491,7 @@ def cmd_verify(cfg: RunConfig) -> tuple[RunReport, int]:
         report.solver = _solver_summary(ctx.solve_state)
     for name in cfg.checks:
         t1 = time.perf_counter()
+        lazy0 = ctx.lazy_s
         try:
             entry = _CHECKS[name](ctx).entry()
         except PreconditionError as exc:
@@ -489,7 +505,8 @@ def cmd_verify(cfg: RunConfig) -> tuple[RunReport, int]:
             }
         entry.setdefault("status", "ran")
         report.entries.append(entry)
-        report.timings[f"{name}_s"] = time.perf_counter() - t1
+        report.timings[f"{name}_s"] = time.perf_counter() - t1 - (ctx.lazy_s - lazy0)
+    report.timings.update(ctx.timings)
     outdir = Path(cfg.out)
     outdir.mkdir(parents=True, exist_ok=True)
     if cfg.heatmaps:
@@ -588,11 +605,11 @@ def _sweep_rows(cfg: RunConfig) -> tuple[list[str], list[list], bool]:
     if cfg.sweep_param == "a":
         header = ["a", "regime", "L", "G", "C_star", "passed"]
         rows = []
+        grid = build_grid(cfg.L, cfg.n)
         for a in values:
-            grid = build_grid(cfg.L, cfg.n)
             prob = manufacture(quadratic_family(float(a)), grid)
             rep = check_hessian_estimate(
-                prob.u_exact,
+                make_bundle(prob.u_exact),
                 cfg.R,
                 regime="auto",
                 K=SlopeConstants(delta=cfg.delta, c=cfg.c),
@@ -612,7 +629,6 @@ def _sweep_rows(cfg: RunConfig) -> tuple[list[str], list[list], bool]:
         return header, rows, all_ok
     if cfg.sweep_param == "A":
         header = ["A", "min_laplacian", "passed"]
-        grid = build_grid(cfg.L, cfg.n)
         ctx_cfg = dataclasses.replace(cfg, A=0.0)
         ctx = _Context(ctx_cfg)
         rows = []
@@ -632,7 +648,7 @@ def _sweep_rows(cfg: RunConfig) -> tuple[list[str], list[list], bool]:
             ctx = _Context(sub)
             K = SlopeConstants(delta=cfg.delta, c=cfg.c)
             jac = check_jacobi_pointwise(ctx.bundle, K)
-            form = check_form_equivalence(ctx.u, ctx.psi)
+            form = check_form_equivalence(ctx.bundle, ctx.psi)
             ok = jac.passed and form.passed
             all_ok &= ok
             rows.append(

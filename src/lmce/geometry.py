@@ -12,10 +12,20 @@ discrete summation by parts, and the mean curvature vector of the graph.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .grid import Grid2, ScalarField2, SymMat2Field, Vec2Field, gradient_fd, hessian_fd
+from .grid import (
+    Grid2,
+    ScalarField2,
+    SymMat2Field,
+    Vec2Field,
+    _d1,
+    _d2,
+    gradient_fd,
+    hessian_fd,
+)
 
 __all__ = [
     "GeometryBundle",
@@ -97,6 +107,13 @@ class GeometryBundle:
     grad optionally carries the potential's gradient (needed by volume and
     Hessian-estimate checks); bundles built directly from a Hessian field
     leave it None.
+
+    The slope fields are computed on first access and then kept, so every
+    check reading them shares one computation: slope_gradient (differenced
+    Euclidean gradient of b), slope_laplacian (lap_g b, divergence form) and
+    slope_grad_norm2 (|grad_g b|^2), the latter two read-only arrays.
+    negated is the bundle of the negated potential, kept the same way so the
+    checks that canonicalize a negative-phase bundle share its fields too.
     """
 
     grid: Grid2
@@ -119,6 +136,22 @@ class GeometryBundle:
     @property
     def sqrt_det_g(self) -> np.ndarray:
         return self.vol
+
+    @cached_property
+    def slope_gradient(self) -> Vec2Field:
+        return gradient_fd(slope(self))
+
+    @cached_property
+    def slope_laplacian(self) -> np.ndarray:
+        return laplace_beltrami(slope(self), self).values
+
+    @cached_property
+    def slope_grad_norm2(self) -> np.ndarray:
+        return grad_g_norm2(slope(self), self, grad=self.slope_gradient).values
+
+    @cached_property
+    def negated(self) -> "GeometryBundle":
+        return negate_bundle(self)
 
 
 def _ro(a: np.ndarray) -> np.ndarray:
@@ -216,38 +249,48 @@ def grad_g_norm2(
     return ScalarField2(B.grid, q)
 
 
+def _nondiv_kernel(v, W, inv11, inv12, inv22, h):
+    """Non-divergence Laplace-Beltrami on raw (m, k) arrays, m, k >= 4.
+
+    g^{ij} f_ij + (1/W) d_i(W g^{ij}) f_j with every derivative taken by the
+    grid stencils along the array's own axes, so a strip of at least four
+    lines reproduces the full-grid values on its outer line bit for bit.
+    """
+    A11 = W * inv11
+    A12 = W * inv12
+    A22 = W * inv22
+    second = (
+        inv11 * _d2(v, h, axis=0)
+        + 2.0 * inv12 * _d1(_d1(v, h, axis=0), h, axis=1)
+        + inv22 * _d2(v, h, axis=1)
+    )
+    first = (
+        (_d1(A11, h, axis=0) + _d1(A12, h, axis=1)) * _d1(v, h, axis=0)
+        + (_d1(A12, h, axis=0) + _d1(A22, h, axis=1)) * _d1(v, h, axis=1)
+    ) / W
+    return second + first
+
+
 def laplace_beltrami_nondiv(f: ScalarField2, B: GeometryBundle) -> ScalarField2:
     """Laplace-Beltrami in non-divergence form (cross-check oracle).
 
     Expands (1/W) d_i(W g^{ij} d_j f) into g^{ij} f_ij plus first-order
     terms whose coefficients are differenced fields; used to validate the
-    divergence-form operator, not as the canonical operator.
+    divergence-form operator and to fill its outer node ring.
     """
     if f.grid != B.grid:
         raise ValueError("field and bundle grids differ")
-    g = B.grid
-    W = B.vol
-    A11 = W * B.inv11
-    A12 = W * B.inv12
-    A22 = W * B.inv22
-    hf = hessian_fd(f)
-    gf = gradient_fd(f)
-    h = g.h
-    dA11_1 = _grad_axis(A11, h, 0)
-    dA12_1 = _grad_axis(A12, h, 0)
-    dA12_2 = _grad_axis(A12, h, 1)
-    dA22_2 = _grad_axis(A22, h, 1)
-    second = (
-        B.inv11 * hf.m11.values
-        + 2.0 * B.inv12 * hf.m12.values
-        + B.inv22 * hf.m22.values
-    )
-    first = ((dA11_1 + dA12_2) * gf.c1.values + (dA12_1 + dA22_2) * gf.c2.values) / W
-    return ScalarField2(g, second + first)
+    out = _nondiv_kernel(f.values, B.vol, B.inv11, B.inv12, B.inv22, B.grid.h)
+    return ScalarField2(B.grid, out)
 
 
-def _grad_axis(values: np.ndarray, h: float, axis: int) -> np.ndarray:
-    return np.gradient(values, h, axis=axis, edge_order=2)
+# the outer node line of each edge strip four lines wide, (strip, line in strip)
+_EDGE_STRIPS = (
+    ((slice(0, 4), slice(None)), (0, slice(None))),
+    ((slice(-4, None), slice(None)), (-1, slice(None))),
+    ((slice(None), slice(0, 4)), (slice(None), 0)),
+    ((slice(None), slice(-4, None)), (slice(None), -1)),
+)
 
 
 def laplace_beltrami(f: ScalarField2, B: GeometryBundle) -> ScalarField2:
@@ -257,9 +300,11 @@ def laplace_beltrami(f: ScalarField2, B: GeometryBundle) -> ScalarField2:
     half nodes, cross derivatives averaged from nodal central differences),
     which makes the discrete operator satisfy summation by parts exactly
     against weights vanishing near the grid boundary.  The outermost node
-    ring, where no flux stencil fits, falls back to the non-divergence form;
-    checks needing interior smoothness stay 2h away from the boundary anyway.
-    O(h^2) truncation on smooth data.
+    ring, where no flux stencil fits, takes the non-divergence form, evaluated
+    only on the four edge strips four nodes wide (its one-sided stencils
+    reach three nodes inward), which gives the ring values of the full-grid
+    oracle bit for bit; checks needing interior smoothness stay 2h away from
+    the boundary anyway.  O(h^2) truncation on smooth data.
     """
     if f.grid != B.grid:
         raise ValueError("field and bundle grids differ")
@@ -272,8 +317,8 @@ def laplace_beltrami(f: ScalarField2, B: GeometryBundle) -> ScalarField2:
     A22 = W * B.inv22
 
     # nodal central first derivatives feed the cross terms of the fluxes
-    d1 = _grad_axis(v, h, 0)
-    d2 = _grad_axis(v, h, 1)
+    d1 = _d1(v, h, axis=0)
+    d2 = _d1(v, h, axis=1)
 
     # flux through half nodes (i+1/2, j): A11*d1 + A12*d2 there
     f1 = 0.5 * (A11[1:, :] + A11[:-1, :]) * (v[1:, :] - v[:-1, :]) / h
@@ -282,7 +327,10 @@ def laplace_beltrami(f: ScalarField2, B: GeometryBundle) -> ScalarField2:
     f2 = 0.5 * (A22[:, 1:] + A22[:, :-1]) * (v[:, 1:] - v[:, :-1]) / h
     f2 += 0.25 * (A12[:, 1:] + A12[:, :-1]) * (d1[:, 1:] + d1[:, :-1])
 
-    out = laplace_beltrami_nondiv(f, B).values.copy()
+    out = np.empty_like(v)
+    for strip, line in _EDGE_STRIPS:
+        coeffs = (W[strip], B.inv11[strip], B.inv12[strip], B.inv22[strip])
+        out[line] = _nondiv_kernel(v[strip], *coeffs, h)[line]
     div = (f1[1:, 1:-1] - f1[:-1, 1:-1]) / h + (f2[1:-1, 1:] - f2[1:-1, :-1]) / h
     out[1:-1, 1:-1] = div / W[1:-1, 1:-1]
     return ScalarField2(g, out)

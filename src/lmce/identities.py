@@ -20,7 +20,6 @@ from .geometry import (
     GeometryBundle,
     _lift_phase_gradient,
     _quadform_inv,
-    bundle as make_bundle,
     laplace_beltrami,
 )
 from .grid import CutoffProfile, ScalarField2
@@ -103,11 +102,12 @@ def _report(name, resid, tol, tol_class, details=None, excluded=0) -> CheckRepor
 
 
 def check_form_equivalence(
-    u: ScalarField2, psi: ScalarField2, slack_coeff: float = 10.0
+    B: GeometryBundle, psi: ScalarField2, slack_coeff: float = 10.0
 ) -> CheckReport:
     """Equivalence of the arctangent form and the product form of the equation.
 
-    Computes both residuals from the differenced Hessian of u:
+    Computes both residuals from the Hessian of the bundle B of a potential u
+    (the differenced Hessian for `bundle(u)`):
       R1 = arctan(lam1) + arctan(lam2) - psi
       R2 = cos(psi)*tr(D^2 u) + sin(psi)*(det(D^2 u) - 1)
     and asserts the scaling relation
@@ -118,10 +118,9 @@ def check_form_equivalence(
     differencing level, so the check also requires max|R1| <= slack_coeff*h^2;
     an arbitrary mismatched pair fails there, informatively.
     """
-    if u.grid != psi.grid:
-        raise ValueError("potential and phase grids differ")
-    B = make_bundle(u)
-    h = u.grid.h
+    if B.grid != psi.grid:
+        raise ValueError("bundle and phase grids differ")
+    h = B.grid.h
     r1 = B.phase - psi.values
     r2 = np.cos(psi.values) * B.sig1 + np.sin(psi.values) * (B.sig2 - 1.0)
     max_r1 = float(np.max(np.abs(r1)))

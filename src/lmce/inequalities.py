@@ -27,12 +27,8 @@ from .geometry import (
     GeometryBundle,
     SlopeConstants,
     _quadform_inv,
-    bundle as make_bundle,
-    grad_g_norm2,
     laplace_beltrami,
     modified_slope,
-    negate_bundle,
-    slope,
 )
 from .grid import (
     CutoffProfile,
@@ -67,7 +63,7 @@ def _disk_quad_slack(h: float, r: float, sup_integrand: float) -> float:
 def _canonical(B: GeometryBundle) -> tuple[GeometryBundle, bool]:
     """Flip to the negated potential when the phase is uniformly <= 0."""
     if float(np.max(B.phase)) <= 0.0 and float(np.min(B.phase)) < 0.0:
-        return negate_bundle(B), True
+        return B.negated, True
     return B, False
 
 
@@ -249,13 +245,12 @@ def check_jacobi_pointwise(
     quadratic), the check proceeds on the full interior since the slope is
     then exactly smooth.  Reports the smallest additive constant
     C_hat = max(0, -m) that makes the inequality hold; passes iff
-    C_hat <= C_budget.
+    C_hat <= C_budget.  Both fields are the bundle's cached slope fields.
     """
     B, flipped = _canonical(B)
     g = B.grid
-    b = slope(B)
-    lap = laplace_beltrami(b, B).values
-    gn = grad_g_norm2(b, B).values
+    lap = B.slope_laplacian
+    gn = B.slope_grad_norm2
     include = _interior_mask(g.n, margin_cells)
     if radius is not None:
         include &= g.disk_mask(radius)
@@ -298,12 +293,13 @@ def fit_modification_weight(
     lap_g(b) + A*lap_g(|x|^2/2) is concave piecewise-linear in A.  When the
     quadratic's Laplacian is positive on the whole region (the generic case)
     the optimum is the closed-form max of -lap_g(b)/lap_g(q); otherwise a
-    bounded scalar search maximizes the concave minimum.  Returns (A_hat,
-    attained minimum at A_hat).
+    bounded scalar search maximizes the concave minimum.  lap_g(b) is the
+    bundle's cached slope Laplacian.  Returns (A_hat, attained minimum at
+    A_hat).
     """
     g = B.grid
     mask = _interior_mask(g.n, margin_cells) & g.disk_mask(rho)
-    lap_b = laplace_beltrami(slope(B), B).values[mask]
+    lap_b = B.slope_laplacian[mask]
     q = ScalarField2(g, 0.5 * g.radius2())
     lap_q = laplace_beltrami(q, B).values[mask]
 
@@ -379,7 +375,8 @@ def check_jacobi_integral(
     asserts
       int_{B_{r1}} |grad_g b|^2 dv
         <= (4/c^2) int |grad_g phi|^2 dv + (2/c) C int phi^2 dv + slack,
-    where C defaults to the fitted pointwise constant.  Also verifies the
+    where C defaults to the fitted pointwise constant (a pointwise check on
+    the same bundle, which reuses its cached slope fields).  Also verifies the
     discrete integration-by-parts step
       int phi^2 lap_g(b) dv = -int <2 phi grad_g phi, grad_g b>_g dv
     to ibp_coeff*h; the divergence-form operator makes this exact up to the
@@ -395,8 +392,7 @@ def check_jacobi_integral(
     if C_hat is None:
         C_hat = check_jacobi_pointwise(B, K).fitted["C_hat"]
     h = g.h
-    b = slope(B)
-    gnb = grad_g_norm2(b, B).values
+    gnb = B.slope_grad_norm2
     phi = cutoff.phi.values
     gnphi = _quadform_inv(B, cutoff.grad.c1.values, cutoff.grad.c2.values)
     V = B.vol
@@ -408,8 +404,8 @@ def check_jacobi_integral(
     slack = _disk_quad_slack(h, cutoff.r1, sup_int)
     margin = rhs + slack - lhs
 
-    lap_b = laplace_beltrami(b, B).values
-    gb = gradient_fd(b)
+    lap_b = B.slope_laplacian
+    gb = B.slope_gradient
     cross = (
         B.inv11 * cutoff.grad.c1.values * gb.c1.values
         + B.inv12
@@ -551,7 +547,7 @@ def fit_exp_budget(level: float, growth: float, tol: float = 1e-6) -> float:
 
 
 def check_hessian_estimate(
-    u: ScalarField2,
+    B: GeometryBundle,
     R: float,
     regime: str = "auto",
     K: SlopeConstants | None = None,
@@ -559,8 +555,9 @@ def check_hessian_estimate(
 ) -> CheckReport:
     """Interior Hessian estimate harness on the disk of radius R.
 
-    Computes L = |D^2 u(0)| (spectral norm from the central stencil at the
-    origin node; n must be odd) and the growth ratio
+    B is the bundle of the potential u and must carry its gradient.  Computes
+    L = |D^2 u(0)| (spectral norm of the bundle's Hessian at the origin node;
+    n must be odd) and the growth ratio
       G = sup_{B_R} |Du| / R        for the moderate-phase regime "case1",
       G = (sup_{B_R} |Du| / R)^2    for the large-phase regime "case2",
     then fits the minimal C* >= 0 with L <= C* exp(C* G) and passes iff
@@ -569,12 +566,13 @@ def check_hessian_estimate(
     or dipping below delta, raises PreconditionError.  A zero Hessian at the
     origin short-circuits to C* = 0.
     """
+    if B.grad is None:
+        raise PreconditionError("Hessian estimate needs a bundle built from a potential")
     if K is None:
         K = SlopeConstants()
-    g = u.grid
+    g = B.grid
     if R > g.L:
         raise PreconditionError(f"estimate needs the grid to contain B_R, R={R}")
-    B = make_bundle(u)
     B, flipped = _canonical(B)
     oi, oj = g.origin_index()
     level = float(max(abs(B.lam1[oi, oj]), abs(B.lam2[oi, oj])))

@@ -118,7 +118,7 @@ def test_criterion_2_form_equivalence_orders():
     for n in (65, 129, 257):
         g = build_grid(L_FULL, n)
         prob = manufacture(perturbed_family(0.05), g)
-        rep = check_form_equivalence(prob.u_exact, prob.psi)
+        rep = check_form_equivalence(bundle(prob.u_exact), prob.psi)
         ok &= rep.passed and rep.max_residual <= 10.0 * g.h**2
         resids.append(rep.max_residual)
     orders = [math.log2(a / b) for a, b in zip(resids, resids[1:])]
@@ -272,13 +272,13 @@ def test_criterion_7_solver(grid_full, solved_perturbed_full):
 def test_criterion_8_hessian_estimate_harness(grid_full):
     """Omega-constant anchor, one budget across the sweep, rescale invariance."""
     prob = manufacture(quadratic_family(1.0), grid_full)
-    rep = check_hessian_estimate(prob.u_exact, 4.0)
+    rep = check_hessian_estimate(bundle(prob.u_exact), 4.0)
     anchor_ok = abs(rep.fitted["C_star"] - 0.5671) <= 1e-3
     sweep_ok = True
     c_stars = {}
     for a in (1.0, 2.0, 4.0, 8.0):
         p = manufacture(quadratic_family(a), grid_full)
-        r = check_hessian_estimate(p.u_exact, 4.0, C_budget=5.0)
+        r = check_hessian_estimate(bundle(p.u_exact), 4.0, C_budget=5.0)
         c_stars[a] = r.fitted["C_star"]
         expected = "case2" if 2.0 * math.atan(a) > 0.75 * math.pi else "case1"
         sweep_ok &= r.passed and r.details["regime"] == expected
@@ -287,9 +287,9 @@ def test_criterion_8_hessian_estimate_harness(grid_full):
     ref = rep.fitted["C_star"]
     for R in (2.0, 4.0, 8.0):
         gR = build_grid(R, N_FULL)
-        r_u = check_hessian_estimate(manufacture(base, gR).u_exact, R)
+        r_u = check_hessian_estimate(bundle(manufacture(base, gR).u_exact), R)
         v = rescale_analytic(base, R / 4.0)
-        r_v = check_hessian_estimate(manufacture(v, grid_full).u_exact, 4.0)
+        r_v = check_hessian_estimate(bundle(manufacture(v, grid_full).u_exact), 4.0)
         scale_ok &= abs(r_u.fitted["C_star"] - ref) <= 1e-3
         scale_ok &= abs(r_v.fitted["C_star"] - ref) <= 1e-3
     ok = anchor_ok and sweep_ok and scale_ok

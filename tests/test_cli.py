@@ -4,6 +4,7 @@ import importlib
 import importlib.util
 import json
 import math
+import time
 from pathlib import Path
 
 import numpy as np
@@ -353,3 +354,48 @@ class TestCheckRegistry:
         assert entry["residual"] == 123.0
         assert entry["location"] == (1, 2)
         assert "lhs" not in entry and "margin" not in entry
+
+
+class TestVerifyWork:
+    def test_geometry_built_once_per_run(self, tmp_path, monkeypatch):
+        # every binding of the two functions counts, whichever module calls it
+        import lmce.geometry
+        import lmce.identities
+        import lmce.inequalities
+
+        counts = {"laplace_beltrami": 0, "bundle": 0}
+        originals = {
+            lmce.geometry.laplace_beltrami: "laplace_beltrami",
+            lmce.geometry.bundle: "bundle",
+        }
+
+        def counting(fn, key):
+            def wrapper(*args, **kwargs):
+                counts[key] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for module in (lmce.geometry, lmce.identities, lmce.inequalities, lmce.cli):
+            for attr, value in list(vars(module).items()):
+                if callable(value) and value in originals:
+                    monkeypatch.setattr(module, attr, counting(value, originals[value]))
+        cfg = RunConfig(family="perturbed", eps=0.1, n=65, checks=["all"], out=str(tmp_path / "o"))
+        _, code = cmd_verify(cfg)
+        assert code == EXIT_PASS
+        assert counts["bundle"] == 1
+        assert counts["laplace_beltrami"] <= 5
+
+    def test_lazy_state_has_its_own_timings(self, tmp_path):
+        cfg = RunConfig(family="perturbed", eps=0.1, n=65, checks=["all"], out=str(tmp_path / "o"))
+        t0 = time.perf_counter()
+        report, _ = cmd_verify(cfg)
+        wall = time.perf_counter() - t0
+        timings = json.loads((tmp_path / "o" / "verify.json").read_text())["timings"]
+        assert timings == report.timings
+        expected = {"setup_s", "constants_s", "cutoff_s", "bmod_s"}
+        expected |= {f"{name}_s" for name in ALL_CHECKS}
+        assert set(timings) == expected
+        # disjoint pieces: none is charged twice
+        assert all(t >= 0.0 for t in timings.values())
+        assert sum(timings.values()) <= wall

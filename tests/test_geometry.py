@@ -19,7 +19,7 @@ from lmce.geometry import (
     negate_bundle,
     slope,
 )
-from lmce.grid import ScalarField2, build_grid, sample
+from lmce.grid import ScalarField2, build_grid, gradient_fd, sample
 from lmce.solver import manufacture, perturbed_family
 
 
@@ -174,6 +174,53 @@ class TestLaplaceBeltrami:
             diffs.append(np.max(np.abs((dv - nd)[2:-2, 2:-2])))
         assert diffs[0] <= 10.0 * (4.0 / 64) ** 2
         assert 2.5 <= diffs[0] / diffs[1] <= 6.0
+
+    @pytest.mark.parametrize("n", [5, 6, 33, 65])
+    def test_outer_ring_is_nondivergence_oracle_bitwise(self, n):
+        # the ring comes from the non-divergence form on edge strips only;
+        # it must equal the full-grid oracle's ring bit for bit
+        g = build_grid(4.0, n)
+        u = sample(lambda x1, x2: 0.5 * (x1 * x1 + x2 * x2) + 0.1 * np.sin(x1) * np.sin(x2), g)
+        B = bundle(u)
+        fields = [
+            sample(lambda x1, x2: 0.3 * x1 - 0.7 * x2, g),
+            sample(lambda x1, x2: np.sin(x1) * np.cos(0.5 * x2), g),
+            slope(B),
+        ]
+        ring = np.ones((n, n), dtype=bool)
+        ring[1:-1, 1:-1] = False
+        for f in fields:
+            dv = laplace_beltrami(f, B).values
+            nd = laplace_beltrami_nondiv(f, B).values
+            assert np.array_equal(dv[ring], nd[ring])
+
+
+class TestLazySlopeFields:
+    def _bundle(self):
+        g = build_grid(4.0, 33)
+        u = sample(lambda x1, x2: 0.5 * (x1 * x1 + x2 * x2) + 0.1 * np.sin(x1) * np.sin(x2), g)
+        return bundle(u)
+
+    def test_equal_to_fresh_computation(self):
+        B = self._bundle()
+        b = slope(B)
+        grad = gradient_fd(b)
+        assert np.array_equal(B.slope_gradient.c1.values, grad.c1.values)
+        assert np.array_equal(B.slope_gradient.c2.values, grad.c2.values)
+        assert np.array_equal(B.slope_laplacian, laplace_beltrami(b, B).values)
+        assert np.array_equal(B.slope_grad_norm2, grad_g_norm2(b, B).values)
+        neg = negate_bundle(B)
+        assert np.array_equal(B.negated.slope, neg.slope)
+        assert np.array_equal(B.negated.slope_laplacian, neg.slope_laplacian)
+
+    def test_computed_once_and_read_only(self):
+        B = self._bundle()
+        assert B.slope_gradient is B.slope_gradient
+        assert B.slope_laplacian is B.slope_laplacian
+        assert B.slope_grad_norm2 is B.slope_grad_norm2
+        assert B.negated is B.negated
+        for arr in (B.slope_laplacian, B.slope_grad_norm2, B.slope_gradient.c1.values):
+            assert not arr.flags.writeable
 
 
 class TestFrameIndependence:

@@ -24,6 +24,10 @@ VERIFY_CASES = {
     "verify_perturbed_solved": dict(
         family="perturbed", eps=0.1, n=65, source="solved", checks=["all"]
     ),
+    # negative phase: the slope checks canonicalize to the negated bundle
+    "verify_anisotropic_negative": dict(
+        family="anisotropic", theta1=-0.4, theta2=-1.0, n=65, checks=["all"], seed=3
+    ),
 }
 
 SWEEP_CASES = {

@@ -35,7 +35,7 @@ class TestFormEquivalence:
     def test_paraboloid(self):
         g = build_grid(4.0, 65)
         u = sample(lambda x1, x2: 0.5 * (x1 * x1 + x2 * x2), g)
-        rep = check_form_equivalence(u, const_field(g, math.pi / 2))
+        rep = check_form_equivalence(bundle(u), const_field(g, math.pi / 2))
         assert rep.passed
         assert rep.max_residual <= 1e-12
         assert rep.details["max_arctan_residual"] <= 1e-12
@@ -43,7 +43,7 @@ class TestFormEquivalence:
     def test_saddle_zero_phase(self):
         g = build_grid(4.0, 65)
         u = sample(lambda x1, x2: x1 * x2, g)
-        rep = check_form_equivalence(u, const_field(g, 0.0))
+        rep = check_form_equivalence(bundle(u), const_field(g, 0.0))
         assert rep.passed
         assert rep.max_residual <= 1e-12
 
@@ -51,14 +51,14 @@ class TestFormEquivalence:
     def test_manufactured_pair_small_residual(self, n):
         g = build_grid(4.0, n)
         prob = manufacture(perturbed_family(0.05), g)
-        rep = check_form_equivalence(prob.u_exact, prob.psi)
+        rep = check_form_equivalence(bundle(prob.u_exact), prob.psi)
         assert rep.passed
         assert rep.max_residual <= 10.0 * g.h**2
 
     def test_mismatched_pair_fails_informatively(self):
         g = build_grid(4.0, 65)
         u = sample(lambda x1, x2: 0.5 * (x1 * x1 + x2 * x2), g)
-        rep = check_form_equivalence(u, const_field(g, 0.3))
+        rep = check_form_equivalence(bundle(u), const_field(g, 0.3))
         assert not rep.passed
         assert rep.details["max_arctan_residual"] > 1.0
 
@@ -66,19 +66,19 @@ class TestFormEquivalence:
         # adding an affine function leaves the differenced Hessian unchanged
         g = build_grid(4.0, 65)
         prob = manufacture(perturbed_family(0.05), g)
-        rep0 = check_form_equivalence(prob.u_exact, prob.psi)
+        rep0 = check_form_equivalence(bundle(prob.u_exact), prob.psi)
         x1, x2 = g.coords()
         shifted = ScalarField2(
             g, prob.u_exact.values + 1.7 - 0.4 * (x1 + np.zeros_like(x2)) + 0.9 * (x2 + np.zeros_like(x1))
         )
-        rep1 = check_form_equivalence(shifted, prob.psi)
+        rep1 = check_form_equivalence(bundle(shifted), prob.psi)
         assert rep1.max_residual == pytest.approx(rep0.max_residual, abs=1e-10)
 
     def test_grid_mismatch(self):
         u = sample(lambda x1, x2: x1 * x2, build_grid(4.0, 65))
         psi = const_field(build_grid(4.0, 33), 0.0)
         with pytest.raises(ValueError):
-            check_form_equivalence(u, psi)
+            check_form_equivalence(bundle(u), psi)
 
 
 class TestComplexFactorization:

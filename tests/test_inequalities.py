@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from lmce.errors import PreconditionError
-from lmce.geometry import SlopeConstants, bundle, modified_slope
+from lmce.geometry import SlopeConstants, bundle, bundle_from_hessian, modified_slope
 from lmce.grid import ScalarField2, build_grid, make_cutoff, sample
 from lmce.inequalities import (
     check_hessian_estimate,
@@ -345,14 +345,14 @@ class TestHessianEstimate:
     def test_paraboloid_omega_constant(self):
         g = build_grid(4.0, 257)
         prob = manufacture(quadratic_family(1.0), g)
-        rep = check_hessian_estimate(prob.u_exact, 4.0)
+        rep = check_hessian_estimate(bundle(prob.u_exact), 4.0)
         assert rep.fitted["C_star"] == pytest.approx(0.5671432904097838, abs=1e-3)
         assert rep.details["regime"] == "case1"
 
     def test_flat_potential(self):
         g = build_grid(4.0, 65)
         u = sample(lambda x1, x2: 0.0 * x1 + 0.0 * x2, g)
-        rep = check_hessian_estimate(u, 4.0)
+        rep = check_hessian_estimate(bundle(u), 4.0)
         assert rep.passed
         assert rep.fitted["C_star"] == 0.0
 
@@ -361,7 +361,7 @@ class TestHessianEstimate:
         regimes = {1.0: "case1", 2.0: "case1", 4.0: "case2", 8.0: "case2"}
         for a, expected in regimes.items():
             prob = manufacture(quadratic_family(a), g)
-            rep = check_hessian_estimate(prob.u_exact, 4.0, C_budget=5.0)
+            rep = check_hessian_estimate(bundle(prob.u_exact), 4.0, C_budget=5.0)
             assert rep.passed
             assert rep.details["regime"] == expected
             assert rep.fitted["hess_origin"] == pytest.approx(a, abs=1e-10)
@@ -370,27 +370,27 @@ class TestHessianEstimate:
     def test_rescaling_invariance(self, R):
         base = quadratic_family(1.0)
         gR = build_grid(R, 129)
-        rep_u = check_hessian_estimate(manufacture(base, gR).u_exact, R)
+        rep_u = check_hessian_estimate(bundle(manufacture(base, gR).u_exact), R)
         g4 = build_grid(4.0, 129)
         v = rescale_analytic(base, R / 4.0)
-        rep_v = check_hessian_estimate(manufacture(v, g4).u_exact, 4.0)
+        rep_v = check_hessian_estimate(bundle(manufacture(v, g4).u_exact), 4.0)
         assert rep_u.fitted["C_star"] == pytest.approx(rep_v.fitted["C_star"], abs=1e-3)
 
     def test_rescaling_invariance_perturbed(self):
         # non-quadratic instance: the rescaled pair still fits the same C*
         base = perturbed_family(0.1)
         g2 = build_grid(2.0, 129)
-        rep_u = check_hessian_estimate(manufacture(base, g2).u_exact, 2.0)
+        rep_u = check_hessian_estimate(bundle(manufacture(base, g2).u_exact), 2.0)
         g4 = build_grid(4.0, 129)
         v = rescale_analytic(base, 0.5)
-        rep_v = check_hessian_estimate(manufacture(v, g4).u_exact, 4.0)
+        rep_v = check_hessian_estimate(bundle(manufacture(v, g4).u_exact), 4.0)
         assert rep_u.fitted["C_star"] == pytest.approx(rep_v.fitted["C_star"], abs=1e-3)
 
     def test_negative_phase_canonicalized(self):
         g = build_grid(4.0, 129)
-        rep_pos = check_hessian_estimate(manufacture(quadratic_family(1.0), g).u_exact, 4.0)
+        rep_pos = check_hessian_estimate(bundle(manufacture(quadratic_family(1.0), g).u_exact), 4.0)
         rep_neg = check_hessian_estimate(
-            manufacture(negate_analytic(quadratic_family(1.0)), g).u_exact, 4.0
+            bundle(manufacture(negate_analytic(quadratic_family(1.0)), g).u_exact), 4.0
         )
         assert rep_neg.details["canonicalized"]
         assert rep_neg.fitted["C_star"] == pytest.approx(rep_pos.fitted["C_star"], abs=1e-12)
@@ -398,7 +398,7 @@ class TestHessianEstimate:
     def test_budget_gate(self):
         g = build_grid(4.0, 65)
         prob = manufacture(quadratic_family(1.0), g)
-        rep = check_hessian_estimate(prob.u_exact, 4.0, C_budget=0.1)
+        rep = check_hessian_estimate(bundle(prob.u_exact), 4.0, C_budget=0.1)
         assert not rep.passed
 
     def test_mixed_regime_rejected(self):
@@ -408,10 +408,16 @@ class TestHessianEstimate:
             lambda x1, x2: 0.5 * 2.4 * (x1 * x1 + x2 * x2) + 0.3 * np.sin(x1) * np.sin(x2), g
         )
         with pytest.raises(PreconditionError):
-            check_hessian_estimate(u, 4.0)
+            check_hessian_estimate(bundle(u), 4.0)
 
     def test_disk_must_fit(self):
         g = build_grid(2.0, 65)
         prob = manufacture(quadratic_family(1.0), g)
         with pytest.raises(PreconditionError):
-            check_hessian_estimate(prob.u_exact, 4.0)
+            check_hessian_estimate(bundle(prob.u_exact), 4.0)
+
+    def test_needs_bundle_with_gradient(self):
+        g = build_grid(4.0, 65)
+        B = bundle(manufacture(quadratic_family(1.0), g).u_exact)
+        with pytest.raises(PreconditionError):
+            check_hessian_estimate(bundle_from_hessian(B.hess), 4.0)
