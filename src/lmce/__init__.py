@@ -21,7 +21,6 @@ from .geometry import (
     grad_g_norm2,
     laplace_beltrami,
     laplace_beltrami_nondiv,
-    mean_curvature,
     modified_slope,
     negate_bundle,
     slope,
@@ -65,7 +64,6 @@ from .solver import (
     ManufacturedProblem,
     SolveState,
     anisotropic_family,
-    convergence_study,
     linear_solve,
     manufacture,
     negate_analytic,

@@ -7,8 +7,10 @@ Commands (all take --config, see README for the key reference):
                              residual, write the iteration table.
   lmce verify --config cfg   Run the configured identity/inequality checks on
                              the manufactured or solved field.
-  lmce sweep  --config cfg   Iterate one parameter (a, A, n, eps) and tabulate
-                             fitted constants.
+  lmce sweep  --config cfg   Run the configured checks once per value of one
+                             numeric key and tabulate verdicts and fitted
+                             constants; with source=solved, also the errors
+                             against the exact solution and observed orders.
   lmce report --config cfg   Merge the CSV tables under `input` into one.
 
 Outputs are CSV tables (RFC-4180, header row, repr-formatted floats: a given
@@ -134,8 +136,11 @@ class RunConfig:
             raise ConfigError("family=field needs field_file")
         if isinstance(self.A, str) and self.A != "fit":
             raise ConfigError(f"A must be a number or 'fit', got {self.A!r}")
-        if self.sweep_param and self.sweep_param not in ("a", "A", "n", "eps"):
-            raise ConfigError(f"sweep_param must be one of a, A, n, eps, got {self.sweep_param!r}")
+        if self.sweep_param and self.sweep_param not in _SWEEPABLE:
+            raise ConfigError(
+                f"sweep_param must be a numeric config key ({', '.join(_SWEEPABLE)}), "
+                f"got {self.sweep_param!r}"
+            )
 
     def to_dict(self) -> dict:
         d = dataclasses.asdict(self)
@@ -162,6 +167,14 @@ class RunConfig:
         else:
             raw = _parse_flat(text)
         return cls.from_dict(raw)
+
+
+# the scalar numeric config keys a sweep may vary -> the type of their values
+_SWEEPABLE = {
+    f.name: f.type.split(" | ")[0]
+    for f in dataclasses.fields(RunConfig)
+    if f.type.split(" | ")[0] in ("int", "float")
+}
 
 
 def _parse_flat(text: str) -> dict:
@@ -347,7 +360,7 @@ def _timed_lazy(build):
 
 
 class _Context:
-    """Lazily built shared state for one verify run.
+    """Lazily built shared state for one verify run, or one swept value.
 
     The slope constants (with the fit of A), the cutoff and the modified slope
     are built on first use; `timings` holds each one's own build time and
@@ -482,14 +495,14 @@ def _emit_heatmaps(outdir: Path, ctx: _Context, report: RunReport) -> None:
         report.heatmaps[name] = {"path": path.name, "min": lo, "max": hi}
 
 
-def cmd_verify(cfg: RunConfig) -> tuple[RunReport, int]:
-    t0 = time.perf_counter()
-    report = RunReport(config=cfg.to_dict())
-    ctx = _Context(cfg)
-    report.timings["setup_s"] = time.perf_counter() - t0
-    if ctx.solve_state is not None:
-        report.solver = _solver_summary(ctx.solve_state)
-    for name in cfg.checks:
+def _run_checks(ctx: _Context, names: list[str], timings: dict) -> list[dict]:
+    """Run the named checks on one context and return their entries; a check
+    whose precondition fails gives a failed `precondition_failed` entry.
+    Each check's own time and the context's lazy build times are added to
+    `timings` under `<name>_s`."""
+    entries = []
+    spent = {}
+    for name in names:
         t1 = time.perf_counter()
         lazy0 = ctx.lazy_s
         try:
@@ -504,9 +517,21 @@ def cmd_verify(cfg: RunConfig) -> tuple[RunReport, int]:
                 "details": {"error": str(exc)},
             }
         entry.setdefault("status", "ran")
-        report.entries.append(entry)
-        report.timings[f"{name}_s"] = time.perf_counter() - t1 - (ctx.lazy_s - lazy0)
-    report.timings.update(ctx.timings)
+        entries.append(entry)
+        spent[f"{name}_s"] = time.perf_counter() - t1 - (ctx.lazy_s - lazy0)
+    for key, value in {**spent, **ctx.timings}.items():
+        timings[key] = timings.get(key, 0.0) + value
+    return entries
+
+
+def cmd_verify(cfg: RunConfig) -> tuple[RunReport, int]:
+    t0 = time.perf_counter()
+    report = RunReport(config=cfg.to_dict())
+    ctx = _Context(cfg)
+    report.timings["setup_s"] = time.perf_counter() - t0
+    if ctx.solve_state is not None:
+        report.solver = _solver_summary(ctx.solve_state)
+    report.entries = _run_checks(ctx, cfg.checks, report.timings)
     outdir = Path(cfg.out)
     outdir.mkdir(parents=True, exist_ok=True)
     if cfg.heatmaps:
@@ -534,7 +559,6 @@ def _solver_summary(state) -> dict:
         "final_residual": state.residuals[-1],
         "residuals": list(state.residuals),
         "damping": list(state.damping),
-        "lin_iterations": list(state.lin_iterations),
         "message": state.message,
     }
 
@@ -552,7 +576,7 @@ def cmd_solve(cfg: RunConfig) -> tuple[RunReport, int]:
     )
     report.timings["solve_s"] = time.perf_counter() - t0
     certified = phase_residual(state.u, problem.psi)
-    err_exact = float(np.max(np.abs(state.u.values - problem.u_exact.values)))
+    err_exact = _sup_error((state.u.values, problem.u_exact.values))
     report.solver = _solver_summary(state)
     report.solver["certified_residual"] = certified
     report.solver["error_vs_exact"] = err_exact
@@ -570,11 +594,10 @@ def cmd_solve(cfg: RunConfig) -> tuple[RunReport, int]:
     outdir.mkdir(parents=True, exist_ok=True)
     with open(outdir / "solve.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["iteration", "residual", "damping", "lin_iterations"])
+        writer.writerow(["iteration", "residual", "damping"])
         for k, r in enumerate(state.residuals):
             damp = state.damping[k - 1] if 0 < k <= len(state.damping) else ""
-            lin = state.lin_iterations[k - 1] if 0 < k <= len(state.lin_iterations) else ""
-            writer.writerow([k, repr(r), _fmt(damp), lin])
+            writer.writerow([k, repr(r), _fmt(damp)])
     if cfg.heatmaps:
         lo, hi = write_pgm(outdir / "u.pgm", state.u.values)
         report.heatmaps["u"] = {"path": "u.pgm", "min": lo, "max": hi}
@@ -597,90 +620,76 @@ def cmd_solve(cfg: RunConfig) -> tuple[RunReport, int]:
     return report, EXIT_PASS if report.all_passed() else EXIT_CHECK_FAILED
 
 
-def _sweep_rows(cfg: RunConfig) -> tuple[list[str], list[list], bool]:
-    values = cfg.sweep_values
-    if not values:
-        raise ConfigError("sweep needs sweep_values")
+def _sup_error(*pairs) -> float:
+    """Largest |a - b| over the given pairs of arrays."""
+    return max(float(np.max(np.abs(a - b))) for a, b in pairs)
+
+
+def _exact_errors(ctx: _Context) -> dict:
+    """Sup errors of a solved field, its differenced gradient and Hessian
+    against the exact solution, and the Newton steps taken."""
+    B, exact = ctx.bundle, ctx.problem.hess_exact
+    g1, g2 = ctx.analytic.gradient(*ctx.grid.coords())
+    return {
+        "err_u": _sup_error((ctx.u.values, ctx.problem.u_exact.values)),
+        "err_grad": _sup_error((B.grad.c1.values, g1), (B.grad.c2.values, g2)),
+        "err_hess": _sup_error(
+            (B.hess.m11.values, exact.m11.values),
+            (B.hess.m12.values, exact.m12.values),
+            (B.hess.m22.values, exact.m22.values),
+        ),
+        "iterations": ctx.solve_state.iterations,
+    }
+
+
+def _sweep_rows(cfg: RunConfig, timings: dict) -> tuple[list[str], list[list[str]], bool]:
+    """One row per swept value: the value, h, the regime, and for each
+    configured check its verdict, residual or margin and fitted constants.
+
+    A solved run of an analytic family adds the sup errors against the exact
+    solution and, when h changed from the previous row, the observed orders
+    log(e0/e1)/log(h0/h1), blank where either error is at round-off (1e-12).
+    Every swept config is built, and so validated, before any runs.
+    """
+    if not cfg.sweep_param or not cfg.sweep_values:
+        raise ConfigError("sweep needs sweep_param and sweep_values")
+    param = cfg.sweep_param
+    as_float = _SWEEPABLE[param] == "float"
+    configs = [
+        dataclasses.replace(cfg, **{param: float(v) if as_float else v})
+        for v in cfg.sweep_values
+    ]
+    rows: list[dict] = []
     all_ok = True
-    if cfg.sweep_param == "a":
-        header = ["a", "regime", "L", "G", "C_star", "passed"]
-        rows = []
-        grid = build_grid(cfg.L, cfg.n)
-        for a in values:
-            prob = manufacture(quadratic_family(float(a)), grid)
-            rep = check_hessian_estimate(
-                make_bundle(prob.u_exact),
-                cfg.R,
-                regime="auto",
-                K=SlopeConstants(delta=cfg.delta, c=cfg.c),
-                C_budget=cfg.Cstar_budget,
-            )
-            all_ok &= rep.passed
-            rows.append(
-                [
-                    _fmt(float(a)),
-                    rep.details["regime"],
-                    repr(rep.fitted["hess_origin"]),
-                    repr(rep.fitted["growth"]),
-                    repr(rep.fitted["C_star"]),
-                    rep.passed,
-                ]
-            )
-        return header, rows, all_ok
-    if cfg.sweep_param == "A":
-        header = ["A", "min_laplacian", "passed"]
-        ctx_cfg = dataclasses.replace(cfg, A=0.0)
-        ctx = _Context(ctx_cfg)
-        rows = []
-        for a in values:
-            K = SlopeConstants(delta=cfg.delta, c=cfg.c, A=float(a))
-            rep = check_subharmonic_modified_slope(
-                ctx.bundle, K, rho=cfg.rho, trials=cfg.trials, seed=cfg.seed
-            )
-            all_ok &= rep.passed
-            rows.append([_fmt(float(a)), repr(rep.fitted["min_laplacian"]), rep.passed])
-        return header, rows, all_ok
-    if cfg.sweep_param == "n":
-        header = ["n", "h", "C_hat", "form_residual", "passed"]
-        rows = []
-        for nv in values:
-            sub = dataclasses.replace(cfg, n=int(nv), sweep_param="", sweep_values=[])
-            ctx = _Context(sub)
-            K = SlopeConstants(delta=cfg.delta, c=cfg.c)
-            jac = check_jacobi_pointwise(ctx.bundle, K)
-            form = check_form_equivalence(ctx.bundle, ctx.psi)
-            ok = jac.passed and form.passed
-            all_ok &= ok
-            rows.append(
-                [
-                    int(nv),
-                    repr(ctx.grid.h),
-                    repr(jac.fitted["C_hat"]),
-                    repr(form.max_residual),
-                    ok,
-                ]
-            )
-        return header, rows, all_ok
-    if cfg.sweep_param == "eps":
-        header = ["eps", "C_hat", "passed"]
-        rows = []
-        for ev in values:
-            sub = dataclasses.replace(
-                cfg, family="perturbed", eps=float(ev), sweep_param="", sweep_values=[]
-            )
-            ctx = _Context(sub)
-            K = SlopeConstants(delta=cfg.delta, c=cfg.c)
-            jac = check_jacobi_pointwise(ctx.bundle, K)
-            all_ok &= jac.passed
-            rows.append([_fmt(float(ev)), repr(jac.fitted["C_hat"]), jac.passed])
-        return header, rows, all_ok
-    raise ConfigError("sweep needs sweep_param in {a, A, n, eps}")
+    for sub in configs:
+        ctx = _Context(sub)
+        row = {param: getattr(sub, param), "h": ctx.grid.h, "regime": ctx.regime}
+        for e in _run_checks(ctx, sub.checks, timings):
+            name = e["check"]
+            all_ok &= e["passed"]
+            row[f"{name}.passed"] = e["passed"]
+            row.update({f"{name}.{k}": e[k] for k in ("residual", "margin") if k in e})
+            row.update({f"{name}.{k}": v for k, v in e["fitted"].items()})
+        if ctx.solve_state is not None:
+            row.update(_exact_errors(ctx))
+            prev = rows[-1] if rows else row
+            if prev["h"] != row["h"]:
+                for k in ("u", "grad", "hess"):
+                    e0, e1 = prev[f"err_{k}"], row[f"err_{k}"]
+                    row[f"order_{k}"] = (
+                        math.log(e0 / e1) / math.log(prev["h"] / row["h"])
+                        if min(e0, e1) > 1e-12
+                        else ""
+                    )
+        rows.append(row)
+    header = list(dict.fromkeys(k for row in rows for k in row))
+    return header, [[_fmt(row.get(k, "")) for k in header] for row in rows], all_ok
 
 
 def cmd_sweep(cfg: RunConfig) -> tuple[RunReport, int]:
     t0 = time.perf_counter()
     report = RunReport(config=cfg.to_dict())
-    header, rows, all_ok = _sweep_rows(cfg)
+    header, rows, all_ok = _sweep_rows(cfg, report.timings)
     report.timings["sweep_s"] = time.perf_counter() - t0
     outdir = Path(cfg.out)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -696,7 +705,7 @@ def cmd_sweep(cfg: RunConfig) -> tuple[RunReport, int]:
         {
             "config": report.config,
             "header": header,
-            "rows": [[str(x) for x in row] for row in rows],
+            "rows": rows,
             "timings": report.timings,
         },
     )

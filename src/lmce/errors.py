@@ -7,11 +7,7 @@ class PreconditionError(ValueError):
 
 class LinearSolveError(RuntimeError):
     """The sparse LU factorization failed, or its solve missed the residual
-    tolerance (or was not finite); iterations counts the solves completed."""
-
-    def __init__(self, message, iterations=0):
-        super().__init__(message)
-        self.iterations = iterations
+    tolerance (or was not finite)."""
 
 
 class ConfigError(ValueError):

@@ -5,8 +5,8 @@ lam1 >= lam2, the phase arctan(lam1) + arctan(lam2), the symmetric functions
 sig1 = lam1 + lam2 and sig2 = lam1*lam2, the induced metric g = I + (D^2 u)^2
 with its inverse, the volume element V = sqrt(det g), and the slope function
 b = ln sqrt(1 + lam1^2).  On top of the metric it provides the squared metric
-gradient norm, a divergence-form Laplace-Beltrami operator with exact
-discrete summation by parts, and the mean curvature vector of the graph.
+gradient norm and a divergence-form Laplace-Beltrami operator with exact
+discrete summation by parts.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ __all__ = [
     "grad_g_norm2",
     "laplace_beltrami",
     "laplace_beltrami_nondiv",
-    "mean_curvature",
     "slope",
     "modified_slope",
 ]
@@ -110,8 +109,11 @@ class GeometryBundle:
 
     The slope fields are computed on first access and then kept, so every
     check reading them shares one computation: slope_gradient (differenced
-    Euclidean gradient of b), slope_laplacian (lap_g b, divergence form) and
-    slope_grad_norm2 (|grad_g b|^2), the latter two read-only arrays.
+    Euclidean gradient of b), slope_laplacian (lap_g b, divergence form),
+    slope_grad_norm2 (|grad_g b|^2) and paraboloid_laplacian (lap_g q of the
+    quadratic q = |x|^2/2 that the modified slope b + A q adds, so that
+    lap_g(b + A q) = slope_laplacian + A paraboloid_laplacian), the last three
+    read-only arrays.
     negated is the bundle of the negated potential, kept the same way so the
     checks that canonicalize a negative-phase bundle share its fields too.
     """
@@ -133,10 +135,6 @@ class GeometryBundle:
     slope: np.ndarray
     grad: Vec2Field | None = None
 
-    @property
-    def sqrt_det_g(self) -> np.ndarray:
-        return self.vol
-
     @cached_property
     def slope_gradient(self) -> Vec2Field:
         return gradient_fd(slope(self))
@@ -148,6 +146,10 @@ class GeometryBundle:
     @cached_property
     def slope_grad_norm2(self) -> np.ndarray:
         return grad_g_norm2(slope(self), self, grad=self.slope_gradient).values
+
+    @cached_property
+    def paraboloid_laplacian(self) -> np.ndarray:
+        return laplace_beltrami(ScalarField2(self.grid, 0.5 * self.grid.radius2()), self).values
 
     @cached_property
     def negated(self) -> "GeometryBundle":
@@ -350,23 +352,6 @@ def _lift_phase_gradient(B: GeometryBundle, psi: ScalarField2):
     m12 = B.hess.m12.values
     m22 = B.hess.m22.values
     return (p1, p2), (w1, w2), (m11 * w1 + m12 * w2, m12 * w1 + m22 * w2)
-
-
-def mean_curvature(B: GeometryBundle, psi: ScalarField2):
-    """Mean curvature vector of the graph: the quarter-turn of the lifted
-    metric gradient of the phase.
-
-    For w = g^{-1} D(psi), the tangential lift of the metric gradient is
-    (w, M w) in R^2 x R^2 with M the Hessian; applying the quarter-turn
-    J(a, b) = (-b, a) gives the ambient mean curvature vector.  Returns the
-    (n, n, 4) ambient components and the pointwise norm field, which equals
-    sqrt(g^{ij} psi_i psi_j).
-    """
-    (p1, p2), (w1, w2), (t1, t2) = _lift_phase_gradient(B, psi)
-    H = np.stack([-t1, -t2, w1, w2], axis=-1)
-    norm2 = _quadform_inv(B, p1, p2)
-    hnorm = ScalarField2(B.grid, np.sqrt(np.maximum(norm2, 0.0)))
-    return H, hnorm
 
 
 def slope(B: GeometryBundle) -> ScalarField2:

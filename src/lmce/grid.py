@@ -250,12 +250,17 @@ class CutoffProfile:
 
     def slope_radial(self, rho):
         """Radial derivative of the profile (vectorized)."""
-        rho = np.asarray(rho, dtype=float)
-        w = self.r2 - self.r1
-        t = (rho - self.r1) / w
-        inside = (t > 0.0) & (t < 1.0)
-        tt = np.where(inside, t, 0.0)
-        return np.where(inside, -30.0 * tt * tt * (1.0 - tt) ** 2 / w, 0.0)
+        return _quintic_slope(rho, self.r1, self.r2)
+
+
+def _quintic_slope(rho, r1: float, r2: float):
+    """Radial derivative of the quintic-smoothstep cutoff: -30 t^2 (1-t)^2/w
+    for t = (rho - r1)/w in (0, 1), w = r2 - r1, and 0 elsewhere."""
+    w = r2 - r1
+    t = (np.asarray(rho, dtype=float) - r1) / w
+    inside = (t > 0.0) & (t < 1.0)
+    tt = np.where(inside, t, 0.0)
+    return np.where(inside, -30.0 * tt * tt * (1.0 - tt) ** 2 / w, 0.0)
 
 
 def make_cutoff(r1: float, r2: float, grid: Grid2) -> CutoffProfile:
@@ -274,7 +279,7 @@ def make_cutoff(r1: float, r2: float, grid: Grid2) -> CutoffProfile:
     w = r2 - r1
     t = np.clip((rho - r1) / w, 0.0, 1.0)
     phi = 1.0 - t * t * t * (10.0 + t * (-15.0 + 6.0 * t))
-    dphi = np.where((t > 0.0) & (t < 1.0), -30.0 * t * t * (1.0 - t) ** 2 / w, 0.0)
+    dphi = _quintic_slope(rho, r1, r2)
     # unit radial direction; the transition zone excludes the origin, so the
     # rho = 0 guard only affects nodes where dphi is already zero
     safe = np.where(rho > 0.0, rho, 1.0)

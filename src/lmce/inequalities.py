@@ -27,7 +27,6 @@ from .geometry import (
     GeometryBundle,
     SlopeConstants,
     _quadform_inv,
-    laplace_beltrami,
     modified_slope,
 )
 from .grid import (
@@ -293,15 +292,15 @@ def fit_modification_weight(
     lap_g(b) + A*lap_g(|x|^2/2) is concave piecewise-linear in A.  When the
     quadratic's Laplacian is positive on the whole region (the generic case)
     the optimum is the closed-form max of -lap_g(b)/lap_g(q); otherwise a
-    bounded scalar search maximizes the concave minimum.  lap_g(b) is the
-    bundle's cached slope Laplacian.  Returns (A_hat, attained minimum at
-    A_hat).
+    bounded scalar search maximizes the concave minimum.  Both Laplacians are
+    the bundle's cached fields.  The fit runs on the canonical bundle, the
+    one the slope checks read.  Returns (A_hat, attained minimum at A_hat).
     """
+    B, _ = _canonical(B)
     g = B.grid
     mask = _interior_mask(g.n, margin_cells) & g.disk_mask(rho)
     lap_b = B.slope_laplacian[mask]
-    q = ScalarField2(g, 0.5 * g.radius2())
-    lap_q = laplace_beltrami(q, B).values[mask]
+    lap_q = B.paraboloid_laplacian[mask]
 
     def attained(a: float) -> float:
         return float(np.min(lap_b + a * lap_q))
@@ -333,7 +332,8 @@ def check_subharmonic_modified_slope(
     """Subharmonicity of the modified slope b + (A/2)|x|^2 on |x| <= rho.
 
     Requires supercritical phase (phase >= delta) on the region.  Evaluates
-    min lap_g(b_mod) over the region and demands it be >= -slack; then runs
+    min lap_g(b_mod) over the region, by linearity from the bundle's cached
+    Laplacians of b and |x|^2/2, and demands it be >= -slack; then runs
     the weak-maximum-principle sampler on the modified slope, since that is
     the property the subharmonicity is for.  Passes only if both hold.
     """
@@ -344,13 +344,13 @@ def check_subharmonic_modified_slope(
         raise PreconditionError(
             f"modified-slope check needs phase >= delta={K.delta} on the region"
         )
-    bmod = modified_slope(B, K)
-    lap = laplace_beltrami(bmod, B).values
+    lap = B.slope_laplacian + K.A * B.paraboloid_laplacian
     m = float(np.min(lap[mask]))
+    bmod = modified_slope(B, K)
     wmp = check_weak_max_principle(bmod, trials=trials, seed=seed, radius=min(rho, 2.0))
     passed = (m >= -slack) and wmp.passed
     return CheckReport(
-        name="subharmonic_modified_slope",
+        name="subharmonic",
         kind="inequality",
         lhs=0.0,
         rhs=m,
@@ -455,7 +455,8 @@ def check_volume_bound(
     potential and an injective gradient map), with its own pass flag in
     fitted["alt_passed"].
 
-    The bundle must carry the potential's gradient.
+    The report is named volume_bound in both regimes; details["regime"]
+    says which one ran.  The bundle must carry the potential's gradient.
     """
     if B.grad is None:
         raise PreconditionError("volume bound needs a bundle built from a potential")
@@ -479,7 +480,7 @@ def check_volume_bound(
         du_sup = sup_norm_disk(dmag, mid)
         c2 = sd * int_v / du_sup if du_sup > 0 else 0.0
         return CheckReport(
-            name="volume_bound_case1",
+            name="volume_bound",
             kind="inequality",
             lhs=float(np.max(B.vol[region] * sd)),
             rhs=float(np.max(B.sig1[region])),
@@ -487,7 +488,7 @@ def check_volume_bound(
             passed=bool(node_min >= 0.0),
             slack=0.0,
             fitted={"C2": c2, "int_vol": int_v, "grad_sup": du_sup},
-            details={"canonicalized": flipped},
+            details={"regime": regime, "canonicalized": flipped},
         )
     region = g.disk_mask(mid)
     if float(np.min(B.phase[region])) <= PHASE_SPLIT + REGIME_CUSHION:
@@ -506,7 +507,7 @@ def check_volume_bound(
     alt_rhs = math.pi * du_mid * du_mid
     alt_slack = _disk_quad_slack(h, mid, float(np.max(np.abs(B.sig2 - 1.0))))
     return CheckReport(
-        name="volume_bound_case2",
+        name="volume_bound",
         kind="inequality",
         lhs=lhs,
         rhs=rhs,
@@ -519,7 +520,7 @@ def check_volume_bound(
             "alt_margin": alt_rhs + alt_slack - alt_lhs,
             "alt_passed": float(alt_rhs + alt_slack - alt_lhs >= 0.0),
         },
-        details={"canonicalized": flipped, "grad_sup_outer": du_outer},
+        details={"regime": regime, "canonicalized": flipped, "grad_sup_outer": du_outer},
     )
 
 

@@ -3,7 +3,7 @@ Dirichlet solver for the prescribed-phase equation on the square.
 
 Manufactured problems start from an analytic potential; the phase is defined
 pointwise from the analytic Hessian, so the pair solves the equation exactly
-by construction and doubles as ground truth for convergence studies.  The
+by construction and doubles as ground truth for convergence sweeps.  The
 Newton solver discretizes the arctangent form of the equation, whose
 linearization has the inverse graph metric as coefficients and is therefore
 uniformly elliptic at every iterate; the product form is kept only as a
@@ -15,7 +15,7 @@ extensions are exact sine-transform Poisson solves.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -23,7 +23,7 @@ import scipy.sparse.linalg as spla
 
 from .errors import LinearSolveError, PreconditionError
 from .geometry import _induced_metric, eigen_sym2
-from .grid import Grid2, ScalarField2, SymMat2Field, gradient_fd, hessian_fd, sample
+from .grid import Grid2, ScalarField2, SymMat2Field, hessian_fd, sample
 
 __all__ = [
     "AnalyticFunction2",
@@ -38,7 +38,6 @@ __all__ = [
     "newton_solve",
     "linear_solve",
     "phase_residual",
-    "convergence_study",
 ]
 
 PHASE_SPLIT = 0.75 * math.pi
@@ -193,17 +192,14 @@ class SolveState:
 
     When converged is set, residuals is strictly decreasing and ends at or
     below the tolerance; every iterate carries the boundary trace exactly.
-    lin_iterations holds the linear solves each Newton step used (1 each).
     """
 
     u: ScalarField2
     residuals: list[float]
     damping: list[float]
-    lin_tol: float
     tolerance: float
     converged: bool
     iterations: int
-    lin_iterations: list[int] = field(default_factory=list)
     message: str = ""
 
 
@@ -269,23 +265,23 @@ def linear_solve(A, rhs: np.ndarray, tol: float = 1e-12):
 
     The Newton systems are well-conditioned 9-point operators, so a direct
     solve reaches round-off; the measured relative residual still certifies
-    it.  Returns (x, linear solves used): (x, 1), or (zeros, 0) for a zero
-    right-hand side.  A failed factorization, or a residual that is not
-    finite or above max(10 tol, 1e-9), raises LinearSolveError.
+    it.  Returns x (zeros for a zero right-hand side).  A failed
+    factorization, or a residual that is not finite or above
+    max(10 tol, 1e-9), raises LinearSolveError.
     """
     rhs = np.asarray(rhs, dtype=float)
     norm = float(np.linalg.norm(rhs))
     if norm == 0.0:
-        return np.zeros_like(rhs), 0
+        return np.zeros_like(rhs)
     A = sp.csc_matrix(A)
     try:
         x = spla.splu(A, permc_spec="MMD_AT_PLUS_A").solve(rhs)
     except RuntimeError as exc:
-        raise LinearSolveError(f"direct factorization failed: {exc}", 0) from exc
+        raise LinearSolveError(f"direct factorization failed: {exc}") from exc
     res = float(np.linalg.norm(A @ x - rhs)) / norm
     if not np.isfinite(res) or res > max(10.0 * tol, 1e-9):
-        raise LinearSolveError(f"linear solve stagnated at relative residual {res:.3e}", 1)
-    return x, 1
+        raise LinearSolveError(f"linear solve stagnated at relative residual {res:.3e}")
+    return x
 
 
 def _dst1(x: np.ndarray, axis: int) -> np.ndarray:
@@ -362,7 +358,6 @@ def newton_solve(
     grid: Grid2 | None = None,
     tol: float = 1e-10,
     max_iter: int = 30,
-    lin_tol: float = 1e-12,
     armijo: float = 1e-4,
     min_step: float = 2.0**-20,
     initial: str = "phase_matched",
@@ -411,7 +406,6 @@ def newton_solve(
     u = _initial_iterate(grid, boundary, psi, initial)
     residuals: list[float] = []
     damping: list[float] = []
-    lin_iters: list[int] = []
     converged = False
     message = ""
     it = 0
@@ -425,11 +419,10 @@ def newton_solve(
         inv11, inv12, inv22 = coefficients(u)
         A = _assemble_linearization(grid, inv11, inv12, inv22)
         try:
-            s_int, k = linear_solve(A, -r.ravel(), tol=lin_tol)
+            s_int = linear_solve(A, -r.ravel())
         except LinearSolveError as exc:
             message = str(exc)
             break
-        lin_iters.append(k)
         step = np.zeros((n, n))
         step[1:-1, 1:-1] = s_int.reshape(n - 2, n - 2)
         t = 1.0
@@ -455,91 +448,8 @@ def newton_solve(
         u=ScalarField2(grid, u),
         residuals=residuals,
         damping=damping,
-        lin_tol=lin_tol,
         tolerance=tol,
         converged=converged,
         iterations=it,
-        lin_iterations=lin_iters,
         message=message,
     )
-
-
-@dataclass(frozen=True)
-class StudyLevel:
-    n: int
-    h: float
-    err_u: float
-    err_grad: float
-    err_hess: float
-    iterations: int
-
-
-@dataclass(frozen=True)
-class StudyResult:
-    levels: list[StudyLevel]
-    orders_u: list[float | None]
-    orders_grad: list[float | None]
-    orders_hess: list[float | None]
-
-
-def _order(e0: float, e1: float, floor: float = 1e-12) -> float | None:
-    if e0 <= floor or e1 <= floor:
-        return None
-    return math.log2(e0 / e1)
-
-
-def convergence_study(
-    analytic: AnalyticFunction2, grids: list[Grid2], **solver_kwargs
-) -> StudyResult:
-    """Solve on a ladder of halving-h grids and measure observed orders.
-
-    Needs at least three grids with h halving at each level (n - 1 doubling).
-    Errors are sup norms against the analytic truth: the solution directly,
-    its differenced gradient and Hessian against the analytic closures.
-    Orders below the round-off floor are reported as None rather than a
-    meaningless number.  Any non-converged level raises RuntimeError.
-    """
-    if len(grids) < 3:
-        raise ValueError("convergence study needs at least three grids")
-    for a, b in zip(grids, grids[1:]):
-        if b.n - 1 != 2 * (a.n - 1) or a.L != b.L:
-            raise ValueError("grids must halve h at each level (n - 1 doubling)")
-    levels = []
-    for g in grids:
-        prob = manufacture(analytic, g)
-        state = newton_solve(prob.psi, prob.boundary_trace(), g, **solver_kwargs)
-        if not state.converged:
-            raise RuntimeError(f"level n={g.n} failed to converge: {state.message}")
-        x1, x2 = g.coords()
-        err_u = float(np.max(np.abs(state.u.values - prob.u_exact.values)))
-        gn = gradient_fd(state.u)
-        g1, g2 = analytic.gradient(x1, x2)
-        err_grad = float(
-            max(
-                np.max(np.abs(gn.c1.values - g1)),
-                np.max(np.abs(gn.c2.values - g2)),
-            )
-        )
-        hn = hessian_fd(state.u)
-        m11, m12, m22 = analytic.hessian(x1, x2)
-        err_hess = float(
-            max(
-                np.max(np.abs(hn.m11.values - m11)),
-                np.max(np.abs(hn.m12.values - m12)),
-                np.max(np.abs(hn.m22.values - m22)),
-            )
-        )
-        levels.append(
-            StudyLevel(
-                n=g.n,
-                h=g.h,
-                err_u=err_u,
-                err_grad=err_grad,
-                err_hess=err_hess,
-                iterations=state.iterations,
-            )
-        )
-    orders_u = [_order(a.err_u, b.err_u) for a, b in zip(levels, levels[1:])]
-    orders_grad = [_order(a.err_grad, b.err_grad) for a, b in zip(levels, levels[1:])]
-    orders_hess = [_order(a.err_hess, b.err_hess) for a, b in zip(levels, levels[1:])]
-    return StudyResult(levels, orders_u, orders_grad, orders_hess)

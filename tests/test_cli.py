@@ -1,5 +1,6 @@
 """Config parsing, commands, exit codes, output formats, determinism."""
 
+import csv
 import importlib
 import importlib.util
 import json
@@ -208,34 +209,117 @@ class TestSolveCommand:
         assert code == EXIT_NO_CONVERGENCE
 
 
+def _sweep_table(out: Path) -> list[dict]:
+    with open(out / "sweep.csv", newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
 class TestSweepCommand:
     def test_hessian_sweep_columns(self, tmp_path):
         cfg = RunConfig(
-            family="quadratic", n=65, sweep_param="a",
-            sweep_values=[1.0, 2.0, 4.0, 8.0], out=str(tmp_path / "o"),
+            family="quadratic", n=65, sweep_param="a", sweep_values=[1.0, 2.0, 4.0, 8.0],
+            checks=["hessian_estimate"], out=str(tmp_path / "o"),
         )
         _, code = cmd_sweep(cfg)
         assert code == EXIT_PASS
         lines = (tmp_path / "o" / "sweep.csv").read_text().splitlines()
-        assert lines[0] == "a,regime,L,G,C_star,passed"
+        assert lines[0] == (
+            "a,h,regime,hessian_estimate.passed,hessian_estimate.margin,"
+            "hessian_estimate.C_star,hessian_estimate.hess_origin,hessian_estimate.growth"
+        )
         assert len(lines) == 5
-        assert lines[1].startswith("1.0,case1,")
-        assert lines[3].startswith("4.0,case2,")
+        assert lines[1].startswith("1.0,0.125,case1,")
+        assert lines[3].startswith("4.0,0.125,case2,")
 
     def test_grid_sweep(self, tmp_path):
         cfg = RunConfig(
-            family="perturbed", eps=0.1, sweep_param="n",
-            sweep_values=[33, 65], out=str(tmp_path / "o"),
+            family="perturbed", eps=0.1, sweep_param="n", sweep_values=[33, 65],
+            checks=["jacobi_pointwise", "form_equivalence"], out=str(tmp_path / "o"),
         )
         _, code = cmd_sweep(cfg)
         assert code == EXIT_PASS
         lines = (tmp_path / "o" / "sweep.csv").read_text().splitlines()
-        assert lines[0].startswith("n,h,C_hat")
+        assert lines[0] == (
+            "n,h,regime,jacobi_pointwise.passed,jacobi_pointwise.margin,"
+            "jacobi_pointwise.C_hat,jacobi_pointwise.c,jacobi_pointwise.min_defect,"
+            "form_equivalence.passed,form_equivalence.residual"
+        )
+        assert [line.split(",")[:2] for line in lines[1:]] == [["33", "0.25"], ["65", "0.125"]]
 
     def test_sweep_needs_values(self, tmp_path):
         cfg = RunConfig(family="quadratic", sweep_param="a", out=str(tmp_path / "o"))
         with pytest.raises(ConfigError):
             cmd_sweep(cfg)
+
+    def test_key_without_a_branch(self, tmp_path):
+        # any numeric key sweeps; a value takes its field's type, so the
+        # integers given for the float c print as floats
+        cfg = RunConfig(
+            family="perturbed", eps=0.1, n=33, sweep_param="c", sweep_values=[1, 0.25],
+            checks=["jacobi_pointwise"], out=str(tmp_path / "o"),
+        )
+        _, code = cmd_sweep(cfg)
+        assert code == EXIT_PASS
+        rows = _sweep_table(tmp_path / "o")
+        assert [r["c"] for r in rows] == ["1.0", "0.25"]
+        assert [r["jacobi_pointwise.c"] for r in rows] == ["1.0", "0.25"]
+        assert rows[0]["jacobi_pointwise.C_hat"] != rows[1]["jacobi_pointwise.C_hat"]
+
+    @pytest.mark.parametrize(
+        "lines",
+        [
+            "sweep_param=out\nsweep_values=1,2\n",
+            "sweep_param=bogus\nsweep_values=1,2\n",
+            "sweep_param=heatmaps\nsweep_values=1,2\n",
+            "sweep_param=n\nsweep_values=17,33.5\n",
+        ],
+    )
+    def test_bad_sweep_exit_3(self, tmp_path, lines):
+        p = tmp_path / "sweep.cfg"
+        p.write_text(f"family=perturbed\nchecks=slope_volume\nout={tmp_path / 'o'}\n" + lines)
+        assert main(["sweep", "--config", str(p)]) == EXIT_INVALID_INPUT
+        assert not (tmp_path / "o").exists()
+
+    def test_solved_sweep_nonconvergence_exit_2(self, tmp_path):
+        p = tmp_path / "sweep.cfg"
+        p.write_text(
+            "family=perturbed\nsource=solved\nmax_iter=0\nchecks=slope_volume\n"
+            f"sweep_param=n\nsweep_values=17,33\nout={tmp_path / 'o'}\n"
+        )
+        assert main(["sweep", "--config", str(p)]) == EXIT_NO_CONVERGENCE
+
+
+class TestConvergenceSweep:
+    """A solved sweep over n is the convergence study: sup errors against the
+    exact solution and observed orders between successive grids."""
+
+    def _run(self, tmp_path, values, **family):
+        cfg = RunConfig(
+            **family, source="solved", sweep_param="n", sweep_values=values,
+            checks=["slope_volume"], out=str(tmp_path / "o"),
+        )
+        _, code = cmd_sweep(cfg)
+        assert code == EXIT_PASS
+        return _sweep_table(tmp_path / "o")
+
+    def test_quadratic_roundoff_orders_blank(self, tmp_path):
+        rows = self._run(tmp_path, [17, 33, 65], family="quadratic", a=1.0)
+        assert all(float(r["err_u"]) <= 1e-10 for r in rows)
+        assert all(r[f"order_{k}"] == "" for r in rows for k in ("u", "grad", "hess"))
+
+    def test_perturbed_orders(self, tmp_path):
+        first, *rest = self._run(tmp_path, [33, 65, 129], family="perturbed", eps=0.1)
+        assert first["order_u"] == "" and int(first["iterations"]) >= 1
+        for r in rest:
+            assert 1.8 <= float(r["order_u"]) <= 2.2
+            assert float(r["order_hess"]) >= 1.5
+
+    def test_error_matches_solve(self, tmp_path):
+        rows = self._run(tmp_path, [33, 65], family="perturbed", eps=0.1)
+        report, _ = cmd_solve(
+            RunConfig(family="perturbed", eps=0.1, n=65, out=str(tmp_path / "s"))
+        )
+        assert rows[-1]["err_u"] == repr(report.solver["error_vs_exact"])
 
 
 class TestReportCommand:
@@ -384,7 +468,7 @@ class TestVerifyWork:
         _, code = cmd_verify(cfg)
         assert code == EXIT_PASS
         assert counts["bundle"] == 1
-        assert counts["laplace_beltrami"] <= 5
+        assert counts["laplace_beltrami"] <= 4
 
     def test_lazy_state_has_its_own_timings(self, tmp_path):
         cfg = RunConfig(family="perturbed", eps=0.1, n=65, checks=["all"], out=str(tmp_path / "o"))

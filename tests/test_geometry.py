@@ -1,4 +1,4 @@
-"""Eigenvalues, geometry bundles, metric operators, mean curvature, slope."""
+"""Eigenvalues, geometry bundles, metric operators, slope."""
 
 import math
 
@@ -9,12 +9,10 @@ from hypothesis import given, settings, strategies as st
 from lmce.geometry import (
     SlopeConstants,
     bundle,
-    bundle_from_hessian,
     eigen_sym2,
     grad_g_norm2,
     laplace_beltrami,
     laplace_beltrami_nondiv,
-    mean_curvature,
     modified_slope,
     negate_bundle,
     slope,
@@ -93,7 +91,6 @@ class TestBundle:
         B = bundle(u)
         detg = B.g11 * B.g22 - B.g12 * B.g12
         np.testing.assert_allclose(B.vol, np.sqrt(detg), rtol=1e-12)
-        np.testing.assert_allclose(B.sqrt_det_g, B.vol)
 
     def test_metric_inverse_consistent(self):
         g = build_grid(2.0, 17)
@@ -209,6 +206,8 @@ class TestLazySlopeFields:
         assert np.array_equal(B.slope_gradient.c2.values, grad.c2.values)
         assert np.array_equal(B.slope_laplacian, laplace_beltrami(b, B).values)
         assert np.array_equal(B.slope_grad_norm2, grad_g_norm2(b, B).values)
+        q = ScalarField2(B.grid, 0.5 * B.grid.radius2())
+        assert np.array_equal(B.paraboloid_laplacian, laplace_beltrami(q, B).values)
         neg = negate_bundle(B)
         assert np.array_equal(B.negated.slope, neg.slope)
         assert np.array_equal(B.negated.slope_laplacian, neg.slope_laplacian)
@@ -218,8 +217,10 @@ class TestLazySlopeFields:
         assert B.slope_gradient is B.slope_gradient
         assert B.slope_laplacian is B.slope_laplacian
         assert B.slope_grad_norm2 is B.slope_grad_norm2
+        assert B.paraboloid_laplacian is B.paraboloid_laplacian
         assert B.negated is B.negated
-        for arr in (B.slope_laplacian, B.slope_grad_norm2, B.slope_gradient.c1.values):
+        arrays = (B.slope_laplacian, B.slope_grad_norm2, B.paraboloid_laplacian)
+        for arr in arrays + (B.slope_gradient.c1.values,):
             assert not arr.flags.writeable
 
 
@@ -264,43 +265,6 @@ class TestFrameIndependence:
             ScalarField2(g, grad_g_norm2(f, bundle(u_rot)).values), 2.0
         )
         assert abs(q - q_rot) <= 20.0 * g.h
-
-
-class TestMeanCurvature:
-    def test_constant_phase_vanishes(self):
-        g = build_grid(2.0, 17)
-        B = bundle(sample(paraboloid(), g))
-        H, hnorm = mean_curvature(B, ScalarField2(g, B.phase))
-        assert np.max(np.abs(H)) == 0.0
-        assert np.max(hnorm.values) == 0.0
-
-    def test_ambient_norm_matches_quadform(self):
-        g = build_grid(4.0, 65)
-        prob = manufacture(perturbed_family(0.1), g)
-        B = bundle(prob.u_exact)
-        H, hnorm = mean_curvature(B, prob.psi)
-        ambient = np.sqrt(np.sum(H * H, axis=-1))
-        np.testing.assert_allclose(ambient, hnorm.values, atol=1e-13)
-
-    def test_norm_against_exact_metric_oracle(self):
-        # oracle: quadform with the analytic metric, differenced exact phase
-        g = build_grid(4.0, 65)
-        prob = manufacture(perturbed_family(0.1), g)
-        B_fd = bundle(prob.u_exact)
-        _, hn_fd = mean_curvature(B_fd, prob.psi)
-        B_exact = bundle_from_hessian(prob.hess_exact)
-        _, hn_or = mean_curvature(B_exact, prob.psi)
-        assert np.max(np.abs(hn_fd.values - hn_or.values)) <= 10.0 * g.h**2
-
-    def test_sup_bounded_under_refinement(self):
-        sups = []
-        for n in (65, 129):
-            g = build_grid(4.0, n)
-            prob = manufacture(perturbed_family(0.1), g)
-            _, hnorm = mean_curvature(bundle(prob.u_exact), prob.psi)
-            sups.append(np.max(hnorm.values))
-        assert all(np.isfinite(s) for s in sups)
-        assert 0.8 <= sups[0] / sups[1] <= 1.2
 
 
 class TestSlope:

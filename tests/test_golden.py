@@ -1,15 +1,19 @@
 """Byte-for-byte regression of `verify.csv` and `sweep.csv` at fixed configs.
 
-The files under `tests/golden/` were written by the code before the check
-layer was refactored; every later change must reproduce them exactly.  The
+Every change must reproduce the files under `tests/golden/` exactly.  The
 `entries` of each `verify.json` are kept too: a later run may add keys to an
 entry, never drop or change one.
 
 Regenerate (only when an output change is intended) with
 
     PYTHONPATH=src python tests/test_golden.py
+
+which prints every cell that changes (`file, row, column: old -> new`; a
+JSON cell is one leaf of an entry, named by its dotted key) before it
+overwrites a file, so the diff can be audited.
 """
 
+import csv
 import json
 import sys
 from pathlib import Path
@@ -31,14 +35,21 @@ VERIFY_CASES = {
 }
 
 SWEEP_CASES = {
-    "sweep_a": dict(family="quadratic", n=65, sweep_param="a", sweep_values=[1.0, 2.0, 4.0, 8.0]),
+    "sweep_a": dict(
+        family="quadratic", n=65, sweep_param="a", sweep_values=[1.0, 2.0, 4.0, 8.0],
+        checks=["hessian_estimate"],
+    ),
     "sweep_A": dict(
         family="perturbed", eps=0.1, n=65, sweep_param="A",
-        sweep_values=[0.0, 0.5, 1.0, 2.0], trials=50, seed=5,
+        sweep_values=[0.0, 0.5, 1.0, 2.0], trials=50, seed=5, checks=["subharmonic"],
     ),
-    "sweep_n": dict(family="perturbed", eps=0.1, sweep_param="n", sweep_values=[17, 33, 65]),
+    "sweep_n": dict(
+        family="perturbed", eps=0.1, sweep_param="n", sweep_values=[17, 33, 65],
+        checks=["jacobi_pointwise", "form_equivalence"],
+    ),
     "sweep_eps": dict(
-        family="perturbed", n=65, sweep_param="eps", sweep_values=[0.0, 0.05, 0.1, 0.2]
+        family="perturbed", n=65, sweep_param="eps", sweep_values=[0.0, 0.05, 0.1, 0.2],
+        checks=["jacobi_pointwise"],
     ),
 }
 
@@ -74,6 +85,37 @@ def test_verify_json_entries_only_gain_keys(name, tmp_path):
             assert after[key] == value, (before["check"], key)
 
 
+def _csv_cells(text: str) -> dict:
+    header, *body = csv.reader(text.splitlines())
+    return {(r, col): v for r, row in enumerate(body, 1) for col, v in zip(header, row)}
+
+
+def _json_cells(text: str) -> dict:
+    cells = {}
+
+    def walk(value, row, key):
+        if isinstance(value, dict):
+            for k, v in value.items():
+                walk(v, row, f"{key}.{k}" if key else k)
+        else:
+            cells[(row, key)] = json.dumps(value)
+
+    for r, entry in enumerate(json.loads(text), 1):
+        walk(entry, r, "")
+    return cells
+
+
+def _rewrite(path: Path, text: str, cells) -> None:
+    """Print each cell of `path` that `text` changes, then write `text`."""
+    old = cells(path.read_bytes().decode()) if path.exists() else {}
+    new = cells(text)
+    for key in sorted(old.keys() | new.keys()):
+        before, after = old.get(key, "(none)"), new.get(key, "(none)")
+        if before != after:
+            print(f"{path.name}, row {key[0]}, {key[1]}: {before} -> {after}")
+    path.write_bytes(text.encode())
+
+
 def _regenerate() -> None:
     import tempfile
 
@@ -81,11 +123,10 @@ def _regenerate() -> None:
         with tempfile.TemporaryDirectory() as tmp:
             out = Path(tmp)
             produced = _run(name, out)
-            (GOLDEN / f"{name}.csv").write_bytes(produced.read_bytes())
+            _rewrite(GOLDEN / f"{name}.csv", produced.read_bytes().decode(), _csv_cells)
             if name in VERIFY_CASES:
-                (GOLDEN / f"{name}.entries.json").write_text(
-                    json.dumps(_entries(out), indent=2, sort_keys=True) + "\n"
-                )
+                entries = json.dumps(_entries(out), indent=2, sort_keys=True) + "\n"
+                _rewrite(GOLDEN / f"{name}.entries.json", entries, _json_cells)
         print(f"wrote {name}", file=sys.stderr)
 
 

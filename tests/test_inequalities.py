@@ -232,6 +232,14 @@ class TestSubharmonicModifiedSlope:
         with pytest.raises(PreconditionError):
             check_subharmonic_modified_slope(B, K_DEFAULT)
 
+    def test_fit_reads_the_canonical_bundle(self):
+        # a negative-phase bundle is fitted on its negation, the bundle the
+        # slope checks read (on the raw bundle the fit gave 0.2328, not 0.0511)
+        B = bundle(manufacture(perturbed_family(0.1), build_grid(4.0, 65)).u_exact)
+        a_hat, attained = fit_modification_weight(B, K_DEFAULT)
+        assert fit_modification_weight(B.negated, K_DEFAULT) == (a_hat, attained)
+        assert a_hat == pytest.approx(0.0511, abs=1e-4)
+
 
 class TestJacobiIntegral:
     def test_quadratic_zero_lhs(self, grid129):

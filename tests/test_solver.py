@@ -1,4 +1,4 @@
-"""Manufactured problems, Newton Dirichlet solver, linear solver, studies."""
+"""Manufactured problems, Newton Dirichlet solver, linear solver."""
 
 import math
 
@@ -10,7 +10,6 @@ from lmce.errors import LinearSolveError, PreconditionError
 from lmce.grid import ScalarField2, build_grid, hessian_fd, sample
 from lmce.solver import (
     anisotropic_family,
-    convergence_study,
     linear_solve,
     manufacture,
     newton_solve,
@@ -157,12 +156,12 @@ class TestNewtonSolve:
 class TestLinearSolve:
     def test_identity(self):
         rhs = np.arange(1.0, 10.0)
-        x, _ = linear_solve(sp.identity(9, format="csr"), rhs)
+        x = linear_solve(sp.identity(9, format="csr"), rhs)
         np.testing.assert_allclose(x, rhs, atol=1e-12)
 
     def test_zero_rhs(self):
-        x, it = linear_solve(sp.identity(5, format="csr"), np.zeros(5))
-        assert np.all(x == 0.0) and it == 0
+        x = linear_solve(sp.identity(5, format="csr"), np.zeros(5))
+        assert np.all(x == 0.0)
 
     def test_laplacian_recovers_quadratic(self):
         # constant-coefficient Dirichlet problem with a known exact solution
@@ -172,7 +171,7 @@ class TestLinearSolve:
         A = _assemble_linearization(g, ones, zeros, ones)
         q = 0.5 * g.radius2()
         rhs = _dirichlet_rhs(g, q, 2.0)
-        x, _ = linear_solve(A, rhs)
+        x = linear_solve(A, rhs)
         np.testing.assert_allclose(x, q[1:-1, 1:-1].ravel(), atol=1e-9)
 
     def test_newton_system_residual(self):
@@ -189,7 +188,7 @@ class TestLinearSolve:
         det = g11 * g22 - g12**2
         A = _assemble_linearization(g, g22 / det, -g12 / det, g11 / det)
         rhs = np.sin(np.arange(A.shape[0]))
-        x, _ = linear_solve(A, rhs, tol=1e-12)
+        x = linear_solve(A, rhs, tol=1e-12)
         assert np.linalg.norm(A @ x - rhs) <= 1e-9 * np.linalg.norm(rhs)
 
     def test_iterative_path_meets_tolerance(self):
@@ -199,14 +198,13 @@ class TestLinearSolve:
         zeros = np.zeros((g.n, g.n))
         A = _assemble_linearization(g, ones, zeros, ones)
         rhs = np.cos(np.arange(A.shape[0]) * 0.01)
-        x, it = linear_solve(A, rhs, tol=1e-12)
+        x = linear_solve(A, rhs, tol=1e-12)
         assert np.linalg.norm(A @ x - rhs) <= 1e-10 * np.linalg.norm(rhs)
 
     def test_singular_system_reports(self):
         A = sp.csr_matrix(np.zeros((4, 4)))
-        with pytest.raises(LinearSolveError) as err:
+        with pytest.raises(LinearSolveError):
             linear_solve(A, np.ones(4))
-        assert err.value.iterations >= 0
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_rhs_reports(self, bad):
@@ -246,29 +244,3 @@ class TestAssembly:
         rhs = np.random.default_rng(n).standard_normal(A.shape[0])
         x = _poisson_solve(g, rhs)
         assert np.linalg.norm(A @ x - rhs) <= 1e-12 * np.linalg.norm(rhs)
-
-
-class TestConvergenceStudy:
-    def test_quadratic_roundoff_flagged(self):
-        grids = [build_grid(4.0, n) for n in (17, 33, 65)]
-        res = convergence_study(quadratic_family(1.0), grids)
-        assert all(lv.err_u <= 1e-10 for lv in res.levels)
-        assert all(o is None for o in res.orders_u)
-
-    def test_perturbed_orders(self):
-        grids = [build_grid(4.0, n) for n in (33, 65, 129)]
-        res = convergence_study(perturbed_family(0.1), grids)
-        for o in res.orders_u:
-            assert 1.8 <= o <= 2.2
-        for o in res.orders_hess:
-            assert o >= 1.5
-
-    def test_bad_ladder_rejected(self):
-        with pytest.raises(ValueError):
-            convergence_study(
-                quadratic_family(1.0), [build_grid(4.0, n) for n in (33, 65)]
-            )
-        with pytest.raises(ValueError):
-            convergence_study(
-                quadratic_family(1.0), [build_grid(4.0, n) for n in (33, 65, 127)]
-            )
