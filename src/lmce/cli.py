@@ -116,6 +116,9 @@ class RunConfig:
 
     def __post_init__(self):
         self.checks = _expand_checks(self.checks)
+        # a flat config with one value (`sweep_values=0.1`) parses to a scalar
+        if isinstance(self.sweep_values, (int, float)):
+            self.sweep_values = [self.sweep_values]
         for name in ("n", "trials", "max_iter", "seed"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int):
@@ -239,13 +242,14 @@ class RunReport:
 def write_field_csv(path: str | Path, f: ScalarField2) -> None:
     """Field interchange: `# L=<float> n=<int>` comment, then i,j,value rows."""
     g = f.grid
+    # the rows csv.writer would write (no cell needs quoting), in one string
+    rows = "".join(
+        f"{i},{j},{v!r}\r\n" for i, row in enumerate(f.values.tolist()) for j, v in enumerate(row)
+    )
     with open(path, "w", newline="") as fh:
         fh.write(f"# L={g.L!r} n={g.n}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["i", "j", "value"])
-        for i in range(g.n):
-            for j in range(g.n):
-                writer.writerow([i, j, repr(float(f.values[i, j]))])
+        fh.write("i,j,value\r\n")
+        fh.write(rows)
 
 
 def read_field_csv(path: str | Path) -> ScalarField2:
@@ -468,7 +472,12 @@ INEQUALITY_CHECKS = {
     "jacobi_integral": lambda ctx: check_jacobi_integral(ctx.bundle, ctx.cutoff, ctx.constants),
     "volume_bound": _volume_bound,
     "hessian_estimate": lambda ctx: check_hessian_estimate(
-        ctx.bundle, ctx.cfg.R, regime="auto", K=ctx.constants, C_budget=ctx.cfg.Cstar_budget
+        # the estimate reads only delta, so it does not pay for the fit of A
+        ctx.bundle,
+        ctx.cfg.R,
+        regime="auto",
+        K=SlopeConstants(delta=ctx.cfg.delta),
+        C_budget=ctx.cfg.Cstar_budget,
     ),
 }
 _CHECKS = {**IDENTITY_CHECKS, **INEQUALITY_CHECKS}

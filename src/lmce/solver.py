@@ -7,9 +7,12 @@ by construction and doubles as ground truth for convergence sweeps.  The
 Newton solver discretizes the arctangent form of the equation, whose
 linearization has the inverse graph metric as coefficients and is therefore
 uniformly elliptic at every iterate; the product form is kept only as a
-residual cross-check elsewhere.  Each Newton step is one sparse LU solve of
-that well-conditioned 9-point system, and the initial iterate's harmonic
-extensions are exact sine-transform Poisson solves.
+residual cross-check elsewhere.  Each Newton step solves that 9-point system
+by BiCGSTAB preconditioned with an exact sine-transform solve of a frozen,
+row-scaled constant-coefficient operator, or by one sparse LU factorization
+when the coefficients are too far from constant for that preconditioner (or
+BiCGSTAB does not certify).  The initial iterate's harmonic extensions are
+exact sine-transform Poisson solves.
 """
 
 from __future__ import annotations
@@ -41,6 +44,11 @@ __all__ = [
 ]
 
 PHASE_SPLIT = 0.75 * math.pi
+# largest relative spread of the row-scaled Newton coefficients about their
+# means for which the sine-transform preconditioner is used
+SPREAD_LIMIT = 0.5
+# BiCGSTAB iteration cap per Newton system; a step that needs more factors
+KRYLOV_MAXITER = 25
 
 
 @dataclass(frozen=True)
@@ -260,26 +268,32 @@ def _assemble_linearization(grid: Grid2, inv11, inv12, inv22) -> sp.csc_matrix:
     return sp.csc_matrix((values, pattern.indices, pattern.indptr), shape=(size, size))
 
 
-def linear_solve(A, rhs: np.ndarray, tol: float = 1e-12):
-    """Solve A x = rhs by one sparse LU factorization.
+def linear_solve(A, rhs: np.ndarray, tol: float = 1e-12, M=None):
+    """Solve A x = rhs: BiCGSTAB preconditioned by M when M is given, else
+    (or when that does not certify) one sparse LU factorization.
 
-    The Newton systems are well-conditioned 9-point operators, so a direct
-    solve reaches round-off; the measured relative residual still certifies
-    it.  Returns x (zeros for a zero right-hand side).  A failed
-    factorization, or a residual that is not finite or above
-    max(10 tol, 1e-9), raises LinearSolveError.
+    The measured relative residual certifies either answer: it must be
+    finite and at most max(10 tol, 1e-9).  Returns x (zeros for a zero
+    right-hand side).  A failed factorization, or an LU answer that does not
+    certify, raises LinearSolveError.
     """
     rhs = np.asarray(rhs, dtype=float)
     norm = float(np.linalg.norm(rhs))
     if norm == 0.0:
         return np.zeros_like(rhs)
     A = sp.csc_matrix(A)
+    limit = max(10.0 * tol, 1e-9)
+    if M is not None:
+        x, _ = spla.bicgstab(A, rhs, rtol=tol, atol=0.0, maxiter=KRYLOV_MAXITER, M=M)
+        res = float(np.linalg.norm(A @ x - rhs)) / norm
+        if np.isfinite(res) and res <= limit:
+            return x
     try:
         x = spla.splu(A, permc_spec="MMD_AT_PLUS_A").solve(rhs)
     except RuntimeError as exc:
         raise LinearSolveError(f"direct factorization failed: {exc}") from exc
     res = float(np.linalg.norm(A @ x - rhs)) / norm
-    if not np.isfinite(res) or res > max(10.0 * tol, 1e-9):
+    if not np.isfinite(res) or res > limit:
         raise LinearSolveError(f"linear solve stagnated at relative residual {res:.3e}")
     return x
 
@@ -299,16 +313,49 @@ def _dst1(x: np.ndarray, axis: int) -> np.ndarray:
     return np.moveaxis(y, -1, axis)
 
 
-def _poisson_solve(grid: Grid2, rhs: np.ndarray) -> np.ndarray:
-    """Exact solve of the 5-point Dirichlet Laplacian on interior nodes, the
-    system _assemble_linearization(grid, 1, 0, 1), by diagonalizing it with
-    the sine transform.  rhs and the result are flat interior vectors.
+def _poisson_solve(grid: Grid2, rhs: np.ndarray, a: float = 1.0, c: float = 1.0) -> np.ndarray:
+    """Exact solve of a*D11 + c*D22 (5-point, Dirichlet) on interior nodes,
+    the system _assemble_linearization(grid, a, 0, c), by diagonalizing it
+    with the sine transform.  rhs and the result are flat interior vectors.
     """
     m = grid.n - 2
     lam = -4.0 * np.sin(0.5 * np.pi * np.arange(1, m + 1) / (m + 1)) ** 2 / (grid.h * grid.h)
     f = _dst1(_dst1(np.reshape(rhs, (m, m)), 0), 1)
-    f /= lam[:, None] + lam[None, :]
+    f /= a * lam[:, None] + c * lam[None, :]
     return (_dst1(_dst1(f, 0), 1) * (2.0 / (m + 1)) ** 2).ravel()
+
+
+def _sine_preconditioner(grid: Grid2, inv11, inv12, inv22):
+    """Preconditioner for the Newton operator inv11*D11 + 2 inv12*D12 +
+    inv22*D22, or None when it would not pay off.
+
+    With s = (inv11 + inv22)/2 the operator is s times one whose coefficients
+    inv11/s, inv12/s, inv22/s are frozen at the interior means a, 0, c; M
+    divides by s and solves a*D11 + c*D22 exactly by sine transform
+    (Concus & Golub, SIAM J. Numer. Anal. 10, 1973).  The relative spread of
+    the scaled coefficients about (a, 0, c) measures how far M is from the
+    inverse; above SPREAD_LIMIT, BiCGSTAB needs more iterations than one
+    LU factorization costs, so the step factors instead.
+    """
+    inner = np.s_[1:-1, 1:-1]
+    p11, p12, p22 = (
+        np.broadcast_to(np.asarray(v, dtype=float), (grid.n, grid.n))[inner]
+        for v in (inv11, inv12, inv22)
+    )
+    s = 0.5 * (p11 + p22)
+    q11, q22 = p11 / s, p22 / s
+    a, c = float(np.mean(q11)), float(np.mean(q22))
+    spread = max(
+        float(np.max(np.abs(q11 - a))) / a,
+        float(np.max(np.abs(q22 - c))) / c,
+        float(np.max(np.abs(p12 / s))) / math.sqrt(a * c),
+    )
+    if not spread <= SPREAD_LIMIT:
+        return None
+    s = s.ravel()
+    return spla.LinearOperator(
+        (s.size, s.size), matvec=lambda r: _poisson_solve(grid, np.ravel(r) / s, a, c)
+    )
 
 
 def _dirichlet_rhs(grid: Grid2, boundary_vals: np.ndarray, source: float) -> np.ndarray:
@@ -418,8 +465,9 @@ def newton_solve(
             break
         inv11, inv12, inv22 = coefficients(u)
         A = _assemble_linearization(grid, inv11, inv12, inv22)
+        M = _sine_preconditioner(grid, inv11, inv12, inv22)
         try:
-            s_int = linear_solve(A, -r.ravel())
+            s_int = linear_solve(A, -r.ravel(), M=M)
         except LinearSolveError as exc:
             message = str(exc)
             break

@@ -29,7 +29,7 @@ from lmce.cli import (
     write_pgm,
 )
 from lmce.errors import ConfigError
-from lmce.grid import build_grid, sample
+from lmce.grid import ScalarField2, build_grid, sample
 from lmce.identities import CheckReport
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
@@ -93,6 +93,26 @@ class TestFieldFile:
         back = read_field_csv(path)
         assert back.grid == g
         np.testing.assert_array_equal(back.values, f.values)
+
+    def test_bytes_match_csv_writer(self, tmp_path):
+        g = build_grid(2.0, 5)
+        values = sample(lambda x1, x2: x1 + 2.0 * x2, g).values.copy()
+        values[1, 1:] = [1e-5, -0.0, 1e300, 5e-324]
+        f = ScalarField2(g, values)
+        path = tmp_path / "field.csv"
+        write_field_csv(path, f)
+        oracle = tmp_path / "oracle.csv"
+        with open(oracle, "w", newline="") as fh:
+            fh.write(f"# L={g.L!r} n={g.n}\n")
+            writer = csv.writer(fh)
+            writer.writerow(["i", "j", "value"])
+            for i in range(g.n):
+                for j in range(g.n):
+                    writer.writerow([i, j, repr(float(f.values[i, j]))])
+        assert path.read_bytes() == oracle.read_bytes()
+        back = read_field_csv(path)
+        np.testing.assert_array_equal(back.values, f.values)
+        assert np.signbit(back.values[1, 2])
 
     def test_missing_header_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -264,6 +284,16 @@ class TestSweepCommand:
         assert [r["c"] for r in rows] == ["1.0", "0.25"]
         assert [r["jacobi_pointwise.c"] for r in rows] == ["1.0", "0.25"]
         assert rows[0]["jacobi_pointwise.C_hat"] != rows[1]["jacobi_pointwise.C_hat"]
+
+    def test_one_value_sweep(self, tmp_path):
+        base = "family=perturbed\nn=17\nchecks=slope_volume\nsweep_param=eps\n"
+        for name, values in (("one", "0.1"), ("two", "0.1,0.2")):
+            p = tmp_path / f"{name}.cfg"
+            p.write_text(base + f"sweep_values={values}\nout={tmp_path / name}\n")
+            assert main(["sweep", "--config", str(p)]) == EXIT_PASS
+        one, two = _sweep_table(tmp_path / "one"), _sweep_table(tmp_path / "two")
+        assert len(one) == 1
+        assert one[0] == two[0]
 
     @pytest.mark.parametrize(
         "lines",
@@ -440,35 +470,53 @@ class TestCheckRegistry:
         assert "lhs" not in entry and "margin" not in entry
 
 
+@pytest.fixture
+def geometry_calls(monkeypatch):
+    """Counts of `laplace_beltrami` and `bundle` calls, through every binding
+    of the two functions, whichever module calls them."""
+    import lmce.geometry
+    import lmce.identities
+    import lmce.inequalities
+
+    counts = {"laplace_beltrami": 0, "bundle": 0}
+    originals = {
+        lmce.geometry.laplace_beltrami: "laplace_beltrami",
+        lmce.geometry.bundle: "bundle",
+    }
+
+    def counting(fn, key):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for module in (lmce.geometry, lmce.identities, lmce.inequalities, lmce.cli):
+        for attr, value in list(vars(module).items()):
+            if callable(value) and value in originals:
+                monkeypatch.setattr(module, attr, counting(value, originals[value]))
+    return counts
+
+
 class TestVerifyWork:
-    def test_geometry_built_once_per_run(self, tmp_path, monkeypatch):
-        # every binding of the two functions counts, whichever module calls it
-        import lmce.geometry
-        import lmce.identities
-        import lmce.inequalities
-
-        counts = {"laplace_beltrami": 0, "bundle": 0}
-        originals = {
-            lmce.geometry.laplace_beltrami: "laplace_beltrami",
-            lmce.geometry.bundle: "bundle",
-        }
-
-        def counting(fn, key):
-            def wrapper(*args, **kwargs):
-                counts[key] += 1
-                return fn(*args, **kwargs)
-
-            return wrapper
-
-        for module in (lmce.geometry, lmce.identities, lmce.inequalities, lmce.cli):
-            for attr, value in list(vars(module).items()):
-                if callable(value) and value in originals:
-                    monkeypatch.setattr(module, attr, counting(value, originals[value]))
+    def test_geometry_built_once_per_run(self, tmp_path, geometry_calls):
         cfg = RunConfig(family="perturbed", eps=0.1, n=65, checks=["all"], out=str(tmp_path / "o"))
         _, code = cmd_verify(cfg)
         assert code == EXIT_PASS
-        assert counts["bundle"] == 1
-        assert counts["laplace_beltrami"] <= 4
+        assert geometry_calls["bundle"] == 1
+        assert geometry_calls["laplace_beltrami"] <= 4
+
+    @pytest.mark.parametrize("command", ["verify", "sweep"])
+    def test_hessian_estimate_skips_the_fit(self, tmp_path, geometry_calls, command):
+        # the estimate reads only delta from the slope constants
+        cfg = RunConfig(
+            family="quadratic", n=65, checks=["hessian_estimate"], out=str(tmp_path / "o"),
+            sweep_param="a", sweep_values=[1.0, 4.0],
+        )
+        report, code = (cmd_verify if command == "verify" else cmd_sweep)(cfg)
+        assert code == EXIT_PASS
+        assert geometry_calls["laplace_beltrami"] == 0
+        assert "constants_s" not in report.timings
 
     def test_lazy_state_has_its_own_timings(self, tmp_path):
         cfg = RunConfig(family="perturbed", eps=0.1, n=65, checks=["all"], out=str(tmp_path / "o"))

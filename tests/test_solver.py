@@ -5,8 +5,12 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
+from hypothesis import given, settings, strategies as st
 
+import lmce.solver
 from lmce.errors import LinearSolveError, PreconditionError
+from lmce.geometry import _induced_metric
 from lmce.grid import ScalarField2, build_grid, hessian_fd, sample
 from lmce.solver import (
     anisotropic_family,
@@ -22,7 +26,29 @@ from lmce.solver import (
     _assemble_linearization,
     _dirichlet_rhs,
     _poisson_solve,
+    _sine_preconditioner,
 )
+
+
+@pytest.fixture
+def spla_calls(monkeypatch):
+    """Counts of the `splu` and `bicgstab` calls the solver module makes."""
+    counts = {"splu": 0, "bicgstab": 0}
+
+    class Spy:
+        def __getattr__(self, name):
+            fn = getattr(spla, name)
+            if name not in counts:
+                return fn
+
+            def counted(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+
+            return counted
+
+    monkeypatch.setattr(lmce.solver, "spla", Spy())
+    return counts
 
 
 class TestManufacture:
@@ -244,3 +270,108 @@ class TestAssembly:
         rhs = np.random.default_rng(n).standard_normal(A.shape[0])
         x = _poisson_solve(g, rhs)
         assert np.linalg.norm(A @ x - rhs) <= 1e-12 * np.linalg.norm(rhs)
+        # and the scaled operator a*D11 + c*D22
+        A = _assemble_linearization(g, 3.0, 0, 0.5)
+        x = _poisson_solve(g, rhs, 3.0, 0.5)
+        assert np.linalg.norm(A @ x - rhs) <= 1e-12 * np.linalg.norm(rhs)
+
+
+class TestSinePreconditioner:
+    @pytest.mark.parametrize("n", [5, 6, 33])
+    def test_exact_for_constant_coefficients(self, n):
+        g = build_grid(2.0, n)
+        inv11, inv12, inv22 = (np.full((n, n), v) for v in (0.7, 0.0, 0.2))
+        A = _assemble_linearization(g, inv11, inv12, inv22)
+        M = _sine_preconditioner(g, inv11, inv12, inv22)
+        r = np.random.default_rng(n).standard_normal(A.shape[0])
+        assert np.linalg.norm(A @ M.matvec(r) - r) <= 1e-12 * np.linalg.norm(r)
+
+    def test_spread_rule(self):
+        g = build_grid(4.0, 33)
+        x1, _ = g.coords()
+        inv11 = np.broadcast_to(0.03 + 0.93 * (x1 + 4.0) / 8.0, (g.n, g.n))
+        assert _sine_preconditioner(g, inv11, 0.0, 0.5) is None
+        hess = hessian_fd(manufacture(perturbed_family(0.1), g).u_exact)
+        *_, inv11, inv12, inv22 = _induced_metric(hess.m11.values, hess.m12.values, hess.m22.values)
+        assert _sine_preconditioner(g, inv11, inv12, inv22) is not None
+
+
+class TestKrylovPath:
+    def test_useless_preconditioner_falls_back_to_lu(self, spla_calls):
+        g = build_grid(2.0, 33)
+        A = _assemble_linearization(g, 1.0, 0.0, 1.0)
+        size = A.shape[0]
+        M = spla.LinearOperator((size, size), matvec=lambda r: -np.ravel(r))
+        rhs = np.cos(np.arange(size) * 0.1)
+        x = linear_solve(A, rhs, M=M)
+        assert spla_calls == {"splu": 1, "bicgstab": 1}
+        assert np.linalg.norm(A @ x - rhs) <= 1e-9 * np.linalg.norm(rhs)
+
+    def test_non_finite_rhs_reports_with_preconditioner(self):
+        g = build_grid(2.0, 9)
+        A = _assemble_linearization(g, 1.0, 0.0, 1.0)
+        M = _sine_preconditioner(g, 1.0, 0.0, 1.0)
+        rhs = np.ones(A.shape[0])
+        rhs[3] = np.nan
+        with pytest.raises(LinearSolveError):
+            linear_solve(A, rhs, M=M)
+
+    @pytest.mark.parametrize("case", ["perturbed", "anisotropic", "near_pi"])
+    def test_same_newton_steps_as_lu(self, case, monkeypatch):
+        if case == "perturbed":
+            g = build_grid(4.0, 65)
+            prob = manufacture(perturbed_family(0.1), g)
+            psi, boundary, initial = prob.psi, prob.boundary_trace(), "phase_matched"
+        elif case == "anisotropic":
+            g = build_grid(4.0, 33)
+            prob = manufacture(anisotropic_family(1.4, 0.2), g)
+            psi, boundary, initial = prob.psi, prob.boundary_trace(), "phase_matched"
+        else:
+            g = build_grid(4.0, 33)
+            psi = ScalarField2(g, np.full((g.n, g.n), 3.13))
+            boundary = sample(quadratic_family(1.0).value, g)
+            initial = "harmonic"
+        fast = newton_solve(psi, boundary, g, initial=initial)
+        monkeypatch.setattr(lmce.solver, "_sine_preconditioner", lambda *args: None)
+        lu = newton_solve(psi, boundary, g, initial=initial)
+        assert fast.converged == lu.converged
+        assert fast.iterations == lu.iterations
+        assert fast.damping == lu.damping
+        assert np.max(np.abs(fast.u.values - lu.u.values)) <= 1e-9
+
+    def test_fast_path_does_not_factor(self, spla_calls):
+        g = build_grid(4.0, 65)
+        prob = manufacture(perturbed_family(0.1), g)
+        state = newton_solve(prob.psi, prob.boundary_trace(), g)
+        assert state.converged
+        assert spla_calls["splu"] == 0
+        assert spla_calls["bicgstab"] == state.iterations
+
+
+@st.composite
+def smooth_phases(draw, delta=0.3):
+    """A grid, a smooth phase with values in [delta, pi - delta] and
+    quadratic boundary data."""
+    n = draw(st.sampled_from([9, 17, 33]))
+    g = build_grid(draw(st.sampled_from([2.0, 4.0])), n)
+    x1, x2 = g.coords()
+    wave = np.zeros((n, n))
+    for _ in range(draw(st.integers(1, 3))):
+        k1, k2 = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+        shift = draw(st.floats(0.0, 2.0 * math.pi))
+        wave = wave + np.cos(k1 * x1 / g.L * math.pi + k2 * x2 / g.L * math.pi + shift)
+    wave = wave / max(1.0, float(np.max(np.abs(wave))))
+    mid = draw(st.floats(delta, math.pi - delta))
+    amp = draw(st.floats(0.0, 1.0)) * min(mid - delta, math.pi - delta - mid)
+    psi = ScalarField2(g, mid + amp * wave)
+    boundary = sample(quadratic_family(draw(st.floats(0.2, 3.0))).value, g)
+    return psi, boundary, draw(st.sampled_from(["phase_matched", "harmonic"]))
+
+
+class TestSolverProperty:
+    @settings(deadline=None, max_examples=25)
+    @given(smooth_phases())
+    def test_returns_a_state(self, data):
+        psi, boundary, initial = data
+        state = newton_solve(psi, boundary, initial=initial)
+        assert state.converged or state.message
