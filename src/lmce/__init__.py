@@ -17,6 +17,7 @@ from .geometry import (
     SlopeConstants,
     bundle,
     bundle_from_hessian,
+    classify_phase,
     eigen_sym2,
     grad_g_norm2,
     laplace_beltrami,

@@ -36,7 +36,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, NonConvergenceError, PreconditionError
-from .geometry import SlopeConstants, bundle as make_bundle, modified_slope
+from .geometry import SlopeConstants, bundle as make_bundle, classify_phase, modified_slope
 from .grid import ScalarField2, build_grid, make_cutoff
 from .identities import (
     check_complex_factorization,
@@ -55,6 +55,7 @@ from .inequalities import (
     check_volume_bound,
     check_weak_max_principle,
     fit_modification_weight,
+    sampler_grid_problem,
 )
 from .solver import (
     anisotropic_family,
@@ -144,6 +145,8 @@ class RunConfig:
                 f"sweep_param must be a numeric config key ({', '.join(_SWEEPABLE)}), "
                 f"got {self.sweep_param!r}"
             )
+        if self.family != "field":
+            _require_sampler_grid(self, build_grid(self.L, self.n))
 
     def to_dict(self) -> dict:
         d = dataclasses.asdict(self)
@@ -170,6 +173,15 @@ class RunConfig:
         else:
             raw = _parse_flat(text)
         return cls.from_dict(raw)
+
+
+def _require_sampler_grid(cfg: RunConfig, grid) -> None:
+    """A grid too coarse for a requested sampled check is invalid input."""
+    sampled = {"weak_max_principle": 2.0, "super_iso": 2.0, "subharmonic": min(cfg.rho, 2.0)}
+    for name, radius in sampled.items():
+        problem = name in cfg.checks and sampler_grid_problem(grid, radius)
+        if problem:
+            raise ConfigError(f"{name}: {problem}")
 
 
 # the scalar numeric config keys a sweep may vary -> the type of their values
@@ -236,7 +248,7 @@ class RunReport:
     heatmaps: dict = field(default_factory=dict)
 
     def all_passed(self) -> bool:
-        return all(e.get("passed", False) or e.get("status") == "skipped" for e in self.entries)
+        return all(e.get("passed", False) for e in self.entries)
 
 
 def write_field_csv(path: str | Path, f: ScalarField2) -> None:
@@ -394,19 +406,15 @@ class _Context:
             else:
                 self.u = self.problem.u_exact
             self.psi = self.problem.psi
-            self.regime = self.problem.regime
         else:
             self.problem = None
             self.u = read_field_csv(cfg.field_file)
-            if self.u.grid != self.grid:
-                self.grid = self.u.grid
-            self.psi = None
-            self.regime = ""
+            self.grid = self.u.grid
+            _require_sampler_grid(cfg, self.grid)
         self.bundle = make_bundle(self.u)
-        if self.psi is None:
+        if self.problem is None:
             self.psi = ScalarField2(self.grid, self.bundle.phase)
-        if not self.regime:
-            self.regime = _detect_regime(self.bundle, cfg.delta)
+        self.regime = classify_phase(self.bundle.phase, cfg.delta)
         self.timings: dict[str, float] = {}
         self.lazy_s = 0.0
 
@@ -425,24 +433,6 @@ class _Context:
     @_timed_lazy
     def bmod(self) -> ScalarField2:
         return modified_slope(self.bundle, self.constants)
-
-
-def _detect_regime(B, delta: float) -> str:
-    pmin = float(np.min(np.abs(B.phase)))
-    pmax = float(np.max(np.abs(B.phase)))
-    if pmin > 0.75 * math.pi + 1e-12:
-        return "case2"
-    if pmin >= delta - 1e-12 and pmax <= 0.75 * math.pi + 1e-12:
-        return "case1"
-    return "subcritical"
-
-
-def _volume_bound(ctx: _Context):
-    if ctx.regime not in ("case1", "case2"):
-        raise PreconditionError(
-            f"volume bound needs a supercritical regime, got {ctx.regime!r}"
-        )
-    return check_volume_bound(ctx.bundle, ctx.regime, ctx.constants)
 
 
 # Canonical check name -> the check run on a verify context.  Each entry looks
@@ -470,14 +460,10 @@ INEQUALITY_CHECKS = {
         ctx.bundle, ctx.constants, rho=ctx.cfg.rho, trials=ctx.cfg.trials, seed=ctx.cfg.seed
     ),
     "jacobi_integral": lambda ctx: check_jacobi_integral(ctx.bundle, ctx.cutoff, ctx.constants),
-    "volume_bound": _volume_bound,
+    # the last two read only delta, so they do not pay for the fit of A
+    "volume_bound": lambda ctx: check_volume_bound(ctx.bundle, SlopeConstants(delta=ctx.cfg.delta)),
     "hessian_estimate": lambda ctx: check_hessian_estimate(
-        # the estimate reads only delta, so it does not pay for the fit of A
-        ctx.bundle,
-        ctx.cfg.R,
-        regime="auto",
-        K=SlopeConstants(delta=ctx.cfg.delta),
-        C_budget=ctx.cfg.Cstar_budget,
+        ctx.bundle, ctx.cfg.R, delta=ctx.cfg.delta, C_budget=ctx.cfg.Cstar_budget
     ),
 }
 _CHECKS = {**IDENTITY_CHECKS, **INEQUALITY_CHECKS}
@@ -620,7 +606,7 @@ def cmd_solve(cfg: RunConfig) -> tuple[RunReport, int]:
             "entries": report.entries,
             "timings": report.timings,
             "heatmaps": report.heatmaps,
-            "regime": problem.regime,
+            "regime": classify_phase(problem.psi.values, cfg.delta),
         },
     )
     write_field_csv(outdir / "u.csv", state.u)

@@ -11,6 +11,7 @@ discrete summation by parts.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -33,6 +34,7 @@ __all__ = [
     "eigen_sym2",
     "bundle",
     "bundle_from_hessian",
+    "classify_phase",
     "negate_bundle",
     "grad_g_norm2",
     "laplace_beltrami",
@@ -40,6 +42,37 @@ __all__ = [
     "slope",
     "modified_slope",
 ]
+
+
+# the phase splitting the two supercritical regimes of the Hessian bound, and
+# the cushion that makes every regime boundary a closed condition
+PHASE_SPLIT = 0.75 * math.pi
+REGIME_CUSHION = 1e-12
+
+
+def _negative_phase(pmin: float, pmax: float) -> bool:
+    """Whether a phase with these extremes is <= 0 everywhere, < 0 somewhere."""
+    return pmax <= 0.0 and pmin < 0.0
+
+
+def classify_phase(phase: np.ndarray, delta: float) -> str:
+    """The regime of the Hessian bound that a phase array falls in.
+
+    A phase that is <= 0 everywhere and < 0 somewhere is negated first, as
+    the checks negate its potential.  Then, each boundary closed by
+    REGIME_CUSHION: "subcritical" if min < delta, "case2" if min > 3pi/4,
+    "case1" if max <= 3pi/4, else "straddle" (supercritical, both regimes
+    present).  Callers pass the phase on the region they read."""
+    pmin, pmax = float(np.min(phase)), float(np.max(phase))
+    if _negative_phase(pmin, pmax):
+        pmin, pmax = -pmax, -pmin
+    if pmin < delta - REGIME_CUSHION:
+        return "subcritical"
+    if pmin > PHASE_SPLIT + REGIME_CUSHION:
+        return "case2"
+    if pmax <= PHASE_SPLIT + REGIME_CUSHION:
+        return "case1"
+    return "straddle"
 
 
 def eigen_sym2(m11, m12, m22):

@@ -11,9 +11,9 @@ inequality and the stability of its constants under refinement.
 Quadrature slack convention: node-indicator disk quadrature carries an O(h)
 boundary layer, so integral comparisons over a disk of radius r receive
 20*h*r*sup|integrand| of slack, reported in the result so a failure can
-never be a boundary-layer artifact.  Phase-regime boundaries are tested with
-closed conditions (a 1e-12 cushion) to avoid float-equality traps, and
-uniformly negative-phase bundles are canonicalized by negating the potential.
+never be a boundary-layer artifact.  Each check that needs a phase regime
+takes it from `classify_phase` on the region it reads, and uniformly
+negative-phase bundles are canonicalized by negating the potential.
 """
 
 from __future__ import annotations
@@ -26,13 +26,15 @@ from .errors import PreconditionError
 from .geometry import (
     GeometryBundle,
     SlopeConstants,
+    _negative_phase,
     _quadform_inv,
+    classify_phase,
     modified_slope,
 )
 from .grid import (
     CutoffProfile,
+    Grid2,
     ScalarField2,
-    Vec2Field,
     gradient_fd,
     integrate_disk,
     sup_norm_disk,
@@ -49,21 +51,33 @@ __all__ = [
     "check_volume_bound",
     "check_hessian_estimate",
     "fit_exp_budget",
+    "sampler_grid_problem",
 ]
-
-REGIME_CUSHION = 1e-12
-PHASE_SPLIT = 0.75 * math.pi
 
 
 def _disk_quad_slack(h: float, r: float, sup_integrand: float) -> float:
     return 20.0 * h * r * max(1.0, sup_integrand)
 
 
-def _canonical(B: GeometryBundle) -> tuple[GeometryBundle, bool]:
-    """Flip to the negated potential when the phase is uniformly <= 0."""
-    if float(np.max(B.phase)) <= 0.0 and float(np.min(B.phase)) < 0.0:
+def _canonical(B: GeometryBundle, region=None) -> tuple[GeometryBundle, bool]:
+    """Flip to the negated potential when the phase is uniformly <= 0 on the
+    region the check reads (default: the whole grid), the region it classifies."""
+    phase = B.phase if region is None else B.phase[region]
+    if _negative_phase(float(np.min(phase)), float(np.max(phase))):
         return B.negated, True
     return B, False
+
+
+def sampler_grid_problem(grid: Grid2, radius: float) -> str:
+    """Why the weak-maximum-principle sampler cannot run in the disk of this
+    radius on this grid, or "" when it can: the grid must contain the disk,
+    and the smallest subdomain size max(6h, 0.15) must stay below the largest,
+    0.7 * radius (a subdomain wider than 5h holds both node sets)."""
+    if grid.L < radius:
+        return f"weak maximum principle needs the grid to contain the disk of radius {radius}"
+    if max(6.0 * grid.h, 0.15) >= 0.7 * radius:
+        return f"no admissible subdomains at this resolution (h={grid.h}, radius {radius})"
+    return ""
 
 
 def check_weak_max_principle(
@@ -86,10 +100,9 @@ def check_weak_max_principle(
     margin over all admissible trials.
     """
     g = f.grid
-    if g.L < radius:
-        raise PreconditionError(
-            f"weak maximum principle needs the grid to contain the disk of radius {radius}"
-        )
+    problem = sampler_grid_problem(g, radius)
+    if problem:
+        raise PreconditionError(problem)
     h = g.h
     ax = g.axis()
     vals = f.values
@@ -99,8 +112,6 @@ def check_weak_max_principle(
     slack = slack_coeff * h * lip
     band = 2.0 * h
     size_lo = max(6.0 * h, 0.15)
-    if size_lo >= 0.7 * radius:
-        raise PreconditionError("no admissible subdomains at this resolution")
 
     rng = np.random.default_rng(seed)
     worst = math.inf
@@ -178,7 +189,6 @@ def check_super_iso(
     f: ScalarField2,
     trials: int = 200,
     seed: int = 0,
-    grad: Vec2Field | None = None,
 ) -> CheckReport:
     """Sup over the unit disk bounded by gradient and value integrals over B2.
 
@@ -197,9 +207,7 @@ def check_super_iso(
             "super isoperimetric check needs the weak maximum principle "
             f"(worst margin {wmp.margin:.3e})"
         )
-    if grad is None:
-        grad = gradient_fd(f)
-    dmag = grad.magnitude()
+    dmag = gradient_fd(f).magnitude()
     lhs = sup_norm_disk(f, 1.0)
     int_grad = integrate_disk(dmag, 2.0)
     int_f = integrate_disk(f, 2.0)
@@ -230,29 +238,26 @@ def check_jacobi_pointwise(
     B: GeometryBundle,
     K: SlopeConstants,
     C_budget: float = math.inf,
-    radius: float | None = None,
     margin_cells: int = 2,
 ) -> CheckReport:
     """Pointwise slope curvature inequality lap_g b >= c |grad_g b|^2 - C.
 
     Evaluates m = min(lap_g b - c |grad_g b|^2) over interior nodes (2h from
-    the boundary band, optionally restricted to a disk), excluding nodes
-    whose eigenvalue gap is below eps_gap*(1 + |lam1|): there the slope is a
-    function of the larger eigenvalue only and differencing across the
-    crossing is unreliable.  If every node is excluded but the slope field is
-    globally constant (coalesced eigenvalues everywhere, e.g. an isotropic
-    quadratic), the check proceeds on the full interior since the slope is
-    then exactly smooth.  Reports the smallest additive constant
-    C_hat = max(0, -m) that makes the inequality hold; passes iff
-    C_hat <= C_budget.  Both fields are the bundle's cached slope fields.
+    the boundary band), excluding nodes whose eigenvalue gap is below
+    eps_gap*(1 + |lam1|): there the slope is a function of the larger
+    eigenvalue only and differencing across the crossing is unreliable.  If
+    every node is excluded but the slope field is globally constant
+    (coalesced eigenvalues everywhere, e.g. an isotropic quadratic), the
+    check proceeds on the full interior since the slope is then exactly
+    smooth.  Reports the smallest additive constant C_hat = max(0, -m) that
+    makes the inequality hold; passes iff C_hat <= C_budget.  Both fields are
+    the bundle's cached slope fields.
     """
     B, flipped = _canonical(B)
     g = B.grid
     lap = B.slope_laplacian
     gn = B.slope_grad_norm2
     include = _interior_mask(g.n, margin_cells)
-    if radius is not None:
-        include &= g.disk_mask(radius)
     gap_ok = (B.lam1 - B.lam2) >= K.eps_gap * (1.0 + np.abs(B.lam1))
     excluded = int(np.count_nonzero(include & ~gap_ok))
     mask = include & gap_ok
@@ -293,12 +298,13 @@ def fit_modification_weight(
     quadratic's Laplacian is positive on the whole region (the generic case)
     the optimum is the closed-form max of -lap_g(b)/lap_g(q); otherwise a
     bounded scalar search maximizes the concave minimum.  Both Laplacians are
-    the bundle's cached fields.  The fit runs on the canonical bundle, the
-    one the slope checks read.  Returns (A_hat, attained minimum at A_hat).
+    the bundle's cached fields.  The fit runs on the bundle canonical on the
+    region, the one the subharmonic check reads.  Returns (A_hat, attained
+    minimum at A_hat).
     """
-    B, _ = _canonical(B)
     g = B.grid
     mask = _interior_mask(g.n, margin_cells) & g.disk_mask(rho)
+    B, _ = _canonical(B, mask)
     lap_b = B.slope_laplacian[mask]
     lap_q = B.paraboloid_laplacian[mask]
 
@@ -331,16 +337,17 @@ def check_subharmonic_modified_slope(
 ) -> CheckReport:
     """Subharmonicity of the modified slope b + (A/2)|x|^2 on |x| <= rho.
 
-    Requires supercritical phase (phase >= delta) on the region.  Evaluates
-    min lap_g(b_mod) over the region, by linearity from the bundle's cached
-    Laplacians of b and |x|^2/2, and demands it be >= -slack; then runs
-    the weak-maximum-principle sampler on the modified slope, since that is
-    the property the subharmonicity is for.  Passes only if both hold.
+    Requires a phase on the region that classify_phase does not call
+    subcritical (phase >= delta).  Evaluates min lap_g(b_mod) over the
+    region, by linearity from the bundle's cached Laplacians of b and
+    |x|^2/2, and demands it be >= -slack; then runs the weak-maximum-principle
+    sampler on the modified slope, since that is the property the
+    subharmonicity is for.  Passes only if both hold.
     """
-    B, flipped = _canonical(B)
     g = B.grid
     mask = _interior_mask(g.n, margin_cells) & g.disk_mask(rho)
-    if float(np.min(B.phase[mask])) < K.delta - REGIME_CUSHION:
+    B, flipped = _canonical(B, mask)
+    if classify_phase(B.phase[mask], K.delta) == "subcritical":
         raise PreconditionError(
             f"modified-slope check needs phase >= delta={K.delta} on the region"
         )
@@ -366,7 +373,6 @@ def check_jacobi_integral(
     B: GeometryBundle,
     cutoff: CutoffProfile,
     K: SlopeConstants,
-    C_hat: float | None = None,
     ibp_coeff: float = 10.0,
 ) -> CheckReport:
     """Integral form of the slope curvature inequality through a cutoff.
@@ -375,8 +381,8 @@ def check_jacobi_integral(
     asserts
       int_{B_{r1}} |grad_g b|^2 dv
         <= (4/c^2) int |grad_g phi|^2 dv + (2/c) C int phi^2 dv + slack,
-    where C defaults to the fitted pointwise constant (a pointwise check on
-    the same bundle, which reuses its cached slope fields).  Also verifies the
+    where C is the fitted pointwise constant (a pointwise check on the same
+    bundle, which reuses its cached slope fields).  Also verifies the
     discrete integration-by-parts step
       int phi^2 lap_g(b) dv = -int <2 phi grad_g phi, grad_g b>_g dv
     to ibp_coeff*h; the divergence-form operator makes this exact up to the
@@ -389,8 +395,7 @@ def check_jacobi_integral(
     g = B.grid
     if cutoff.r2 > g.L - 2 * g.h:
         raise PreconditionError("cutoff support must stay 2h inside the grid")
-    if C_hat is None:
-        C_hat = check_jacobi_pointwise(B, K).fitted["C_hat"]
+    C_hat = check_jacobi_pointwise(B, K).fitted["C_hat"]
     h = g.h
     gnb = B.slope_grad_norm2
     phi = cutoff.phi.values
@@ -432,7 +437,6 @@ def check_jacobi_integral(
 
 def check_volume_bound(
     B: GeometryBundle,
-    regime: str,
     K: SlopeConstants,
     inner: float = 2.0,
     mid: float = 3.0,
@@ -440,13 +444,16 @@ def check_volume_bound(
 ) -> CheckReport:
     """Volume-element bounds for the two supercritical phase regimes.
 
-    regime "case1" (delta <= phase <= 3pi/4 on B_inner): asserts the exact
+    The regime is classify_phase of the phase on B_mid with K.delta; a
+    subcritical or straddling phase raises PreconditionError.
+
+    regime "case1" (delta <= phase <= 3pi/4): asserts the exact
     node-wise bound V sin(delta) <= sig1 on B_inner (zero slack; it follows
     from V sin(phase) = sig1), and fits the prefactor
       C2 = sin(delta) * int_{B_inner} V dx / sup_{B_mid} |Du|
     of the integral bound, reporting it.
 
-    regime "case2" (phase > 3pi/4 on B_mid): asserts
+    regime "case2" (phase > 3pi/4): asserts
       int_{B_mid} V dx <= sqrt(2) * (sup_{B_outer} |Du|)^2 + slack.
     That bound fails already for isotropic quadratics, so the report also
     carries the gradient-image-area reading
@@ -460,19 +467,17 @@ def check_volume_bound(
     """
     if B.grad is None:
         raise PreconditionError("volume bound needs a bundle built from a potential")
-    B, flipped = _canonical(B)
     g = B.grid
-    h = g.h
+    middle = g.disk_mask(mid)
+    B, flipped = _canonical(B, middle)
+    regime = classify_phase(B.phase[middle], K.delta)
     if regime not in ("case1", "case2"):
-        raise ValueError(f"unknown regime {regime!r}")
+        raise PreconditionError(
+            f"volume bound needs one supercritical regime on the middle disk, got {regime!r}"
+        )
     dmag = B.grad.magnitude()
     if regime == "case1":
         region = g.disk_mask(inner)
-        ph = B.phase[region]
-        if float(np.min(ph)) < K.delta - REGIME_CUSHION or float(np.max(ph)) > PHASE_SPLIT + REGIME_CUSHION:
-            raise PreconditionError(
-                "case1 needs delta <= phase <= 3pi/4 on the inner disk"
-            )
         sd = math.sin(K.delta)
         margin_nodes = B.sig1[region] - B.vol[region] * sd
         node_min = float(np.min(margin_nodes))
@@ -490,9 +495,6 @@ def check_volume_bound(
             fitted={"C2": c2, "int_vol": int_v, "grad_sup": du_sup},
             details={"regime": regime, "canonicalized": flipped},
         )
-    region = g.disk_mask(mid)
-    if float(np.min(B.phase[region])) <= PHASE_SPLIT + REGIME_CUSHION:
-        raise PreconditionError("case2 needs phase > 3pi/4 on the middle disk")
     if outer > g.L:
         raise PreconditionError(
             f"case2 needs the grid to contain the disk of radius {outer}"
@@ -500,12 +502,12 @@ def check_volume_bound(
     lhs = integrate_disk(ScalarField2(g, B.vol), mid)
     du_outer = sup_norm_disk(dmag, outer)
     rhs = math.sqrt(2.0) * du_outer * du_outer
-    slack = _disk_quad_slack(h, mid, float(np.max(B.vol[region])))
+    slack = _disk_quad_slack(g.h, mid, float(np.max(B.vol[middle])))
     margin = rhs + slack - lhs
     alt_lhs = integrate_disk(ScalarField2(g, B.sig2 - 1.0), mid)
     du_mid = sup_norm_disk(dmag, mid)
     alt_rhs = math.pi * du_mid * du_mid
-    alt_slack = _disk_quad_slack(h, mid, float(np.max(np.abs(B.sig2 - 1.0))))
+    alt_slack = _disk_quad_slack(g.h, mid, float(np.max(np.abs(B.sig2 - 1.0))))
     return CheckReport(
         name="volume_bound",
         kind="inequality",
@@ -550,8 +552,7 @@ def fit_exp_budget(level: float, growth: float, tol: float = 1e-6) -> float:
 def check_hessian_estimate(
     B: GeometryBundle,
     R: float,
-    regime: str = "auto",
-    K: SlopeConstants | None = None,
+    delta: float = 0.3,
     C_budget: float = math.inf,
 ) -> CheckReport:
     """Interior Hessian estimate harness on the disk of radius R.
@@ -562,19 +563,17 @@ def check_hessian_estimate(
       G = sup_{B_R} |Du| / R        for the moderate-phase regime "case1",
       G = (sup_{B_R} |Du| / R)^2    for the large-phase regime "case2",
     then fits the minimal C* >= 0 with L <= C* exp(C* G) and passes iff
-    C* <= C_budget.  regime "auto" classifies by the range of |phase| over
-    B_R against 3pi/4 (with a 1e-12 cushion); a range straddling the split,
-    or dipping below delta, raises PreconditionError.  A zero Hessian at the
-    origin short-circuits to C* = 0.
+    C* <= C_budget.  The regime is classify_phase of the phase on B_R; a
+    subcritical or straddling phase raises PreconditionError.  A zero Hessian
+    at the origin short-circuits to C* = 0.
     """
     if B.grad is None:
         raise PreconditionError("Hessian estimate needs a bundle built from a potential")
-    if K is None:
-        K = SlopeConstants()
     g = B.grid
     if R > g.L:
         raise PreconditionError(f"estimate needs the grid to contain B_R, R={R}")
-    B, flipped = _canonical(B)
+    disk = g.disk_mask(R)
+    B, flipped = _canonical(B, disk)
     oi, oj = g.origin_index()
     level = float(max(abs(B.lam1[oi, oj]), abs(B.lam2[oi, oj])))
     dmag = B.grad.magnitude()
@@ -591,29 +590,15 @@ def check_hessian_estimate(
             fitted={"C_star": 0.0, "hess_origin": level, "growth": du_sup / R},
             details={"regime": "degenerate", "canonicalized": flipped},
         )
-    mask = g.disk_mask(R)
-    pmin = float(np.min(B.phase[mask]))
-    pmax = float(np.max(B.phase[mask]))
-    if pmin < K.delta - REGIME_CUSHION:
+    phase = B.phase[disk]
+    regime = classify_phase(phase, delta)
+    if regime == "subcritical":
         raise PreconditionError(
-            f"estimate needs supercritical phase >= delta={K.delta} on B_R "
-            f"(min {pmin:.4f})"
+            f"estimate needs supercritical phase >= delta={delta} on B_R "
+            f"(min {float(np.min(phase)):.4f})"
         )
-    if regime == "auto":
-        if pmin > PHASE_SPLIT + REGIME_CUSHION:
-            regime = "case2"
-        elif pmax <= PHASE_SPLIT + REGIME_CUSHION:
-            regime = "case1"
-        else:
-            raise PreconditionError("phase range straddles 3pi/4; pick a regime")
-    elif regime == "case1":
-        if pmax > PHASE_SPLIT + REGIME_CUSHION:
-            raise PreconditionError("case1 requested but phase exceeds 3pi/4")
-    elif regime == "case2":
-        if pmin <= PHASE_SPLIT + REGIME_CUSHION:
-            raise PreconditionError("case2 requested but phase is not above 3pi/4")
-    else:
-        raise ValueError(f"unknown regime {regime!r}")
+    if regime == "straddle":
+        raise PreconditionError("phase range straddles 3pi/4")
     growth = du_sup / R if regime == "case1" else (du_sup / R) ** 2
     c_star = fit_exp_budget(level, growth)
     return CheckReport(

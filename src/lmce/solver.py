@@ -43,7 +43,6 @@ __all__ = [
     "phase_residual",
 ]
 
-PHASE_SPLIT = 0.75 * math.pi
 # largest relative spread of the row-scaled Newton coefficients about their
 # means for which the sine-transform preconditioner is used
 SPREAD_LIMIT = 0.5
@@ -142,16 +141,14 @@ class ManufacturedProblem:
     """Exact-by-construction solution pair on a grid.
 
     The phase field comes from the analytic Hessian (never from finite
-    differences), the boundary trace is the exact potential on the boundary
-    ring, and the regime tag classifies the phase range: "case1" for
-    0 < phase <= 3pi/4, "case2" for phase > 3pi/4, "subcritical" otherwise.
+    differences), and the boundary trace is the exact potential on the
+    boundary ring.
     """
 
     analytic: AnalyticFunction2
     u_exact: ScalarField2
     psi: ScalarField2
     hess_exact: SymMat2Field
-    regime: str
 
     @property
     def grid(self) -> Grid2:
@@ -181,16 +178,8 @@ def manufacture(analytic: AnalyticFunction2, grid: Grid2) -> ManufacturedProblem
     psi_vals = np.arctan(lam1) + np.arctan(lam2)
     if not np.all(np.isfinite(psi_vals)):
         raise ValueError("phase overflow while manufacturing the problem")
-    psi = ScalarField2(grid, psi_vals)
-    pmin, pmax = float(np.min(psi_vals)), float(np.max(psi_vals))
-    if pmin > PHASE_SPLIT + 1e-12:
-        regime = "case2"
-    elif pmin > 0.0 and pmax <= PHASE_SPLIT + 1e-12:
-        regime = "case1"
-    else:
-        regime = "subcritical"
     return ManufacturedProblem(
-        analytic=analytic, u_exact=u, psi=psi, hess_exact=hess, regime=regime
+        analytic=analytic, u_exact=u, psi=ScalarField2(grid, psi_vals), hess_exact=hess
     )
 
 

@@ -317,12 +317,14 @@ def test_criterion_9_case1_volume_bound(grid_full):
     for fam, delta in members:
         prob = manufacture(fam, grid_full)
         B = bundle(prob.u_exact)
-        rep = check_volume_bound(B, "case1", SlopeConstants(delta=delta, c=0.5))
+        rep = check_volume_bound(B, SlopeConstants(delta=delta, c=0.5))
+        ok &= rep.details["regime"] == "case1"
         ok &= rep.passed and rep.slack == 0.0 and rep.margin >= 0.0
         worst = min(worst, rep.margin)
     steep = manufacture(quadratic_family(5.0), grid_full)
-    rep2 = check_volume_bound(bundle(steep.u_exact), "case2", SlopeConstants(delta=0.3, c=0.5))
-    reported = (not rep2.passed) and rep2.fitted["alt_passed"] == 1.0
+    rep2 = check_volume_bound(bundle(steep.u_exact), SlopeConstants(delta=0.3, c=0.5))
+    reported = rep2.details["regime"] == "case2"
+    reported &= (not rep2.passed) and rep2.fitted["alt_passed"] == 1.0
     ok &= reported
     _verdict(
         9,

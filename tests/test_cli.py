@@ -31,6 +31,7 @@ from lmce.cli import (
 from lmce.errors import ConfigError
 from lmce.grid import ScalarField2, build_grid, sample
 from lmce.identities import CheckReport
+from lmce.solver import anisotropic_family, manufacture
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
@@ -206,6 +207,31 @@ class TestVerifyCommand:
         _, code = cmd_verify(cfg)
         assert code == EXIT_PASS
 
+    def test_family_and_field_file_agree(self, tmp_path):
+        # one negative-phase potential, verified from its family and from its
+        # own field file: the same regime and the same verdict for every check
+        family = dict(family="anisotropic", theta1=-0.4, theta2=-1.0, n=65, checks=["all"], seed=3)
+        path = tmp_path / "u.csv"
+        problem = manufacture(anisotropic_family(-0.4, -1.0), build_grid(4.0, 65))
+        write_field_csv(path, problem.u_exact)
+        field = {**family, "family": "field", "field_file": str(path)}
+        runs = []
+        for k, config in enumerate((family, field)):
+            report, code = cmd_verify(RunConfig(**config, out=str(tmp_path / str(k))))
+            regime = json.loads((tmp_path / str(k) / "verify.json").read_text())["regime"]
+            runs.append((regime, code, {e["check"]: e["passed"] for e in report.entries}))
+        assert runs[0] == runs[1]
+        assert runs[0][0] == "case1"
+        assert runs[0][2]["volume_bound"]
+
+    def test_coarse_field_file_exit_3(self, tmp_path):
+        path = tmp_path / "u.csv"
+        write_field_csv(path, sample(lambda x1, x2: x1 * x2, build_grid(4.0, 33)))
+        p = tmp_path / "field.cfg"
+        p.write_text(f"family=field\nfield_file={path}\nchecks=super_iso\nout={tmp_path / 'o'}\n")
+        assert main(["verify", "--config", str(p)]) == EXIT_INVALID_INPUT
+        assert not (tmp_path / "o").exists()
+
 
 class TestSolveCommand:
     def test_perturbed_solve(self, tmp_path):
@@ -310,6 +336,19 @@ class TestSweepCommand:
         assert main(["sweep", "--config", str(p)]) == EXIT_INVALID_INPUT
         assert not (tmp_path / "o").exists()
 
+    def test_coarse_value_rejected_before_any_run(self, tmp_path, monkeypatch):
+        def no_run(cfg):
+            raise AssertionError("a swept value ran")
+
+        monkeypatch.setattr(lmce.cli, "_Context", no_run)
+        p = tmp_path / "sweep.cfg"
+        p.write_text(
+            "family=perturbed\nchecks=super_iso\nsweep_param=n\nsweep_values=65,33\n"
+            f"out={tmp_path / 'o'}\n"
+        )
+        assert main(["sweep", "--config", str(p)]) == EXIT_INVALID_INPUT
+        assert not (tmp_path / "o").exists()
+
     def test_solved_sweep_nonconvergence_exit_2(self, tmp_path):
         p = tmp_path / "sweep.cfg"
         p.write_text(
@@ -403,7 +442,10 @@ class TestMainExitCodes:
 
 
 class TestStrictConfig:
-    BASE = {"family": "perturbed", "n": 33, "checks": ["weak_max_principle", "super_iso"]}
+    BASE = {"family": "perturbed", "n": 65, "checks": ["weak_max_principle", "super_iso"]}
+
+    def test_base_is_valid(self):
+        RunConfig(**self.BASE)
 
     @pytest.mark.parametrize(
         "command,override",
@@ -423,6 +465,26 @@ class TestStrictConfig:
         p.write_text(json.dumps({**self.BASE, **override, "out": str(tmp_path / "o")}))
         assert main([command, "--config", str(p)]) == EXIT_INVALID_INPUT
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "override",
+        [
+            {"n": 33},
+            {"n": 33, "checks": ["subharmonic"]},
+            {"L": 1.5},
+            # subharmonic samples the disk of radius min(rho, 2)
+            {"rho": 0.5, "checks": ["subharmonic"]},
+        ],
+    )
+    def test_grid_too_coarse_for_the_sampler_exit_3(self, tmp_path, override):
+        p = tmp_path / "coarse.json"
+        p.write_text(json.dumps({**self.BASE, **override, "out": str(tmp_path / "o")}))
+        assert main(["verify", "--config", str(p)]) == EXIT_INVALID_INPUT
+        assert not (tmp_path / "o").exists()
+
+    def test_coarse_grid_without_sampled_checks(self):
+        RunConfig(**{**self.BASE, "n": 33, "checks": ["jacobi_pointwise"]})
+        RunConfig(**{**self.BASE, "rho": 0.5, "checks": ["weak_max_principle"]})
 
 
 class TestNonConvergence:

@@ -1,14 +1,20 @@
 """Eigenvalues, geometry bundles, metric operators, slope."""
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import lmce
 from lmce.geometry import (
+    PHASE_SPLIT,
+    REGIME_CUSHION,
     SlopeConstants,
     bundle,
+    classify_phase,
     eigen_sym2,
     grad_g_norm2,
     laplace_beltrami,
@@ -354,3 +360,63 @@ class TestSlopeConstants:
             SlopeConstants(A=-1.0)
         with pytest.raises(ValueError):
             SlopeConstants(eps_gap=0.0)
+
+
+class TestClassifyPhase:
+    DELTA = 0.3
+
+    @pytest.mark.parametrize(
+        "value,regime",
+        [
+            (0.0, "subcritical"),
+            (DELTA - 2 * REGIME_CUSHION, "subcritical"),
+            (DELTA - 0.5 * REGIME_CUSHION, "case1"),
+            (DELTA, "case1"),
+            (PHASE_SPLIT, "case1"),
+            (PHASE_SPLIT + 0.5 * REGIME_CUSHION, "case1"),
+            (PHASE_SPLIT + 2 * REGIME_CUSHION, "case2"),
+            (math.pi, "case2"),
+        ],
+    )
+    def test_constant_phase_and_its_negation(self, value, regime):
+        phase = np.full((5, 5), value)
+        assert classify_phase(phase, self.DELTA) == regime
+        assert classify_phase(-phase, self.DELTA) == regime
+
+    def test_split_value(self):
+        assert PHASE_SPLIT == 0.75 * math.pi
+
+    def test_straddle_is_supercritical_with_both_regimes(self):
+        phase = np.array([1.0, 2.5])
+        assert classify_phase(phase, self.DELTA) == "straddle"
+        assert classify_phase(-phase, self.DELTA) == "straddle"
+        # below delta somewhere wins over straddling
+        assert classify_phase(np.array([0.1, 2.5]), self.DELTA) == "subcritical"
+
+    def test_mixed_sign_is_not_negated(self):
+        assert classify_phase(np.array([-1.0, 1.0]), self.DELTA) == "subcritical"
+        # <= 0 everywhere, < 0 somewhere: negated, then 0 < delta
+        assert classify_phase(np.array([-1.0, 0.0]), self.DELTA) == "subcritical"
+        assert classify_phase(np.array([-1.0, -0.5]), self.DELTA) == "case1"
+
+    def test_split_and_cushion_only_in_geometry(self):
+        # every other module takes its regime from classify_phase
+        names = {"PHASE_SPLIT", "REGIME_CUSHION"}
+        scope = {"math": math, "np": np, "__builtins__": {}}
+        found = []
+        for path in sorted(Path(lmce.__file__).parent.glob("*.py")):
+            if path.name == "geometry.py":
+                continue
+            for node in ast.walk(ast.parse(path.read_text())):
+                name = getattr(node, "id", None) or getattr(node, "attr", None)
+                name = name or getattr(node, "name", None)
+                if name in names:
+                    found.append(f"{path.name}:{node.lineno} {name}")
+                if isinstance(node, (ast.BinOp, ast.Constant)):
+                    try:
+                        value = eval(compile(ast.Expression(node), path.name, "eval"), scope)
+                    except Exception:
+                        continue
+                    if isinstance(value, float) and abs(value - 0.75 * math.pi) < 1e-9:
+                        found.append(f"{path.name}:{node.lineno} {ast.unparse(node)}")
+        assert found == []

@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 
 from lmce.errors import PreconditionError
-from lmce.geometry import SlopeConstants, bundle, bundle_from_hessian, modified_slope
+from lmce.geometry import (
+    SlopeConstants,
+    bundle,
+    bundle_from_hessian,
+    classify_phase,
+    modified_slope,
+)
 from lmce.grid import ScalarField2, build_grid, make_cutoff, sample
 from lmce.inequalities import (
     check_hessian_estimate,
@@ -275,12 +281,17 @@ class TestJacobiIntegral:
             check_jacobi_integral(B, cut, K_DEFAULT)
 
 
+def _straddling_potential(x1, x2):
+    """A potential whose phase range contains 3pi/4 on every disk B_r, 1 <= r <= 4."""
+    return 0.5 * 2.4 * (x1 * x1 + x2 * x2) + 0.3 * np.sin(x1) * np.sin(x2)
+
+
 class TestVolumeBound:
     def test_case1_equality_at_right_angle(self):
         # V = 2 = lap(u)/sin(pi/2): margin exactly zero, no slack consumed
         g = build_grid(4.0, 257)
         prob = manufacture(quadratic_family(1.0), g)
-        rep = check_volume_bound(bundle(prob.u_exact), "case1", SlopeConstants(delta=math.pi / 2, c=0.5))
+        rep = check_volume_bound(bundle(prob.u_exact), SlopeConstants(delta=math.pi / 2, c=0.5))
         assert rep.passed
         assert rep.margin == 0.0
         assert rep.slack == 0.0
@@ -289,11 +300,11 @@ class TestVolumeBound:
         # quadrature oracle: sin(pi/2) * int_{B2} 2 dx / sup_{B3}|Du| = 8pi/3
         g = build_grid(4.0, 257)
         prob = manufacture(quadratic_family(1.0), g)
-        rep = check_volume_bound(bundle(prob.u_exact), "case1", SlopeConstants(delta=math.pi / 2, c=0.5))
+        rep = check_volume_bound(bundle(prob.u_exact), SlopeConstants(delta=math.pi / 2, c=0.5))
         assert rep.fitted["C2"] == pytest.approx(8.0 * math.pi / 3.0, abs=20.0 * g.h)
 
     def test_case1_perturbed(self, perturbed_bundle_129):
-        rep = check_volume_bound(perturbed_bundle_129, "case1", K_DEFAULT)
+        rep = check_volume_bound(perturbed_bundle_129, K_DEFAULT)
         assert rep.passed
         assert rep.margin > 0.0
 
@@ -302,7 +313,7 @@ class TestVolumeBound:
         # gradient-image-area reading passes with margin near 9 pi
         g = build_grid(4.0, 257)
         prob = manufacture(quadratic_family(5.0), g)
-        rep = check_volume_bound(bundle(prob.u_exact), "case2", K_DEFAULT)
+        rep = check_volume_bound(bundle(prob.u_exact), K_DEFAULT)
         assert not rep.passed
         assert rep.lhs == pytest.approx(26.0 * 9.0 * math.pi, rel=0.02)
         assert rep.rhs == pytest.approx(math.sqrt(2.0) * 400.0, rel=1e-6)
@@ -310,13 +321,22 @@ class TestVolumeBound:
         assert rep.fitted["alt_lhs"] == pytest.approx(24.0 * 9.0 * math.pi, rel=0.02)
         assert rep.fitted["alt_rhs"] == pytest.approx(math.pi * 225.0, rel=1e-6)
 
-    def test_regime_mismatch_rejected(self, grid129):
+    def test_regime_classified_on_middle_disk(self, grid129):
         steep = bundle(manufacture(quadratic_family(5.0), grid129).u_exact)
         flat = bundle(manufacture(quadratic_family(1.0), grid129).u_exact)
-        with pytest.raises(PreconditionError):
-            check_volume_bound(steep, "case1", K_DEFAULT)
-        with pytest.raises(PreconditionError):
-            check_volume_bound(flat, "case2", K_DEFAULT)
+        assert check_volume_bound(steep, K_DEFAULT).details["regime"] == "case2"
+        assert check_volume_bound(flat, K_DEFAULT).details["regime"] == "case1"
+
+    def test_straddling_phase_rejected(self):
+        B = bundle(sample(_straddling_potential, build_grid(4.0, 65)))
+        with pytest.raises(PreconditionError, match="'straddle'"):
+            check_volume_bound(B, K_DEFAULT)
+
+    def test_subcritical_phase_rejected(self, grid129):
+        # phase 2 arctan(0.1) ~ 0.2 < delta = 0.3
+        shallow = bundle(manufacture(quadratic_family(0.1), grid129).u_exact)
+        with pytest.raises(PreconditionError, match="'subcritical'"):
+            check_volume_bound(shallow, K_DEFAULT)
 
     def test_needs_gradient(self, grid129):
         from lmce.geometry import bundle_from_hessian
@@ -325,7 +345,31 @@ class TestVolumeBound:
         u = sample(lambda x1, x2: 0.5 * (x1 * x1 + x2 * x2), grid129)
         B = bundle_from_hessian(hessian_fd(u))
         with pytest.raises(PreconditionError):
-            check_volume_bound(B, "case1", K_DEFAULT)
+            check_volume_bound(B, K_DEFAULT)
+
+
+class TestCanonicalOnRegion:
+    """A phase that is negative on the disks the checks read but positive near
+    the grid corners: each check negates the potential on its own region."""
+
+    @pytest.fixture(scope="class")
+    def B(self):
+        g = build_grid(4.0, 129)
+        return bundle(sample(lambda x1, x2: -0.5 * (x1**2 + x2**2) + 2e-4 * (x1**6 + x2**6), g))
+
+    def test_mixed_on_grid_negative_on_disk(self, B):
+        assert np.max(B.phase) > 0.5
+        assert np.max(B.phase[B.grid.disk_mask(3.0)]) < -1.0
+
+    def test_checks_read_the_negated_potential(self, B):
+        K = SlopeConstants(delta=0.3, c=0.5, A=1.0)
+        rep = check_volume_bound(B, K)
+        assert rep.details == {"regime": "case1", "canonicalized": True}
+        assert rep.passed
+        assert check_subharmonic_modified_slope(B, K, trials=50).details["canonicalized"]
+        rep = check_hessian_estimate(B, 3.0)
+        assert (rep.details["regime"], rep.details["canonicalized"]) == ("case1", True)
+        assert fit_modification_weight(B, K) == fit_modification_weight(B.negated, K)
 
 
 class TestExpBudgetFit:
@@ -410,12 +454,16 @@ class TestHessianEstimate:
         assert not rep.passed
 
     def test_mixed_regime_rejected(self):
-        # phase range straddling 3pi/4: auto classification must refuse
+        # phase range straddling 3pi/4: classification must refuse
+        u = sample(_straddling_potential, build_grid(4.0, 65))
+        assert classify_phase(bundle(u).phase, 0.3) == "straddle"
+        with pytest.raises(PreconditionError, match="straddles"):
+            check_hessian_estimate(bundle(u), 4.0)
+
+    def test_subcritical_rejected(self):
         g = build_grid(4.0, 65)
-        u = sample(
-            lambda x1, x2: 0.5 * 2.4 * (x1 * x1 + x2 * x2) + 0.3 * np.sin(x1) * np.sin(x2), g
-        )
-        with pytest.raises(PreconditionError):
+        u = manufacture(quadratic_family(0.1), g).u_exact
+        with pytest.raises(PreconditionError, match="supercritical"):
             check_hessian_estimate(bundle(u), 4.0)
 
     def test_disk_must_fit(self):
