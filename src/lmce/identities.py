@@ -161,17 +161,20 @@ def check_complex_factorization(
 def check_volume_formula(
     B: GeometryBundle, delta: float = 1e-3, rtol: float = 1e-10
 ) -> CheckReport:
-    """V = sig1 / sin(phase) on nodes with sin(phase) >= sin(delta).
+    """V = sig1 / sin(phase) on nodes with |sin(phase)| >= sin(delta).
 
-    Requires phase in (0, pi) everywhere on the bundle; nodes too close to
-    the endpoints (sin below sin(delta)) are excluded from the residual to
-    keep the division well-conditioned, and their count is reported.
+    Requires phase in (0, pi) everywhere on the bundle, or in (-pi, 0)
+    everywhere (sig1 and sin(phase) both change sign with the potential);
+    nodes too close to the endpoints (|sin| below sin(delta)) are excluded
+    from the residual to keep the division well-conditioned, and their count
+    is reported.
     """
-    if float(np.min(B.phase)) <= 0.0 or float(np.max(B.phase)) >= math.pi:
+    lo, hi = float(np.min(B.phase)), float(np.max(B.phase))
+    if not (0.0 < lo and hi < math.pi or -math.pi < lo and hi < 0.0):
         raise PreconditionError(
-            "volume formula needs phase in (0, pi) on the whole region"
+            "volume formula needs phase in (0, pi) or in (-pi, 0) on the whole region"
         )
-    mask = np.sin(B.phase) >= math.sin(min(delta, 0.5 * math.pi))
+    mask = np.abs(np.sin(B.phase)) >= math.sin(min(delta, 0.5 * math.pi))
     if not mask.any():
         raise PreconditionError("no nodes with sin(phase) above the cutoff")
     resid = np.zeros_like(B.vol)

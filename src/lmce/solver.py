@@ -7,22 +7,23 @@ by construction and doubles as ground truth for convergence sweeps.  The
 Newton solver discretizes the arctangent form of the equation, whose
 linearization has the inverse graph metric as coefficients and is therefore
 uniformly elliptic at every iterate; the product form is kept only as a
-residual cross-check elsewhere.  Each Newton step solves that 9-point system
-by BiCGSTAB preconditioned with an exact sine-transform solve of a frozen,
-row-scaled constant-coefficient operator, or by one sparse LU factorization
-when the coefficients are too far from constant for that preconditioner (or
-BiCGSTAB does not certify).  The initial iterate's harmonic extensions are
-exact sine-transform Poisson solves.
+residual cross-check elsewhere.  Each Newton system is a matrix-free 9-point
+stencil.  It is solved by BiCGSTAB (numpy only) preconditioned with an exact
+sine-transform solve of a frozen, row-scaled constant-coefficient operator,
+or by one sparse LU factorization when the coefficients are too far from
+constant for that preconditioner (or BiCGSTAB does not certify).  Only that
+LU fallback loads scipy.sparse.  The initial iterate's harmonic extensions
+are exact sine-transform Poisson solves.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .errors import LinearSolveError, PreconditionError
 from .geometry import _induced_metric, eigen_sym2
@@ -32,6 +33,7 @@ __all__ = [
     "AnalyticFunction2",
     "ManufacturedProblem",
     "SolveState",
+    "SystemSolve",
     "quadratic_family",
     "anisotropic_family",
     "perturbed_family",
@@ -183,12 +185,21 @@ def manufacture(analytic: AnalyticFunction2, grid: Grid2) -> ManufacturedProblem
     )
 
 
+class SystemSolve(NamedTuple):
+    """How one linear system was solved: "bicgstab" or "lu", and the
+    BiCGSTAB iterations run (also those of a try that did not certify)."""
+
+    method: str
+    krylov_iterations: int
+
+
 @dataclass(eq=False)
 class SolveState:
     """Newton iteration record for one Dirichlet solve.
 
     When converged is set, residuals is strictly decreasing and ends at or
     below the tolerance; every iterate carries the boundary trace exactly.
+    systems holds how each Newton system was solved, in step order.
     """
 
     u: ScalarField2
@@ -198,6 +209,7 @@ class SolveState:
     converged: bool
     iterations: int
     message: str = ""
+    systems: list[SystemSolve] = field(default_factory=list)
 
 
 def phase_residual(u: ScalarField2, psi: ScalarField2) -> float:
@@ -212,18 +224,75 @@ def phase_residual(u: ScalarField2, psi: ScalarField2) -> float:
     return float(np.max(np.abs(r[1:-1, 1:-1])))
 
 
-def _assemble_linearization(grid: Grid2, inv11, inv12, inv22) -> sp.csc_matrix:
-    """Sparse matrix of inv11*D11 + 2*inv12*D12 + inv22*D22 on interior nodes.
+# the 9-point neighbours (di, dj) of an interior node in the column order of
+# its matrix row: neighbour (i+di, j+dj) sits di*m + dj columns right of (i, j)
+_NEIGHBOURS = [(di, dj) for di in (-1, 0, 1) for dj in (-1, 0, 1)]
+
+
+@dataclass(frozen=True, eq=False)
+class Stencil9:
+    """A 9-point operator on the m x m interior nodes, matrix-free:
+    coef[k][i, j] couples node (i, j) to its neighbour _NEIGHBOURS[k];
+    couplings that would leave the interior are not part of it."""
+
+    coef: np.ndarray
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (self.coef[0].size,) * 2
+
+    def _couplings(self):
+        """(coefficients, nodes, their neighbours) as 2-D slices, per neighbour."""
+        m = self.coef.shape[1]
+
+        def span(d):  # along an axis: the nodes with a neighbour at shift d, those neighbours
+            return slice(max(0, -d), m - max(0, d)), slice(max(0, d), m + min(0, d))
+
+        for c, (di, dj) in zip(self.coef, _NEIGHBOURS):
+            (ri, ni), (rj, nj) = span(di), span(dj)
+            yield c[ri, rj], (ri, rj), (ni, nj)
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        """A x, each row summed from 0 in column order: rounded exactly as
+        the product of its CSC matrix."""
+        x = np.reshape(x, self.coef.shape[1:])
+        y = np.zeros(x.shape)
+        for c, row, col in self._couplings():
+            y[row] += c * x[col]
+        return y.ravel()
+
+
+@functools.lru_cache(maxsize=1)
+def _csc_pattern(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The CSC pattern of every m x m Stencil9 (read-only, cached): where
+    each entry sits in coef.ravel(), its row, and the column pointers.  Zero
+    coefficients are stored, (3n-8)^2 entries, so the pattern (and the
+    fill-reducing ordering) depends only on n."""
+    mm = m * m
+    # coefficient k of row node r sits at k*mm + r in coef.ravel(); a
+    # column's rows ascend as k falls, so slot 8 - k orders them
+    pos = np.full((m, m, 9), -1)
+    where = Stencil9(np.arange(9 * mm).reshape(9, m, m))._couplings()
+    for k, (at, _, col) in enumerate(where):
+        pos[col + (8 - k,)] = at
+    filled = pos >= 0
+    indptr = np.zeros(mm + 1, dtype=np.int32)
+    np.cumsum(np.count_nonzero(filled, axis=2), out=indptr[1:])
+    pos = pos[filled]
+    pattern = pos, (pos % mm).astype(np.int32), indptr
+    for arr in pattern:  # shared by every caller
+        arr.setflags(write=False)
+    return pattern
+
+
+def _assemble_linearization(grid: Grid2, inv11, inv12, inv22) -> Stencil9:
+    """The operator inv11*D11 + 2*inv12*D12 + inv22*D22 on interior nodes.
 
     Central stencils throughout (interior nodes have full neighborhoods);
     couplings to boundary nodes are dropped since corrections vanish there.
-    Coefficients are node arrays or scalars.  Every in-grid coupling is
-    stored, zero coefficients included: (3n-8)^2 entries, so the pattern
-    (and the fill-reducing ordering) depends only on n.
+    Coefficients are node arrays or scalars.
     """
     n = grid.n
-    m = n - 2
-    size = m * m
     h2 = grid.h * grid.h
 
     def interior(v):
@@ -232,55 +301,95 @@ def _assemble_linearization(grid: Grid2, inv11, inv12, inv22) -> sp.csc_matrix:
     a = interior(inv11) / h2
     c = interior(inv22) / h2
     b = interior(inv12) / (2.0 * h2)
-    # (di, dj, coefficient at each row node) for the neighbour (i+di, j+dj);
-    # in the row-major interior numbering it sits di*m + dj columns right
-    stencil = [
-        (0, 0, -2.0 * a - 2.0 * c),
-        (1, 0, a), (-1, 0, a),
-        (0, 1, c), (0, -1, c),
-        (1, 1, b), (-1, -1, b),
-        (1, -1, -b), (-1, 1, -b),
-    ]
-    coef = np.empty((len(stencil), m, m))
-    ids = np.arange(1, coef.size + 1).reshape(coef.shape)
-    for k, (_, dj, v) in enumerate(stencil):
-        coef[k] = v
-        # a row neighbour off the grid would wrap onto the next or previous row
-        if dj:
-            ids[k, :, m - 1 if dj > 0 else 0] = 0
-    # the row-indexed coefficient arrays are the diagonals of A^T (offsets
-    # negated), and CSR of A^T is CSC of A; the conversion drops the masked
-    # (zero-id) slots, and the ids it keeps say where each value comes from
-    offsets = [-(di * m + dj) for di, dj, _ in stencil]
-    pattern = sp.dia_matrix((ids.reshape(len(stencil), size), offsets), shape=(size, size)).tocsr()
-    values = np.take(coef.ravel(), pattern.data - 1)
-    return sp.csc_matrix((values, pattern.indices, pattern.indptr), shape=(size, size))
+    # in _NEIGHBOURS order
+    return Stencil9(np.stack([b, a, -b, c, -2.0 * a - 2.0 * c, c, -b, a, b]))
 
 
-def linear_solve(A, rhs: np.ndarray, tol: float = 1e-12, M=None):
-    """Solve A x = rhs: BiCGSTAB preconditioned by M when M is given, else
-    (or when that does not certify) one sparse LU factorization.
+def _bicgstab(A, b: np.ndarray, psolve, rtol: float, maxiter: int) -> tuple[np.ndarray, int]:
+    """BiCGSTAB (van der Vorst, SIAM J. Sci. Stat. Comput. 13, 1992) from x = 0,
+    preconditioned by psolve, to |r| < rtol |b|: the loop of
+    scipy.sparse.linalg.bicgstab (atol=0) line for line, so the same x.
+    Returns x and the completed iterations."""
+    x = np.zeros_like(b)
+    atol = max(0.0, rtol * float(np.linalg.norm(b)))
+    # scipy's tolerances, kept from the original Fortran
+    rhotol = omegatol = np.finfo(float).eps ** 2
+    r, rtilde = b.copy(), b.copy()
+    for it in range(maxiter):
+        if np.linalg.norm(r) < atol:
+            return x, it
+        rho = np.dot(rtilde, r)
+        if np.abs(rho) < rhotol:
+            return x, it
+        if it > 0:
+            if np.abs(omega) < omegatol:
+                return x, it
+            beta = (rho / rho_prev) * (alpha / omega)
+            p -= omega * v
+            p *= beta
+            p += r
+        else:
+            p = r.copy()
+        phat = psolve(p)
+        v = A @ phat
+        rv = np.dot(rtilde, v)
+        if rv == 0:
+            return x, it
+        alpha = rho / rv
+        r -= alpha * v
+        if np.linalg.norm(r) < atol:
+            x += alpha * phat
+            return x, it
+        shat = psolve(r)
+        t = A @ shat
+        omega = np.dot(t, r) / np.dot(t, t)
+        x += alpha * phat
+        x += omega * shat
+        r -= omega * t
+        rho_prev = rho
+    return x, maxiter
+
+
+def _lu_solve(A, rhs: np.ndarray) -> np.ndarray:
+    """One sparse LU solve of A x = rhs; the only place the solver loads scipy."""
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
+
+    if isinstance(A, Stencil9):
+        pos, rows, indptr = _csc_pattern(A.coef.shape[1])
+        A = sp.csc_matrix((A.coef.ravel()[pos], rows, indptr), shape=A.shape)
+    try:
+        return spla.splu(sp.csc_matrix(A), permc_spec="MMD_AT_PLUS_A").solve(rhs)
+    except RuntimeError as exc:
+        raise LinearSolveError(f"direct factorization failed: {exc}") from exc
+
+
+def linear_solve(A, rhs: np.ndarray, tol: float = 1e-12, M=None, record=None):
+    """Solve A x = rhs (A a Stencil9 or a scipy sparse matrix): BiCGSTAB
+    preconditioned by the callable M when M is given, else (or when that
+    does not certify) one sparse LU factorization.
 
     The measured relative residual certifies either answer: it must be
     finite and at most max(10 tol, 1e-9).  Returns x (zeros for a zero
-    right-hand side).  A failed factorization, or an LU answer that does not
-    certify, raises LinearSolveError.
+    right-hand side); a nonzero one appends its SystemSolve to the list
+    record.  A failed factorization, or an LU answer that does not certify,
+    raises LinearSolveError.
     """
     rhs = np.asarray(rhs, dtype=float)
     norm = float(np.linalg.norm(rhs))
     if norm == 0.0:
         return np.zeros_like(rhs)
-    A = sp.csc_matrix(A)
+    record = [] if record is None else record
     limit = max(10.0 * tol, 1e-9)
+    iterations = 0
     if M is not None:
-        x, _ = spla.bicgstab(A, rhs, rtol=tol, atol=0.0, maxiter=KRYLOV_MAXITER, M=M)
+        x, iterations = _bicgstab(A, rhs, M, tol, KRYLOV_MAXITER)
         res = float(np.linalg.norm(A @ x - rhs)) / norm
         if np.isfinite(res) and res <= limit:
+            record.append(SystemSolve("bicgstab", iterations))
             return x
-    try:
-        x = spla.splu(A, permc_spec="MMD_AT_PLUS_A").solve(rhs)
-    except RuntimeError as exc:
-        raise LinearSolveError(f"direct factorization failed: {exc}") from exc
+    record.append(SystemSolve("lu", iterations))
+    x = _lu_solve(A, rhs)
     res = float(np.linalg.norm(A @ x - rhs)) / norm
     if not np.isfinite(res) or res > limit:
         raise LinearSolveError(f"linear solve stagnated at relative residual {res:.3e}")
@@ -342,9 +451,7 @@ def _sine_preconditioner(grid: Grid2, inv11, inv12, inv22):
     if not spread <= SPREAD_LIMIT:
         return None
     s = s.ravel()
-    return spla.LinearOperator(
-        (s.size, s.size), matvec=lambda r: _poisson_solve(grid, np.ravel(r) / s, a, c)
-    )
+    return lambda r: _poisson_solve(grid, np.ravel(r) / s, a, c)
 
 
 def _dirichlet_rhs(grid: Grid2, boundary_vals: np.ndarray, source: float) -> np.ndarray:
@@ -442,6 +549,7 @@ def newton_solve(
     u = _initial_iterate(grid, boundary, psi, initial)
     residuals: list[float] = []
     damping: list[float] = []
+    systems: list[SystemSolve] = []
     converged = False
     message = ""
     it = 0
@@ -456,7 +564,7 @@ def newton_solve(
         A = _assemble_linearization(grid, inv11, inv12, inv22)
         M = _sine_preconditioner(grid, inv11, inv12, inv22)
         try:
-            s_int = linear_solve(A, -r.ravel(), M=M)
+            s_int = linear_solve(A, -r.ravel(), M=M, record=systems)
         except LinearSolveError as exc:
             message = str(exc)
             break
@@ -489,4 +597,5 @@ def newton_solve(
         converged=converged,
         iterations=it,
         message=message,
+        systems=systems,
     )

@@ -162,8 +162,8 @@ class TestVerifyCommand:
         assert code == EXIT_CHECK_FAILED
 
     def test_precondition_reported_as_failure(self, tmp_path):
-        # volume_formula needs phase in (0, pi); the steep negated family has
-        # phase in (-pi, 0)
+        # volume_formula needs phase in (0, pi) or in (-pi, 0); this
+        # anisotropic family has phase 0
         cfg = RunConfig(
             family="quadratic", a=1.0, n=65, checks=["volume_formula"],
             out=str(tmp_path / "o"),
@@ -171,12 +171,26 @@ class TestVerifyCommand:
         report, code = cmd_verify(cfg)
         assert code == EXIT_PASS
         cfg2 = RunConfig(
-            family="anisotropic", theta1=-math.pi / 3, theta2=-math.pi / 6,
+            family="anisotropic", theta1=math.pi / 3, theta2=-math.pi / 3,
             n=65, checks=["volume_formula"], out=str(tmp_path / "o2"),
         )
         report, code = cmd_verify(cfg2)
         assert code == EXIT_CHECK_FAILED
         assert report.entries[0]["status"] == "precondition_failed"
+
+    def test_negated_family_same_volume_residual(self, tmp_path):
+        entries = []
+        for sign in (1.0, -1.0):
+            cfg = RunConfig(
+                family="anisotropic", theta1=0.4 * sign, theta2=1.0 * sign, n=65,
+                checks=["volume_formula"], out=str(tmp_path / str(sign)),
+            )
+            report, code = cmd_verify(cfg)
+            assert code == EXIT_PASS
+            entries.append(report.entries[0])
+        pos, neg = entries
+        assert neg["residual"] == pos["residual"]
+        assert neg["tolerance"] == pos["tolerance"]
 
     def test_deterministic_csv(self, tmp_path):
         k = dict(family="perturbed", eps=0.1, n=65, checks=["identity"], seed=11)

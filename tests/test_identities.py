@@ -155,6 +155,23 @@ class TestVolumeFormula:
         rep = check_volume_formula(smooth_bundle(build_grid(4.0, 129)))
         assert rep.passed
 
+    def test_negated_family_same_residual(self):
+        # V = sig1/sin(phase) on (-pi, 0) too: both factors change sign
+        B = smooth_bundle(build_grid(4.0, 65))
+        assert float(np.max(B.negated.phase)) < 0.0
+        pos, neg = check_volume_formula(B), check_volume_formula(B.negated)
+        assert neg.passed
+        assert (neg.max_residual, neg.tolerance, neg.location, neg.excluded) == (
+            pos.max_residual, pos.tolerance, pos.location, pos.excluded
+        )
+
+    def test_mixed_sign_phase_rejected(self):
+        # Hessian diag(x1, x2): the phase arctan(x1) + arctan(x2) takes both signs
+        g = build_grid(4.0, 65)
+        B = bundle(sample(lambda x1, x2: (x1**3 + x2**3) / 6.0, g))
+        with pytest.raises(PreconditionError):
+            check_volume_formula(B)
+
 
 class TestCutoffVolume:
     def test_paraboloid_strict_inequality(self):

@@ -1,6 +1,11 @@
 """Manufactured problems, Newton Dirichlet solver, linear solver."""
 
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 import lmce.solver
 from lmce.errors import LinearSolveError, PreconditionError
-from lmce.geometry import _induced_metric, classify_phase
+from lmce.geometry import _induced_metric, classify_phase, eigen_sym2
 from lmce.grid import ScalarField2, build_grid, hessian_fd, sample
 from lmce.solver import (
     anisotropic_family,
@@ -22,33 +27,53 @@ from lmce.solver import (
     quadratic_family,
 )
 from lmce.solver import (
+    KRYLOV_MAXITER,
     AnalyticFunction2,
+    SystemSolve,
     _assemble_linearization,
+    _bicgstab,
+    _csc_pattern,
     _dirichlet_rhs,
+    _initial_iterate,
     _poisson_solve,
     _sine_preconditioner,
 )
 
+SRC = Path(__file__).resolve().parent.parent / "src"
+
 
 @pytest.fixture
-def spla_calls(monkeypatch):
-    """Counts of the `splu` and `bicgstab` calls the solver module makes."""
-    counts = {"splu": 0, "bicgstab": 0}
+def solver_calls(monkeypatch):
+    """Counts of the calls the solver module makes to its LU solve and to
+    its BiCGSTAB."""
+    counts = {"lu": 0, "bicgstab": 0}
+    for key, name in (("lu", "_lu_solve"), ("bicgstab", "_bicgstab")):
+        fn = getattr(lmce.solver, name)
 
-    class Spy:
-        def __getattr__(self, name):
-            fn = getattr(spla, name)
-            if name not in counts:
-                return fn
+        def counted(*args, _key=key, _fn=fn, **kwargs):
+            counts[_key] += 1
+            return _fn(*args, **kwargs)
 
-            def counted(*args, **kwargs):
-                counts[name] += 1
-                return fn(*args, **kwargs)
-
-            return counted
-
-    monkeypatch.setattr(lmce.solver, "spla", Spy())
+        monkeypatch.setattr(lmce.solver, name, counted)
     return counts
+
+
+def _csc(A):
+    """The CSC matrix of a Stencil9, as the LU fallback builds it."""
+    pos, rows, indptr = _csc_pattern(A.coef.shape[1])
+    return sp.csc_matrix((A.coef.ravel()[pos], rows, indptr), shape=A.shape)
+
+
+def _first_newton_system(g, prob):
+    """Operator, preconditioner and right-hand side of the first Newton step
+    from the default start."""
+    u0 = _initial_iterate(g, prob.boundary_trace(), prob.psi, "phase_matched")
+    hess = hessian_fd(ScalarField2(g, u0))
+    lam1, lam2 = eigen_sym2(hess.m11.values, hess.m12.values, hess.m22.values)
+    r = (np.arctan(lam1) + np.arctan(lam2) - prob.psi.values)[1:-1, 1:-1]
+    *_, inv11, inv12, inv22 = _induced_metric(hess.m11.values, hess.m12.values, hess.m22.values)
+    A = _assemble_linearization(g, inv11, inv12, inv22)
+    return A, _sine_preconditioner(g, inv11, inv12, inv22), -r.ravel()
 
 
 class TestManufacture:
@@ -259,9 +284,19 @@ class TestAssembly:
         np.testing.assert_allclose(
             A @ v[1:-1, 1:-1].ravel(), oracle, rtol=1e-12, atol=1e-12 * scale
         )
-        assert A.nnz == (3 * n - 8) ** 2
+        assert _csc(A).nnz == (3 * n - 8) ** 2
         # zero coefficients stay stored: the pattern depends only on n
-        assert _assemble_linearization(g, 1.0, 0.0, 1.0).nnz == (3 * n - 8) ** 2
+        assert _csc(_assemble_linearization(g, 1.0, 0.0, 1.0)).nnz == (3 * n - 8) ** 2
+
+    @pytest.mark.parametrize("n", [5, 6, 33])
+    def test_matvec_bitwise_equals_csc(self, n):
+        # each row is summed in the CSC column order, so the bits agree
+        g = build_grid(2.0, n)
+        rng = np.random.default_rng(100 + n)
+        inv11, inv12, inv22 = (rng.uniform(-2.0, 2.0, (n, n)) for _ in range(3))
+        A = _assemble_linearization(g, inv11, inv12, inv22)
+        x = rng.standard_normal(A.shape[0])
+        assert np.array_equal(A @ x, _csc(A) @ x)
 
     @pytest.mark.parametrize("n", [5, 6, 33, 129])
     def test_poisson_solve_inverts_laplacian(self, n):
@@ -284,7 +319,7 @@ class TestSinePreconditioner:
         A = _assemble_linearization(g, inv11, inv12, inv22)
         M = _sine_preconditioner(g, inv11, inv12, inv22)
         r = np.random.default_rng(n).standard_normal(A.shape[0])
-        assert np.linalg.norm(A @ M.matvec(r) - r) <= 1e-12 * np.linalg.norm(r)
+        assert np.linalg.norm(A @ M(r) - r) <= 1e-12 * np.linalg.norm(r)
 
     def test_spread_rule(self):
         g = build_grid(4.0, 33)
@@ -297,15 +332,32 @@ class TestSinePreconditioner:
 
 
 class TestKrylovPath:
-    def test_useless_preconditioner_falls_back_to_lu(self, spla_calls):
+    def test_useless_preconditioner_falls_back_to_lu(self, solver_calls):
         g = build_grid(2.0, 33)
         A = _assemble_linearization(g, 1.0, 0.0, 1.0)
         size = A.shape[0]
-        M = spla.LinearOperator((size, size), matvec=lambda r: -np.ravel(r))
         rhs = np.cos(np.arange(size) * 0.1)
-        x = linear_solve(A, rhs, M=M)
-        assert spla_calls == {"splu": 1, "bicgstab": 1}
+        record = []
+        x = linear_solve(A, rhs, M=lambda r: -np.ravel(r), record=record)
+        assert solver_calls == {"lu": 1, "bicgstab": 1}
+        assert [rec.method for rec in record] == ["lu"]
         assert np.linalg.norm(A @ x - rhs) <= 1e-9 * np.linalg.norm(rhs)
+
+    def test_bicgstab_port_matches_scipy(self):
+        # the first perturbed Newton system: the same array, bit for bit
+        g = build_grid(4.0, 65)
+        A, M, rhs = _first_newton_system(g, manufacture(perturbed_family(0.1), g))
+        size = A.shape[0]
+        completed = []
+        ref, info = spla.bicgstab(
+            _csc(A), rhs, rtol=1e-12, atol=0.0, maxiter=KRYLOV_MAXITER,
+            M=spla.LinearOperator((size, size), matvec=M),
+            callback=lambda xk: completed.append(1),
+        )
+        x, iterations = _bicgstab(A, rhs, M, 1e-12, KRYLOV_MAXITER)
+        assert info == 0
+        assert np.array_equal(x, ref)
+        assert iterations == len(completed) > 0
 
     def test_non_finite_rhs_reports_with_preconditioner(self):
         g = build_grid(2.0, 9)
@@ -339,13 +391,70 @@ class TestKrylovPath:
         assert fast.damping == lu.damping
         assert np.max(np.abs(fast.u.values - lu.u.values)) <= 1e-9
 
-    def test_fast_path_does_not_factor(self, spla_calls):
+    def test_fast_path_does_not_factor(self, solver_calls):
         g = build_grid(4.0, 65)
         prob = manufacture(perturbed_family(0.1), g)
         state = newton_solve(prob.psi, prob.boundary_trace(), g)
         assert state.converged
-        assert spla_calls["splu"] == 0
-        assert spla_calls["bicgstab"] == state.iterations
+        assert solver_calls == {"lu": 0, "bicgstab": state.iterations}
+        assert [rec.method for rec in state.systems] == ["bicgstab"] * state.iterations
+        assert all(rec.krylov_iterations > 0 for rec in state.systems)
+
+    def test_factoring_steps_recorded(self, solver_calls):
+        g = build_grid(4.0, 33)
+        psi = ScalarField2(g, np.full((g.n, g.n), 3.13))
+        boundary = sample(quadratic_family(1.0).value, g)
+        state = newton_solve(psi, boundary, g, initial="harmonic")
+        assert state.converged
+        assert len(state.systems) == state.iterations
+        assert [rec.method for rec in state.systems].count("lu") == solver_calls["lu"] > 0
+        assert all(isinstance(rec, SystemSolve) for rec in state.systems)
+
+
+SCIPY_FREE = """
+import json, sys
+import numpy as np
+import lmce.cli
+from lmce.grid import ScalarField2, build_grid, sample
+from lmce.solver import newton_solve, quadratic_family
+
+loaded = ["scipy.sparse" in sys.modules]
+for command, config, out in zip(("verify", "solve"), sys.argv[1:3], sys.argv[3:5]):
+    assert lmce.cli.main([command, "--config", config, "--out", out]) == 0, command
+    loaded.append("scipy.sparse" in sys.modules)
+g = build_grid(4.0, 33)
+near_pi = ScalarField2(g, np.full((g.n, g.n), 3.13))
+state = newton_solve(near_pi, sample(quadratic_family(1.0).value, g), g, initial="harmonic")
+loaded.append("scipy.sparse" in sys.modules)
+factored = [rec.method for rec in state.systems].count("lu")
+print(json.dumps({"loaded": loaded, "factoring": [state.converged, factored]}))
+"""
+
+
+def test_scipy_sparse_loaded_only_to_factor(tmp_path):
+    # a fresh interpreter: this test module has loaded scipy.sparse itself
+    base = {"family": "perturbed", "eps": 0.1, "n": 65}
+    configs = {
+        "verify": {**base, "checks": ["all"], "source": "manufactured", "seed": 3},
+        "solve": base,
+    }
+    for command, cfg in configs.items():
+        (tmp_path / f"{command}.json").write_text(json.dumps(cfg))
+    proc = subprocess.run(
+        [sys.executable, "-c", SCIPY_FREE]
+        + [str(tmp_path / f"{c}.json") for c in configs]
+        + [str(tmp_path / c) for c in configs],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True, text=True, check=True,
+    )
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    # after the import, the verify and the solve: absent; after a factoring solve: loaded
+    assert result["loaded"] == [False, False, False, True]
+    solver = json.loads((tmp_path / "solve" / "solve.json").read_text())["solver"]
+    assert solver["factorizations"] == 0
+    assert solver["krylov_iterations"] > 0
+    converged, factorizations = result["factoring"]
+    assert converged and factorizations > 0
 
 
 @st.composite
