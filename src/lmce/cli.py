@@ -557,6 +557,7 @@ def _solver_summary(state) -> dict:
         "message": state.message,
         "factorizations": sum(s.method == "lu" for s in state.systems),
         "krylov_iterations": sum(s.krylov_iterations for s in state.systems),
+        "systems": [s._asdict() for s in state.systems],
     }
 
 

@@ -12,8 +12,12 @@ stencil.  It is solved by BiCGSTAB (numpy only) preconditioned with an exact
 sine-transform solve of a frozen, row-scaled constant-coefficient operator,
 or by one sparse LU factorization when the coefficients are too far from
 constant for that preconditioner (or BiCGSTAB does not certify).  Only that
-LU fallback loads scipy.sparse.  The initial iterate's harmonic extensions
-are exact sine-transform Poisson solves.
+LU fallback loads scipy.sparse.  The Newton iteration is inexact (Dembo,
+Eisenstat & Steihaug, SIAM J. Numer. Anal. 19, 1982): each system is solved
+only to the relative residual eta_k that the outer convergence needs, the
+forcing term of Eisenstat & Walker (SIAM J. Sci. Comput. 17, 1996), choice 2,
+which starts at ETA_MAX and falls with the square of the residual ratio.  The
+initial iterate's harmonic extensions are exact sine-transform Poisson solves.
 """
 
 from __future__ import annotations
@@ -50,6 +54,14 @@ __all__ = [
 SPREAD_LIMIT = 0.5
 # BiCGSTAB iteration cap per Newton system; a step that needs more factors
 KRYLOV_MAXITER = 25
+# Eisenstat-Walker forcing terms (choice 2): the first Newton system is solved
+# to relative residual ETA_MAX, system k to ETA_GAMMA (rn_k/rn_{k-1})^2, kept
+# at least ETA_GAMMA eta_{k-1}^2 once that exceeds ETA_SAFEGUARD, capped at
+# ETA_MAX and never below ETA_MIN
+ETA_MAX = 0.1
+ETA_GAMMA = 0.9
+ETA_SAFEGUARD = 0.1
+ETA_MIN = 1e-12
 
 
 @dataclass(frozen=True)
@@ -186,11 +198,13 @@ def manufacture(analytic: AnalyticFunction2, grid: Grid2) -> ManufacturedProblem
 
 
 class SystemSolve(NamedTuple):
-    """How one linear system was solved: "bicgstab" or "lu", and the
-    BiCGSTAB iterations run (also those of a try that did not certify)."""
+    """How one linear system was solved: "bicgstab" or "lu", the BiCGSTAB
+    iterations run (also those of a try that did not certify) and the
+    relative tolerance asked for."""
 
     method: str
     krylov_iterations: int
+    rtol: float
 
 
 @dataclass(eq=False)
@@ -369,26 +383,29 @@ def linear_solve(A, rhs: np.ndarray, tol: float = 1e-12, M=None, record=None):
     preconditioned by the callable M when M is given, else (or when that
     does not certify) one sparse LU factorization.
 
-    The measured relative residual certifies either answer: it must be
-    finite and at most max(10 tol, 1e-9).  Returns x (zeros for a zero
-    right-hand side); a nonzero one appends its SystemSolve to the list
-    record.  A failed factorization, or an LU answer that does not certify,
-    raises LinearSolveError.
+    tol is the relative residual BiCGSTAB stops at; newton_solve passes
+    its forcing term, loose while the outer residual is large.  LU solves
+    exactly whatever tol.  The measured relative residual certifies either
+    answer: it must be finite and at most max(min(10 tol, 0.5), 1e-9), below
+    1 so that x = 0 (a breakdown before the first update) never certifies.
+    Returns x (zeros for a zero right-hand side); a nonzero one appends its
+    SystemSolve to the list record.  A failed factorization, or an LU answer
+    that does not certify, raises LinearSolveError.
     """
     rhs = np.asarray(rhs, dtype=float)
     norm = float(np.linalg.norm(rhs))
     if norm == 0.0:
         return np.zeros_like(rhs)
     record = [] if record is None else record
-    limit = max(10.0 * tol, 1e-9)
+    limit = max(min(10.0 * tol, 0.5), 1e-9)
     iterations = 0
     if M is not None:
         x, iterations = _bicgstab(A, rhs, M, tol, KRYLOV_MAXITER)
         res = float(np.linalg.norm(A @ x - rhs)) / norm
         if np.isfinite(res) and res <= limit:
-            record.append(SystemSolve("bicgstab", iterations))
+            record.append(SystemSolve("bicgstab", iterations, tol))
             return x
-    record.append(SystemSolve("lu", iterations))
+    record.append(SystemSolve("lu", iterations, tol))
     x = _lu_solve(A, rhs)
     res = float(np.linalg.norm(A @ x - rhs)) / norm
     if not np.isfinite(res) or res > limit:
@@ -495,6 +512,17 @@ def _initial_iterate(grid: Grid2, boundary: ScalarField2, psi: ScalarField2, mod
     return u0 + t * (q - harm_q)
 
 
+def _forcing_term(ratio: float, eta_prev: float) -> float:
+    """Relative tolerance of Newton system k >= 1 (Eisenstat-Walker choice
+    2) from ratio, the last residual sup-norm over the one before it, and
+    eta_prev, the tolerance of system k - 1; system 0 takes ETA_MAX."""
+    eta = ETA_GAMMA * ratio * ratio
+    kept = ETA_GAMMA * eta_prev * eta_prev
+    if kept > ETA_SAFEGUARD:
+        eta = max(eta, kept)
+    return max(min(eta, ETA_MAX), ETA_MIN)
+
+
 def newton_solve(
     psi: ScalarField2,
     boundary: ScalarField2,
@@ -510,9 +538,10 @@ def newton_solve(
     The residual at interior nodes is arctan(lam1) + arctan(lam2) - psi of
     the differenced Hessian; the Newton system has the inverse graph metric
     as coefficients (positive definite at any iterate, so descent directions
-    never degenerate).  Steps are damped by Armijo backtracking on the
-    residual sup-norm.  Non-convergence within max_iter returns the state
-    with the converged flag unset rather than raising.
+    never degenerate).  Each system is solved only to the relative residual
+    that _forcing_term gives.  Steps are damped by Armijo backtracking on
+    the residual sup-norm.  Non-convergence within max_iter returns the
+    state with the converged flag unset rather than raising.
     """
     if grid is None:
         grid = psi.grid
@@ -556,6 +585,7 @@ def newton_solve(
     r = residual(u)
     rn = float(np.max(np.abs(r)))
     residuals.append(rn)
+    eta = ETA_MAX
     while it < max_iter:
         if rn <= tol:
             converged = True
@@ -563,8 +593,10 @@ def newton_solve(
         inv11, inv12, inv22 = coefficients(u)
         A = _assemble_linearization(grid, inv11, inv12, inv22)
         M = _sine_preconditioner(grid, inv11, inv12, inv22)
+        if it:
+            eta = _forcing_term(rn / residuals[-2], eta)
         try:
-            s_int = linear_solve(A, -r.ravel(), M=M, record=systems)
+            s_int = linear_solve(A, -r.ravel(), tol=eta, M=M, record=systems)
         except LinearSolveError as exc:
             message = str(exc)
             break

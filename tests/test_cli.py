@@ -261,6 +261,22 @@ class TestSolveCommand:
         assert summary["solver"]["certified_residual"] <= 2e-10
         assert "min" in summary["heatmaps"]["u"]
 
+    def test_per_step_records(self, tmp_path):
+        # solve.json and a solved verify.json list one record per Newton system
+        base = dict(family="perturbed", eps=0.1, n=65)
+        cmd_solve(RunConfig(**base, out=str(tmp_path / "s")))
+        checks = ["volume_formula"]
+        cmd_verify(RunConfig(**base, source="solved", checks=checks, out=str(tmp_path / "v")))
+        solved = json.loads((tmp_path / "s" / "solve.json").read_text())["solver"]
+        verified = json.loads((tmp_path / "v" / "verify.json").read_text())["solver"]
+        assert solved["systems"] == verified["systems"]
+        systems = solved["systems"]
+        assert len(systems) == solved["iterations"]
+        assert all(set(rec) == {"method", "krylov_iterations", "rtol"} for rec in systems)
+        assert sum(rec["krylov_iterations"] for rec in systems) == solved["krylov_iterations"]
+        assert systems[0]["rtol"] == 0.1
+        assert all(a["rtol"] > b["rtol"] for a, b in zip(systems, systems[1:]))
+
     def test_nonconvergence_exit_code(self, tmp_path):
         from lmce.cli import EXIT_NO_CONVERGENCE
 

@@ -27,6 +27,7 @@ from lmce.solver import (
     quadratic_family,
 )
 from lmce.solver import (
+    ETA_MIN,
     KRYLOV_MAXITER,
     AnalyticFunction2,
     SystemSolve,
@@ -34,6 +35,7 @@ from lmce.solver import (
     _bicgstab,
     _csc_pattern,
     _dirichlet_rhs,
+    _forcing_term,
     _initial_iterate,
     _poisson_solve,
     _sine_preconditioner,
@@ -62,6 +64,40 @@ def _csc(A):
     """The CSC matrix of a Stencil9, as the LU fallback builds it."""
     pos, rows, indptr = _csc_pattern(A.coef.shape[1])
     return sp.csc_matrix((A.coef.ravel()[pos], rows, indptr), shape=A.shape)
+
+
+def _newton_case(case):
+    """Grid, phase, boundary data and start of a named Newton test problem."""
+    if case == "perturbed":
+        g = build_grid(4.0, 65)
+        prob = manufacture(perturbed_family(0.1), g)
+        return g, prob.psi, prob.boundary_trace(), "phase_matched"
+    if case == "anisotropic":
+        g = build_grid(4.0, 33)
+        prob = manufacture(anisotropic_family(1.4, 0.2), g)
+        return g, prob.psi, prob.boundary_trace(), "phase_matched"
+    # near pi, where the damped steps factor
+    g = build_grid(4.0, 33)
+    psi = ScalarField2(g, np.full((g.n, g.n), 3.13))
+    return g, psi, sample(quadratic_family(1.0).value, g), "harmonic"
+
+
+def _eisenstat_walker_step(ratio, eta_prev, cap=0.1, gamma=0.9, floor=1e-12):
+    """Eisenstat-Walker choice 2, written out independently of the solver:
+    min(cap, gamma ratio^2), raised to gamma eta_prev^2 when that exceeds
+    0.1, never below floor."""
+    eta = min(cap, gamma * ratio**2)
+    if gamma * eta_prev**2 > 0.1:
+        eta = max(eta, gamma * eta_prev**2)
+    return max(eta, floor)
+
+
+def _eisenstat_walker(residuals):
+    """The forcing terms of a residual history: 0.1, then one step per ratio."""
+    etas = [0.1]
+    for prev, cur in zip(residuals, residuals[1:]):
+        etas.append(_eisenstat_walker_step(cur / prev, etas[-1]))
+    return etas
 
 
 def _first_newton_system(g, prob):
@@ -370,19 +406,7 @@ class TestKrylovPath:
 
     @pytest.mark.parametrize("case", ["perturbed", "anisotropic", "near_pi"])
     def test_same_newton_steps_as_lu(self, case, monkeypatch):
-        if case == "perturbed":
-            g = build_grid(4.0, 65)
-            prob = manufacture(perturbed_family(0.1), g)
-            psi, boundary, initial = prob.psi, prob.boundary_trace(), "phase_matched"
-        elif case == "anisotropic":
-            g = build_grid(4.0, 33)
-            prob = manufacture(anisotropic_family(1.4, 0.2), g)
-            psi, boundary, initial = prob.psi, prob.boundary_trace(), "phase_matched"
-        else:
-            g = build_grid(4.0, 33)
-            psi = ScalarField2(g, np.full((g.n, g.n), 3.13))
-            boundary = sample(quadratic_family(1.0).value, g)
-            initial = "harmonic"
+        g, psi, boundary, initial = _newton_case(case)
         fast = newton_solve(psi, boundary, g, initial=initial)
         monkeypatch.setattr(lmce.solver, "_sine_preconditioner", lambda *args: None)
         lu = newton_solve(psi, boundary, g, initial=initial)
@@ -397,8 +421,14 @@ class TestKrylovPath:
         state = newton_solve(prob.psi, prob.boundary_trace(), g)
         assert state.converged
         assert solver_calls == {"lu": 0, "bicgstab": state.iterations}
-        assert [rec.method for rec in state.systems] == ["bicgstab"] * state.iterations
-        assert all(rec.krylov_iterations > 0 for rec in state.systems)
+        # the first system certifies inside its first half-iteration: 0
+        # completed iterations, as scipy's callback counts them
+        assert [tuple(rec) for rec in state.systems] == [
+            ("bicgstab", 0, 0.1),
+            ("bicgstab", 1, 0.002361113015801119),
+            ("bicgstab", 2, 5.95512766142267e-05),
+            ("bicgstab", 3, 2.7440784674210174e-09),
+        ]
 
     def test_factoring_steps_recorded(self, solver_calls):
         g = build_grid(4.0, 33)
@@ -409,6 +439,58 @@ class TestKrylovPath:
         assert len(state.systems) == state.iterations
         assert [rec.method for rec in state.systems].count("lu") == solver_calls["lu"] > 0
         assert all(isinstance(rec, SystemSolve) for rec in state.systems)
+
+    def test_breakdown_at_loose_tolerance_falls_back_to_lu(self, solver_calls):
+        # a preconditioner that returns 0 breaks BiCGSTAB down before its
+        # first update: x = 0 has relative residual 1 and must not certify
+        g = build_grid(2.0, 33)
+        A = _assemble_linearization(g, 1.0, 0.0, 1.0)
+        rhs = np.cos(np.arange(A.shape[0]) * 0.1)
+        record = []
+        x = linear_solve(A, rhs, tol=0.1, M=lambda r: np.zeros(np.size(r)), record=record)
+        assert solver_calls == {"lu": 1, "bicgstab": 1}
+        assert record == [SystemSolve("lu", 0, 0.1)]
+        assert np.linalg.norm(A @ x - rhs) <= 1e-9 * np.linalg.norm(rhs)
+
+
+class TestForcingTerm:
+    @pytest.mark.parametrize("case", ["perturbed", "anisotropic", "near_pi"])
+    def test_same_newton_path_as_fixed_tolerance(self, case, monkeypatch):
+        g, psi, boundary, initial = _newton_case(case)
+        inexact = newton_solve(psi, boundary, g, initial=initial)
+        # a cap at the floor solves every system to today's fixed 1e-12
+        monkeypatch.setattr(lmce.solver, "ETA_MAX", ETA_MIN)
+        fixed = newton_solve(psi, boundary, g, initial=initial)
+        assert {rec.rtol for rec in fixed.systems} == {1e-12}
+        assert inexact.converged and fixed.converged
+        assert inexact.iterations == fixed.iterations
+        assert inexact.damping == fixed.damping
+        assert np.max(np.abs(inexact.u.values - fixed.u.values)) <= 1e-9
+        if case == "perturbed":
+            work = [sum(rec.krylov_iterations for rec in s.systems) for s in (inexact, fixed)]
+            assert work[0] < work[1]
+
+    @pytest.mark.parametrize("case", ["perturbed", "anisotropic", "near_pi"])
+    def test_rtol_sequence_follows_the_rule(self, case):
+        g, psi, boundary, initial = _newton_case(case)
+        state = newton_solve(psi, boundary, g, initial=initial)
+        rtols = [rec.rtol for rec in state.systems]
+        assert rtols == pytest.approx(_eisenstat_walker(state.residuals)[: len(rtols)], rel=1e-12)
+        if case == "anisotropic":  # damped steps barely reduce the residual
+            assert rtols.count(0.1) > 1
+
+    def test_cap_floor_and_safeguard(self, monkeypatch):
+        assert _forcing_term(1.0, 0.1) == 0.1  # cap
+        assert _forcing_term(1e-9, 0.1) == 1e-12  # floor
+        assert _forcing_term(0.1, 0.1) == pytest.approx(0.9e-2)
+        # below a cap of 0.1 the safeguard cannot fire (0.9 * 0.1^2 < 0.1);
+        # with a cap of 0.9 it keeps eta near its previous value
+        monkeypatch.setattr(lmce.solver, "ETA_MAX", 0.9)
+        assert _forcing_term(0.01, 0.5) == pytest.approx(0.9 * 0.5**2)
+        assert _forcing_term(0.01, 0.3) == pytest.approx(0.9 * 0.01**2)
+        for ratio, prev in ((0.01, 0.5), (0.5, 0.9), (1e-9, 0.2), (2.0, 0.1), (0.2, 0.4)):
+            expected = _eisenstat_walker_step(ratio, prev, cap=0.9)
+            assert _forcing_term(ratio, prev) == pytest.approx(expected, rel=1e-12)
 
 
 SCIPY_FREE = """
