@@ -17,7 +17,8 @@ Outputs are CSV tables (RFC-4180, header row, repr-formatted floats: a given
 config and seed reproduce them byte for byte), one JSON summary per run, and
 optional 8-bit P5 graymaps with their min/max recorded in the JSON.  Exit
 codes: 0 all pass, 1 a check failed, 2 solver non-convergence, 3 invalid
-input; any other fault propagates as an exception.
+input, 4 an internal fault (any other exception: one `lmce: internal error`
+line on stderr, and its traceback too with -v).
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ import json
 import math
 import sys
 import time
+import traceback
 from dataclasses import dataclass, field
 from functools import cached_property, wraps
 from pathlib import Path
@@ -39,6 +41,7 @@ from .errors import ConfigError, NonConvergenceError, PreconditionError
 from .geometry import SlopeConstants, bundle as make_bundle, classify_phase, modified_slope
 from .grid import ScalarField2, build_grid, make_cutoff
 from .identities import (
+    CheckReport,
     check_complex_factorization,
     check_coordinate_laplacian,
     check_cutoff_volume_identity,
@@ -82,6 +85,7 @@ EXIT_PASS = 0
 EXIT_CHECK_FAILED = 1
 EXIT_NO_CONVERGENCE = 2
 EXIT_INVALID_INPUT = 3
+EXIT_INTERNAL_ERROR = 4
 
 
 @dataclass
@@ -378,9 +382,11 @@ def _timed_lazy(build):
 class _Context:
     """Lazily built shared state for one verify run, or one swept value.
 
-    The slope constants (with the fit of A), the cutoff and the modified slope
-    are built on first use; `timings` holds each one's own build time and
-    `lazy_s` their total, so no check is charged for state it builds first.
+    The slope constants (with the fit of A), the cutoff, the modified slope
+    and the weak-maximum-principle sample of the modified slope (which the
+    weak_max_principle, super_iso and subharmonic checks share) are built on
+    first use; `timings` holds each one's own build time and `lazy_s` their
+    total, so no check is charged for state it builds first.
     """
 
     def __init__(self, cfg: RunConfig):
@@ -434,6 +440,18 @@ class _Context:
     def bmod(self) -> ScalarField2:
         return modified_slope(self.bundle, self.constants)
 
+    @_timed_lazy
+    def wmp(self) -> CheckReport:
+        return check_weak_max_principle(self.bmod, trials=self.cfg.trials, seed=self.cfg.seed)
+
+    def wmp_for_subharmonic(self) -> CheckReport | None:
+        """The shared sample when a requested check needs it anyway, else None:
+        subharmonic samples its own field when it reads another one (a
+        negated bundle, a smaller disk), and then must not pay for this one."""
+        if {"weak_max_principle", "super_iso"} & set(self.cfg.checks):
+            return self.wmp
+        return None
+
 
 # Canonical check name -> the check run on a verify context.  Each entry looks
 # its check function up by module-global name when it runs, so a caller that
@@ -447,17 +465,22 @@ IDENTITY_CHECKS = {
     "coordinate_laplacian": lambda ctx: check_coordinate_laplacian(ctx.bundle),
 }
 INEQUALITY_CHECKS = {
-    "weak_max_principle": lambda ctx: check_weak_max_principle(
-        ctx.bmod, trials=ctx.cfg.trials, seed=ctx.cfg.seed
+    "weak_max_principle": lambda ctx: ctx.wmp,
+    "super_iso": lambda ctx: check_super_iso(
+        ctx.bmod, trials=ctx.cfg.trials, seed=ctx.cfg.seed, wmp=ctx.wmp
     ),
-    "super_iso": lambda ctx: check_super_iso(ctx.bmod, trials=ctx.cfg.trials, seed=ctx.cfg.seed),
     "jacobi_pointwise": lambda ctx: check_jacobi_pointwise(
         ctx.bundle,
         ctx.constants,
         C_budget=ctx.cfg.C_budget if ctx.cfg.C_budget is not None else math.inf,
     ),
     "subharmonic": lambda ctx: check_subharmonic_modified_slope(
-        ctx.bundle, ctx.constants, rho=ctx.cfg.rho, trials=ctx.cfg.trials, seed=ctx.cfg.seed
+        ctx.bundle,
+        ctx.constants,
+        rho=ctx.cfg.rho,
+        trials=ctx.cfg.trials,
+        seed=ctx.cfg.seed,
+        wmp=ctx.wmp_for_subharmonic(),
     ),
     "jacobi_integral": lambda ctx: check_jacobi_integral(ctx.bundle, ctx.cutoff, ctx.constants),
     # the last two read only delta, so they do not pay for the fit of A
@@ -758,6 +781,9 @@ def main(argv: list[str] | None = None) -> int:
         p.add_argument("--config", required=True, help="JSON or key=value config file")
         p.add_argument("--out", default=None, help="output directory override")
         p.add_argument("--seed", type=int, default=None, help="RNG seed override")
+        p.add_argument(
+            "-v", "--verbose", action="store_true", help="print the traceback of an internal fault"
+        )
     args = parser.parse_args(argv)
     try:
         cfg = RunConfig.from_file(args.config)
@@ -778,6 +804,11 @@ def main(argv: list[str] | None = None) -> int:
     except NonConvergenceError as exc:
         print(f"lmce: {exc}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
+    except Exception as exc:
+        if args.verbose:
+            traceback.print_exc()
+        print(f"lmce: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL_ERROR
     for entry in report.entries:
         status = "PASS" if entry.get("passed") else "FAIL"
         print(f"{status} {entry.get('check', '?')}")

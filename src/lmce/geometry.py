@@ -131,8 +131,8 @@ class GeometryBundle:
     Arrays are (n, n), read-only, and mutually consistent:
     lam1 >= lam2, phase = arctan(lam1) + arctan(lam2) in (-pi, pi),
     sig1 = lam1 + lam2, sig2 = lam1*lam2,
-    vol = sqrt((1 + lam1^2)(1 + lam2^2)) = sqrt(det g),
-    g = I + M^2 for the stored Hessian M (positive definite),
+    vol = sqrt((1 + lam1^2)(1 + lam2^2)) = sqrt(det g) for the metric
+    g = I + M^2 of the stored Hessian M (positive definite),
     inv* are the components of g^{-1}, and
     slope = ln sqrt(1 + lam1^2) >= 0.
 
@@ -149,6 +149,8 @@ class GeometryBundle:
     read-only arrays.
     negated is the bundle of the negated potential, kept the same way so the
     checks that canonicalize a negative-phase bundle share its fields too.
+    fluxes holds the half-node coefficients of laplace_beltrami, which depend
+    on the bundle only, so every call on the bundle shares them.
     """
 
     grid: Grid2
@@ -159,9 +161,6 @@ class GeometryBundle:
     sig1: np.ndarray
     sig2: np.ndarray
     vol: np.ndarray
-    g11: np.ndarray
-    g12: np.ndarray
-    g22: np.ndarray
     inv11: np.ndarray
     inv12: np.ndarray
     inv22: np.ndarray
@@ -187,6 +186,22 @@ class GeometryBundle:
     @cached_property
     def negated(self) -> "GeometryBundle":
         return negate_bundle(self)
+
+    @cached_property
+    def fluxes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """W g^{ij} averaged to the half nodes, with the factors of the flux
+        stencils: (W g^11)/2 and (W g^12)/4 at (i+1/2, j), then (W g^22)/2
+        and (W g^12)/4 at (i, j+1/2)."""
+        W = self.vol
+        A11 = W * self.inv11
+        A12 = W * self.inv12
+        A22 = W * self.inv22
+        return (
+            _ro(0.5 * (A11[1:, :] + A11[:-1, :])),
+            _ro(0.25 * (A12[1:, :] + A12[:-1, :])),
+            _ro(0.5 * (A22[:, 1:] + A22[:, :-1])),
+            _ro(0.25 * (A12[:, 1:] + A12[:, :-1])),
+        )
 
 
 def _ro(a: np.ndarray) -> np.ndarray:
@@ -214,7 +229,7 @@ def bundle_from_hessian(hess: SymMat2Field, grad: Vec2Field | None = None) -> Ge
     sig1 = lam1 + lam2
     sig2 = lam1 * lam2
     vol = np.sqrt((1.0 + lam1 * lam1) * (1.0 + lam2 * lam2))
-    g11, g12, g22, inv11, inv12, inv22 = _induced_metric(m11, m12, m22)
+    *_, inv11, inv12, inv22 = _induced_metric(m11, m12, m22)
     b = 0.5 * np.log1p(lam1 * lam1)
     return GeometryBundle(
         grid=hess.grid,
@@ -225,9 +240,6 @@ def bundle_from_hessian(hess: SymMat2Field, grad: Vec2Field | None = None) -> Ge
         sig1=_ro(sig1),
         sig2=_ro(sig2),
         vol=_ro(vol),
-        g11=_ro(g11),
-        g12=_ro(g12),
-        g22=_ro(g22),
         inv11=_ro(inv11),
         inv12=_ro(inv12),
         inv22=_ro(inv22),
@@ -332,7 +344,8 @@ def laplace_beltrami(f: ScalarField2, B: GeometryBundle) -> ScalarField2:
     """Divergence-form Laplace-Beltrami (1/W) d_i(W g^{ij} d_j f), W = sqrt(det g).
 
     Interior nodes use half-node flux stencils (coefficients averaged to the
-    half nodes, cross derivatives averaged from nodal central differences),
+    half nodes once per bundle, B.fluxes, and cross derivatives averaged from
+    nodal central differences),
     which makes the discrete operator satisfy summation by parts exactly
     against weights vanishing near the grid boundary.  The outermost node
     ring, where no flux stencil fits, takes the non-divergence form, evaluated
@@ -347,20 +360,18 @@ def laplace_beltrami(f: ScalarField2, B: GeometryBundle) -> ScalarField2:
     h = g.h
     v = f.values
     W = B.vol
-    A11 = W * B.inv11
-    A12 = W * B.inv12
-    A22 = W * B.inv22
+    c11, c12_1, c22, c12_2 = B.fluxes
 
     # nodal central first derivatives feed the cross terms of the fluxes
     d1 = _d1(v, h, axis=0)
     d2 = _d1(v, h, axis=1)
 
-    # flux through half nodes (i+1/2, j): A11*d1 + A12*d2 there
-    f1 = 0.5 * (A11[1:, :] + A11[:-1, :]) * (v[1:, :] - v[:-1, :]) / h
-    f1 += 0.25 * (A12[1:, :] + A12[:-1, :]) * (d2[1:, :] + d2[:-1, :])
+    # flux through half nodes (i+1/2, j): A11*d1 + A12*d2 there, A = W g^{-1}
+    f1 = c11 * (v[1:, :] - v[:-1, :]) / h
+    f1 += c12_1 * (d2[1:, :] + d2[:-1, :])
     # flux through half nodes (i, j+1/2): A12*d1 + A22*d2 there
-    f2 = 0.5 * (A22[:, 1:] + A22[:, :-1]) * (v[:, 1:] - v[:, :-1]) / h
-    f2 += 0.25 * (A12[:, 1:] + A12[:, :-1]) * (d1[:, 1:] + d1[:, :-1])
+    f2 = c22 * (v[:, 1:] - v[:, :-1]) / h
+    f2 += c12_2 * (d1[:, 1:] + d1[:, :-1])
 
     out = np.empty_like(v)
     for strip, line in _EDGE_STRIPS:

@@ -5,10 +5,17 @@ second-order finite differences, node-indicator disk quadrature, disk sup
 norms, and a smooth radial cutoff with a certified analytic gradient bound.
 All containers are immutable after construction (their arrays are marked
 read-only), so they are safe to share across threads.
+
+Ownership: a field takes over a float array that owns its memory (a freshly
+computed result) without copying it, and marks that array read-only, so the
+caller must not write to it afterwards.  Anything else it copies first: a
+view (writable or not, so a later write to its base can never alter the
+field), another dtype, or a non-array.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,10 +36,11 @@ __all__ = [
 ]
 
 
-def _freeze(values) -> np.ndarray:
-    out = np.array(values, dtype=float)
-    out.setflags(write=False)
-    return out
+def _owned(values) -> np.ndarray:
+    """values itself if it is a float array owning its memory, else a copy."""
+    if type(values) is np.ndarray and values.dtype == float and values.base is None:
+        return values
+    return np.array(values, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -88,20 +96,24 @@ class Grid2:
 class ScalarField2:
     """Real values sampled at every node of a Grid2, stored as an (n, n) array.
 
-    values[i, j] is the sample at node (-L + i*h, -L + j*h).
+    values[i, j] is the sample at node (-L + i*h, -L + j*h).  It is the
+    array passed in, frozen, when that array owns its memory, else a frozen
+    copy (see the module docstring).
     """
 
     grid: Grid2
     values: np.ndarray
 
     def __post_init__(self):
-        vals = _freeze(self.values)
+        vals = _owned(self.values)
         if vals.shape != (self.grid.n, self.grid.n):
             raise ValueError(
                 f"field shape {vals.shape} does not match grid n={self.grid.n}"
             )
-        if not np.all(np.isfinite(vals)):
+        # min and max propagate NaN and reach +-inf, with no boolean temporary
+        if not (math.isfinite(vals.min()) and math.isfinite(vals.max())):
             raise ValueError("field contains non-finite values")
+        vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 
 

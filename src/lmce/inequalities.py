@@ -189,19 +189,23 @@ def check_super_iso(
     f: ScalarField2,
     trials: int = 200,
     seed: int = 0,
+    wmp: CheckReport | None = None,
 ) -> CheckReport:
     """Sup over the unit disk bounded by gradient and value integrals over B2.
 
     Asserts  sup_{|x|<=1} f  <=  int_{B2} |Df| dx + int_{B2} f dx  + slack.
     Preconditions: f >= 0 on B2 and f passes the sampled weak maximum
     principle there; both are enforced, and a violation raises
-    PreconditionError rather than reporting a failure.
+    PreconditionError rather than reporting a failure.  wmp, when given, is
+    check_weak_max_principle's report on f with these trials and seed, and
+    stands in for running the sampler again.
     """
     g = f.grid
     b2 = g.disk_mask(2.0)
     if float(np.min(f.values[b2])) < 0.0:
         raise PreconditionError("super isoperimetric check needs f >= 0 on B2")
-    wmp = check_weak_max_principle(f, trials=trials, seed=seed)
+    if wmp is None:
+        wmp = check_weak_max_principle(f, trials=trials, seed=seed)
     if not wmp.passed:
         raise PreconditionError(
             "super isoperimetric check needs the weak maximum principle "
@@ -334,6 +338,7 @@ def check_subharmonic_modified_slope(
     margin_cells: int = 2,
     trials: int = 200,
     seed: int = 0,
+    wmp: CheckReport | None = None,
 ) -> CheckReport:
     """Subharmonicity of the modified slope b + (A/2)|x|^2 on |x| <= rho.
 
@@ -342,7 +347,11 @@ def check_subharmonic_modified_slope(
     region, by linearity from the bundle's cached Laplacians of b and
     |x|^2/2, and demands it be >= -slack; then runs the weak-maximum-principle
     sampler on the modified slope, since that is the property the
-    subharmonicity is for.  Passes only if both hold.
+    subharmonicity is for.  Passes only if both hold.  wmp, when given, is
+    check_weak_max_principle's report on modified_slope(B, K) on the disk of
+    radius 2 with these trials and seed; it stands in for the sampler when
+    the check reads that same field, i.e. B is not flipped to its negation
+    and min(rho, 2) = 2.
     """
     g = B.grid
     mask = _interior_mask(g.n, margin_cells) & g.disk_mask(rho)
@@ -353,8 +362,10 @@ def check_subharmonic_modified_slope(
         )
     lap = B.slope_laplacian + K.A * B.paraboloid_laplacian
     m = float(np.min(lap[mask]))
-    bmod = modified_slope(B, K)
-    wmp = check_weak_max_principle(bmod, trials=trials, seed=seed, radius=min(rho, 2.0))
+    radius = min(rho, 2.0)
+    if wmp is None or flipped or radius != 2.0:
+        bmod = modified_slope(B, K)
+        wmp = check_weak_max_principle(bmod, trials=trials, seed=seed, radius=radius)
     passed = (m >= -slack) and wmp.passed
     return CheckReport(
         name="subharmonic",

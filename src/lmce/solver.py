@@ -556,23 +556,23 @@ def newton_solve(
         )
     n = grid.n
 
-    def residual(uarr: np.ndarray) -> np.ndarray:
+    def residual(uarr: np.ndarray) -> tuple[np.ndarray, float]:
+        """The phase residual on interior nodes and the smallest eigenvalue
+        of g^{-1} = (I + M^2)^{-1} there, the ellipticity of the linearization
+        at uarr.  It is 1/(1 + max lam^2), which keeps full precision where
+        the eigenvalues of g^{-1} itself cancel (one lam huge, one O(1)); as
+        lam1 >= lam2, the largest |lam| is max lam1 or -min lam2."""
         hess = hessian_fd(ScalarField2(grid, uarr))
         lam1, lam2 = eigen_sym2(hess.m11.values, hess.m12.values, hess.m22.values)
         theta = np.arctan(lam1) + np.arctan(lam2)
-        return (theta - psi.values)[1:-1, 1:-1]
+        big = max(float(np.max(lam1[1:-1, 1:-1])), -float(np.min(lam2[1:-1, 1:-1])))
+        return (theta - psi.values)[1:-1, 1:-1], 1.0 / (1.0 + big * big)
 
     def coefficients(uarr: np.ndarray):
         hess = hessian_fd(ScalarField2(grid, uarr))
         *_, inv11, inv12, inv22 = _induced_metric(
             hess.m11.values, hess.m12.values, hess.m22.values
         )
-        ell = 0.5 * (inv11 + inv22) - np.sqrt(
-            (0.5 * (inv11 - inv22)) ** 2 + inv12 * inv12
-        )
-        if float(np.min(ell)) <= 0.0:
-            # impossible for a true inverse metric; signals a coding fault
-            raise RuntimeError("linearization lost ellipticity")
         return inv11, inv12, inv22
 
     u = _initial_iterate(grid, boundary, psi, initial)
@@ -582,13 +582,17 @@ def newton_solve(
     converged = False
     message = ""
     it = 0
-    r = residual(u)
+    r, ell = residual(u)
     rn = float(np.max(np.abs(r)))
     residuals.append(rn)
     eta = ETA_MAX
     while it < max_iter:
         if rn <= tol:
             converged = True
+            break
+        if not ell > 0.0:
+            # only a Hessian eigenvalue whose square overflows gets here
+            message = "linearization lost ellipticity"
             break
         inv11, inv12, inv22 = coefficients(u)
         A = _assemble_linearization(grid, inv11, inv12, inv22)
@@ -604,7 +608,7 @@ def newton_solve(
         step[1:-1, 1:-1] = s_int.reshape(n - 2, n - 2)
         t = 1.0
         while t >= min_step:
-            r_new = residual(u + t * step)
+            r_new, ell_new = residual(u + t * step)
             rn_new = float(np.max(np.abs(r_new)))
             if rn_new <= (1.0 - armijo * t) * rn:
                 break
@@ -613,7 +617,7 @@ def newton_solve(
             message = "line search failed to reduce the residual"
             break
         u = u + t * step
-        r, rn = r_new, rn_new
+        r, rn, ell = r_new, rn_new, ell_new
         residuals.append(rn)
         damping.append(t)
         it += 1

@@ -15,6 +15,7 @@ import lmce.cli
 from lmce.cli import (
     ALL_CHECKS,
     EXIT_CHECK_FAILED,
+    EXIT_INTERNAL_ERROR,
     EXIT_INVALID_INPUT,
     EXIT_NO_CONVERGENCE,
     EXIT_PASS,
@@ -470,6 +471,24 @@ class TestMainExitCodes:
         data = json.loads((tmp_path / "ov" / "verify.json").read_text())
         assert data["config"]["seed"] == 42
 
+    @pytest.mark.parametrize("verbose", [False, True])
+    def test_internal_fault_exit_4(self, tmp_path, monkeypatch, capsys, verbose):
+        def broken(B):
+            raise ZeroDivisionError("injected fault")
+
+        monkeypatch.setattr(lmce.cli, "check_slope_volume", broken)
+        p = tmp_path / "ok.cfg"
+        p.write_text(f"family=quadratic\na=1\nn=17\nchecks=slope_volume\nout={tmp_path / 'o'}\n")
+        argv = ["verify", "--config", str(p)] + (["-v"] if verbose else [])
+        assert main(argv) == EXIT_INTERNAL_ERROR
+        err = capsys.readouterr().err
+        assert err.endswith("lmce: internal error: ZeroDivisionError: injected fault\n")
+        if verbose:
+            assert err.startswith("Traceback (most recent call last):")
+            assert "in broken" in err
+        else:
+            assert err.count("\n") == 1
+
 
 class TestStrictConfig:
     BASE = {"family": "perturbed", "n": 65, "checks": ["weak_max_principle", "super_iso"]}
@@ -529,13 +548,14 @@ class TestNonConvergence:
     def test_solved_verify_nonconvergence_exit_2(self, tmp_path):
         assert main(["verify", "--config", str(self._config(tmp_path))]) == EXIT_NO_CONVERGENCE
 
-    def test_other_runtime_error_not_exit_2(self, tmp_path, monkeypatch):
+    def test_other_runtime_error_not_exit_2(self, tmp_path, monkeypatch, capsys):
         def broken(*args, **kwargs):
             raise RuntimeError("internal fault")
 
         monkeypatch.setattr(lmce.cli, "newton_solve", broken)
-        with pytest.raises(RuntimeError, match="internal fault"):
-            main(["verify", "--config", str(self._config(tmp_path))])
+        code = main(["verify", "--config", str(self._config(tmp_path))])
+        assert code == EXIT_INTERNAL_ERROR
+        assert capsys.readouterr().err == "lmce: internal error: RuntimeError: internal fault\n"
 
 
 class TestCheckRegistry:
@@ -562,19 +582,14 @@ class TestCheckRegistry:
         assert "lhs" not in entry and "margin" not in entry
 
 
-@pytest.fixture
-def geometry_calls(monkeypatch):
-    """Counts of `laplace_beltrami` and `bundle` calls, through every binding
-    of the two functions, whichever module calls them."""
+def _count_calls(monkeypatch, functions: dict) -> dict:
+    """Counts of calls to each function of `functions` (function -> key),
+    through every binding of it in the lmce modules, whichever calls it."""
     import lmce.geometry
     import lmce.identities
     import lmce.inequalities
 
-    counts = {"laplace_beltrami": 0, "bundle": 0}
-    originals = {
-        lmce.geometry.laplace_beltrami: "laplace_beltrami",
-        lmce.geometry.bundle: "bundle",
-    }
+    counts = dict.fromkeys(functions.values(), 0)
 
     def counting(fn, key):
         def wrapper(*args, **kwargs):
@@ -585,9 +600,28 @@ def geometry_calls(monkeypatch):
 
     for module in (lmce.geometry, lmce.identities, lmce.inequalities, lmce.cli):
         for attr, value in list(vars(module).items()):
-            if callable(value) and value in originals:
-                monkeypatch.setattr(module, attr, counting(value, originals[value]))
+            if callable(value) and value in functions:
+                monkeypatch.setattr(module, attr, counting(value, functions[value]))
     return counts
+
+
+@pytest.fixture
+def geometry_calls(monkeypatch):
+    """Counts of `laplace_beltrami` and `bundle` calls."""
+    import lmce.geometry
+
+    return _count_calls(
+        monkeypatch,
+        {lmce.geometry.laplace_beltrami: "laplace_beltrami", lmce.geometry.bundle: "bundle"},
+    )
+
+
+@pytest.fixture
+def wmp_calls(monkeypatch):
+    """Counts of `check_weak_max_principle` calls."""
+    import lmce.inequalities
+
+    return _count_calls(monkeypatch, {lmce.inequalities.check_weak_max_principle: "wmp"})
 
 
 class TestVerifyWork:
@@ -610,6 +644,25 @@ class TestVerifyWork:
         assert geometry_calls["laplace_beltrami"] == 0
         assert "constants_s" not in report.timings
 
+    @pytest.mark.parametrize(
+        "case, checks, calls",
+        [
+            ("perturbed", ["all"], 1),
+            ("perturbed", ["subharmonic"], 1),
+            # subharmonic samples the negated slope; the other two share one sample
+            ("negative", ["all"], 2),
+            ("negative", ["subharmonic"], 1),
+        ],
+    )
+    def test_one_max_principle_sample_per_field(self, tmp_path, wmp_calls, case, checks, calls):
+        family = {
+            "perturbed": dict(family="perturbed", eps=0.1),
+            "negative": dict(family="anisotropic", theta1=-0.4, theta2=-1.0, seed=3),
+        }[case]
+        cfg = RunConfig(**family, n=65, checks=checks, out=str(tmp_path / "o"))
+        cmd_verify(cfg)
+        assert wmp_calls["wmp"] == calls
+
     def test_lazy_state_has_its_own_timings(self, tmp_path):
         cfg = RunConfig(family="perturbed", eps=0.1, n=65, checks=["all"], out=str(tmp_path / "o"))
         t0 = time.perf_counter()
@@ -617,7 +670,7 @@ class TestVerifyWork:
         wall = time.perf_counter() - t0
         timings = json.loads((tmp_path / "o" / "verify.json").read_text())["timings"]
         assert timings == report.timings
-        expected = {"setup_s", "constants_s", "cutoff_s", "bmod_s"}
+        expected = {"setup_s", "constants_s", "cutoff_s", "bmod_s", "wmp_s"}
         expected |= {f"{name}_s" for name in ALL_CHECKS}
         assert set(timings) == expected
         # disjoint pieces: none is charged twice

@@ -13,6 +13,7 @@ from lmce.geometry import (
     PHASE_SPLIT,
     REGIME_CUSHION,
     SlopeConstants,
+    _induced_metric,
     bundle,
     classify_phase,
     eigen_sym2,
@@ -95,15 +96,25 @@ class TestBundle:
         g = build_grid(2.0, 33)
         u = sample(lambda x1, x2: 0.5 * (x1 * x1 + x2 * x2) + 0.2 * np.sin(x1) * np.cos(x2), g)
         B = bundle(u)
-        detg = B.g11 * B.g22 - B.g12 * B.g12
+        g11, g12, g22, *_ = _induced_metric(
+            B.hess.m11.values, B.hess.m12.values, B.hess.m22.values
+        )
+        detg = g11 * g22 - g12 * g12
         np.testing.assert_allclose(B.vol, np.sqrt(detg), rtol=1e-12)
 
     def test_metric_inverse_consistent(self):
         g = build_grid(2.0, 17)
         u = sample(lambda x1, x2: 0.5 * x1 * x1 + 0.3 * x1 * x2, g)
         B = bundle(u)
-        np.testing.assert_allclose(B.g11 * B.inv11 + B.g12 * B.inv12, 1.0, atol=1e-12)
-        np.testing.assert_allclose(B.g11 * B.inv12 + B.g12 * B.inv22, 0.0, atol=1e-12)
+        g11, g12, g22, inv11, inv12, inv22 = _induced_metric(
+            B.hess.m11.values, B.hess.m12.values, B.hess.m22.values
+        )
+        # the bundle stores the inverse that _induced_metric returns
+        for stored, computed in ((B.inv11, inv11), (B.inv12, inv12), (B.inv22, inv22)):
+            np.testing.assert_array_equal(stored, computed)
+        np.testing.assert_allclose(g11 * inv11 + g12 * inv12, 1.0, atol=1e-12)
+        np.testing.assert_allclose(g11 * inv12 + g12 * inv22, 0.0, atol=1e-12)
+        np.testing.assert_allclose(g12 * inv12 + g22 * inv22, 1.0, atol=1e-12)
 
     def test_negate_flips_phase(self):
         g = build_grid(2.0, 17)

@@ -75,6 +75,43 @@ class TestSample:
             f.values[0, 0] = 1.0
 
 
+class TestOwnership:
+    def test_fresh_array_frozen_in_place(self):
+        g = build_grid(1.0, 5)
+        a = np.arange(25.0).reshape(5, 5).copy()
+        f = ScalarField2(g, a)
+        assert f.values is a
+        assert not a.flags.writeable
+
+    @pytest.mark.parametrize("writable", [True, False])
+    def test_view_copied(self, writable):
+        g = build_grid(1.0, 5)
+        base = np.arange(49.0).reshape(7, 7)
+        view = base[1:-1, 1:-1]
+        view.setflags(write=writable)
+        f = ScalarField2(g, view)
+        assert not np.shares_memory(f.values, base)
+        base[:] = -1.0
+        np.testing.assert_array_equal(f.values, np.arange(49.0).reshape(7, 7)[1:-1, 1:-1])
+        assert base.flags.writeable
+
+    @pytest.mark.parametrize(
+        "values", [np.ones((5, 5), dtype=np.float32), np.ones((5, 5), dtype=int), [[1.0] * 5] * 5]
+    )
+    def test_other_inputs_copied_as_float(self, values):
+        f = ScalarField2(build_grid(1.0, 5), values)
+        assert f.values.dtype == np.float64 and f.values is not values
+        if isinstance(values, np.ndarray):
+            assert values.flags.writeable
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_any_non_finite_node_rejected(self, bad):
+        a = np.zeros((5, 5))
+        a[3, 1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            ScalarField2(build_grid(1.0, 5), a)
+
+
 QUAD_COEFFS = [
     (0.3, -1.2, 0.7, 0.5, -0.25, 1.5),
     (0.0, 0.0, 0.0, 0.5, 0.0, 0.5),

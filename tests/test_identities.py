@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import lmce.identities
 from lmce.errors import PreconditionError
-from lmce.geometry import bundle, bundle_from_hessian
+from lmce.geometry import _lift_phase_gradient, bundle, bundle_from_hessian, laplace_beltrami
 from lmce.grid import ScalarField2, build_grid, make_cutoff, sample
 from lmce.identities import (
     check_complex_factorization,
@@ -17,7 +18,7 @@ from lmce.identities import (
     check_slope_volume,
     check_volume_formula,
 )
-from lmce.solver import manufacture, perturbed_family
+from lmce.solver import anisotropic_family, manufacture, perturbed_family
 
 
 def const_field(grid, value):
@@ -269,6 +270,34 @@ class TestCoordinateLaplacian:
             assert rep.passed
             resids.append(rep.max_residual)
         assert 2.5 <= resids[0] / resids[1] <= 6.0
+
+    @pytest.mark.parametrize("family", [perturbed_family(0.1), anisotropic_family(1.2, 0.3)])
+    def test_worst_node_matches_stacked_argmax(self, family):
+        # reference: both components stacked, first maximum in (component, i, j) order
+        g = build_grid(4.0, 65)
+        prob = manufacture(family, g)
+        B = bundle(prob.u_exact)
+        rep = check_coordinate_laplacian(B, prob.psi)
+        _, _, (mw1, mw2) = _lift_phase_gradient(B, prob.psi)
+        x1, x2 = g.coords()
+        lap1 = laplace_beltrami(ScalarField2(g, x1 + np.zeros_like(x2)), B).values
+        lap2 = laplace_beltrami(ScalarField2(g, x2 + np.zeros_like(x1)), B).values
+        core = np.abs(np.stack([lap1, lap2]) - np.stack([-mw1, -mw2]))[:, 2:-2, 2:-2]
+        k, i, j = np.unravel_index(np.argmax(core), core.shape)
+        assert rep.max_residual == core[k, i, j]
+        assert rep.location == (i + 2, j + 2)
+        assert rep.details["component"] == k + 1
+
+    def test_tie_goes_to_first_component(self, monkeypatch):
+        g = build_grid(4.0, 17)
+        B = bundle(sample(lambda x1, x2: 0.5 * (x1 * x1 + x2 * x2), g))
+        flat = lambda f, B: ScalarField2(f.grid, np.ones((f.grid.n, f.grid.n)))
+        monkeypatch.setattr(lmce.identities, "laplace_beltrami", flat)
+        # a constant phase has a zero gradient, so both residuals are 1 everywhere
+        rep = check_coordinate_laplacian(B, const_field(g, 0.5 * math.pi))
+        assert rep.max_residual == 1.0
+        assert rep.location == (2, 2)
+        assert rep.details["component"] == 1
 
 
 class TestAlgebraicResidualsGridIndependent:

@@ -13,7 +13,7 @@ from lmce.geometry import (
     classify_phase,
     modified_slope,
 )
-from lmce.grid import ScalarField2, build_grid, make_cutoff, sample
+from lmce.grid import ScalarField2, SymMat2Field, build_grid, make_cutoff, sample
 from lmce.inequalities import (
     check_hessian_estimate,
     check_jacobi_integral,
@@ -245,6 +245,65 @@ class TestSubharmonicModifiedSlope:
         a_hat, attained = fit_modification_weight(B, K_DEFAULT)
         assert fit_modification_weight(B.negated, K_DEFAULT) == (a_hat, attained)
         assert a_hat == pytest.approx(0.0511, abs=1e-4)
+
+    def test_mixed_sign_fit_matches_scan(self):
+        # W g^11 falls steeply in x1 where m11 = e^{4(x1 - 1.2)} passes 1, so
+        # lap_g(|x|^2/2) = (1/W) d_i(W g^ij x_j) is negative on part of B2
+        g = build_grid(4.0, 65)
+        x1, x2 = g.coords()
+        m11 = np.exp(4.0 * (x1 - 1.2)) + 0.3 * np.sin(x2)
+        hess = SymMat2Field(
+            ScalarField2(g, m11), ScalarField2(g, np.zeros((g.n, g.n))),
+            ScalarField2(g, np.full((g.n, g.n), 0.5)),
+        )
+        B = bundle_from_hessian(hess)
+        region = g.disk_mask(2.0)
+        region[:2] = region[-2:] = region[:, :2] = region[:, -2:] = False
+        lap_b, lap_q = B.slope_laplacian[region], B.paraboloid_laplacian[region]
+        assert np.min(lap_q) < 0.0 < np.max(lap_q)
+
+        def attained(a):
+            return np.min(lap_b[None, :] + a[:, None] * lap_q[None, :], axis=1)
+
+        # the minimum is concave in A, so zooming in on the best scan node
+        # keeps the maximum inside the window
+        lo, hi = 0.0, 1e3
+        while hi - lo > 1e-9:
+            a = np.linspace(lo, hi, 1001)
+            best = int(np.argmax(attained(a)))
+            lo, hi = max(0.0, a[best] - (a[1] - a[0])), min(1e3, a[best] + (a[1] - a[0]))
+        a_scan = 0.5 * (lo + hi)
+        a_hat, value = fit_modification_weight(B, K_DEFAULT)
+        assert 0.0 < a_scan < 1e3
+        assert a_hat == pytest.approx(a_scan, abs=1e-6)
+        assert value == pytest.approx(float(attained(np.array([a_scan]))[0]), abs=1e-6)
+
+    def test_shared_sample_stands_in_for_the_same_field(self):
+        B = bundle(manufacture(perturbed_family(0.1), build_grid(4.0, 65)).u_exact)
+        K = SlopeConstants(delta=0.3, c=0.5, A=0.06)
+        wmp = check_weak_max_principle(modified_slope(B, K), trials=40, seed=7)
+        own = check_subharmonic_modified_slope(B, K, trials=40, seed=7)
+        shared = check_subharmonic_modified_slope(B, K, trials=40, seed=7, wmp=wmp)
+        assert shared.entry() == own.entry()
+        assert shared.details["wmp_margin"] == wmp.margin
+
+    def test_shared_sample_ignored_for_another_field(self):
+        # a stand-in that would fail shows which sample the check used
+        stand_in = check_weak_max_principle(
+            sample(lambda x1, x2: np.exp(-(x1 * x1 + x2 * x2)), build_grid(4.0, 65)),
+            trials=40,
+        )
+        assert not stand_in.passed
+        prob = manufacture(perturbed_family(0.1), build_grid(4.0, 65))
+        K = SlopeConstants(delta=0.3, c=0.5, A=0.06)
+        used = check_subharmonic_modified_slope(bundle(prob.u_exact), K, wmp=stand_in)
+        assert not used.details["wmp_passed"]
+        negative = bundle(ScalarField2(prob.grid, -prob.u_exact.values))
+        smaller_disk = dict(B=bundle(prob.u_exact), rho=1.5)
+        for kwargs in (dict(B=negative), smaller_disk):
+            rep = check_subharmonic_modified_slope(K=K, trials=40, wmp=stand_in, **kwargs)
+            assert rep.details["wmp_passed"]
+            assert rep.details["wmp_margin"] != stand_in.margin
 
 
 class TestJacobiIntegral:

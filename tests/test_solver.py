@@ -239,6 +239,21 @@ class TestNewtonSolve:
         state = newton_solve(prob.psi, prob.boundary_trace(), g, initial="harmonic")
         assert state.converged
 
+    @pytest.mark.parametrize("gap", [1e-7, 1e-9])
+    def test_near_pi_returns_a_state(self, gap):
+        # one Hessian eigenvalue of order 1/gap: the smallest eigenvalue of the
+        # inverse metric is tiny but positive, and the ellipticity guard must
+        # not cancel it to a false alarm
+        g = build_grid(4.0, 33)
+        psi = sample(lambda x1, x2: math.pi - gap, g)
+        boundary = sample(quadratic_family(1.0).value, g)
+        harmonic = newton_solve(psi, boundary, g, max_iter=40, initial="harmonic")
+        assert harmonic.converged
+        assert phase_residual(harmonic.u, psi) <= harmonic.tolerance
+        matched = newton_solve(psi, boundary, g, max_iter=40)
+        assert not matched.converged
+        assert matched.message == "line search failed to reduce the residual"
+
 
 class TestLinearSolve:
     def test_identity(self):
