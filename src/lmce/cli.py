@@ -578,7 +578,6 @@ def _solver_summary(state) -> dict:
         "residuals": list(state.residuals),
         "damping": list(state.damping),
         "message": state.message,
-        "factorizations": sum(s.method == "lu" for s in state.systems),
         "krylov_iterations": sum(s.krylov_iterations for s in state.systems),
         "systems": [s._asdict() for s in state.systems],
     }

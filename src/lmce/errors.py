@@ -6,8 +6,8 @@ class PreconditionError(ValueError):
 
 
 class LinearSolveError(RuntimeError):
-    """The sparse LU factorization failed, or its solve missed the residual
-    tolerance (or was not finite)."""
+    """A preconditioned BiCGSTAB solve missed its residual bound (or its
+    residual was not finite)."""
 
 
 class ConfigError(ValueError):

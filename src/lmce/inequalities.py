@@ -300,11 +300,13 @@ def fit_modification_weight(
     The operator is linear, so min over the region of
     lap_g(b) + A*lap_g(|x|^2/2) is concave piecewise-linear in A.  When the
     quadratic's Laplacian is positive on the whole region (the generic case)
-    the optimum is the closed-form max of -lap_g(b)/lap_g(q); otherwise a
-    bounded scalar search maximizes the concave minimum.  Both Laplacians are
-    the bundle's cached fields.  The fit runs on the bundle canonical on the
-    region, the one the subharmonic check reads.  Returns (A_hat, attained
-    minimum at A_hat).
+    the optimum is the closed-form max of -lap_g(b)/lap_g(q).  Otherwise the
+    minimum over the rising lines (lap_g(q) > 0) increases and the minimum
+    over the others does not, so on [0, 1e3] the optimum is where the two
+    cross, found by bisection (A = 0 when no line rises).  Both Laplacians
+    are the bundle's cached fields.  The fit runs on the bundle canonical on
+    the region, the one the subharmonic check reads.  Returns (A_hat,
+    attained minimum at A_hat).
     """
     g = B.grid
     mask = _interior_mask(g.n, margin_cells) & g.disk_mask(rho)
@@ -319,14 +321,18 @@ def fit_modification_weight(
         need = -lap_b / lap_q
         a_hat = max(0.0, float(np.max(need)))
         return a_hat, attained(a_hat)
-    # mixed-sign quadratic Laplacian: maximize the concave minimum directly
-    from scipy.optimize import minimize_scalar
-
-    res = minimize_scalar(
-        lambda a: -attained(a), bounds=(0.0, 1e3), method="bounded",
-        options={"xatol": 1e-10},
-    )
-    a_hat = float(res.x)
+    up = lap_q > 0.0
+    if not up.any():
+        return 0.0, attained(0.0)
+    rise_b, rise_q, rest_b, rest_q = lap_b[up], lap_q[up], lap_b[~up], lap_q[~up]
+    lo, hi = 0.0, 1e3
+    # halve until no float lies strictly between lo and hi
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        if np.min(rise_b + mid * rise_q) < np.min(rest_b + mid * rest_q):
+            lo = mid
+        else:
+            hi = mid
+    a_hat = lo if attained(lo) >= attained(hi) else hi
     return a_hat, attained(a_hat)
 
 

@@ -8,21 +8,18 @@ Newton solver discretizes the arctangent form of the equation, whose
 linearization has the inverse graph metric as coefficients and is therefore
 uniformly elliptic at every iterate; the product form is kept only as a
 residual cross-check elsewhere.  Each Newton system is a matrix-free 9-point
-stencil.  It is solved by BiCGSTAB (numpy only) preconditioned with an exact
-sine-transform solve of a frozen, row-scaled constant-coefficient operator,
-or by one sparse LU factorization when the coefficients are too far from
-constant for that preconditioner (or BiCGSTAB does not certify).  Only that
-LU fallback loads scipy.sparse.  The Newton iteration is inexact (Dembo,
-Eisenstat & Steihaug, SIAM J. Numer. Anal. 19, 1982): each system is solved
-only to the relative residual eta_k that the outer convergence needs, the
-forcing term of Eisenstat & Walker (SIAM J. Sci. Comput. 17, 1996), choice 2,
-which starts at ETA_MAX and falls with the square of the residual ratio.  The
-initial iterate's harmonic extensions are exact sine-transform Poisson solves.
+stencil, solved by BiCGSTAB preconditioned with an exact sine-transform solve
+of a frozen, row-scaled constant-coefficient operator; everything is numpy.
+The Newton iteration is inexact (Dembo, Eisenstat & Steihaug, SIAM J. Numer.
+Anal. 19, 1982): each system is solved only to the relative residual eta_k
+that the outer convergence needs, the forcing term of Eisenstat & Walker
+(SIAM J. Sci. Comput. 17, 1996), choice 2, which starts at ETA_MAX and falls
+with the square of the residual ratio.  The initial iterate's harmonic
+extensions are exact sine-transform Poisson solves.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -49,11 +46,9 @@ __all__ = [
     "phase_residual",
 ]
 
-# largest relative spread of the row-scaled Newton coefficients about their
-# means for which the sine-transform preconditioner is used
-SPREAD_LIMIT = 0.5
-# BiCGSTAB iteration cap per Newton system; a step that needs more factors
-KRYLOV_MAXITER = 25
+# BiCGSTAB iteration cap per Newton system; near pi a converging solve took
+# up to 117 in one system (constant phase 3.0, n=129, harmonic start)
+KRYLOV_MAXITER = 200
 # Eisenstat-Walker forcing terms (choice 2): the first Newton system is solved
 # to relative residual ETA_MAX, system k to ETA_GAMMA (rn_k/rn_{k-1})^2, kept
 # at least ETA_GAMMA eta_{k-1}^2 once that exceeds ETA_SAFEGUARD, capped at
@@ -198,11 +193,10 @@ def manufacture(analytic: AnalyticFunction2, grid: Grid2) -> ManufacturedProblem
 
 
 class SystemSolve(NamedTuple):
-    """How one linear system was solved: "bicgstab" or "lu", the BiCGSTAB
-    iterations run (also those of a try that did not certify) and the
-    relative tolerance asked for."""
+    """How one linear system was solved: the BiCGSTAB iterations run (also
+    those of a solve that did not certify) and the relative tolerance asked
+    for."""
 
-    method: str
     krylov_iterations: int
     rtol: float
 
@@ -276,29 +270,6 @@ class Stencil9:
         return y.ravel()
 
 
-@functools.lru_cache(maxsize=1)
-def _csc_pattern(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The CSC pattern of every m x m Stencil9 (read-only, cached): where
-    each entry sits in coef.ravel(), its row, and the column pointers.  Zero
-    coefficients are stored, (3n-8)^2 entries, so the pattern (and the
-    fill-reducing ordering) depends only on n."""
-    mm = m * m
-    # coefficient k of row node r sits at k*mm + r in coef.ravel(); a
-    # column's rows ascend as k falls, so slot 8 - k orders them
-    pos = np.full((m, m, 9), -1)
-    where = Stencil9(np.arange(9 * mm).reshape(9, m, m))._couplings()
-    for k, (at, _, col) in enumerate(where):
-        pos[col + (8 - k,)] = at
-    filled = pos >= 0
-    indptr = np.zeros(mm + 1, dtype=np.int32)
-    np.cumsum(np.count_nonzero(filled, axis=2), out=indptr[1:])
-    pos = pos[filled]
-    pattern = pos, (pos % mm).astype(np.int32), indptr
-    for arr in pattern:  # shared by every caller
-        arr.setflags(write=False)
-    return pattern
-
-
 def _assemble_linearization(grid: Grid2, inv11, inv12, inv22) -> Stencil9:
     """The operator inv11*D11 + 2*inv12*D12 + inv22*D22 on interior nodes.
 
@@ -321,12 +292,12 @@ def _assemble_linearization(grid: Grid2, inv11, inv12, inv22) -> Stencil9:
 
 def _bicgstab(A, b: np.ndarray, psolve, rtol: float, maxiter: int) -> tuple[np.ndarray, int]:
     """BiCGSTAB (van der Vorst, SIAM J. Sci. Stat. Comput. 13, 1992) from x = 0,
-    preconditioned by psolve, to |r| < rtol |b|: the loop of
-    scipy.sparse.linalg.bicgstab (atol=0) line for line, so the same x.
-    Returns x and the completed iterations."""
+    preconditioned by psolve, to |r| < rtol |b|: the loop of the reference
+    BiCGSTAB in the tests (atol=0) line for line, so the same x.  Returns x
+    and the completed iterations."""
     x = np.zeros_like(b)
     atol = max(0.0, rtol * float(np.linalg.norm(b)))
-    # scipy's tolerances, kept from the original Fortran
+    # breakdown tolerances of the original Fortran template
     rhotol = omegatol = np.finfo(float).eps ** 2
     r, rtilde = b.copy(), b.copy()
     for it in range(maxiter):
@@ -364,51 +335,28 @@ def _bicgstab(A, b: np.ndarray, psolve, rtol: float, maxiter: int) -> tuple[np.n
     return x, maxiter
 
 
-def _lu_solve(A, rhs: np.ndarray) -> np.ndarray:
-    """One sparse LU solve of A x = rhs; the only place the solver loads scipy."""
-    import scipy.sparse as sp
-    import scipy.sparse.linalg as spla
-
-    if isinstance(A, Stencil9):
-        pos, rows, indptr = _csc_pattern(A.coef.shape[1])
-        A = sp.csc_matrix((A.coef.ravel()[pos], rows, indptr), shape=A.shape)
-    try:
-        return spla.splu(sp.csc_matrix(A), permc_spec="MMD_AT_PLUS_A").solve(rhs)
-    except RuntimeError as exc:
-        raise LinearSolveError(f"direct factorization failed: {exc}") from exc
-
-
-def linear_solve(A, rhs: np.ndarray, tol: float = 1e-12, M=None, record=None):
-    """Solve A x = rhs (A a Stencil9 or a scipy sparse matrix): BiCGSTAB
-    preconditioned by the callable M when M is given, else (or when that
-    does not certify) one sparse LU factorization.
+def linear_solve(A, rhs: np.ndarray, M, tol: float = 1e-12, record=None) -> np.ndarray:
+    """Solve A x = rhs (A anything with A @ x, such as a Stencil9) by
+    BiCGSTAB preconditioned by the callable M.
 
     tol is the relative residual BiCGSTAB stops at; newton_solve passes
-    its forcing term, loose while the outer residual is large.  LU solves
-    exactly whatever tol.  The measured relative residual certifies either
-    answer: it must be finite and at most max(min(10 tol, 0.5), 1e-9), below
-    1 so that x = 0 (a breakdown before the first update) never certifies.
-    Returns x (zeros for a zero right-hand side); a nonzero one appends its
-    SystemSolve to the list record.  A failed factorization, or an LU answer
-    that does not certify, raises LinearSolveError.
+    its forcing term, loose while the outer residual is large.  The measured
+    relative residual certifies the answer: it must be finite and at most
+    max(min(10 tol, 0.5), 1e-9), below 1 so that x = 0 (a breakdown before
+    the first update) never certifies.  Returns x (zeros for a zero
+    right-hand side); a nonzero one appends its SystemSolve to the list
+    record, certified or not.  An answer that does not certify raises
+    LinearSolveError.
     """
     rhs = np.asarray(rhs, dtype=float)
     norm = float(np.linalg.norm(rhs))
     if norm == 0.0:
         return np.zeros_like(rhs)
-    record = [] if record is None else record
-    limit = max(min(10.0 * tol, 0.5), 1e-9)
-    iterations = 0
-    if M is not None:
-        x, iterations = _bicgstab(A, rhs, M, tol, KRYLOV_MAXITER)
-        res = float(np.linalg.norm(A @ x - rhs)) / norm
-        if np.isfinite(res) and res <= limit:
-            record.append(SystemSolve("bicgstab", iterations, tol))
-            return x
-    record.append(SystemSolve("lu", iterations, tol))
-    x = _lu_solve(A, rhs)
+    x, iterations = _bicgstab(A, rhs, M, tol, KRYLOV_MAXITER)
+    if record is not None:
+        record.append(SystemSolve(iterations, tol))
     res = float(np.linalg.norm(A @ x - rhs)) / norm
-    if not np.isfinite(res) or res > limit:
+    if not (np.isfinite(res) and res <= max(min(10.0 * tol, 0.5), 1e-9)):
         raise LinearSolveError(f"linear solve stagnated at relative residual {res:.3e}")
     return x
 
@@ -440,33 +388,24 @@ def _poisson_solve(grid: Grid2, rhs: np.ndarray, a: float = 1.0, c: float = 1.0)
     return (_dst1(_dst1(f, 0), 1) * (2.0 / (m + 1)) ** 2).ravel()
 
 
-def _sine_preconditioner(grid: Grid2, inv11, inv12, inv22):
+def _sine_preconditioner(grid: Grid2, inv11, inv22):
     """Preconditioner for the Newton operator inv11*D11 + 2 inv12*D12 +
-    inv22*D22, or None when it would not pay off.
+    inv22*D22, which does not read inv12.
 
     With s = (inv11 + inv22)/2 the operator is s times one whose coefficients
     inv11/s, inv12/s, inv22/s are frozen at the interior means a, 0, c; M
     divides by s and solves a*D11 + c*D22 exactly by sine transform
-    (Concus & Golub, SIAM J. Numer. Anal. 10, 1973).  The relative spread of
-    the scaled coefficients about (a, 0, c) measures how far M is from the
-    inverse; above SPREAD_LIMIT, BiCGSTAB needs more iterations than one
-    LU factorization costs, so the step factors instead.
+    (Concus & Golub, SIAM J. Numer. Anal. 10, 1973).  The further the scaled
+    coefficients spread about (a, 0, c), the more BiCGSTAB iterations a
+    system takes.
     """
     inner = np.s_[1:-1, 1:-1]
-    p11, p12, p22 = (
+    p11, p22 = (
         np.broadcast_to(np.asarray(v, dtype=float), (grid.n, grid.n))[inner]
-        for v in (inv11, inv12, inv22)
+        for v in (inv11, inv22)
     )
     s = 0.5 * (p11 + p22)
-    q11, q22 = p11 / s, p22 / s
-    a, c = float(np.mean(q11)), float(np.mean(q22))
-    spread = max(
-        float(np.max(np.abs(q11 - a))) / a,
-        float(np.max(np.abs(q22 - c))) / c,
-        float(np.max(np.abs(p12 / s))) / math.sqrt(a * c),
-    )
-    if not spread <= SPREAD_LIMIT:
-        return None
+    a, c = float(np.mean(p11 / s)), float(np.mean(p22 / s))
     s = s.ravel()
     return lambda r: _poisson_solve(grid, np.ravel(r) / s, a, c)
 
@@ -556,24 +495,18 @@ def newton_solve(
         )
     n = grid.n
 
-    def residual(uarr: np.ndarray) -> tuple[np.ndarray, float]:
-        """The phase residual on interior nodes and the smallest eigenvalue
-        of g^{-1} = (I + M^2)^{-1} there, the ellipticity of the linearization
-        at uarr.  It is 1/(1 + max lam^2), which keeps full precision where
-        the eigenvalues of g^{-1} itself cancel (one lam huge, one O(1)); as
-        lam1 >= lam2, the largest |lam| is max lam1 or -min lam2."""
+    def residual(uarr: np.ndarray) -> tuple[np.ndarray, float, SymMat2Field]:
+        """The phase residual on interior nodes, the smallest eigenvalue of
+        g^{-1} = (I + M^2)^{-1} there (the ellipticity of the linearization
+        at uarr) and the differenced Hessian M.  The eigenvalue is
+        1/(1 + max lam^2), which keeps full precision where the eigenvalues
+        of g^{-1} itself cancel (one lam huge, one O(1)); as lam1 >= lam2,
+        the largest |lam| is max lam1 or -min lam2."""
         hess = hessian_fd(ScalarField2(grid, uarr))
         lam1, lam2 = eigen_sym2(hess.m11.values, hess.m12.values, hess.m22.values)
         theta = np.arctan(lam1) + np.arctan(lam2)
         big = max(float(np.max(lam1[1:-1, 1:-1])), -float(np.min(lam2[1:-1, 1:-1])))
-        return (theta - psi.values)[1:-1, 1:-1], 1.0 / (1.0 + big * big)
-
-    def coefficients(uarr: np.ndarray):
-        hess = hessian_fd(ScalarField2(grid, uarr))
-        *_, inv11, inv12, inv22 = _induced_metric(
-            hess.m11.values, hess.m12.values, hess.m22.values
-        )
-        return inv11, inv12, inv22
+        return (theta - psi.values)[1:-1, 1:-1], 1.0 / (1.0 + big * big), hess
 
     u = _initial_iterate(grid, boundary, psi, initial)
     residuals: list[float] = []
@@ -582,7 +515,7 @@ def newton_solve(
     converged = False
     message = ""
     it = 0
-    r, ell = residual(u)
+    r, ell, hess = residual(u)
     rn = float(np.max(np.abs(r)))
     residuals.append(rn)
     eta = ETA_MAX
@@ -594,13 +527,16 @@ def newton_solve(
             # only a Hessian eigenvalue whose square overflows gets here
             message = "linearization lost ellipticity"
             break
-        inv11, inv12, inv22 = coefficients(u)
+        inv11, inv12, inv22 = _induced_metric(
+            hess.m11.values, hess.m12.values, hess.m22.values
+        )[3:]
+        del hess  # not kept through the solve: each line-search trial binds its own
         A = _assemble_linearization(grid, inv11, inv12, inv22)
-        M = _sine_preconditioner(grid, inv11, inv12, inv22)
+        M = _sine_preconditioner(grid, inv11, inv22)
         if it:
             eta = _forcing_term(rn / residuals[-2], eta)
         try:
-            s_int = linear_solve(A, -r.ravel(), tol=eta, M=M, record=systems)
+            s_int = linear_solve(A, -r.ravel(), M, tol=eta, record=systems)
         except LinearSolveError as exc:
             message = str(exc)
             break
@@ -608,7 +544,8 @@ def newton_solve(
         step[1:-1, 1:-1] = s_int.reshape(n - 2, n - 2)
         t = 1.0
         while t >= min_step:
-            r_new, ell_new = residual(u + t * step)
+            trial = u + t * step
+            r_new, ell_new, hess = residual(trial)
             rn_new = float(np.max(np.abs(r_new)))
             if rn_new <= (1.0 - armijo * t) * rn:
                 break
@@ -616,7 +553,7 @@ def newton_solve(
         else:
             message = "line search failed to reduce the residual"
             break
-        u = u + t * step
+        u = trial
         r, rn, ell = r_new, rn_new, ell_new
         residuals.append(rn)
         damping.append(t)

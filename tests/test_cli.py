@@ -273,7 +273,7 @@ class TestSolveCommand:
         assert solved["systems"] == verified["systems"]
         systems = solved["systems"]
         assert len(systems) == solved["iterations"]
-        assert all(set(rec) == {"method", "krylov_iterations", "rtol"} for rec in systems)
+        assert all(set(rec) == {"krylov_iterations", "rtol"} for rec in systems)
         assert sum(rec["krylov_iterations"] for rec in systems) == solved["krylov_iterations"]
         assert systems[0]["rtol"] == 0.1
         assert all(a["rtol"] > b["rtol"] for a, b in zip(systems, systems[1:]))

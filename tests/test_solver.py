@@ -33,7 +33,6 @@ from lmce.solver import (
     SystemSolve,
     _assemble_linearization,
     _bicgstab,
-    _csc_pattern,
     _dirichlet_rhs,
     _forcing_term,
     _initial_iterate,
@@ -44,26 +43,22 @@ from lmce.solver import (
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
-@pytest.fixture
-def solver_calls(monkeypatch):
-    """Counts of the calls the solver module makes to its LU solve and to
-    its BiCGSTAB."""
-    counts = {"lu": 0, "bicgstab": 0}
-    for key, name in (("lu", "_lu_solve"), ("bicgstab", "_bicgstab")):
-        fn = getattr(lmce.solver, name)
-
-        def counted(*args, _key=key, _fn=fn, **kwargs):
-            counts[_key] += 1
-            return _fn(*args, **kwargs)
-
-        monkeypatch.setattr(lmce.solver, name, counted)
-    return counts
-
-
 def _csc(A):
-    """The CSC matrix of a Stencil9, as the LU fallback builds it."""
-    pos, rows, indptr = _csc_pattern(A.coef.shape[1])
-    return sp.csc_matrix((A.coef.ravel()[pos], rows, indptr), shape=A.shape)
+    """The CSC matrix of a Stencil9, built from its coupling triplets; zero
+    coefficients stay stored."""
+    nodes = np.arange(A.shape[0]).reshape(A.coef.shape[1:])
+    data, rows, cols = [], [], []
+    for c, row, col in A._couplings():
+        data.append(c.ravel())
+        rows.append(nodes[row].ravel())
+        cols.append(nodes[col].ravel())
+    triplets = np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))
+    return sp.coo_matrix(triplets, shape=A.shape).tocsc()
+
+
+def _exact_solve(A, rhs, M, tol=1e-12, record=None):
+    """linear_solve's signature, answered by a sparse direct solve."""
+    return spla.spsolve(_csc(A), rhs)
 
 
 def _newton_case(case):
@@ -76,10 +71,25 @@ def _newton_case(case):
         g = build_grid(4.0, 33)
         prob = manufacture(anisotropic_family(1.4, 0.2), g)
         return g, prob.psi, prob.boundary_trace(), "phase_matched"
-    # near pi, where the damped steps factor
+    # near pi, where the damped steps need many BiCGSTAB iterations
     g = build_grid(4.0, 33)
     psi = ScalarField2(g, np.full((g.n, g.n), 3.13))
     return g, psi, sample(quadratic_family(1.0).value, g), "harmonic"
+
+
+# Newton steps of each _newton_case with inexact solves and with exact ones:
+# near pi the inexact path takes one step more
+NEWTON_STEPS = {"perturbed": (4, 4), "anisotropic": (11, 11), "near_pi": (14, 13)}
+
+
+def _assert_same_path(case, inexact, exact):
+    """Both solves converge in the steps NEWTON_STEPS gives, with the same
+    damping where the counts agree, and to the same u within 1e-9."""
+    assert inexact.converged and exact.converged
+    assert (inexact.iterations, exact.iterations) == NEWTON_STEPS[case]
+    if inexact.iterations == exact.iterations:
+        assert inexact.damping == exact.damping
+    assert np.max(np.abs(inexact.u.values - exact.u.values)) <= 1e-9
 
 
 def _eisenstat_walker_step(ratio, eta_prev, cap=0.1, gamma=0.9, floor=1e-12):
@@ -109,7 +119,7 @@ def _first_newton_system(g, prob):
     r = (np.arctan(lam1) + np.arctan(lam2) - prob.psi.values)[1:-1, 1:-1]
     *_, inv11, inv12, inv22 = _induced_metric(hess.m11.values, hess.m12.values, hess.m22.values)
     A = _assemble_linearization(g, inv11, inv12, inv22)
-    return A, _sine_preconditioner(g, inv11, inv12, inv22), -r.ravel()
+    return A, _sine_preconditioner(g, inv11, inv22), -r.ravel()
 
 
 class TestManufacture:
@@ -258,11 +268,11 @@ class TestNewtonSolve:
 class TestLinearSolve:
     def test_identity(self):
         rhs = np.arange(1.0, 10.0)
-        x = linear_solve(sp.identity(9, format="csr"), rhs)
+        x = linear_solve(sp.identity(9, format="csr"), rhs, np.copy)
         np.testing.assert_allclose(x, rhs, atol=1e-12)
 
     def test_zero_rhs(self):
-        x = linear_solve(sp.identity(5, format="csr"), np.zeros(5))
+        x = linear_solve(sp.identity(5, format="csr"), np.zeros(5), np.copy)
         assert np.all(x == 0.0)
 
     def test_laplacian_recovers_quadratic(self):
@@ -273,7 +283,7 @@ class TestLinearSolve:
         A = _assemble_linearization(g, ones, zeros, ones)
         q = 0.5 * g.radius2()
         rhs = _dirichlet_rhs(g, q, 2.0)
-        x = linear_solve(A, rhs)
+        x = linear_solve(A, rhs, _sine_preconditioner(g, ones, ones))
         np.testing.assert_allclose(x, q[1:-1, 1:-1].ravel(), atol=1e-9)
 
     def test_newton_system_residual(self):
@@ -289,8 +299,9 @@ class TestLinearSolve:
         g22 = 1 + m22**2 + m12**2
         det = g11 * g22 - g12**2
         A = _assemble_linearization(g, g22 / det, -g12 / det, g11 / det)
+        M = _sine_preconditioner(g, g22 / det, g11 / det)
         rhs = np.sin(np.arange(A.shape[0]))
-        x = linear_solve(A, rhs, tol=1e-12)
+        x = linear_solve(A, rhs, M, tol=1e-12)
         assert np.linalg.norm(A @ x - rhs) <= 1e-9 * np.linalg.norm(rhs)
 
     def test_iterative_path_meets_tolerance(self):
@@ -300,13 +311,13 @@ class TestLinearSolve:
         zeros = np.zeros((g.n, g.n))
         A = _assemble_linearization(g, ones, zeros, ones)
         rhs = np.cos(np.arange(A.shape[0]) * 0.01)
-        x = linear_solve(A, rhs, tol=1e-12)
+        x = linear_solve(A, rhs, _sine_preconditioner(g, ones, ones), tol=1e-12)
         assert np.linalg.norm(A @ x - rhs) <= 1e-10 * np.linalg.norm(rhs)
 
     def test_singular_system_reports(self):
         A = sp.csr_matrix(np.zeros((4, 4)))
         with pytest.raises(LinearSolveError):
-            linear_solve(A, np.ones(4))
+            linear_solve(A, np.ones(4), np.copy)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_rhs_reports(self, bad):
@@ -315,7 +326,7 @@ class TestLinearSolve:
         rhs = np.ones(A.shape[0])
         rhs[3] = bad
         with pytest.raises(LinearSolveError):
-            linear_solve(A, rhs)
+            linear_solve(A, rhs, np.copy)
 
 
 class TestAssembly:
@@ -368,31 +379,22 @@ class TestSinePreconditioner:
         g = build_grid(2.0, n)
         inv11, inv12, inv22 = (np.full((n, n), v) for v in (0.7, 0.0, 0.2))
         A = _assemble_linearization(g, inv11, inv12, inv22)
-        M = _sine_preconditioner(g, inv11, inv12, inv22)
+        M = _sine_preconditioner(g, inv11, inv22)
         r = np.random.default_rng(n).standard_normal(A.shape[0])
         assert np.linalg.norm(A @ M(r) - r) <= 1e-12 * np.linalg.norm(r)
 
-    def test_spread_rule(self):
-        g = build_grid(4.0, 33)
-        x1, _ = g.coords()
-        inv11 = np.broadcast_to(0.03 + 0.93 * (x1 + 4.0) / 8.0, (g.n, g.n))
-        assert _sine_preconditioner(g, inv11, 0.0, 0.5) is None
-        hess = hessian_fd(manufacture(perturbed_family(0.1), g).u_exact)
-        *_, inv11, inv12, inv22 = _induced_metric(hess.m11.values, hess.m12.values, hess.m22.values)
-        assert _sine_preconditioner(g, inv11, inv12, inv22) is not None
-
 
 class TestKrylovPath:
-    def test_useless_preconditioner_falls_back_to_lu(self, solver_calls):
+    def test_useless_preconditioner_raises(self, monkeypatch):
+        # unpreconditioned, this system needs more iterations than the cap
+        monkeypatch.setattr(lmce.solver, "KRYLOV_MAXITER", 25)
         g = build_grid(2.0, 33)
         A = _assemble_linearization(g, 1.0, 0.0, 1.0)
-        size = A.shape[0]
-        rhs = np.cos(np.arange(size) * 0.1)
+        rhs = np.cos(np.arange(A.shape[0]) * 0.1)
         record = []
-        x = linear_solve(A, rhs, M=lambda r: -np.ravel(r), record=record)
-        assert solver_calls == {"lu": 1, "bicgstab": 1}
-        assert [rec.method for rec in record] == ["lu"]
-        assert np.linalg.norm(A @ x - rhs) <= 1e-9 * np.linalg.norm(rhs)
+        with pytest.raises(LinearSolveError, match="stagnated"):
+            linear_solve(A, rhs, lambda r: -np.ravel(r), record=record)
+        assert record == [SystemSolve(25, 1e-12)]
 
     def test_bicgstab_port_matches_scipy(self):
         # the first perturbed Newton system: the same array, bit for bit
@@ -413,59 +415,59 @@ class TestKrylovPath:
     def test_non_finite_rhs_reports_with_preconditioner(self):
         g = build_grid(2.0, 9)
         A = _assemble_linearization(g, 1.0, 0.0, 1.0)
-        M = _sine_preconditioner(g, 1.0, 0.0, 1.0)
+        M = _sine_preconditioner(g, 1.0, 1.0)
         rhs = np.ones(A.shape[0])
         rhs[3] = np.nan
         with pytest.raises(LinearSolveError):
-            linear_solve(A, rhs, M=M)
+            linear_solve(A, rhs, M)
 
     @pytest.mark.parametrize("case", ["perturbed", "anisotropic", "near_pi"])
     def test_same_newton_steps_as_lu(self, case, monkeypatch):
         g, psi, boundary, initial = _newton_case(case)
-        fast = newton_solve(psi, boundary, g, initial=initial)
-        monkeypatch.setattr(lmce.solver, "_sine_preconditioner", lambda *args: None)
-        lu = newton_solve(psi, boundary, g, initial=initial)
-        assert fast.converged == lu.converged
-        assert fast.iterations == lu.iterations
-        assert fast.damping == lu.damping
-        assert np.max(np.abs(fast.u.values - lu.u.values)) <= 1e-9
+        krylov = newton_solve(psi, boundary, g, initial=initial)
+        monkeypatch.setattr(lmce.solver, "linear_solve", _exact_solve)
+        exact = newton_solve(psi, boundary, g, initial=initial)
+        _assert_same_path(case, krylov, exact)
 
-    def test_fast_path_does_not_factor(self, solver_calls):
+    def test_fast_path_does_not_factor(self):
         g = build_grid(4.0, 65)
         prob = manufacture(perturbed_family(0.1), g)
         state = newton_solve(prob.psi, prob.boundary_trace(), g)
         assert state.converged
-        assert solver_calls == {"lu": 0, "bicgstab": state.iterations}
         # the first system certifies inside its first half-iteration: 0
         # completed iterations, as scipy's callback counts them
         assert [tuple(rec) for rec in state.systems] == [
-            ("bicgstab", 0, 0.1),
-            ("bicgstab", 1, 0.002361113015801119),
-            ("bicgstab", 2, 5.95512766142267e-05),
-            ("bicgstab", 3, 2.7440784674210174e-09),
+            (0, 0.1),
+            (1, 0.002361113015801119),
+            (2, 5.95512766142267e-05),
+            (3, 2.7440784674210174e-09),
         ]
 
-    def test_factoring_steps_recorded(self, solver_calls):
+    def test_iteration_cap_covers_near_pi(self, monkeypatch):
         g = build_grid(4.0, 33)
         psi = ScalarField2(g, np.full((g.n, g.n), 3.13))
         boundary = sample(quadratic_family(1.0).value, g)
-        state = newton_solve(psi, boundary, g, initial="harmonic")
-        assert state.converged
+        state = newton_solve(psi, boundary, g)
+        assert state.converged and state.iterations == 24
         assert len(state.systems) == state.iterations
-        assert [rec.method for rec in state.systems].count("lu") == solver_calls["lu"] > 0
         assert all(isinstance(rec, SystemSolve) for rec in state.systems)
+        assert max(rec.krylov_iterations for rec in state.systems) == 42
+        # under a cap of 25 that system does not certify and the solve ends
+        monkeypatch.setattr(lmce.solver, "KRYLOV_MAXITER", 25)
+        capped = newton_solve(psi, boundary, g)
+        assert not capped.converged
+        assert capped.message.startswith("linear solve stagnated")
 
-    def test_breakdown_at_loose_tolerance_falls_back_to_lu(self, solver_calls):
+    def test_breakdown_at_loose_tolerance_raises(self):
         # a preconditioner that returns 0 breaks BiCGSTAB down before its
         # first update: x = 0 has relative residual 1 and must not certify
         g = build_grid(2.0, 33)
         A = _assemble_linearization(g, 1.0, 0.0, 1.0)
         rhs = np.cos(np.arange(A.shape[0]) * 0.1)
         record = []
-        x = linear_solve(A, rhs, tol=0.1, M=lambda r: np.zeros(np.size(r)), record=record)
-        assert solver_calls == {"lu": 1, "bicgstab": 1}
-        assert record == [SystemSolve("lu", 0, 0.1)]
-        assert np.linalg.norm(A @ x - rhs) <= 1e-9 * np.linalg.norm(rhs)
+        with pytest.raises(LinearSolveError):
+            linear_solve(A, rhs, lambda r: np.zeros(np.size(r)), tol=0.1, record=record)
+        assert record == [SystemSolve(0, 0.1)]
 
 
 class TestForcingTerm:
@@ -473,14 +475,11 @@ class TestForcingTerm:
     def test_same_newton_path_as_fixed_tolerance(self, case, monkeypatch):
         g, psi, boundary, initial = _newton_case(case)
         inexact = newton_solve(psi, boundary, g, initial=initial)
-        # a cap at the floor solves every system to today's fixed 1e-12
+        # a cap at the floor solves every system to a fixed 1e-12
         monkeypatch.setattr(lmce.solver, "ETA_MAX", ETA_MIN)
         fixed = newton_solve(psi, boundary, g, initial=initial)
         assert {rec.rtol for rec in fixed.systems} == {1e-12}
-        assert inexact.converged and fixed.converged
-        assert inexact.iterations == fixed.iterations
-        assert inexact.damping == fixed.damping
-        assert np.max(np.abs(inexact.u.values - fixed.u.values)) <= 1e-9
+        _assert_same_path(case, inexact, fixed)
         if case == "perturbed":
             work = [sum(rec.krylov_iterations for rec in s.systems) for s in (inexact, fixed)]
             assert work[0] < work[1]
@@ -512,24 +511,34 @@ SCIPY_FREE = """
 import json, sys
 import numpy as np
 import lmce.cli
-from lmce.grid import ScalarField2, build_grid, sample
+from lmce.geometry import SlopeConstants, bundle_from_hessian
+from lmce.grid import ScalarField2, SymMat2Field, build_grid, sample
+from lmce.inequalities import fit_modification_weight
 from lmce.solver import newton_solve, quadratic_family
 
-loaded = ["scipy.sparse" in sys.modules]
 for command, config, out in zip(("verify", "solve"), sys.argv[1:3], sys.argv[3:5]):
     assert lmce.cli.main([command, "--config", config, "--out", out]) == 0, command
-    loaded.append("scipy.sparse" in sys.modules)
 g = build_grid(4.0, 33)
 near_pi = ScalarField2(g, np.full((g.n, g.n), 3.13))
 state = newton_solve(near_pi, sample(quadratic_family(1.0).value, g), g, initial="harmonic")
-loaded.append("scipy.sparse" in sys.modules)
-factored = [rec.method for rec in state.systems].count("lu")
-print(json.dumps({"loaded": loaded, "factoring": [state.converged, factored]}))
+# lap_g(|x|^2/2) changes sign on B2 for this Hessian (test_mixed_sign_fit_matches_scan)
+g = build_grid(4.0, 65)
+x1, x2 = g.coords()
+m11 = np.exp(4.0 * (x1 - 1.2)) + 0.3 * np.sin(x2)
+zero, half = np.zeros((g.n, g.n)), np.full((g.n, g.n), 0.5)
+B = bundle_from_hessian(SymMat2Field(*(ScalarField2(g, m) for m in (m11, zero, half))))
+lap_q = B.paraboloid_laplacian[g.disk_mask(2.0)]
+a_hat, _ = fit_modification_weight(B, SlopeConstants())
+print(json.dumps({
+    "near_pi": state.converged,
+    "mixed_sign": bool(np.min(lap_q) < 0.0 < np.max(lap_q)) and 0.0 < a_hat < 1e3,
+    "scipy": sorted(name for name in sys.modules if name.startswith("scipy")),
+}))
 """
 
 
-def test_scipy_sparse_loaded_only_to_factor(tmp_path):
-    # a fresh interpreter: this test module has loaded scipy.sparse itself
+def test_runtime_never_loads_scipy(tmp_path):
+    # a fresh interpreter: this test module has loaded scipy itself
     base = {"family": "perturbed", "eps": 0.1, "n": 65}
     configs = {
         "verify": {**base, "checks": ["all"], "source": "manufactured", "seed": 3},
@@ -545,13 +554,10 @@ def test_scipy_sparse_loaded_only_to_factor(tmp_path):
         capture_output=True, text=True, check=True,
     )
     result = json.loads(proc.stdout.strip().splitlines()[-1])
-    # after the import, the verify and the solve: absent; after a factoring solve: loaded
-    assert result["loaded"] == [False, False, False, True]
+    assert result == {"near_pi": True, "mixed_sign": True, "scipy": []}
     solver = json.loads((tmp_path / "solve" / "solve.json").read_text())["solver"]
-    assert solver["factorizations"] == 0
+    assert "factorizations" not in solver
     assert solver["krylov_iterations"] > 0
-    converged, factorizations = result["factoring"]
-    assert converged and factorizations > 0
 
 
 @st.composite
