@@ -39,7 +39,7 @@ import numpy as np
 
 from .errors import ConfigError, NonConvergenceError, PreconditionError
 from .geometry import SlopeConstants, bundle as make_bundle, classify_phase, modified_slope
-from .grid import ScalarField2, build_grid, make_cutoff
+from .grid import ScalarField2, build_grid, gradient_fd, make_cutoff
 from .identities import (
     CheckReport,
     check_complex_factorization,
@@ -382,8 +382,9 @@ def _timed_lazy(build):
 class _Context:
     """Lazily built shared state for one verify run, or one swept value.
 
-    The slope constants (with the fit of A), the cutoff, the modified slope
-    and the weak-maximum-principle sample of the modified slope (which the
+    The slope constants (with the fit of A), the cutoff, the modified slope,
+    its gradient norm |D b_mod| (which the sampler and super_iso share) and
+    the weak-maximum-principle sample of the modified slope (which the
     weak_max_principle, super_iso and subharmonic checks share) are built on
     first use; `timings` holds each one's own build time and `lazy_s` their
     total, so no check is charged for state it builds first.
@@ -441,8 +442,14 @@ class _Context:
         return modified_slope(self.bundle, self.constants)
 
     @_timed_lazy
+    def bmod_grad_norm(self) -> ScalarField2:
+        return gradient_fd(self.bmod).magnitude()
+
+    @_timed_lazy
     def wmp(self) -> CheckReport:
-        return check_weak_max_principle(self.bmod, trials=self.cfg.trials, seed=self.cfg.seed)
+        return check_weak_max_principle(
+            self.bmod, trials=self.cfg.trials, seed=self.cfg.seed, grad_norm=self.bmod_grad_norm
+        )
 
     def wmp_for_subharmonic(self) -> CheckReport | None:
         """The shared sample when a requested check needs it anyway, else None:
@@ -467,7 +474,11 @@ IDENTITY_CHECKS = {
 INEQUALITY_CHECKS = {
     "weak_max_principle": lambda ctx: ctx.wmp,
     "super_iso": lambda ctx: check_super_iso(
-        ctx.bmod, trials=ctx.cfg.trials, seed=ctx.cfg.seed, wmp=ctx.wmp
+        ctx.bmod,
+        trials=ctx.cfg.trials,
+        seed=ctx.cfg.seed,
+        wmp=ctx.wmp,
+        grad_norm=ctx.bmod_grad_norm,
     ),
     "jacobi_pointwise": lambda ctx: check_jacobi_pointwise(
         ctx.bundle,

@@ -130,27 +130,31 @@ class GeometryBundle:
 
     Arrays are (n, n), read-only, and mutually consistent:
     lam1 >= lam2, phase = arctan(lam1) + arctan(lam2) in (-pi, pi),
-    sig1 = lam1 + lam2, sig2 = lam1*lam2,
     vol = sqrt((1 + lam1^2)(1 + lam2^2)) = sqrt(det g) for the metric
     g = I + M^2 of the stored Hessian M (positive definite),
     inv* are the components of g^{-1}, and
     slope = ln sqrt(1 + lam1^2) >= 0.
+    sig1 = lam1 + lam2 and sig2 = lam1*lam2 are computed on each access, not
+    stored (each check binds the one it reads).
 
     grad optionally carries the potential's gradient (needed by volume and
     Hessian-estimate checks); bundles built directly from a Hessian field
     leave it None.
 
-    The slope fields are computed on first access and then kept, so every
-    check reading them shares one computation: slope_gradient (differenced
-    Euclidean gradient of b), slope_laplacian (lap_g b, divergence form),
-    slope_grad_norm2 (|grad_g b|^2) and paraboloid_laplacian (lap_g q of the
-    quadratic q = |x|^2/2 that the modified slope b + A q adds, so that
-    lap_g(b + A q) = slope_laplacian + A paraboloid_laplacian), the last three
-    read-only arrays.
+    The fields below are computed on first access and then kept, so every
+    check reading them shares one computation: cos_phase and sin_phase
+    (cos and sin of phase), grad_norm (|Du| = hypot of grad, for bundles
+    that carry it), slope_gradient (differenced Euclidean gradient of b),
+    slope_laplacian (lap_g b, divergence form), slope_grad_norm2
+    (|grad_g b|^2) and paraboloid_laplacian (lap_g q of the quadratic
+    q = |x|^2/2 that the modified slope b + A q adds, so that
+    lap_g(b + A q) = slope_laplacian + A paraboloid_laplacian), all but
+    slope_gradient read-only arrays.
     negated is the bundle of the negated potential, kept the same way so the
-    checks that canonicalize a negative-phase bundle share its fields too.
+    checks that canonicalize a negative-phase bundle share its fields too; it
+    shares the metric arrays of this bundle (see negate_bundle).
     fluxes holds the half-node coefficients of laplace_beltrami, which depend
-    on the bundle only, so every call on the bundle shares them.
+    on the metric only, so every call on the bundle shares them.
     """
 
     grid: Grid2
@@ -158,14 +162,34 @@ class GeometryBundle:
     lam1: np.ndarray
     lam2: np.ndarray
     phase: np.ndarray
-    sig1: np.ndarray
-    sig2: np.ndarray
     vol: np.ndarray
     inv11: np.ndarray
     inv12: np.ndarray
     inv22: np.ndarray
     slope: np.ndarray
     grad: Vec2Field | None = None
+
+    @property
+    def sig1(self) -> np.ndarray:
+        return _ro(self.lam1 + self.lam2)
+
+    @property
+    def sig2(self) -> np.ndarray:
+        return _ro(self.lam1 * self.lam2)
+
+    @cached_property
+    def cos_phase(self) -> np.ndarray:
+        return _ro(np.cos(self.phase))
+
+    @cached_property
+    def sin_phase(self) -> np.ndarray:
+        return _ro(np.sin(self.phase))
+
+    @cached_property
+    def grad_norm(self) -> np.ndarray:
+        if self.grad is None:
+            raise ValueError("the bundle carries no gradient")
+        return _ro(np.hypot(self.grad.c1.values, self.grad.c2.values))
 
     @cached_property
     def slope_gradient(self) -> Vec2Field:
@@ -225,11 +249,14 @@ def bundle_from_hessian(hess: SymMat2Field, grad: Vec2Field | None = None) -> Ge
     m12 = hess.m12.values
     m22 = hess.m22.values
     lam1, lam2 = eigen_sym2(m11, m12, m22)
-    phase = np.arctan(lam1) + np.arctan(lam2)
-    sig1 = lam1 + lam2
-    sig2 = lam1 * lam2
     vol = np.sqrt((1.0 + lam1 * lam1) * (1.0 + lam2 * lam2))
     *_, inv11, inv12, inv22 = _induced_metric(m11, m12, m22)
+    return _assemble(hess, grad, lam1, lam2, vol, (inv11, inv12, inv22))
+
+
+def _assemble(hess, grad, lam1, lam2, vol, inv) -> GeometryBundle:
+    """The bundle of these eigenvalues and this metric, its arrays read-only."""
+    phase = np.arctan(lam1) + np.arctan(lam2)
     b = 0.5 * np.log1p(lam1 * lam1)
     return GeometryBundle(
         grid=hess.grid,
@@ -237,12 +264,10 @@ def bundle_from_hessian(hess: SymMat2Field, grad: Vec2Field | None = None) -> Ge
         lam1=_ro(lam1),
         lam2=_ro(lam2),
         phase=_ro(phase),
-        sig1=_ro(sig1),
-        sig2=_ro(sig2),
         vol=_ro(vol),
-        inv11=_ro(inv11),
-        inv12=_ro(inv12),
-        inv22=_ro(inv22),
+        inv11=_ro(inv[0]),
+        inv12=_ro(inv[1]),
+        inv22=_ro(inv[2]),
         slope=_ro(b),
         grad=grad,
     )
@@ -258,7 +283,12 @@ def bundle(u: ScalarField2, hess: SymMat2Field | None = None) -> GeometryBundle:
 
 
 def negate_bundle(B: GeometryBundle) -> GeometryBundle:
-    """Bundle of the negated potential (phase flips sign, metric unchanged)."""
+    """Bundle of the negated potential (phase flips sign, metric unchanged).
+
+    g = I + M^2 is even in M, and so are its determinant and |Du|: the new
+    bundle shares vol, inv11/12/22 and, when B has built them, fluxes and
+    grad_norm, which are the very arrays a rebuild would compute bit for bit.
+    """
     g = B.grid
     hess = SymMat2Field(
         ScalarField2(g, -B.hess.m11.values),
@@ -270,12 +300,27 @@ def negate_bundle(B: GeometryBundle) -> GeometryBundle:
         grad = Vec2Field(
             ScalarField2(g, -B.grad.c1.values), ScalarField2(g, -B.grad.c2.values)
         )
-    return bundle_from_hessian(hess, grad=grad)
+    lam1, lam2 = eigen_sym2(hess.m11.values, hess.m12.values, hess.m22.values)
+    neg = _assemble(hess, grad, lam1, lam2, B.vol, (B.inv11, B.inv12, B.inv22))
+    for name in ("fluxes", "grad_norm"):
+        if name in B.__dict__:
+            neg.__dict__[name] = B.__dict__[name]
+    return neg
 
 
 def _quadform_inv(B: GeometryBundle, v1: np.ndarray, v2: np.ndarray) -> np.ndarray:
-    """g^{ij} v_i v_j elementwise."""
-    return B.inv11 * v1 * v1 + 2.0 * B.inv12 * v1 * v2 + B.inv22 * v2 * v2
+    """g^{ij} v_i v_j elementwise: inv11 v1 v1 + 2 inv12 v1 v2 + inv22 v2 v2,
+    each product formed left to right in place."""
+    q = B.inv11 * v1
+    q *= v1
+    t = 2.0 * B.inv12
+    t *= v1
+    t *= v2
+    q += t
+    np.multiply(B.inv22, v2, out=t)
+    t *= v2
+    q += t
+    return q
 
 
 def grad_g_norm2(
@@ -331,6 +376,9 @@ def laplace_beltrami_nondiv(f: ScalarField2, B: GeometryBundle) -> ScalarField2:
     return ScalarField2(B.grid, out)
 
 
+# the lower and upper node line of each pair of neighbours along each axis
+_NEIGHBOUR_LINES = ((np.s_[:-1, :], np.s_[1:, :]), (np.s_[:, :-1], np.s_[:, 1:]))
+
 # the outer node line of each edge strip four lines wide, (strip, line in strip)
 _EDGE_STRIPS = (
     ((slice(0, 4), slice(None)), (0, slice(None))),
@@ -362,40 +410,70 @@ def laplace_beltrami(f: ScalarField2, B: GeometryBundle) -> ScalarField2:
     W = B.vol
     c11, c12_1, c22, c12_2 = B.fluxes
 
-    # nodal central first derivatives feed the cross terms of the fluxes
-    d1 = _d1(v, h, axis=0)
-    d2 = _d1(v, h, axis=1)
+    def flux(axis, c, c_cross):
+        # the flux A_aa D_a f + A_ab D_b f (A = W g^{-1}) through the half
+        # nodes along axis a: c*(v[k+1] - v[k])/h + c_cross*(d[k+1] + d[k]),
+        # d the nodal central derivative along the other axis b, with each
+        # product and quotient taken in place in that order
+        lo, hi = _NEIGHBOUR_LINES[axis]
+        fa = v[hi] - v[lo]
+        fa *= c
+        fa /= h
+        d = _d1(v, h, axis=1 - axis)
+        cross = d[hi] + d[lo]
+        cross *= c_cross
+        fa += cross
+        return fa
 
-    # flux through half nodes (i+1/2, j): A11*d1 + A12*d2 there, A = W g^{-1}
-    f1 = c11 * (v[1:, :] - v[:-1, :]) / h
-    f1 += c12_1 * (d2[1:, :] + d2[:-1, :])
-    # flux through half nodes (i, j+1/2): A12*d1 + A22*d2 there
-    f2 = c22 * (v[:, 1:] - v[:, :-1]) / h
-    f2 += c12_2 * (d1[:, 1:] + d1[:, :-1])
-
+    f1 = flux(0, c11, c12_1)
+    f2 = flux(1, c22, c12_2)
+    # (f1[i+1/2] - f1[i-1/2])/h + (f2[j+1/2] - f2[j-1/2])/h, each flux
+    # released once it is differenced
+    div = f1[1:, 1:-1] - f1[:-1, 1:-1]
+    del f1
+    div /= h
+    dif = f2[1:-1, 1:] - f2[1:-1, :-1]
+    del f2
+    dif /= h
+    div += dif
+    del dif
     out = np.empty_like(v)
+    np.divide(div, W[1:-1, 1:-1], out=out[1:-1, 1:-1])
+    del div
     for strip, line in _EDGE_STRIPS:
         coeffs = (W[strip], B.inv11[strip], B.inv12[strip], B.inv22[strip])
         out[line] = _nondiv_kernel(v[strip], *coeffs, h)[line]
-    div = (f1[1:, 1:-1] - f1[:-1, 1:-1]) / h + (f2[1:-1, 1:] - f2[1:-1, :-1]) / h
-    out[1:-1, 1:-1] = div / W[1:-1, 1:-1]
     return ScalarField2(g, out)
 
 
 def _lift_phase_gradient(B: GeometryBundle, psi: ScalarField2):
-    """The differenced gradient p = D(psi), the metric gradient w = g^{-1} p
-    and its lift M w by the Hessian M, each as a pair of (n, n) arrays."""
+    """The lift M w by the Hessian M of the metric gradient w = g^{-1} p of the
+    differenced gradient p = D(psi), as a pair of (n, n) arrays.
+
+    Each array is released once it is used, and the products are formed in
+    place with the operands of the plain expressions (inv11*p1 + inv12*p2,
+    m11*w1 + m12*w2, ...), so the values are those of the expressions."""
     if psi.grid != B.grid:
         raise ValueError("phase field and bundle grids differ")
     gpsi = gradient_fd(psi)
     p1 = gpsi.c1.values
     p2 = gpsi.c2.values
-    w1 = B.inv11 * p1 + B.inv12 * p2
-    w2 = B.inv12 * p1 + B.inv22 * p2
+    del gpsi
+    w1 = B.inv11 * p1
+    w1 += B.inv12 * p2
+    w2 = B.inv12 * p1
+    del p1
+    w2 += B.inv22 * p2
+    del p2
     m11 = B.hess.m11.values
     m12 = B.hess.m12.values
     m22 = B.hess.m22.values
-    return (p1, p2), (w1, w2), (m11 * w1 + m12 * w2, m12 * w1 + m22 * w2)
+    mw1 = m11 * w1
+    mw1 += m12 * w2
+    w1 *= m12
+    w2 *= m22
+    w1 += w2
+    return mw1, w1
 
 
 def slope(B: GeometryBundle) -> ScalarField2:

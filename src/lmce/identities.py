@@ -151,8 +151,8 @@ def check_complex_factorization(
 
     Pure eigenvalue algebra; tolerance rtol*(1 + max V), class algebraic.
     """
-    re = (1.0 - B.sig2) - B.vol * np.cos(B.phase)
-    im = B.sig1 - B.vol * np.sin(B.phase)
+    re = (1.0 - B.sig2) - B.vol * B.cos_phase
+    im = B.sig1 - B.vol * B.sin_phase
     resid = np.maximum(np.abs(re), np.abs(im))
     tol = rtol * (1.0 + float(np.max(B.vol)))
     return _report("complex_factorization", resid, tol, "algebraic")
@@ -174,11 +174,12 @@ def check_volume_formula(
         raise PreconditionError(
             "volume formula needs phase in (0, pi) or in (-pi, 0) on the whole region"
         )
-    mask = np.abs(np.sin(B.phase)) >= math.sin(min(delta, 0.5 * math.pi))
+    sin = B.sin_phase
+    mask = np.abs(sin) >= math.sin(min(delta, 0.5 * math.pi))
     if not mask.any():
         raise PreconditionError("no nodes with sin(phase) above the cutoff")
     resid = np.zeros_like(B.vol)
-    resid[mask] = B.vol[mask] - B.sig1[mask] / np.sin(B.phase[mask])
+    resid[mask] = B.vol[mask] - B.sig1[mask] / sin[mask]
     tol = rtol * float(np.max(B.vol))
     excluded = int(np.size(mask) - np.count_nonzero(mask))
     return _report(
@@ -202,7 +203,7 @@ def check_cutoff_volume_identity(
         raise ValueError("cutoff and bundle grids differ")
     lhs = _quadform_inv(B, cutoff.grad.c1.values, cutoff.grad.c2.values) * B.vol
     dphi2 = cutoff.grad.c1.values ** 2 + cutoff.grad.c2.values ** 2
-    rhs = dphi2 * (2.0 * np.cos(B.phase) + B.sig1 * np.sin(B.phase))
+    rhs = dphi2 * (2.0 * B.cos_phase + B.sig1 * B.sin_phase)
     violation = np.maximum(lhs - rhs, 0.0)
     tol = slack_coeff * B.grid.h ** 2
     return _report(
@@ -247,19 +248,25 @@ def check_coordinate_laplacian(
     g = B.grid
     if psi is None:
         psi = ScalarField2(g, B.phase)
-    _, _, (mw1, mw2) = _lift_phase_gradient(B, psi)
     x1, x2 = g.coords()
     inner = np.s_[margin_cells:-margin_cells, margin_cells:-margin_cells]
+    # the operator side first, then the lift, whose writable arrays take the
+    # sums, so no other full-grid array is formed while these four live
+    lap1 = laplace_beltrami(ScalarField2(g, x1 + np.zeros_like(x2)), B).values
+    lap2 = laplace_beltrami(ScalarField2(g, x2 + np.zeros_like(x1)), B).values
+    mw1, mw2 = _lift_phase_gradient(B, psi)
 
-    def worst(x, mw):
-        # |lap_g x_k - (-(M w)_k)| on the inner nodes, one component at a time
-        core = laplace_beltrami(ScalarField2(g, x), B).values[inner] + mw[inner]
+    def worst(lap, mw):
+        # |lap_g x_k - (-(M w)_k)| on the inner nodes, one component at a
+        # time, summed into the writable lift
+        core = mw[inner]
+        core += lap[inner]
         np.abs(core, out=core)
         flat = int(np.argmax(core))
         return float(core.flat[flat]), np.unravel_index(flat, core.shape)
 
-    worst1 = worst(x1 + np.zeros_like(x2), mw1)
-    worst2 = worst(x2 + np.zeros_like(x1), mw2)
+    worst1 = worst(lap1, mw1)
+    worst2 = worst(lap2, mw2)
     # on a tie the first component's node stands
     k, (mx, (i, j)) = (2, worst2) if worst2[0] > worst1[0] else (1, worst1)
     scale = 1.0 + float(np.max(np.abs(B.lam1))) ** 2

@@ -86,6 +86,7 @@ def check_weak_max_principle(
     seed: int = 0,
     slack_coeff: float = 2.0,
     radius: float = 2.0,
+    grad_norm: ScalarField2 | None = None,
 ) -> CheckReport:
     """Sampled weak maximum principle on subdomains of the disk |x| <= radius.
 
@@ -97,7 +98,9 @@ def check_weak_max_principle(
     about 1.7h, so slack_coeff = 2 cannot produce a spurious failure; it is
     the sharpest coefficient with headroom.  Subdomains too small to hold
     both node sets are skipped and counted.  The report carries the worst
-    margin over all admissible trials.
+    margin over all admissible trials.  grad_norm, when given, is |Df| from
+    the differenced gradient (`gradient_fd(f).magnitude()`), and stands in
+    for differencing f again.
     """
     g = f.grid
     problem = sampler_grid_problem(g, radius)
@@ -106,9 +109,10 @@ def check_weak_max_principle(
     h = g.h
     ax = g.axis()
     vals = f.values
-    gf = gradient_fd(f)
+    if grad_norm is None:
+        grad_norm = gradient_fd(f).magnitude()
     lip_mask = g.disk_mask(min(g.L, radius + 2 * h))
-    lip = float(np.max(np.hypot(gf.c1.values, gf.c2.values)[lip_mask]))
+    lip = float(np.max(grad_norm.values[lip_mask]))
     slack = slack_coeff * h * lip
     band = 2.0 * h
     size_lo = max(6.0 * h, 0.15)
@@ -190,6 +194,7 @@ def check_super_iso(
     trials: int = 200,
     seed: int = 0,
     wmp: CheckReport | None = None,
+    grad_norm: ScalarField2 | None = None,
 ) -> CheckReport:
     """Sup over the unit disk bounded by gradient and value integrals over B2.
 
@@ -198,20 +203,21 @@ def check_super_iso(
     principle there; both are enforced, and a violation raises
     PreconditionError rather than reporting a failure.  wmp, when given, is
     check_weak_max_principle's report on f with these trials and seed, and
-    stands in for running the sampler again.
+    stands in for running the sampler again; grad_norm, when given, is |Df|
+    as check_weak_max_principle takes it, and the sampler shares it.
     """
     g = f.grid
     b2 = g.disk_mask(2.0)
     if float(np.min(f.values[b2])) < 0.0:
         raise PreconditionError("super isoperimetric check needs f >= 0 on B2")
+    dmag = gradient_fd(f).magnitude() if grad_norm is None else grad_norm
     if wmp is None:
-        wmp = check_weak_max_principle(f, trials=trials, seed=seed)
+        wmp = check_weak_max_principle(f, trials=trials, seed=seed, grad_norm=dmag)
     if not wmp.passed:
         raise PreconditionError(
             "super isoperimetric check needs the weak maximum principle "
             f"(worst margin {wmp.margin:.3e})"
         )
-    dmag = gradient_fd(f).magnitude()
     lhs = sup_norm_disk(f, 1.0)
     int_grad = integrate_disk(dmag, 2.0)
     int_f = integrate_disk(f, 2.0)
@@ -273,7 +279,9 @@ def check_jacobi_pointwise(
             excluded = 0
         else:
             raise PreconditionError("eigenvalue-gap filter excluded every node")
-    m = float(np.min((lap - K.c * gn)[mask]))
+    defect = K.c * gn
+    np.subtract(lap, defect, out=defect)
+    m = float(np.min(defect[mask]))
     c_hat = max(0.0, -m)
     return CheckReport(
         name="jacobi_pointwise",
@@ -414,28 +422,46 @@ def check_jacobi_integral(
         raise PreconditionError("cutoff support must stay 2h inside the grid")
     C_hat = check_jacobi_pointwise(B, K).fitted["C_hat"]
     h = g.h
-    gnb = B.slope_grad_norm2
     phi = cutoff.phi.values
-    gnphi = _quadform_inv(B, cutoff.grad.c1.values, cutoff.grad.c2.values)
+    dphi1, dphi2 = cutoff.grad.c1.values, cutoff.grad.c2.values
     V = B.vol
-    lhs = integrate_disk(ScalarField2(g, gnb * V), cutoff.r1)
-    i_phi = integrate_disk(ScalarField2(g, gnphi * V), cutoff.r2)
-    i_phi2 = integrate_disk(ScalarField2(g, phi * phi * V), cutoff.r2)
+    # each integrand is formed in place and released once it is integrated
+    integrand = B.slope_grad_norm2 * V
+    lhs = integrate_disk(ScalarField2(g, integrand), cutoff.r1)
+    sup_int = float(np.max(integrand))
+    integrand = _quadform_inv(B, dphi1, dphi2)
+    integrand *= V
+    i_phi = integrate_disk(ScalarField2(g, integrand), cutoff.r2)
+    integrand = phi * phi
+    integrand *= V
+    i_phi2 = integrate_disk(ScalarField2(g, integrand), cutoff.r2)
+    integrand = phi * phi
+    integrand *= B.slope_laplacian
+    integrand *= V
+    ibp_lhs = float(np.sum(integrand) * h * h)
+    del integrand
     rhs = (4.0 / K.c**2) * i_phi + (2.0 / K.c) * C_hat * i_phi2
-    sup_int = float(np.max(gnb * V))
     slack = _disk_quad_slack(h, cutoff.r1, sup_int)
     margin = rhs + slack - lhs
 
-    lap_b = B.slope_laplacian
-    gb = B.slope_gradient
-    cross = (
-        B.inv11 * cutoff.grad.c1.values * gb.c1.values
-        + B.inv12
-        * (cutoff.grad.c1.values * gb.c2.values + cutoff.grad.c2.values * gb.c1.values)
-        + B.inv22 * cutoff.grad.c2.values * gb.c2.values
-    )
-    ibp_lhs = float(np.sum(phi * phi * lap_b * V) * h * h)
-    ibp_rhs = float(-np.sum(2.0 * phi * cross * V) * h * h)
+    # <grad_g phi, grad_g b>_g = inv11 phi_1 b_1 + inv12 (phi_1 b_2 + phi_2 b_1)
+    # + inv22 phi_2 b_2, each product formed left to right
+    gb1, gb2 = B.slope_gradient.c1.values, B.slope_gradient.c2.values
+    term = dphi1 * gb2
+    cross = dphi2 * gb1
+    term += cross
+    term *= B.inv12
+    np.multiply(B.inv11, dphi1, out=cross)
+    cross *= gb1
+    cross += term
+    np.multiply(B.inv22, dphi2, out=term)
+    term *= gb2
+    cross += term
+    del term
+    cross *= 2.0 * phi
+    cross *= V
+    ibp_rhs = float(-np.sum(cross) * h * h)
+    del cross
     ibp_resid = abs(ibp_lhs - ibp_rhs)
     ibp_tol = ibp_coeff * h
     passed = (margin >= 0.0) and (ibp_resid <= ibp_tol)
@@ -492,11 +518,12 @@ def check_volume_bound(
         raise PreconditionError(
             f"volume bound needs one supercritical regime on the middle disk, got {regime!r}"
         )
-    dmag = B.grad.magnitude()
+    dmag = ScalarField2(g, B.grad_norm)
     if regime == "case1":
         region = g.disk_mask(inner)
         sd = math.sin(K.delta)
-        margin_nodes = B.sig1[region] - B.vol[region] * sd
+        sig1 = B.sig1[region]
+        margin_nodes = sig1 - B.vol[region] * sd
         node_min = float(np.min(margin_nodes))
         int_v = integrate_disk(ScalarField2(g, B.vol), inner)
         du_sup = sup_norm_disk(dmag, mid)
@@ -505,7 +532,7 @@ def check_volume_bound(
             name="volume_bound",
             kind="inequality",
             lhs=float(np.max(B.vol[region] * sd)),
-            rhs=float(np.max(B.sig1[region])),
+            rhs=float(np.max(sig1)),
             margin=node_min,
             passed=bool(node_min >= 0.0),
             slack=0.0,
@@ -521,10 +548,11 @@ def check_volume_bound(
     rhs = math.sqrt(2.0) * du_outer * du_outer
     slack = _disk_quad_slack(g.h, mid, float(np.max(B.vol[middle])))
     margin = rhs + slack - lhs
-    alt_lhs = integrate_disk(ScalarField2(g, B.sig2 - 1.0), mid)
+    excess = B.sig2 - 1.0
+    alt_lhs = integrate_disk(ScalarField2(g, excess), mid)
     du_mid = sup_norm_disk(dmag, mid)
     alt_rhs = math.pi * du_mid * du_mid
-    alt_slack = _disk_quad_slack(g.h, mid, float(np.max(np.abs(B.sig2 - 1.0))))
+    alt_slack = _disk_quad_slack(g.h, mid, float(np.max(np.abs(excess))))
     return CheckReport(
         name="volume_bound",
         kind="inequality",
@@ -593,8 +621,7 @@ def check_hessian_estimate(
     B, flipped = _canonical(B, disk)
     oi, oj = g.origin_index()
     level = float(max(abs(B.lam1[oi, oj]), abs(B.lam2[oi, oj])))
-    dmag = B.grad.magnitude()
-    du_sup = sup_norm_disk(dmag, R)
+    du_sup = sup_norm_disk(ScalarField2(g, B.grad_norm), R)
     if level <= 1e-14:
         return CheckReport(
             name="hessian_estimate",

@@ -151,13 +151,14 @@ class ManufacturedProblem:
 
     The phase field comes from the analytic Hessian (never from finite
     differences), and the boundary trace is the exact potential on the
-    boundary ring.
+    boundary ring.  hess_exact samples the analytic Hessian again on each
+    access rather than keeping three grid arrays that only error reports
+    read; it gives the values the phase was built from, bit for bit.
     """
 
     analytic: AnalyticFunction2
     u_exact: ScalarField2
     psi: ScalarField2
-    hess_exact: SymMat2Field
 
     @property
     def grid(self) -> Grid2:
@@ -167,29 +168,34 @@ class ManufacturedProblem:
     def name(self) -> str:
         return self.analytic.name
 
+    @property
+    def hess_exact(self) -> SymMat2Field:
+        m11, m12, m22 = _sample_hessian(self.analytic, self.grid)
+        g = self.grid
+        return SymMat2Field(ScalarField2(g, m11), ScalarField2(g, m12), ScalarField2(g, m22))
+
     def boundary_trace(self) -> ScalarField2:
         """The exact potential; the solver reads only its boundary ring."""
         return self.u_exact
 
 
-def manufacture(analytic: AnalyticFunction2, grid: Grid2) -> ManufacturedProblem:
-    """Sample an analytic potential and define its phase from the equation."""
-    u = sample(analytic.value, grid)
+def _sample_hessian(analytic: AnalyticFunction2, grid: Grid2):
+    """The analytic Hessian (m11, m12, m22) at the nodes, each (n, n)."""
     x1, x2 = grid.coords()
-    m11, m12, m22 = (
+    return tuple(
         np.broadcast_to(np.asarray(c, dtype=float), (grid.n, grid.n))
         for c in analytic.hessian(x1, x2)
     )
-    hess = SymMat2Field(
-        ScalarField2(grid, m11), ScalarField2(grid, m12), ScalarField2(grid, m22)
-    )
-    lam1, lam2 = eigen_sym2(m11, m12, m22)
+
+
+def manufacture(analytic: AnalyticFunction2, grid: Grid2) -> ManufacturedProblem:
+    """Sample an analytic potential and define its phase from the equation."""
+    u = sample(analytic.value, grid)
+    lam1, lam2 = eigen_sym2(*_sample_hessian(analytic, grid))
     psi_vals = np.arctan(lam1) + np.arctan(lam2)
     if not np.all(np.isfinite(psi_vals)):
         raise ValueError("phase overflow while manufacturing the problem")
-    return ManufacturedProblem(
-        analytic=analytic, u_exact=u, psi=ScalarField2(grid, psi_vals), hess_exact=hess
-    )
+    return ManufacturedProblem(analytic=analytic, u_exact=u, psi=ScalarField2(grid, psi_vals))
 
 
 class SystemSolve(NamedTuple):
@@ -346,12 +352,17 @@ def linear_solve(A, rhs: np.ndarray, M, tol: float = 1e-12, record=None) -> np.n
     the first update) never certifies.  Returns x (zeros for a zero
     right-hand side); a nonzero one appends its SystemSolve to the list
     record, certified or not.  An answer that does not certify raises
-    LinearSolveError.
+    LinearSolveError, and so does a right-hand side whose norm is not
+    finite, at once, with no iteration run.
     """
     rhs = np.asarray(rhs, dtype=float)
     norm = float(np.linalg.norm(rhs))
     if norm == 0.0:
         return np.zeros_like(rhs)
+    if not math.isfinite(norm):
+        if record is not None:
+            record.append(SystemSolve(0, tol))
+        raise LinearSolveError(f"linear solve right-hand side has norm {norm}")
     x, iterations = _bicgstab(A, rhs, M, tol, KRYLOV_MAXITER)
     if record is not None:
         record.append(SystemSolve(iterations, tol))

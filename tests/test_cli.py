@@ -6,6 +6,7 @@ import importlib.util
 import json
 import math
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -663,6 +664,25 @@ class TestVerifyWork:
         cmd_verify(cfg)
         assert wmp_calls["wmp"] == calls
 
+    def test_peak_memory_of_a_full_verify(self, tmp_path):
+        # at n=129 the traced peak is 34.9 float arrays of n^2 nodes; 37 leaves
+        # about 6% headroom.  A coarse run first loads what only a first run
+        # allocates.
+        def config(n, out):
+            return RunConfig(family="perturbed", eps=0.1, n=n, checks=["all"], out=str(out))
+
+        cmd_verify(config(65, tmp_path / "warm"))
+        n = 129
+        cfg = config(n, tmp_path / "o")
+        tracemalloc.start()
+        try:
+            _, code = cmd_verify(cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_PASS
+        assert peak < 37 * 8 * n * n
+
     def test_lazy_state_has_its_own_timings(self, tmp_path):
         cfg = RunConfig(family="perturbed", eps=0.1, n=65, checks=["all"], out=str(tmp_path / "o"))
         t0 = time.perf_counter()
@@ -670,7 +690,7 @@ class TestVerifyWork:
         wall = time.perf_counter() - t0
         timings = json.loads((tmp_path / "o" / "verify.json").read_text())["timings"]
         assert timings == report.timings
-        expected = {"setup_s", "constants_s", "cutoff_s", "bmod_s", "wmp_s"}
+        expected = {"setup_s", "constants_s", "cutoff_s", "bmod_s", "bmod_grad_norm_s", "wmp_s"}
         expected |= {f"{name}_s" for name in ALL_CHECKS}
         assert set(timings) == expected
         # disjoint pieces: none is charged twice

@@ -15,6 +15,7 @@ from lmce.geometry import (
     SlopeConstants,
     _induced_metric,
     bundle,
+    bundle_from_hessian,
     classify_phase,
     eigen_sym2,
     grad_g_norm2,
@@ -25,7 +26,7 @@ from lmce.geometry import (
     slope,
 )
 from lmce.grid import ScalarField2, build_grid, gradient_fd, sample
-from lmce.solver import manufacture, perturbed_family
+from lmce.solver import anisotropic_family, manufacture, perturbed_family
 
 
 def paraboloid(a=1.0):
@@ -239,6 +240,61 @@ class TestLazySlopeFields:
         arrays = (B.slope_laplacian, B.slope_grad_norm2, B.paraboloid_laplacian)
         for arr in arrays + (B.slope_gradient.c1.values,):
             assert not arr.flags.writeable
+
+
+class TestCachedFields:
+    def _bundle(self):
+        g = build_grid(4.0, 33)
+        u = sample(lambda x1, x2: 0.5 * (x1 * x1 + x2 * x2) + 0.1 * np.sin(x1) * np.sin(x2), g)
+        return bundle(u)
+
+    def test_phase_transcendentals_and_gradient_norm(self):
+        B = self._bundle()
+        assert B.cos_phase is B.cos_phase
+        assert B.sin_phase is B.sin_phase
+        assert B.grad_norm is B.grad_norm
+        for arr in (B.cos_phase, B.sin_phase, B.grad_norm):
+            assert not arr.flags.writeable
+        assert np.array_equal(B.cos_phase, np.cos(B.phase))
+        assert np.array_equal(B.sin_phase, np.sin(B.phase))
+        assert np.array_equal(B.grad_norm, B.grad.magnitude().values)
+
+    def test_grad_norm_needs_a_gradient(self):
+        B = self._bundle()
+        with pytest.raises(ValueError, match="no gradient"):
+            bundle_from_hessian(B.hess).grad_norm
+
+    def test_symmetric_functions_from_the_eigenvalues(self):
+        B = self._bundle()
+        assert np.array_equal(B.sig1, B.lam1 + B.lam2)
+        assert np.array_equal(B.sig2, B.lam1 * B.lam2)
+        assert not B.sig1.flags.writeable and not B.sig2.flags.writeable
+
+    def _negative(self):
+        g = build_grid(4.0, 65)
+        return bundle(manufacture(anisotropic_family(-0.4, -1.0), g).u_exact)
+
+    def test_negation_shares_the_metric(self):
+        B = self._negative()
+        fluxes, grad_norm = B.fluxes, B.grad_norm
+        neg = B.negated
+        for name in ("vol", "inv11", "inv12", "inv22"):
+            assert getattr(neg, name) is getattr(B, name)
+        assert neg.fluxes is fluxes
+        assert neg.grad_norm is grad_norm
+        # the very arrays that a rebuild from the negated Hessian computes
+        fresh = bundle_from_hessian(neg.hess, grad=neg.grad)
+        for name in ("lam1", "lam2", "phase", "vol", "inv11", "inv12", "inv22", "slope"):
+            assert np.array_equal(getattr(neg, name), getattr(fresh, name))
+        for shared, rebuilt in zip(neg.fluxes, fresh.fluxes):
+            assert np.array_equal(shared, rebuilt)
+        assert np.array_equal(neg.grad_norm, fresh.grad_norm)
+
+    def test_negation_builds_no_unread_field(self):
+        B = self._negative()
+        neg = B.negated
+        assert "fluxes" not in neg.__dict__ and "grad_norm" not in neg.__dict__
+        assert all(np.array_equal(a, b) for a, b in zip(neg.fluxes, B.fluxes))
 
 
 class TestFrameIndependence:

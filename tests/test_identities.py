@@ -278,7 +278,7 @@ class TestCoordinateLaplacian:
         prob = manufacture(family, g)
         B = bundle(prob.u_exact)
         rep = check_coordinate_laplacian(B, prob.psi)
-        _, _, (mw1, mw2) = _lift_phase_gradient(B, prob.psi)
+        mw1, mw2 = _lift_phase_gradient(B, prob.psi)
         x1, x2 = g.coords()
         lap1 = laplace_beltrami(ScalarField2(g, x1 + np.zeros_like(x2)), B).values
         lap2 = laplace_beltrami(ScalarField2(g, x2 + np.zeros_like(x1)), B).values

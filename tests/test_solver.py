@@ -159,6 +159,20 @@ class TestManufacture:
             prob.psi.values, np.arctan(lam1) + np.arctan(lam2), atol=1e-14
         )
 
+    @pytest.mark.parametrize(
+        "family", [perturbed_family(0.1), quadratic_family(2.0), anisotropic_family(-0.4, -1.0)]
+    )
+    def test_exact_hessian_is_the_analytic_one(self, family):
+        # sampled again on each access, bit for bit the Hessian psi came from
+        g = build_grid(4.0, 33)
+        prob = manufacture(family, g)
+        hess = prob.hess_exact
+        analytic = family.hessian(*g.coords())
+        for got, want in zip((hess.m11, hess.m12, hess.m22), analytic):
+            assert np.array_equal(got.values, np.broadcast_to(want, (g.n, g.n)))
+        lam1, lam2 = eigen_sym2(hess.m11.values, hess.m12.values, hess.m22.values)
+        assert np.array_equal(prob.psi.values, np.arctan(lam1) + np.arctan(lam2))
+
 
 class TestNewtonSolve:
     @pytest.mark.parametrize("a", [1.0, 2.0])
@@ -327,6 +341,30 @@ class TestLinearSolve:
         rhs[3] = bad
         with pytest.raises(LinearSolveError):
             linear_solve(A, rhs, np.copy)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rhs_runs_no_iteration(self, bad):
+        # BiCGSTAB on NaNs never meets a stopping test and would run the cap
+        g = build_grid(2.0, 33)
+        stencil = _assemble_linearization(g, 1.0, 0.0, 1.0)
+        applied = []
+
+        class Counted:
+            def __matmul__(self, x):
+                applied.append("A")
+                return stencil @ x
+
+        def M(r):
+            applied.append("M")
+            return np.copy(r)
+
+        rhs = np.ones(stencil.shape[0])
+        rhs[3] = bad
+        record = []
+        with pytest.raises(LinearSolveError, match="right-hand side"):
+            linear_solve(Counted(), rhs, M, record=record)
+        assert applied == []
+        assert record == [SystemSolve(0, 1e-12)]
 
 
 class TestAssembly:
