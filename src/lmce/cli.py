@@ -50,6 +50,9 @@ from .identities import (
     check_volume_formula,
 )
 from .inequalities import (
+    SAMPLED_RADIUS,
+    _canonical,
+    _fit_region,
     check_hessian_estimate,
     check_jacobi_integral,
     check_jacobi_pointwise,
@@ -181,7 +184,11 @@ class RunConfig:
 
 def _require_sampler_grid(cfg: RunConfig, grid) -> None:
     """A grid too coarse for a requested sampled check is invalid input."""
-    sampled = {"weak_max_principle": 2.0, "super_iso": 2.0, "subharmonic": min(cfg.rho, 2.0)}
+    sampled = {
+        "weak_max_principle": SAMPLED_RADIUS,
+        "super_iso": SAMPLED_RADIUS,
+        "subharmonic": min(cfg.rho, SAMPLED_RADIUS),
+    }
     for name, radius in sampled.items():
         problem = name in cfg.checks and sampler_grid_problem(grid, radius)
         if problem:
@@ -439,7 +446,9 @@ class _Context:
 
     @_timed_lazy
     def bmod(self) -> ScalarField2:
-        return modified_slope(self.bundle, self.constants)
+        # the slope of the bundle that the weight A is fitted on
+        B, _ = _canonical(self.bundle, _fit_region(self.grid, self.cfg.rho))
+        return modified_slope(B, self.constants)
 
     @_timed_lazy
     def bmod_grad_norm(self) -> ScalarField2:
@@ -453,8 +462,8 @@ class _Context:
 
     def wmp_for_subharmonic(self) -> CheckReport | None:
         """The shared sample when a requested check needs it anyway, else None:
-        subharmonic samples its own field when it reads another one (a
-        negated bundle, a smaller disk), and then must not pay for this one."""
+        subharmonic samples its own when it reads a smaller disk (rho < 2),
+        and then must not pay for this one."""
         if {"weak_max_principle", "super_iso"} & set(self.cfg.checks):
             return self.wmp
         return None

@@ -101,17 +101,14 @@ class SlopeConstants:
     delta     supercritical phase margin (phase >= delta), radians
     c         quadratic coefficient in the slope curvature inequality
     A         weight of the quadratic added to the slope (modified slope)
-    C         additive constant of the slope curvature inequality (0 = fit)
-    eps_gap   relative eigenvalue-gap floor below which pointwise slope
-              checks exclude a node (the slope is a function of the largest
-              eigenvalue and loses smoothness where the eigenvalues cross)
+
+    The additive constant of the slope curvature inequality is always fitted
+    (`check_jacobi_pointwise` reports it as C_hat), so it has no field.
     """
 
     delta: float = 0.3
     c: float = 0.5
     A: float = 0.0
-    C: float = 0.0
-    eps_gap: float = 1e-6
 
     def __post_init__(self):
         if not self.delta > 0:
@@ -120,8 +117,6 @@ class SlopeConstants:
             raise ValueError(f"c must lie in (0, 1], got {self.c}")
         if self.A < 0:
             raise ValueError(f"A must be non-negative, got {self.A}")
-        if not self.eps_gap > 0:
-            raise ValueError(f"eps_gap must be positive, got {self.eps_gap}")
 
 
 @dataclass(frozen=True, eq=False)

@@ -173,6 +173,12 @@ def sample(f, grid: Grid2) -> ScalarField2:
     return ScalarField2(grid, vals)
 
 
+# boundary lines that checks of twice-differenced fields leave out: the edge
+# line carries one-sided stencils, and a second differencing reads it from
+# the next line in
+INTERIOR_MARGIN = 2
+
+
 def _d1(values: np.ndarray, h: float, axis: int) -> np.ndarray:
     """Second-order first derivative: central interior, one-sided at edges."""
     return np.gradient(values, h, axis=axis, edge_order=2)

@@ -22,7 +22,7 @@ from .geometry import (
     _quadform_inv,
     laplace_beltrami,
 )
-from .grid import CutoffProfile, ScalarField2
+from .grid import INTERIOR_MARGIN, CutoffProfile, ScalarField2
 
 __all__ = [
     "CheckReport",
@@ -33,6 +33,24 @@ __all__ = [
     "check_slope_volume",
     "check_coordinate_laplacian",
 ]
+
+# differencing slack of the form equivalence, in units of h^2: the Hessian's
+# second-order differences leave the arctangent residual of a solution O(h^2)
+FORM_SLACK_COEFF = 10.0
+# the complex factorization is a few flops of eigenvalue algebra, so its
+# residual is round-off relative to 1 + max V
+FACTORIZATION_RTOL = 1e-12
+# the volume formula divides by sin(phase); nodes whose phase lies within this
+# angle of 0 or pi are left out so the division stays well-conditioned
+VOLUME_SIN_FLOOR = 1e-3
+# round-off of V - sig1/sin(phase) relative to max V, after a division by up to
+# 1/sin(VOLUME_SIN_FLOOR) ~ 1e3
+VOLUME_RTOL = 1e-10
+# differencing slack of the cutoff-volume inequality, in units of h^2
+CUTOFF_SLACK_COEFF = 10.0
+# slack of the coordinate Laplacian, in units of h^2 (1 + max lam1^2): both
+# routes carry O(h^2) differencing errors that scale with the Hessian squared
+LAPLACIAN_SLACK_COEFF = 20.0
 
 
 @dataclass(frozen=True)
@@ -101,9 +119,7 @@ def _report(name, resid, tol, tol_class, details=None, excluded=0) -> CheckRepor
     )
 
 
-def check_form_equivalence(
-    B: GeometryBundle, psi: ScalarField2, slack_coeff: float = 10.0
-) -> CheckReport:
+def check_form_equivalence(B: GeometryBundle, psi: ScalarField2) -> CheckReport:
     """Equivalence of the arctangent form and the product form of the equation.
 
     Computes both residuals from the Hessian of the bundle B of a potential u
@@ -111,12 +127,13 @@ def check_form_equivalence(
       R1 = arctan(lam1) + arctan(lam2) - psi
       R2 = cos(psi)*tr(D^2 u) + sin(psi)*(det(D^2 u) - 1)
     and asserts the scaling relation
-      max|R2| <= (1 + max V) * max|R1| + slack_coeff*h^2
+      max|R2| <= (1 + max V) * max|R1| + FORM_SLACK_COEFF*h^2
     (for a consistent pair R2 = V sin(R1), so a small arctangent residual
     forces a small product-form residual with the volume element as the
     amplification factor).  For a genuine solution pair R1 itself must be at
-    differencing level, so the check also requires max|R1| <= slack_coeff*h^2;
-    an arbitrary mismatched pair fails there, informatively.
+    differencing level, so the check also requires
+    max|R1| <= FORM_SLACK_COEFF*h^2; an arbitrary mismatched pair fails
+    there, informatively.
     """
     if B.grid != psi.grid:
         raise ValueError("bundle and phase grids differ")
@@ -125,8 +142,8 @@ def check_form_equivalence(
     r2 = np.cos(psi.values) * B.sig1 + np.sin(psi.values) * (B.sig2 - 1.0)
     max_r1 = float(np.max(np.abs(r1)))
     vmax = float(np.max(B.vol))
-    scale_tol = (1.0 + vmax) * max_r1 + slack_coeff * h * h
-    phase_tol = slack_coeff * h * h
+    scale_tol = (1.0 + vmax) * max_r1 + FORM_SLACK_COEFF * h * h
+    phase_tol = FORM_SLACK_COEFF * h * h
     loc = _argmax_abs(r2)
     max_r2 = float(np.abs(r2[loc]))
     return CheckReport(
@@ -144,30 +161,27 @@ def check_form_equivalence(
     )
 
 
-def check_complex_factorization(
-    B: GeometryBundle, rtol: float = 1e-12
-) -> CheckReport:
+def check_complex_factorization(B: GeometryBundle) -> CheckReport:
     """(1 + i lam1)(1 + i lam2) = (1 - sig2) + i sig1 = V e^{i phase}, node-wise.
 
-    Pure eigenvalue algebra; tolerance rtol*(1 + max V), class algebraic.
+    Pure eigenvalue algebra; tolerance FACTORIZATION_RTOL*(1 + max V), class
+    algebraic.
     """
     re = (1.0 - B.sig2) - B.vol * B.cos_phase
     im = B.sig1 - B.vol * B.sin_phase
     resid = np.maximum(np.abs(re), np.abs(im))
-    tol = rtol * (1.0 + float(np.max(B.vol)))
+    tol = FACTORIZATION_RTOL * (1.0 + float(np.max(B.vol)))
     return _report("complex_factorization", resid, tol, "algebraic")
 
 
-def check_volume_formula(
-    B: GeometryBundle, delta: float = 1e-3, rtol: float = 1e-10
-) -> CheckReport:
-    """V = sig1 / sin(phase) on nodes with |sin(phase)| >= sin(delta).
+def check_volume_formula(B: GeometryBundle) -> CheckReport:
+    """V = sig1 / sin(phase) on nodes with |sin(phase)| >= sin(VOLUME_SIN_FLOOR).
 
     Requires phase in (0, pi) everywhere on the bundle, or in (-pi, 0)
     everywhere (sig1 and sin(phase) both change sign with the potential);
-    nodes too close to the endpoints (|sin| below sin(delta)) are excluded
-    from the residual to keep the division well-conditioned, and their count
-    is reported.
+    nodes too close to the endpoints (|sin| below sin(VOLUME_SIN_FLOOR)) are
+    excluded from the residual to keep the division well-conditioned, and
+    their count is reported.  Tolerance VOLUME_RTOL * max V.
     """
     lo, hi = float(np.min(B.phase)), float(np.max(B.phase))
     if not (0.0 < lo and hi < math.pi or -math.pi < lo and hi < 0.0):
@@ -175,21 +189,19 @@ def check_volume_formula(
             "volume formula needs phase in (0, pi) or in (-pi, 0) on the whole region"
         )
     sin = B.sin_phase
-    mask = np.abs(sin) >= math.sin(min(delta, 0.5 * math.pi))
+    mask = np.abs(sin) >= math.sin(VOLUME_SIN_FLOOR)
     if not mask.any():
         raise PreconditionError("no nodes with sin(phase) above the cutoff")
     resid = np.zeros_like(B.vol)
     resid[mask] = B.vol[mask] - B.sig1[mask] / sin[mask]
-    tol = rtol * float(np.max(B.vol))
+    tol = VOLUME_RTOL * float(np.max(B.vol))
     excluded = int(np.size(mask) - np.count_nonzero(mask))
     return _report(
         "volume_formula", resid, tol, "algebraic", {"excluded_nodes": excluded}, excluded
     )
 
 
-def check_cutoff_volume_identity(
-    B: GeometryBundle, cutoff: CutoffProfile, slack_coeff: float = 10.0
-) -> CheckReport:
+def check_cutoff_volume_identity(B: GeometryBundle, cutoff: CutoffProfile) -> CheckReport:
     """|grad_g phi|^2 V <= |D phi|^2 (2 cos(phase) + sig1 sin(phase)), node-wise.
 
     The left side contracts the analytic cutoff gradient with g^{-1}; the
@@ -197,7 +209,7 @@ def check_cutoff_volume_identity(
     obtained from the factorization identities.  Equality holds exactly when
     the cutoff gradient is an eigenvector of the Hessian; in general the
     eigenvalue-versus-trace bound makes it a one-sided inequality, asserted
-    with differencing slack slack_coeff*h^2.
+    with differencing slack CUTOFF_SLACK_COEFF*h^2.
     """
     if cutoff.grid != B.grid:
         raise ValueError("cutoff and bundle grids differ")
@@ -205,7 +217,7 @@ def check_cutoff_volume_identity(
     dphi2 = cutoff.grad.c1.values ** 2 + cutoff.grad.c2.values ** 2
     rhs = dphi2 * (2.0 * B.cos_phase + B.sig1 * B.sin_phase)
     violation = np.maximum(lhs - rhs, 0.0)
-    tol = slack_coeff * B.grid.h ** 2
+    tol = CUTOFF_SLACK_COEFF * B.grid.h ** 2
     return _report(
         "cutoff_volume", violation, tol, "differencing",
         {"min_margin": float(np.min(rhs - lhs))},
@@ -229,12 +241,7 @@ def check_slope_volume(B: GeometryBundle) -> CheckReport:
     )
 
 
-def check_coordinate_laplacian(
-    B: GeometryBundle,
-    psi: ScalarField2 | None = None,
-    slack_coeff: float = 20.0,
-    margin_cells: int = 2,
-) -> CheckReport:
+def check_coordinate_laplacian(B: GeometryBundle, psi: ScalarField2 | None = None) -> CheckReport:
     """Laplace-Beltrami of the coordinates against the mean curvature algebra.
 
     For the graph of Du, the manifold Laplacian of an ambient coordinate
@@ -242,14 +249,16 @@ def check_coordinate_laplacian(
       lap_g x_k = -(M g^{-1} D psi)_k,  M = D^2 u.
     The left side runs through the divergence-form operator, the right side
     is pointwise algebra on the bundle plus one gradient of the phase, so
-    agreement at O(h^2) exercises both routes.  Checked on the interior
-    (margin_cells away from the boundary band).
+    agreement at O(h^2) exercises both routes, to LAPLACIAN_SLACK_COEFF
+    h^2 (1 + max lam1^2).  Checked on the interior (INTERIOR_MARGIN nodes
+    away from the boundary).
     """
     g = B.grid
     if psi is None:
         psi = ScalarField2(g, B.phase)
     x1, x2 = g.coords()
-    inner = np.s_[margin_cells:-margin_cells, margin_cells:-margin_cells]
+    m = INTERIOR_MARGIN
+    inner = np.s_[m:-m, m:-m]
     # the operator side first, then the lift, whose writable arrays take the
     # sums, so no other full-grid array is formed while these four live
     lap1 = laplace_beltrami(ScalarField2(g, x1 + np.zeros_like(x2)), B).values
@@ -270,13 +279,13 @@ def check_coordinate_laplacian(
     # on a tie the first component's node stands
     k, (mx, (i, j)) = (2, worst2) if worst2[0] > worst1[0] else (1, worst1)
     scale = 1.0 + float(np.max(np.abs(B.lam1))) ** 2
-    tol = slack_coeff * g.h ** 2 * scale
+    tol = LAPLACIAN_SLACK_COEFF * g.h ** 2 * scale
     return CheckReport(
         name="coordinate_laplacian",
         kind="identity/differencing",
         passed=bool(mx <= tol),
         max_residual=mx,
         tolerance=float(tol),
-        location=(int(i) + margin_cells, int(j) + margin_cells),
+        location=(int(i) + m, int(j) + m),
         details={"component": k},
     )

@@ -32,6 +32,7 @@ from .geometry import (
     modified_slope,
 )
 from .grid import (
+    INTERIOR_MARGIN,
     CutoffProfile,
     Grid2,
     ScalarField2,
@@ -53,6 +54,28 @@ __all__ = [
     "fit_exp_budget",
     "sampler_grid_problem",
 ]
+
+# B_2, the disk that the super isoperimetric inequality integrates over, so
+# also the one the weak maximum principle is sampled on
+SAMPLED_RADIUS = 2.0
+# sampler slack in units of h Lip(f): a subdomain's boundary points all have
+# an inside node within about 1.7h, so 2 cannot fail spuriously
+WMP_SLACK_COEFF = 2.0
+# pointwise slope checks leave out nodes whose eigenvalue gap is below
+# EIGEN_GAP_FLOOR (1 + |lam1|): the slope loses smoothness where they cross
+EIGEN_GAP_FLOOR = 1e-6
+# tolerance on min lap_g(b_mod) >= 0; the fitted weight attains 0 to round-off
+SUBHARMONIC_SLACK = 1e-4
+# integration-by-parts tolerance in units of h: the divergence form makes the
+# step exact up to the O(h) nodal versus half-node quadrature mismatch
+IBP_COEFF = 10.0
+# the volume bound's disks: the case1 node-wise bound on B_2, the volume
+# integral on B_3, and the case2 gradient bound taken on B_4
+VOLUME_INNER_RADIUS = 2.0
+VOLUME_MID_RADIUS = 3.0
+VOLUME_OUTER_RADIUS = 4.0
+# absolute bisection tolerance of the exponential-budget fit C*
+EXP_BUDGET_TOL = 1e-6
 
 
 def _disk_quad_slack(h: float, r: float, sup_integrand: float) -> float:
@@ -84,8 +107,7 @@ def check_weak_max_principle(
     f: ScalarField2,
     trials: int = 200,
     seed: int = 0,
-    slack_coeff: float = 2.0,
-    radius: float = 2.0,
+    radius: float = SAMPLED_RADIUS,
     grad_norm: ScalarField2 | None = None,
 ) -> CheckReport:
     """Sampled weak maximum principle on subdomains of the disk |x| <= radius.
@@ -93,10 +115,10 @@ def check_weak_max_principle(
     Draws `trials` random sub-disks and sub-rectangles inside the disk and
     verifies, for each, that the max over interior nodes does not exceed the
     max over the nodes within 2h of the subdomain boundary by more than
-    slack_coeff * h * Lip(f), with Lip(f) estimated from differenced
+    WMP_SLACK_COEFF * h * Lip(f), with Lip(f) estimated from differenced
     gradients.  Any boundary point of a subdomain has an inside node within
-    about 1.7h, so slack_coeff = 2 cannot produce a spurious failure; it is
-    the sharpest coefficient with headroom.  Subdomains too small to hold
+    about 1.7h, so WMP_SLACK_COEFF = 2 cannot produce a spurious failure; it
+    is the sharpest coefficient with headroom.  Subdomains too small to hold
     both node sets are skipped and counted.  The report carries the worst
     margin over all admissible trials.  grad_norm, when given, is |Df| from
     the differenced gradient (`gradient_fd(f).magnitude()`), and stands in
@@ -113,7 +135,7 @@ def check_weak_max_principle(
         grad_norm = gradient_fd(f).magnitude()
     lip_mask = g.disk_mask(min(g.L, radius + 2 * h))
     lip = float(np.max(grad_norm.values[lip_mask]))
-    slack = slack_coeff * h * lip
+    slack = WMP_SLACK_COEFF * h * lip
     band = 2.0 * h
     size_lo = max(6.0 * h, 0.15)
 
@@ -198,16 +220,22 @@ def check_super_iso(
 ) -> CheckReport:
     """Sup over the unit disk bounded by gradient and value integrals over B2.
 
-    Asserts  sup_{|x|<=1} f  <=  int_{B2} |Df| dx + int_{B2} f dx  + slack.
-    Preconditions: f >= 0 on B2 and f passes the sampled weak maximum
-    principle there; both are enforced, and a violation raises
+    Asserts  sup_{|x|<=1} f  <=  int_{B2} |Df| dx + int_{B2} f dx  + slack,
+    with B2 the disk of radius SAMPLED_RADIUS.  Preconditions: the grid
+    contains B2, f >= 0 on B2 and f passes the sampled weak maximum
+    principle there; all are enforced, and a violation raises
     PreconditionError rather than reporting a failure.  wmp, when given, is
     check_weak_max_principle's report on f with these trials and seed, and
     stands in for running the sampler again; grad_norm, when given, is |Df|
     as check_weak_max_principle takes it, and the sampler shares it.
     """
     g = f.grid
-    b2 = g.disk_mask(2.0)
+    if SAMPLED_RADIUS > g.L:
+        raise PreconditionError(
+            "super isoperimetric check needs the grid to contain the disk of radius "
+            f"{SAMPLED_RADIUS}"
+        )
+    b2 = g.disk_mask(SAMPLED_RADIUS)
     if float(np.min(f.values[b2])) < 0.0:
         raise PreconditionError("super isoperimetric check needs f >= 0 on B2")
     dmag = gradient_fd(f).magnitude() if grad_norm is None else grad_norm
@@ -219,10 +247,10 @@ def check_super_iso(
             f"(worst margin {wmp.margin:.3e})"
         )
     lhs = sup_norm_disk(f, 1.0)
-    int_grad = integrate_disk(dmag, 2.0)
-    int_f = integrate_disk(f, 2.0)
+    int_grad = integrate_disk(dmag, SAMPLED_RADIUS)
+    int_f = integrate_disk(f, SAMPLED_RADIUS)
     sup_int = float(np.max(dmag.values[b2]) + np.max(f.values[b2]))
-    slack = _disk_quad_slack(g.h, 2.0, sup_int)
+    slack = _disk_quad_slack(g.h, SAMPLED_RADIUS, sup_int)
     rhs = int_grad + int_f
     margin = rhs + slack - lhs
     return CheckReport(
@@ -237,29 +265,35 @@ def check_super_iso(
     )
 
 
-def _interior_mask(n: int, margin_cells: int) -> np.ndarray:
+def _interior_mask(n: int) -> np.ndarray:
     m = np.zeros((n, n), dtype=bool)
-    k = margin_cells
+    k = INTERIOR_MARGIN
     m[k:-k, k:-k] = True
     return m
+
+
+def _fit_region(grid: Grid2, rho: float) -> np.ndarray:
+    """The interior nodes of |x| <= rho: where the weight A is fitted and the
+    subharmonic check reads, and the region whose phase picks the bundle of
+    the modified slope."""
+    return _interior_mask(grid.n) & grid.disk_mask(rho)
 
 
 def check_jacobi_pointwise(
     B: GeometryBundle,
     K: SlopeConstants,
     C_budget: float = math.inf,
-    margin_cells: int = 2,
 ) -> CheckReport:
     """Pointwise slope curvature inequality lap_g b >= c |grad_g b|^2 - C.
 
-    Evaluates m = min(lap_g b - c |grad_g b|^2) over interior nodes (2h from
-    the boundary band), excluding nodes whose eigenvalue gap is below
-    eps_gap*(1 + |lam1|): there the slope is a function of the larger
-    eigenvalue only and differencing across the crossing is unreliable.  If
-    every node is excluded but the slope field is globally constant
-    (coalesced eigenvalues everywhere, e.g. an isotropic quadratic), the
-    check proceeds on the full interior since the slope is then exactly
-    smooth.  Reports the smallest additive constant C_hat = max(0, -m) that
+    Evaluates m = min(lap_g b - c |grad_g b|^2) over interior nodes
+    (INTERIOR_MARGIN nodes from the boundary), excluding nodes whose
+    eigenvalue gap is below EIGEN_GAP_FLOOR*(1 + |lam1|): there the slope is
+    a function of the larger eigenvalue only and differencing across the
+    crossing is unreliable.  If every node is excluded but the slope field is
+    globally constant (coalesced eigenvalues everywhere, e.g. an isotropic
+    quadratic), the check proceeds on the full interior since the slope is
+    then exactly smooth.  Reports the smallest additive constant C_hat = max(0, -m) that
     makes the inequality hold; passes iff C_hat <= C_budget.  Both fields are
     the bundle's cached slope fields.
     """
@@ -267,8 +301,8 @@ def check_jacobi_pointwise(
     g = B.grid
     lap = B.slope_laplacian
     gn = B.slope_grad_norm2
-    include = _interior_mask(g.n, margin_cells)
-    gap_ok = (B.lam1 - B.lam2) >= K.eps_gap * (1.0 + np.abs(B.lam1))
+    include = _interior_mask(g.n)
+    gap_ok = (B.lam1 - B.lam2) >= EIGEN_GAP_FLOOR * (1.0 + np.abs(B.lam1))
     excluded = int(np.count_nonzero(include & ~gap_ok))
     mask = include & gap_ok
     if not mask.any():
@@ -300,8 +334,7 @@ def check_jacobi_pointwise(
 def fit_modification_weight(
     B: GeometryBundle,
     K: SlopeConstants,
-    rho: float = 2.0,
-    margin_cells: int = 2,
+    rho: float = SAMPLED_RADIUS,
 ) -> tuple[float, float]:
     """Smallest weight A >= 0 making the modified slope subharmonic on |x| <= rho.
 
@@ -312,12 +345,12 @@ def fit_modification_weight(
     minimum over the rising lines (lap_g(q) > 0) increases and the minimum
     over the others does not, so on [0, 1e3] the optimum is where the two
     cross, found by bisection (A = 0 when no line rises).  Both Laplacians
-    are the bundle's cached fields.  The fit runs on the bundle canonical on
-    the region, the one the subharmonic check reads.  Returns (A_hat,
-    attained minimum at A_hat).
+    are the bundle's cached fields.  The region is the interior
+    (INTERIOR_MARGIN nodes from the boundary) of the disk, and the fit runs
+    on the bundle canonical on it, the one the subharmonic check reads.
+    Returns (A_hat, attained minimum at A_hat).
     """
-    g = B.grid
-    mask = _interior_mask(g.n, margin_cells) & g.disk_mask(rho)
+    mask = _fit_region(B.grid, rho)
     B, _ = _canonical(B, mask)
     lap_b = B.slope_laplacian[mask]
     lap_q = B.paraboloid_laplacian[mask]
@@ -347,9 +380,7 @@ def fit_modification_weight(
 def check_subharmonic_modified_slope(
     B: GeometryBundle,
     K: SlopeConstants,
-    rho: float = 2.0,
-    slack: float = 1e-4,
-    margin_cells: int = 2,
+    rho: float = SAMPLED_RADIUS,
     trials: int = 200,
     seed: int = 0,
     wmp: CheckReport | None = None,
@@ -357,18 +388,18 @@ def check_subharmonic_modified_slope(
     """Subharmonicity of the modified slope b + (A/2)|x|^2 on |x| <= rho.
 
     Requires a phase on the region that classify_phase does not call
-    subcritical (phase >= delta).  Evaluates min lap_g(b_mod) over the
-    region, by linearity from the bundle's cached Laplacians of b and
-    |x|^2/2, and demands it be >= -slack; then runs the weak-maximum-principle
-    sampler on the modified slope, since that is the property the
+    subcritical (phase >= delta); the region is the one fit_modification_weight
+    fits on.  Evaluates min lap_g(b_mod) over the region, by linearity from
+    the bundle's cached Laplacians of b and |x|^2/2, and demands it be
+    >= -SUBHARMONIC_SLACK; then runs the weak-maximum-principle sampler on
+    the modified slope of the bundle canonical on the region, on the disk of
+    radius min(rho, SAMPLED_RADIUS), since that is the property the
     subharmonicity is for.  Passes only if both hold.  wmp, when given, is
-    check_weak_max_principle's report on modified_slope(B, K) on the disk of
-    radius 2 with these trials and seed; it stands in for the sampler when
-    the check reads that same field, i.e. B is not flipped to its negation
-    and min(rho, 2) = 2.
+    check_weak_max_principle's report on that modified slope on the disk of
+    radius SAMPLED_RADIUS with these trials and seed; it stands in for the
+    sampler when the check samples that same disk, i.e. rho >= SAMPLED_RADIUS.
     """
-    g = B.grid
-    mask = _interior_mask(g.n, margin_cells) & g.disk_mask(rho)
+    mask = _fit_region(B.grid, rho)
     B, flipped = _canonical(B, mask)
     if classify_phase(B.phase[mask], K.delta) == "subcritical":
         raise PreconditionError(
@@ -376,11 +407,11 @@ def check_subharmonic_modified_slope(
         )
     lap = B.slope_laplacian + K.A * B.paraboloid_laplacian
     m = float(np.min(lap[mask]))
-    radius = min(rho, 2.0)
-    if wmp is None or flipped or radius != 2.0:
+    radius = min(rho, SAMPLED_RADIUS)
+    if wmp is None or radius != SAMPLED_RADIUS:
         bmod = modified_slope(B, K)
         wmp = check_weak_max_principle(bmod, trials=trials, seed=seed, radius=radius)
-    passed = (m >= -slack) and wmp.passed
+    passed = (m >= -SUBHARMONIC_SLACK) and wmp.passed
     return CheckReport(
         name="subharmonic",
         kind="inequality",
@@ -388,7 +419,7 @@ def check_subharmonic_modified_slope(
         rhs=m,
         margin=m,
         passed=bool(passed),
-        slack=slack,
+        slack=SUBHARMONIC_SLACK,
         fitted={"A": K.A, "min_laplacian": m},
         details={"canonicalized": flipped, "wmp_margin": wmp.margin, "wmp_passed": wmp.passed},
     )
@@ -398,7 +429,6 @@ def check_jacobi_integral(
     B: GeometryBundle,
     cutoff: CutoffProfile,
     K: SlopeConstants,
-    ibp_coeff: float = 10.0,
 ) -> CheckReport:
     """Integral form of the slope curvature inequality through a cutoff.
 
@@ -410,16 +440,16 @@ def check_jacobi_integral(
     bundle, which reuses its cached slope fields).  Also verifies the
     discrete integration-by-parts step
       int phi^2 lap_g(b) dv = -int <2 phi grad_g phi, grad_g b>_g dv
-    to ibp_coeff*h; the divergence-form operator makes this exact up to the
+    to IBP_COEFF*h; the divergence-form operator makes this exact up to the
     nodal-versus-half-node quadrature mismatch, since phi vanishes well
-    inside the grid.
+    inside the grid (its support must stay INTERIOR_MARGIN nodes inside).
     """
     if cutoff.grid != B.grid:
         raise ValueError("cutoff and bundle grids differ")
     B, flipped = _canonical(B)
     g = B.grid
-    if cutoff.r2 > g.L - 2 * g.h:
-        raise PreconditionError("cutoff support must stay 2h inside the grid")
+    if cutoff.r2 > g.L - INTERIOR_MARGIN * g.h:
+        raise PreconditionError(f"cutoff support must stay {INTERIOR_MARGIN}h inside the grid")
     C_hat = check_jacobi_pointwise(B, K).fitted["C_hat"]
     h = g.h
     phi = cutoff.phi.values
@@ -463,7 +493,7 @@ def check_jacobi_integral(
     ibp_rhs = float(-np.sum(cross) * h * h)
     del cross
     ibp_resid = abs(ibp_lhs - ibp_rhs)
-    ibp_tol = ibp_coeff * h
+    ibp_tol = IBP_COEFF * h
     passed = (margin >= 0.0) and (ibp_resid <= ibp_tol)
     return CheckReport(
         name="jacobi_integral",
@@ -478,17 +508,14 @@ def check_jacobi_integral(
     )
 
 
-def check_volume_bound(
-    B: GeometryBundle,
-    K: SlopeConstants,
-    inner: float = 2.0,
-    mid: float = 3.0,
-    outer: float = 4.0,
-) -> CheckReport:
+def check_volume_bound(B: GeometryBundle, K: SlopeConstants) -> CheckReport:
     """Volume-element bounds for the two supercritical phase regimes.
 
-    The regime is classify_phase of the phase on B_mid with K.delta; a
-    subcritical or straddling phase raises PreconditionError.
+    B_inner, B_mid and B_outer are the disks of radii VOLUME_INNER_RADIUS,
+    VOLUME_MID_RADIUS and VOLUME_OUTER_RADIUS (2, 3, 4).  The grid must
+    contain B_mid, and B_outer in regime "case2".  The regime is
+    classify_phase of the phase on B_mid with K.delta; a subcritical or
+    straddling phase raises PreconditionError.
 
     regime "case1" (delta <= phase <= 3pi/4): asserts the exact
     node-wise bound V sin(delta) <= sig1 on B_inner (zero slack; it follows
@@ -511,6 +538,9 @@ def check_volume_bound(
     if B.grad is None:
         raise PreconditionError("volume bound needs a bundle built from a potential")
     g = B.grid
+    inner, mid, outer = VOLUME_INNER_RADIUS, VOLUME_MID_RADIUS, VOLUME_OUTER_RADIUS
+    if mid > g.L:
+        raise PreconditionError(f"volume bound needs the grid to contain the disk of radius {mid}")
     middle = g.disk_mask(mid)
     B, flipped = _canonical(B, middle)
     regime = classify_phase(B.phase[middle], K.delta)
@@ -571,11 +601,12 @@ def check_volume_bound(
     )
 
 
-def fit_exp_budget(level: float, growth: float, tol: float = 1e-6) -> float:
+def fit_exp_budget(level: float, growth: float) -> float:
     """Smallest C >= 0 with level <= C * exp(C * growth), by bisection.
 
     The map C -> C e^{C g} is strictly increasing for g >= 0, so the minimal
-    constant is the unique root; bisection runs to absolute tolerance tol.
+    constant is the unique root; bisection runs to absolute tolerance
+    EXP_BUDGET_TOL.
     """
     if level <= 0.0:
         return 0.0
@@ -585,7 +616,7 @@ def fit_exp_budget(level: float, growth: float, tol: float = 1e-6) -> float:
         if hi > 1e12:
             raise ValueError("exponential budget fit diverged")
     lo = 0.0
-    while hi - lo > tol:
+    while hi - lo > EXP_BUDGET_TOL:
         midp = 0.5 * (lo + hi)
         if midp * math.exp(midp * growth) < level:
             lo = midp

@@ -57,6 +57,12 @@ ETA_MAX = 0.1
 ETA_GAMMA = 0.9
 ETA_SAFEGUARD = 0.1
 ETA_MIN = 1e-12
+# Armijo sufficient decrease: a step of length t is taken once the residual
+# sup-norm falls to (1 - ARMIJO t) of its value, the customary 1e-4
+ARMIJO = 1e-4
+# the line search halves t from 1 and gives up once t < MIN_STEP, after 21
+# trials; a step that short is a stall, reported as a failed line search
+MIN_STEP = 2.0**-20
 
 
 @dataclass(frozen=True)
@@ -479,8 +485,6 @@ def newton_solve(
     grid: Grid2 | None = None,
     tol: float = 1e-10,
     max_iter: int = 30,
-    armijo: float = 1e-4,
-    min_step: float = 2.0**-20,
     initial: str = "phase_matched",
 ) -> SolveState:
     """Damped Newton iteration for the arctangent-form Dirichlet problem.
@@ -490,8 +494,9 @@ def newton_solve(
     as coefficients (positive definite at any iterate, so descent directions
     never degenerate).  Each system is solved only to the relative residual
     that _forcing_term gives.  Steps are damped by Armijo backtracking on
-    the residual sup-norm.  Non-convergence within max_iter returns the
-    state with the converged flag unset rather than raising.
+    the residual sup-norm (ARMIJO, halving down to MIN_STEP).
+    Non-convergence within max_iter returns the state with the converged
+    flag unset rather than raising.
     """
     if grid is None:
         grid = psi.grid
@@ -554,11 +559,11 @@ def newton_solve(
         step = np.zeros((n, n))
         step[1:-1, 1:-1] = s_int.reshape(n - 2, n - 2)
         t = 1.0
-        while t >= min_step:
+        while t >= MIN_STEP:
             trial = u + t * step
             r_new, ell_new, hess = residual(trial)
             rn_new = float(np.max(np.abs(r_new)))
-            if rn_new <= (1.0 - armijo * t) * rn:
+            if rn_new <= (1.0 - ARMIJO * t) * rn:
                 break
             t *= 0.5
         else:

@@ -203,7 +203,7 @@ def test_criterion_5_subharmonic_modified_slope(grid_full):
     a_hat, attained = fit_modification_weight(B, base, rho=2.0)
     K = SlopeConstants(delta=0.3, c=0.5, A=a_hat)
     rep = check_subharmonic_modified_slope(
-        B, K, rho=2.0, slack=1e-4, trials=WMP_TRIALS, seed=SEED
+        B, K, rho=2.0, trials=WMP_TRIALS, seed=SEED
     )
     ok = attained >= -1e-4 and rep.passed and rep.details["wmp_passed"]
     _verdict(

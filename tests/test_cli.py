@@ -650,8 +650,8 @@ class TestVerifyWork:
         [
             ("perturbed", ["all"], 1),
             ("perturbed", ["subharmonic"], 1),
-            # subharmonic samples the negated slope; the other two share one sample
-            ("negative", ["all"], 2),
+            # all three read the slope of the negated potential
+            ("negative", ["all"], 1),
             ("negative", ["subharmonic"], 1),
         ],
     )

@@ -425,8 +425,6 @@ class TestSlopeConstants:
             SlopeConstants(c=1.5)
         with pytest.raises(ValueError):
             SlopeConstants(A=-1.0)
-        with pytest.raises(ValueError):
-            SlopeConstants(eps_gap=0.0)
 
 
 class TestClassifyPhase:

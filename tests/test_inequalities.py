@@ -125,6 +125,11 @@ class TestSuperIso:
         with pytest.raises(PreconditionError):
             check_super_iso(f)
 
+    def test_grid_must_contain_disk(self):
+        f = sample(lambda x1, x2: 1.0 + 0.0 * x1 + 0.0 * x2, build_grid(1.5, 65))
+        with pytest.raises(PreconditionError, match="disk of radius 2.0"):
+            check_super_iso(f)
+
     def test_wmp_failure_rejected(self, grid129):
         # positive but peaked inside: fails the weak maximum principle stage
         f = sample(lambda x1, x2: np.exp(-(x1 * x1 + x2 * x2)), grid129)
@@ -298,12 +303,11 @@ class TestSubharmonicModifiedSlope:
         K = SlopeConstants(delta=0.3, c=0.5, A=0.06)
         used = check_subharmonic_modified_slope(bundle(prob.u_exact), K, wmp=stand_in)
         assert not used.details["wmp_passed"]
-        negative = bundle(ScalarField2(prob.grid, -prob.u_exact.values))
-        smaller_disk = dict(B=bundle(prob.u_exact), rho=1.5)
-        for kwargs in (dict(B=negative), smaller_disk):
-            rep = check_subharmonic_modified_slope(K=K, trials=40, wmp=stand_in, **kwargs)
-            assert rep.details["wmp_passed"]
-            assert rep.details["wmp_margin"] != stand_in.margin
+        rep = check_subharmonic_modified_slope(
+            bundle(prob.u_exact), K, rho=1.5, trials=40, wmp=stand_in
+        )
+        assert rep.details["wmp_passed"]
+        assert rep.details["wmp_margin"] != stand_in.margin
 
 
 class TestJacobiIntegral:
@@ -404,6 +408,11 @@ class TestVolumeBound:
         u = sample(lambda x1, x2: 0.5 * (x1 * x1 + x2 * x2), grid129)
         B = bundle_from_hessian(hessian_fd(u))
         with pytest.raises(PreconditionError):
+            check_volume_bound(B, K_DEFAULT)
+
+    def test_grid_must_contain_middle_disk(self):
+        B = bundle(manufacture(quadratic_family(1.0), build_grid(2.5, 65)).u_exact)
+        with pytest.raises(PreconditionError, match="disk of radius 3.0"):
             check_volume_bound(B, K_DEFAULT)
 
 
