@@ -34,6 +34,7 @@ import traceback
 from dataclasses import dataclass, field
 from functools import cached_property, wraps
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -394,7 +395,9 @@ class _Context:
     the weak-maximum-principle sample of the modified slope (which the
     weak_max_principle, super_iso and subharmonic checks share) are built on
     first use; `timings` holds each one's own build time and `lazy_s` their
-    total, so no check is charged for state it builds first.
+    total, so no check is charged for state it builds first.  `_run_checks`
+    drops each of them, and each lazily built field of the bundle, once no
+    remaining check reads it.
     """
 
     def __init__(self, cfg: RunConfig):
@@ -469,48 +472,119 @@ class _Context:
         return None
 
 
-# Canonical check name -> the check run on a verify context.  Each entry looks
-# its check function up by module-global name when it runs, so a caller that
-# rebinds `lmce.cli.check_*` (a tracer, a test stub) sees its own function.
+class _Check(NamedTuple):
+    """One registry entry: the check run on a verify context, and the lazily
+    built fields it reads, of the context or of the bundle it reads
+    ("negated" for a check that may canonicalize the bundle)."""
+
+    run: Callable[[_Context], CheckReport]
+    reads: tuple[str, ...] = ()
+
+
+# Canonical check name -> its entry.  Each entry looks its check function up
+# by module-global name when it runs, so a caller that rebinds
+# `lmce.cli.check_*` (a tracer, a test stub) sees its own function.
 IDENTITY_CHECKS = {
-    "form_equivalence": lambda ctx: check_form_equivalence(ctx.bundle, ctx.psi),
-    "complex_factorization": lambda ctx: check_complex_factorization(ctx.bundle),
-    "volume_formula": lambda ctx: check_volume_formula(ctx.bundle),
-    "cutoff_volume": lambda ctx: check_cutoff_volume_identity(ctx.bundle, ctx.cutoff),
-    "slope_volume": lambda ctx: check_slope_volume(ctx.bundle),
-    "coordinate_laplacian": lambda ctx: check_coordinate_laplacian(ctx.bundle),
+    "form_equivalence": _Check(lambda ctx: check_form_equivalence(ctx.bundle, ctx.psi)),
+    "complex_factorization": _Check(
+        lambda ctx: check_complex_factorization(ctx.bundle), ("cos_phase", "sin_phase")
+    ),
+    "volume_formula": _Check(lambda ctx: check_volume_formula(ctx.bundle), ("sin_phase",)),
+    "cutoff_volume": _Check(
+        lambda ctx: check_cutoff_volume_identity(ctx.bundle, ctx.cutoff),
+        ("cutoff", "cos_phase", "sin_phase"),
+    ),
+    "slope_volume": _Check(lambda ctx: check_slope_volume(ctx.bundle)),
+    "coordinate_laplacian": _Check(
+        lambda ctx: check_coordinate_laplacian(ctx.bundle), ("fluxes",)
+    ),
 }
 INEQUALITY_CHECKS = {
-    "weak_max_principle": lambda ctx: ctx.wmp,
-    "super_iso": lambda ctx: check_super_iso(
-        ctx.bmod,
-        trials=ctx.cfg.trials,
-        seed=ctx.cfg.seed,
-        wmp=ctx.wmp,
-        grad_norm=ctx.bmod_grad_norm,
+    "weak_max_principle": _Check(lambda ctx: ctx.wmp, ("wmp",)),
+    "super_iso": _Check(
+        lambda ctx: check_super_iso(
+            ctx.bmod,
+            trials=ctx.cfg.trials,
+            seed=ctx.cfg.seed,
+            wmp=ctx.wmp,
+            grad_norm=ctx.bmod_grad_norm,
+        ),
+        ("bmod", "bmod_grad_norm", "wmp"),
     ),
-    "jacobi_pointwise": lambda ctx: check_jacobi_pointwise(
-        ctx.bundle,
-        ctx.constants,
-        C_budget=ctx.cfg.C_budget if ctx.cfg.C_budget is not None else math.inf,
+    "jacobi_pointwise": _Check(
+        lambda ctx: check_jacobi_pointwise(
+            ctx.bundle,
+            ctx.constants,
+            C_budget=ctx.cfg.C_budget if ctx.cfg.C_budget is not None else math.inf,
+        ),
+        ("constants", "negated", "slope_laplacian", "slope_grad_norm2"),
     ),
-    "subharmonic": lambda ctx: check_subharmonic_modified_slope(
-        ctx.bundle,
-        ctx.constants,
-        rho=ctx.cfg.rho,
-        trials=ctx.cfg.trials,
-        seed=ctx.cfg.seed,
-        wmp=ctx.wmp_for_subharmonic(),
+    "subharmonic": _Check(
+        lambda ctx: check_subharmonic_modified_slope(
+            ctx.bundle,
+            ctx.constants,
+            rho=ctx.cfg.rho,
+            trials=ctx.cfg.trials,
+            seed=ctx.cfg.seed,
+            wmp=ctx.wmp_for_subharmonic(),
+        ),
+        ("constants", "negated", "slope_laplacian", "paraboloid_laplacian", "wmp"),
     ),
-    "jacobi_integral": lambda ctx: check_jacobi_integral(ctx.bundle, ctx.cutoff, ctx.constants),
+    "jacobi_integral": _Check(
+        lambda ctx: check_jacobi_integral(ctx.bundle, ctx.cutoff, ctx.constants),
+        ("cutoff", "constants", "negated", "slope_laplacian", "slope_grad_norm2", "slope_gradient"),
+    ),
     # the last two read only delta, so they do not pay for the fit of A
-    "volume_bound": lambda ctx: check_volume_bound(ctx.bundle, SlopeConstants(delta=ctx.cfg.delta)),
-    "hessian_estimate": lambda ctx: check_hessian_estimate(
-        ctx.bundle, ctx.cfg.R, delta=ctx.cfg.delta, C_budget=ctx.cfg.Cstar_budget
+    "volume_bound": _Check(
+        lambda ctx: check_volume_bound(ctx.bundle, SlopeConstants(delta=ctx.cfg.delta)),
+        ("negated", "grad_norm"),
+    ),
+    "hessian_estimate": _Check(
+        lambda ctx: check_hessian_estimate(
+            ctx.bundle, ctx.cfg.R, delta=ctx.cfg.delta, C_budget=ctx.cfg.Cstar_budget
+        ),
+        ("negated", "grad_norm"),
     ),
 }
 _CHECKS = {**IDENTITY_CHECKS, **INEQUALITY_CHECKS}
 ALL_CHECKS = list(_CHECKS)
+
+# lazily built field -> the lazily built fields its build reads
+_BUILT_FROM = {
+    "constants": ("slope_laplacian", "paraboloid_laplacian", "negated"),
+    "bmod": ("constants", "negated"),
+    "bmod_grad_norm": ("bmod",),
+    "wmp": ("bmod", "bmod_grad_norm"),
+    "slope_laplacian": ("fluxes",),
+    "paraboloid_laplacian": ("fluxes",),
+    "slope_grad_norm2": ("slope_gradient",),
+}
+
+
+def _release(ctx: _Context, remaining: list[str]) -> None:
+    """Drop every lazily built field that none of the remaining checks reads,
+    from the context, its bundle and the bundle's negated twin.
+
+    A field still to be built keeps what it is built from; a built one does
+    not, so the flux coefficients go as soon as both Laplacians exist.  Which
+    fields are built is read per bundle, since each builds its own."""
+    reads = [f for name in remaining for f in _CHECKS[name].reads]
+    holders = [ctx, ctx.bundle]
+    if "negated" in ctx.bundle.__dict__:
+        holders.append(ctx.bundle.negated)
+    for holder in holders:
+        built = holder.__dict__
+        keep: set[str] = set()
+        todo = list(reads)
+        while todo:
+            name = todo.pop()
+            if name not in keep:
+                keep.add(name)
+                if name not in built and name not in ctx.__dict__:
+                    todo.extend(_BUILT_FROM.get(name, ()))
+        for name, attr in vars(type(holder)).items():
+            if isinstance(attr, cached_property) and name not in keep:
+                built.pop(name, None)
 
 
 def _json_default(obj):
@@ -537,14 +611,15 @@ def _run_checks(ctx: _Context, names: list[str], timings: dict) -> list[dict]:
     """Run the named checks on one context and return their entries; a check
     whose precondition fails gives a failed `precondition_failed` entry.
     Each check's own time and the context's lazy build times are added to
-    `timings` under `<name>_s`."""
+    `timings` under `<name>_s`.  After each check, the lazily built fields
+    that no later check reads are dropped (see `_release`)."""
     entries = []
     spent = {}
-    for name in names:
+    for k, name in enumerate(names):
         t1 = time.perf_counter()
         lazy0 = ctx.lazy_s
         try:
-            entry = _CHECKS[name](ctx).entry()
+            entry = _CHECKS[name].run(ctx).entry()
         except PreconditionError as exc:
             entry = {
                 "check": name,
@@ -557,6 +632,7 @@ def _run_checks(ctx: _Context, names: list[str], timings: dict) -> list[dict]:
         entry.setdefault("status", "ran")
         entries.append(entry)
         spent[f"{name}_s"] = time.perf_counter() - t1 - (ctx.lazy_s - lazy0)
+        _release(ctx, names[k + 1 :])
     for key, value in {**spent, **ctx.timings}.items():
         timings[key] = timings.get(key, 0.0) + value
     return entries

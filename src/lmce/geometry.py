@@ -136,7 +136,8 @@ class GeometryBundle:
     Hessian-estimate checks); bundles built directly from a Hessian field
     leave it None.
 
-    The fields below are computed on first access and then kept, so every
+    The fields below are computed on first access and then kept until the
+    verify runner drops them (once no remaining check reads them), so every
     check reading them shares one computation: cos_phase and sin_phase
     (cos and sin of phase), grad_norm (|Du| = hypot of grad, for bundles
     that carry it), slope_gradient (differenced Euclidean gradient of b),

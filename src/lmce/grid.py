@@ -16,7 +16,7 @@ field), another dtype, or a non-array.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -49,10 +49,13 @@ class Grid2:
 
     Node (i, j) sits at (-L + i*h, -L + j*h); coordinates are symmetric
     about the origin. n >= 5 so that all stencils in this module fit.
+    Each disk mask is built once per grid and radius and kept (one byte per
+    node); equality and hashing read L and n only.
     """
 
     L: float
     n: int
+    _disk_masks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 5:
@@ -77,12 +80,17 @@ class Grid2:
         return x1 * x1 + x2 * x2
 
     def disk_mask(self, r: float) -> np.ndarray:
-        """Boolean mask of nodes with |x| <= r.  Requires r <= L."""
+        """Read-only boolean mask of nodes with |x| <= r.  Requires r <= L."""
         if r > self.L:
             raise ValueError(f"disk radius {r} exceeds grid half-width {self.L}")
         if r < 0:
             raise ValueError(f"disk radius must be non-negative, got {r}")
-        return self.radius2() <= r * r
+        mask = self._disk_masks.get(r)
+        if mask is None:
+            mask = self.radius2() <= r * r
+            mask.setflags(write=False)
+            self._disk_masks[r] = mask
+        return mask
 
     def origin_index(self) -> tuple[int, int]:
         """Index of the origin node; requires odd n."""

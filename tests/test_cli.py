@@ -1,16 +1,23 @@
 """Config parsing, commands, exit codes, output formats, determinism."""
 
+import collections
+import contextlib
 import csv
+import functools
 import importlib
 import importlib.util
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import lmce.cli
 from lmce.cli import (
@@ -31,6 +38,7 @@ from lmce.cli import (
     write_pgm,
 )
 from lmce.errors import ConfigError
+from lmce.geometry import GeometryBundle
 from lmce.grid import ScalarField2, build_grid, sample
 from lmce.identities import CheckReport
 from lmce.solver import anisotropic_family, manufacture
@@ -490,6 +498,20 @@ class TestMainExitCodes:
         else:
             assert err.count("\n") == 1
 
+    def test_runs_as_a_module(self, tmp_path):
+        p = tmp_path / "ok.cfg"
+        p.write_text("family=quadratic\na=1\nn=17\nchecks=slope_volume\n")
+        # the directory holding the lmce package, as in a checkout
+        env = dict(os.environ, PYTHONPATH=str(Path(lmce.cli.__file__).resolve().parents[1]))
+        argv = ["verify", "--config", str(p), "--out", str(tmp_path / "o")]
+        proc = subprocess.run(
+            [sys.executable, "-m", "lmce", *argv],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == EXIT_PASS, proc.stderr
+        assert proc.stdout == "PASS slope_volume\n"
+        assert (tmp_path / "o" / "verify.csv").is_file()
+
 
 class TestStrictConfig:
     BASE = {"family": "perturbed", "n": 65, "checks": ["weak_max_principle", "super_iso"]}
@@ -665,9 +687,9 @@ class TestVerifyWork:
         assert wmp_calls["wmp"] == calls
 
     def test_peak_memory_of_a_full_verify(self, tmp_path):
-        # at n=129 the traced peak is 34.9 float arrays of n^2 nodes; 37 leaves
-        # about 6% headroom.  A coarse run first loads what only a first run
-        # allocates.
+        # at n=129 the traced peak is 29.6 float arrays of n^2 nodes; 31.5
+        # leaves about 6% headroom.  A coarse run first loads what only a
+        # first run allocates.
         def config(n, out):
             return RunConfig(family="perturbed", eps=0.1, n=n, checks=["all"], out=str(out))
 
@@ -681,7 +703,7 @@ class TestVerifyWork:
         finally:
             tracemalloc.stop()
         assert code == EXIT_PASS
-        assert peak < 37 * 8 * n * n
+        assert peak < 31.5 * 8 * n * n
 
     def test_lazy_state_has_its_own_timings(self, tmp_path):
         cfg = RunConfig(family="perturbed", eps=0.1, n=65, checks=["all"], out=str(tmp_path / "o"))
@@ -696,3 +718,89 @@ class TestVerifyWork:
         # disjoint pieces: none is charged twice
         assert all(t >= 0.0 for t in timings.values())
         assert sum(timings.values()) <= wall
+
+
+_RELEASE_CASES = {
+    "perturbed": dict(family="perturbed", eps=0.1),
+    "negative": dict(family="anisotropic", theta1=-0.4, theta2=-1.0, seed=3),
+}
+
+
+def _lazy_holders(ctx):
+    return [ctx, ctx.bundle] + ([ctx.bundle.negated] if "negated" in ctx.bundle.__dict__ else [])
+
+
+def _lazy_fields(cls):
+    return [k for k, v in vars(cls).items() if isinstance(v, functools.cached_property)]
+
+
+@contextlib.contextmanager
+def _count_lazy_builds():
+    """Counts of builds of each lazily built field of the verify context and
+    of every geometry bundle, keyed by (id of the object, field name).  A
+    negated bundle's fields taken over from its original count as built."""
+    builds = collections.Counter()
+    alive = []  # every counted object, so that no id is reused
+
+    def counting(build, name):
+        def wrapper(obj):
+            alive.append(obj)
+            builds[id(obj), name] += 1
+            value = build(obj)
+            if name == "negated":
+                alive.append(value)
+                for inherited in set(_lazy_fields(GeometryBundle)) & set(vars(value)):
+                    builds[id(value), inherited] += 1
+            return value
+
+        return wrapper
+
+    with pytest.MonkeyPatch.context() as mp:
+        for cls in (lmce.cli._Context, GeometryBundle):
+            for name in _lazy_fields(cls):
+                prop = vars(cls)[name]
+                mp.setattr(prop, "func", counting(prop.func, name))
+        yield builds
+
+
+@functools.lru_cache(maxsize=None)
+def _in_order_entries(case: str, A) -> dict:
+    cfg = RunConfig(**_RELEASE_CASES[case], A=A, n=65, checks=["all"])
+    entries = lmce.cli._run_checks(lmce.cli._Context(cfg), cfg.checks, {})
+    return {e["check"]: e for e in entries}
+
+
+class TestReleaseTable:
+    """The verify runner drops each lazily built field after its last
+    reader; a stale entry of the registry's `reads` or of `_BUILT_FROM`
+    shows as a field built twice or as a field left alive."""
+
+    @settings(deadline=None, max_examples=150)
+    @given(
+        case=st.sampled_from(sorted(_RELEASE_CASES)),
+        # a given A builds neither Laplacian with the slope constants
+        A=st.sampled_from(["fit", 1.0]),
+        order=st.permutations(ALL_CHECKS),
+        size=st.integers(1, len(ALL_CHECKS)),
+    )
+    # the sample builds the constants but not lap_g b, so the flux
+    # coefficients must outlive it for jacobi_pointwise
+    @example(
+        case="perturbed",
+        A=1.0,
+        order=["coordinate_laplacian", "weak_max_principle", "jacobi_pointwise"],
+        size=3,
+    )
+    def test_any_order_builds_each_field_once(self, case, A, order, size):
+        names = order[:size]
+        cfg = RunConfig(**_RELEASE_CASES[case], A=A, n=65, checks=names)
+        with _count_lazy_builds() as builds:
+            ctx = lmce.cli._Context(cfg)
+            entries = lmce.cli._run_checks(ctx, cfg.checks, {})
+        full = _in_order_entries(case, A)
+        assert [e["check"] for e in entries] == names
+        for entry in entries:
+            assert entry == full[entry["check"]]
+        assert {key: count for key, count in builds.items() if count > 1} == {}
+        left = [k for h in _lazy_holders(ctx) for k in _lazy_fields(type(h)) if k in h.__dict__]
+        assert left == []

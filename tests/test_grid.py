@@ -194,6 +194,17 @@ class TestDiskQuadrature:
         with pytest.raises(ValueError):
             integrate_disk(f, 3.0)
 
+    def test_mask_built_once_per_radius_and_read_only(self):
+        g = build_grid(4.0, 65)
+        mask = g.disk_mask(2.0)
+        assert g.disk_mask(2.0) is mask
+        assert not mask.flags.writeable
+        assert np.array_equal(mask, g.radius2() <= 4.0)
+        # the masks a grid keeps take no part in equality or hashing
+        other = build_grid(4.0, 65)
+        assert other == g and hash(other) == hash(g)
+        assert other.disk_mask(2.0) is not mask
+
 
 class TestSupNorm:
     def test_linear(self):

@@ -262,7 +262,7 @@ class TestSubharmonicModifiedSlope:
             ScalarField2(g, np.full((g.n, g.n), 0.5)),
         )
         B = bundle_from_hessian(hess)
-        region = g.disk_mask(2.0)
+        region = g.disk_mask(2.0).copy()
         region[:2] = region[-2:] = region[:, :2] = region[:, -2:] = False
         lap_b, lap_q = B.slope_laplacian[region], B.paraboloid_laplacian[region]
         assert np.min(lap_q) < 0.0 < np.max(lap_q)
