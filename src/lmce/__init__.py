@@ -9,37 +9,16 @@ volume element, the slope curvature (Jacobi-type) inequality in pointwise
 and integral form, subharmonicity of the modified slope, the super
 isoperimetric inequality, volume-element bounds in both phase regimes, and
 the exponential Hessian bound itself.
+
+The top level holds what the README's quick start reads: the grid and bundle
+constructors, the slope constants, the errors and every check.  Everything
+else is imported from its module (`lmce.solver` for manufactured problems and
+the Newton solver, `lmce.grid` and `lmce.geometry` for the field calculus).
 """
 
 from .errors import ConfigError, LinearSolveError, NonConvergenceError, PreconditionError
-from .geometry import (
-    GeometryBundle,
-    SlopeConstants,
-    bundle,
-    bundle_from_hessian,
-    classify_phase,
-    eigen_sym2,
-    grad_g_norm2,
-    laplace_beltrami,
-    laplace_beltrami_nondiv,
-    modified_slope,
-    negate_bundle,
-    slope,
-)
-from .grid import (
-    CutoffProfile,
-    Grid2,
-    ScalarField2,
-    SymMat2Field,
-    Vec2Field,
-    build_grid,
-    gradient_fd,
-    hessian_fd,
-    integrate_disk,
-    make_cutoff,
-    sample,
-    sup_norm_disk,
-)
+from .geometry import GeometryBundle, SlopeConstants, bundle
+from .grid import build_grid
 from .identities import (
     CheckReport,
     check_complex_factorization,
@@ -57,22 +36,6 @@ from .inequalities import (
     check_super_iso,
     check_volume_bound,
     check_weak_max_principle,
-    fit_exp_budget,
-    fit_modification_weight,
-)
-from .solver import (
-    AnalyticFunction2,
-    ManufacturedProblem,
-    SolveState,
-    anisotropic_family,
-    linear_solve,
-    manufacture,
-    negate_analytic,
-    newton_solve,
-    perturbed_family,
-    phase_residual,
-    quadratic_family,
-    rescale_analytic,
 )
 
 __version__ = "0.1.0"

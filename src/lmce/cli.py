@@ -40,7 +40,7 @@ import numpy as np
 
 from .errors import ConfigError, NonConvergenceError, PreconditionError
 from .geometry import SlopeConstants, bundle as make_bundle, classify_phase, modified_slope
-from .grid import ScalarField2, build_grid, gradient_fd, make_cutoff
+from .grid import ScalarField2, build_grid, gradient_fd
 from .identities import (
     CheckReport,
     check_complex_factorization,
@@ -134,7 +134,7 @@ class RunConfig:
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
         for name in ("L", "R", "rho", "delta", "tol"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, float)) or not value > 0:
+            if not _number(value) > 0:
                 raise ConfigError(f"{name} must be a positive number, got {value!r}")
         if self.trials < 1:
             raise ConfigError(f"trials must be at least 1, got {self.trials}")
@@ -146,8 +146,10 @@ class RunConfig:
             raise ConfigError(f"unknown family {self.family!r}")
         if self.family == "field" and not self.field_file:
             raise ConfigError("family=field needs field_file")
-        if isinstance(self.A, str) and self.A != "fit":
-            raise ConfigError(f"A must be a number or 'fit', got {self.A!r}")
+        if not 0.0 < _number(self.c) <= 1.0:
+            raise ConfigError(f"c must be a number in (0, 1], got {self.c!r}")
+        if self.A != "fit" and not _number(self.A) >= 0.0:
+            raise ConfigError(f"A must be a non-negative number or 'fit', got {self.A!r}")
         if self.sweep_param and self.sweep_param not in _SWEEPABLE:
             raise ConfigError(
                 f"sweep_param must be a numeric config key ({', '.join(_SWEEPABLE)}), "
@@ -181,6 +183,14 @@ class RunConfig:
         else:
             raw = _parse_flat(text)
         return cls.from_dict(raw)
+
+
+def _number(value) -> float:
+    """value as a float if it is an int or a float, else NaN, which fails
+    every comparison."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return math.nan
+    return float(value)
 
 
 def _require_sampler_grid(cfg: RunConfig, grid) -> None:
@@ -390,9 +400,9 @@ def _timed_lazy(build):
 class _Context:
     """Lazily built shared state for one verify run, or one swept value.
 
-    The slope constants (with the fit of A), the cutoff, the modified slope,
-    its gradient norm |D b_mod| (which the sampler and super_iso share) and
-    the weak-maximum-principle sample of the modified slope (which the
+    The slope constants (with the fit of A), the modified slope, its
+    gradient norm |D b_mod| (which the sampler and super_iso share) and the
+    weak-maximum-principle sample of the modified slope (which the
     weak_max_principle, super_iso and subharmonic checks share) are built on
     first use; `timings` holds each one's own build time and `lazy_s` their
     total, so no check is charged for state it builds first.  `_run_checks`
@@ -444,10 +454,6 @@ class _Context:
         return SlopeConstants(delta=self.cfg.delta, c=self.cfg.c, A=float(a))
 
     @_timed_lazy
-    def cutoff(self):
-        return make_cutoff(2.0, 3.0, self.grid)
-
-    @_timed_lazy
     def bmod(self) -> ScalarField2:
         # the slope of the bundle that the weight A is fitted on
         B, _ = _canonical(self.bundle, _fit_region(self.grid, self.cfg.rho))
@@ -462,14 +468,6 @@ class _Context:
         return check_weak_max_principle(
             self.bmod, trials=self.cfg.trials, seed=self.cfg.seed, grad_norm=self.bmod_grad_norm
         )
-
-    def wmp_for_subharmonic(self) -> CheckReport | None:
-        """The shared sample when a requested check needs it anyway, else None:
-        subharmonic samples its own when it reads a smaller disk (rho < 2),
-        and then must not pay for this one."""
-        if {"weak_max_principle", "super_iso"} & set(self.cfg.checks):
-            return self.wmp
-        return None
 
 
 class _Check(NamedTuple):
@@ -491,8 +489,7 @@ IDENTITY_CHECKS = {
     ),
     "volume_formula": _Check(lambda ctx: check_volume_formula(ctx.bundle), ("sin_phase",)),
     "cutoff_volume": _Check(
-        lambda ctx: check_cutoff_volume_identity(ctx.bundle, ctx.cutoff),
-        ("cutoff", "cos_phase", "sin_phase"),
+        lambda ctx: check_cutoff_volume_identity(ctx.bundle), ("cos_phase", "sin_phase")
     ),
     "slope_volume": _Check(lambda ctx: check_slope_volume(ctx.bundle)),
     "coordinate_laplacian": _Check(
@@ -526,13 +523,14 @@ INEQUALITY_CHECKS = {
             rho=ctx.cfg.rho,
             trials=ctx.cfg.trials,
             seed=ctx.cfg.seed,
-            wmp=ctx.wmp_for_subharmonic(),
+            # the shared sample is the one the check draws on B_2
+            wmp=ctx.wmp if ctx.cfg.rho >= SAMPLED_RADIUS else None,
         ),
         ("constants", "negated", "slope_laplacian", "paraboloid_laplacian", "wmp"),
     ),
     "jacobi_integral": _Check(
-        lambda ctx: check_jacobi_integral(ctx.bundle, ctx.cutoff, ctx.constants),
-        ("cutoff", "constants", "negated", "slope_laplacian", "slope_grad_norm2", "slope_gradient"),
+        lambda ctx: check_jacobi_integral(ctx.bundle, ctx.constants),
+        ("constants", "negated", "slope_laplacian", "slope_grad_norm2", "slope_gradient"),
     ),
     # the last two read only delta, so they do not pay for the fit of A
     "volume_bound": _Check(
@@ -549,15 +547,18 @@ INEQUALITY_CHECKS = {
 _CHECKS = {**IDENTITY_CHECKS, **INEQUALITY_CHECKS}
 ALL_CHECKS = list(_CHECKS)
 
-# lazily built field -> the lazily built fields its build reads
+# lazily built field -> the lazily built fields its build reads; a field even
+# under u -> -u reads its twin bundle ("negated"), which may have built it
 _BUILT_FROM = {
     "constants": ("slope_laplacian", "paraboloid_laplacian", "negated"),
     "bmod": ("constants", "negated"),
     "bmod_grad_norm": ("bmod",),
     "wmp": ("bmod", "bmod_grad_norm"),
     "slope_laplacian": ("fluxes",),
-    "paraboloid_laplacian": ("fluxes",),
+    "paraboloid_laplacian": ("fluxes", "negated"),
     "slope_grad_norm2": ("slope_gradient",),
+    "fluxes": ("negated",),
+    "grad_norm": ("negated",),
 }
 
 
@@ -567,7 +568,8 @@ def _release(ctx: _Context, remaining: list[str]) -> None:
 
     A field still to be built keeps what it is built from; a built one does
     not, so the flux coefficients go as soon as both Laplacians exist.  Which
-    fields are built is read per bundle, since each builds its own."""
+    fields are built is read per bundle: one that has not built an even
+    field keeps its link to the twin that may hold it."""
     reads = [f for name in remaining for f in _CHECKS[name].reads]
     holders = [ctx, ctx.bundle]
     if "negated" in ctx.bundle.__dict__:

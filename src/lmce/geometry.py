@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, wraps
 
 import numpy as np
 
@@ -38,7 +38,6 @@ __all__ = [
     "negate_bundle",
     "grad_g_norm2",
     "laplace_beltrami",
-    "laplace_beltrami_nondiv",
     "slope",
     "modified_slope",
 ]
@@ -119,6 +118,22 @@ class SlopeConstants:
             raise ValueError(f"A must be non-negative, got {self.A}")
 
 
+def _even(build):
+    """A lazily built bundle field that is even under u -> -u: when the twin
+    bundle of the negated potential has built it, the bundle takes the
+    twin's arrays, which a rebuild would compute bit for bit."""
+    name = build.__name__
+
+    @wraps(build)
+    def shared(self):
+        twin = self.__dict__.get("negated")
+        if twin is not None and name in twin.__dict__:
+            return twin.__dict__[name]
+        return build(self)
+
+    return cached_property(shared)
+
+
 @dataclass(frozen=True, eq=False)
 class GeometryBundle:
     """All per-node graph geometry derived from one Hessian field.
@@ -148,7 +163,9 @@ class GeometryBundle:
     slope_gradient read-only arrays.
     negated is the bundle of the negated potential, kept the same way so the
     checks that canonicalize a negative-phase bundle share its fields too; it
-    shares the metric arrays of this bundle (see negate_bundle).
+    shares the metric arrays of this bundle, its own negated is this bundle,
+    and the fields even under u -> -u (fluxes, grad_norm and
+    paraboloid_laplacian) are built once per pair (see negate_bundle).
     fluxes holds the half-node coefficients of laplace_beltrami, which depend
     on the metric only, so every call on the bundle shares them.
     """
@@ -181,7 +198,7 @@ class GeometryBundle:
     def sin_phase(self) -> np.ndarray:
         return _ro(np.sin(self.phase))
 
-    @cached_property
+    @_even
     def grad_norm(self) -> np.ndarray:
         if self.grad is None:
             raise ValueError("the bundle carries no gradient")
@@ -199,7 +216,7 @@ class GeometryBundle:
     def slope_grad_norm2(self) -> np.ndarray:
         return grad_g_norm2(slope(self), self, grad=self.slope_gradient).values
 
-    @cached_property
+    @_even
     def paraboloid_laplacian(self) -> np.ndarray:
         return laplace_beltrami(ScalarField2(self.grid, 0.5 * self.grid.radius2()), self).values
 
@@ -207,7 +224,7 @@ class GeometryBundle:
     def negated(self) -> "GeometryBundle":
         return negate_bundle(self)
 
-    @cached_property
+    @_even
     def fluxes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """W g^{ij} averaged to the half nodes, with the factors of the flux
         stencils: (W g^11)/2 and (W g^12)/4 at (i+1/2, j), then (W g^22)/2
@@ -282,8 +299,10 @@ def negate_bundle(B: GeometryBundle) -> GeometryBundle:
     """Bundle of the negated potential (phase flips sign, metric unchanged).
 
     g = I + M^2 is even in M, and so are its determinant and |Du|: the new
-    bundle shares vol, inv11/12/22 and, when B has built them, fluxes and
-    grad_norm, which are the very arrays a rebuild would compute bit for bit.
+    bundle shares vol and inv11/12/22, the very arrays a rebuild would compute
+    bit for bit.  The two bundles become each other's `negated`, so each
+    takes the even fields (fluxes, grad_norm, paraboloid_laplacian) that the
+    other has built.
     """
     g = B.grid
     hess = SymMat2Field(
@@ -298,9 +317,8 @@ def negate_bundle(B: GeometryBundle) -> GeometryBundle:
         )
     lam1, lam2 = eigen_sym2(hess.m11.values, hess.m12.values, hess.m22.values)
     neg = _assemble(hess, grad, lam1, lam2, B.vol, (B.inv11, B.inv12, B.inv22))
-    for name in ("fluxes", "grad_norm"):
-        if name in B.__dict__:
-            neg.__dict__[name] = B.__dict__[name]
+    B.__dict__["negated"] = neg
+    neg.__dict__["negated"] = B
     return neg
 
 
@@ -357,19 +375,6 @@ def _nondiv_kernel(v, W, inv11, inv12, inv22, h):
         + (_d1(A12, h, axis=0) + _d1(A22, h, axis=1)) * _d1(v, h, axis=1)
     ) / W
     return second + first
-
-
-def laplace_beltrami_nondiv(f: ScalarField2, B: GeometryBundle) -> ScalarField2:
-    """Laplace-Beltrami in non-divergence form (cross-check oracle).
-
-    Expands (1/W) d_i(W g^{ij} d_j f) into g^{ij} f_ij plus first-order
-    terms whose coefficients are differenced fields; used to validate the
-    divergence-form operator and to fill its outer node ring.
-    """
-    if f.grid != B.grid:
-        raise ValueError("field and bundle grids differ")
-    out = _nondiv_kernel(f.values, B.vol, B.inv11, B.inv12, B.inv22, B.grid.h)
-    return ScalarField2(B.grid, out)
 
 
 # the lower and upper node line of each pair of neighbours along each axis

@@ -255,6 +255,14 @@ def sup_norm_disk(f: ScalarField2, r: float) -> float:
     return float(np.max(np.abs(f.values[mask])))
 
 
+# the cutoff that tests the slope curvature inequality: plateau B_2, the disk
+# the super isoperimetric inequality integrates |grad_g b|^2 over, and
+# support B_3, so the unit-wide transition keeps |grad phi| <= 1.875 and
+# stays inside the default grid L = 4
+CUTOFF_PLATEAU_RADIUS = 2.0
+CUTOFF_SUPPORT_RADIUS = 3.0
+
+
 @dataclass(frozen=True, eq=False)
 class CutoffProfile:
     """Radial C^2 cutoff: 1 on |x| <= r1, 0 on |x| >= r2, monotone between.

@@ -22,7 +22,13 @@ from .geometry import (
     _quadform_inv,
     laplace_beltrami,
 )
-from .grid import INTERIOR_MARGIN, CutoffProfile, ScalarField2
+from .grid import (
+    CUTOFF_PLATEAU_RADIUS,
+    CUTOFF_SUPPORT_RADIUS,
+    INTERIOR_MARGIN,
+    ScalarField2,
+    make_cutoff,
+)
 
 __all__ = [
     "CheckReport",
@@ -201,20 +207,26 @@ def check_volume_formula(B: GeometryBundle) -> CheckReport:
     )
 
 
-def check_cutoff_volume_identity(B: GeometryBundle, cutoff: CutoffProfile) -> CheckReport:
+def check_cutoff_volume_identity(B: GeometryBundle) -> CheckReport:
     """|grad_g phi|^2 V <= |D phi|^2 (2 cos(phase) + sig1 sin(phase)), node-wise.
 
-    The left side contracts the analytic cutoff gradient with g^{-1}; the
-    right side is the closed form of |D phi|^2 (2 + lam1^2 + lam2^2)/V
-    obtained from the factorization identities.  Equality holds exactly when
-    the cutoff gradient is an eigenvector of the Hessian; in general the
+    phi is the fixed cutoff (plateau CUTOFF_PLATEAU_RADIUS, support
+    CUTOFF_SUPPORT_RADIUS), so the grid must contain its support.  The left
+    side contracts the analytic cutoff gradient with g^{-1}; the right side
+    is the closed form of |D phi|^2 (2 + lam1^2 + lam2^2)/V obtained from the
+    factorization identities.  Equality holds exactly when the cutoff
+    gradient is an eigenvector of the Hessian; in general the
     eigenvalue-versus-trace bound makes it a one-sided inequality, asserted
     with differencing slack CUTOFF_SLACK_COEFF*h^2.
     """
-    if cutoff.grid != B.grid:
-        raise ValueError("cutoff and bundle grids differ")
-    lhs = _quadform_inv(B, cutoff.grad.c1.values, cutoff.grad.c2.values) * B.vol
-    dphi2 = cutoff.grad.c1.values ** 2 + cutoff.grad.c2.values ** 2
+    if CUTOFF_SUPPORT_RADIUS > B.grid.L:
+        raise PreconditionError(
+            "cutoff volume check needs the grid to contain the disk of radius "
+            f"{CUTOFF_SUPPORT_RADIUS}"
+        )
+    grad = make_cutoff(CUTOFF_PLATEAU_RADIUS, CUTOFF_SUPPORT_RADIUS, B.grid).grad
+    lhs = _quadform_inv(B, grad.c1.values, grad.c2.values) * B.vol
+    dphi2 = grad.c1.values ** 2 + grad.c2.values ** 2
     rhs = dphi2 * (2.0 * B.cos_phase + B.sig1 * B.sin_phase)
     violation = np.maximum(lhs - rhs, 0.0)
     tol = CUTOFF_SLACK_COEFF * B.grid.h ** 2

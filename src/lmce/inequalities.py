@@ -32,12 +32,14 @@ from .geometry import (
     modified_slope,
 )
 from .grid import (
+    CUTOFF_PLATEAU_RADIUS,
+    CUTOFF_SUPPORT_RADIUS,
     INTERIOR_MARGIN,
-    CutoffProfile,
     Grid2,
     ScalarField2,
     gradient_fd,
     integrate_disk,
+    make_cutoff,
     sup_norm_disk,
 )
 from .identities import CheckReport
@@ -425,14 +427,11 @@ def check_subharmonic_modified_slope(
     )
 
 
-def check_jacobi_integral(
-    B: GeometryBundle,
-    cutoff: CutoffProfile,
-    K: SlopeConstants,
-) -> CheckReport:
+def check_jacobi_integral(B: GeometryBundle, K: SlopeConstants) -> CheckReport:
     """Integral form of the slope curvature inequality through a cutoff.
 
-    With dv = V dx and a cutoff phi (support radius r2, plateau radius r1),
+    With dv = V dx and the fixed cutoff phi (support radius
+    r2 = CUTOFF_SUPPORT_RADIUS, plateau radius r1 = CUTOFF_PLATEAU_RADIUS),
     asserts
       int_{B_{r1}} |grad_g b|^2 dv
         <= (4/c^2) int |grad_g phi|^2 dv + (2/c) C int phi^2 dv + slack,
@@ -444,34 +443,37 @@ def check_jacobi_integral(
     nodal-versus-half-node quadrature mismatch, since phi vanishes well
     inside the grid (its support must stay INTERIOR_MARGIN nodes inside).
     """
-    if cutoff.grid != B.grid:
-        raise ValueError("cutoff and bundle grids differ")
     B, flipped = _canonical(B)
     g = B.grid
-    if cutoff.r2 > g.L - INTERIOR_MARGIN * g.h:
-        raise PreconditionError(f"cutoff support must stay {INTERIOR_MARGIN}h inside the grid")
+    r1, r2 = CUTOFF_PLATEAU_RADIUS, CUTOFF_SUPPORT_RADIUS
+    if r2 > g.L - INTERIOR_MARGIN * g.h:
+        raise PreconditionError(
+            f"jacobi integral needs the disk of radius {r2}, the cutoff support, "
+            f"to stay {INTERIOR_MARGIN}h inside the grid"
+        )
     C_hat = check_jacobi_pointwise(B, K).fitted["C_hat"]
+    cutoff = make_cutoff(r1, r2, g)
     h = g.h
     phi = cutoff.phi.values
     dphi1, dphi2 = cutoff.grad.c1.values, cutoff.grad.c2.values
     V = B.vol
     # each integrand is formed in place and released once it is integrated
     integrand = B.slope_grad_norm2 * V
-    lhs = integrate_disk(ScalarField2(g, integrand), cutoff.r1)
+    lhs = integrate_disk(ScalarField2(g, integrand), r1)
     sup_int = float(np.max(integrand))
     integrand = _quadform_inv(B, dphi1, dphi2)
     integrand *= V
-    i_phi = integrate_disk(ScalarField2(g, integrand), cutoff.r2)
+    i_phi = integrate_disk(ScalarField2(g, integrand), r2)
     integrand = phi * phi
     integrand *= V
-    i_phi2 = integrate_disk(ScalarField2(g, integrand), cutoff.r2)
+    i_phi2 = integrate_disk(ScalarField2(g, integrand), r2)
     integrand = phi * phi
     integrand *= B.slope_laplacian
     integrand *= V
     ibp_lhs = float(np.sum(integrand) * h * h)
     del integrand
     rhs = (4.0 / K.c**2) * i_phi + (2.0 / K.c) * C_hat * i_phi2
-    slack = _disk_quad_slack(h, cutoff.r1, sup_int)
+    slack = _disk_quad_slack(h, r1, sup_int)
     margin = rhs + slack - lhs
 
     # <grad_g phi, grad_g b>_g = inv11 phi_1 b_1 + inv12 (phi_1 b_2 + phi_2 b_1)

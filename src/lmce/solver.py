@@ -39,7 +39,6 @@ __all__ = [
     "anisotropic_family",
     "perturbed_family",
     "rescale_analytic",
-    "negate_analytic",
     "manufacture",
     "newton_solve",
     "linear_solve",
@@ -138,16 +137,6 @@ def rescale_analytic(f: AnalyticFunction2, s: float) -> AnalyticFunction2:
         gradient=lambda x1, x2: tuple(gi / s for gi in f.gradient(s * x1, s * x2)),
         hessian=lambda x1, x2: f.hessian(s * x1, s * x2),
         name=f"{f.name}~scaled(s={s:g})",
-    )
-
-
-def negate_analytic(f: AnalyticFunction2) -> AnalyticFunction2:
-    """The negated potential (phase changes sign)."""
-    return AnalyticFunction2(
-        value=lambda x1, x2: -f.value(x1, x2),
-        gradient=lambda x1, x2: tuple(-gi for gi in f.gradient(x1, x2)),
-        hessian=lambda x1, x2: tuple(-mi for mi in f.hessian(x1, x2)),
-        name=f"-{f.name}",
     )
 
 

@@ -14,7 +14,7 @@ import pytest
 
 from lmce.errors import PreconditionError
 from lmce.geometry import SlopeConstants, bundle, modified_slope
-from lmce.grid import build_grid, make_cutoff, sample
+from lmce.grid import build_grid, sample
 from lmce.identities import (
     check_complex_factorization,
     check_form_equivalence,
@@ -218,8 +218,7 @@ def test_criterion_6_jacobi_integral_chain(grid_full):
     """Summation by parts <= 10h and the integral inequality has margin."""
     B = bundle(manufacture(perturbed_family(0.1), grid_full).u_exact)
     K = SlopeConstants(delta=0.3, c=0.5)
-    cut = make_cutoff(2.0, 3.0, grid_full)
-    rep = check_jacobi_integral(B, cut, K)
+    rep = check_jacobi_integral(B, K)
     ok = (
         rep.passed
         and rep.fitted["ibp_residual"] <= 10.0 * grid_full.h

@@ -94,6 +94,14 @@ class TestConfig:
         with pytest.raises(ConfigError):
             RunConfig(delta=-0.1)
 
+    @pytest.mark.parametrize(
+        "override", [{"c": 2.0}, {"c": 0.0}, {"c": "half"}, {"A": -1.0}, {"A": None}]
+    )
+    def test_bad_slope_constants_rejected(self, override):
+        # checks that never build the slope constants must not hide them
+        with pytest.raises(ConfigError):
+            RunConfig(**override, checks=["identity"])
+
 
 class TestFieldFile:
     def test_roundtrip_exact(self, tmp_path):
@@ -187,6 +195,16 @@ class TestVerifyCommand:
         report, code = cmd_verify(cfg2)
         assert code == EXIT_CHECK_FAILED
         assert report.entries[0]["status"] == "precondition_failed"
+
+    @pytest.mark.parametrize("check", ["cutoff_volume", "jacobi_integral"])
+    def test_grid_without_the_cutoff_support(self, tmp_path, check):
+        # the fixed cutoff is supported on B_3, outside [-2.5, 2.5]^2
+        cfg = RunConfig(family="quadratic", a=1.0, L=2.5, n=65, checks=[check], out=str(tmp_path))
+        report, code = cmd_verify(cfg)
+        assert code == EXIT_CHECK_FAILED
+        (entry,) = report.entries
+        assert entry["status"] == "precondition_failed"
+        assert "disk of radius 3.0" in entry["details"]["error"]
 
     def test_negated_family_same_volume_residual(self, tmp_path):
         entries = []
@@ -530,6 +548,9 @@ class TestStrictConfig:
             ("verify", {"rho": 0}),
             ("solve", {"tol": -1}),
             ("solve", {"max_iter": -2}),
+            ("verify", {"c": 2.0, "checks": ["identity"]}),
+            ("verify", {"A": -1.0, "checks": ["slope_volume"]}),
+            ("verify", {"c": 2.0, "checks": ["jacobi_pointwise"]}),
         ],
     )
     def test_bad_config_exit_3(self, tmp_path, command, override):
@@ -686,8 +707,15 @@ class TestVerifyWork:
         cmd_verify(cfg)
         assert wmp_calls["wmp"] == calls
 
+    def test_subharmonic_alone_reads_the_shared_sample(self, tmp_path, wmp_calls):
+        cfg = RunConfig(family="perturbed", eps=0.1, n=65, checks=["subharmonic"], out=str(tmp_path))
+        report, code = cmd_verify(cfg)
+        assert code == EXIT_PASS
+        assert wmp_calls["wmp"] == 1
+        assert "wmp_s" in report.timings
+
     def test_peak_memory_of_a_full_verify(self, tmp_path):
-        # at n=129 the traced peak is 29.6 float arrays of n^2 nodes; 31.5
+        # at n=129 the traced peak is 27.8 float arrays of n^2 nodes; 29.5
         # leaves about 6% headroom.  A coarse run first loads what only a
         # first run allocates.
         def config(n, out):
@@ -703,7 +731,7 @@ class TestVerifyWork:
         finally:
             tracemalloc.stop()
         assert code == EXIT_PASS
-        assert peak < 31.5 * 8 * n * n
+        assert peak < 29.5 * 8 * n * n
 
     def test_lazy_state_has_its_own_timings(self, tmp_path):
         cfg = RunConfig(family="perturbed", eps=0.1, n=65, checks=["all"], out=str(tmp_path / "o"))
@@ -712,7 +740,7 @@ class TestVerifyWork:
         wall = time.perf_counter() - t0
         timings = json.loads((tmp_path / "o" / "verify.json").read_text())["timings"]
         assert timings == report.timings
-        expected = {"setup_s", "constants_s", "cutoff_s", "bmod_s", "bmod_grad_norm_s", "wmp_s"}
+        expected = {"setup_s", "constants_s", "bmod_s", "bmod_grad_norm_s", "wmp_s"}
         expected |= {f"{name}_s" for name in ALL_CHECKS}
         assert set(timings) == expected
         # disjoint pieces: none is charged twice
@@ -734,23 +762,32 @@ def _lazy_fields(cls):
     return [k for k, v in vars(cls).items() if isinstance(v, functools.cached_property)]
 
 
+# the bundle fields even under u -> -u, which a bundle and its negated twin share
+_EVEN_FIELDS = ("fluxes", "grad_norm", "paraboloid_laplacian")
+
+
 @contextlib.contextmanager
 def _count_lazy_builds():
     """Counts of builds of each lazily built field of the verify context and
-    of every geometry bundle, keyed by (id of the object, field name).  A
-    negated bundle's fields taken over from its original count as built."""
+    of every geometry bundle, keyed by (id of the object, field name).  An
+    even field is keyed by the id of the original of its twin pair, and one
+    taken over from the twin is not a build."""
     builds = collections.Counter()
     alive = []  # every counted object, so that no id is reused
+    original = {}  # id of a negated bundle -> id of the bundle it negates
 
     def counting(build, name):
         def wrapper(obj):
             alive.append(obj)
-            builds[id(obj), name] += 1
             value = build(obj)
+            twin = vars(obj).get("negated")
+            if name in _EVEN_FIELDS and twin is not None and vars(twin).get(name) is value:
+                return value
             if name == "negated":
                 alive.append(value)
-                for inherited in set(_lazy_fields(GeometryBundle)) & set(vars(value)):
-                    builds[id(value), inherited] += 1
+                original[id(value)] = id(obj)
+            owner = original.get(id(obj), id(obj)) if name in _EVEN_FIELDS else id(obj)
+            builds[owner, name] += 1
             return value
 
         return wrapper
@@ -773,7 +810,8 @@ def _in_order_entries(case: str, A) -> dict:
 class TestReleaseTable:
     """The verify runner drops each lazily built field after its last
     reader; a stale entry of the registry's `reads` or of `_BUILT_FROM`
-    shows as a field built twice or as a field left alive."""
+    shows as a field built twice (a field even under u -> -u counts once
+    per twin pair) or as a field left alive."""
 
     @settings(deadline=None, max_examples=150)
     @given(
@@ -790,6 +828,14 @@ class TestReleaseTable:
         A=1.0,
         order=["coordinate_laplacian", "weak_max_principle", "jacobi_pointwise"],
         size=3,
+    )
+    # the negated twin builds the flux coefficients first, then the original
+    # reads them
+    @example(
+        case="negative",
+        A="fit",
+        order=["jacobi_pointwise", "coordinate_laplacian"],
+        size=2,
     )
     def test_any_order_builds_each_field_once(self, case, A, order, size):
         names = order[:size]

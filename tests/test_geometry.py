@@ -14,19 +14,25 @@ from lmce.geometry import (
     REGIME_CUSHION,
     SlopeConstants,
     _induced_metric,
+    _nondiv_kernel,
     bundle,
     bundle_from_hessian,
     classify_phase,
     eigen_sym2,
     grad_g_norm2,
     laplace_beltrami,
-    laplace_beltrami_nondiv,
     modified_slope,
     negate_bundle,
     slope,
 )
 from lmce.grid import ScalarField2, build_grid, gradient_fd, sample
 from lmce.solver import anisotropic_family, manufacture, perturbed_family
+
+
+def laplace_beltrami_nondiv(f, B):
+    """Laplace-Beltrami in non-divergence form, g^{ij} f_ij plus first-order
+    terms with differenced coefficients: the oracle of the divergence form."""
+    return ScalarField2(B.grid, _nondiv_kernel(f.values, B.vol, B.inv11, B.inv12, B.inv22, B.grid.h))
 
 
 def paraboloid(a=1.0):
@@ -289,6 +295,16 @@ class TestCachedFields:
         for shared, rebuilt in zip(neg.fluxes, fresh.fluxes):
             assert np.array_equal(shared, rebuilt)
         assert np.array_equal(neg.grad_norm, fresh.grad_norm)
+
+    def test_twins_take_even_fields_from_each_other(self):
+        B = self._negative()
+        neg = B.negated
+        assert neg.negated is B
+        fluxes, lap_q = neg.fluxes, neg.paraboloid_laplacian
+        assert B.fluxes is fluxes
+        assert B.paraboloid_laplacian is lap_q
+        grad_norm = B.grad_norm
+        assert neg.grad_norm is grad_norm
 
     def test_negation_builds_no_unread_field(self):
         B = self._negative()

@@ -179,8 +179,7 @@ class TestCutoffVolume:
         # lhs = |Dphi|^2, rhs = 2|Dphi|^2: margin stays non-negative
         g = build_grid(4.0, 129)
         B = bundle(sample(lambda x1, x2: 0.5 * (x1 * x1 + x2 * x2), g))
-        cut = make_cutoff(2.0, 3.0, g)
-        rep = check_cutoff_volume_identity(B, cut)
+        rep = check_cutoff_volume_identity(B)
         assert rep.passed
         assert rep.max_residual == 0.0
         assert rep.details["min_margin"] >= 0.0
@@ -192,14 +191,14 @@ class TestCutoffVolume:
         cut = make_cutoff(2.0, 3.0, g)
         gmag = np.hypot(cut.grad.c1.values, cut.grad.c2.values)
         assert np.all(gmag[g.disk_mask(2.0)] == 0.0)
-        rep = check_cutoff_volume_identity(B, cut)
+        rep = check_cutoff_volume_identity(B)
         assert rep.passed
 
     def test_perturbed_manufactured_margin(self):
         g = build_grid(4.0, 129)
         prob = manufacture(perturbed_family(0.1), g)
         B = bundle(prob.u_exact)
-        rep = check_cutoff_volume_identity(B, make_cutoff(2.0, 3.0, g))
+        rep = check_cutoff_volume_identity(B)
         assert rep.passed
         assert rep.details["min_margin"] >= -10.0 * g.h**2
 
@@ -212,12 +211,6 @@ class TestCutoffVolume:
         lhs = (B.inv11 + B.inv22) * B.vol
         rhs = 2.0 * np.cos(B.phase) + B.sig1 * np.sin(B.phase)
         np.testing.assert_allclose(lhs, rhs, atol=1e-12)
-
-    def test_grid_mismatch(self):
-        B = smooth_bundle(build_grid(4.0, 65))
-        cut = make_cutoff(2.0, 3.0, build_grid(4.0, 33))
-        with pytest.raises(ValueError):
-            check_cutoff_volume_identity(B, cut)
 
 
 class TestSlopeVolume:

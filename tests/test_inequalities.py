@@ -13,7 +13,7 @@ from lmce.geometry import (
     classify_phase,
     modified_slope,
 )
-from lmce.grid import ScalarField2, SymMat2Field, build_grid, make_cutoff, sample
+from lmce.grid import ScalarField2, SymMat2Field, build_grid, sample
 from lmce.inequalities import (
     check_hessian_estimate,
     check_jacobi_integral,
@@ -26,15 +26,25 @@ from lmce.inequalities import (
     fit_modification_weight,
 )
 from lmce.solver import (
+    AnalyticFunction2,
     anisotropic_family,
     manufacture,
-    negate_analytic,
     perturbed_family,
     quadratic_family,
     rescale_analytic,
 )
 
 K_DEFAULT = SlopeConstants(delta=0.3, c=0.5)
+
+
+def negate_analytic(f):
+    """The negated potential (phase changes sign)."""
+    return AnalyticFunction2(
+        value=lambda x1, x2: -f.value(x1, x2),
+        gradient=lambda x1, x2: tuple(-gi for gi in f.gradient(x1, x2)),
+        hessian=lambda x1, x2: tuple(-mi for mi in f.hessian(x1, x2)),
+        name=f"-{f.name}",
+    )
 
 
 @pytest.fixture(scope="module")
@@ -313,15 +323,13 @@ class TestSubharmonicModifiedSlope:
 class TestJacobiIntegral:
     def test_quadratic_zero_lhs(self, grid129):
         B = bundle(sample(lambda x1, x2: 0.5 * (x1 * x1 + x2 * x2), grid129))
-        cut = make_cutoff(2.0, 3.0, grid129)
-        rep = check_jacobi_integral(B, cut, K_DEFAULT)
+        rep = check_jacobi_integral(B, K_DEFAULT)
         assert rep.passed
         assert rep.lhs <= 1e-10
         assert rep.fitted["ibp_residual"] <= 1e-10
 
     def test_perturbed_margin_and_ibp(self, perturbed_bundle_129, grid129):
-        cut = make_cutoff(2.0, 3.0, grid129)
-        rep = check_jacobi_integral(perturbed_bundle_129, cut, K_DEFAULT)
+        rep = check_jacobi_integral(perturbed_bundle_129, K_DEFAULT)
         assert rep.passed
         assert rep.margin > 0.0
         assert rep.fitted["ibp_residual"] <= 10.0 * grid129.h
@@ -331,17 +339,16 @@ class TestJacobiIntegral:
         for n in (65, 129):
             g = build_grid(4.0, n)
             prob = manufacture(perturbed_family(0.1), g)
-            cut = make_cutoff(2.0, 3.0, g)
-            rep = check_jacobi_integral(bundle(prob.u_exact), cut, K_DEFAULT)
+            rep = check_jacobi_integral(bundle(prob.u_exact), K_DEFAULT)
             resids.append(rep.fitted["ibp_residual"])
         assert resids[1] <= 0.7 * resids[0] + 1e-12
 
     def test_cutoff_support_too_wide(self):
+        # the support B_3 reaches the edge of [-3, 3]^2
         g = build_grid(3.0, 65)
         B = bundle(sample(lambda x1, x2: 0.5 * (x1 * x1 + x2 * x2), g))
-        cut = make_cutoff(2.0, 3.0, g)
         with pytest.raises(PreconditionError):
-            check_jacobi_integral(B, cut, K_DEFAULT)
+            check_jacobi_integral(B, K_DEFAULT)
 
 
 def _straddling_potential(x1, x2):
