@@ -398,16 +398,20 @@ def _timed_lazy(build):
 
 
 class _Context:
-    """Lazily built shared state for one verify run, or one swept value.
+    """Shared state for one verify run, or one swept value.
 
-    The slope constants (with the fit of A), the modified slope, its
-    gradient norm |D b_mod| (which the sampler and super_iso share) and the
-    weak-maximum-principle sample of the modified slope (which the
-    weak_max_principle, super_iso and subharmonic checks share) are built on
-    first use; `timings` holds each one's own build time and `lazy_s` their
-    total, so no check is charged for state it builds first.  `_run_checks`
-    drops each of them, and each lazily built field of the bundle, once no
-    remaining check reads it.
+    Set-up builds the potential u, the phase psi and the bundle of u, which
+    is all that any check reads of u (the manufactured problem also holds
+    the exact u and psi, the solve state the solved u).  The slope constants
+    (with the fit of A), the modified slope, its gradient norm |D b_mod|
+    (which the sampler and super_iso share) and the weak-maximum-principle
+    sample of the modified slope (which the weak_max_principle, super_iso
+    and subharmonic checks share) are built on first use; `timings` holds
+    each one's own build time and `lazy_s` their total, so no check is
+    charged for state it builds first.  `_run_checks` drops each of them,
+    each set-up attribute (`_SET_UP`) and each lazily built field of the
+    bundle once no remaining check reads it, so heatmaps and a sweep's
+    errors against the exact solution are taken first.
     """
 
     def __init__(self, cfg: RunConfig):
@@ -419,11 +423,8 @@ class _Context:
             self.problem = manufacture(self.analytic, self.grid)
             if cfg.source == "solved":
                 self.solve_state = newton_solve(
-                    self.problem.psi,
-                    self.problem.boundary_trace(),
-                    self.grid,
-                    tol=cfg.tol,
-                    max_iter=cfg.max_iter,
+                    self.problem.psi, self.problem.boundary_trace(), self.grid,
+                    tol=cfg.tol, max_iter=cfg.max_iter,
                 )
                 if not self.solve_state.converged:
                     raise NonConvergenceError(
@@ -472,8 +473,8 @@ class _Context:
 
 class _Check(NamedTuple):
     """One registry entry: the check run on a verify context, and the lazily
-    built fields it reads, of the context or of the bundle it reads
-    ("negated" for a check that may canonicalize the bundle)."""
+    built fields and set-up attributes it reads, of the context or of the
+    bundle it reads ("negated" for a check that may canonicalize the bundle)."""
 
     run: Callable[[_Context], CheckReport]
     reads: tuple[str, ...] = ()
@@ -483,7 +484,7 @@ class _Check(NamedTuple):
 # by module-global name when it runs, so a caller that rebinds
 # `lmce.cli.check_*` (a tracer, a test stub) sees its own function.
 IDENTITY_CHECKS = {
-    "form_equivalence": _Check(lambda ctx: check_form_equivalence(ctx.bundle, ctx.psi)),
+    "form_equivalence": _Check(lambda ctx: check_form_equivalence(ctx.bundle, ctx.psi), ("psi",)),
     "complex_factorization": _Check(
         lambda ctx: check_complex_factorization(ctx.bundle), ("cos_phase", "sin_phase")
     ),
@@ -493,7 +494,7 @@ IDENTITY_CHECKS = {
     ),
     "slope_volume": _Check(lambda ctx: check_slope_volume(ctx.bundle)),
     "coordinate_laplacian": _Check(
-        lambda ctx: check_coordinate_laplacian(ctx.bundle), ("fluxes",)
+        lambda ctx: check_coordinate_laplacian(ctx.bundle), ("fluxes", "hess")
     ),
 }
 INEQUALITY_CHECKS = {
@@ -535,13 +536,13 @@ INEQUALITY_CHECKS = {
     # the last two read only delta, so they do not pay for the fit of A
     "volume_bound": _Check(
         lambda ctx: check_volume_bound(ctx.bundle, SlopeConstants(delta=ctx.cfg.delta)),
-        ("negated", "grad_norm"),
+        ("negated",),
     ),
     "hessian_estimate": _Check(
         lambda ctx: check_hessian_estimate(
             ctx.bundle, ctx.cfg.R, delta=ctx.cfg.delta, C_budget=ctx.cfg.Cstar_budget
         ),
-        ("negated", "grad_norm"),
+        ("negated",),
     ),
 }
 _CHECKS = {**IDENTITY_CHECKS, **INEQUALITY_CHECKS}
@@ -558,13 +559,14 @@ _BUILT_FROM = {
     "paraboloid_laplacian": ("fluxes", "negated"),
     "slope_grad_norm2": ("slope_gradient",),
     "fluxes": ("negated",),
-    "grad_norm": ("negated",),
 }
+# the context's set-up attributes, which nothing rebuilds once dropped
+_SET_UP = ("u", "psi", "problem", "solve_state")
 
 
 def _release(ctx: _Context, remaining: list[str]) -> None:
-    """Drop every lazily built field that none of the remaining checks reads,
-    from the context, its bundle and the bundle's negated twin.
+    """From the context, its bundle and the bundle's negated twin, drop each
+    lazily built field and set-up attribute that no remaining check reads.
 
     A field still to be built keeps what it is built from; a built one does
     not, so the flux coefficients go as soon as both Laplacians exist.  Which
@@ -584,8 +586,9 @@ def _release(ctx: _Context, remaining: list[str]) -> None:
                 keep.add(name)
                 if name not in built and name not in ctx.__dict__:
                     todo.extend(_BUILT_FROM.get(name, ()))
-        for name, attr in vars(type(holder)).items():
-            if isinstance(attr, cached_property) and name not in keep:
+        lazy = [k for k, v in vars(type(holder)).items() if isinstance(v, cached_property)]
+        for name in lazy + list(_SET_UP):
+            if name not in keep:
                 built.pop(name, None)
 
 
@@ -601,8 +604,7 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, default=_json_default, sort_keys=True) + "\n")
 
 
-def _emit_heatmaps(outdir: Path, ctx: _Context, report: RunReport) -> None:
-    fields = {"u": ctx.u.values, "psi": ctx.psi.values, "slope": ctx.bundle.slope}
+def _emit_heatmaps(outdir: Path, fields: dict[str, np.ndarray], report: RunReport) -> None:
     for name, values in fields.items():
         path = outdir / f"{name}.pgm"
         lo, hi = write_pgm(path, values)
@@ -613,10 +615,11 @@ def _run_checks(ctx: _Context, names: list[str], timings: dict) -> list[dict]:
     """Run the named checks on one context and return their entries; a check
     whose precondition fails gives a failed `precondition_failed` entry.
     Each check's own time and the context's lazy build times are added to
-    `timings` under `<name>_s`.  After each check, the lazily built fields
-    that no later check reads are dropped (see `_release`)."""
+    `timings` under `<name>_s`.  Before the first check and after each one,
+    the state that no later check reads is dropped (see `_release`)."""
     entries = []
     spent = {}
+    _release(ctx, names)
     for k, name in enumerate(names):
         t1 = time.perf_counter()
         lazy0 = ctx.lazy_s
@@ -647,11 +650,12 @@ def cmd_verify(cfg: RunConfig) -> tuple[RunReport, int]:
     report.timings["setup_s"] = time.perf_counter() - t0
     if ctx.solve_state is not None:
         report.solver = _solver_summary(ctx.solve_state)
-    report.entries = _run_checks(ctx, cfg.checks, report.timings)
     outdir = Path(cfg.out)
     outdir.mkdir(parents=True, exist_ok=True)
     if cfg.heatmaps:
-        _emit_heatmaps(outdir, ctx, report)
+        fields = {"u": ctx.u.values, "psi": ctx.psi.values, "slope": ctx.bundle.slope}
+        _emit_heatmaps(outdir, fields, report)
+    report.entries = _run_checks(ctx, cfg.checks, report.timings)
     _write_report_csv(outdir / "verify.csv", report.entries)
     _write_json(
         outdir / "verify.json",
@@ -717,10 +721,7 @@ def cmd_solve(cfg: RunConfig) -> tuple[RunReport, int]:
             damp = state.damping[k - 1] if 0 < k <= len(state.damping) else ""
             writer.writerow([k, repr(r), _fmt(damp)])
     if cfg.heatmaps:
-        lo, hi = write_pgm(outdir / "u.pgm", state.u.values)
-        report.heatmaps["u"] = {"path": "u.pgm", "min": lo, "max": hi}
-        lo, hi = write_pgm(outdir / "psi.pgm", problem.psi.values)
-        report.heatmaps["psi"] = {"path": "psi.pgm", "min": lo, "max": hi}
+        _emit_heatmaps(outdir, {"u": state.u.values, "psi": problem.psi.values}, report)
     _write_json(
         outdir / "solve.json",
         {
@@ -746,15 +747,16 @@ def _sup_error(*pairs) -> float:
 def _exact_errors(ctx: _Context) -> dict:
     """Sup errors of a solved field, its differenced gradient and Hessian
     against the exact solution, and the Newton steps taken."""
-    B, exact = ctx.bundle, ctx.problem.hess_exact
+    hess, exact = ctx.bundle.hess, ctx.problem.hess_exact
+    grad = gradient_fd(ctx.u)
     g1, g2 = ctx.analytic.gradient(*ctx.grid.coords())
     return {
         "err_u": _sup_error((ctx.u.values, ctx.problem.u_exact.values)),
-        "err_grad": _sup_error((B.grad.c1.values, g1), (B.grad.c2.values, g2)),
+        "err_grad": _sup_error((grad.c1.values, g1), (grad.c2.values, g2)),
         "err_hess": _sup_error(
-            (B.hess.m11.values, exact.m11.values),
-            (B.hess.m12.values, exact.m12.values),
-            (B.hess.m22.values, exact.m22.values),
+            (hess.m11.values, exact.m11.values),
+            (hess.m12.values, exact.m12.values),
+            (hess.m22.values, exact.m22.values),
         ),
         "iterations": ctx.solve_state.iterations,
     }
@@ -781,6 +783,8 @@ def _sweep_rows(cfg: RunConfig, timings: dict) -> tuple[list[str], list[list[str
     all_ok = True
     for sub in configs:
         ctx = _Context(sub)
+        # read before the checks drop the set-up state
+        errors = _exact_errors(ctx) if ctx.solve_state is not None else None
         row = {param: getattr(sub, param), "h": ctx.grid.h, "regime": ctx.regime}
         for e in _run_checks(ctx, sub.checks, timings):
             name = e["check"]
@@ -788,8 +792,8 @@ def _sweep_rows(cfg: RunConfig, timings: dict) -> tuple[list[str], list[list[str
             row[f"{name}.passed"] = e["passed"]
             row.update({f"{name}.{k}": e[k] for k in ("residual", "margin") if k in e})
             row.update({f"{name}.{k}": v for k, v in e["fitted"].items()})
-        if ctx.solve_state is not None:
-            row.update(_exact_errors(ctx))
+        if errors is not None:
+            row.update(errors)
             prev = rows[-1] if rows else row
             if prev["h"] != row["h"]:
                 for k in ("u", "grad", "hess"):

@@ -147,31 +147,31 @@ class GeometryBundle:
     sig1 = lam1 + lam2 and sig2 = lam1*lam2 are computed on each access, not
     stored (each check binds the one it reads).
 
-    grad optionally carries the potential's gradient (needed by volume and
-    Hessian-estimate checks); bundles built directly from a Hessian field
-    leave it None.
+    grad_norm optionally carries |Du|, the hypot of the potential's
+    differenced gradient (read by the volume and Hessian-estimate checks);
+    bundles built directly from a Hessian field leave it None.
 
     The fields below are computed on first access and then kept until the
     verify runner drops them (once no remaining check reads them), so every
     check reading them shares one computation: cos_phase and sin_phase
-    (cos and sin of phase), grad_norm (|Du| = hypot of grad, for bundles
-    that carry it), slope_gradient (differenced Euclidean gradient of b),
-    slope_laplacian (lap_g b, divergence form), slope_grad_norm2
+    (cos and sin of phase), slope_gradient (differenced Euclidean gradient
+    of b), slope_laplacian (lap_g b, divergence form), slope_grad_norm2
     (|grad_g b|^2) and paraboloid_laplacian (lap_g q of the quadratic
     q = |x|^2/2 that the modified slope b + A q adds, so that
     lap_g(b + A q) = slope_laplacian + A paraboloid_laplacian), all but
     slope_gradient read-only arrays.
+    hess, the Hessian M the bundle was built from, is kept the same way.
     negated is the bundle of the negated potential, kept the same way so the
     checks that canonicalize a negative-phase bundle share its fields too; it
-    shares the metric arrays of this bundle, its own negated is this bundle,
-    and the fields even under u -> -u (fluxes, grad_norm and
-    paraboloid_laplacian) are built once per pair (see negate_bundle).
+    shares the metric arrays and grad_norm of this bundle, forms its hess -M
+    only when read, its own negated is this bundle, and the fields even under
+    u -> -u (fluxes, paraboloid_laplacian) are built once per pair (see
+    negate_bundle).
     fluxes holds the half-node coefficients of laplace_beltrami, which depend
     on the metric only, so every call on the bundle shares them.
     """
 
     grid: Grid2
-    hess: SymMat2Field
     lam1: np.ndarray
     lam2: np.ndarray
     phase: np.ndarray
@@ -180,7 +180,7 @@ class GeometryBundle:
     inv12: np.ndarray
     inv22: np.ndarray
     slope: np.ndarray
-    grad: Vec2Field | None = None
+    grad_norm: np.ndarray | None = None
 
     @property
     def sig1(self) -> np.ndarray:
@@ -198,11 +198,13 @@ class GeometryBundle:
     def sin_phase(self) -> np.ndarray:
         return _ro(np.sin(self.phase))
 
-    @_even
-    def grad_norm(self) -> np.ndarray:
-        if self.grad is None:
-            raise ValueError("the bundle carries no gradient")
-        return _ro(np.hypot(self.grad.c1.values, self.grad.c2.values))
+    @cached_property
+    def hess(self) -> SymMat2Field:
+        """-M of the twin: only a negated bundle builds it, the others store M."""
+        M = vars(self.negated).get("hess")
+        if M is None:
+            raise AttributeError("hess was dropped after its last reader")
+        return SymMat2Field(*(ScalarField2(self.grid, -m.values) for m in (M.m11, M.m12, M.m22)))
 
     @cached_property
     def slope_gradient(self) -> Vec2Field:
@@ -256,24 +258,24 @@ def _induced_metric(m11, m12, m22):
     return g11, g12, g22, g22 / detg, -g12 / detg, g11 / detg
 
 
-def bundle_from_hessian(hess: SymMat2Field, grad: Vec2Field | None = None) -> GeometryBundle:
-    """Assemble a GeometryBundle from a (possibly analytic) Hessian field."""
-    m11 = hess.m11.values
-    m12 = hess.m12.values
-    m22 = hess.m22.values
+def bundle_from_hessian(hess: SymMat2Field, grad_norm: np.ndarray | None = None) -> GeometryBundle:
+    """Assemble a GeometryBundle from a (possibly analytic) Hessian field and,
+    optionally, the gradient norm |Du| of its potential."""
+    m11, m12, m22 = hess.m11.values, hess.m12.values, hess.m22.values
     lam1, lam2 = eigen_sym2(m11, m12, m22)
     vol = np.sqrt((1.0 + lam1 * lam1) * (1.0 + lam2 * lam2))
-    *_, inv11, inv12, inv22 = _induced_metric(m11, m12, m22)
-    return _assemble(hess, grad, lam1, lam2, vol, (inv11, inv12, inv22))
+    inv11, inv12, inv22 = _induced_metric(m11, m12, m22)[3:]
+    B = _assemble(hess.grid, grad_norm, lam1, lam2, vol, (inv11, inv12, inv22))
+    B.__dict__["hess"] = hess
+    return B
 
 
-def _assemble(hess, grad, lam1, lam2, vol, inv) -> GeometryBundle:
+def _assemble(grid, grad_norm, lam1, lam2, vol, inv) -> GeometryBundle:
     """The bundle of these eigenvalues and this metric, its arrays read-only."""
     phase = np.arctan(lam1) + np.arctan(lam2)
     b = 0.5 * np.log1p(lam1 * lam1)
     return GeometryBundle(
-        grid=hess.grid,
-        hess=hess,
+        grid=grid,
         lam1=_ro(lam1),
         lam2=_ro(lam2),
         phase=_ro(phase),
@@ -282,7 +284,7 @@ def _assemble(hess, grad, lam1, lam2, vol, inv) -> GeometryBundle:
         inv12=_ro(inv[1]),
         inv22=_ro(inv[2]),
         slope=_ro(b),
-        grad=grad,
+        grad_norm=grad_norm,
     )
 
 
@@ -292,31 +294,20 @@ def bundle(u: ScalarField2, hess: SymMat2Field | None = None) -> GeometryBundle:
         hess = hessian_fd(u)
     elif hess.grid != u.grid:
         raise ValueError("hessian grid does not match potential grid")
-    return bundle_from_hessian(hess, grad=gradient_fd(u))
+    return bundle_from_hessian(hess, gradient_fd(u).magnitude().values)
 
 
 def negate_bundle(B: GeometryBundle) -> GeometryBundle:
     """Bundle of the negated potential (phase flips sign, metric unchanged).
 
     g = I + M^2 is even in M, and so are its determinant and |Du|: the new
-    bundle shares vol and inv11/12/22, the very arrays a rebuild would compute
-    bit for bit.  The two bundles become each other's `negated`, so each
-    takes the even fields (fluxes, grad_norm, paraboloid_laplacian) that the
-    other has built.
+    bundle shares vol, inv11/12/22 and grad_norm, the very arrays a rebuild
+    would compute bit for bit.  The eigenvalues of -M are exactly (-lam2,
+    -lam1), as IEEE negation and rounding are symmetric, so -M is formed only
+    if the new bundle's hess is read.  The two bundles become each other's
+    `negated`, so each takes the even fields the other has built.
     """
-    g = B.grid
-    hess = SymMat2Field(
-        ScalarField2(g, -B.hess.m11.values),
-        ScalarField2(g, -B.hess.m12.values),
-        ScalarField2(g, -B.hess.m22.values),
-    )
-    grad = None
-    if B.grad is not None:
-        grad = Vec2Field(
-            ScalarField2(g, -B.grad.c1.values), ScalarField2(g, -B.grad.c2.values)
-        )
-    lam1, lam2 = eigen_sym2(hess.m11.values, hess.m12.values, hess.m22.values)
-    neg = _assemble(hess, grad, lam1, lam2, B.vol, (B.inv11, B.inv12, B.inv22))
+    neg = _assemble(B.grid, B.grad_norm, -B.lam2, -B.lam1, B.vol, (B.inv11, B.inv12, B.inv22))
     B.__dict__["negated"] = neg
     neg.__dict__["negated"] = B
     return neg
@@ -466,9 +457,8 @@ def _lift_phase_gradient(B: GeometryBundle, psi: ScalarField2):
     del p1
     w2 += B.inv22 * p2
     del p2
-    m11 = B.hess.m11.values
-    m12 = B.hess.m12.values
-    m22 = B.hess.m22.values
+    M = B.hess
+    m11, m12, m22 = M.m11.values, M.m12.values, M.m22.values
     mw1 = m11 * w1
     mw1 += m12 * w2
     w1 *= m12

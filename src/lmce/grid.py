@@ -33,6 +33,7 @@ __all__ = [
     "integrate_disk",
     "sup_norm_disk",
     "make_cutoff",
+    "cutoff_gradient",
 ]
 
 
@@ -278,10 +279,6 @@ class CutoffProfile:
     grad: Vec2Field
     grad_bound: float
 
-    @property
-    def grid(self) -> Grid2:
-        return self.phi.grid
-
     def slope_radial(self, rho):
         """Radial derivative of the profile (vectorized)."""
         return _quintic_slope(rho, self.r1, self.r2)
@@ -306,23 +303,41 @@ def make_cutoff(r1: float, r2: float, grid: Grid2) -> CutoffProfile:
     below the generic spline bound 3/(r2 - r1)).  For (r1, r2) = (2, 3) the
     bound is 1.875 < 2.
     """
+    phi, grad = _cutoff(r1, r2, grid, with_phi=True)
+    w = r2 - r1
+    return CutoffProfile(r1=float(r1), r2=float(r2), phi=phi, grad=grad, grad_bound=1.875 / w)
+
+
+def cutoff_gradient(r1: float, r2: float, grid: Grid2) -> Vec2Field:
+    """The gradient of make_cutoff(r1, r2, grid), without building phi."""
+    return _cutoff(r1, r2, grid, with_phi=False)[1]
+
+
+def _cutoff(r1: float, r2: float, grid: Grid2, with_phi: bool):
+    """The cutoff phi (None unless with_phi) and its analytic gradient.
+
+    Only the nodes of the box |x_i| <= r2 are evaluated: off it |x| > r2,
+    where phi = 0 and the gradient dphi x_k/|x| is the zero signed like x_k.
+    """
     if not (0.0 < r1 < r2 <= grid.L):
         raise ValueError(f"cutoff radii must satisfy 0 < r1 < r2 <= L, got ({r1}, {r2})")
-    x1, x2 = grid.coords()
+    ax = grid.axis()
+    box = slice(int(np.searchsorted(ax, -r2)), int(np.searchsorted(ax, r2, side="right")))
+    x1, x2 = ax[box][:, None], ax[box][None, :]
     rho = np.hypot(*np.broadcast_arrays(x1, x2))
-    w = r2 - r1
-    t = np.clip((rho - r1) / w, 0.0, 1.0)
-    phi = 1.0 - t * t * t * (10.0 + t * (-15.0 + 6.0 * t))
+    phi = None
+    if with_phi:
+        t = np.clip((rho - r1) / (r2 - r1), 0.0, 1.0)
+        phi = np.zeros((grid.n, grid.n))
+        phi[box, box] = 1.0 - t * t * t * (10.0 + t * (-15.0 + 6.0 * t))
+        phi = ScalarField2(grid, phi)
     dphi = _quintic_slope(rho, r1, r2)
     # unit radial direction; the transition zone excludes the origin, so the
     # rho = 0 guard only affects nodes where dphi is already zero
     safe = np.where(rho > 0.0, rho, 1.0)
-    g1 = dphi * x1 / safe
-    g2 = dphi * x2 / safe
-    return CutoffProfile(
-        r1=float(r1),
-        r2=float(r2),
-        phi=ScalarField2(grid, phi),
-        grad=Vec2Field(ScalarField2(grid, g1), ScalarField2(grid, g2)),
-        grad_bound=1.875 / w,
-    )
+    grad = []
+    for xk, xk_box in zip(grid.coords(), (x1, x2)):
+        gk = np.zeros((grid.n, grid.n)) * xk
+        gk[box, box] = dphi * xk_box / safe
+        grad.append(ScalarField2(grid, gk))
+    return phi, Vec2Field(*grad)

@@ -27,7 +27,7 @@ from .grid import (
     CUTOFF_SUPPORT_RADIUS,
     INTERIOR_MARGIN,
     ScalarField2,
-    make_cutoff,
+    cutoff_gradient,
 )
 
 __all__ = [
@@ -224,7 +224,7 @@ def check_cutoff_volume_identity(B: GeometryBundle) -> CheckReport:
             "cutoff volume check needs the grid to contain the disk of radius "
             f"{CUTOFF_SUPPORT_RADIUS}"
         )
-    grad = make_cutoff(CUTOFF_PLATEAU_RADIUS, CUTOFF_SUPPORT_RADIUS, B.grid).grad
+    grad = cutoff_gradient(CUTOFF_PLATEAU_RADIUS, CUTOFF_SUPPORT_RADIUS, B.grid)
     lhs = _quadform_inv(B, grad.c1.values, grad.c2.values) * B.vol
     dphi2 = grad.c1.values ** 2 + grad.c2.values ** 2
     rhs = dphi2 * (2.0 * B.cos_phase + B.sig1 * B.sin_phase)

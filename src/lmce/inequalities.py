@@ -461,12 +461,15 @@ def check_jacobi_integral(B: GeometryBundle, K: SlopeConstants) -> CheckReport:
     integrand = B.slope_grad_norm2 * V
     lhs = integrate_disk(ScalarField2(g, integrand), r1)
     sup_int = float(np.max(integrand))
+    del integrand
     integrand = _quadform_inv(B, dphi1, dphi2)
     integrand *= V
     i_phi = integrate_disk(ScalarField2(g, integrand), r2)
+    del integrand
     integrand = phi * phi
     integrand *= V
     i_phi2 = integrate_disk(ScalarField2(g, integrand), r2)
+    del integrand
     integrand = phi * phi
     integrand *= B.slope_laplacian
     integrand *= V
@@ -535,9 +538,9 @@ def check_volume_bound(B: GeometryBundle, K: SlopeConstants) -> CheckReport:
     fitted["alt_passed"].
 
     The report is named volume_bound in both regimes; details["regime"]
-    says which one ran.  The bundle must carry the potential's gradient.
+    says which one ran.  The bundle must carry |Du| of its potential.
     """
-    if B.grad is None:
+    if B.grad_norm is None:
         raise PreconditionError("volume bound needs a bundle built from a potential")
     g = B.grid
     inner, mid, outer = VOLUME_INNER_RADIUS, VOLUME_MID_RADIUS, VOLUME_OUTER_RADIUS
@@ -635,7 +638,7 @@ def check_hessian_estimate(
 ) -> CheckReport:
     """Interior Hessian estimate harness on the disk of radius R.
 
-    B is the bundle of the potential u and must carry its gradient.  Computes
+    B is the bundle of the potential u and must carry |Du|.  Computes
     L = |D^2 u(0)| (spectral norm of the bundle's Hessian at the origin node;
     n must be odd) and the growth ratio
       G = sup_{B_R} |Du| / R        for the moderate-phase regime "case1",
@@ -645,7 +648,7 @@ def check_hessian_estimate(
     subcritical or straddling phase raises PreconditionError.  A zero Hessian
     at the origin short-circuits to C* = 0.
     """
-    if B.grad is None:
+    if B.grad_norm is None:
         raise PreconditionError("Hessian estimate needs a bundle built from a potential")
     g = B.grid
     if R > g.L:

@@ -38,7 +38,6 @@ __all__ = [
     "quadratic_family",
     "anisotropic_family",
     "perturbed_family",
-    "rescale_analytic",
     "manufacture",
     "newton_solve",
     "linear_solve",
@@ -126,17 +125,6 @@ def perturbed_family(eps: float) -> AnalyticFunction2:
             1.0 - eps * np.sin(x1) * np.sin(x2),
         ),
         name=f"perturbed(eps={eps:g})",
-    )
-
-
-def rescale_analytic(f: AnalyticFunction2, s: float) -> AnalyticFunction2:
-    """The rescaled potential v(x) = f(s x)/s^2, which keeps the Hessian range."""
-    s = float(s)
-    return AnalyticFunction2(
-        value=lambda x1, x2: f.value(s * x1, s * x2) / (s * s),
-        gradient=lambda x1, x2: tuple(gi / s for gi in f.gradient(s * x1, s * x2)),
-        hessian=lambda x1, x2: f.hessian(s * x1, s * x2),
-        name=f"{f.name}~scaled(s={s:g})",
     )
 
 

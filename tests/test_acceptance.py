@@ -36,8 +36,8 @@ from lmce.solver import (
     newton_solve,
     perturbed_family,
     quadratic_family,
-    rescale_analytic,
 )
+from test_inequalities import rescale_analytic
 
 N_FULL = 257
 L_FULL = 4.0

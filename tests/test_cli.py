@@ -13,6 +13,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -38,8 +39,8 @@ from lmce.cli import (
     write_pgm,
 )
 from lmce.errors import ConfigError
-from lmce.geometry import GeometryBundle
-from lmce.grid import ScalarField2, build_grid, sample
+from lmce.geometry import GeometryBundle, bundle_from_hessian
+from lmce.grid import ScalarField2, build_grid, hessian_fd, sample
 from lmce.identities import CheckReport
 from lmce.solver import anisotropic_family, manufacture
 
@@ -205,6 +206,20 @@ class TestVerifyCommand:
         (entry,) = report.entries
         assert entry["status"] == "precondition_failed"
         assert "disk of radius 3.0" in entry["details"]["error"]
+
+    def test_hessian_only_bundle_fails_its_precondition(self, tmp_path, monkeypatch):
+        # a bundle built from the Hessian alone carries no |Du|, which both
+        # checks read
+        monkeypatch.setattr(lmce.cli, "make_bundle", lambda u: bundle_from_hessian(hessian_fd(u)))
+        p = tmp_path / "v.cfg"
+        checks = "volume_bound,hessian_estimate"
+        p.write_text(f"family=quadratic\nn=65\nchecks={checks}\nout={tmp_path}\n")
+        assert main(["verify", "--config", str(p)]) == EXIT_CHECK_FAILED
+        entries = json.loads((tmp_path / "verify.json").read_text())["entries"]
+        assert [e["check"] for e in entries] == ["volume_bound", "hessian_estimate"]
+        for entry in entries:
+            assert entry["status"] == "precondition_failed"
+            assert "built from a potential" in entry["details"]["error"]
 
     def test_negated_family_same_volume_residual(self, tmp_path):
         entries = []
@@ -715,7 +730,7 @@ class TestVerifyWork:
         assert "wmp_s" in report.timings
 
     def test_peak_memory_of_a_full_verify(self, tmp_path):
-        # at n=129 the traced peak is 27.8 float arrays of n^2 nodes; 29.5
+        # at n=129 the traced peak is 23.1 float arrays of n^2 nodes; 24.5
         # leaves about 6% headroom.  A coarse run first loads what only a
         # first run allocates.
         def config(n, out):
@@ -731,7 +746,7 @@ class TestVerifyWork:
         finally:
             tracemalloc.stop()
         assert code == EXIT_PASS
-        assert peak < 29.5 * 8 * n * n
+        assert peak < 24.5 * 8 * n * n
 
     def test_lazy_state_has_its_own_timings(self, tmp_path):
         cfg = RunConfig(family="perturbed", eps=0.1, n=65, checks=["all"], out=str(tmp_path / "o"))
@@ -762,8 +777,9 @@ def _lazy_fields(cls):
     return [k for k, v in vars(cls).items() if isinstance(v, functools.cached_property)]
 
 
-# the bundle fields even under u -> -u, which a bundle and its negated twin share
-_EVEN_FIELDS = ("fluxes", "grad_norm", "paraboloid_laplacian")
+# the lazily built bundle fields even under u -> -u, which a bundle and its
+# negated twin share
+_EVEN_FIELDS = ("fluxes", "paraboloid_laplacian")
 
 
 @contextlib.contextmanager
@@ -849,4 +865,67 @@ class TestReleaseTable:
             assert entry == full[entry["check"]]
         assert {key: count for key, count in builds.items() if count > 1} == {}
         left = [k for h in _lazy_holders(ctx) for k in _lazy_fields(type(h)) if k in h.__dict__]
+        left += [k for k in ("u", "psi", "problem", "solve_state") if k in vars(ctx)]
         assert left == []
+
+
+def _set_up_refs(ctx) -> dict:
+    """Weak references to the set-up arrays of a verify context, and to the
+    fields holding them, by name."""
+    u = [ctx.u] + ([ctx.problem.u_exact] if ctx.problem is not None else [])
+    hess = ctx.bundle.hess
+    objects = {
+        "u": u + [f.values for f in u],
+        # a field file's phase is the bundle's own, which the checks read
+        "psi": [ctx.psi] + ([ctx.psi.values] if ctx.psi.values is not ctx.bundle.phase else []),
+        "hess": [hess] + [m.values for m in (hess.m11, hess.m12, hess.m22)],
+    }
+    return {name: [weakref.ref(obj) for obj in objs] for name, objs in objects.items()}
+
+
+class TestSetUpRelease:
+    """No check reads u, nor psi after form_equivalence, nor the Hessian after
+    coordinate_laplacian; the verify runner drops each of them, and the
+    manufactured problem and the solve state that also hold them, once its
+    last reader has run."""
+
+    @pytest.mark.parametrize("case", ["perturbed", "negative", "solved", "field"])
+    def test_unreferenced_after_the_last_reader(self, tmp_path, monkeypatch, case):
+        if case == "field":
+            problem = manufacture(anisotropic_family(-0.4, -1.0), build_grid(4.0, 65))
+            write_field_csv(tmp_path / "u.csv", problem.u_exact)
+            del problem
+        family = {
+            **_RELEASE_CASES,
+            "solved": dict(family="perturbed", eps=0.1, source="solved"),
+            "field": dict(family="field", field_file=str(tmp_path / "u.csv")),
+        }[case]
+        cfg = RunConfig(**family, n=65, checks=["all"])
+        ctx = lmce.cli._Context(cfg)
+        refs = _set_up_refs(ctx)
+
+        def referenced():
+            return {k for k, rs in refs.items() if any(r() is not None for r in rs)}
+
+        alive = []  # (check function, names of the set-up arrays still referenced)
+
+        def spy(name, fn):
+            def wrapper(*args, **kwargs):
+                alive.append((name, referenced()))
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for name, fn in list(vars(lmce.cli).items()):
+            if name.startswith("check_") and callable(fn):
+                monkeypatch.setattr(lmce.cli, name, spy(name, fn))
+        entries = lmce.cli._run_checks(ctx, cfg.checks, {})
+        assert all(e["status"] == "ran" for e in entries)
+        read = [name for name, _ in alive]
+        form = read.index("check_form_equivalence")
+        lap = read.index("check_coordinate_laplacian")
+        for k, (name, names) in enumerate(alive):
+            expected = {"psi"} if k <= form else set()
+            expected |= {"hess"} if k <= lap else set()
+            assert names == expected, name
+        assert referenced() == set()

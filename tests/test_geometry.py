@@ -249,26 +249,24 @@ class TestLazySlopeFields:
 
 
 class TestCachedFields:
-    def _bundle(self):
+    def _potential(self):
         g = build_grid(4.0, 33)
-        u = sample(lambda x1, x2: 0.5 * (x1 * x1 + x2 * x2) + 0.1 * np.sin(x1) * np.sin(x2), g)
-        return bundle(u)
+        return sample(lambda x1, x2: 0.5 * (x1 * x1 + x2 * x2) + 0.1 * np.sin(x1) * np.sin(x2), g)
+
+    def _bundle(self):
+        return bundle(self._potential())
 
     def test_phase_transcendentals_and_gradient_norm(self):
-        B = self._bundle()
+        u = self._potential()
+        B = bundle(u)
         assert B.cos_phase is B.cos_phase
         assert B.sin_phase is B.sin_phase
-        assert B.grad_norm is B.grad_norm
         for arr in (B.cos_phase, B.sin_phase, B.grad_norm):
             assert not arr.flags.writeable
         assert np.array_equal(B.cos_phase, np.cos(B.phase))
         assert np.array_equal(B.sin_phase, np.sin(B.phase))
-        assert np.array_equal(B.grad_norm, B.grad.magnitude().values)
-
-    def test_grad_norm_needs_a_gradient(self):
-        B = self._bundle()
-        with pytest.raises(ValueError, match="no gradient"):
-            bundle_from_hessian(B.hess).grad_norm
+        assert np.array_equal(B.grad_norm, gradient_fd(u).magnitude().values)
+        assert bundle_from_hessian(B.hess).grad_norm is None
 
     def test_symmetric_functions_from_the_eigenvalues(self):
         B = self._bundle()
@@ -289,7 +287,9 @@ class TestCachedFields:
         assert neg.fluxes is fluxes
         assert neg.grad_norm is grad_norm
         # the very arrays that a rebuild from the negated Hessian computes
-        fresh = bundle_from_hessian(neg.hess, grad=neg.grad)
+        for m in ("m11", "m12", "m22"):
+            assert np.array_equal(getattr(neg.hess, m).values, -getattr(B.hess, m).values)
+        fresh = bundle_from_hessian(neg.hess, neg.grad_norm)
         for name in ("lam1", "lam2", "phase", "vol", "inv11", "inv12", "inv22", "slope"):
             assert np.array_equal(getattr(neg, name), getattr(fresh, name))
         for shared, rebuilt in zip(neg.fluxes, fresh.fluxes):
@@ -309,7 +309,8 @@ class TestCachedFields:
     def test_negation_builds_no_unread_field(self):
         B = self._negative()
         neg = B.negated
-        assert "fluxes" not in neg.__dict__ and "grad_norm" not in neg.__dict__
+        # nor the negated Hessian, which only a reader of neg.hess forms
+        assert "fluxes" not in neg.__dict__ and "hess" not in neg.__dict__
         assert all(np.array_equal(a, b) for a, b in zip(neg.fluxes, B.fluxes))
 
 

@@ -8,7 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 from lmce.grid import (
     ScalarField2,
+    _quintic_slope,
     build_grid,
+    cutoff_gradient,
     gradient_fd,
     hessian_fd,
     integrate_disk,
@@ -270,6 +272,29 @@ class TestCutoff:
             make_cutoff(0.0, 2.0, g)
         with pytest.raises(ValueError):
             make_cutoff(2.0, 5.0, g)
+
+    @pytest.mark.parametrize("L, n", [(4.0, 65), (4.0, 64), (3.0, 33), (4.0, 5)])
+    def test_support_box_gives_the_full_grid_bits(self, L, n):
+        # the profile evaluated at every node, signed zeros included
+        g = build_grid(L, n)
+        x1, x2 = g.coords()
+        rho = np.hypot(*np.broadcast_arrays(x1, x2))
+        t = np.clip(rho - 2.0, 0.0, 1.0)
+        dphi = _quintic_slope(rho, 2.0, 3.0)
+        safe = np.where(rho > 0.0, rho, 1.0)
+        expected = (
+            1.0 - t * t * t * (10.0 + t * (-15.0 + 6.0 * t)),
+            dphi * x1 / safe,
+            dphi * x2 / safe,
+        )
+        cut = make_cutoff(2.0, 3.0, g)
+        grad = cutoff_gradient(2.0, 3.0, g)
+        got = (cut.phi, cut.grad.c1, cut.grad.c2)
+        for want, field in zip(expected, got):
+            assert np.array_equal(field.values.view(np.int64), want.view(np.int64))
+        for alone, field in ((grad.c1, cut.grad.c1), (grad.c2, cut.grad.c2)):
+            assert np.array_equal(alone.values.view(np.int64), field.values.view(np.int64))
+        assert np.signbit(cut.grad.c1.values[0, 0])
 
     @settings(deadline=None, max_examples=25)
     @given(

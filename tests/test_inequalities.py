@@ -31,7 +31,6 @@ from lmce.solver import (
     manufacture,
     perturbed_family,
     quadratic_family,
-    rescale_analytic,
 )
 
 K_DEFAULT = SlopeConstants(delta=0.3, c=0.5)
@@ -44,6 +43,17 @@ def negate_analytic(f):
         gradient=lambda x1, x2: tuple(-gi for gi in f.gradient(x1, x2)),
         hessian=lambda x1, x2: tuple(-mi for mi in f.hessian(x1, x2)),
         name=f"-{f.name}",
+    )
+
+
+def rescale_analytic(f, s: float):
+    """The rescaled potential v(x) = f(s x)/s^2, which keeps the Hessian range."""
+    s = float(s)
+    return AnalyticFunction2(
+        value=lambda x1, x2: f.value(s * x1, s * x2) / (s * s),
+        gradient=lambda x1, x2: tuple(gi / s for gi in f.gradient(s * x1, s * x2)),
+        hessian=lambda x1, x2: f.hessian(s * x1, s * x2),
+        name=f"{f.name}~scaled(s={s:g})",
     )
 
 
