@@ -194,7 +194,15 @@ def _number(value) -> float:
 
 
 def _require_sampler_grid(cfg: RunConfig, grid) -> None:
-    """A grid too coarse for a requested sampled check is invalid input."""
+    """A grid too coarse for a requested sampled check, or without the disk
+    of radius rho that a requested check reads, is invalid input."""
+    # the sampled checks read rho through the modified slope, the others
+    # through the fit of A
+    reads_rho = ["weak_max_principle", "super_iso", "subharmonic"]
+    if cfg.A == "fit":
+        reads_rho += ["jacobi_pointwise", "jacobi_integral"]
+    if cfg.rho > grid.L and any(name in cfg.checks for name in reads_rho):
+        raise ConfigError(f"rho={cfg.rho} exceeds the grid half-width L={grid.L}")
     sampled = {
         "weak_max_principle": SAMPLED_RADIUS,
         "super_iso": SAMPLED_RADIUS,
@@ -287,6 +295,9 @@ def write_field_csv(path: str | Path, f: ScalarField2) -> None:
 
 
 def read_field_csv(path: str | Path) -> ScalarField2:
+    """Read a field written by write_field_csv.  Each node (i, j) with
+    0 <= i, j < n must appear exactly once with a finite value; any other
+    row is a ConfigError that names the file and line."""
     with open(path, newline="") as fh:
         header = fh.readline().strip()
         if not header.startswith("#"):
@@ -300,14 +311,32 @@ def read_field_csv(path: str | Path) -> ScalarField2:
         except (KeyError, ValueError) as exc:
             raise ConfigError(f"field file {path} header must name L and n") from exc
         grid = build_grid(L, n)
-        vals = np.full((n, n), np.nan)
+        # NaN marks a node not yet read; nested lists index faster than numpy
+        vals = [[math.nan] * n for _ in range(n)]
         reader = csv.reader(fh)
         next(reader)  # column header
+
+        def bad(problem: str) -> ConfigError:
+            # the header comment is line 1, which the reader does not count
+            return ConfigError(f"field file {path} line {reader.line_num + 1}: {problem}")
+
         for row in reader:
             if not row:
                 continue
-            i, j, v = int(row[0]), int(row[1]), float(row[2])
-            vals[i, j] = v
+            if len(row) != 3:
+                raise bad(f"expected the 3 cells i,j,value, got {len(row)}")
+            try:
+                i, j, v = int(row[0]), int(row[1]), float(row[2])
+            except ValueError as exc:
+                raise bad(str(exc)) from exc
+            if not (0 <= i < n and 0 <= j < n):
+                raise bad(f"node ({i}, {j}) is outside 0 <= i, j < {n}")
+            if not math.isfinite(v):
+                raise bad(f"value {row[2]!r} is not finite")
+            if not math.isnan(vals[i][j]):
+                raise bad(f"node ({i}, {j}) appears twice")
+            vals[i][j] = v
+    vals = np.array(vals)
     if np.any(np.isnan(vals)):
         raise ConfigError(f"field file {path} does not cover every node")
     return ScalarField2(grid, vals)
@@ -423,8 +452,7 @@ class _Context:
             self.problem = manufacture(self.analytic, self.grid)
             if cfg.source == "solved":
                 self.solve_state = newton_solve(
-                    self.problem.psi, self.problem.boundary_trace(), self.grid,
-                    tol=cfg.tol, max_iter=cfg.max_iter,
+                    self.problem.psi, self.problem.u_exact, tol=cfg.tol, max_iter=cfg.max_iter
                 )
                 if not self.solve_state.converged:
                     raise NonConvergenceError(
@@ -450,8 +478,7 @@ class _Context:
     def constants(self) -> SlopeConstants:
         a = self.cfg.A
         if a == "fit":
-            base = SlopeConstants(delta=self.cfg.delta, c=self.cfg.c, A=0.0)
-            a, _ = fit_modification_weight(self.bundle, base, rho=self.cfg.rho)
+            a, _ = fit_modification_weight(self.bundle, rho=self.cfg.rho)
         return SlopeConstants(delta=self.cfg.delta, c=self.cfg.c, A=float(a))
 
     @_timed_lazy
@@ -693,9 +720,7 @@ def cmd_solve(cfg: RunConfig) -> tuple[RunReport, int]:
     if analytic is None:
         raise ConfigError("solve needs a manufactured family, not a field file")
     problem = manufacture(analytic, grid)
-    state = newton_solve(
-        problem.psi, problem.boundary_trace(), grid, tol=cfg.tol, max_iter=cfg.max_iter
-    )
+    state = newton_solve(problem.psi, problem.u_exact, tol=cfg.tol, max_iter=cfg.max_iter)
     report.timings["solve_s"] = time.perf_counter() - t0
     certified = phase_residual(state.u, problem.psi)
     err_exact = _sup_error((state.u.values, problem.u_exact.values))

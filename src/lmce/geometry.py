@@ -288,13 +288,9 @@ def _assemble(grid, grad_norm, lam1, lam2, vol, inv) -> GeometryBundle:
     )
 
 
-def bundle(u: ScalarField2, hess: SymMat2Field | None = None) -> GeometryBundle:
-    """Geometry bundle of a potential, differencing its Hessian if not given."""
-    if hess is None:
-        hess = hessian_fd(u)
-    elif hess.grid != u.grid:
-        raise ValueError("hessian grid does not match potential grid")
-    return bundle_from_hessian(hess, gradient_fd(u).magnitude().values)
+def bundle(u: ScalarField2) -> GeometryBundle:
+    """Geometry bundle of a potential, from its differenced Hessian and gradient."""
+    return bundle_from_hessian(hessian_fd(u), gradient_fd(u).magnitude().values)
 
 
 def negate_bundle(B: GeometryBundle) -> GeometryBundle:

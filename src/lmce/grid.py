@@ -2,7 +2,7 @@
 
 Provides the field containers used throughout the package together with
 second-order finite differences, node-indicator disk quadrature, disk sup
-norms, and a smooth radial cutoff with a certified analytic gradient bound.
+norms, and a smooth radial cutoff with its analytic gradient.
 All containers are immutable after construction (their arrays are marked
 read-only), so they are safe to share across threads.
 
@@ -25,7 +25,6 @@ __all__ = [
     "ScalarField2",
     "Vec2Field",
     "SymMat2Field",
-    "CutoffProfile",
     "build_grid",
     "sample",
     "gradient_fd",
@@ -170,16 +169,11 @@ def build_grid(L: float, n: int) -> Grid2:
 def sample(f, grid: Grid2) -> ScalarField2:
     """Evaluate f(x1, x2) at every node.
 
-    f must accept broadcastable numpy arrays (or plain scalars, in which case
-    it is vectorized).  Non-finite values anywhere raise ValueError.
+    f must accept the broadcastable (n, 1) and (1, n) coordinate arrays.
+    Non-finite values anywhere raise ValueError.
     """
-    x1, x2 = grid.coords()
-    try:
-        vals = np.asarray(f(x1, x2), dtype=float)
-        vals = np.broadcast_to(vals, (grid.n, grid.n))
-    except (TypeError, ValueError):
-        vals = np.vectorize(f, otypes=[float])(x1, x2)
-    return ScalarField2(grid, vals)
+    vals = np.asarray(f(*grid.coords()), dtype=float)
+    return ScalarField2(grid, np.broadcast_to(vals, (grid.n, grid.n)))
 
 
 # boundary lines that checks of twice-differenced fields leave out: the edge
@@ -264,26 +258,6 @@ CUTOFF_PLATEAU_RADIUS = 2.0
 CUTOFF_SUPPORT_RADIUS = 3.0
 
 
-@dataclass(frozen=True, eq=False)
-class CutoffProfile:
-    """Radial C^2 cutoff: 1 on |x| <= r1, 0 on |x| >= r2, monotone between.
-
-    grad holds the analytic gradient sampled at the nodes (no differencing),
-    and grad_bound certifies max |grad phi| <= grad_bound everywhere on the
-    plane, not just at the nodes.
-    """
-
-    r1: float
-    r2: float
-    phi: ScalarField2
-    grad: Vec2Field
-    grad_bound: float
-
-    def slope_radial(self, rho):
-        """Radial derivative of the profile (vectorized)."""
-        return _quintic_slope(rho, self.r1, self.r2)
-
-
 def _quintic_slope(rho, r1: float, r2: float):
     """Radial derivative of the quintic-smoothstep cutoff: -30 t^2 (1-t)^2/w
     for t = (rho - r1)/w in (0, 1), w = r2 - r1, and 0 elsewhere."""
@@ -294,18 +268,15 @@ def _quintic_slope(rho, r1: float, r2: float):
     return np.where(inside, -30.0 * tt * tt * (1.0 - tt) ** 2 / w, 0.0)
 
 
-def make_cutoff(r1: float, r2: float, grid: Grid2) -> CutoffProfile:
-    """Quintic-smoothstep radial cutoff with plateau at r1 and support r2.
+def make_cutoff(r1: float, r2: float, grid: Grid2) -> tuple[ScalarField2, Vec2Field]:
+    """Quintic-smoothstep radial cutoff phi, 1 on |x| <= r1 and 0 on
+    |x| >= r2, and its analytic gradient at the nodes (no differencing).
 
     The transition is the quintic 10t^3 - 15t^4 + 6t^5, which is C^2 in the
-    radius.  Its slope peaks at 15/8, so max |grad phi| = 1.875/(r2 - r1);
-    this analytic value is stored as the certified gradient bound (and is
-    below the generic spline bound 3/(r2 - r1)).  For (r1, r2) = (2, 3) the
-    bound is 1.875 < 2.
+    radius.  Its slope peaks at 15/8, so max |grad phi| = 1.875/(r2 - r1)
+    on the whole plane, below the generic spline bound 3/(r2 - r1).
     """
-    phi, grad = _cutoff(r1, r2, grid, with_phi=True)
-    w = r2 - r1
-    return CutoffProfile(r1=float(r1), r2=float(r2), phi=phi, grad=grad, grad_bound=1.875 / w)
+    return _cutoff(r1, r2, grid, with_phi=True)
 
 
 def cutoff_gradient(r1: float, r2: float, grid: Grid2) -> Vec2Field:

@@ -225,15 +225,27 @@ def check_cutoff_volume_identity(B: GeometryBundle) -> CheckReport:
             f"{CUTOFF_SUPPORT_RADIUS}"
         )
     grad = cutoff_gradient(CUTOFF_PLATEAU_RADIUS, CUTOFF_SUPPORT_RADIUS, B.grid)
-    lhs = _quadform_inv(B, grad.c1.values, grad.c2.values) * B.vol
-    dphi2 = grad.c1.values ** 2 + grad.c2.values ** 2
-    rhs = dphi2 * (2.0 * B.cos_phase + B.sig1 * B.sin_phase)
-    violation = np.maximum(lhs - rhs, 0.0)
+    g1, g2 = grad.c1.values, grad.c2.values
+    del grad
+    # formed in place, with the operations and operands of the closed form
+    lhs = _quadform_inv(B, g1, g2)
+    lhs *= B.vol
+    dphi2 = g1 * g1
+    del g1
+    rhs = g2 * g2
+    del g2
+    dphi2 += rhs
+    np.multiply(B.sig1, B.sin_phase, out=rhs)
+    rhs += 2.0 * B.cos_phase
+    rhs *= dphi2
+    # rhs - lhs, not -(lhs - rhs): the two differ in the sign of a zero
+    min_margin = float(np.min(np.subtract(rhs, lhs, out=dphi2)))
+    del dphi2
+    lhs -= rhs
+    del rhs
+    violation = np.maximum(lhs, 0.0, out=lhs)
     tol = CUTOFF_SLACK_COEFF * B.grid.h ** 2
-    return _report(
-        "cutoff_volume", violation, tol, "differencing",
-        {"min_margin": float(np.min(rhs - lhs))},
-    )
+    return _report("cutoff_volume", violation, tol, "differencing", {"min_margin": min_margin})
 
 
 def check_slope_volume(B: GeometryBundle) -> CheckReport:

@@ -155,7 +155,7 @@ def check_weak_max_principle(
     for trial in range(trials):
         if trial % 2 == 0:
             rho = rng.uniform(size_lo, 0.8 * radius)
-            if rho >= radius or rho <= 3.0 * h + band:
+            if rho <= 3.0 * h + band:
                 degenerate += 1
                 continue
             ang = rng.uniform(0.0, 2.0 * math.pi)
@@ -333,11 +333,7 @@ def check_jacobi_pointwise(
     )
 
 
-def fit_modification_weight(
-    B: GeometryBundle,
-    K: SlopeConstants,
-    rho: float = SAMPLED_RADIUS,
-) -> tuple[float, float]:
+def fit_modification_weight(B: GeometryBundle, *, rho: float) -> tuple[float, float]:
     """Smallest weight A >= 0 making the modified slope subharmonic on |x| <= rho.
 
     The operator is linear, so min over the region of
@@ -452,10 +448,9 @@ def check_jacobi_integral(B: GeometryBundle, K: SlopeConstants) -> CheckReport:
             f"to stay {INTERIOR_MARGIN}h inside the grid"
         )
     C_hat = check_jacobi_pointwise(B, K).fitted["C_hat"]
-    cutoff = make_cutoff(r1, r2, g)
+    phi, grad = make_cutoff(r1, r2, g)
     h = g.h
-    phi = cutoff.phi.values
-    dphi1, dphi2 = cutoff.grad.c1.values, cutoff.grad.c2.values
+    phi, dphi1, dphi2 = phi.values, grad.c1.values, grad.c2.values
     V = B.vol
     # each integrand is formed in place and released once it is integrated
     integrand = B.slope_grad_norm2 * V

@@ -74,7 +74,6 @@ class AnalyticFunction2:
     value: callable
     gradient: callable
     hessian: callable
-    name: str = ""
 
 
 def quadratic_family(a: float) -> AnalyticFunction2:
@@ -88,7 +87,6 @@ def quadratic_family(a: float) -> AnalyticFunction2:
             0.0 * x1 + 0.0 * x2,
             a + 0.0 * x1 + 0.0 * x2,
         ),
-        name=f"quadratic(a={a:g})",
     )
 
 
@@ -106,7 +104,6 @@ def anisotropic_family(theta1: float, theta2: float) -> AnalyticFunction2:
             0.0 * x1 + 0.0 * x2,
             t2 + 0.0 * x1 + 0.0 * x2,
         ),
-        name=f"anisotropic(theta1={theta1:g},theta2={theta2:g})",
     )
 
 
@@ -124,7 +121,6 @@ def perturbed_family(eps: float) -> AnalyticFunction2:
             eps * np.cos(x1) * np.cos(x2),
             1.0 - eps * np.sin(x1) * np.sin(x2),
         ),
-        name=f"perturbed(eps={eps:g})",
     )
 
 
@@ -133,8 +129,8 @@ class ManufacturedProblem:
     """Exact-by-construction solution pair on a grid.
 
     The phase field comes from the analytic Hessian (never from finite
-    differences), and the boundary trace is the exact potential on the
-    boundary ring.  hess_exact samples the analytic Hessian again on each
+    differences), and u_exact on the boundary ring is the Dirichlet data of
+    a solve.  hess_exact samples the analytic Hessian again on each
     access rather than keeping three grid arrays that only error reports
     read; it gives the values the phase was built from, bit for bit.
     """
@@ -148,18 +144,10 @@ class ManufacturedProblem:
         return self.u_exact.grid
 
     @property
-    def name(self) -> str:
-        return self.analytic.name
-
-    @property
     def hess_exact(self) -> SymMat2Field:
         m11, m12, m22 = _sample_hessian(self.analytic, self.grid)
         g = self.grid
         return SymMat2Field(ScalarField2(g, m11), ScalarField2(g, m12), ScalarField2(g, m22))
-
-    def boundary_trace(self) -> ScalarField2:
-        """The exact potential; the solver reads only its boundary ring."""
-        return self.u_exact
 
 
 def _sample_hessian(analytic: AnalyticFunction2, grid: Grid2):
@@ -459,7 +447,7 @@ def _forcing_term(ratio: float, eta_prev: float) -> float:
 def newton_solve(
     psi: ScalarField2,
     boundary: ScalarField2,
-    grid: Grid2 | None = None,
+    *,
     tol: float = 1e-10,
     max_iter: int = 30,
     initial: str = "phase_matched",
@@ -473,11 +461,11 @@ def newton_solve(
     that _forcing_term gives.  Steps are damped by Armijo backtracking on
     the residual sup-norm (ARMIJO, halving down to MIN_STEP).
     Non-convergence within max_iter returns the state with the converged
-    flag unset rather than raising.
+    flag unset rather than raising.  The grid is psi's; boundary supplies the
+    Dirichlet data on its boundary ring.
     """
-    if grid is None:
-        grid = psi.grid
-    if psi.grid != grid or boundary.grid != grid:
+    grid = psi.grid
+    if boundary.grid != grid:
         raise ValueError("phase and boundary grids must match")
     pmin = float(np.min(psi.values))
     pmax = float(np.max(psi.values))

@@ -69,7 +69,7 @@ def solved_perturbed_full(grid_full):
     """Timed n=257 Dirichlet solve of perturbed(0.1), shared across criteria."""
     prob = manufacture(perturbed_family(0.1), grid_full)
     t0 = time.perf_counter()
-    state = newton_solve(prob.psi, prob.boundary_trace(), grid_full)
+    state = newton_solve(prob.psi, prob.u_exact)
     elapsed = time.perf_counter() - t0
     assert state.converged, state.message
     return prob, state, elapsed
@@ -82,7 +82,7 @@ def solved_instances(solved_perturbed_full):
     g = build_grid(L_FULL, 129)
     for fam in (quadratic_family(1.0), anisotropic_family(math.pi / 3, math.pi / 6)):
         prob = manufacture(fam, g)
-        state = newton_solve(prob.psi, prob.boundary_trace(), g)
+        state = newton_solve(prob.psi, prob.u_exact)
         assert state.converged
         out.append(state.u)
     return out
@@ -151,8 +151,7 @@ def test_criterion_3_super_iso_suite(grid_full, solved_instances):
     slope_fields = []
     for u in solved_instances:
         B = bundle(u)
-        base = SlopeConstants(delta=0.3, c=0.5)
-        a_hat, _ = fit_modification_weight(B, base)
+        a_hat, _ = fit_modification_weight(B, rho=2.0)
         slope_fields.append(modified_slope(B, SlopeConstants(delta=0.3, c=0.5, A=a_hat)))
     fields = analytic + slope_fields
     assert len(fields) == 20
@@ -199,8 +198,7 @@ def test_criterion_4_jacobi_stability():
 def test_criterion_5_subharmonic_modified_slope(grid_full):
     """A fitted weight gives min lap_g >= -1e-4 on B2 and the WMP holds."""
     B = bundle(manufacture(perturbed_family(0.1), grid_full).u_exact)
-    base = SlopeConstants(delta=0.3, c=0.5)
-    a_hat, attained = fit_modification_weight(B, base, rho=2.0)
+    a_hat, attained = fit_modification_weight(B, rho=2.0)
     K = SlopeConstants(delta=0.3, c=0.5, A=a_hat)
     rep = check_subharmonic_modified_slope(
         B, K, rho=2.0, trials=WMP_TRIALS, seed=SEED
@@ -239,7 +237,7 @@ def test_criterion_7_solver(grid_full, solved_perturbed_full):
     quad_ok = True
     for a in (1.0, 2.0):
         prob = manufacture(quadratic_family(a), grid_full)
-        st = newton_solve(prob.psi, prob.boundary_trace(), grid_full)
+        st = newton_solve(prob.psi, prob.u_exact)
         quad_ok &= (
             st.converged
             and st.iterations <= 3
@@ -254,7 +252,7 @@ def test_criterion_7_solver(grid_full, solved_perturbed_full):
         if n == N_FULL:
             st = state
         else:
-            st = newton_solve(prob.psi, prob.boundary_trace(), g)
+            st = newton_solve(prob.psi, prob.u_exact)
             assert st.converged
         errs.append(float(np.max(np.abs(st.u.values - prob.u_exact.values))))
     orders = [math.log2(a / b) for a, b in zip(errs, errs[1:])]

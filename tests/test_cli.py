@@ -9,6 +9,7 @@ import importlib.util
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -45,6 +46,14 @@ from lmce.identities import CheckReport
 from lmce.solver import anisotropic_family, manufacture
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+
+
+def _load_spans():
+    """The benchmark's span module, loaded from its file."""
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    return spans
 
 
 class TestConfig:
@@ -139,6 +148,40 @@ class TestFieldFile:
         path.write_text("i,j,value\n0,0,1.0\n")
         with pytest.raises(ConfigError):
             read_field_csv(path)
+
+    # n=33: line 1 is the header comment, line 2 the column header, and node
+    # (32, 32) the last row, line 2 + 33*33
+    LAST = 2 + 33 * 33
+
+    @pytest.mark.parametrize(
+        "last_row, extra, line, problem",
+        [
+            ("33,32,{v}", "", LAST, r"node \(33, 32\) is outside 0 <= i, j < 33"),
+            ("-1,32,{v}", "", LAST, r"node \(-1, 32\) is outside 0 <= i, j < 33"),
+            ("32,32,{v}", "0,0,123.0\n", LAST + 1, r"node \(0, 0\) appears twice"),
+            ("32,32", "", LAST, "expected the 3 cells i,j,value, got 2"),
+            ("32,32,{v},1.0", "", LAST, "expected the 3 cells i,j,value, got 4"),
+            ("32,32,nan", "", LAST, "value 'nan' is not finite"),
+            ("32,32,-inf", "", LAST, "value '-inf' is not finite"),
+            ("32,32,abc", "", LAST, "could not convert string to float: 'abc'"),
+            ("3x,32,{v}", "", LAST, "invalid literal for int"),
+        ],
+    )
+    def test_bad_row_exit_3_names_its_line(self, tmp_path, capsys, last_row, extra, line, problem):
+        path = tmp_path / "u.csv"
+        write_field_csv(path, sample(lambda x1, x2: x1 * x2, build_grid(4.0, 33)))
+        lines = path.read_text().splitlines(keepends=True)
+        v = lines[-1].split(",")[2].strip()
+        lines[-1] = last_row.format(v=v) + "\n" + extra
+        path.write_text("".join(lines))
+        where = rf"field file {re.escape(str(path))} line {line}: "
+        with pytest.raises(ConfigError, match=where + problem):
+            read_field_csv(path)
+        p = tmp_path / "field.cfg"
+        p.write_text(f"family=field\nfield_file={path}\nchecks=slope_volume\nout={tmp_path / 'o'}\n")
+        assert main(["verify", "--config", str(p)]) == EXIT_INVALID_INPUT
+        assert f"lmce: invalid input: field file {path} line {line}: " in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
 
 class TestPgm:
@@ -590,6 +633,31 @@ class TestStrictConfig:
         assert main(["verify", "--config", str(p)]) == EXIT_INVALID_INPUT
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize(
+        "checks, A",
+        [
+            (["weak_max_principle"], 1.0),
+            (["super_iso"], 1.0),
+            (["subharmonic"], 1.0),
+            (["jacobi_pointwise"], "fit"),
+            (["jacobi_integral"], "fit"),
+        ],
+    )
+    def test_rho_beyond_the_grid_rejected_at_load(self, checks, A):
+        with pytest.raises(ConfigError, match=r"rho=5\.0 exceeds the grid half-width L=4\.0"):
+            RunConfig(**{**self.BASE, "rho": 5.0, "checks": checks, "A": A})
+
+    def test_rho_beyond_the_grid_unread(self, tmp_path):
+        # no check reads rho: jacobi checks with a given A, and the rest
+        RunConfig(**{**self.BASE, "rho": 5.0, "checks": ["jacobi_integral"], "A": 1.0})
+        RunConfig(**{**self.BASE, "rho": 5.0, "checks": ["identity", "volume_bound"]})
+        # a field file's grid is known only once it is read
+        path = tmp_path / "u.csv"
+        write_field_csv(path, sample(lambda x1, x2: x1 * x1 + x2 * x2, build_grid(4.0, 65)))
+        cfg = RunConfig(family="field", field_file=str(path), rho=5.0, checks=["subharmonic"])
+        with pytest.raises(ConfigError, match=r"rho=5\.0 exceeds"):
+            cmd_verify(cfg)
+
     def test_coarse_grid_without_sampled_checks(self):
         RunConfig(**{**self.BASE, "n": 33, "checks": ["jacobi_pointwise"]})
         RunConfig(**{**self.BASE, "rho": 0.5, "checks": ["weak_max_principle"]})
@@ -619,12 +687,37 @@ class TestNonConvergence:
 
 class TestCheckRegistry:
     def test_tracer_names_every_check(self):
-        spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
-        spans = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(spans)
+        spans = _load_spans()
         assert list(spans.CHECK_FUNCTIONS) == ALL_CHECKS
         for module, function in spans.CHECK_FUNCTIONS.values():
             assert function in importlib.import_module(f"lmce.{module}").__all__
+
+    def test_traced_benchmark_child(self, tmp_path):
+        # the benchmark's traced path end to end: one child run with every
+        # public lmce function wrapped, its spans turned into layer metrics
+        spans = _load_spans()
+        cfg = tmp_path / "verify.json"
+        cfg.write_text(
+            json.dumps({"family": "perturbed", "source": "solved", "n": 65, "checks": "all"})
+        )
+        result = tmp_path / "result.json"
+        proc = subprocess.run(
+            [
+                sys.executable, str(SPANS.parent / "child.py"), "--root", str(SPANS.parent.parent),
+                "--spawned", str(time.monotonic()), "--result", str(result), "--trace",
+                "--", "verify", "--config", str(cfg), "--out", str(tmp_path / "o"), "--seed", "0",
+            ],
+            env={**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONDONTWRITEBYTECODE": "1"},
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        m = spans.layer_metrics(json.loads(result.read_text())["spans"])
+        assert m["solver.newton_iterations"] >= 1
+        assert m["solver.line_search_trials"] >= 1
+        assert m["geometry.bundle_calls"] == 1
+        assert m["inequalities.wmp_calls"] == 1
+        for check, (module, _) in spans.CHECK_FUNCTIONS.items():
+            assert m[f"{module}.{check}_s"] > 0.0, check
 
     def test_check_looked_up_at_call_time(self, tmp_path, monkeypatch):
         stub = CheckReport(

@@ -234,31 +234,31 @@ class TestSupNorm:
 class TestCutoff:
     def test_standard_profile_invariants(self):
         g = build_grid(4.0, 257)
-        cut = make_cutoff(2.0, 3.0, g)
-        phi = cut.phi.values
+        phi, grad = make_cutoff(2.0, 3.0, g)
+        phi = phi.values
         assert np.all(phi >= 0.0) and np.all(phi <= 1.0)
         inner = g.disk_mask(2.0)
         outer = ~g.disk_mask(3.0)
         assert np.all(phi[inner] == 1.0)
         assert np.all(phi[outer] == 0.0)
-        gmag = np.hypot(cut.grad.c1.values, cut.grad.c2.values)
-        assert np.max(gmag) <= cut.grad_bound + 1e-14
-        assert cut.grad_bound < 2.0
+        gmag = np.hypot(grad.c1.values, grad.c2.values)
+        # the quintic's slope peaks at 15/8: |grad phi| <= 1.875/(r2 - r1) < 2
+        assert np.max(gmag) <= 1.875 / (3.0 - 2.0) + 1e-14
 
     def test_value_at_origin(self):
         g = build_grid(4.0, 65)
-        cut = make_cutoff(2.0, 3.0, g)
+        phi, _ = make_cutoff(2.0, 3.0, g)
         i, j = g.origin_index()
-        assert cut.phi.values[i, j] == 1.0
+        assert phi.values[i, j] == 1.0
 
     def test_gradient_energy_against_radial_oracle(self):
         # 1D radial quadrature at 1e6 samples is the independent reference
         g = build_grid(4.0, 257)
-        cut = make_cutoff(2.0, 3.0, g)
-        gm2 = ScalarField2(g, cut.grad.c1.values ** 2 + cut.grad.c2.values ** 2)
+        _, grad = make_cutoff(2.0, 3.0, g)
+        gm2 = ScalarField2(g, grad.c1.values ** 2 + grad.c2.values ** 2)
         two_d = integrate_disk(gm2, 3.0)
         rr = np.linspace(2.0, 3.0, 10**6)
-        one_d = np.trapezoid(cut.slope_radial(rr) ** 2 * 2.0 * math.pi * rr, rr)
+        one_d = np.trapezoid(_quintic_slope(rr, 2.0, 3.0) ** 2 * 2.0 * math.pi * rr, rr)
         # integrand vanishes smoothly at both disk edges, so the node
         # quadrature converges much faster than its generic O(h) bound
         assert abs(two_d - one_d) <= g.h
@@ -287,14 +287,13 @@ class TestCutoff:
             dphi * x1 / safe,
             dphi * x2 / safe,
         )
-        cut = make_cutoff(2.0, 3.0, g)
-        grad = cutoff_gradient(2.0, 3.0, g)
-        got = (cut.phi, cut.grad.c1, cut.grad.c2)
-        for want, field in zip(expected, got):
+        phi, grad = make_cutoff(2.0, 3.0, g)
+        alone = cutoff_gradient(2.0, 3.0, g)
+        for want, field in zip(expected, (phi, grad.c1, grad.c2)):
             assert np.array_equal(field.values.view(np.int64), want.view(np.int64))
-        for alone, field in ((grad.c1, cut.grad.c1), (grad.c2, cut.grad.c2)):
-            assert np.array_equal(alone.values.view(np.int64), field.values.view(np.int64))
-        assert np.signbit(cut.grad.c1.values[0, 0])
+        for only, field in ((alone.c1, grad.c1), (alone.c2, grad.c2)):
+            assert np.array_equal(only.values.view(np.int64), field.values.view(np.int64))
+        assert np.signbit(grad.c1.values[0, 0])
 
     @settings(deadline=None, max_examples=25)
     @given(
@@ -304,12 +303,11 @@ class TestCutoff:
     def test_profile_properties(self, r1, width):
         g = build_grid(4.0, 65)
         r2 = min(r1 + width, 4.0)
-        cut = make_cutoff(r1, r2, g)
-        phi = cut.phi.values
+        phi, grad = make_cutoff(r1, r2, g)
+        phi = phi.values
         assert np.all((phi >= 0.0) & (phi <= 1.0))
         assert np.all(phi[g.disk_mask(r1)] == 1.0)
         assert np.all(phi[~g.disk_mask(r2)] == 0.0)
-        gmag = np.hypot(cut.grad.c1.values, cut.grad.c2.values)
-        assert np.max(gmag) <= cut.grad_bound + 1e-12
-        # certified bound stays below the generic spline bound 3/(r2-r1)
-        assert cut.grad_bound <= 3.0 / (r2 - r1) + 1e-12
+        gmag = np.hypot(grad.c1.values, grad.c2.values)
+        # the analytic bound 1.875/(r2 - r1), below the generic spline bound 3/(r2 - r1)
+        assert np.max(gmag) <= 1.875 / (r2 - r1) + 1e-12

@@ -175,6 +175,32 @@ class TestVolumeFormula:
 
 
 class TestCutoffVolume:
+    @pytest.mark.parametrize(
+        "potential",
+        [
+            lambda x1, x2: 0.5 * (x1 * x1 + x2 * x2) + 0.1 * np.sin(x1) * np.sin(x2),
+            lambda x1, x2: -0.5 * np.tan(0.4) * x1 * x1 - 0.5 * np.tan(1.0) * x2 * x2,
+            lambda x1, x2: x1 * x2 + 0.2 * x1**3,
+        ],
+    )
+    def test_same_bits_as_the_closed_form(self, potential):
+        # both sides written out as whole-array expressions, zero signs included
+        g = build_grid(4.0, 65)
+        B = bundle(sample(potential, g))
+        _, grad = make_cutoff(2.0, 3.0, g)
+        d1, d2 = grad.c1.values, grad.c2.values
+        lhs = (B.inv11 * d1 * d1 + 2.0 * B.inv12 * d1 * d2 + B.inv22 * d2 * d2) * B.vol
+        rhs = (d1**2 + d2**2) * (2.0 * B.cos_phase + B.sig1 * B.sin_phase)
+        violation = np.maximum(lhs - rhs, 0.0)
+        rep = check_cutoff_volume_identity(B)
+        loc = np.unravel_index(np.argmax(np.abs(violation)), violation.shape)
+        assert rep.location == tuple(int(k) for k in loc)
+        assert rep.max_residual == float(np.abs(violation[loc]))
+        margin = float(np.min(rhs - lhs))
+        assert (rep.details["min_margin"], math.copysign(1.0, rep.details["min_margin"])) == (
+            margin, math.copysign(1.0, margin)
+        )
+
     def test_paraboloid_strict_inequality(self):
         # lhs = |Dphi|^2, rhs = 2|Dphi|^2: margin stays non-negative
         g = build_grid(4.0, 129)
@@ -188,8 +214,8 @@ class TestCutoffVolume:
         # inside the plateau Dphi = 0 and both sides vanish
         g = build_grid(4.0, 65)
         B = smooth_bundle(g)
-        cut = make_cutoff(2.0, 3.0, g)
-        gmag = np.hypot(cut.grad.c1.values, cut.grad.c2.values)
+        _, grad = make_cutoff(2.0, 3.0, g)
+        gmag = np.hypot(grad.c1.values, grad.c2.values)
         assert np.all(gmag[g.disk_mask(2.0)] == 0.0)
         rep = check_cutoff_volume_identity(B)
         assert rep.passed

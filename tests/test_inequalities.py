@@ -42,7 +42,6 @@ def negate_analytic(f):
         value=lambda x1, x2: -f.value(x1, x2),
         gradient=lambda x1, x2: tuple(-gi for gi in f.gradient(x1, x2)),
         hessian=lambda x1, x2: tuple(-mi for mi in f.hessian(x1, x2)),
-        name=f"-{f.name}",
     )
 
 
@@ -53,7 +52,6 @@ def rescale_analytic(f, s: float):
         value=lambda x1, x2: f.value(s * x1, s * x2) / (s * s),
         gradient=lambda x1, x2: tuple(gi / s for gi in f.gradient(s * x1, s * x2)),
         hessian=lambda x1, x2: f.hessian(s * x1, s * x2),
-        name=f"{f.name}~scaled(s={s:g})",
     )
 
 
@@ -244,7 +242,7 @@ class TestSubharmonicModifiedSlope:
         assert rep.fitted["min_laplacian"] == pytest.approx(0.0, abs=1e-10)
 
     def test_perturbed_fit_and_sweep_monotone(self, perturbed_bundle_129):
-        a_hat, attained = fit_modification_weight(perturbed_bundle_129, K_DEFAULT)
+        a_hat, attained = fit_modification_weight(perturbed_bundle_129, rho=2.0)
         assert a_hat > 0.0
         assert attained >= -1e-10
         mins = []
@@ -267,8 +265,8 @@ class TestSubharmonicModifiedSlope:
         # a negative-phase bundle is fitted on its negation, the bundle the
         # slope checks read (on the raw bundle the fit gave 0.2328, not 0.0511)
         B = bundle(manufacture(perturbed_family(0.1), build_grid(4.0, 65)).u_exact)
-        a_hat, attained = fit_modification_weight(B, K_DEFAULT)
-        assert fit_modification_weight(B.negated, K_DEFAULT) == (a_hat, attained)
+        a_hat, attained = fit_modification_weight(B, rho=2.0)
+        assert fit_modification_weight(B.negated, rho=2.0) == (a_hat, attained)
         assert a_hat == pytest.approx(0.0511, abs=1e-4)
 
     def test_mixed_sign_fit_matches_scan(self):
@@ -298,7 +296,7 @@ class TestSubharmonicModifiedSlope:
             best = int(np.argmax(attained(a)))
             lo, hi = max(0.0, a[best] - (a[1] - a[0])), min(1e3, a[best] + (a[1] - a[0]))
         a_scan = 0.5 * (lo + hi)
-        a_hat, value = fit_modification_weight(B, K_DEFAULT)
+        a_hat, value = fit_modification_weight(B, rho=2.0)
         assert 0.0 < a_scan < 1e3
         assert a_hat == pytest.approx(a_scan, abs=1e-6)
         assert value == pytest.approx(float(attained(np.array([a_scan]))[0]), abs=1e-6)
@@ -454,7 +452,7 @@ class TestCanonicalOnRegion:
         assert check_subharmonic_modified_slope(B, K, trials=50).details["canonicalized"]
         rep = check_hessian_estimate(B, 3.0)
         assert (rep.details["regime"], rep.details["canonicalized"]) == ("case1", True)
-        assert fit_modification_weight(B, K) == fit_modification_weight(B.negated, K)
+        assert fit_modification_weight(B, rho=2.0) == fit_modification_weight(B.negated, rho=2.0)
 
 
 class TestExpBudgetFit:

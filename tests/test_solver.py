@@ -62,19 +62,19 @@ def _exact_solve(A, rhs, M, tol=1e-12, record=None):
 
 
 def _newton_case(case):
-    """Grid, phase, boundary data and start of a named Newton test problem."""
+    """Phase, boundary data and start of a named Newton test problem."""
     if case == "perturbed":
         g = build_grid(4.0, 65)
         prob = manufacture(perturbed_family(0.1), g)
-        return g, prob.psi, prob.boundary_trace(), "phase_matched"
+        return prob.psi, prob.u_exact, "phase_matched"
     if case == "anisotropic":
         g = build_grid(4.0, 33)
         prob = manufacture(anisotropic_family(1.4, 0.2), g)
-        return g, prob.psi, prob.boundary_trace(), "phase_matched"
+        return prob.psi, prob.u_exact, "phase_matched"
     # near pi, where the damped steps need many BiCGSTAB iterations
     g = build_grid(4.0, 33)
     psi = ScalarField2(g, np.full((g.n, g.n), 3.13))
-    return g, psi, sample(quadratic_family(1.0).value, g), "harmonic"
+    return psi, sample(quadratic_family(1.0).value, g), "harmonic"
 
 
 # Newton steps of each _newton_case with inexact solves and with exact ones:
@@ -113,7 +113,7 @@ def _eisenstat_walker(residuals):
 def _first_newton_system(g, prob):
     """Operator, preconditioner and right-hand side of the first Newton step
     from the default start."""
-    u0 = _initial_iterate(g, prob.boundary_trace(), prob.psi, "phase_matched")
+    u0 = _initial_iterate(g, prob.u_exact, prob.psi, "phase_matched")
     hess = hessian_fd(ScalarField2(g, u0))
     lam1, lam2 = eigen_sym2(hess.m11.values, hess.m12.values, hess.m22.values)
     r = (np.arctan(lam1) + np.arctan(lam2) - prob.psi.values)[1:-1, 1:-1]
@@ -141,7 +141,6 @@ class TestManufacture:
             value=lambda x1, x2: x1 * x2,
             gradient=lambda x1, x2: (x2 + 0.0 * x1, x1 + 0.0 * x2),
             hessian=lambda x1, x2: (0.0 * x1, 1.0 + 0.0 * x1 + 0.0 * x2, 0.0 * x2),
-            name="saddle",
         )
         prob = manufacture(saddle, g)
         assert classify_phase(prob.psi.values, 0.3) == "subcritical"
@@ -180,7 +179,7 @@ class TestNewtonSolve:
         # the phase-matched start is the exact discrete solution here
         g = build_grid(4.0, 65)
         prob = manufacture(quadratic_family(a), g)
-        state = newton_solve(prob.psi, prob.boundary_trace(), g)
+        state = newton_solve(prob.psi, prob.u_exact)
         assert state.converged
         assert state.iterations <= 3
         assert state.residuals[-1] <= 1e-10
@@ -189,14 +188,14 @@ class TestNewtonSolve:
     def test_anisotropic_converges(self):
         g = build_grid(4.0, 65)
         prob = manufacture(anisotropic_family(math.pi / 3, math.pi / 6), g)
-        state = newton_solve(prob.psi, prob.boundary_trace(), g)
+        state = newton_solve(prob.psi, prob.u_exact)
         assert state.converged
         assert np.max(np.abs(state.u.values - prob.u_exact.values)) <= 1e-9
 
     def test_perturbed_converges_with_quadratic_tail(self):
         g = build_grid(4.0, 65)
         prob = manufacture(perturbed_family(0.1), g)
-        state = newton_solve(prob.psi, prob.boundary_trace(), g)
+        state = newton_solve(prob.psi, prob.u_exact)
         assert state.converged
         assert state.residuals[-1] / state.residuals[-2] <= 1e-3
         assert np.max(np.abs(state.u.values - prob.u_exact.values)) <= 10.0 * g.h**2
@@ -204,15 +203,15 @@ class TestNewtonSolve:
     def test_boundary_held_exactly(self):
         g = build_grid(4.0, 65)
         prob = manufacture(perturbed_family(0.1), g)
-        state = newton_solve(prob.psi, prob.boundary_trace(), g)
-        trace = prob.boundary_trace().values
+        state = newton_solve(prob.psi, prob.u_exact)
+        trace = prob.u_exact.values
         for sl in (np.s_[0, :], np.s_[-1, :], np.s_[:, 0], np.s_[:, -1]):
             np.testing.assert_array_equal(state.u.values[sl], trace[sl])
 
     def test_residual_history_strictly_decreasing(self):
         g = build_grid(4.0, 65)
         prob = manufacture(perturbed_family(0.1), g)
-        state = newton_solve(prob.psi, prob.boundary_trace(), g)
+        state = newton_solve(prob.psi, prob.u_exact)
         assert state.converged
         r = state.residuals
         assert all(b < a for a, b in zip(r, r[1:]))
@@ -220,21 +219,19 @@ class TestNewtonSolve:
     def test_residual_certification(self):
         g = build_grid(4.0, 65)
         prob = manufacture(perturbed_family(0.1), g)
-        state = newton_solve(prob.psi, prob.boundary_trace(), g)
+        state = newton_solve(prob.psi, prob.u_exact)
         assert phase_residual(state.u, prob.psi) <= 2.0 * state.tolerance
 
     def test_phase_consistency(self):
         g = build_grid(4.0, 65)
         prob = manufacture(perturbed_family(0.1), g)
-        state = newton_solve(prob.psi, prob.boundary_trace(), g)
+        state = newton_solve(prob.psi, prob.u_exact)
         assert phase_residual(state.u, prob.psi) <= state.tolerance + 10.0 * g.h**2
 
     def test_nonconvergence_returns_state(self):
         g = build_grid(4.0, 65)
         prob = manufacture(perturbed_family(0.1), g)
-        state = newton_solve(
-            prob.psi, prob.boundary_trace(), g, max_iter=1, initial="harmonic"
-        )
+        state = newton_solve(prob.psi, prob.u_exact, max_iter=1, initial="harmonic")
         assert not state.converged
         assert state.message
 
@@ -245,8 +242,8 @@ class TestNewtonSolve:
         x1, x2 = g.coords()
         affine = 0.7 + 0.3 * (x1 + np.zeros_like(x2)) - 1.1 * (x2 + np.zeros_like(x1))
         shifted = ScalarField2(g, prob.u_exact.values + affine)
-        s0 = newton_solve(prob.psi, prob.boundary_trace(), g)
-        s1 = newton_solve(prob.psi, shifted, g)
+        s0 = newton_solve(prob.psi, prob.u_exact)
+        s1 = newton_solve(prob.psi, shifted)
         assert s1.converged
         np.testing.assert_allclose(s1.u.values - s0.u.values, affine, atol=1e-8)
 
@@ -255,12 +252,22 @@ class TestNewtonSolve:
         psi = ScalarField2(g, np.zeros((g.n, g.n)))
         u = sample(lambda x1, x2: x1 * x2, g)
         with pytest.raises(PreconditionError):
-            newton_solve(psi, u, g)
+            newton_solve(psi, u)
+
+    def test_grid_comes_from_the_phase(self):
+        g = build_grid(4.0, 33)
+        prob = manufacture(quadratic_family(1.0), g)
+        with pytest.raises(ValueError, match="grids must match"):
+            newton_solve(prob.psi, sample(quadratic_family(1.0).value, build_grid(4.0, 17)))
+        # tol, max_iter and initial are keyword-only: a grid passed third is
+        # refused at the call rather than taken as the tolerance
+        with pytest.raises(TypeError):
+            newton_solve(prob.psi, prob.u_exact, g)
 
     def test_harmonic_initial_mode(self):
         g = build_grid(4.0, 33)
         prob = manufacture(perturbed_family(0.1), g)
-        state = newton_solve(prob.psi, prob.boundary_trace(), g, initial="harmonic")
+        state = newton_solve(prob.psi, prob.u_exact, initial="harmonic")
         assert state.converged
 
     @pytest.mark.parametrize("gap", [1e-7, 1e-9])
@@ -271,10 +278,10 @@ class TestNewtonSolve:
         g = build_grid(4.0, 33)
         psi = sample(lambda x1, x2: math.pi - gap, g)
         boundary = sample(quadratic_family(1.0).value, g)
-        harmonic = newton_solve(psi, boundary, g, max_iter=40, initial="harmonic")
+        harmonic = newton_solve(psi, boundary, max_iter=40, initial="harmonic")
         assert harmonic.converged
         assert phase_residual(harmonic.u, psi) <= harmonic.tolerance
-        matched = newton_solve(psi, boundary, g, max_iter=40)
+        matched = newton_solve(psi, boundary, max_iter=40)
         assert not matched.converged
         assert matched.message == "line search failed to reduce the residual"
 
@@ -461,16 +468,16 @@ class TestKrylovPath:
 
     @pytest.mark.parametrize("case", ["perturbed", "anisotropic", "near_pi"])
     def test_same_newton_steps_as_lu(self, case, monkeypatch):
-        g, psi, boundary, initial = _newton_case(case)
-        krylov = newton_solve(psi, boundary, g, initial=initial)
+        psi, boundary, initial = _newton_case(case)
+        krylov = newton_solve(psi, boundary, initial=initial)
         monkeypatch.setattr(lmce.solver, "linear_solve", _exact_solve)
-        exact = newton_solve(psi, boundary, g, initial=initial)
+        exact = newton_solve(psi, boundary, initial=initial)
         _assert_same_path(case, krylov, exact)
 
     def test_fast_path_does_not_factor(self):
         g = build_grid(4.0, 65)
         prob = manufacture(perturbed_family(0.1), g)
-        state = newton_solve(prob.psi, prob.boundary_trace(), g)
+        state = newton_solve(prob.psi, prob.u_exact)
         assert state.converged
         # the first system certifies inside its first half-iteration: 0
         # completed iterations, as scipy's callback counts them
@@ -485,14 +492,14 @@ class TestKrylovPath:
         g = build_grid(4.0, 33)
         psi = ScalarField2(g, np.full((g.n, g.n), 3.13))
         boundary = sample(quadratic_family(1.0).value, g)
-        state = newton_solve(psi, boundary, g)
+        state = newton_solve(psi, boundary)
         assert state.converged and state.iterations == 24
         assert len(state.systems) == state.iterations
         assert all(isinstance(rec, SystemSolve) for rec in state.systems)
         assert max(rec.krylov_iterations for rec in state.systems) == 42
         # under a cap of 25 that system does not certify and the solve ends
         monkeypatch.setattr(lmce.solver, "KRYLOV_MAXITER", 25)
-        capped = newton_solve(psi, boundary, g)
+        capped = newton_solve(psi, boundary)
         assert not capped.converged
         assert capped.message.startswith("linear solve stagnated")
 
@@ -511,11 +518,11 @@ class TestKrylovPath:
 class TestForcingTerm:
     @pytest.mark.parametrize("case", ["perturbed", "anisotropic", "near_pi"])
     def test_same_newton_path_as_fixed_tolerance(self, case, monkeypatch):
-        g, psi, boundary, initial = _newton_case(case)
-        inexact = newton_solve(psi, boundary, g, initial=initial)
+        psi, boundary, initial = _newton_case(case)
+        inexact = newton_solve(psi, boundary, initial=initial)
         # a cap at the floor solves every system to a fixed 1e-12
         monkeypatch.setattr(lmce.solver, "ETA_MAX", ETA_MIN)
-        fixed = newton_solve(psi, boundary, g, initial=initial)
+        fixed = newton_solve(psi, boundary, initial=initial)
         assert {rec.rtol for rec in fixed.systems} == {1e-12}
         _assert_same_path(case, inexact, fixed)
         if case == "perturbed":
@@ -524,8 +531,8 @@ class TestForcingTerm:
 
     @pytest.mark.parametrize("case", ["perturbed", "anisotropic", "near_pi"])
     def test_rtol_sequence_follows_the_rule(self, case):
-        g, psi, boundary, initial = _newton_case(case)
-        state = newton_solve(psi, boundary, g, initial=initial)
+        psi, boundary, initial = _newton_case(case)
+        state = newton_solve(psi, boundary, initial=initial)
         rtols = [rec.rtol for rec in state.systems]
         assert rtols == pytest.approx(_eisenstat_walker(state.residuals)[: len(rtols)], rel=1e-12)
         if case == "anisotropic":  # damped steps barely reduce the residual
@@ -549,7 +556,7 @@ SCIPY_FREE = """
 import json, sys
 import numpy as np
 import lmce.cli
-from lmce.geometry import SlopeConstants, bundle_from_hessian
+from lmce.geometry import bundle_from_hessian
 from lmce.grid import ScalarField2, SymMat2Field, build_grid, sample
 from lmce.inequalities import fit_modification_weight
 from lmce.solver import newton_solve, quadratic_family
@@ -558,7 +565,7 @@ for command, config, out in zip(("verify", "solve"), sys.argv[1:3], sys.argv[3:5
     assert lmce.cli.main([command, "--config", config, "--out", out]) == 0, command
 g = build_grid(4.0, 33)
 near_pi = ScalarField2(g, np.full((g.n, g.n), 3.13))
-state = newton_solve(near_pi, sample(quadratic_family(1.0).value, g), g, initial="harmonic")
+state = newton_solve(near_pi, sample(quadratic_family(1.0).value, g), initial="harmonic")
 # lap_g(|x|^2/2) changes sign on B2 for this Hessian (test_mixed_sign_fit_matches_scan)
 g = build_grid(4.0, 65)
 x1, x2 = g.coords()
@@ -566,7 +573,7 @@ m11 = np.exp(4.0 * (x1 - 1.2)) + 0.3 * np.sin(x2)
 zero, half = np.zeros((g.n, g.n)), np.full((g.n, g.n), 0.5)
 B = bundle_from_hessian(SymMat2Field(*(ScalarField2(g, m) for m in (m11, zero, half))))
 lap_q = B.paraboloid_laplacian[g.disk_mask(2.0)]
-a_hat, _ = fit_modification_weight(B, SlopeConstants())
+a_hat, _ = fit_modification_weight(B, rho=2.0)
 print(json.dumps({
     "near_pi": state.converged,
     "mixed_sign": bool(np.min(lap_q) < 0.0 < np.max(lap_q)) and 0.0 < a_hat < 1e3,
