@@ -39,7 +39,13 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import ConfigError, NonConvergenceError, PreconditionError
-from .geometry import SlopeConstants, bundle as make_bundle, classify_phase, modified_slope
+from .geometry import (
+    EVEN_FIELDS,
+    SlopeConstants,
+    bundle as make_bundle,
+    classify_phase,
+    modified_slope,
+)
 from .grid import ScalarField2, build_grid, gradient_fd
 from .identities import (
     CheckReport,
@@ -156,7 +162,7 @@ class RunConfig:
                 f"got {self.sweep_param!r}"
             )
         if self.family != "field":
-            _require_sampler_grid(self, build_grid(self.L, self.n))
+            build_grid(self.L, self.n)  # n too small for the stencils is invalid input
 
     def to_dict(self) -> dict:
         d = dataclasses.asdict(self)
@@ -195,7 +201,8 @@ def _number(value) -> float:
 
 def _require_sampler_grid(cfg: RunConfig, grid) -> None:
     """A grid too coarse for a requested sampled check, or without the disk
-    of radius rho that a requested check reads, is invalid input."""
+    of radius rho that a requested check reads, is invalid input to the
+    commands that run checks, verify and sweep, before any set-up work."""
     # the sampled checks read rho through the modified slope, the others
     # through the fit of A
     reads_rho = ["weak_max_principle", "super_iso", "subharmonic"]
@@ -268,17 +275,19 @@ def _expand_checks(requested) -> list[str]:
 
 @dataclass
 class RunReport:
-    """Everything one run produced: config echo, check entries, solver summary,
-    wall-clock per phase."""
+    """Everything one run produced, and its JSON summary: config echo, check
+    entries (each a `CheckReport.entry()`), solver summary, wall-clock per
+    phase, heatmap ranges and the phase regime of the field."""
 
     config: dict
     entries: list[dict] = field(default_factory=list)
     solver: dict | None = None
     timings: dict = field(default_factory=dict)
     heatmaps: dict = field(default_factory=dict)
+    regime: str | None = None
 
     def all_passed(self) -> bool:
-        return all(e.get("passed", False) for e in self.entries)
+        return all(e["passed"] for e in self.entries)
 
 
 def write_field_csv(path: str | Path, f: ScalarField2) -> None:
@@ -306,11 +315,12 @@ def read_field_csv(path: str | Path) -> ScalarField2:
             part.split("=", 1) for part in header.lstrip("#").split() if "=" in part
         )
         try:
-            L = float(meta["L"])
-            n = int(meta["n"])
-        except (KeyError, ValueError) as exc:
+            grid = build_grid(float(meta["L"]), int(meta["n"]))
+        except KeyError as exc:
             raise ConfigError(f"field file {path} header must name L and n") from exc
-        grid = build_grid(L, n)
+        except ValueError as exc:
+            raise ConfigError(f"field file {path} header: {exc}") from exc
+        n = grid.n
         # NaN marks a node not yet read; nested lists index faster than numpy
         vals = [[math.nan] * n for _ in range(n)]
         reader = csv.reader(fh)
@@ -362,40 +372,36 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _write_report_csv(path: Path, entries: list[dict]) -> None:
-    columns = [
-        "check",
-        "kind",
-        "status",
-        "passed",
-        "lhs",
-        "rhs",
-        "margin",
-        "residual",
-        "tolerance",
-        "slack",
-        "fitted",
-    ]
+# the columns of verify.csv: entry keys, blank where an entry has none, and
+# the fitted constants as `name=value;...`
+_ENTRY_COLUMNS = [
+    "check", "kind", "status", "passed", "lhs", "rhs", "margin", "residual", "tolerance", "slack",
+    "fitted",
+]
+
+
+def _entry_row(e: dict) -> list[str]:
+    fitted = ";".join(f"{k}={_fmt(v)}" for k, v in sorted(e["fitted"].items()))
+    return [_fmt(e.get(k, "")) for k in _ENTRY_COLUMNS[:-1]] + [fitted]
+
+
+def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(columns)
-        for e in entries:
-            fitted = ";".join(f"{k}={_fmt(v)}" for k, v in sorted(e.get("fitted", {}).items()))
-            writer.writerow(
-                [
-                    e.get("check", ""),
-                    e.get("kind", ""),
-                    e.get("status", "ran"),
-                    e.get("passed", ""),
-                    _fmt(e.get("lhs", "")),
-                    _fmt(e.get("rhs", "")),
-                    _fmt(e.get("margin", "")),
-                    _fmt(e.get("residual", "")),
-                    _fmt(e.get("tolerance", "")),
-                    _fmt(e.get("slack", "")),
-                    fitted,
-                ]
-            )
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _write_run(command: str, report: RunReport, header, rows, /, **extra) -> None:
+    """The outputs of one run in its `out` directory: `<command>.csv`, the
+    header and rows given, and `<command>.json`, the report and any extra
+    keys."""
+    outdir = Path(report.config["out"])
+    outdir.mkdir(parents=True, exist_ok=True)
+    _write_csv(outdir / f"{command}.csv", header, rows)
+    payload = {**dataclasses.asdict(report), **extra}
+    text = json.dumps(payload, indent=2, default=_json_default, sort_keys=True)
+    (outdir / f"{command}.json").write_text(text + "\n")
 
 
 def _build_family(cfg: RunConfig):
@@ -445,9 +451,14 @@ class _Context:
 
     def __init__(self, cfg: RunConfig):
         self.cfg = cfg
-        self.grid = build_grid(cfg.L, cfg.n)
         self.analytic = _build_family(cfg)
-        self.solve_state = None
+        self.problem = self.solve_state = None
+        if self.analytic is None:
+            self.u = read_field_csv(cfg.field_file)
+            self.grid = self.u.grid
+        else:
+            self.grid = build_grid(cfg.L, cfg.n)
+        _require_sampler_grid(cfg, self.grid)
         if self.analytic is not None:
             self.problem = manufacture(self.analytic, self.grid)
             if cfg.source == "solved":
@@ -462,11 +473,6 @@ class _Context:
             else:
                 self.u = self.problem.u_exact
             self.psi = self.problem.psi
-        else:
-            self.problem = None
-            self.u = read_field_csv(cfg.field_file)
-            self.grid = self.u.grid
-            _require_sampler_grid(cfg, self.grid)
         self.bundle = make_bundle(self.u)
         if self.problem is None:
             self.psi = ScalarField2(self.grid, self.bundle.phase)
@@ -596,23 +602,31 @@ def _release(ctx: _Context, remaining: list[str]) -> None:
     lazily built field and set-up attribute that no remaining check reads.
 
     A field still to be built keeps what it is built from; a built one does
-    not, so the flux coefficients go as soon as both Laplacians exist.  Which
-    fields are built is read per bundle: one that has not built an even
-    field keeps its link to the twin that may hold it."""
+    not, so the flux coefficients go as soon as both Laplacians exist.  A
+    field built on either twin counts as built for both, as the checks read
+    one of the two; a bundle that has not built an even field keeps its link
+    to the twin that holds it."""
     reads = [f for name in remaining for f in _CHECKS[name].reads]
     holders = [ctx, ctx.bundle]
     if "negated" in ctx.bundle.__dict__:
         holders.append(ctx.bundle.negated)
     for holder in holders:
         built = holder.__dict__
+        twin = built.get("negated")
+        twin_built = vars(twin) if twin is not None else {}
         keep: set[str] = set()
         todo = list(reads)
         while todo:
             name = todo.pop()
-            if name not in keep:
-                keep.add(name)
-                if name not in built and name not in ctx.__dict__:
-                    todo.extend(_BUILT_FROM.get(name, ()))
+            if name in keep:
+                continue
+            keep.add(name)
+            if name in built or name in ctx.__dict__:
+                continue
+            if name not in twin_built:
+                todo.extend(_BUILT_FROM.get(name, ()))
+            elif name in EVEN_FIELDS:
+                todo.append("negated")
         lazy = [k for k, v in vars(type(holder)).items() if isinstance(v, cached_property)]
         for name in lazy + list(_SET_UP):
             if name not in keep:
@@ -627,11 +641,9 @@ def _json_default(obj):
     raise TypeError(f"not JSON serializable: {type(obj)!r}")
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, indent=2, default=_json_default, sort_keys=True) + "\n")
-
-
-def _emit_heatmaps(outdir: Path, fields: dict[str, np.ndarray], report: RunReport) -> None:
+def _emit_heatmaps(report: RunReport, fields: dict[str, np.ndarray]) -> None:
+    outdir = Path(report.config["out"])
+    outdir.mkdir(parents=True, exist_ok=True)
     for name, values in fields.items():
         path = outdir / f"{name}.pgm"
         lo, hi = write_pgm(path, values)
@@ -651,18 +663,13 @@ def _run_checks(ctx: _Context, names: list[str], timings: dict) -> list[dict]:
         t1 = time.perf_counter()
         lazy0 = ctx.lazy_s
         try:
-            entry = _CHECKS[name].run(ctx).entry()
+            report = _CHECKS[name].run(ctx)
         except PreconditionError as exc:
-            entry = {
-                "check": name,
-                "kind": "precondition",
-                "passed": False,
-                "status": "precondition_failed",
-                "fitted": {},
-                "details": {"error": str(exc)},
-            }
-        entry.setdefault("status", "ran")
-        entries.append(entry)
+            details = {"error": str(exc)}
+            report = CheckReport(
+                name, "precondition", False, details=details, status="precondition_failed"
+            )
+        entries.append(report.entry())
         spent[f"{name}_s"] = time.perf_counter() - t1 - (ctx.lazy_s - lazy0)
         _release(ctx, names[k + 1 :])
     for key, value in {**spent, **ctx.timings}.items():
@@ -677,24 +684,12 @@ def cmd_verify(cfg: RunConfig) -> tuple[RunReport, int]:
     report.timings["setup_s"] = time.perf_counter() - t0
     if ctx.solve_state is not None:
         report.solver = _solver_summary(ctx.solve_state)
-    outdir = Path(cfg.out)
-    outdir.mkdir(parents=True, exist_ok=True)
+    report.regime = ctx.regime
     if cfg.heatmaps:
         fields = {"u": ctx.u.values, "psi": ctx.psi.values, "slope": ctx.bundle.slope}
-        _emit_heatmaps(outdir, fields, report)
+        _emit_heatmaps(report, fields)
     report.entries = _run_checks(ctx, cfg.checks, report.timings)
-    _write_report_csv(outdir / "verify.csv", report.entries)
-    _write_json(
-        outdir / "verify.json",
-        {
-            "config": report.config,
-            "entries": report.entries,
-            "solver": report.solver,
-            "timings": report.timings,
-            "heatmaps": report.heatmaps,
-            "regime": ctx.regime,
-        },
-    )
+    _write_run("verify", report, _ENTRY_COLUMNS, [_entry_row(e) for e in report.entries])
     code = EXIT_PASS if report.all_passed() else EXIT_CHECK_FAILED
     return report, code
 
@@ -727,38 +722,20 @@ def cmd_solve(cfg: RunConfig) -> tuple[RunReport, int]:
     report.solver = _solver_summary(state)
     report.solver["certified_residual"] = certified
     report.solver["error_vs_exact"] = err_exact
-    report.entries.append(
-        {
-            "check": "residual_certification",
-            "kind": "solver",
-            "passed": bool(state.converged and certified <= 2.0 * cfg.tol),
-            "residual": certified,
-            "tolerance": 2.0 * cfg.tol,
-            "fitted": {},
-        }
+    report.regime = classify_phase(problem.psi.values, cfg.delta)
+    passed = state.converged and certified <= 2.0 * cfg.tol
+    entry = CheckReport(
+        "residual_certification", "solver", passed, max_residual=certified, tolerance=2.0 * cfg.tol
     )
-    outdir = Path(cfg.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    with open(outdir / "solve.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["iteration", "residual", "damping"])
-        for k, r in enumerate(state.residuals):
-            damp = state.damping[k - 1] if 0 < k <= len(state.damping) else ""
-            writer.writerow([k, repr(r), _fmt(damp)])
+    report.entries.append(entry.entry())
     if cfg.heatmaps:
-        _emit_heatmaps(outdir, {"u": state.u.values, "psi": problem.psi.values}, report)
-    _write_json(
-        outdir / "solve.json",
-        {
-            "config": report.config,
-            "solver": report.solver,
-            "entries": report.entries,
-            "timings": report.timings,
-            "heatmaps": report.heatmaps,
-            "regime": classify_phase(problem.psi.values, cfg.delta),
-        },
-    )
-    write_field_csv(outdir / "u.csv", state.u)
+        _emit_heatmaps(report, {"u": state.u.values, "psi": problem.psi.values})
+    rows = [
+        [k, repr(r), _fmt(state.damping[k - 1] if 0 < k <= len(state.damping) else "")]
+        for k, r in enumerate(state.residuals)
+    ]
+    _write_run("solve", report, ["iteration", "residual", "damping"], rows)
+    write_field_csv(Path(cfg.out) / "u.csv", state.u)
     if not state.converged:
         return report, EXIT_NO_CONVERGENCE
     return report, EXIT_PASS if report.all_passed() else EXIT_CHECK_FAILED
@@ -794,7 +771,8 @@ def _sweep_rows(cfg: RunConfig, timings: dict) -> tuple[list[str], list[list[str
     A solved run of an analytic family adds the sup errors against the exact
     solution and, when h changed from the previous row, the observed orders
     log(e0/e1)/log(h0/h1), blank where either error is at round-off (1e-12).
-    Every swept config is built, and so validated, before any runs.
+    Every swept config is built, and so validated, with the grid rule of
+    the sampled checks, before any runs.
     """
     if not cfg.sweep_param or not cfg.sweep_values:
         raise ConfigError("sweep needs sweep_param and sweep_values")
@@ -804,6 +782,10 @@ def _sweep_rows(cfg: RunConfig, timings: dict) -> tuple[list[str], list[list[str
         dataclasses.replace(cfg, **{param: float(v) if as_float else v})
         for v in cfg.sweep_values
     ]
+    # a field file fixes the grid of every value, so it is read once more here
+    field_grid = read_field_csv(cfg.field_file).grid if cfg.family == "field" else None
+    for sub in configs:
+        _require_sampler_grid(sub, field_grid or build_grid(sub.L, sub.n))
     rows: list[dict] = []
     all_ok = True
     for sub in configs:
@@ -838,24 +820,8 @@ def cmd_sweep(cfg: RunConfig) -> tuple[RunReport, int]:
     report = RunReport(config=cfg.to_dict())
     header, rows, all_ok = _sweep_rows(cfg, report.timings)
     report.timings["sweep_s"] = time.perf_counter() - t0
-    outdir = Path(cfg.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    with open(outdir / "sweep.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
-    report.entries = [
-        {"check": f"sweep_{cfg.sweep_param}", "kind": "sweep", "passed": bool(all_ok), "fitted": {}}
-    ]
-    _write_json(
-        outdir / "sweep.json",
-        {
-            "config": report.config,
-            "header": header,
-            "rows": rows,
-            "timings": report.timings,
-        },
-    )
+    report.entries = [CheckReport(f"sweep_{cfg.sweep_param}", "sweep", all_ok).entry()]
+    _write_run("sweep", report, header, rows, header=header, rows=rows)
     return report, EXIT_PASS if all_ok else EXIT_CHECK_FAILED
 
 
@@ -879,20 +845,16 @@ def cmd_report(cfg: RunConfig) -> tuple[RunReport, int]:
             if col not in columns:
                 columns.append(col)
         parsed.append((path.relative_to(indir).as_posix(), header, body))
+    merged = [
+        [source] + [record.get(c, "") for c in columns[1:]]
+        for source, header, body in parsed
+        for record in (dict(zip(header, row)) for row in body)
+    ]
     outdir = Path(cfg.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    merged = outdir / "merged.csv"
-    with open(merged, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(columns)
-        for source, header, body in parsed:
-            for row in body:
-                record = dict(zip(header, row))
-                writer.writerow([source] + [record.get(c, "") for c in columns[1:]])
+    _write_csv(outdir / "merged.csv", columns, merged)
     report = RunReport(config=cfg.to_dict())
-    report.entries = [
-        {"check": "report_merge", "kind": "report", "passed": True, "fitted": {}}
-    ]
+    report.entries = [CheckReport("report_merge", "report", True).entry()]
     return report, EXIT_PASS
 
 
@@ -936,8 +898,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"lmce: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL_ERROR
     for entry in report.entries:
-        status = "PASS" if entry.get("passed") else "FAIL"
-        print(f"{status} {entry.get('check', '?')}")
+        print(f"{'PASS' if entry['passed'] else 'FAIL'} {entry['check']}")
     return code
 
 

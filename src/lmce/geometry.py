@@ -118,11 +118,16 @@ class SlopeConstants:
             raise ValueError(f"A must be non-negative, got {self.A}")
 
 
+# the names of the lazily built bundle fields even under u -> -u (see _even)
+EVEN_FIELDS: set[str] = set()
+
+
 def _even(build):
     """A lazily built bundle field that is even under u -> -u: when the twin
     bundle of the negated potential has built it, the bundle takes the
     twin's arrays, which a rebuild would compute bit for bit."""
     name = build.__name__
+    EVEN_FIELDS.add(name)
 
     @wraps(build)
     def shared(self):

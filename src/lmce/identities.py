@@ -68,7 +68,7 @@ class CheckReport:
     of the largest residual; an inequality passes iff margin >= -slack, with
     lhs and rhs its two sides.  Fields that do not apply to the kind are None.
     fitted holds the constants the check fitted, excluded the number of nodes
-    or trials it left out.
+    or trials it left out, status "ran" or "precondition_failed".
     """
 
     name: str
@@ -84,12 +84,14 @@ class CheckReport:
     fitted: dict = field(default_factory=dict)
     excluded: int = 0
     details: dict = field(default_factory=dict)
+    status: str = "ran"
 
     def entry(self) -> dict:
-        """The report as one `verify.json` entry, without the None fields."""
+        """The report as one entry of a JSON summary, without the None fields."""
         entry = {
             "check": self.name,
             "kind": self.kind,
+            "status": self.status,
             "passed": bool(self.passed),
             "residual": self.max_residual,
             "tolerance": self.tolerance,

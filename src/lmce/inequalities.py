@@ -634,8 +634,8 @@ def check_hessian_estimate(
     """Interior Hessian estimate harness on the disk of radius R.
 
     B is the bundle of the potential u and must carry |Du|.  Computes
-    L = |D^2 u(0)| (spectral norm of the bundle's Hessian at the origin node;
-    n must be odd) and the growth ratio
+    L = |D^2 u(0)| (spectral norm of the bundle's Hessian at the origin node,
+    so an even n fails the precondition) and the growth ratio
       G = sup_{B_R} |Du| / R        for the moderate-phase regime "case1",
       G = (sup_{B_R} |Du| / R)^2    for the large-phase regime "case2",
     then fits the minimal C* >= 0 with L <= C* exp(C* G) and passes iff
@@ -648,6 +648,8 @@ def check_hessian_estimate(
     g = B.grid
     if R > g.L:
         raise PreconditionError(f"estimate needs the grid to contain B_R, R={R}")
+    if g.n % 2 == 0:
+        raise PreconditionError(f"estimate needs the origin as a node, an odd n, got n={g.n}")
     disk = g.disk_mask(R)
     B, flipped = _canonical(B, disk)
     oi, oj = g.origin_index()

@@ -14,6 +14,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import types
 import weakref
 from pathlib import Path
 
@@ -54,6 +55,15 @@ def _load_spans():
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
     return spans
+
+
+def _load_bench(monkeypatch):
+    """The benchmark driver, loaded from its file; it imports spans by name."""
+    monkeypatch.syspath_prepend(str(SPANS.parent))
+    spec = importlib.util.spec_from_file_location("perfbench_run", SPANS.parent / "run.py")
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    return bench
 
 
 class TestConfig:
@@ -148,6 +158,26 @@ class TestFieldFile:
         path.write_text("i,j,value\n0,0,1.0\n")
         with pytest.raises(ConfigError):
             read_field_csv(path)
+
+    @pytest.mark.parametrize(
+        "header, problem",
+        [
+            ("# L=4.0 n=3", "grid needs n >= 5 nodes per axis, got n=3"),
+            ("# L=-1.0 n=33", "grid half-width must be positive, got L=-1.0"),
+            ("# L=4.0 n=3.5", "invalid literal for int"),
+        ],
+    )
+    def test_bad_header_exit_3_names_the_file(self, tmp_path, capsys, header, problem):
+        path = tmp_path / "u.csv"
+        path.write_text(f"{header}\ni,j,value\n")
+        with pytest.raises(ConfigError, match=rf"field file {re.escape(str(path))} header: "):
+            read_field_csv(path)
+        p = tmp_path / "field.cfg"
+        p.write_text(f"family=field\nfield_file={path}\nchecks=slope_volume\nout={tmp_path / 'o'}\n")
+        assert main(["verify", "--config", str(p)]) == EXIT_INVALID_INPUT
+        err = capsys.readouterr().err
+        assert f"lmce: invalid input: field file {path} header: {problem}" in err
+        assert not (tmp_path / "o").exists()
 
     # n=33: line 1 is the header comment, line 2 the column header, and node
     # (32, 32) the last row, line 2 + 33*33
@@ -263,6 +293,21 @@ class TestVerifyCommand:
         for entry in entries:
             assert entry["status"] == "precondition_failed"
             assert "built from a potential" in entry["details"]["error"]
+
+    def test_even_n_fails_the_hessian_estimate_precondition(self, tmp_path):
+        # the origin is no node of an even grid; the run keeps every other
+        # entry and writes its outputs
+        p = tmp_path / "v.cfg"
+        p.write_text(f"family=perturbed\nn=64\nchecks=all\nout={tmp_path}\n")
+        assert main(["verify", "--config", str(p)]) == EXIT_CHECK_FAILED
+        entries = json.loads((tmp_path / "verify.json").read_text())["entries"]
+        status = {e["check"]: e["status"] for e in entries}
+        assert list(status) == ALL_CHECKS
+        assert status.pop("hessian_estimate") == "precondition_failed"
+        assert set(status.values()) == {"ran"}
+        assert "odd n, got n=64" in entries[-1]["details"]["error"]
+        rows = list(csv.DictReader((tmp_path / "verify.csv").read_text().splitlines()))
+        assert rows[-1]["status"] == "precondition_failed"
 
     def test_negated_family_same_volume_residual(self, tmp_path):
         entries = []
@@ -465,6 +510,21 @@ class TestSweepCommand:
         assert main(["sweep", "--config", str(p)]) == EXIT_INVALID_INPUT
         assert not (tmp_path / "o").exists()
 
+    def test_field_value_rejected_before_any_run(self, tmp_path, monkeypatch):
+        def no_run(cfg):
+            raise AssertionError("a swept value ran")
+
+        monkeypatch.setattr(lmce.cli, "_Context", no_run)
+        path = tmp_path / "u.csv"
+        write_field_csv(path, sample(lambda x1, x2: x1 * x1 + x2 * x2, build_grid(4.0, 65)))
+        p = tmp_path / "sweep.cfg"
+        p.write_text(
+            f"family=field\nfield_file={path}\nchecks=subharmonic\nsweep_param=rho\n"
+            f"sweep_values=2,5\nout={tmp_path / 'o'}\n"
+        )
+        assert main(["sweep", "--config", str(p)]) == EXIT_INVALID_INPUT
+        assert not (tmp_path / "o").exists()
+
     def test_solved_sweep_nonconvergence_exit_2(self, tmp_path):
         p = tmp_path / "sweep.cfg"
         p.write_text(
@@ -643,14 +703,26 @@ class TestStrictConfig:
             (["jacobi_integral"], "fit"),
         ],
     )
-    def test_rho_beyond_the_grid_rejected_at_load(self, checks, A):
-        with pytest.raises(ConfigError, match=r"rho=5\.0 exceeds the grid half-width L=4\.0"):
-            RunConfig(**{**self.BASE, "rho": 5.0, "checks": checks, "A": A})
+    def test_rho_beyond_the_grid_rejected_at_load(self, tmp_path, monkeypatch, capsys, checks, A):
+        # verify and sweep load the grid rule before any set-up work or output
+        def no_set_up(*args):
+            raise AssertionError("set-up ran")
+
+        monkeypatch.setattr(lmce.cli, "manufacture", no_set_up)
+        cfg = {**self.BASE, "rho": 5.0, "checks": checks, "A": A, "out": str(tmp_path / "o")}
+        sweep = {"sweep_param": "eps", "sweep_values": [0.1]}
+        for command, extra in (("verify", {}), ("sweep", sweep)):
+            p = tmp_path / f"{command}.json"
+            p.write_text(json.dumps({**cfg, **extra}))
+            assert main([command, "--config", str(p)]) == EXIT_INVALID_INPUT
+            assert "rho=5.0 exceeds the grid half-width L=4.0" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_rho_beyond_the_grid_unread(self, tmp_path):
         # no check reads rho: jacobi checks with a given A, and the rest
-        RunConfig(**{**self.BASE, "rho": 5.0, "checks": ["jacobi_integral"], "A": 1.0})
-        RunConfig(**{**self.BASE, "rho": 5.0, "checks": ["identity", "volume_bound"]})
+        for checks, A in ((["jacobi_integral"], 1.0), (["identity", "volume_bound"], "fit")):
+            cfg = {**self.BASE, "rho": 5.0, "checks": checks, "A": A, "out": str(tmp_path / "v")}
+            assert cmd_verify(RunConfig(**cfg))[1] == EXIT_PASS
         # a field file's grid is known only once it is read
         path = tmp_path / "u.csv"
         write_field_csv(path, sample(lambda x1, x2: x1 * x1 + x2 * x2, build_grid(4.0, 65)))
@@ -658,9 +730,19 @@ class TestStrictConfig:
         with pytest.raises(ConfigError, match=r"rho=5\.0 exceeds"):
             cmd_verify(cfg)
 
-    def test_coarse_grid_without_sampled_checks(self):
-        RunConfig(**{**self.BASE, "n": 33, "checks": ["jacobi_pointwise"]})
-        RunConfig(**{**self.BASE, "rho": 0.5, "checks": ["weak_max_principle"]})
+    def test_coarse_grid_without_sampled_checks(self, tmp_path):
+        coarse = {"n": 33, "checks": ["jacobi_pointwise"]}
+        for override in (coarse, {"rho": 0.5, "checks": ["weak_max_principle"]}):
+            cfg = RunConfig(**{**self.BASE, **override, "out": str(tmp_path / "v")})
+            assert cmd_verify(cfg)[1] == EXIT_PASS
+
+    def test_solve_runs_no_check(self, tmp_path):
+        # the grid rule of the sampled checks is not the solve's: n=33 is too
+        # coarse for them, and the configured checks do not run
+        p = tmp_path / "solve.cfg"
+        p.write_text(f"family=perturbed\nn=33\nchecks=all\nrho=5\nout={tmp_path / 'o'}\n")
+        assert main(["solve", "--config", str(p)]) == EXIT_PASS
+        assert (tmp_path / "o" / "solve.json").exists()
 
 
 class TestNonConvergence:
@@ -774,6 +856,24 @@ def wmp_calls(monkeypatch):
     import lmce.inequalities
 
     return _count_calls(monkeypatch, {lmce.inequalities.check_weak_max_principle: "wmp"})
+
+
+class TestBenchmarkOutputs:
+    """The JSON summaries pass the benchmark's own output check, on the
+    config keys of its workloads (the verify one on a smaller grid)."""
+
+    @pytest.mark.parametrize(
+        "workload, n", [("solve-perturbed-257", 257), ("verify-manufactured-1025", 129)]
+    )
+    def test_workload_outputs_pass_the_check(self, tmp_path, monkeypatch, workload, n):
+        bench = _load_bench(monkeypatch)
+        command, keys = bench.WORKLOADS[workload]
+        p = tmp_path / "workload.cfg"
+        p.write_text("".join(f"{k}={v}\n" for k, v in {**keys, "n": n}.items()))
+        code = main([command, "--config", str(p), "--out", str(tmp_path / "out")])
+        reference = json.loads((SPANS.parent / "reference.json").read_text())[workload]
+        w = types.SimpleNamespace(reference=reference, command=command, outdir=tmp_path / "out")
+        assert bench.Workload.check(w, {"returncode": code}) == []
 
 
 class TestVerifyWork:
@@ -960,6 +1060,23 @@ class TestReleaseTable:
         left = [k for h in _lazy_holders(ctx) for k in _lazy_fields(type(h)) if k in h.__dict__]
         left += [k for k in ("u", "psi", "problem", "solve_state") if k in vars(ctx)]
         assert left == []
+
+
+    def test_negative_data_drop_the_original_fluxes(self, monkeypatch):
+        # the slope checks read the negated twin's fields, so the original
+        # keeps no flux coefficients for its own Laplacians, never built
+        held = {}
+        check = lmce.cli.check_jacobi_pointwise
+
+        def spy(B, *args, **kwargs):
+            held["original"] = "fluxes" in vars(B)
+            held["twin"] = "fluxes" in vars(B.negated)
+            return check(B, *args, **kwargs)
+
+        monkeypatch.setattr(lmce.cli, "check_jacobi_pointwise", spy)
+        cfg = RunConfig(**_RELEASE_CASES["negative"], n=65, checks=["all"])
+        lmce.cli._run_checks(lmce.cli._Context(cfg), cfg.checks, {})
+        assert held == {"original": False, "twin": False}
 
 
 def _set_up_refs(ctx) -> dict:
