@@ -40,7 +40,6 @@ import numpy as np
 
 from .errors import ConfigError, NonConvergenceError, PreconditionError
 from .geometry import (
-    EVEN_FIELDS,
     SlopeConstants,
     bundle as make_bundle,
     classify_phase,
@@ -165,9 +164,7 @@ class RunConfig:
             build_grid(self.L, self.n)  # n too small for the stencils is invalid input
 
     def to_dict(self) -> dict:
-        d = dataclasses.asdict(self)
-        d["checks"] = list(self.checks)
-        return d
+        return dataclasses.asdict(self)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RunConfig":
@@ -446,15 +443,16 @@ class _Context:
     charged for state it builds first.  `_run_checks` drops each of them,
     each set-up attribute (`_SET_UP`) and each lazily built field of the
     bundle once no remaining check reads it, so heatmaps and a sweep's
-    errors against the exact solution are taken first.
+    errors against the exact solution are taken first.  potential is the
+    field of `cfg.field_file` if already read (a sweep reads it once).
     """
 
-    def __init__(self, cfg: RunConfig):
+    def __init__(self, cfg: RunConfig, potential: ScalarField2 | None = None):
         self.cfg = cfg
         self.analytic = _build_family(cfg)
         self.problem = self.solve_state = None
         if self.analytic is None:
-            self.u = read_field_csv(cfg.field_file)
+            self.u = read_field_csv(cfg.field_file) if potential is None else potential
             self.grid = self.u.grid
         else:
             self.grid = build_grid(cfg.L, cfg.n)
@@ -527,7 +525,7 @@ IDENTITY_CHECKS = {
     ),
     "slope_volume": _Check(lambda ctx: check_slope_volume(ctx.bundle)),
     "coordinate_laplacian": _Check(
-        lambda ctx: check_coordinate_laplacian(ctx.bundle), ("fluxes", "hess")
+        lambda ctx: check_coordinate_laplacian(ctx.bundle), ("hess",)
     ),
 }
 INEQUALITY_CHECKS = {
@@ -588,10 +586,8 @@ _BUILT_FROM = {
     "bmod": ("constants", "negated"),
     "bmod_grad_norm": ("bmod",),
     "wmp": ("bmod", "bmod_grad_norm"),
-    "slope_laplacian": ("fluxes",),
-    "paraboloid_laplacian": ("fluxes", "negated"),
+    "paraboloid_laplacian": ("negated",),
     "slope_grad_norm2": ("slope_gradient",),
-    "fluxes": ("negated",),
 }
 # the context's set-up attributes, which nothing rebuilds once dropped
 _SET_UP = ("u", "psi", "problem", "solve_state")
@@ -601,19 +597,15 @@ def _release(ctx: _Context, remaining: list[str]) -> None:
     """From the context, its bundle and the bundle's negated twin, drop each
     lazily built field and set-up attribute that no remaining check reads.
 
-    A field still to be built keeps what it is built from; a built one does
-    not, so the flux coefficients go as soon as both Laplacians exist.  A
-    field built on either twin counts as built for both, as the checks read
-    one of the two; a bundle that has not built an even field keeps its link
-    to the twin that holds it."""
+    A field a holder has not built keeps what it is built from there (so a
+    bundle without lap_g q keeps its link to the twin it may take it from);
+    a built one does not."""
     reads = [f for name in remaining for f in _CHECKS[name].reads]
     holders = [ctx, ctx.bundle]
     if "negated" in ctx.bundle.__dict__:
         holders.append(ctx.bundle.negated)
     for holder in holders:
         built = holder.__dict__
-        twin = built.get("negated")
-        twin_built = vars(twin) if twin is not None else {}
         keep: set[str] = set()
         todo = list(reads)
         while todo:
@@ -621,12 +613,8 @@ def _release(ctx: _Context, remaining: list[str]) -> None:
             if name in keep:
                 continue
             keep.add(name)
-            if name in built or name in ctx.__dict__:
-                continue
-            if name not in twin_built:
+            if name not in built and name not in ctx.__dict__:
                 todo.extend(_BUILT_FROM.get(name, ()))
-            elif name in EVEN_FIELDS:
-                todo.append("negated")
         lazy = [k for k, v in vars(type(holder)).items() if isinstance(v, cached_property)]
         for name in lazy + list(_SET_UP):
             if name not in keep:
@@ -782,14 +770,14 @@ def _sweep_rows(cfg: RunConfig, timings: dict) -> tuple[list[str], list[list[str
         dataclasses.replace(cfg, **{param: float(v) if as_float else v})
         for v in cfg.sweep_values
     ]
-    # a field file fixes the grid of every value, so it is read once more here
-    field_grid = read_field_csv(cfg.field_file).grid if cfg.family == "field" else None
+    # a field file fixes the grid of every value; it is read once, here
+    potential = read_field_csv(cfg.field_file) if cfg.family == "field" else None
     for sub in configs:
-        _require_sampler_grid(sub, field_grid or build_grid(sub.L, sub.n))
+        _require_sampler_grid(sub, potential.grid if potential else build_grid(sub.L, sub.n))
     rows: list[dict] = []
     all_ok = True
     for sub in configs:
-        ctx = _Context(sub)
+        ctx = _Context(sub, potential)
         # read before the checks drop the set-up state
         errors = _exact_errors(ctx) if ctx.solve_state is not None else None
         row = {param: getattr(sub, param), "h": ctx.grid.h, "regime": ctx.regime}

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, wraps
+from functools import cached_property
 
 import numpy as np
 
@@ -118,27 +118,6 @@ class SlopeConstants:
             raise ValueError(f"A must be non-negative, got {self.A}")
 
 
-# the names of the lazily built bundle fields even under u -> -u (see _even)
-EVEN_FIELDS: set[str] = set()
-
-
-def _even(build):
-    """A lazily built bundle field that is even under u -> -u: when the twin
-    bundle of the negated potential has built it, the bundle takes the
-    twin's arrays, which a rebuild would compute bit for bit."""
-    name = build.__name__
-    EVEN_FIELDS.add(name)
-
-    @wraps(build)
-    def shared(self):
-        twin = self.__dict__.get("negated")
-        if twin is not None and name in twin.__dict__:
-            return twin.__dict__[name]
-        return build(self)
-
-    return cached_property(shared)
-
-
 @dataclass(frozen=True, eq=False)
 class GeometryBundle:
     """All per-node graph geometry derived from one Hessian field.
@@ -169,11 +148,10 @@ class GeometryBundle:
     negated is the bundle of the negated potential, kept the same way so the
     checks that canonicalize a negative-phase bundle share its fields too; it
     shares the metric arrays and grad_norm of this bundle, forms its hess -M
-    only when read, its own negated is this bundle, and the fields even under
-    u -> -u (fluxes, paraboloid_laplacian) are built once per pair (see
-    negate_bundle).
-    fluxes holds the half-node coefficients of laplace_beltrami, which depend
-    on the metric only, so every call on the bundle shares them.
+    only when read, its own negated is this bundle, and paraboloid_laplacian,
+    even under u -> -u, is built once per pair (see negate_bundle).
+    No flux coefficient is cached: laplace_beltrami forms them from vol and
+    inv11/12/22 one row band at a time.
     """
 
     grid: Grid2
@@ -223,29 +201,17 @@ class GeometryBundle:
     def slope_grad_norm2(self) -> np.ndarray:
         return grad_g_norm2(slope(self), self, grad=self.slope_gradient).values
 
-    @_even
+    @cached_property
     def paraboloid_laplacian(self) -> np.ndarray:
+        # even under u -> -u: the twin's, when the twin has built it
+        twin = self.__dict__.get("negated")
+        if twin is not None and "paraboloid_laplacian" in twin.__dict__:
+            return twin.paraboloid_laplacian
         return laplace_beltrami(ScalarField2(self.grid, 0.5 * self.grid.radius2()), self).values
 
     @cached_property
     def negated(self) -> "GeometryBundle":
         return negate_bundle(self)
-
-    @_even
-    def fluxes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """W g^{ij} averaged to the half nodes, with the factors of the flux
-        stencils: (W g^11)/2 and (W g^12)/4 at (i+1/2, j), then (W g^22)/2
-        and (W g^12)/4 at (i, j+1/2)."""
-        W = self.vol
-        A11 = W * self.inv11
-        A12 = W * self.inv12
-        A22 = W * self.inv22
-        return (
-            _ro(0.5 * (A11[1:, :] + A11[:-1, :])),
-            _ro(0.25 * (A12[1:, :] + A12[:-1, :])),
-            _ro(0.5 * (A22[:, 1:] + A22[:, :-1])),
-            _ro(0.25 * (A12[:, 1:] + A12[:, :-1])),
-        )
 
 
 def _ro(a: np.ndarray) -> np.ndarray:
@@ -314,16 +280,17 @@ def negate_bundle(B: GeometryBundle) -> GeometryBundle:
     return neg
 
 
-def _quadform_inv(B: GeometryBundle, v1: np.ndarray, v2: np.ndarray) -> np.ndarray:
-    """g^{ij} v_i v_j elementwise: inv11 v1 v1 + 2 inv12 v1 v2 + inv22 v2 v2,
-    each product formed left to right in place."""
-    q = B.inv11 * v1
+def _quadform_inv(B: GeometryBundle, v1: np.ndarray, v2: np.ndarray, region=...) -> np.ndarray:
+    """g^{ij} v_i v_j elementwise on a region of the grid (default all of
+    it), with v1, v2 given on that region: inv11 v1 v1 + 2 inv12 v1 v2 +
+    inv22 v2 v2, each product formed left to right in place."""
+    q = B.inv11[region] * v1
     q *= v1
-    t = 2.0 * B.inv12
+    t = 2.0 * B.inv12[region]
     t *= v1
     t *= v2
     q += t
-    np.multiply(B.inv22, v2, out=t)
+    np.multiply(B.inv22[region], v2, out=t)
     t *= v2
     q += t
     return q
@@ -380,30 +347,38 @@ _EDGE_STRIPS = (
     ((slice(None), slice(-4, None)), (slice(None), -1)),
 )
 
+# interior node rows per band of laplace_beltrami: each coefficient and flux
+# array of a band takes about half a MB at n = 1025, not a full grid
+LB_BAND_ROWS = 64
+
 
 def laplace_beltrami(f: ScalarField2, B: GeometryBundle) -> ScalarField2:
     """Divergence-form Laplace-Beltrami (1/W) d_i(W g^{ij} d_j f), W = sqrt(det g).
 
-    Interior nodes use half-node flux stencils (coefficients averaged to the
-    half nodes once per bundle, B.fluxes, and cross derivatives averaged from
-    nodal central differences),
-    which makes the discrete operator satisfy summation by parts exactly
-    against weights vanishing near the grid boundary.  The outermost node
-    ring, where no flux stencil fits, takes the non-divergence form, evaluated
-    only on the four edge strips four nodes wide (its one-sided stencils
-    reach three nodes inward), which gives the ring values of the full-grid
-    oracle bit for bit; checks needing interior smoothness stay 2h away from
-    the boundary anyway.  O(h^2) truncation on smooth data.
+    Interior nodes use half-node flux stencils (coefficients W g^{ij}
+    averaged to the half nodes, cross derivatives averaged from nodal
+    central differences), which makes the discrete operator satisfy
+    summation by parts exactly against weights vanishing near the grid
+    boundary.  The interior is computed in bands of LB_BAND_ROWS node rows,
+    each from the band and one halo row on each side, which hold every node
+    its stencils read; a band forms its own coefficients from vol and
+    inv11/12/22, so nothing is cached on the bundle.  Each value is the same
+    IEEE operations on the same operands as in a one-band evaluation, so
+    the result does not depend on the band height, bit for bit.  The
+    outermost node ring, where no flux stencil fits, takes the
+    non-divergence form, evaluated only on the four edge strips four nodes
+    wide (its one-sided stencils reach three nodes inward), which gives the
+    ring values of the full-grid oracle bit for bit; checks needing interior
+    smoothness stay 2h away from the boundary anyway.  O(h^2) truncation on
+    smooth data.
     """
     if f.grid != B.grid:
         raise ValueError("field and bundle grids differ")
     g = B.grid
     h = g.h
-    v = f.values
-    W = B.vol
-    c11, c12_1, c22, c12_2 = B.fluxes
+    out = np.empty_like(f.values)
 
-    def flux(axis, c, c_cross):
+    def flux(axis, v, d, c, c_cross):
         # the flux A_aa D_a f + A_ab D_b f (A = W g^{-1}) through the half
         # nodes along axis a: c*(v[k+1] - v[k])/h + c_cross*(d[k+1] + d[k]),
         # d the nodal central derivative along the other axis b, with each
@@ -412,30 +387,38 @@ def laplace_beltrami(f: ScalarField2, B: GeometryBundle) -> ScalarField2:
         fa = v[hi] - v[lo]
         fa *= c
         fa /= h
-        d = _d1(v, h, axis=1 - axis)
         cross = d[hi] + d[lo]
         cross *= c_cross
         fa += cross
         return fa
 
-    f1 = flux(0, c11, c12_1)
-    f2 = flux(1, c22, c12_2)
-    # (f1[i+1/2] - f1[i-1/2])/h + (f2[j+1/2] - f2[j-1/2])/h, each flux
-    # released once it is differenced
-    div = f1[1:, 1:-1] - f1[:-1, 1:-1]
-    del f1
-    div /= h
-    dif = f2[1:-1, 1:] - f2[1:-1, :-1]
-    del f2
-    dif /= h
-    div += dif
-    del dif
-    out = np.empty_like(v)
-    np.divide(div, W[1:-1, 1:-1], out=out[1:-1, 1:-1])
-    del div
+    for r0 in range(1, g.n - 1, LB_BAND_ROWS):
+        # rows r0 .. r1 - 1 and their halo rows; the coefficients carry the
+        # factors of the flux stencils: (W g^11)/2 and (W g^12)/4 at
+        # (i+1/2, j) between slab rows, (W g^22)/2 and (W g^12)/4 at
+        # (i, j+1/2) on the band's rows
+        r1 = min(r0 + LB_BAND_ROWS, g.n - 1)
+        slab = np.s_[r0 - 1 : r1 + 1]
+        v, W = f.values[slab], B.vol[slab]
+        A = W * B.inv11[slab]
+        A12 = W * B.inv12[slab]
+        f1 = flux(0, v, _d1(v, h, axis=1), 0.5 * (A[1:] + A[:-1]), 0.25 * (A12[1:] + A12[:-1]))
+        A = W[1:-1] * B.inv22[r0:r1]
+        c12 = 0.25 * (A12[1:-1, 1:] + A12[1:-1, :-1])
+        f2 = flux(1, v[1:-1], _d1(v, h, axis=0)[1:-1], 0.5 * (A[:, 1:] + A[:, :-1]), c12)
+        del A, A12, c12
+        # ((f1[i+1/2] - f1[i-1/2])/h + (f2[j+1/2] - f2[j-1/2])/h)/W
+        band = np.subtract(f1[1:, 1:-1], f1[:-1, 1:-1], out=out[r0:r1, 1:-1])
+        del f1
+        band /= h
+        f2 = f2[:, 1:] - f2[:, :-1]
+        f2 /= h
+        band += f2
+        del f2
+        band /= W[1:-1, 1:-1]
     for strip, line in _EDGE_STRIPS:
-        coeffs = (W[strip], B.inv11[strip], B.inv12[strip], B.inv22[strip])
-        out[line] = _nondiv_kernel(v[strip], *coeffs, h)[line]
+        coeffs = (B.vol[strip], B.inv11[strip], B.inv12[strip], B.inv22[strip])
+        out[line] = _nondiv_kernel(f.values[strip], *coeffs, h)[line]
     return ScalarField2(g, out)
 
 
@@ -449,8 +432,7 @@ def _lift_phase_gradient(B: GeometryBundle, psi: ScalarField2):
     if psi.grid != B.grid:
         raise ValueError("phase field and bundle grids differ")
     gpsi = gradient_fd(psi)
-    p1 = gpsi.c1.values
-    p2 = gpsi.c2.values
+    p1, p2 = gpsi.c1.values, gpsi.c2.values
     del gpsi
     w1 = B.inv11 * p1
     w1 += B.inv12 * p2
@@ -458,8 +440,7 @@ def _lift_phase_gradient(B: GeometryBundle, psi: ScalarField2):
     del p1
     w2 += B.inv22 * p2
     del p2
-    M = B.hess
-    m11, m12, m22 = M.m11.values, M.m12.values, M.m22.values
+    m11, m12, m22 = (m.values for m in (B.hess.m11, B.hess.m12, B.hess.m22))
     mw1 = m11 * w1
     mw1 += m12 * w2
     w1 *= m12

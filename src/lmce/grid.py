@@ -32,7 +32,6 @@ __all__ = [
     "integrate_disk",
     "sup_norm_disk",
     "make_cutoff",
-    "cutoff_gradient",
 ]
 
 
@@ -260,12 +259,21 @@ CUTOFF_SUPPORT_RADIUS = 3.0
 
 def _quintic_slope(rho, r1: float, r2: float):
     """Radial derivative of the quintic-smoothstep cutoff: -30 t^2 (1-t)^2/w
-    for t = (rho - r1)/w in (0, 1), w = r2 - r1, and 0 elsewhere."""
+    for t = (rho - r1)/w in (0, 1), w = r2 - r1, and 0 elsewhere; formed in
+    place with the operations of that expression."""
     w = r2 - r1
-    t = (np.asarray(rho, dtype=float) - r1) / w
-    inside = (t > 0.0) & (t < 1.0)
-    tt = np.where(inside, t, 0.0)
-    return np.where(inside, -30.0 * tt * tt * (1.0 - tt) ** 2 / w, 0.0)
+    t = np.asarray(rho, dtype=float) - r1
+    t /= w
+    outside = ~((t > 0.0) & (t < 1.0))
+    t[outside] = 0.0
+    slope = -30.0 * t
+    slope *= t
+    np.subtract(1.0, t, out=t)
+    t *= t
+    slope *= t
+    slope /= w
+    slope[outside] = 0.0
+    return slope
 
 
 def make_cutoff(r1: float, r2: float, grid: Grid2) -> tuple[ScalarField2, Vec2Field]:
@@ -276,19 +284,18 @@ def make_cutoff(r1: float, r2: float, grid: Grid2) -> tuple[ScalarField2, Vec2Fi
     radius.  Its slope peaks at 15/8, so max |grad phi| = 1.875/(r2 - r1)
     on the whole plane, below the generic spline bound 3/(r2 - r1).
     """
-    return _cutoff(r1, r2, grid, with_phi=True)
+    _, phi, grad = _cutoff(r1, r2, grid, with_phi=True, full=True)
+    return ScalarField2(grid, phi), Vec2Field(*(ScalarField2(grid, gk) for gk in grad))
 
 
-def cutoff_gradient(r1: float, r2: float, grid: Grid2) -> Vec2Field:
-    """The gradient of make_cutoff(r1, r2, grid), without building phi."""
-    return _cutoff(r1, r2, grid, with_phi=False)[1]
+def _cutoff(r1: float, r2: float, grid: Grid2, with_phi: bool, full: bool):
+    """(box, phi, (phi_1, phi_2)): the slice of either axis that the box
+    |x_i| <= r2 spans, the cutoff (None unless with_phi) and its analytic
+    gradient on the whole grid if full, else their blocks on the box.
 
-
-def _cutoff(r1: float, r2: float, grid: Grid2, with_phi: bool):
-    """The cutoff phi (None unless with_phi) and its analytic gradient.
-
-    Only the nodes of the box |x_i| <= r2 are evaluated: off it |x| > r2,
-    where phi = 0 and the gradient dphi x_k/|x| is the zero signed like x_k.
+    Only the box is evaluated: off it |x| > r2, where phi = 0 and the
+    gradient dphi x_k/|x| is the zero signed like x_k.  Each array is formed
+    in place with the operations of the closed form.
     """
     if not (0.0 < r1 < r2 <= grid.L):
         raise ValueError(f"cutoff radii must satisfy 0 < r1 < r2 <= L, got ({r1}, {r2})")
@@ -296,19 +303,34 @@ def _cutoff(r1: float, r2: float, grid: Grid2, with_phi: bool):
     box = slice(int(np.searchsorted(ax, -r2)), int(np.searchsorted(ax, r2, side="right")))
     x1, x2 = ax[box][:, None], ax[box][None, :]
     rho = np.hypot(*np.broadcast_arrays(x1, x2))
+    shape, region = ((grid.n, grid.n), (box, box)) if full else (rho.shape, np.s_[:, :])
     phi = None
     if with_phi:
-        t = np.clip((rho - r1) / (r2 - r1), 0.0, 1.0)
-        phi = np.zeros((grid.n, grid.n))
-        phi[box, box] = 1.0 - t * t * t * (10.0 + t * (-15.0 + 6.0 * t))
-        phi = ScalarField2(grid, phi)
+        # 1 - t^3 (10 + t (-15 + 6 t)), t = clip((rho - r1)/(r2 - r1), 0, 1)
+        t = rho - r1
+        t /= r2 - r1
+        np.clip(t, 0.0, 1.0, out=t)
+        poly = 6.0 * t
+        poly += -15.0
+        poly *= t
+        poly += 10.0
+        phi = np.zeros(shape)
+        inner = np.multiply(t, t, out=phi[region])
+        inner *= t
+        inner *= poly
+        np.subtract(1.0, inner, out=inner)
+        del t, poly
     dphi = _quintic_slope(rho, r1, r2)
-    # unit radial direction; the transition zone excludes the origin, so the
-    # rho = 0 guard only affects nodes where dphi is already zero
-    safe = np.where(rho > 0.0, rho, 1.0)
+    # rho becomes the divisor of the unit radial direction; the transition
+    # zone excludes the origin, so the rho = 0 guard only affects nodes where
+    # dphi is already zero
+    np.copyto(rho, 1.0, where=~(rho > 0.0))
     grad = []
     for xk, xk_box in zip(grid.coords(), (x1, x2)):
-        gk = np.zeros((grid.n, grid.n)) * xk
-        gk[box, box] = dphi * xk_box / safe
-        grad.append(ScalarField2(grid, gk))
-    return phi, Vec2Field(*grad)
+        gk = np.zeros(shape)
+        if full:
+            gk *= xk
+        inner = np.multiply(dphi, xk_box, out=gk[region])
+        inner /= rho
+        grad.append(gk)
+    return box, phi, grad

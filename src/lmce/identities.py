@@ -27,7 +27,7 @@ from .grid import (
     CUTOFF_SUPPORT_RADIUS,
     INTERIOR_MARGIN,
     ScalarField2,
-    cutoff_gradient,
+    _cutoff,
 )
 
 __all__ = [
@@ -66,7 +66,9 @@ class CheckReport:
     kind is "identity/algebraic", "identity/differencing" or "inequality".
     An identity passes iff max_residual <= tolerance, with location the node
     of the largest residual; an inequality passes iff margin >= -slack, with
-    lhs and rhs its two sides.  Fields that do not apply to the kind are None.
+    lhs and rhs its two sides (jacobi_pointwise and subharmonic also name the
+    node where they come closest to failing).  Fields that do not apply to
+    the kind are None.
     fitted holds the constants the check fitted, excluded the number of nodes
     or trials it left out, status "ran" or "precondition_failed".
     """
@@ -107,14 +109,15 @@ class CheckReport:
         return {k: v for k, v in entry.items() if v is not None}
 
 
-def _argmax_abs(arr: np.ndarray) -> tuple[int, int]:
-    i, j = np.unravel_index(np.argmax(np.abs(arr)), arr.shape)
-    return int(i), int(j)
+def _worst(resid: np.ndarray) -> tuple[tuple[int, int], float]:
+    """The first node in C order of the largest |resid| and that value; resid becomes |resid|."""
+    np.abs(resid, out=resid)
+    i, j = np.unravel_index(np.argmax(resid), resid.shape)
+    return (int(i), int(j)), float(resid[i, j])
 
 
 def _report(name, resid, tol, tol_class, details=None, excluded=0) -> CheckReport:
-    loc = _argmax_abs(resid)
-    mx = float(np.abs(resid[loc]))
+    loc, mx = _worst(resid)
     return CheckReport(
         name=name,
         kind=f"identity/{tol_class}",
@@ -146,14 +149,17 @@ def check_form_equivalence(B: GeometryBundle, psi: ScalarField2) -> CheckReport:
     if B.grid != psi.grid:
         raise ValueError("bundle and phase grids differ")
     h = B.grid.h
-    r1 = B.phase - psi.values
-    r2 = np.cos(psi.values) * B.sig1 + np.sin(psi.values) * (B.sig2 - 1.0)
-    max_r1 = float(np.max(np.abs(r1)))
+    max_r1 = float(np.max(np.abs(B.phase - psi.values)))
+    # formed in place, with the operations of the plain expression
+    r2 = np.cos(psi.values)
+    r2 *= B.sig1
+    t = np.subtract(B.sig2, 1.0)
+    t *= np.sin(psi.values)
+    r2 += t
     vmax = float(np.max(B.vol))
     scale_tol = (1.0 + vmax) * max_r1 + FORM_SLACK_COEFF * h * h
     phase_tol = FORM_SLACK_COEFF * h * h
-    loc = _argmax_abs(r2)
-    max_r2 = float(np.abs(r2[loc]))
+    loc, max_r2 = _worst(r2)
     return CheckReport(
         name="form_equivalence",
         kind="identity/differencing",
@@ -175,9 +181,13 @@ def check_complex_factorization(B: GeometryBundle) -> CheckReport:
     Pure eigenvalue algebra; tolerance FACTORIZATION_RTOL*(1 + max V), class
     algebraic.
     """
-    re = (1.0 - B.sig2) - B.vol * B.cos_phase
-    im = B.sig1 - B.vol * B.sin_phase
-    resid = np.maximum(np.abs(re), np.abs(im))
+    # (1 - sig2) - V cos(phase) and sig1 - V sin(phase), formed in place
+    re = np.subtract(1.0, B.sig2)
+    im = B.vol * B.cos_phase
+    re -= im
+    np.multiply(B.vol, B.sin_phase, out=im)
+    np.subtract(B.sig1, im, out=im)
+    resid = np.maximum(np.abs(re, out=re), np.abs(im, out=im), out=re)
     tol = FACTORIZATION_RTOL * (1.0 + float(np.max(B.vol)))
     return _report("complex_factorization", resid, tol, "algebraic")
 
@@ -200,8 +210,9 @@ def check_volume_formula(B: GeometryBundle) -> CheckReport:
     mask = np.abs(sin) >= math.sin(VOLUME_SIN_FLOOR)
     if not mask.any():
         raise PreconditionError("no nodes with sin(phase) above the cutoff")
-    resid = np.zeros_like(B.vol)
-    resid[mask] = B.vol[mask] - B.sig1[mask] / sin[mask]
+    # V - sig1/sin(phase) on the kept nodes, 0 on the others
+    resid = np.divide(B.sig1, sin, out=np.zeros_like(B.vol), where=mask)
+    np.subtract(B.vol, resid, out=resid, where=mask)
     tol = VOLUME_RTOL * float(np.max(B.vol))
     excluded = int(np.size(mask) - np.count_nonzero(mask))
     return _report(
@@ -226,28 +237,34 @@ def check_cutoff_volume_identity(B: GeometryBundle) -> CheckReport:
             "cutoff volume check needs the grid to contain the disk of radius "
             f"{CUTOFF_SUPPORT_RADIUS}"
         )
-    grad = cutoff_gradient(CUTOFF_PLATEAU_RADIUS, CUTOFF_SUPPORT_RADIUS, B.grid)
-    g1, g2 = grad.c1.values, grad.c2.values
-    del grad
-    # formed in place, with the operations and operands of the closed form
-    lhs = _quadform_inv(B, g1, g2)
-    lhs *= B.vol
+    g = B.grid
+    radii = (CUTOFF_PLATEAU_RADIUS, CUTOFF_SUPPORT_RADIUS)
+    box, _, (g1, g2) = _cutoff(*radii, g, with_phi=False, full=False)
+    # on the box of the cutoff's support, formed in place with the operations
+    # and operands of the closed form
+    bb = (box, box)
+    lhs = _quadform_inv(B, g1, g2, bb)
+    lhs *= B.vol[bb]
     dphi2 = g1 * g1
     del g1
     rhs = g2 * g2
     del g2
     dphi2 += rhs
-    np.multiply(B.sig1, B.sin_phase, out=rhs)
-    rhs += 2.0 * B.cos_phase
+    np.add(B.lam1[bb], B.lam2[bb], out=rhs)
+    rhs *= B.sin_phase[bb]
+    rhs += 2.0 * B.cos_phase[bb]
     rhs *= dphi2
-    # rhs - lhs, not -(lhs - rhs): the two differ in the sign of a zero
-    min_margin = float(np.min(np.subtract(rhs, lhs, out=dphi2)))
     del dphi2
-    lhs -= rhs
-    del rhs
-    violation = np.maximum(lhs, 0.0, out=lhs)
-    tol = CUTOFF_SLACK_COEFF * B.grid.h ** 2
-    return _report("cutoff_volume", violation, tol, "differencing", {"min_margin": min_margin})
+    # rhs - lhs on the whole grid: its smallest value is often a zero, of the
+    # sign np.min picks.  Off the box both sides are +0, as g^{-1} is positive
+    # definite and the factor of |D phi|^2 is (2 + lam1^2 + lam2^2)/V > 0.
+    margin = np.zeros_like(B.vol)
+    np.subtract(rhs, lhs, out=margin[bb])
+    min_margin = float(np.min(margin))
+    violation = np.subtract(lhs, rhs, out=margin[bb])
+    np.maximum(violation, 0.0, out=violation)
+    tol = CUTOFF_SLACK_COEFF * g.h ** 2
+    return _report("cutoff_volume", margin, tol, "differencing", {"min_margin": min_margin})
 
 
 def check_slope_volume(B: GeometryBundle) -> CheckReport:
@@ -285,25 +302,22 @@ def check_coordinate_laplacian(B: GeometryBundle, psi: ScalarField2 | None = Non
     x1, x2 = g.coords()
     m = INTERIOR_MARGIN
     inner = np.s_[m:-m, m:-m]
-    # the operator side first, then the lift, whose writable arrays take the
-    # sums, so no other full-grid array is formed while these four live
-    lap1 = laplace_beltrami(ScalarField2(g, x1 + np.zeros_like(x2)), B).values
-    lap2 = laplace_beltrami(ScalarField2(g, x2 + np.zeros_like(x1)), B).values
+    # the lift first, whose writable arrays take the sums, then one operator
+    # side at a time, each dropped once it is summed in
     mw1, mw2 = _lift_phase_gradient(B, psi)
 
-    def worst(lap, mw):
-        # |lap_g x_k - (-(M w)_k)| on the inner nodes, one component at a
-        # time, summed into the writable lift
+    def worst(xk, other, mw):
+        # |lap_g x_k - (-(M w)_k)| on the inner nodes, summed into the lift
+        lap = laplace_beltrami(ScalarField2(g, xk + np.zeros_like(other)), B).values
         core = mw[inner]
         core += lap[inner]
-        np.abs(core, out=core)
-        flat = int(np.argmax(core))
-        return float(core.flat[flat]), np.unravel_index(flat, core.shape)
+        return _worst(core)
 
-    worst1 = worst(lap1, mw1)
-    worst2 = worst(lap2, mw2)
+    worst1 = worst(x1, x2, mw1)
+    del mw1
+    worst2 = worst(x2, x1, mw2)
     # on a tie the first component's node stands
-    k, (mx, (i, j)) = (2, worst2) if worst2[0] > worst1[0] else (1, worst1)
+    k, ((i, j), mx) = (2, worst2) if worst2[1] > worst1[1] else (1, worst1)
     scale = 1.0 + float(np.max(np.abs(B.lam1))) ** 2
     tol = LAPLACIAN_SLACK_COEFF * g.h ** 2 * scale
     return CheckReport(

@@ -37,9 +37,9 @@ from .grid import (
     INTERIOR_MARGIN,
     Grid2,
     ScalarField2,
+    _cutoff,
     gradient_fd,
     integrate_disk,
-    make_cutoff,
     sup_norm_disk,
 )
 from .identities import CheckReport
@@ -274,6 +274,13 @@ def _interior_mask(n: int) -> np.ndarray:
     return m
 
 
+def _argmin_on(values: np.ndarray, mask: np.ndarray) -> tuple[int, int]:
+    """The first node in C order of the smallest value on mask (values off it become +inf)."""
+    np.copyto(values, np.inf, where=~mask)
+    i, j = np.unravel_index(np.argmin(values), values.shape)
+    return int(i), int(j)
+
+
 def _fit_region(grid: Grid2, rho: float) -> np.ndarray:
     """The interior nodes of |x| <= rho: where the weight A is fitted and the
     subharmonic check reads, and the region whose phase picks the bundle of
@@ -297,7 +304,8 @@ def check_jacobi_pointwise(
     quadratic), the check proceeds on the full interior since the slope is
     then exactly smooth.  Reports the smallest additive constant C_hat = max(0, -m) that
     makes the inequality hold; passes iff C_hat <= C_budget.  Both fields are
-    the bundle's cached slope fields.
+    the bundle's cached slope fields.  location is the node of the smallest
+    defect.
     """
     B, flipped = _canonical(B)
     g = B.grid
@@ -322,6 +330,7 @@ def check_jacobi_pointwise(
     return CheckReport(
         name="jacobi_pointwise",
         kind="inequality",
+        location=_argmin_on(defect, mask),
         lhs=c_hat,
         rhs=float(C_budget),
         margin=float(C_budget) - c_hat,
@@ -396,6 +405,7 @@ def check_subharmonic_modified_slope(
     check_weak_max_principle's report on that modified slope on the disk of
     radius SAMPLED_RADIUS with these trials and seed; it stands in for the
     sampler when the check samples that same disk, i.e. rho >= SAMPLED_RADIUS.
+    location is the node of the smallest lap_g(b_mod) on the region.
     """
     mask = _fit_region(B.grid, rho)
     B, flipped = _canonical(B, mask)
@@ -413,6 +423,7 @@ def check_subharmonic_modified_slope(
     return CheckReport(
         name="subharmonic",
         kind="inequality",
+        location=_argmin_on(lap, mask),
         lhs=0.0,
         rhs=m,
         margin=m,
@@ -448,50 +459,54 @@ def check_jacobi_integral(B: GeometryBundle, K: SlopeConstants) -> CheckReport:
             f"to stay {INTERIOR_MARGIN}h inside the grid"
         )
     C_hat = check_jacobi_pointwise(B, K).fitted["C_hat"]
-    phi, grad = make_cutoff(r1, r2, g)
     h = g.h
-    phi, dphi1, dphi2 = phi.values, grad.c1.values, grad.c2.values
     V = B.vol
     # each integrand is formed in place and released once it is integrated
     integrand = B.slope_grad_norm2 * V
     lhs = integrate_disk(ScalarField2(g, integrand), r1)
     sup_int = float(np.max(integrand))
     del integrand
-    integrand = _quadform_inv(B, dphi1, dphi2)
-    integrand *= V
-    i_phi = integrate_disk(ScalarField2(g, integrand), r2)
-    del integrand
-    integrand = phi * phi
-    integrand *= V
-    i_phi2 = integrate_disk(ScalarField2(g, integrand), r2)
-    del integrand
-    integrand = phi * phi
-    integrand *= B.slope_laplacian
-    integrand *= V
-    ibp_lhs = float(np.sum(integrand) * h * h)
-    del integrand
+    # the cutoff terms on the box of its support.  The disk integrals gather
+    # the nodes of B_{r2} in the same order (r2^2 = 9 is exact, so none lies
+    # off the box); the two sums over the grid keep zeros around the box, as
+    # their pairwise grouping depends on where each node sits, and the sign
+    # of those zeros changes no sum that is not zero
+    box, phi, (dphi1, dphi2) = _cutoff(r1, r2, g, with_phi=True, full=False)
+    bb = (box, box)
+    disk = g.disk_mask(r2)[bb]
+    integrand = _quadform_inv(B, dphi1, dphi2, bb)
+    integrand *= V[bb]
+    i_phi = float(np.sum(integrand[disk]) * h * h)
+    integrand = np.multiply(phi, phi, out=integrand)
+    integrand *= V[bb]
+    i_phi2 = float(np.sum(integrand[disk]) * h * h)
+    del integrand, disk
     rhs = (4.0 / K.c**2) * i_phi + (2.0 / K.c) * C_hat * i_phi2
     slack = _disk_quad_slack(h, r1, sup_int)
     margin = rhs + slack - lhs
-
+    whole = np.zeros_like(V)
+    integrand = np.multiply(phi, phi, out=whole[bb])
+    integrand *= B.slope_laplacian[bb]
+    integrand *= V[bb]
+    ibp_lhs = float(np.sum(whole) * h * h)
     # <grad_g phi, grad_g b>_g = inv11 phi_1 b_1 + inv12 (phi_1 b_2 + phi_2 b_1)
     # + inv22 phi_2 b_2, each product formed left to right
-    gb1, gb2 = B.slope_gradient.c1.values, B.slope_gradient.c2.values
+    gb1, gb2 = B.slope_gradient.c1.values[bb], B.slope_gradient.c2.values[bb]
     term = dphi1 * gb2
-    cross = dphi2 * gb1
+    cross = np.multiply(dphi2, gb1, out=whole[bb])
     term += cross
-    term *= B.inv12
-    np.multiply(B.inv11, dphi1, out=cross)
+    term *= B.inv12[bb]
+    np.multiply(B.inv11[bb], dphi1, out=cross)
     cross *= gb1
     cross += term
-    np.multiply(B.inv22, dphi2, out=term)
+    np.multiply(B.inv22[bb], dphi2, out=term)
     term *= gb2
     cross += term
     del term
-    cross *= 2.0 * phi
-    cross *= V
-    ibp_rhs = float(-np.sum(cross) * h * h)
-    del cross
+    phi *= 2.0
+    cross *= phi
+    cross *= V[bb]
+    ibp_rhs = float(-np.sum(whole) * h * h)
     ibp_resid = abs(ibp_lhs - ibp_rhs)
     ibp_tol = IBP_COEFF * h
     passed = (margin >= 0.0) and (ibp_resid <= ibp_tol)

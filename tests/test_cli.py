@@ -44,7 +44,7 @@ from lmce.errors import ConfigError
 from lmce.geometry import GeometryBundle, bundle_from_hessian
 from lmce.grid import ScalarField2, build_grid, hessian_fd, sample
 from lmce.identities import CheckReport
-from lmce.solver import anisotropic_family, manufacture
+from lmce.solver import anisotropic_family, manufacture, perturbed_family
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
@@ -452,6 +452,26 @@ class TestSweepCommand:
             "form_equivalence.passed,form_equivalence.residual"
         )
         assert [line.split(",")[:2] for line in lines[1:]] == [["33", "0.25"], ["65", "0.125"]]
+
+    def test_field_sweep_reads_the_file_once(self, tmp_path, monkeypatch):
+        # every swept value reads the one field read up front, and the rows
+        # are those of the same sweep over the family the field samples
+        path = tmp_path / "u.csv"
+        write_field_csv(path, manufacture(perturbed_family(0.1), build_grid(4.0, 65)).u_exact)
+        reads = []
+        read = lmce.cli.read_field_csv
+        monkeypatch.setattr(lmce.cli, "read_field_csv", lambda p: reads.append(p) or read(p))
+        common = dict(
+            n=65, sweep_param="c", sweep_values=[0.25, 0.5, 1.0],
+            checks=["jacobi_pointwise", "subharmonic", "volume_bound"],
+        )
+        field = dict(family="field", field_file=str(path))
+        cmd_sweep(RunConfig(**field, out=str(tmp_path / "f"), **common))
+        assert reads == [str(path)]
+        cmd_sweep(RunConfig(family="perturbed", eps=0.1, out=str(tmp_path / "p"), **common))
+        swept = [(tmp_path / out / "sweep.csv").read_bytes() for out in ("f", "p")]
+        assert swept[0] == swept[1]
+        assert len(swept[0].splitlines()) == 4
 
     def test_sweep_needs_values(self, tmp_path):
         cfg = RunConfig(family="quadratic", sweep_param="a", out=str(tmp_path / "o"))
@@ -922,24 +942,46 @@ class TestVerifyWork:
         assert wmp_calls["wmp"] == 1
         assert "wmp_s" in report.timings
 
-    def test_peak_memory_of_a_full_verify(self, tmp_path):
-        # at n=129 the traced peak is 23.1 float arrays of n^2 nodes; 24.5
-        # leaves about 6% headroom.  A coarse run first loads what only a
-        # first run allocates.
+    @staticmethod
+    def _full_verify_at_129(tmp_path):
+        # a coarse run first loads what only a first run allocates
         def config(n, out):
             return RunConfig(family="perturbed", eps=0.1, n=n, checks=["all"], out=str(out))
 
         cmd_verify(config(65, tmp_path / "warm"))
-        n = 129
-        cfg = config(n, tmp_path / "o")
         tracemalloc.start()
         try:
-            _, code = cmd_verify(cfg)
+            _, code = cmd_verify(config(129, tmp_path / "o"))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert code == EXIT_PASS
-        assert peak < 24.5 * 8 * n * n
+        return peak / (8 * 129 * 129)
+
+    def test_peak_memory_of_a_full_verify(self, tmp_path):
+        # the traced peak is 20.6 float arrays of n^2 nodes at n=129; 21.6
+        # leaves about one array of headroom
+        assert self._full_verify_at_129(tmp_path) < 21.6
+
+    def test_peak_memory_of_coordinate_laplacian(self, tmp_path, monkeypatch):
+        # over what is alive when it starts, the check peaks at 8.5 arrays of
+        # n^2 nodes at n=129: the lift, one coordinate and its Laplacian, and
+        # one band of the operator (half the grid at this n).  It was 11.0
+        # with the bundle's cached flux coefficients.
+        check = lmce.cli.check_coordinate_laplacian
+        peaks = []
+
+        def spy(*args, **kwargs):
+            alive, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            report = check(*args, **kwargs)
+            peaks.append(tracemalloc.get_traced_memory()[1] - alive)
+            return report
+
+        monkeypatch.setattr(lmce.cli, "check_coordinate_laplacian", spy)
+        self._full_verify_at_129(tmp_path)
+        assert len(peaks) == 2
+        assert peaks[-1] < 9.5 * 8 * 129 * 129
 
     def test_lazy_state_has_its_own_timings(self, tmp_path):
         cfg = RunConfig(family="perturbed", eps=0.1, n=65, checks=["all"], out=str(tmp_path / "o"))
@@ -972,7 +1014,7 @@ def _lazy_fields(cls):
 
 # the lazily built bundle fields even under u -> -u, which a bundle and its
 # negated twin share
-_EVEN_FIELDS = ("fluxes", "paraboloid_laplacian")
+_EVEN_FIELDS = ("paraboloid_laplacian",)
 
 
 @contextlib.contextmanager
@@ -1030,20 +1072,20 @@ class TestReleaseTable:
         order=st.permutations(ALL_CHECKS),
         size=st.integers(1, len(ALL_CHECKS)),
     )
-    # the sample builds the constants but not lap_g b, so the flux
-    # coefficients must outlive it for jacobi_pointwise
+    # the sample builds the constants but not lap_g b, so the slope gradient
+    # must outlive it for jacobi_pointwise
     @example(
         case="perturbed",
         A=1.0,
         order=["coordinate_laplacian", "weak_max_principle", "jacobi_pointwise"],
         size=3,
     )
-    # the negated twin builds the flux coefficients first, then the original
-    # reads them
+    # the fit builds lap_g q on the negated twin, then subharmonic reads it
+    # through the original
     @example(
         case="negative",
         A="fit",
-        order=["jacobi_pointwise", "coordinate_laplacian"],
+        order=["jacobi_pointwise", "subharmonic"],
         size=2,
     )
     def test_any_order_builds_each_field_once(self, case, A, order, size):
@@ -1062,21 +1104,29 @@ class TestReleaseTable:
         assert left == []
 
 
-    def test_negative_data_drop_the_original_fluxes(self, monkeypatch):
-        # the slope checks read the negated twin's fields, so the original
-        # keeps no flux coefficients for its own Laplacians, never built
+    def test_negative_data_drop_the_paraboloid_laplacian(self, monkeypatch):
+        # the fit and subharmonic read the negated twin's lap_g q, so the
+        # original never builds its own, and once subharmonic has run
+        # neither twin keeps it
         held = {}
-        check = lmce.cli.check_jacobi_pointwise
 
-        def spy(B, *args, **kwargs):
-            held["original"] = "fluxes" in vars(B)
-            held["twin"] = "fluxes" in vars(B.negated)
-            return check(B, *args, **kwargs)
+        def spy(name):
+            check = getattr(lmce.cli, name)
 
-        monkeypatch.setattr(lmce.cli, "check_jacobi_pointwise", spy)
+            def wrapper(B, *args, **kwargs):
+                held[name] = tuple("paraboloid_laplacian" in vars(b) for b in (B, B.negated))
+                return check(B, *args, **kwargs)
+
+            return wrapper
+
+        for name in ("check_jacobi_pointwise", "check_jacobi_integral"):
+            monkeypatch.setattr(lmce.cli, name, spy(name))
         cfg = RunConfig(**_RELEASE_CASES["negative"], n=65, checks=["all"])
         lmce.cli._run_checks(lmce.cli._Context(cfg), cfg.checks, {})
-        assert held == {"original": False, "twin": False}
+        assert held == {
+            "check_jacobi_pointwise": (False, True),
+            "check_jacobi_integral": (False, False),
+        }
 
 
 def _set_up_refs(ctx) -> dict:

@@ -280,11 +280,11 @@ class TestCachedFields:
 
     def test_negation_shares_the_metric(self):
         B = self._negative()
-        fluxes, grad_norm = B.fluxes, B.grad_norm
+        lap_q, grad_norm = B.paraboloid_laplacian, B.grad_norm
         neg = B.negated
         for name in ("vol", "inv11", "inv12", "inv22"):
             assert getattr(neg, name) is getattr(B, name)
-        assert neg.fluxes is fluxes
+        assert neg.paraboloid_laplacian is lap_q
         assert neg.grad_norm is grad_norm
         # the very arrays that a rebuild from the negated Hessian computes
         for m in ("m11", "m12", "m22"):
@@ -292,26 +292,73 @@ class TestCachedFields:
         fresh = bundle_from_hessian(neg.hess, neg.grad_norm)
         for name in ("lam1", "lam2", "phase", "vol", "inv11", "inv12", "inv22", "slope"):
             assert np.array_equal(getattr(neg, name), getattr(fresh, name))
-        for shared, rebuilt in zip(neg.fluxes, fresh.fluxes):
-            assert np.array_equal(shared, rebuilt)
+        assert _same_bits(neg.paraboloid_laplacian, fresh.paraboloid_laplacian)
         assert np.array_equal(neg.grad_norm, fresh.grad_norm)
 
     def test_twins_take_even_fields_from_each_other(self):
         B = self._negative()
         neg = B.negated
         assert neg.negated is B
-        fluxes, lap_q = neg.fluxes, neg.paraboloid_laplacian
-        assert B.fluxes is fluxes
+        lap_q = neg.paraboloid_laplacian
         assert B.paraboloid_laplacian is lap_q
+        # and the other way round, the original building first
+        B = self._negative()
+        lap_q = B.paraboloid_laplacian
+        assert B.negated.paraboloid_laplacian is lap_q
         grad_norm = B.grad_norm
-        assert neg.grad_norm is grad_norm
+        assert B.negated.grad_norm is grad_norm
 
     def test_negation_builds_no_unread_field(self):
         B = self._negative()
         neg = B.negated
         # nor the negated Hessian, which only a reader of neg.hess forms
-        assert "fluxes" not in neg.__dict__ and "hess" not in neg.__dict__
-        assert all(np.array_equal(a, b) for a, b in zip(neg.fluxes, B.fluxes))
+        assert "paraboloid_laplacian" not in neg.__dict__ and "hess" not in neg.__dict__
+        q = ScalarField2(B.grid, 0.5 * B.grid.radius2())
+        assert _same_bits(neg.paraboloid_laplacian, laplace_beltrami(q, B).values)
+
+
+def _same_bits(a, b):
+    return np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+class TestBands:
+    """laplace_beltrami computes its interior in bands of LB_BAND_ROWS rows;
+    the values do not depend on the band height."""
+
+    def _one_band(self, monkeypatch, f, B):
+        with monkeypatch.context() as m:
+            m.setattr(lmce.geometry, "LB_BAND_ROWS", B.grid.n)
+            return laplace_beltrami(f, B).values
+
+    # n - 2 interior rows below, at and off a multiple of the band height
+    @pytest.mark.parametrize("n", [5, 65, 66, 131])
+    def test_bands_match_one_band(self, monkeypatch, n):
+        assert lmce.geometry.LB_BAND_ROWS == 64
+        g = build_grid(4.0, n)
+        B = bundle(manufacture(perturbed_family(0.1), g).u_exact)
+        neg = bundle(manufacture(anisotropic_family(-0.4, -1.0), g).u_exact)
+        f = sample(lambda x1, x2: np.sin(x1) * np.cos(0.5 * x2) + 0.3 * x1 * x2, g)
+        twin = neg.negated
+        for field, bun in [(f, B), (slope(B), B), (f, neg), (f, twin), (slope(twin), twin)]:
+            bands = laplace_beltrami(field, bun).values
+            assert _same_bits(bands, self._one_band(monkeypatch, field, bun))
+
+    def test_every_band_height(self, monkeypatch):
+        # heights from one row to more than the interior
+        g = build_grid(4.0, 19)
+        B = bundle(manufacture(anisotropic_family(-0.4, -1.0), g).u_exact)
+        f = sample(lambda x1, x2: np.cos(x1 - 0.2 * x2), g)
+        whole = self._one_band(monkeypatch, f, B)
+        for rows in range(1, 19):
+            monkeypatch.setattr(lmce.geometry, "LB_BAND_ROWS", rows)
+            assert _same_bits(laplace_beltrami(f, B).values, whole)
+
+    def test_bundle_caches_no_coefficients(self):
+        g = build_grid(4.0, 33)
+        B = bundle(manufacture(perturbed_family(0.1), g).u_exact)
+        before = set(vars(B))
+        laplace_beltrami(slope(B), B)
+        assert set(vars(B)) == before
 
 
 class TestFrameIndependence:

@@ -8,9 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 from lmce.grid import (
     ScalarField2,
+    _cutoff,
     _quintic_slope,
     build_grid,
-    cutoff_gradient,
     gradient_fd,
     hessian_fd,
     integrate_disk,
@@ -288,12 +288,30 @@ class TestCutoff:
             dphi * x2 / safe,
         )
         phi, grad = make_cutoff(2.0, 3.0, g)
-        alone = cutoff_gradient(2.0, 3.0, g)
         for want, field in zip(expected, (phi, grad.c1, grad.c2)):
             assert np.array_equal(field.values.view(np.int64), want.view(np.int64))
-        for only, field in ((alone.c1, grad.c1), (alone.c2, grad.c2)):
-            assert np.array_equal(only.values.view(np.int64), field.values.view(np.int64))
         assert np.signbit(grad.c1.values[0, 0])
+        # the box variant gives the box's block of each array, with or
+        # without phi, and the disk of the support lies on the box
+        box, phi_box, grad_box = _cutoff(2.0, 3.0, g, with_phi=True, full=False)
+        _, none, alone = _cutoff(2.0, 3.0, g, with_phi=False, full=False)
+        assert none is None
+        fields = (phi, grad.c1, grad.c2, grad.c1, grad.c2)
+        for field, on_box in zip(fields, (phi_box, *grad_box, *alone)):
+            assert np.array_equal(field.values[box, box].view(np.int64), on_box.view(np.int64))
+        off = np.ones((n, n), dtype=bool)
+        off[box, box] = False
+        assert not np.any(g.disk_mask(3.0) & off)
+
+    def test_slope_is_the_closed_form(self):
+        # formed in place, the profile's slope keeps the bits of the
+        # expression, zero signs included
+        rho = np.linspace(0.0, 4.0, 4001)
+        t = (rho - 1.3) / (2.9 - 1.3)
+        inside = (t > 0.0) & (t < 1.0)
+        tt = np.where(inside, t, 0.0)
+        want = np.where(inside, -30.0 * tt * tt * (1.0 - tt) ** 2 / (2.9 - 1.3), 0.0)
+        assert np.array_equal(_quintic_slope(rho, 1.3, 2.9).view(np.int64), want.view(np.int64))
 
     @settings(deadline=None, max_examples=25)
     @given(

@@ -15,6 +15,7 @@ from lmce.geometry import (
 )
 from lmce.grid import ScalarField2, SymMat2Field, build_grid, sample
 from lmce.inequalities import (
+    EIGEN_GAP_FLOOR,
     check_hessian_estimate,
     check_jacobi_integral,
     check_jacobi_pointwise,
@@ -223,6 +224,51 @@ class TestJacobiPointwise:
         prob_pos = manufacture(perturbed_family(0.1), grid129)
         rep_pos = check_jacobi_pointwise(bundle(prob_pos.u_exact), K_DEFAULT)
         assert rep.fitted["C_hat"] == pytest.approx(rep_pos.fitted["C_hat"], abs=1e-12)
+
+
+class TestLocations:
+    """jacobi_pointwise and subharmonic name the node of their smallest value:
+    np.argmin over the masked full array, so the first node in C order on a
+    tie."""
+
+    @staticmethod
+    def _argmin(values, mask):
+        i, j = np.unravel_index(np.argmin(np.where(mask, values, np.inf)), values.shape)
+        return int(i), int(j)
+
+    @pytest.mark.parametrize(
+        "family",
+        [
+            perturbed_family(0.1),
+            negate_analytic(perturbed_family(0.1)),
+            anisotropic_family(-0.4, -1.0),
+            quadratic_family(1.0),
+        ],
+    )
+    def test_node_of_the_smallest_value(self, family):
+        g = build_grid(4.0, 65)
+        B = bundle(manufacture(family, g).u_exact)
+        K = SlopeConstants(c=0.5, A=fit_modification_weight(B, rho=2.0)[0])
+        interior = np.zeros((g.n, g.n), dtype=bool)
+        interior[2:-2, 2:-2] = True
+        rep = check_jacobi_pointwise(B, K)
+        C = B.negated if rep.details["canonicalized"] else B
+        defect = C.slope_laplacian - K.c * C.slope_grad_norm2
+        gap = (C.lam1 - C.lam2) >= EIGEN_GAP_FLOOR * (1.0 + np.abs(C.lam1))
+        mask = interior & gap if np.any(interior & gap) else interior
+        assert rep.location == self._argmin(defect, mask)
+        assert defect[rep.location] == rep.fitted["min_defect"]
+        rep = check_subharmonic_modified_slope(B, K, trials=20)
+        C = B.negated if rep.details["canonicalized"] else B
+        lap = C.slope_laplacian + K.A * C.paraboloid_laplacian
+        region = interior & g.disk_mask(2.0)
+        assert rep.location == self._argmin(lap, region)
+        assert lap[rep.location] == rep.fitted["min_laplacian"]
+
+    def test_tie_takes_the_first_node(self, grid129):
+        # constant slope: every defect is 0, so the first interior node
+        B = bundle(sample(lambda x1, x2: 0.5 * (x1 * x1 + x2 * x2), grid129))
+        assert check_jacobi_pointwise(B, K_DEFAULT).location == (2, 2)
 
 
 class TestSubharmonicModifiedSlope:
