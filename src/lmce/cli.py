@@ -155,6 +155,14 @@ class RunConfig:
             raise ConfigError(f"c must be a number in (0, 1], got {self.c!r}")
         if self.A != "fit" and not _number(self.A) >= 0.0:
             raise ConfigError(f"A must be a non-negative number or 'fit', got {self.A!r}")
+        for name in ("a", "eps", "theta1", "theta2"):
+            value = getattr(self, name)
+            if math.isnan(_number(value)):
+                raise ConfigError(f"{name} must be a number, got {value!r}")
+        for name in ("C_budget", "Cstar_budget"):
+            value = getattr(self, name)
+            if (value is not None or name == "Cstar_budget") and not _number(value) >= 0.0:
+                raise ConfigError(f"{name} must be a non-negative number, got {value!r}")
         if self.sweep_param and self.sweep_param not in _SWEEPABLE:
             raise ConfigError(
                 f"sweep_param must be a numeric config key ({', '.join(_SWEEPABLE)}), "
@@ -411,22 +419,23 @@ def _build_family(cfg: RunConfig):
     return None
 
 
-def _timed_lazy(build):
-    """A cached property of `_Context` that records how long its build took,
-    under `timings["<name>_s"]`, less any lazy state built inside it."""
-    key = f"{build.__name__}_s"
-
-    @wraps(build)
-    def timed(self):
-        outer = self.lazy_s
-        t0 = time.perf_counter()
-        value = build(self)
+def _timed(ctx: "_Context", key: str, run):
+    """run(), charging ctx.timings[key] the time it took less that of any
+    lazy state of ctx built inside it, which is charged to its own key."""
+    outer = ctx.lazy_s
+    t0 = time.perf_counter()
+    try:
+        return run()
+    finally:
         spent = time.perf_counter() - t0
-        self.timings[key] = spent - (self.lazy_s - outer)
-        self.lazy_s = outer + spent
-        return value
+        ctx.timings[key] = spent - (ctx.lazy_s - outer)
+        ctx.lazy_s = outer + spent
 
-    return cached_property(timed)
+
+def _timed_lazy(build):
+    """A cached property of `_Context`, its build `_timed` under `timings["<name>_s"]`."""
+    key = f"{build.__name__}_s"
+    return cached_property(wraps(build)(lambda self: _timed(self, key, lambda: build(self))))
 
 
 class _Context:
@@ -434,17 +443,19 @@ class _Context:
 
     Set-up builds the potential u, the phase psi and the bundle of u, which
     is all that any check reads of u (the manufactured problem also holds
-    the exact u and psi, the solve state the solved u).  The slope constants
-    (with the fit of A), the modified slope, its gradient norm |D b_mod|
-    (which the sampler and super_iso share) and the weak-maximum-principle
-    sample of the modified slope (which the weak_max_principle, super_iso
-    and subharmonic checks share) are built on first use; `timings` holds
-    each one's own build time and `lazy_s` their total, so no check is
-    charged for state it builds first.  `_run_checks` drops each of them,
-    each set-up attribute (`_SET_UP`) and each lazily built field of the
-    bundle once no remaining check reads it, so heatmaps and a sweep's
-    errors against the exact solution are taken first.  potential is the
-    field of `cfg.field_file` if already read (a sweep reads it once).
+    the exact u and psi, the solve state the solved u).  Built on first use:
+    the slope constants (with the fit of A), the modified slope, its
+    gradient norm |D b_mod| (shared by the sampler and super_iso), the
+    weak-maximum-principle sample of the modified slope (shared by the
+    weak_max_principle, super_iso and subharmonic checks) and the
+    jacobi_pointwise report (whose C_hat jacobi_integral reads).  `timings`
+    holds each one's own time and each check's, and `lazy_s` the total of
+    all timed work, so no check is charged for state it builds first (see
+    `_timed`).  `_run_checks` drops each of them, each set-up attribute
+    (`_SET_UP`) and each lazily built field of the bundle once no remaining
+    check reads it, so heatmaps and a sweep's errors against the exact
+    solution are taken first.  potential is the field of `cfg.field_file`
+    if already read (a sweep reads it once).
     """
 
     def __init__(self, cfg: RunConfig, potential: ScalarField2 | None = None):
@@ -501,6 +512,11 @@ class _Context:
             self.bmod, trials=self.cfg.trials, seed=self.cfg.seed, grad_norm=self.bmod_grad_norm
         )
 
+    @_timed_lazy
+    def pointwise(self) -> CheckReport:
+        budget = math.inf if self.cfg.C_budget is None else self.cfg.C_budget
+        return check_jacobi_pointwise(self.bundle, self.constants, C_budget=budget)
+
 
 class _Check(NamedTuple):
     """One registry entry: the check run on a verify context, and the lazily
@@ -540,14 +556,7 @@ INEQUALITY_CHECKS = {
         ),
         ("bmod", "bmod_grad_norm", "wmp"),
     ),
-    "jacobi_pointwise": _Check(
-        lambda ctx: check_jacobi_pointwise(
-            ctx.bundle,
-            ctx.constants,
-            C_budget=ctx.cfg.C_budget if ctx.cfg.C_budget is not None else math.inf,
-        ),
-        ("constants", "negated", "slope_laplacian", "slope_grad_norm2"),
-    ),
+    "jacobi_pointwise": _Check(lambda ctx: ctx.pointwise, ("pointwise",)),
     "subharmonic": _Check(
         lambda ctx: check_subharmonic_modified_slope(
             ctx.bundle,
@@ -561,8 +570,9 @@ INEQUALITY_CHECKS = {
         ("constants", "negated", "slope_laplacian", "paraboloid_laplacian", "wmp"),
     ),
     "jacobi_integral": _Check(
-        lambda ctx: check_jacobi_integral(ctx.bundle, ctx.constants),
-        ("constants", "negated", "slope_laplacian", "slope_grad_norm2", "slope_gradient"),
+        lambda ctx: check_jacobi_integral(ctx.bundle, ctx.constants, ctx.pointwise.fitted["C_hat"]),
+        ("pointwise", "constants", "negated")
+        + ("slope_laplacian", "slope_grad_norm2", "slope_gradient"),
     ),
     # the last two read only delta, so they do not pay for the fit of A
     "volume_bound": _Check(
@@ -586,11 +596,12 @@ _BUILT_FROM = {
     "bmod": ("constants", "negated"),
     "bmod_grad_norm": ("bmod",),
     "wmp": ("bmod", "bmod_grad_norm"),
+    "pointwise": ("constants", "negated", "slope_laplacian", "slope_grad_norm2"),
     "paraboloid_laplacian": ("negated",),
     "slope_grad_norm2": ("slope_gradient",),
 }
-# the context's set-up attributes, which nothing rebuilds once dropped
-_SET_UP = ("u", "psi", "problem", "solve_state")
+# the set-up attributes of the context and the bundle, never rebuilt once dropped
+_SET_UP = ("u", "psi", "problem", "solve_state", "hess")
 
 
 def _release(ctx: _Context, remaining: list[str]) -> None:
@@ -645,22 +656,18 @@ def _run_checks(ctx: _Context, names: list[str], timings: dict) -> list[dict]:
     `timings` under `<name>_s`.  Before the first check and after each one,
     the state that no later check reads is dropped (see `_release`)."""
     entries = []
-    spent = {}
     _release(ctx, names)
     for k, name in enumerate(names):
-        t1 = time.perf_counter()
-        lazy0 = ctx.lazy_s
         try:
-            report = _CHECKS[name].run(ctx)
+            report = _timed(ctx, f"{name}_s", lambda: _CHECKS[name].run(ctx))
         except PreconditionError as exc:
             details = {"error": str(exc)}
             report = CheckReport(
                 name, "precondition", False, details=details, status="precondition_failed"
             )
         entries.append(report.entry())
-        spent[f"{name}_s"] = time.perf_counter() - t1 - (ctx.lazy_s - lazy0)
         _release(ctx, names[k + 1 :])
-    for key, value in {**spent, **ctx.timings}.items():
+    for key, value in ctx.timings.items():
         timings[key] = timings.get(key, 0.0) + value
     return entries
 

@@ -35,7 +35,6 @@ __all__ = [
     "bundle",
     "bundle_from_hessian",
     "classify_phase",
-    "negate_bundle",
     "grad_g_norm2",
     "laplace_beltrami",
     "slope",
@@ -125,7 +124,7 @@ class GeometryBundle:
     Arrays are (n, n), read-only, and mutually consistent:
     lam1 >= lam2, phase = arctan(lam1) + arctan(lam2) in (-pi, pi),
     vol = sqrt((1 + lam1^2)(1 + lam2^2)) = sqrt(det g) for the metric
-    g = I + M^2 of the stored Hessian M (positive definite),
+    g = I + M^2 of its Hessian M (positive definite),
     inv* are the components of g^{-1}, and
     slope = ln sqrt(1 + lam1^2) >= 0.
     sig1 = lam1 + lam2 and sig2 = lam1*lam2 are computed on each access, not
@@ -133,7 +132,8 @@ class GeometryBundle:
 
     grad_norm optionally carries |Du|, the hypot of the potential's
     differenced gradient (read by the volume and Hessian-estimate checks);
-    bundles built directly from a Hessian field leave it None.
+    bundles built directly from a Hessian field leave it None.  hess is the
+    Hessian M the bundle was built from (None on a negated twin).
 
     The fields below are computed on first access and then kept until the
     verify runner drops them (once no remaining check reads them), so every
@@ -144,12 +144,11 @@ class GeometryBundle:
     q = |x|^2/2 that the modified slope b + A q adds, so that
     lap_g(b + A q) = slope_laplacian + A paraboloid_laplacian), all but
     slope_gradient read-only arrays.
-    hess, the Hessian M the bundle was built from, is kept the same way.
     negated is the bundle of the negated potential, kept the same way so the
     checks that canonicalize a negative-phase bundle share its fields too; it
-    shares the metric arrays and grad_norm of this bundle, forms its hess -M
-    only when read, its own negated is this bundle, and paraboloid_laplacian,
-    even under u -> -u, is built once per pair (see negate_bundle).
+    shares the metric arrays and grad_norm of this bundle, its own negated is
+    this bundle, and paraboloid_laplacian, even under u -> -u, is built once
+    per pair.
     No flux coefficient is cached: laplace_beltrami forms them from vol and
     inv11/12/22 one row band at a time.
     """
@@ -164,6 +163,7 @@ class GeometryBundle:
     inv22: np.ndarray
     slope: np.ndarray
     grad_norm: np.ndarray | None = None
+    hess: SymMat2Field | None = None
 
     @property
     def sig1(self) -> np.ndarray:
@@ -180,14 +180,6 @@ class GeometryBundle:
     @cached_property
     def sin_phase(self) -> np.ndarray:
         return _ro(np.sin(self.phase))
-
-    @cached_property
-    def hess(self) -> SymMat2Field:
-        """-M of the twin: only a negated bundle builds it, the others store M."""
-        M = vars(self.negated).get("hess")
-        if M is None:
-            raise AttributeError("hess was dropped after its last reader")
-        return SymMat2Field(*(ScalarField2(self.grid, -m.values) for m in (M.m11, M.m12, M.m22)))
 
     @cached_property
     def slope_gradient(self) -> Vec2Field:
@@ -211,7 +203,19 @@ class GeometryBundle:
 
     @cached_property
     def negated(self) -> "GeometryBundle":
-        return negate_bundle(self)
+        """Bundle of the negated potential (phase flips sign, metric unchanged).
+
+        g = I + M^2 is even in M, and so are its determinant and |Du|: the
+        twin shares vol, inv11/12/22 and grad_norm, the very arrays a rebuild
+        would compute bit for bit.  The eigenvalues of -M are exactly (-lam2,
+        -lam1), as IEEE negation and rounding are symmetric.  The two bundles
+        are each other's `negated`, so each takes the even fields the other
+        has built.
+        """
+        inv = (self.inv11, self.inv12, self.inv22)
+        neg = _assemble(self.grid, self.grad_norm, None, -self.lam2, -self.lam1, self.vol, inv)
+        neg.__dict__["negated"] = self
+        return neg
 
 
 def _ro(a: np.ndarray) -> np.ndarray:
@@ -236,12 +240,10 @@ def bundle_from_hessian(hess: SymMat2Field, grad_norm: np.ndarray | None = None)
     lam1, lam2 = eigen_sym2(m11, m12, m22)
     vol = np.sqrt((1.0 + lam1 * lam1) * (1.0 + lam2 * lam2))
     inv11, inv12, inv22 = _induced_metric(m11, m12, m22)[3:]
-    B = _assemble(hess.grid, grad_norm, lam1, lam2, vol, (inv11, inv12, inv22))
-    B.__dict__["hess"] = hess
-    return B
+    return _assemble(hess.grid, grad_norm, hess, lam1, lam2, vol, (inv11, inv12, inv22))
 
 
-def _assemble(grid, grad_norm, lam1, lam2, vol, inv) -> GeometryBundle:
+def _assemble(grid, grad_norm, hess, lam1, lam2, vol, inv) -> GeometryBundle:
     """The bundle of these eigenvalues and this metric, its arrays read-only."""
     phase = np.arctan(lam1) + np.arctan(lam2)
     b = 0.5 * np.log1p(lam1 * lam1)
@@ -256,28 +258,13 @@ def _assemble(grid, grad_norm, lam1, lam2, vol, inv) -> GeometryBundle:
         inv22=_ro(inv[2]),
         slope=_ro(b),
         grad_norm=grad_norm,
+        hess=hess,
     )
 
 
 def bundle(u: ScalarField2) -> GeometryBundle:
     """Geometry bundle of a potential, from its differenced Hessian and gradient."""
     return bundle_from_hessian(hessian_fd(u), gradient_fd(u).magnitude().values)
-
-
-def negate_bundle(B: GeometryBundle) -> GeometryBundle:
-    """Bundle of the negated potential (phase flips sign, metric unchanged).
-
-    g = I + M^2 is even in M, and so are its determinant and |Du|: the new
-    bundle shares vol, inv11/12/22 and grad_norm, the very arrays a rebuild
-    would compute bit for bit.  The eigenvalues of -M are exactly (-lam2,
-    -lam1), as IEEE negation and rounding are symmetric, so -M is formed only
-    if the new bundle's hess is read.  The two bundles become each other's
-    `negated`, so each takes the even fields the other has built.
-    """
-    neg = _assemble(B.grid, B.grad_norm, -B.lam2, -B.lam1, B.vol, (B.inv11, B.inv12, B.inv22))
-    B.__dict__["negated"] = neg
-    neg.__dict__["negated"] = B
-    return neg
 
 
 def _quadform_inv(B: GeometryBundle, v1: np.ndarray, v2: np.ndarray, region=...) -> np.ndarray:

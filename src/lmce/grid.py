@@ -31,7 +31,6 @@ __all__ = [
     "hessian_fd",
     "integrate_disk",
     "sup_norm_disk",
-    "make_cutoff",
 ]
 
 
@@ -276,25 +275,16 @@ def _quintic_slope(rho, r1: float, r2: float):
     return slope
 
 
-def make_cutoff(r1: float, r2: float, grid: Grid2) -> tuple[ScalarField2, Vec2Field]:
-    """Quintic-smoothstep radial cutoff phi, 1 on |x| <= r1 and 0 on
-    |x| >= r2, and its analytic gradient at the nodes (no differencing).
+def _cutoff(r1: float, r2: float, grid: Grid2, with_phi: bool):
+    """(box, phi, (phi_1, phi_2)): the slice of either axis that the box
+    |x_i| <= r2 spans, and the blocks on the box of the quintic-smoothstep
+    radial cutoff phi (None unless with_phi), 1 on |x| <= r1 and 0 on
+    |x| >= r2, and of its analytic gradient at the nodes (no differencing).
 
     The transition is the quintic 10t^3 - 15t^4 + 6t^5, which is C^2 in the
     radius.  Its slope peaks at 15/8, so max |grad phi| = 1.875/(r2 - r1)
-    on the whole plane, below the generic spline bound 3/(r2 - r1).
-    """
-    _, phi, grad = _cutoff(r1, r2, grid, with_phi=True, full=True)
-    return ScalarField2(grid, phi), Vec2Field(*(ScalarField2(grid, gk) for gk in grad))
-
-
-def _cutoff(r1: float, r2: float, grid: Grid2, with_phi: bool, full: bool):
-    """(box, phi, (phi_1, phi_2)): the slice of either axis that the box
-    |x_i| <= r2 spans, the cutoff (None unless with_phi) and its analytic
-    gradient on the whole grid if full, else their blocks on the box.
-
-    Only the box is evaluated: off it |x| > r2, where phi = 0 and the
-    gradient dphi x_k/|x| is the zero signed like x_k.  Each array is formed
+    on the whole plane, below the generic spline bound 3/(r2 - r1).  Off the
+    box |x| > r2, where phi and its gradient vanish.  Each array is formed
     in place with the operations of the closed form.
     """
     if not (0.0 < r1 < r2 <= grid.L):
@@ -303,7 +293,6 @@ def _cutoff(r1: float, r2: float, grid: Grid2, with_phi: bool, full: bool):
     box = slice(int(np.searchsorted(ax, -r2)), int(np.searchsorted(ax, r2, side="right")))
     x1, x2 = ax[box][:, None], ax[box][None, :]
     rho = np.hypot(*np.broadcast_arrays(x1, x2))
-    shape, region = ((grid.n, grid.n), (box, box)) if full else (rho.shape, np.s_[:, :])
     phi = None
     if with_phi:
         # 1 - t^3 (10 + t (-15 + 6 t)), t = clip((rho - r1)/(r2 - r1), 0, 1)
@@ -314,11 +303,10 @@ def _cutoff(r1: float, r2: float, grid: Grid2, with_phi: bool, full: bool):
         poly += -15.0
         poly *= t
         poly += 10.0
-        phi = np.zeros(shape)
-        inner = np.multiply(t, t, out=phi[region])
-        inner *= t
-        inner *= poly
-        np.subtract(1.0, inner, out=inner)
+        phi = t * t
+        phi *= t
+        phi *= poly
+        np.subtract(1.0, phi, out=phi)
         del t, poly
     dphi = _quintic_slope(rho, r1, r2)
     # rho becomes the divisor of the unit radial direction; the transition
@@ -326,11 +314,8 @@ def _cutoff(r1: float, r2: float, grid: Grid2, with_phi: bool, full: bool):
     # dphi is already zero
     np.copyto(rho, 1.0, where=~(rho > 0.0))
     grad = []
-    for xk, xk_box in zip(grid.coords(), (x1, x2)):
-        gk = np.zeros(shape)
-        if full:
-            gk *= xk
-        inner = np.multiply(dphi, xk_box, out=gk[region])
-        inner /= rho
+    for xk in (x1, x2):
+        gk = dphi * xk
+        gk /= rho
         grad.append(gk)
     return box, phi, grad

@@ -239,7 +239,7 @@ def check_cutoff_volume_identity(B: GeometryBundle) -> CheckReport:
         )
     g = B.grid
     radii = (CUTOFF_PLATEAU_RADIUS, CUTOFF_SUPPORT_RADIUS)
-    box, _, (g1, g2) = _cutoff(*radii, g, with_phi=False, full=False)
+    box, _, (g1, g2) = _cutoff(*radii, g, with_phi=False)
     # on the box of the cutoff's support, formed in place with the operations
     # and operands of the closed form
     bb = (box, box)

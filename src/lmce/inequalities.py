@@ -434,7 +434,7 @@ def check_subharmonic_modified_slope(
     )
 
 
-def check_jacobi_integral(B: GeometryBundle, K: SlopeConstants) -> CheckReport:
+def check_jacobi_integral(B: GeometryBundle, K: SlopeConstants, C_hat: float) -> CheckReport:
     """Integral form of the slope curvature inequality through a cutoff.
 
     With dv = V dx and the fixed cutoff phi (support radius
@@ -442,8 +442,8 @@ def check_jacobi_integral(B: GeometryBundle, K: SlopeConstants) -> CheckReport:
     asserts
       int_{B_{r1}} |grad_g b|^2 dv
         <= (4/c^2) int |grad_g phi|^2 dv + (2/c) C int phi^2 dv + slack,
-    where C is the fitted pointwise constant (a pointwise check on the same
-    bundle, which reuses its cached slope fields).  Also verifies the
+    where C = C_hat is the constant that check_jacobi_pointwise fits on the
+    same bundle and constants (its fitted["C_hat"]).  Also verifies the
     discrete integration-by-parts step
       int phi^2 lap_g(b) dv = -int <2 phi grad_g phi, grad_g b>_g dv
     to IBP_COEFF*h; the divergence-form operator makes this exact up to the
@@ -458,7 +458,6 @@ def check_jacobi_integral(B: GeometryBundle, K: SlopeConstants) -> CheckReport:
             f"jacobi integral needs the disk of radius {r2}, the cutoff support, "
             f"to stay {INTERIOR_MARGIN}h inside the grid"
         )
-    C_hat = check_jacobi_pointwise(B, K).fitted["C_hat"]
     h = g.h
     V = B.vol
     # each integrand is formed in place and released once it is integrated
@@ -471,7 +470,7 @@ def check_jacobi_integral(B: GeometryBundle, K: SlopeConstants) -> CheckReport:
     # off the box); the two sums over the grid keep zeros around the box, as
     # their pairwise grouping depends on where each node sits, and the sign
     # of those zeros changes no sum that is not zero
-    box, phi, (dphi1, dphi2) = _cutoff(r1, r2, g, with_phi=True, full=False)
+    box, phi, (dphi1, dphi2) = _cutoff(r1, r2, g, with_phi=True)
     bb = (box, box)
     disk = g.disk_mask(r2)[bb]
     integrand = _quadform_inv(B, dphi1, dphi2, bb)
@@ -656,7 +655,7 @@ def check_hessian_estimate(
     then fits the minimal C* >= 0 with L <= C* exp(C* G) and passes iff
     C* <= C_budget.  The regime is classify_phase of the phase on B_R; a
     subcritical or straddling phase raises PreconditionError.  A zero Hessian
-    at the origin short-circuits to C* = 0.
+    at the origin is regime "degenerate": C* = 0, G as in case1, no phase check.
     """
     if B.grad_norm is None:
         raise PreconditionError("Hessian estimate needs a bundle built from a potential")
@@ -670,29 +669,19 @@ def check_hessian_estimate(
     oi, oj = g.origin_index()
     level = float(max(abs(B.lam1[oi, oj]), abs(B.lam2[oi, oj])))
     du_sup = sup_norm_disk(ScalarField2(g, B.grad_norm), R)
-    if level <= 1e-14:
-        return CheckReport(
-            name="hessian_estimate",
-            kind="inequality",
-            lhs=0.0,
-            rhs=float(C_budget),
-            margin=float(C_budget),
-            passed=True,
-            slack=0.0,
-            fitted={"C_star": 0.0, "hess_origin": level, "growth": du_sup / R},
-            details={"regime": "degenerate", "canonicalized": flipped},
-        )
-    phase = B.phase[disk]
-    regime = classify_phase(phase, delta)
-    if regime == "subcritical":
-        raise PreconditionError(
-            f"estimate needs supercritical phase >= delta={delta} on B_R "
-            f"(min {float(np.min(phase)):.4f})"
-        )
-    if regime == "straddle":
-        raise PreconditionError("phase range straddles 3pi/4")
-    growth = du_sup / R if regime == "case1" else (du_sup / R) ** 2
-    c_star = fit_exp_budget(level, growth)
+    regime, growth, c_star = "degenerate", du_sup / R, 0.0
+    if level > 1e-14:
+        regime = classify_phase(B.phase[disk], delta)
+        if regime == "subcritical":
+            raise PreconditionError(
+                f"estimate needs supercritical phase >= delta={delta} on B_R "
+                f"(min {float(np.min(B.phase[disk])):.4f})"
+            )
+        if regime == "straddle":
+            raise PreconditionError("phase range straddles 3pi/4")
+        if regime == "case2":
+            growth = growth**2
+        c_star = fit_exp_budget(level, growth)
     return CheckReport(
         name="hessian_estimate",
         kind="inequality",

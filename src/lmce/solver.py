@@ -392,11 +392,11 @@ def _sine_preconditioner(grid: Grid2, inv11, inv22):
     return lambda r: _poisson_solve(grid, np.ravel(r) / s, a, c)
 
 
-def _dirichlet_rhs(grid: Grid2, boundary_vals: np.ndarray, source: float) -> np.ndarray:
+def _dirichlet_rhs(grid: Grid2, boundary_vals: np.ndarray) -> np.ndarray:
     """Right side of a constant-coefficient Laplace problem with Dirichlet data."""
     n = grid.n
     h2 = grid.h * grid.h
-    rhs = np.full((n - 2, n - 2), source)
+    rhs = np.zeros((n - 2, n - 2))
     rhs[0, :] -= boundary_vals[0, 1:-1] / h2
     rhs[-1, :] -= boundary_vals[-1, 1:-1] / h2
     rhs[:, 0] -= boundary_vals[1:-1, 0] / h2
@@ -415,9 +415,13 @@ def _initial_iterate(grid: Grid2, boundary: ScalarField2, psi: ScalarField2, mod
     it starts the iteration at the right mean curvature.
     """
     n = grid.n
-    bvals = boundary.values
-    u0 = bvals.copy()
-    u0[1:-1, 1:-1] = _poisson_solve(grid, _dirichlet_rhs(grid, bvals, 0.0)).reshape(n - 2, n - 2)
+
+    def harmonic(trace: np.ndarray) -> np.ndarray:
+        ext = trace.copy()
+        ext[1:-1, 1:-1] = _poisson_solve(grid, _dirichlet_rhs(grid, trace)).reshape(n - 2, n - 2)
+        return ext
+
+    u0 = harmonic(boundary.values)
     if mode == "harmonic":
         return u0
     if mode != "phase_matched":
@@ -425,12 +429,10 @@ def _initial_iterate(grid: Grid2, boundary: ScalarField2, psi: ScalarField2, mod
     psibar = float(np.mean(psi.values[1:-1, 1:-1]))
     t = math.tan(0.5 * psibar)
     q = 0.5 * grid.radius2()
-    harm_q = q.copy()
-    harm_q[1:-1, 1:-1] = _poisson_solve(grid, _dirichlet_rhs(grid, q, 0.0)).reshape(n - 2, n - 2)
-    # q - harm_q vanishes on the boundary ring and has discrete Laplacian 2,
-    # so u0 keeps the trace exactly while matching the mean curvature; for
+    # q - harmonic(q) vanishes on the boundary ring and has discrete Laplacian
+    # 2, so u0 keeps the trace exactly while matching the mean curvature; for
     # isotropic quadratic data it is the exact discrete solution
-    return u0 + t * (q - harm_q)
+    return u0 + t * (q - harmonic(q))
 
 
 def _forcing_term(ratio: float, eta_prev: float) -> float:
@@ -493,16 +495,15 @@ def newton_solve(
     residuals: list[float] = []
     damping: list[float] = []
     systems: list[SystemSolve] = []
-    converged = False
     message = ""
     it = 0
     r, ell, hess = residual(u)
     rn = float(np.max(np.abs(r)))
     residuals.append(rn)
     eta = ETA_MAX
-    while it < max_iter:
-        if rn <= tol:
-            converged = True
+    while rn > tol:
+        if it >= max_iter:
+            message = f"no convergence within {max_iter} iterations"
             break
         if not ell > 0.0:
             # only a Hessian eigenvalue whose square overflows gets here
@@ -539,16 +540,12 @@ def newton_solve(
         residuals.append(rn)
         damping.append(t)
         it += 1
-    else:
-        message = f"no convergence within {max_iter} iterations"
-    if rn <= tol:
-        converged = True
     return SolveState(
         u=ScalarField2(grid, u),
         residuals=residuals,
         damping=damping,
         tolerance=tol,
-        converged=converged,
+        converged=rn <= tol,
         iterations=it,
         message=message,
         systems=systems,

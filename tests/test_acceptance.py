@@ -216,7 +216,7 @@ def test_criterion_6_jacobi_integral_chain(grid_full):
     """Summation by parts <= 10h and the integral inequality has margin."""
     B = bundle(manufacture(perturbed_family(0.1), grid_full).u_exact)
     K = SlopeConstants(delta=0.3, c=0.5)
-    rep = check_jacobi_integral(B, K)
+    rep = check_jacobi_integral(B, K, check_jacobi_pointwise(B, K).fitted["C_hat"])
     ok = (
         rep.passed
         and rep.fitted["ibp_residual"] <= 10.0 * grid_full.h

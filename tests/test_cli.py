@@ -689,6 +689,15 @@ class TestStrictConfig:
             ("verify", {"c": 2.0, "checks": ["identity"]}),
             ("verify", {"A": -1.0, "checks": ["slope_volume"]}),
             ("verify", {"c": 2.0, "checks": ["jacobi_pointwise"]}),
+            # the family and budget keys are numbers, the budgets non-negative
+            ("verify", {"theta1": "abc", "family": "anisotropic"}),
+            ("verify", {"theta2": True, "family": "anisotropic"}),
+            ("solve", {"a": "abc", "family": "quadratic"}),
+            ("solve", {"eps": "abc"}),
+            ("verify", {"C_budget": "abc"}),
+            ("verify", {"C_budget": -1.0}),
+            ("verify", {"Cstar_budget": "abc"}),
+            ("verify", {"Cstar_budget": -1.0}),
         ],
     )
     def test_bad_config_exit_3(self, tmp_path, command, override):
@@ -696,6 +705,15 @@ class TestStrictConfig:
         p.write_text(json.dumps({**self.BASE, **override, "out": str(tmp_path / "o")}))
         assert main([command, "--config", str(p)]) == EXIT_INVALID_INPUT
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("key", ["a", "eps", "theta1", "theta2", "C_budget", "Cstar_budget"])
+    def test_bad_number_named_at_load(self, key):
+        with pytest.raises(ConfigError, match=f"^{key} must be a"):
+            RunConfig(**self.BASE, **{key: "abc"})
+
+    def test_budget_may_be_none_or_zero(self):
+        RunConfig(**self.BASE, C_budget=None, Cstar_budget=0.0)
+        RunConfig(**self.BASE, C_budget=0, Cstar_budget=math.inf)
 
     @pytest.mark.parametrize(
         "override",
@@ -935,6 +953,29 @@ class TestVerifyWork:
         cmd_verify(cfg)
         assert wmp_calls["wmp"] == calls
 
+    def test_one_pointwise_pass_per_verify(self, tmp_path, monkeypatch):
+        # jacobi_integral reads the C_hat of the shared jacobi_pointwise report
+        calls = []
+
+        def spy(module):
+            check = module.check_jacobi_pointwise
+
+            def wrapper(*args, **kwargs):
+                calls.append(module.__name__)
+                return check(*args, **kwargs)
+
+            monkeypatch.setattr(module, "check_jacobi_pointwise", wrapper)
+
+        spy(lmce.cli)
+        spy(lmce.inequalities)
+        cfg = RunConfig(family="perturbed", eps=0.1, n=65, checks=["all"], out=str(tmp_path))
+        report, code = cmd_verify(cfg)
+        assert code == EXIT_PASS
+        assert calls == ["lmce.cli"]
+        entries = {e["check"]: e for e in report.entries}
+        c_hat = entries["jacobi_pointwise"]["fitted"]["C_hat"]
+        assert entries["jacobi_integral"]["fitted"]["C_hat"] == c_hat
+
     def test_subharmonic_alone_reads_the_shared_sample(self, tmp_path, wmp_calls):
         cfg = RunConfig(family="perturbed", eps=0.1, n=65, checks=["subharmonic"], out=str(tmp_path))
         report, code = cmd_verify(cfg)
@@ -990,7 +1031,7 @@ class TestVerifyWork:
         wall = time.perf_counter() - t0
         timings = json.loads((tmp_path / "o" / "verify.json").read_text())["timings"]
         assert timings == report.timings
-        expected = {"setup_s", "constants_s", "bmod_s", "bmod_grad_norm_s", "wmp_s"}
+        expected = {"setup_s", "constants_s", "bmod_s", "bmod_grad_norm_s", "wmp_s", "pointwise_s"}
         expected |= {f"{name}_s" for name in ALL_CHECKS}
         assert set(timings) == expected
         # disjoint pieces: none is charged twice

@@ -14,7 +14,6 @@ from lmce.grid import (
     gradient_fd,
     hessian_fd,
     integrate_disk,
-    make_cutoff,
     sample,
     sup_norm_disk,
 )
@@ -232,31 +231,33 @@ class TestSupNorm:
 
 
 class TestCutoff:
+    """The cutoff is evaluated on the box of its support: the blocks of phi
+    and its gradient there, with phi = 0 and a zero gradient off it."""
+
     def test_standard_profile_invariants(self):
         g = build_grid(4.0, 257)
-        phi, grad = make_cutoff(2.0, 3.0, g)
-        phi = phi.values
+        box, phi, (d1, d2) = _cutoff(2.0, 3.0, g, with_phi=True)
+        bb = (box, box)
         assert np.all(phi >= 0.0) and np.all(phi <= 1.0)
-        inner = g.disk_mask(2.0)
-        outer = ~g.disk_mask(3.0)
-        assert np.all(phi[inner] == 1.0)
-        assert np.all(phi[outer] == 0.0)
-        gmag = np.hypot(grad.c1.values, grad.c2.values)
+        assert np.all(phi[g.disk_mask(2.0)[bb]] == 1.0)
+        assert np.all(phi[~g.disk_mask(3.0)[bb]] == 0.0)
+        gmag = np.hypot(d1, d2)
         # the quintic's slope peaks at 15/8: |grad phi| <= 1.875/(r2 - r1) < 2
         assert np.max(gmag) <= 1.875 / (3.0 - 2.0) + 1e-14
 
     def test_value_at_origin(self):
         g = build_grid(4.0, 65)
-        phi, _ = make_cutoff(2.0, 3.0, g)
+        box, phi, _ = _cutoff(2.0, 3.0, g, with_phi=True)
         i, j = g.origin_index()
-        assert phi.values[i, j] == 1.0
+        assert phi[i - box.start, j - box.start] == 1.0
 
     def test_gradient_energy_against_radial_oracle(self):
         # 1D radial quadrature at 1e6 samples is the independent reference
         g = build_grid(4.0, 257)
-        _, grad = make_cutoff(2.0, 3.0, g)
-        gm2 = ScalarField2(g, grad.c1.values ** 2 + grad.c2.values ** 2)
-        two_d = integrate_disk(gm2, 3.0)
+        box, _, (d1, d2) = _cutoff(2.0, 3.0, g, with_phi=False)
+        gm2 = np.zeros((g.n, g.n))
+        gm2[box, box] = d1**2 + d2**2
+        two_d = integrate_disk(ScalarField2(g, gm2), 3.0)
         rr = np.linspace(2.0, 3.0, 10**6)
         one_d = np.trapezoid(_quintic_slope(rr, 2.0, 3.0) ** 2 * 2.0 * math.pi * rr, rr)
         # integrand vanishes smoothly at both disk edges, so the node
@@ -267,11 +268,11 @@ class TestCutoff:
     def test_bad_radii(self):
         g = build_grid(4.0, 65)
         with pytest.raises(ValueError):
-            make_cutoff(3.0, 2.0, g)
+            _cutoff(3.0, 2.0, g, with_phi=True)
         with pytest.raises(ValueError):
-            make_cutoff(0.0, 2.0, g)
+            _cutoff(0.0, 2.0, g, with_phi=True)
         with pytest.raises(ValueError):
-            make_cutoff(2.0, 5.0, g)
+            _cutoff(2.0, 5.0, g, with_phi=True)
 
     @pytest.mark.parametrize("L, n", [(4.0, 65), (4.0, 64), (3.0, 33), (4.0, 5)])
     def test_support_box_gives_the_full_grid_bits(self, L, n):
@@ -287,20 +288,18 @@ class TestCutoff:
             dphi * x1 / safe,
             dphi * x2 / safe,
         )
-        phi, grad = make_cutoff(2.0, 3.0, g)
-        for want, field in zip(expected, (phi, grad.c1, grad.c2)):
-            assert np.array_equal(field.values.view(np.int64), want.view(np.int64))
-        assert np.signbit(grad.c1.values[0, 0])
-        # the box variant gives the box's block of each array, with or
-        # without phi, and the disk of the support lies on the box
-        box, phi_box, grad_box = _cutoff(2.0, 3.0, g, with_phi=True, full=False)
-        _, none, alone = _cutoff(2.0, 3.0, g, with_phi=False, full=False)
+        # the box gives the box's block of each array, with or without phi
+        box, phi_box, grad_box = _cutoff(2.0, 3.0, g, with_phi=True)
+        _, none, alone = _cutoff(2.0, 3.0, g, with_phi=False)
         assert none is None
-        fields = (phi, grad.c1, grad.c2, grad.c1, grad.c2)
-        for field, on_box in zip(fields, (phi_box, *grad_box, *alone)):
-            assert np.array_equal(field.values[box, box].view(np.int64), on_box.view(np.int64))
+        for want, on_box in zip(expected + expected[1:], (phi_box, *grad_box, *alone)):
+            assert np.array_equal(want[box, box].view(np.int64), on_box.view(np.int64))
+        # off the box the profile is zero, and the disk of the support lies
+        # on the box
         off = np.ones((n, n), dtype=bool)
         off[box, box] = False
+        for want in expected:
+            assert np.all(want[off] == 0.0)
         assert not np.any(g.disk_mask(3.0) & off)
 
     def test_slope_is_the_closed_form(self):
@@ -321,11 +320,11 @@ class TestCutoff:
     def test_profile_properties(self, r1, width):
         g = build_grid(4.0, 65)
         r2 = min(r1 + width, 4.0)
-        phi, grad = make_cutoff(r1, r2, g)
-        phi = phi.values
+        box, phi, (d1, d2) = _cutoff(r1, r2, g, with_phi=True)
+        bb = (box, box)
         assert np.all((phi >= 0.0) & (phi <= 1.0))
-        assert np.all(phi[g.disk_mask(r1)] == 1.0)
-        assert np.all(phi[~g.disk_mask(r2)] == 0.0)
-        gmag = np.hypot(grad.c1.values, grad.c2.values)
+        assert np.all(phi[g.disk_mask(r1)[bb]] == 1.0)
+        assert np.all(phi[~g.disk_mask(r2)[bb]] == 0.0)
+        gmag = np.hypot(d1, d2)
         # the analytic bound 1.875/(r2 - r1), below the generic spline bound 3/(r2 - r1)
         assert np.max(gmag) <= 1.875 / (r2 - r1) + 1e-12

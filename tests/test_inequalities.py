@@ -374,16 +374,21 @@ class TestSubharmonicModifiedSlope:
         assert rep.details["wmp_margin"] != stand_in.margin
 
 
+def _jacobi_integral(B, K):
+    """The integral check with the constant that the pointwise check fits."""
+    return check_jacobi_integral(B, K, check_jacobi_pointwise(B, K).fitted["C_hat"])
+
+
 class TestJacobiIntegral:
     def test_quadratic_zero_lhs(self, grid129):
         B = bundle(sample(lambda x1, x2: 0.5 * (x1 * x1 + x2 * x2), grid129))
-        rep = check_jacobi_integral(B, K_DEFAULT)
+        rep = _jacobi_integral(B, K_DEFAULT)
         assert rep.passed
         assert rep.lhs <= 1e-10
         assert rep.fitted["ibp_residual"] <= 1e-10
 
     def test_perturbed_margin_and_ibp(self, perturbed_bundle_129, grid129):
-        rep = check_jacobi_integral(perturbed_bundle_129, K_DEFAULT)
+        rep = _jacobi_integral(perturbed_bundle_129, K_DEFAULT)
         assert rep.passed
         assert rep.margin > 0.0
         assert rep.fitted["ibp_residual"] <= 10.0 * grid129.h
@@ -393,7 +398,7 @@ class TestJacobiIntegral:
         for n in (65, 129):
             g = build_grid(4.0, n)
             prob = manufacture(perturbed_family(0.1), g)
-            rep = check_jacobi_integral(bundle(prob.u_exact), K_DEFAULT)
+            rep = _jacobi_integral(bundle(prob.u_exact), K_DEFAULT)
             resids.append(rep.fitted["ibp_residual"])
         assert resids[1] <= 0.7 * resids[0] + 1e-12
 
@@ -402,7 +407,7 @@ class TestJacobiIntegral:
         g = build_grid(3.0, 65)
         B = bundle(sample(lambda x1, x2: 0.5 * (x1 * x1 + x2 * x2), g))
         with pytest.raises(PreconditionError):
-            check_jacobi_integral(B, K_DEFAULT)
+            _jacobi_integral(B, K_DEFAULT)
 
 
 def _straddling_potential(x1, x2):
@@ -581,6 +586,16 @@ class TestHessianEstimate:
         prob = manufacture(quadratic_family(1.0), g)
         rep = check_hessian_estimate(bundle(prob.u_exact), 4.0, C_budget=0.1)
         assert not rep.passed
+
+    @pytest.mark.parametrize("budget, passed", [(5.0, True), (-1.0, False)])
+    def test_degenerate_origin_keeps_the_margin_rule(self, budget, passed):
+        # the differenced Hessian of x1^3 - x2^3 is exactly 0 at the origin
+        u = sample(lambda x1, x2: x1**3 - x2**3, build_grid(4.0, 65))
+        rep = check_hessian_estimate(bundle(u), 4.0, C_budget=budget)
+        assert rep.details["regime"] == "degenerate"
+        assert rep.fitted["hess_origin"] == 0.0
+        assert (rep.fitted["C_star"], rep.margin, rep.passed) == (0.0, budget, passed)
+        assert rep.passed == (rep.margin >= -rep.slack)
 
     def test_mixed_regime_rejected(self):
         # phase range straddling 3pi/4: classification must refuse

@@ -235,6 +235,16 @@ class TestNewtonSolve:
         assert not state.converged
         assert state.message
 
+    @pytest.mark.parametrize("max_iter, converged", [(3, False), (4, True), (5, True)])
+    def test_no_convergence_message_only_when_unconverged(self, max_iter, converged):
+        # perturbed(0.1) at n=65 converges in 4 steps; converging on the last
+        # step allowed is convergence
+        prob = manufacture(perturbed_family(0.1), build_grid(4.0, 65))
+        state = newton_solve(prob.psi, prob.u_exact, max_iter=max_iter)
+        assert (state.converged, state.iterations) == (converged, min(max_iter, 4))
+        expected = "" if converged else f"no convergence within {max_iter} iterations"
+        assert state.message == expected
+
     def test_affine_gauge(self):
         # affine boundary shifts move the solution by the same affine function
         g = build_grid(4.0, 65)
@@ -303,7 +313,7 @@ class TestLinearSolve:
         zeros = np.zeros((g.n, g.n))
         A = _assemble_linearization(g, ones, zeros, ones)
         q = 0.5 * g.radius2()
-        rhs = _dirichlet_rhs(g, q, 2.0)
+        rhs = _dirichlet_rhs(g, q) + 2.0
         x = linear_solve(A, rhs, _sine_preconditioner(g, ones, ones))
         np.testing.assert_allclose(x, q[1:-1, 1:-1].ravel(), atol=1e-9)
 
