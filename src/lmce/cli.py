@@ -45,7 +45,7 @@ from .geometry import (
     classify_phase,
     modified_slope,
 )
-from .grid import ScalarField2, build_grid, gradient_fd
+from .grid import ScalarField2, build_grid, gradient_fd, gradient_norm
 from .identities import (
     CheckReport,
     check_complex_factorization,
@@ -131,8 +131,10 @@ class RunConfig:
     def __post_init__(self):
         self.checks = _expand_checks(self.checks)
         # a flat config with one value (`sweep_values=0.1`) parses to a scalar
-        if isinstance(self.sweep_values, (int, float)):
+        if not isinstance(self.sweep_values, list):
             self.sweep_values = [self.sweep_values]
+        if any(math.isnan(_number(v)) for v in self.sweep_values):
+            raise ConfigError(f"sweep_values must be numbers, got {self.sweep_values!r}")
         for name in ("n", "trials", "max_iter", "seed"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int):
@@ -143,8 +145,13 @@ class RunConfig:
                 raise ConfigError(f"{name} must be a positive number, got {value!r}")
         if self.trials < 1:
             raise ConfigError(f"trials must be at least 1, got {self.trials}")
-        if self.max_iter < 0:
-            raise ConfigError(f"max_iter must be non-negative, got {self.max_iter}")
+        for name in ("max_iter", "seed"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be non-negative, got {getattr(self, name)}")
+        if not (isinstance(self.out, str) and self.out):
+            raise ConfigError(f"out must be a directory path, got {self.out!r}")
+        if not isinstance(self.heatmaps, bool):
+            raise ConfigError(f"heatmaps must be true or false, got {self.heatmaps!r}")
         if self.source not in ("manufactured", "solved"):
             raise ConfigError(f"source must be manufactured or solved, got {self.source!r}")
         if self.family not in ("quadratic", "anisotropic", "perturbed", "field"):
@@ -267,13 +274,13 @@ def _coerce(value: str):
 
 
 def _expand_checks(requested) -> list[str]:
-    if isinstance(requested, str):
+    if not isinstance(requested, list):
         requested = [requested]
     groups = {"identity": IDENTITY_CHECKS, "inequality": INEQUALITY_CHECKS, "all": ALL_CHECKS}
     out: dict[str, None] = {}
     for name in requested:
         if not isinstance(name, str) or (name not in groups and name not in ALL_CHECKS):
-            raise ConfigError(f"unknown check {name!r}")
+            raise ConfigError(f"checks: unknown check {name!r}")
         out.update(dict.fromkeys(groups.get(name, [name])))
     return list(out)
 
@@ -504,7 +511,7 @@ class _Context:
 
     @_timed_lazy
     def bmod_grad_norm(self) -> ScalarField2:
-        return gradient_fd(self.bmod).magnitude()
+        return gradient_norm(self.bmod)
 
     @_timed_lazy
     def wmp(self) -> CheckReport:
@@ -744,17 +751,11 @@ def _sup_error(*pairs) -> float:
 def _exact_errors(ctx: _Context) -> dict:
     """Sup errors of a solved field, its differenced gradient and Hessian
     against the exact solution, and the Newton steps taken."""
-    hess, exact = ctx.bundle.hess, ctx.problem.hess_exact
-    grad = gradient_fd(ctx.u)
-    g1, g2 = ctx.analytic.gradient(*ctx.grid.coords())
+    exact_grad = ctx.analytic.gradient(*ctx.grid.coords())
     return {
         "err_u": _sup_error((ctx.u.values, ctx.problem.u_exact.values)),
-        "err_grad": _sup_error((grad.c1.values, g1), (grad.c2.values, g2)),
-        "err_hess": _sup_error(
-            (hess.m11.values, exact.m11.values),
-            (hess.m12.values, exact.m12.values),
-            (hess.m22.values, exact.m22.values),
-        ),
+        "err_grad": _sup_error(*zip(gradient_fd(ctx.u), exact_grad)),
+        "err_hess": _sup_error(*zip(ctx.bundle.hess, ctx.problem.hess_exact)),
         "iterations": ctx.solve_state.iterations,
     }
 

@@ -17,16 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .grid import (
-    Grid2,
-    ScalarField2,
-    SymMat2Field,
-    Vec2Field,
-    _d1,
-    _d2,
-    gradient_fd,
-    hessian_fd,
-)
+from .grid import Grid2, ScalarField2, _d1, _d2, _ro, gradient_fd, gradient_norm, hessian_fd
 
 __all__ = [
     "GeometryBundle",
@@ -132,18 +123,19 @@ class GeometryBundle:
 
     grad_norm optionally carries |Du|, the hypot of the potential's
     differenced gradient (read by the volume and Hessian-estimate checks);
-    bundles built directly from a Hessian field leave it None.  hess is the
-    Hessian M the bundle was built from (None on a negated twin).
+    bundles built directly from a Hessian leave it None.  hess is the
+    Hessian M = (m11, m12, m22) the bundle was built from (None on a negated
+    twin).
 
     The fields below are computed on first access and then kept until the
     verify runner drops them (once no remaining check reads them), so every
     check reading them shares one computation: cos_phase and sin_phase
     (cos and sin of phase), slope_gradient (differenced Euclidean gradient
-    of b), slope_laplacian (lap_g b, divergence form), slope_grad_norm2
+    (b_1, b_2)), slope_laplacian (lap_g b, divergence form), slope_grad_norm2
     (|grad_g b|^2) and paraboloid_laplacian (lap_g q of the quadratic
     q = |x|^2/2 that the modified slope b + A q adds, so that
-    lap_g(b + A q) = slope_laplacian + A paraboloid_laplacian), all but
-    slope_gradient read-only arrays.
+    lap_g(b + A q) = slope_laplacian + A paraboloid_laplacian), all
+    read-only arrays.
     negated is the bundle of the negated potential, kept the same way so the
     checks that canonicalize a negative-phase bundle share its fields too; it
     shares the metric arrays and grad_norm of this bundle, its own negated is
@@ -163,7 +155,7 @@ class GeometryBundle:
     inv22: np.ndarray
     slope: np.ndarray
     grad_norm: np.ndarray | None = None
-    hess: SymMat2Field | None = None
+    hess: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
     @property
     def sig1(self) -> np.ndarray:
@@ -182,7 +174,7 @@ class GeometryBundle:
         return _ro(np.sin(self.phase))
 
     @cached_property
-    def slope_gradient(self) -> Vec2Field:
+    def slope_gradient(self) -> tuple[np.ndarray, np.ndarray]:
         return gradient_fd(slope(self))
 
     @cached_property
@@ -218,11 +210,6 @@ class GeometryBundle:
         return neg
 
 
-def _ro(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
-    return a
-
-
 def _induced_metric(m11, m12, m22):
     """The metric g = I + M^2 of a symmetric Hessian M and its inverse,
     elementwise: (g11, g12, g22, inv11, inv12, inv22)."""
@@ -233,14 +220,14 @@ def _induced_metric(m11, m12, m22):
     return g11, g12, g22, g22 / detg, -g12 / detg, g11 / detg
 
 
-def bundle_from_hessian(hess: SymMat2Field, grad_norm: np.ndarray | None = None) -> GeometryBundle:
-    """Assemble a GeometryBundle from a (possibly analytic) Hessian field and,
-    optionally, the gradient norm |Du| of its potential."""
-    m11, m12, m22 = hess.m11.values, hess.m12.values, hess.m22.values
-    lam1, lam2 = eigen_sym2(m11, m12, m22)
+def bundle_from_hessian(grid: Grid2, hess, grad_norm: np.ndarray | None = None) -> GeometryBundle:
+    """Assemble a GeometryBundle on grid from a (possibly analytic) Hessian
+    (m11, m12, m22) of (n, n) arrays and, optionally, the gradient norm |Du|
+    of its potential.  A non-finite Hessian entry raises ValueError."""
+    lam1, lam2 = eigen_sym2(*hess)
     vol = np.sqrt((1.0 + lam1 * lam1) * (1.0 + lam2 * lam2))
-    inv11, inv12, inv22 = _induced_metric(m11, m12, m22)[3:]
-    return _assemble(hess.grid, grad_norm, hess, lam1, lam2, vol, (inv11, inv12, inv22))
+    inv11, inv12, inv22 = _induced_metric(*hess)[3:]
+    return _assemble(grid, grad_norm, hess, lam1, lam2, vol, (inv11, inv12, inv22))
 
 
 def _assemble(grid, grad_norm, hess, lam1, lam2, vol, inv) -> GeometryBundle:
@@ -264,7 +251,7 @@ def _assemble(grid, grad_norm, hess, lam1, lam2, vol, inv) -> GeometryBundle:
 
 def bundle(u: ScalarField2) -> GeometryBundle:
     """Geometry bundle of a potential, from its differenced Hessian and gradient."""
-    return bundle_from_hessian(hessian_fd(u), gradient_fd(u).magnitude().values)
+    return bundle_from_hessian(u.grid, hessian_fd(u), gradient_norm(u).values)
 
 
 def _quadform_inv(B: GeometryBundle, v1: np.ndarray, v2: np.ndarray, region=...) -> np.ndarray:
@@ -284,20 +271,16 @@ def _quadform_inv(B: GeometryBundle, v1: np.ndarray, v2: np.ndarray, region=...)
 
 
 def grad_g_norm2(
-    f: ScalarField2, B: GeometryBundle, grad: Vec2Field | None = None
+    f: ScalarField2, B: GeometryBundle, grad: tuple[np.ndarray, np.ndarray] | None = None
 ) -> ScalarField2:
     """Squared metric gradient norm |grad_g f|^2 = g^{ij} f_i f_j.
 
-    The Euclidean gradient defaults to second-order differences of f; pass
-    grad to use an analytic gradient instead (e.g. a cutoff profile's).
+    The Euclidean gradient (f_1, f_2) defaults to second-order differences
+    of f; pass grad, a pair of (n, n) arrays, to use one already formed.
     """
     if f.grid != B.grid:
         raise ValueError("field and bundle grids differ")
-    if grad is None:
-        grad = gradient_fd(f)
-    elif grad.grid != B.grid:
-        raise ValueError("gradient and bundle grids differ")
-    q = _quadform_inv(B, grad.c1.values, grad.c2.values)
+    q = _quadform_inv(B, *(gradient_fd(f) if grad is None else grad))
     return ScalarField2(B.grid, q)
 
 
@@ -418,16 +401,14 @@ def _lift_phase_gradient(B: GeometryBundle, psi: ScalarField2):
     m11*w1 + m12*w2, ...), so the values are those of the expressions."""
     if psi.grid != B.grid:
         raise ValueError("phase field and bundle grids differ")
-    gpsi = gradient_fd(psi)
-    p1, p2 = gpsi.c1.values, gpsi.c2.values
-    del gpsi
+    p1, p2 = gradient_fd(psi)
     w1 = B.inv11 * p1
     w1 += B.inv12 * p2
     w2 = B.inv12 * p1
     del p1
     w2 += B.inv22 * p2
     del p2
-    m11, m12, m22 = (m.values for m in (B.hess.m11, B.hess.m12, B.hess.m22))
+    m11, m12, m22 = B.hess
     mw1 = m11 * w1
     mw1 += m12 * w2
     w1 *= m12

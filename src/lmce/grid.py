@@ -1,9 +1,10 @@
 """Uniform-grid scalar field calculus on the square [-L, L]^2.
 
-Provides the field containers used throughout the package together with
-second-order finite differences, node-indicator disk quadrature, disk sup
-norms, and a smooth radial cutoff with its analytic gradient.
-All containers are immutable after construction (their arrays are marked
+Provides the grid and its scalar field used throughout the package together
+with second-order finite differences (a gradient as a pair of arrays, a
+Hessian as the triple (m11, m12, m22)), node-indicator disk quadrature, disk
+sup norms, and a smooth radial cutoff with its analytic gradient.
+Fields and differenced arrays are immutable after construction (marked
 read-only), so they are safe to share across threads.
 
 Ownership: a field takes over a float array that owns its memory (a freshly
@@ -23,11 +24,10 @@ import numpy as np
 __all__ = [
     "Grid2",
     "ScalarField2",
-    "Vec2Field",
-    "SymMat2Field",
     "build_grid",
     "sample",
     "gradient_fd",
+    "gradient_norm",
     "hessian_fd",
     "integrate_disk",
     "sup_norm_disk",
@@ -85,9 +85,7 @@ class Grid2:
             raise ValueError(f"disk radius must be non-negative, got {r}")
         mask = self._disk_masks.get(r)
         if mask is None:
-            mask = self.radius2() <= r * r
-            mask.setflags(write=False)
-            self._disk_masks[r] = mask
+            mask = self._disk_masks[r] = _ro(self.radius2() <= r * r)
         return mask
 
     def origin_index(self) -> tuple[int, int]:
@@ -119,44 +117,7 @@ class ScalarField2:
         # min and max propagate NaN and reach +-inf, with no boolean temporary
         if not (math.isfinite(vals.min()) and math.isfinite(vals.max())):
             raise ValueError("field contains non-finite values")
-        vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
-
-
-@dataclass(frozen=True, eq=False)
-class Vec2Field:
-    """Two scalar components on a shared grid."""
-
-    c1: ScalarField2
-    c2: ScalarField2
-
-    def __post_init__(self):
-        if self.c1.grid != self.c2.grid:
-            raise ValueError("vector components live on different grids")
-
-    @property
-    def grid(self) -> Grid2:
-        return self.c1.grid
-
-    def magnitude(self) -> ScalarField2:
-        return ScalarField2(self.grid, np.hypot(self.c1.values, self.c2.values))
-
-
-@dataclass(frozen=True, eq=False)
-class SymMat2Field:
-    """Symmetric 2x2 matrix per node, stored as components (m11, m12, m22)."""
-
-    m11: ScalarField2
-    m12: ScalarField2
-    m22: ScalarField2
-
-    def __post_init__(self):
-        if not (self.m11.grid == self.m12.grid == self.m22.grid):
-            raise ValueError("matrix components live on different grids")
-
-    @property
-    def grid(self) -> Grid2:
-        return self.m11.grid
+        object.__setattr__(self, "values", _ro(vals))
 
 
 def build_grid(L: float, n: int) -> Grid2:
@@ -200,33 +161,40 @@ def _d2(values: np.ndarray, h: float, axis: int) -> np.ndarray:
     return np.moveaxis(out, 0, axis)
 
 
-def gradient_fd(f: ScalarField2) -> Vec2Field:
-    """Gradient by second-order differences (one-sided on the boundary band).
+def _ro(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+def gradient_fd(f: ScalarField2) -> tuple[np.ndarray, np.ndarray]:
+    """Gradient (d1, d2) by second-order differences (one-sided on the
+    boundary band), each a read-only (n, n) array.
 
     Exact for quadratic polynomials; O(h^2) truncation error for C^4 input.
     """
-    g = f.grid
-    d1 = _d1(f.values, g.h, axis=0)
-    d2 = _d1(f.values, g.h, axis=1)
-    return Vec2Field(ScalarField2(g, d1), ScalarField2(g, d2))
+    h = f.grid.h
+    return _ro(_d1(f.values, h, axis=0)), _ro(_d1(f.values, h, axis=1))
 
 
-def hessian_fd(f: ScalarField2) -> SymMat2Field:
-    """Hessian by second-order differences.
+def gradient_norm(f: ScalarField2) -> ScalarField2:
+    """|Df|, the hypot of the differenced gradient."""
+    return ScalarField2(f.grid, np.hypot(*gradient_fd(f)))
+
+
+def hessian_fd(f: ScalarField2) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Hessian (m11, m12, m22) by second-order differences, each a read-only
+    (n, n) array, not checked for finiteness (eigen_sym2 is).
 
     Pure second derivatives use central stencils inside and one-sided
     four-point stencils on the boundary band; the mixed derivative is a
     nested application of the first-derivative stencils.  Every node gets a
     value; exact for quadratics, O(h^2) for C^4 input.
     """
-    g = f.grid
-    h = g.h
+    h = f.grid.h
     m11 = _d2(f.values, h, axis=0)
     m22 = _d2(f.values, h, axis=1)
     m12 = _d1(_d1(f.values, h, axis=0), h, axis=1)
-    return SymMat2Field(
-        ScalarField2(g, m11), ScalarField2(g, m12), ScalarField2(g, m22)
-    )
+    return _ro(m11), _ro(m12), _ro(m22)
 
 
 def integrate_disk(f: ScalarField2, r: float) -> float:

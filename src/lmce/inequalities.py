@@ -38,7 +38,7 @@ from .grid import (
     Grid2,
     ScalarField2,
     _cutoff,
-    gradient_fd,
+    gradient_norm,
     integrate_disk,
     sup_norm_disk,
 )
@@ -123,7 +123,7 @@ def check_weak_max_principle(
     is the sharpest coefficient with headroom.  Subdomains too small to hold
     both node sets are skipped and counted.  The report carries the worst
     margin over all admissible trials.  grad_norm, when given, is |Df| from
-    the differenced gradient (`gradient_fd(f).magnitude()`), and stands in
+    the differenced gradient (`gradient_norm(f)`), and stands in
     for differencing f again.
     """
     g = f.grid
@@ -134,7 +134,7 @@ def check_weak_max_principle(
     ax = g.axis()
     vals = f.values
     if grad_norm is None:
-        grad_norm = gradient_fd(f).magnitude()
+        grad_norm = gradient_norm(f)
     lip_mask = g.disk_mask(min(g.L, radius + 2 * h))
     lip = float(np.max(grad_norm.values[lip_mask]))
     slack = WMP_SLACK_COEFF * h * lip
@@ -240,7 +240,7 @@ def check_super_iso(
     b2 = g.disk_mask(SAMPLED_RADIUS)
     if float(np.min(f.values[b2])) < 0.0:
         raise PreconditionError("super isoperimetric check needs f >= 0 on B2")
-    dmag = gradient_fd(f).magnitude() if grad_norm is None else grad_norm
+    dmag = gradient_norm(f) if grad_norm is None else grad_norm
     if wmp is None:
         wmp = check_weak_max_principle(f, trials=trials, seed=seed, grad_norm=dmag)
     if not wmp.passed:
@@ -490,7 +490,7 @@ def check_jacobi_integral(B: GeometryBundle, K: SlopeConstants, C_hat: float) ->
     ibp_lhs = float(np.sum(whole) * h * h)
     # <grad_g phi, grad_g b>_g = inv11 phi_1 b_1 + inv12 (phi_1 b_2 + phi_2 b_1)
     # + inv22 phi_2 b_2, each product formed left to right
-    gb1, gb2 = B.slope_gradient.c1.values[bb], B.slope_gradient.c2.values[bb]
+    gb1, gb2 = (gk[bb] for gk in B.slope_gradient)
     term = dphi1 * gb2
     cross = np.multiply(dphi2, gb1, out=whole[bb])
     term += cross

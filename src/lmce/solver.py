@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import LinearSolveError, PreconditionError
 from .geometry import _induced_metric, eigen_sym2
-from .grid import Grid2, ScalarField2, SymMat2Field, hessian_fd, sample
+from .grid import Grid2, ScalarField2, hessian_fd, sample
 
 __all__ = [
     "AnalyticFunction2",
@@ -144,10 +144,8 @@ class ManufacturedProblem:
         return self.u_exact.grid
 
     @property
-    def hess_exact(self) -> SymMat2Field:
-        m11, m12, m22 = _sample_hessian(self.analytic, self.grid)
-        g = self.grid
-        return SymMat2Field(ScalarField2(g, m11), ScalarField2(g, m12), ScalarField2(g, m22))
+    def hess_exact(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return _sample_hessian(self.analytic, self.grid)
 
 
 def _sample_hessian(analytic: AnalyticFunction2, grid: Grid2):
@@ -203,8 +201,7 @@ def phase_residual(u: ScalarField2, psi: ScalarField2) -> float:
     Recomputed from scratch (fresh differencing, no reused intermediates);
     used to certify converged states independently of the solve loop.
     """
-    hess = hessian_fd(u)
-    lam1, lam2 = eigen_sym2(hess.m11.values, hess.m12.values, hess.m22.values)
+    lam1, lam2 = eigen_sym2(*hessian_fd(u))
     r = np.arctan(lam1) + np.arctan(lam2) - psi.values
     return float(np.max(np.abs(r[1:-1, 1:-1])))
 
@@ -478,7 +475,7 @@ def newton_solve(
         )
     n = grid.n
 
-    def residual(uarr: np.ndarray) -> tuple[np.ndarray, float, SymMat2Field]:
+    def residual(uarr: np.ndarray) -> tuple[np.ndarray, float, tuple]:
         """The phase residual on interior nodes, the smallest eigenvalue of
         g^{-1} = (I + M^2)^{-1} there (the ellipticity of the linearization
         at uarr) and the differenced Hessian M.  The eigenvalue is
@@ -486,7 +483,7 @@ def newton_solve(
         of g^{-1} itself cancel (one lam huge, one O(1)); as lam1 >= lam2,
         the largest |lam| is max lam1 or -min lam2."""
         hess = hessian_fd(ScalarField2(grid, uarr))
-        lam1, lam2 = eigen_sym2(hess.m11.values, hess.m12.values, hess.m22.values)
+        lam1, lam2 = eigen_sym2(*hess)
         theta = np.arctan(lam1) + np.arctan(lam2)
         big = max(float(np.max(lam1[1:-1, 1:-1])), -float(np.min(lam2[1:-1, 1:-1])))
         return (theta - psi.values)[1:-1, 1:-1], 1.0 / (1.0 + big * big), hess
@@ -509,9 +506,7 @@ def newton_solve(
             # only a Hessian eigenvalue whose square overflows gets here
             message = "linearization lost ellipticity"
             break
-        inv11, inv12, inv22 = _induced_metric(
-            hess.m11.values, hess.m12.values, hess.m22.values
-        )[3:]
+        inv11, inv12, inv22 = _induced_metric(*hess)[3:]
         del hess  # not kept through the solve: each line-search trial binds its own
         A = _assemble_linearization(grid, inv11, inv12, inv22)
         M = _sine_preconditioner(grid, inv11, inv22)

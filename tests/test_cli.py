@@ -283,7 +283,7 @@ class TestVerifyCommand:
     def test_hessian_only_bundle_fails_its_precondition(self, tmp_path, monkeypatch):
         # a bundle built from the Hessian alone carries no |Du|, which both
         # checks read
-        monkeypatch.setattr(lmce.cli, "make_bundle", lambda u: bundle_from_hessian(hessian_fd(u)))
+        monkeypatch.setattr(lmce.cli, "make_bundle", lambda u: bundle_from_hessian(u.grid, hessian_fd(u)))
         p = tmp_path / "v.cfg"
         checks = "volume_bound,hessian_estimate"
         p.write_text(f"family=quadratic\nn=65\nchecks={checks}\nout={tmp_path}\n")
@@ -710,6 +710,26 @@ class TestStrictConfig:
     def test_bad_number_named_at_load(self, key):
         with pytest.raises(ConfigError, match=f"^{key} must be a"):
             RunConfig(**self.BASE, **{key: "abc"})
+
+    @pytest.mark.parametrize(
+        "command,key,lines",
+        [
+            ("verify", "checks", ["checks="]),
+            ("verify", "out", ["out="]),
+            ("verify", "heatmaps", ["heatmaps=abc"]),
+            ("verify", "seed", ["seed=-1"]),
+            ("sweep", "sweep_values", ["sweep_param=n", "sweep_values=abc"]),
+        ],
+    )
+    def test_bad_flat_value_named_at_load(self, tmp_path, command, key, lines):
+        # a later line overrides the base; each is refused before any work
+        base = ["family=perturbed", "n=65", "checks=weak_max_principle", f"out={tmp_path / 'o'}"]
+        p = tmp_path / "bad.cfg"
+        p.write_text("\n".join(base + lines) + "\n")
+        with pytest.raises(ConfigError, match=f"^{key}[ :]"):
+            RunConfig.from_file(p)
+        assert main([command, "--config", str(p)]) == EXIT_INVALID_INPUT
+        assert not (tmp_path / "o").exists()
 
     def test_budget_may_be_none_or_zero(self):
         RunConfig(**self.BASE, C_budget=None, Cstar_budget=0.0)
@@ -1174,12 +1194,12 @@ def _set_up_refs(ctx) -> dict:
     """Weak references to the set-up arrays of a verify context, and to the
     fields holding them, by name."""
     u = [ctx.u] + ([ctx.problem.u_exact] if ctx.problem is not None else [])
-    hess = ctx.bundle.hess
     objects = {
         "u": u + [f.values for f in u],
         # a field file's phase is the bundle's own, which the checks read
         "psi": [ctx.psi] + ([ctx.psi.values] if ctx.psi.values is not ctx.bundle.phase else []),
-        "hess": [hess] + [m.values for m in (hess.m11, hess.m12, hess.m22)],
+        # a tuple cannot be weakly referenced: its three arrays stand for it
+        "hess": list(ctx.bundle.hess),
     }
     return {name: [weakref.ref(obj) for obj in objs] for name, objs in objects.items()}
 

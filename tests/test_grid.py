@@ -6,9 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lmce.geometry import bundle
 from lmce.grid import (
     ScalarField2,
     _cutoff,
+    _d1,
+    _d2,
     _quintic_slope,
     build_grid,
     gradient_fd,
@@ -130,31 +133,52 @@ class TestDerivatives:
             lambda x1, x2: c0 + c1 * x1 + c2 * x2 + c11 * x1 * x1 + c12 * x1 * x2 + c22 * x2 * x2,
             g,
         )
-        grad = gradient_fd(f)
+        d1, d2 = gradient_fd(f)
         x1, x2 = g.coords()
-        np.testing.assert_allclose(grad.c1.values, c1 + 2 * c11 * x1 + c12 * x2, atol=1e-11)
-        np.testing.assert_allclose(grad.c2.values, c2 + c12 * x1 + 2 * c22 * x2, atol=1e-11)
-        hess = hessian_fd(f)
-        np.testing.assert_allclose(hess.m11.values, 2 * c11, atol=1e-11)
-        np.testing.assert_allclose(hess.m12.values, c12, atol=1e-11)
-        np.testing.assert_allclose(hess.m22.values, 2 * c22, atol=1e-11)
+        np.testing.assert_allclose(d1, c1 + 2 * c11 * x1 + c12 * x2, atol=1e-11)
+        np.testing.assert_allclose(d2, c2 + c12 * x1 + 2 * c22 * x2, atol=1e-11)
+        m11, m12, m22 = hessian_fd(f)
+        np.testing.assert_allclose(m11, 2 * c11, atol=1e-11)
+        np.testing.assert_allclose(m12, c12, atol=1e-11)
+        np.testing.assert_allclose(m22, 2 * c22, atol=1e-11)
 
     def test_saddle_hessian(self):
         g = build_grid(2.0, 9)
         f = sample(lambda x1, x2: x1 * x2, g)
-        hess = hessian_fd(f)
-        np.testing.assert_allclose(hess.m11.values, 0.0, atol=1e-12)
-        np.testing.assert_allclose(hess.m12.values, 1.0, atol=1e-12)
-        np.testing.assert_allclose(hess.m22.values, 0.0, atol=1e-12)
+        m11, m12, m22 = hessian_fd(f)
+        np.testing.assert_allclose(m11, 0.0, atol=1e-12)
+        np.testing.assert_allclose(m12, 1.0, atol=1e-12)
+        np.testing.assert_allclose(m22, 0.0, atol=1e-12)
+
+    def test_read_only_arrays_of_the_stencils(self):
+        # plain (n, n) arrays, frozen, bit for bit the stencils applied directly
+        g = build_grid(2.0, 17)
+        f = sample(lambda x1, x2: np.sin(x1) * np.exp(x2), g)
+        h, v = g.h, f.values
+        want = (_d1(v, h, 0), _d1(v, h, 1), _d2(v, h, 0), _d1(_d1(v, h, 0), h, 1), _d2(v, h, 1))
+        for got, ref in zip(gradient_fd(f) + hessian_fd(f), want):
+            assert type(got) is np.ndarray and got.shape == (g.n, g.n)
+            assert not got.flags.writeable
+            assert np.array_equal(got, ref)
+
+    def test_overflowing_hessian_raises(self):
+        # u and its gradient are finite on this tiny square, the differenced
+        # Hessian 2e308 is not: eigen_sym2 refuses it
+        f = sample(lambda x1, x2: 1e308 * x1 * x1 + 0.0 * x2, build_grid(1e-10, 9))
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert np.all(np.isfinite(np.hypot(*gradient_fd(f))))
+            assert not np.any(np.isfinite(hessian_fd(f)[0]))
+            with pytest.raises(ValueError, match="symmetric matrix entries must be finite"):
+                bundle(f)
 
     def _hess_error(self, n):
         g = build_grid(2.0, n)
         f = sample(lambda x1, x2: np.sin(x1) * np.sin(x2), g)
-        hess = hessian_fd(f)
+        m11, m12, m22 = hessian_fd(f)
         x1, x2 = g.coords()
-        e11 = np.max(np.abs(hess.m11.values + np.sin(x1) * np.sin(x2)))
-        e12 = np.max(np.abs(hess.m12.values - np.cos(x1) * np.cos(x2)))
-        e22 = np.max(np.abs(hess.m22.values + np.sin(x1) * np.sin(x2)))
+        e11 = np.max(np.abs(m11 + np.sin(x1) * np.sin(x2)))
+        e12 = np.max(np.abs(m12 - np.cos(x1) * np.cos(x2)))
+        e22 = np.max(np.abs(m22 + np.sin(x1) * np.sin(x2)))
         return max(e11, e12, e22)
 
     def test_refinement_ratio_near_four(self):

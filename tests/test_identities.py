@@ -235,7 +235,7 @@ class TestCutoffVolume:
         # is an exact identity: tr(g^{-1}) V = 2 cos(phase) + sig1 sin(phase)
         g = build_grid(4.0, 65)
         prob = manufacture(perturbed_family(0.1), g)
-        B = bundle_from_hessian(prob.hess_exact)
+        B = bundle_from_hessian(g, prob.hess_exact)
         lhs = (B.inv11 + B.inv22) * B.vol
         rhs = 2.0 * np.cos(B.phase) + B.sig1 * np.sin(B.phase)
         np.testing.assert_allclose(lhs, rhs, atol=1e-12)

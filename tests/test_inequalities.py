@@ -13,7 +13,7 @@ from lmce.geometry import (
     classify_phase,
     modified_slope,
 )
-from lmce.grid import ScalarField2, SymMat2Field, build_grid, sample
+from lmce.grid import ScalarField2, build_grid, sample
 from lmce.inequalities import (
     EIGEN_GAP_FLOOR,
     check_hessian_estimate,
@@ -321,11 +321,7 @@ class TestSubharmonicModifiedSlope:
         g = build_grid(4.0, 65)
         x1, x2 = g.coords()
         m11 = np.exp(4.0 * (x1 - 1.2)) + 0.3 * np.sin(x2)
-        hess = SymMat2Field(
-            ScalarField2(g, m11), ScalarField2(g, np.zeros((g.n, g.n))),
-            ScalarField2(g, np.full((g.n, g.n), 0.5)),
-        )
-        B = bundle_from_hessian(hess)
+        B = bundle_from_hessian(g, (m11, np.zeros((g.n, g.n)), np.full((g.n, g.n), 0.5)))
         region = g.disk_mask(2.0).copy()
         region[:2] = region[-2:] = region[:, :2] = region[:, -2:] = False
         lap_b, lap_q = B.slope_laplacian[region], B.paraboloid_laplacian[region]
@@ -472,7 +468,7 @@ class TestVolumeBound:
         from lmce.grid import hessian_fd
 
         u = sample(lambda x1, x2: 0.5 * (x1 * x1 + x2 * x2), grid129)
-        B = bundle_from_hessian(hessian_fd(u))
+        B = bundle_from_hessian(grid129, hessian_fd(u))
         with pytest.raises(PreconditionError):
             check_volume_bound(B, K_DEFAULT)
 
@@ -620,4 +616,4 @@ class TestHessianEstimate:
         g = build_grid(4.0, 65)
         B = bundle(manufacture(quadratic_family(1.0), g).u_exact)
         with pytest.raises(PreconditionError):
-            check_hessian_estimate(bundle_from_hessian(B.hess), 4.0)
+            check_hessian_estimate(bundle_from_hessian(g, B.hess), 4.0)

@@ -115,9 +115,9 @@ def _first_newton_system(g, prob):
     from the default start."""
     u0 = _initial_iterate(g, prob.u_exact, prob.psi, "phase_matched")
     hess = hessian_fd(ScalarField2(g, u0))
-    lam1, lam2 = eigen_sym2(hess.m11.values, hess.m12.values, hess.m22.values)
+    lam1, lam2 = eigen_sym2(*hess)
     r = (np.arctan(lam1) + np.arctan(lam2) - prob.psi.values)[1:-1, 1:-1]
-    *_, inv11, inv12, inv22 = _induced_metric(hess.m11.values, hess.m12.values, hess.m22.values)
+    *_, inv11, inv12, inv22 = _induced_metric(*hess)
     A = _assemble_linearization(g, inv11, inv12, inv22)
     return A, _sine_preconditioner(g, inv11, inv22), -r.ravel()
 
@@ -167,9 +167,9 @@ class TestManufacture:
         prob = manufacture(family, g)
         hess = prob.hess_exact
         analytic = family.hessian(*g.coords())
-        for got, want in zip((hess.m11, hess.m12, hess.m22), analytic):
-            assert np.array_equal(got.values, np.broadcast_to(want, (g.n, g.n)))
-        lam1, lam2 = eigen_sym2(hess.m11.values, hess.m12.values, hess.m22.values)
+        for got, want in zip(hess, analytic):
+            assert np.array_equal(got, np.broadcast_to(want, (g.n, g.n)))
+        lam1, lam2 = eigen_sym2(*hess)
         assert np.array_equal(prob.psi.values, np.arctan(lam1) + np.arctan(lam2))
 
 
@@ -323,8 +323,7 @@ class TestLinearSolve:
         prob = manufacture(perturbed_family(0.1), g)
         from lmce.grid import hessian_fd
 
-        hess = hessian_fd(prob.u_exact)
-        m11, m12, m22 = hess.m11.values, hess.m12.values, hess.m22.values
+        m11, m12, m22 = hessian_fd(prob.u_exact)
         g11 = 1 + m11**2 + m12**2
         g12 = m12 * (m11 + m22)
         g22 = 1 + m22**2 + m12**2
@@ -393,10 +392,8 @@ class TestAssembly:
         v = np.zeros((n, n))
         v[1:-1, 1:-1] = rng.standard_normal((n - 2, n - 2))
         A = _assemble_linearization(g, inv11, inv12, inv22)
-        hess = hessian_fd(ScalarField2(g, v))
-        oracle = (
-            inv11 * hess.m11.values + 2.0 * inv12 * hess.m12.values + inv22 * hess.m22.values
-        )[1:-1, 1:-1].ravel()
+        m11, m12, m22 = hessian_fd(ScalarField2(g, v))
+        oracle = (inv11 * m11 + 2.0 * inv12 * m12 + inv22 * m22)[1:-1, 1:-1].ravel()
         scale = float(np.max(np.abs(oracle)))
         np.testing.assert_allclose(
             A @ v[1:-1, 1:-1].ravel(), oracle, rtol=1e-12, atol=1e-12 * scale
@@ -567,7 +564,7 @@ import json, sys
 import numpy as np
 import lmce.cli
 from lmce.geometry import bundle_from_hessian
-from lmce.grid import ScalarField2, SymMat2Field, build_grid, sample
+from lmce.grid import ScalarField2, build_grid, sample
 from lmce.inequalities import fit_modification_weight
 from lmce.solver import newton_solve, quadratic_family
 
@@ -581,7 +578,7 @@ g = build_grid(4.0, 65)
 x1, x2 = g.coords()
 m11 = np.exp(4.0 * (x1 - 1.2)) + 0.3 * np.sin(x2)
 zero, half = np.zeros((g.n, g.n)), np.full((g.n, g.n), 0.5)
-B = bundle_from_hessian(SymMat2Field(*(ScalarField2(g, m) for m in (m11, zero, half))))
+B = bundle_from_hessian(g, (m11, zero, half))
 lap_q = B.paraboloid_laplacian[g.disk_mask(2.0)]
 a_hat, _ = fit_modification_weight(B, rho=2.0)
 print(json.dumps({
