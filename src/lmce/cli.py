@@ -45,7 +45,7 @@ from .geometry import (
     classify_phase,
     modified_slope,
 )
-from .grid import ScalarField2, build_grid, gradient_fd, gradient_norm
+from .grid import ScalarField2, build_grid, gradient_fd, gradient_norm, hessian_fd
 from .identities import (
     CheckReport,
     check_complex_factorization,
@@ -448,9 +448,9 @@ def _timed_lazy(build):
 class _Context:
     """Shared state for one verify run, or one swept value.
 
-    Set-up builds the potential u, the phase psi and the bundle of u, which
-    is all that any check reads of u (the manufactured problem also holds
-    the exact u and psi, the solve state the solved u).  Built on first use:
+    Set-up builds the potential u, the phase psi and the bundle of u (the
+    manufactured problem also holds the exact u and psi, the solve state the
+    solved u); coordinate_laplacian reads u itself.  Built on first use:
     the slope constants (with the fit of A), the modified slope, its
     gradient norm |D b_mod| (shared by the sampler and super_iso), the
     weak-maximum-principle sample of the modified slope (shared by the
@@ -548,7 +548,7 @@ IDENTITY_CHECKS = {
     ),
     "slope_volume": _Check(lambda ctx: check_slope_volume(ctx.bundle)),
     "coordinate_laplacian": _Check(
-        lambda ctx: check_coordinate_laplacian(ctx.bundle), ("hess",)
+        lambda ctx: check_coordinate_laplacian(ctx.bundle, ctx.u), ("u",)
     ),
 }
 INEQUALITY_CHECKS = {
@@ -578,8 +578,7 @@ INEQUALITY_CHECKS = {
     ),
     "jacobi_integral": _Check(
         lambda ctx: check_jacobi_integral(ctx.bundle, ctx.constants, ctx.pointwise.fitted["C_hat"]),
-        ("pointwise", "constants", "negated")
-        + ("slope_laplacian", "slope_grad_norm2", "slope_gradient"),
+        ("pointwise", "constants", "negated", "slope_laplacian", "slope_grad_norm2"),
     ),
     # the last two read only delta, so they do not pay for the fit of A
     "volume_bound": _Check(
@@ -605,10 +604,9 @@ _BUILT_FROM = {
     "wmp": ("bmod", "bmod_grad_norm"),
     "pointwise": ("constants", "negated", "slope_laplacian", "slope_grad_norm2"),
     "paraboloid_laplacian": ("negated",),
-    "slope_grad_norm2": ("slope_gradient",),
 }
-# the set-up attributes of the context and the bundle, never rebuilt once dropped
-_SET_UP = ("u", "psi", "problem", "solve_state", "hess")
+# the set-up attributes of the context, never rebuilt once dropped
+_SET_UP = ("u", "psi", "problem", "solve_state")
 
 
 def _release(ctx: _Context, remaining: list[str]) -> None:
@@ -755,7 +753,7 @@ def _exact_errors(ctx: _Context) -> dict:
     return {
         "err_u": _sup_error((ctx.u.values, ctx.problem.u_exact.values)),
         "err_grad": _sup_error(*zip(gradient_fd(ctx.u), exact_grad)),
-        "err_hess": _sup_error(*zip(ctx.bundle.hess, ctx.problem.hess_exact)),
+        "err_hess": _sup_error(*zip(hessian_fd(ctx.u), ctx.problem.hess_exact)),
         "iterations": ctx.solve_state.iterations,
     }
 
@@ -871,10 +869,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = RunConfig.from_file(args.config)
-        if args.out is not None:
-            cfg.out = args.out
-        if args.seed is not None:
-            cfg.seed = args.seed
+        # the command-line overrides, validated as the file's keys are
+        overrides = {"out": args.out, "seed": args.seed}
+        cfg = dataclasses.replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
         command = {
             "solve": cmd_solve,
             "verify": cmd_verify,

@@ -12,12 +12,23 @@ discrete summation by parts.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
 
-from .grid import Grid2, ScalarField2, _d1, _d2, _ro, gradient_fd, gradient_norm, hessian_fd
+from .grid import (
+    Grid2,
+    ScalarField2,
+    _bands,
+    _d1,
+    _d2,
+    _gradient_rows,
+    _hessian_rows,
+    _ro,
+    _slab,
+    gradient_norm,
+)
 
 __all__ = [
     "GeometryBundle",
@@ -123,17 +134,15 @@ class GeometryBundle:
 
     grad_norm optionally carries |Du|, the hypot of the potential's
     differenced gradient (read by the volume and Hessian-estimate checks);
-    bundles built directly from a Hessian leave it None.  hess is the
-    Hessian M = (m11, m12, m22) the bundle was built from (None on a negated
-    twin).
+    bundles built directly from a Hessian leave it None.  The Hessian is not
+    kept: the arrays are filled band by band from its rows.
 
     The fields below are computed on first access and then kept until the
     verify runner drops them (once no remaining check reads them), so every
     check reading them shares one computation: cos_phase and sin_phase
-    (cos and sin of phase), slope_gradient (differenced Euclidean gradient
-    (b_1, b_2)), slope_laplacian (lap_g b, divergence form), slope_grad_norm2
-    (|grad_g b|^2) and paraboloid_laplacian (lap_g q of the quadratic
-    q = |x|^2/2 that the modified slope b + A q adds, so that
+    (cos and sin of phase), slope_laplacian (lap_g b, divergence form),
+    slope_grad_norm2 (|grad_g b|^2) and paraboloid_laplacian (lap_g q of the
+    quadratic q = |x|^2/2 that the modified slope b + A q adds, so that
     lap_g(b + A q) = slope_laplacian + A paraboloid_laplacian), all
     read-only arrays.
     negated is the bundle of the negated potential, kept the same way so the
@@ -141,8 +150,6 @@ class GeometryBundle:
     shares the metric arrays and grad_norm of this bundle, its own negated is
     this bundle, and paraboloid_laplacian, even under u -> -u, is built once
     per pair.
-    No flux coefficient is cached: laplace_beltrami forms them from vol and
-    inv11/12/22 one row band at a time.
     """
 
     grid: Grid2
@@ -155,7 +162,6 @@ class GeometryBundle:
     inv22: np.ndarray
     slope: np.ndarray
     grad_norm: np.ndarray | None = None
-    hess: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
     @property
     def sig1(self) -> np.ndarray:
@@ -174,16 +180,12 @@ class GeometryBundle:
         return _ro(np.sin(self.phase))
 
     @cached_property
-    def slope_gradient(self) -> tuple[np.ndarray, np.ndarray]:
-        return gradient_fd(slope(self))
-
-    @cached_property
     def slope_laplacian(self) -> np.ndarray:
         return laplace_beltrami(slope(self), self).values
 
     @cached_property
     def slope_grad_norm2(self) -> np.ndarray:
-        return grad_g_norm2(slope(self), self, grad=self.slope_gradient).values
+        return grad_g_norm2(slope(self), self).values
 
     @cached_property
     def paraboloid_laplacian(self) -> np.ndarray:
@@ -191,7 +193,9 @@ class GeometryBundle:
         twin = self.__dict__.get("negated")
         if twin is not None and "paraboloid_laplacian" in twin.__dict__:
             return twin.paraboloid_laplacian
-        return laplace_beltrami(ScalarField2(self.grid, 0.5 * self.grid.radius2()), self).values
+        q = self.grid.radius2()
+        q *= 0.5
+        return laplace_beltrami(ScalarField2(self.grid, q), self).values
 
     @cached_property
     def negated(self) -> "GeometryBundle":
@@ -204,8 +208,9 @@ class GeometryBundle:
         are each other's `negated`, so each takes the even fields the other
         has built.
         """
-        inv = (self.inv11, self.inv12, self.inv22)
-        neg = _assemble(self.grid, self.grad_norm, None, -self.lam2, -self.lam1, self.vol, inv)
+        lam1, lam2 = -self.lam2, -self.lam1
+        phase, b = _phase_slope(lam1, lam2)
+        neg = replace(self, lam1=_ro(lam1), lam2=_ro(lam2), phase=_ro(phase), slope=_ro(b))
         neg.__dict__["negated"] = self
         return neg
 
@@ -220,38 +225,36 @@ def _induced_metric(m11, m12, m22):
     return g11, g12, g22, g22 / detg, -g12 / detg, g11 / detg
 
 
+def _phase_slope(lam1, lam2):
+    """The phase arctan(lam1) + arctan(lam2) and the slope ln sqrt(1 + lam1^2)."""
+    return np.arctan(lam1) + np.arctan(lam2), 0.5 * np.log1p(lam1 * lam1)
+
+
+def _build(grid: Grid2, hess_rows, grad_norm) -> GeometryBundle:
+    """The bundle whose arrays are filled one band b of rows at a time from
+    the Hessian's rows hess_rows(b), by the whole-array expressions."""
+    arrays = [np.empty((grid.n, grid.n)) for _ in range(8)]
+    lam1, lam2, phase, vol, inv11, inv12, inv22, b = arrays
+    for rows in _bands(0, grid.n):
+        m = hess_rows(rows)
+        lam1[rows], lam2[rows] = eigen_sym2(*m)
+        inv11[rows], inv12[rows], inv22[rows] = _induced_metric(*m)[3:]
+        l1, l2 = lam1[rows], lam2[rows]
+        vol[rows] = np.sqrt((1.0 + l1 * l1) * (1.0 + l2 * l2))
+        phase[rows], b[rows] = _phase_slope(l1, l2)
+    return GeometryBundle(grid, *map(_ro, arrays), grad_norm)
+
+
 def bundle_from_hessian(grid: Grid2, hess, grad_norm: np.ndarray | None = None) -> GeometryBundle:
     """Assemble a GeometryBundle on grid from a (possibly analytic) Hessian
     (m11, m12, m22) of (n, n) arrays and, optionally, the gradient norm |Du|
     of its potential.  A non-finite Hessian entry raises ValueError."""
-    lam1, lam2 = eigen_sym2(*hess)
-    vol = np.sqrt((1.0 + lam1 * lam1) * (1.0 + lam2 * lam2))
-    inv11, inv12, inv22 = _induced_metric(*hess)[3:]
-    return _assemble(grid, grad_norm, hess, lam1, lam2, vol, (inv11, inv12, inv22))
-
-
-def _assemble(grid, grad_norm, hess, lam1, lam2, vol, inv) -> GeometryBundle:
-    """The bundle of these eigenvalues and this metric, its arrays read-only."""
-    phase = np.arctan(lam1) + np.arctan(lam2)
-    b = 0.5 * np.log1p(lam1 * lam1)
-    return GeometryBundle(
-        grid=grid,
-        lam1=_ro(lam1),
-        lam2=_ro(lam2),
-        phase=_ro(phase),
-        vol=_ro(vol),
-        inv11=_ro(inv[0]),
-        inv12=_ro(inv[1]),
-        inv22=_ro(inv[2]),
-        slope=_ro(b),
-        grad_norm=grad_norm,
-        hess=hess,
-    )
+    return _build(grid, lambda b: tuple(m[b] for m in hess), grad_norm)
 
 
 def bundle(u: ScalarField2) -> GeometryBundle:
     """Geometry bundle of a potential, from its differenced Hessian and gradient."""
-    return bundle_from_hessian(u.grid, hessian_fd(u), gradient_norm(u).values)
+    return _build(u.grid, lambda b: _hessian_rows(u.values, u.grid.h, b), gradient_norm(u).values)
 
 
 def _quadform_inv(B: GeometryBundle, v1: np.ndarray, v2: np.ndarray, region=...) -> np.ndarray:
@@ -270,17 +273,14 @@ def _quadform_inv(B: GeometryBundle, v1: np.ndarray, v2: np.ndarray, region=...)
     return q
 
 
-def grad_g_norm2(
-    f: ScalarField2, B: GeometryBundle, grad: tuple[np.ndarray, np.ndarray] | None = None
-) -> ScalarField2:
-    """Squared metric gradient norm |grad_g f|^2 = g^{ij} f_i f_j.
-
-    The Euclidean gradient (f_1, f_2) defaults to second-order differences
-    of f; pass grad, a pair of (n, n) arrays, to use one already formed.
-    """
+def grad_g_norm2(f: ScalarField2, B: GeometryBundle) -> ScalarField2:
+    """Squared metric gradient norm |grad_g f|^2 = g^{ij} f_i f_j, the Euclidean
+    gradient (f_1, f_2) by second-order differences, formed band by band."""
     if f.grid != B.grid:
         raise ValueError("field and bundle grids differ")
-    q = _quadform_inv(B, *(gradient_fd(f) if grad is None else grad))
+    q = np.empty((B.grid.n, B.grid.n))
+    for b in _bands(0, B.grid.n):
+        q[b] = _quadform_inv(B, *_gradient_rows(f.values, B.grid.h, b), b)
     return ScalarField2(B.grid, q)
 
 
@@ -317,11 +317,6 @@ _EDGE_STRIPS = (
     ((slice(None), slice(-4, None)), (slice(None), -1)),
 )
 
-# interior node rows per band of laplace_beltrami: each coefficient and flux
-# array of a band takes about half a MB at n = 1025, not a full grid
-LB_BAND_ROWS = 64
-
-
 def laplace_beltrami(f: ScalarField2, B: GeometryBundle) -> ScalarField2:
     """Divergence-form Laplace-Beltrami (1/W) d_i(W g^{ij} d_j f), W = sqrt(det g).
 
@@ -329,9 +324,9 @@ def laplace_beltrami(f: ScalarField2, B: GeometryBundle) -> ScalarField2:
     averaged to the half nodes, cross derivatives averaged from nodal
     central differences), which makes the discrete operator satisfy
     summation by parts exactly against weights vanishing near the grid
-    boundary.  The interior is computed in bands of LB_BAND_ROWS node rows,
-    each from the band and one halo row on each side, which hold every node
-    its stencils read; a band forms its own coefficients from vol and
+    boundary.  The interior is computed in bands of grid.LB_BAND_ROWS rows,
+    each from its slab (grid._slab), which holds every node its stencils
+    read; a band forms its own coefficients from vol and
     inv11/12/22, so nothing is cached on the bundle.  Each value is the same
     IEEE operations on the same operands as in a one-band evaluation, so
     the result does not depend on the band height, bit for bit.  The
@@ -345,8 +340,20 @@ def laplace_beltrami(f: ScalarField2, B: GeometryBundle) -> ScalarField2:
     if f.grid != B.grid:
         raise ValueError("field and bundle grids differ")
     g = B.grid
-    h = g.h
-    out = np.empty_like(f.values)
+    out = np.empty((g.n, g.n))
+    for rows in _bands(1, g.n - 1):
+        _lb_rows(f.values, B, rows, out=out[rows, 1:-1])
+    for strip, line in _EDGE_STRIPS:
+        coeffs = (B.vol[strip], B.inv11[strip], B.inv12[strip], B.inv22[strip])
+        out[line] = _nondiv_kernel(f.values[strip], *coeffs, g.h)[line]
+    return ScalarField2(g, out)
+
+
+def _lb_rows(values: np.ndarray, B: GeometryBundle, rows: slice, out=None) -> np.ndarray:
+    """laplace_beltrami's values on interior rows `rows` and columns 1 .. n-2
+    (into out when given) of an (n, n) array, maybe a read-only view such as
+    a broadcast coordinate, from the rows' slab alone (see grid._slab)."""
+    h = B.grid.h
 
     def flux(axis, v, d, c, c_cross):
         # the flux A_aa D_a f + A_ab D_b f (A = W g^{-1}) through the half
@@ -362,59 +369,29 @@ def laplace_beltrami(f: ScalarField2, B: GeometryBundle) -> ScalarField2:
         fa += cross
         return fa
 
-    for r0 in range(1, g.n - 1, LB_BAND_ROWS):
-        # rows r0 .. r1 - 1 and their halo rows; the coefficients carry the
-        # factors of the flux stencils: (W g^11)/2 and (W g^12)/4 at
-        # (i+1/2, j) between slab rows, (W g^22)/2 and (W g^12)/4 at
-        # (i, j+1/2) on the band's rows
-        r1 = min(r0 + LB_BAND_ROWS, g.n - 1)
-        slab = np.s_[r0 - 1 : r1 + 1]
-        v, W = f.values[slab], B.vol[slab]
-        A = W * B.inv11[slab]
-        A12 = W * B.inv12[slab]
-        f1 = flux(0, v, _d1(v, h, axis=1), 0.5 * (A[1:] + A[:-1]), 0.25 * (A12[1:] + A12[:-1]))
-        A = W[1:-1] * B.inv22[r0:r1]
-        c12 = 0.25 * (A12[1:-1, 1:] + A12[1:-1, :-1])
-        f2 = flux(1, v[1:-1], _d1(v, h, axis=0)[1:-1], 0.5 * (A[:, 1:] + A[:, :-1]), c12)
-        del A, A12, c12
-        # ((f1[i+1/2] - f1[i-1/2])/h + (f2[j+1/2] - f2[j-1/2])/h)/W
-        band = np.subtract(f1[1:, 1:-1], f1[:-1, 1:-1], out=out[r0:r1, 1:-1])
-        del f1
-        band /= h
-        f2 = f2[:, 1:] - f2[:, :-1]
-        f2 /= h
-        band += f2
-        del f2
-        band /= W[1:-1, 1:-1]
-    for strip, line in _EDGE_STRIPS:
-        coeffs = (B.vol[strip], B.inv11[strip], B.inv12[strip], B.inv22[strip])
-        out[line] = _nondiv_kernel(f.values[strip], *coeffs, h)[line]
-    return ScalarField2(g, out)
-
-
-def _lift_phase_gradient(B: GeometryBundle, psi: ScalarField2):
-    """The lift M w by the Hessian M of the metric gradient w = g^{-1} p of the
-    differenced gradient p = D(psi), as a pair of (n, n) arrays.
-
-    Each array is released once it is used, and the products are formed in
-    place with the operands of the plain expressions (inv11*p1 + inv12*p2,
-    m11*w1 + m12*w2, ...), so the values are those of the expressions."""
-    if psi.grid != B.grid:
-        raise ValueError("phase field and bundle grids differ")
-    p1, p2 = gradient_fd(psi)
-    w1 = B.inv11 * p1
-    w1 += B.inv12 * p2
-    w2 = B.inv12 * p1
-    del p1
-    w2 += B.inv22 * p2
-    del p2
-    m11, m12, m22 = B.hess
-    mw1 = m11 * w1
-    mw1 += m12 * w2
-    w1 *= m12
-    w2 *= m22
-    w1 += w2
-    return mw1, w1
+    # the coefficients carry the factors of the flux stencils: (W g^11)/2
+    # and (W g^12)/4 at (i+1/2, j) between slab rows, (W g^22)/2 and
+    # (W g^12)/4 at (i, j+1/2) on the band's rows.  A slab that is not
+    # C-contiguous is copied: numpy would lay its stencils out in F order.
+    slab, on = _slab(B.grid.n, rows)
+    v, W = np.ascontiguousarray(values[slab]), B.vol[slab]
+    A = W * B.inv11[slab]
+    A12 = W * B.inv12[slab]
+    f1 = flux(0, v, _d1(v, h, axis=1), 0.5 * (A[1:] + A[:-1]), 0.25 * (A12[1:] + A12[:-1]))
+    A = W[on] * B.inv22[rows]
+    c12 = 0.25 * (A12[on, 1:] + A12[on, :-1])
+    f2 = flux(1, v[on], _d1(v, h, axis=0)[on], 0.5 * (A[:, 1:] + A[:, :-1]), c12)
+    del A, A12, c12
+    # ((f1[i+1/2] - f1[i-1/2])/h + (f2[j+1/2] - f2[j-1/2])/h)/W
+    band = np.subtract(f1[on, 1:-1], f1[on.start - 1 : on.stop - 1, 1:-1], out=out)
+    del f1
+    band /= h
+    f2 = f2[:, 1:] - f2[:, :-1]
+    f2 /= h
+    band += f2
+    del f2
+    band /= W[on, 1:-1]
+    return band
 
 
 def slope(B: GeometryBundle) -> ScalarField2:
@@ -423,5 +400,9 @@ def slope(B: GeometryBundle) -> ScalarField2:
 
 
 def modified_slope(B: GeometryBundle, K: SlopeConstants) -> ScalarField2:
-    """Slope plus the quadratic (A/2)|x|^2 that restores subharmonicity."""
-    return ScalarField2(B.grid, B.slope + 0.5 * K.A * B.grid.radius2())
+    """Slope plus the quadratic (A/2)|x|^2 that restores subharmonicity,
+    formed in the array of |x|^2."""
+    q = B.grid.radius2()
+    q *= 0.5 * K.A
+    q += B.slope
+    return ScalarField2(B.grid, q)

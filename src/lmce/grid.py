@@ -166,19 +166,55 @@ def _ro(a: np.ndarray) -> np.ndarray:
     return a
 
 
+# node rows per band of all that is formed band by band: each array of a
+# band takes about half a MB at n = 1025, not a full grid
+LB_BAND_ROWS = 64
+
+
+def _bands(lo: int, hi: int) -> list[slice]:
+    """Rows lo .. hi - 1 cut into bands of LB_BAND_ROWS rows."""
+    return [slice(r0, min(r0 + LB_BAND_ROWS, hi)) for r0 in range(lo, hi, LB_BAND_ROWS)]
+
+
+def _slab(n: int, band: slice) -> tuple[slice, slice]:
+    """(slab, the band's rows in it): the band and a halo row each side, widened
+    to the four rows of the one-sided stencils, which _d2 forms at the slab's
+    ends; each value on the band is then bit for bit the whole array's."""
+    lo, hi = max(band.start - 1, 0), min(band.stop + 1, n)
+    hi = min(max(hi, lo + 4), n)
+    lo = min(lo, hi - 4)
+    return slice(lo, hi), slice(band.start - lo, band.stop - lo)
+
+
+def _gradient_rows(values: np.ndarray, h: float, band: slice):
+    """Rows `band` of gradient_fd's (d1, d2) of an (n, n) array, from the band's slab."""
+    slab, k = _slab(len(values), band)
+    return _d1(values[slab], h, axis=0)[k], _d1(values[band], h, axis=1)
+
+
+def _hessian_rows(values: np.ndarray, h: float, band: slice):
+    """Rows `band` of hessian_fd's (m11, m12, m22) of an (n, n) array, from the band's slab."""
+    slab, k = _slab(len(values), band)
+    v = values[slab]
+    m12 = _d1(_d1(v, h, axis=0)[k], h, axis=1)
+    return _d2(v, h, axis=0)[k], m12, _d2(values[band], h, axis=1)
+
+
 def gradient_fd(f: ScalarField2) -> tuple[np.ndarray, np.ndarray]:
     """Gradient (d1, d2) by second-order differences (one-sided on the
     boundary band), each a read-only (n, n) array.
 
     Exact for quadratic polynomials; O(h^2) truncation error for C^4 input.
     """
-    h = f.grid.h
-    return _ro(_d1(f.values, h, axis=0)), _ro(_d1(f.values, h, axis=1))
+    return tuple(map(_ro, _gradient_rows(f.values, f.grid.h, slice(0, f.grid.n))))
 
 
 def gradient_norm(f: ScalarField2) -> ScalarField2:
-    """|Df|, the hypot of the differenced gradient."""
-    return ScalarField2(f.grid, np.hypot(*gradient_fd(f)))
+    """|Df|, the hypot of the differenced gradient, formed band by band."""
+    out = np.empty((f.grid.n, f.grid.n))
+    for b in _bands(0, f.grid.n):
+        out[b] = np.hypot(*_gradient_rows(f.values, f.grid.h, b))
+    return ScalarField2(f.grid, out)
 
 
 def hessian_fd(f: ScalarField2) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -190,11 +226,7 @@ def hessian_fd(f: ScalarField2) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     nested application of the first-derivative stencils.  Every node gets a
     value; exact for quadratics, O(h^2) for C^4 input.
     """
-    h = f.grid.h
-    m11 = _d2(f.values, h, axis=0)
-    m22 = _d2(f.values, h, axis=1)
-    m12 = _d1(_d1(f.values, h, axis=0), h, axis=1)
-    return _ro(m11), _ro(m12), _ro(m22)
+    return tuple(map(_ro, _hessian_rows(f.values, f.grid.h, slice(0, f.grid.n))))
 
 
 def integrate_disk(f: ScalarField2, r: float) -> float:

@@ -16,18 +16,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import PreconditionError
-from .geometry import (
-    GeometryBundle,
-    _lift_phase_gradient,
-    _quadform_inv,
-    laplace_beltrami,
-)
+from .geometry import GeometryBundle, _lb_rows, _quadform_inv
 from .grid import (
     CUTOFF_PLATEAU_RADIUS,
     CUTOFF_SUPPORT_RADIUS,
     INTERIOR_MARGIN,
     ScalarField2,
+    _bands,
     _cutoff,
+    _gradient_rows,
+    _hessian_rows,
 )
 
 __all__ = [
@@ -109,15 +107,22 @@ class CheckReport:
         return {k: v for k, v in entry.items() if v is not None}
 
 
-def _worst(resid: np.ndarray) -> tuple[tuple[int, int], float]:
-    """The first node in C order of the largest |resid| and that value; resid becomes |resid|."""
+def _worst(resid: np.ndarray, r0: int = 0, c0: int = 0) -> tuple[tuple[int, int], float]:
+    """The first node in C order of the largest |resid|, offset by (r0, c0),
+    and that value; resid becomes |resid|."""
     np.abs(resid, out=resid)
     i, j = np.unravel_index(np.argmax(resid), resid.shape)
-    return (int(i), int(j)), float(resid[i, j])
+    return (int(i) + r0, int(j) + c0), float(resid[i, j])
 
 
-def _report(name, resid, tol, tol_class, details=None, excluded=0) -> CheckReport:
-    loc, mx = _worst(resid)
+def _worst_rows(n: int, resid) -> tuple[tuple[int, int], float]:
+    """_worst of an (n, n) residual formed band by band by resid(b), as np.argmax picks."""
+    parts = [_worst(resid(b), b.start) for b in _bands(0, n)]
+    return parts[int(np.argmax([mx for _, mx in parts]))]
+
+
+def _report(name, worst, tol, tol_class, details=None, excluded=0) -> CheckReport:
+    loc, mx = worst
     return CheckReport(
         name=name,
         kind=f"identity/{tol_class}",
@@ -148,18 +153,24 @@ def check_form_equivalence(B: GeometryBundle, psi: ScalarField2) -> CheckReport:
     """
     if B.grid != psi.grid:
         raise ValueError("bundle and phase grids differ")
-    h = B.grid.h
-    max_r1 = float(np.max(np.abs(B.phase - psi.values)))
-    # formed in place, with the operations of the plain expression
-    r2 = np.cos(psi.values)
-    r2 *= B.sig1
-    t = np.subtract(B.sig2, 1.0)
-    t *= np.sin(psi.values)
-    r2 += t
+    g, h = B.grid, B.grid.h
+    max_r1 = float(np.max([np.max(np.abs(B.phase[b] - psi.values[b])) for b in _bands(0, g.n)]))
+
+    def r2(b):
+        # formed in place, with the operations of the plain expression
+        lam1, lam2, p = B.lam1[b], B.lam2[b], psi.values[b]
+        r = np.cos(p)
+        r *= lam1 + lam2
+        t = lam1 * lam2
+        t -= 1.0
+        t *= np.sin(p)
+        r += t
+        return r
+
     vmax = float(np.max(B.vol))
     scale_tol = (1.0 + vmax) * max_r1 + FORM_SLACK_COEFF * h * h
     phase_tol = FORM_SLACK_COEFF * h * h
-    loc, max_r2 = _worst(r2)
+    loc, max_r2 = _worst_rows(g.n, r2)
     return CheckReport(
         name="form_equivalence",
         kind="identity/differencing",
@@ -181,15 +192,19 @@ def check_complex_factorization(B: GeometryBundle) -> CheckReport:
     Pure eigenvalue algebra; tolerance FACTORIZATION_RTOL*(1 + max V), class
     algebraic.
     """
-    # (1 - sig2) - V cos(phase) and sig1 - V sin(phase), formed in place
-    re = np.subtract(1.0, B.sig2)
-    im = B.vol * B.cos_phase
-    re -= im
-    np.multiply(B.vol, B.sin_phase, out=im)
-    np.subtract(B.sig1, im, out=im)
-    resid = np.maximum(np.abs(re, out=re), np.abs(im, out=im), out=re)
+
+    def resid(b):
+        # (1 - sig2) - V cos(phase) and sig1 - V sin(phase), formed in place
+        lam1, lam2, vol = B.lam1[b], B.lam2[b], B.vol[b]
+        re = np.subtract(1.0, lam1 * lam2)
+        im = vol * B.cos_phase[b]
+        re -= im
+        np.multiply(vol, B.sin_phase[b], out=im)
+        np.subtract(lam1 + lam2, im, out=im)
+        return np.maximum(np.abs(re, out=re), np.abs(im, out=im), out=re)
+
     tol = FACTORIZATION_RTOL * (1.0 + float(np.max(B.vol)))
-    return _report("complex_factorization", resid, tol, "algebraic")
+    return _report("complex_factorization", _worst_rows(B.grid.n, resid), tol, "algebraic")
 
 
 def check_volume_formula(B: GeometryBundle) -> CheckReport:
@@ -206,17 +221,24 @@ def check_volume_formula(B: GeometryBundle) -> CheckReport:
         raise PreconditionError(
             "volume formula needs phase in (0, pi) or in (-pi, 0) on the whole region"
         )
-    sin = B.sin_phase
-    mask = np.abs(sin) >= math.sin(VOLUME_SIN_FLOOR)
-    if not mask.any():
+    excluded = 0
+
+    def resid(b):
+        # V - sig1/sin(phase) on the kept nodes, 0 on the others
+        nonlocal excluded
+        sin = B.sin_phase[b]
+        mask = np.abs(sin) >= math.sin(VOLUME_SIN_FLOOR)
+        excluded += mask.size - np.count_nonzero(mask)
+        r = np.divide(B.lam1[b] + B.lam2[b], sin, out=np.zeros_like(sin), where=mask)
+        np.subtract(B.vol[b], r, out=r, where=mask)
+        return r
+
+    worst = _worst_rows(B.grid.n, resid)
+    if excluded == B.vol.size:
         raise PreconditionError("no nodes with sin(phase) above the cutoff")
-    # V - sig1/sin(phase) on the kept nodes, 0 on the others
-    resid = np.divide(B.sig1, sin, out=np.zeros_like(B.vol), where=mask)
-    np.subtract(B.vol, resid, out=resid, where=mask)
     tol = VOLUME_RTOL * float(np.max(B.vol))
-    excluded = int(np.size(mask) - np.count_nonzero(mask))
     return _report(
-        "volume_formula", resid, tol, "algebraic", {"excluded_nodes": excluded}, excluded
+        "volume_formula", worst, tol, "algebraic", {"excluded_nodes": excluded}, excluded
     )
 
 
@@ -264,7 +286,7 @@ def check_cutoff_volume_identity(B: GeometryBundle) -> CheckReport:
     violation = np.subtract(lhs, rhs, out=margin[bb])
     np.maximum(violation, 0.0, out=violation)
     tol = CUTOFF_SLACK_COEFF * g.h ** 2
-    return _report("cutoff_volume", margin, tol, "differencing", {"min_margin": min_margin})
+    return _report("cutoff_volume", _worst(margin), tol, "differencing", {"min_margin": min_margin})
 
 
 def check_slope_volume(B: GeometryBundle) -> CheckReport:
@@ -284,41 +306,53 @@ def check_slope_volume(B: GeometryBundle) -> CheckReport:
     )
 
 
-def check_coordinate_laplacian(B: GeometryBundle, psi: ScalarField2 | None = None) -> CheckReport:
+def check_coordinate_laplacian(
+    B: GeometryBundle, u: ScalarField2, psi: ScalarField2 | None = None
+) -> CheckReport:
     """Laplace-Beltrami of the coordinates against the mean curvature algebra.
 
     For the graph of Du, the manifold Laplacian of an ambient coordinate
     equals the matching mean curvature component; in base coordinates
       lap_g x_k = -(M g^{-1} D psi)_k,  M = D^2 u.
-    The left side runs through the divergence-form operator, the right side
-    is pointwise algebra on the bundle plus one gradient of the phase, so
-    agreement at O(h^2) exercises both routes, to LAPLACIAN_SLACK_COEFF
-    h^2 (1 + max lam1^2).  Checked on the interior (INTERIOR_MARGIN nodes
-    away from the boundary).
+    B is the bundle of the potential u, and psi defaults to its phase.  The
+    left side runs through the divergence-form operator, the right side is
+    pointwise algebra on the bundle, the differenced Hessian of u and one
+    gradient of the phase, so agreement at O(h^2) exercises both routes, to
+    LAPLACIAN_SLACK_COEFF h^2 (1 + max lam1^2).  Checked on the interior
+    (INTERIOR_MARGIN nodes away from the boundary), one band at a time.
     """
     g = B.grid
     if psi is None:
         psi = ScalarField2(g, B.phase)
-    x1, x2 = g.coords()
+    if psi.grid != g or u.grid != g:
+        raise ValueError("potential, phase field and bundle grids differ")
     m = INTERIOR_MARGIN
-    inner = np.s_[m:-m, m:-m]
-    # the lift first, whose writable arrays take the sums, then one operator
-    # side at a time, each dropped once it is summed in
-    mw1, mw2 = _lift_phase_gradient(B, psi)
-
-    def worst(xk, other, mw):
-        # |lap_g x_k - (-(M w)_k)| on the inner nodes, summed into the lift
-        lap = laplace_beltrami(ScalarField2(g, xk + np.zeros_like(other)), B).values
-        core = mw[inner]
-        core += lap[inner]
-        return _worst(core)
-
-    worst1 = worst(x1, x2, mw1)
-    del mw1
-    worst2 = worst(x2, x1, mw2)
-    # on a tie the first component's node stands
-    k, ((i, j), mx) = (2, worst2) if worst2[1] > worst1[1] else (1, worst1)
-    scale = 1.0 + float(np.max(np.abs(B.lam1))) ** 2
+    coords = [np.broadcast_to(xk, (g.n, g.n)) for xk in g.coords()]
+    parts = ([], [])
+    for rows in _bands(m, g.n - m):
+        # the lift M w, w = g^{-1} D(psi), on the band, formed in place with
+        # the operands of the plain expressions (inv11*p1 + inv12*p2, ...)
+        p1, p2 = _gradient_rows(psi.values, g.h, rows)
+        w1 = B.inv11[rows] * p1
+        w1 += B.inv12[rows] * p2
+        w2 = B.inv12[rows] * p1
+        w2 += B.inv22[rows] * p2
+        m11, m12, m22 = _hessian_rows(u.values, g.h, rows)
+        mw1 = m11 * w1
+        mw1 += m12 * w2
+        w1 *= m12
+        w2 *= m22
+        w1 += w2
+        del p1, p2, w2, m11, m12, m22
+        for k, (xk, mw) in enumerate(zip(coords, (mw1, w1))):
+            # |lap_g x_k - (-(M w)_k)| on the inner nodes, summed into the lift
+            core = mw[:, m:-m]
+            core += _lb_rows(xk, B, rows)[:, m - 1 : g.n - m - 1]
+            parts[k].append((k + 1, _worst(core, rows.start, m)))
+    # the node np.argmax picks on the two components stacked
+    stacked = parts[0] + parts[1]
+    k, ((i, j), mx) = stacked[int(np.argmax([mx for _, (_, mx) in stacked]))]
+    scale = 1.0 + float(max(np.max(B.lam1), -np.min(B.lam1))) ** 2
     tol = LAPLACIAN_SLACK_COEFF * g.h ** 2 * scale
     return CheckReport(
         name="coordinate_laplacian",
@@ -326,6 +360,6 @@ def check_coordinate_laplacian(B: GeometryBundle, psi: ScalarField2 | None = Non
         passed=bool(mx <= tol),
         max_residual=mx,
         tolerance=float(tol),
-        location=(int(i) + m, int(j) + m),
+        location=(i, j),
         details={"component": k},
     )

@@ -37,7 +37,9 @@ from .grid import (
     INTERIOR_MARGIN,
     Grid2,
     ScalarField2,
+    _bands,
     _cutoff,
+    _gradient_rows,
     gradient_norm,
     integrate_disk,
     sup_norm_disk,
@@ -460,18 +462,16 @@ def check_jacobi_integral(B: GeometryBundle, K: SlopeConstants, C_hat: float) ->
         )
     h = g.h
     V = B.vol
-    # each integrand is formed in place and released once it is integrated
-    integrand = B.slope_grad_norm2 * V
-    lhs = integrate_disk(ScalarField2(g, integrand), r1)
-    sup_int = float(np.max(integrand))
-    del integrand
-    # the cutoff terms on the box of its support.  The disk integrals gather
-    # the nodes of B_{r2} in the same order (r2^2 = 9 is exact, so none lies
-    # off the box); the two sums over the grid keep zeros around the box, as
-    # their pairwise grouping depends on where each node sits, and the sign
-    # of those zeros changes no sum that is not zero
+    gn = B.slope_grad_norm2
+    # each integrand is formed in place on the box of the cutoff's support
+    # and released once it is integrated.  The disk integrals gather B_{r1}
+    # and B_{r2} from it in the same order (r2^2 = 9 is exact, so no node of
+    # B_{r2} lies off the box); the sums over the grid keep zeros around the
+    # box, as their pairwise grouping depends on where each node sits
+    sup_int = float(np.max([np.max(gn[b] * V[b]) for b in _bands(0, g.n)]))
     box, phi, (dphi1, dphi2) = _cutoff(r1, r2, g, with_phi=True)
     bb = (box, box)
+    lhs = float(np.sum((gn[bb] * V[bb])[g.disk_mask(r1)[bb]]) * h * h)
     disk = g.disk_mask(r2)[bb]
     integrand = _quadform_inv(B, dphi1, dphi2, bb)
     integrand *= V[bb]
@@ -489,22 +489,23 @@ def check_jacobi_integral(B: GeometryBundle, K: SlopeConstants, C_hat: float) ->
     integrand *= V[bb]
     ibp_lhs = float(np.sum(whole) * h * h)
     # <grad_g phi, grad_g b>_g = inv11 phi_1 b_1 + inv12 (phi_1 b_2 + phi_2 b_1)
-    # + inv22 phi_2 b_2, each product formed left to right
-    gb1, gb2 = (gk[bb] for gk in B.slope_gradient)
-    term = dphi1 * gb2
-    cross = np.multiply(dphi2, gb1, out=whole[bb])
-    term += cross
-    term *= B.inv12[bb]
-    np.multiply(B.inv11[bb], dphi1, out=cross)
-    cross *= gb1
-    cross += term
-    np.multiply(B.inv22[bb], dphi2, out=term)
-    term *= gb2
-    cross += term
-    del term
+    # + inv22 phi_2 b_2, each product left to right, one band of box rows at a time
     phi *= 2.0
-    cross *= phi
-    cross *= V[bb]
+    for rows in _bands(box.start, box.stop):
+        gb1, gb2 = (gk[:, box] for gk in _gradient_rows(B.slope, h, rows))
+        k = slice(rows.start - box.start, rows.stop - box.start)
+        term = dphi1[k] * gb2
+        cross = np.multiply(dphi2[k], gb1, out=whole[rows, box])
+        term += cross
+        term *= B.inv12[rows, box]
+        np.multiply(B.inv11[rows, box], dphi1[k], out=cross)
+        cross *= gb1
+        cross += term
+        np.multiply(B.inv22[rows, box], dphi2[k], out=term)
+        term *= gb2
+        cross += term
+        cross *= phi[k]
+        cross *= V[rows, box]
     ibp_rhs = float(-np.sum(whole) * h * h)
     ibp_resid = abs(ibp_lhs - ibp_rhs)
     ibp_tol = IBP_COEFF * h

@@ -731,6 +731,19 @@ class TestStrictConfig:
         assert main([command, "--config", str(p)]) == EXIT_INVALID_INPUT
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize(
+        "flags, key", [(["--seed", "-1"], "seed"), (["--out", ""], "out")]
+    )
+    def test_bad_override_named_at_load(self, tmp_path, monkeypatch, capsys, flags, key):
+        # the command-line overrides are checked as the file's keys are,
+        # before any work; an empty --out would write into the working directory
+        monkeypatch.chdir(tmp_path)
+        p = tmp_path / "s.cfg"
+        p.write_text(f"family=perturbed\nn=65\nchecks=weak_max_principle\nout={tmp_path / 'o'}\n")
+        assert main(["verify", "--config", str(p), *flags]) == EXIT_INVALID_INPUT
+        assert capsys.readouterr().err.startswith(f"lmce: invalid input: {key} must be")
+        assert sorted(os.listdir(tmp_path)) == ["s.cfg"]
+
     def test_budget_may_be_none_or_zero(self):
         RunConfig(**self.BASE, C_budget=None, Cstar_budget=0.0)
         RunConfig(**self.BASE, C_budget=0, Cstar_budget=math.inf)
@@ -1020,14 +1033,35 @@ class TestVerifyWork:
         return peak / (8 * 129 * 129)
 
     def test_peak_memory_of_a_full_verify(self, tmp_path):
-        # the traced peak is 20.6 float arrays of n^2 nodes at n=129; 21.6
-        # leaves about one array of headroom
-        assert self._full_verify_at_129(tmp_path) < 21.6
+        # the traced peak is 17.6 float arrays of n^2 nodes at n=129; 18.6
+        # leaves about one array of headroom.  It was 20.6 with the Hessian
+        # and the slope gradient stored and whole-grid temporaries.
+        assert self._full_verify_at_129(tmp_path) < 18.6
+
+    def test_peak_memory_of_set_up(self, monkeypatch):
+        # bands of 16 rows are the share of the grid at n=257 that bands of
+        # LB_BAND_ROWS = 64 rows are at n=1025: set-up holds no temporary of
+        # the grid's size, so its traced peak stays within one array of n^2
+        # nodes of what it leaves alive (11 arrays: u, psi, |Du| and the
+        # bundle's eight).  It was 2.0 arrays with the Hessian stored.
+        monkeypatch.setattr(lmce.grid, "LB_BAND_ROWS", 16)
+        cfg = RunConfig(family="perturbed", eps=0.1, n=257, checks=["all"])
+        lmce.cli._Context(cfg)  # a first run loads what only a first run allocates
+        tracemalloc.start()
+        try:
+            ctx = lmce.cli._Context(cfg)  # bound, so alive when measured
+            alive, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert ctx.bundle.grid.n == 257
+        assert peak - alive <= 8 * 257 * 257
 
     def test_peak_memory_of_coordinate_laplacian(self, tmp_path, monkeypatch):
-        # over what is alive when it starts, the check peaks at 8.5 arrays of
-        # n^2 nodes at n=129: the lift, one coordinate and its Laplacian, and
-        # one band of the operator (half the grid at this n).  It was 11.0
+        # over what is alive when it starts, the check peaks at 6.5 arrays of
+        # n^2 nodes at n=129, all of them band temporaries (a band is half
+        # the grid at this n): the rows of the Hessian, the phase gradient,
+        # the lift and the operator of one band.  It was 8.5 with the whole
+        # lift, a materialized coordinate and its whole Laplacian, and 11.0
         # with the bundle's cached flux coefficients.
         check = lmce.cli.check_coordinate_laplacian
         peaks = []
@@ -1042,7 +1076,7 @@ class TestVerifyWork:
         monkeypatch.setattr(lmce.cli, "check_coordinate_laplacian", spy)
         self._full_verify_at_129(tmp_path)
         assert len(peaks) == 2
-        assert peaks[-1] < 9.5 * 8 * 129 * 129
+        assert peaks[-1] < 7.5 * 8 * 129 * 129
 
     def test_lazy_state_has_its_own_timings(self, tmp_path):
         cfg = RunConfig(family="perturbed", eps=0.1, n=65, checks=["all"], out=str(tmp_path / "o"))
@@ -1133,8 +1167,8 @@ class TestReleaseTable:
         order=st.permutations(ALL_CHECKS),
         size=st.integers(1, len(ALL_CHECKS)),
     )
-    # the sample builds the constants but not lap_g b, so the slope gradient
-    # must outlive it for jacobi_pointwise
+    # the sample builds the constants but not lap_g b, which jacobi_pointwise
+    # then builds
     @example(
         case="perturbed",
         A=1.0,
@@ -1198,14 +1232,12 @@ def _set_up_refs(ctx) -> dict:
         "u": u + [f.values for f in u],
         # a field file's phase is the bundle's own, which the checks read
         "psi": [ctx.psi] + ([ctx.psi.values] if ctx.psi.values is not ctx.bundle.phase else []),
-        # a tuple cannot be weakly referenced: its three arrays stand for it
-        "hess": list(ctx.bundle.hess),
     }
     return {name: [weakref.ref(obj) for obj in objs] for name, objs in objects.items()}
 
 
 class TestSetUpRelease:
-    """No check reads u, nor psi after form_equivalence, nor the Hessian after
+    """No check reads psi after form_equivalence, nor u after
     coordinate_laplacian; the verify runner drops each of them, and the
     manufactured problem and the solve state that also hold them, once its
     last reader has run."""
@@ -1247,6 +1279,6 @@ class TestSetUpRelease:
         lap = read.index("check_coordinate_laplacian")
         for k, (name, names) in enumerate(alive):
             expected = {"psi"} if k <= form else set()
-            expected |= {"hess"} if k <= lap else set()
+            expected |= {"u"} if k <= lap else set()
             assert names == expected, name
         assert referenced() == set()

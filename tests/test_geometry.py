@@ -24,7 +24,7 @@ from lmce.geometry import (
     modified_slope,
     slope,
 )
-from lmce.grid import ScalarField2, build_grid, gradient_fd, gradient_norm, sample
+from lmce.grid import ScalarField2, build_grid, gradient_fd, gradient_norm, hessian_fd, sample
 from lmce.solver import anisotropic_family, manufacture, perturbed_family
 
 
@@ -102,7 +102,7 @@ class TestBundle:
         g = build_grid(2.0, 33)
         u = sample(lambda x1, x2: 0.5 * (x1 * x1 + x2 * x2) + 0.2 * np.sin(x1) * np.cos(x2), g)
         B = bundle(u)
-        g11, g12, g22, *_ = _induced_metric(*B.hess)
+        g11, g12, g22, *_ = _induced_metric(*hessian_fd(u))
         detg = g11 * g22 - g12 * g12
         np.testing.assert_allclose(B.vol, np.sqrt(detg), rtol=1e-12)
 
@@ -110,7 +110,7 @@ class TestBundle:
         g = build_grid(2.0, 17)
         u = sample(lambda x1, x2: 0.5 * x1 * x1 + 0.3 * x1 * x2, g)
         B = bundle(u)
-        g11, g12, g22, inv11, inv12, inv22 = _induced_metric(*B.hess)
+        g11, g12, g22, inv11, inv12, inv22 = _induced_metric(*hessian_fd(u))
         # the bundle stores the inverse that _induced_metric returns
         for stored, computed in ((B.inv11, inv11), (B.inv12, inv12), (B.inv22, inv22)):
             np.testing.assert_array_equal(stored, computed)
@@ -220,8 +220,6 @@ class TestLazySlopeFields:
     def test_equal_to_fresh_computation(self):
         B = self._bundle()
         b = slope(B)
-        for got, want in zip(B.slope_gradient, gradient_fd(b)):
-            assert np.array_equal(got, want)
         assert np.array_equal(B.slope_laplacian, laplace_beltrami(b, B).values)
         assert np.array_equal(B.slope_grad_norm2, grad_g_norm2(b, B).values)
         q = ScalarField2(B.grid, 0.5 * B.grid.radius2())
@@ -232,13 +230,12 @@ class TestLazySlopeFields:
 
     def test_computed_once_and_read_only(self):
         B = self._bundle()
-        assert B.slope_gradient is B.slope_gradient
         assert B.slope_laplacian is B.slope_laplacian
         assert B.slope_grad_norm2 is B.slope_grad_norm2
         assert B.paraboloid_laplacian is B.paraboloid_laplacian
         assert B.negated is B.negated
         arrays = (B.slope_laplacian, B.slope_grad_norm2, B.paraboloid_laplacian)
-        for arr in arrays + B.slope_gradient:
+        for arr in arrays:
             assert not arr.flags.writeable
 
 
@@ -260,7 +257,7 @@ class TestCachedFields:
         assert np.array_equal(B.cos_phase, np.cos(B.phase))
         assert np.array_equal(B.sin_phase, np.sin(B.phase))
         assert np.array_equal(B.grad_norm, gradient_norm(u).values)
-        assert bundle_from_hessian(B.grid, B.hess).grad_norm is None
+        assert bundle_from_hessian(B.grid, hessian_fd(u)).grad_norm is None
 
     def test_symmetric_functions_from_the_eigenvalues(self):
         B = self._bundle()
@@ -281,7 +278,8 @@ class TestCachedFields:
         assert neg.paraboloid_laplacian is lap_q
         assert neg.grad_norm is grad_norm
         # the very arrays that a rebuild from the negated Hessian computes
-        fresh = bundle_from_hessian(B.grid, tuple(-m for m in B.hess), neg.grad_norm)
+        u = manufacture(anisotropic_family(-0.4, -1.0), B.grid).u_exact
+        fresh = bundle_from_hessian(B.grid, tuple(-m for m in hessian_fd(u)), neg.grad_norm)
         for name in ("lam1", "lam2", "phase", "vol", "inv11", "inv12", "inv22", "slope"):
             assert np.array_equal(getattr(neg, name), getattr(fresh, name))
         assert _same_bits(neg.paraboloid_laplacian, fresh.paraboloid_laplacian)
@@ -318,13 +316,13 @@ class TestBands:
 
     def _one_band(self, monkeypatch, f, B):
         with monkeypatch.context() as m:
-            m.setattr(lmce.geometry, "LB_BAND_ROWS", B.grid.n)
+            m.setattr(lmce.grid, "LB_BAND_ROWS", B.grid.n)
             return laplace_beltrami(f, B).values
 
     # n - 2 interior rows below, at and off a multiple of the band height
     @pytest.mark.parametrize("n", [5, 65, 66, 131])
     def test_bands_match_one_band(self, monkeypatch, n):
-        assert lmce.geometry.LB_BAND_ROWS == 64
+        assert lmce.grid.LB_BAND_ROWS == 64
         g = build_grid(4.0, n)
         B = bundle(manufacture(perturbed_family(0.1), g).u_exact)
         neg = bundle(manufacture(anisotropic_family(-0.4, -1.0), g).u_exact)
@@ -341,7 +339,7 @@ class TestBands:
         f = sample(lambda x1, x2: np.cos(x1 - 0.2 * x2), g)
         whole = self._one_band(monkeypatch, f, B)
         for rows in range(1, 19):
-            monkeypatch.setattr(lmce.geometry, "LB_BAND_ROWS", rows)
+            monkeypatch.setattr(lmce.grid, "LB_BAND_ROWS", rows)
             assert _same_bits(laplace_beltrami(f, B).values, whole)
 
     def test_bundle_caches_no_coefficients(self):
@@ -350,6 +348,63 @@ class TestBands:
         before = set(vars(B))
         laplace_beltrami(slope(B), B)
         assert set(vars(B)) == before
+
+
+def _whole_bundle(hess):
+    """The bundle's arrays by whole-array expressions: the oracle of the
+    banded build."""
+    lam1, lam2 = eigen_sym2(*hess)
+    inv11, inv12, inv22 = _induced_metric(*hess)[3:]
+    return {
+        "lam1": lam1,
+        "lam2": lam2,
+        "phase": np.arctan(lam1) + np.arctan(lam2),
+        "vol": np.sqrt((1.0 + lam1 * lam1) * (1.0 + lam2 * lam2)),
+        "inv11": inv11,
+        "inv12": inv12,
+        "inv22": inv22,
+        "slope": 0.5 * np.log1p(lam1 * lam1),
+    }
+
+
+class TestBandedBundle:
+    """bundle(u) fills its arrays band by band from the Hessian's rows; each
+    is the whole-array oracle's bit for bit, and so are the twin's and the
+    fields formed per band."""
+
+    @pytest.mark.parametrize("n", [5, 6, 7, 64, 65, 66, 129])
+    def test_bundle_matches_whole_array_oracle(self, n):
+        g = build_grid(4.0, n)
+        for family in (perturbed_family(0.1), anisotropic_family(-0.4, -1.0)):
+            u = manufacture(family, g).u_exact
+            B = bundle(u)
+            for name, want in _whole_bundle(hessian_fd(u)).items():
+                assert _same_bits(getattr(B, name), want), name
+            assert _same_bits(B.grad_norm, np.hypot(*gradient_fd(u)))
+            neg = B.negated
+            assert _same_bits(neg.phase, np.arctan(-B.lam2) + np.arctan(-B.lam1))
+            assert _same_bits(neg.slope, 0.5 * np.log1p(B.lam2 * B.lam2))
+            b1, b2 = gradient_fd(slope(B))
+            q = B.inv11 * b1 * b1 + 2.0 * B.inv12 * b1 * b2 + B.inv22 * b2 * b2
+            assert _same_bits(B.slope_grad_norm2, q)
+            bmod = modified_slope(B, SlopeConstants(A=0.7))
+            assert _same_bits(bmod.values, B.slope + 0.5 * 0.7 * g.radius2())
+
+    def test_bundle_from_a_given_hessian(self):
+        g = build_grid(4.0, 129)
+        hess = hessian_fd(manufacture(anisotropic_family(1.2, 0.3), g).u_exact)
+        B = bundle_from_hessian(g, hess)
+        for name, want in _whole_bundle(hess).items():
+            assert _same_bits(getattr(B, name), want), name
+
+    def test_non_finite_entry_in_the_last_band_raises(self):
+        # the last band of n=129 is its last row
+        g = build_grid(4.0, 129)
+        u = manufacture(perturbed_family(0.1), g).u_exact
+        m11, m12, m22 = (np.array(m) for m in hessian_fd(u))
+        m12[-1, 3] = np.nan
+        with pytest.raises(ValueError, match="symmetric matrix entries must be finite"):
+            bundle_from_hessian(g, (m11, m12, m22))
 
 
 class TestFrameIndependence:

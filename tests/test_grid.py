@@ -6,13 +6,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import lmce.grid
 from lmce.geometry import bundle
 from lmce.grid import (
     ScalarField2,
+    _bands,
     _cutoff,
     _d1,
     _d2,
+    _gradient_rows,
+    _hessian_rows,
     _quintic_slope,
+    _slab,
     build_grid,
     gradient_fd,
     hessian_fd,
@@ -193,6 +198,43 @@ class TestDerivatives:
         e_h2 = self._hess_error(129)
         order = math.log2(e_h / e_h2)
         assert 1.8 <= order <= 2.2
+
+
+class TestBandedRows:
+    """Each band's rows of the differenced Hessian and gradient come from the
+    band's slab alone and are those rows of hessian_fd and gradient_fd bit
+    for bit, whatever the band height."""
+
+    # one band below, at and off the band height; at 65 and 129 the last
+    # band is one row, whose slab widens to the four rows of the edge stencil
+    @pytest.mark.parametrize("n", [5, 6, 7, 64, 65, 66, 129])
+    @pytest.mark.parametrize("rows", [1, 2, 3, 64])
+    def test_rows_match_the_whole_grid(self, monkeypatch, n, rows):
+        monkeypatch.setattr(lmce.grid, "LB_BAND_ROWS", rows)
+        g = build_grid(2.0, n)
+        f = sample(lambda x1, x2: np.sin(1.3 * x1) * np.exp(0.4 * x2) + x1 ** 3 * x2, g)
+        whole = hessian_fd(f) + gradient_fd(f)
+        bands = _bands(0, n)
+        assert [r for b in bands for r in range(b.start, b.stop)] == list(range(n))
+        for b in bands:
+            slab, k = _slab(n, b)
+            assert slab.start <= max(b.start - 1, 0) and slab.stop >= min(b.stop + 1, n)
+            assert slab.stop - slab.start >= 4
+            assert list(range(n)[slab][k]) == list(range(n)[b])
+            # NaN off the slab: a stencil reading beyond it would show
+            values = np.full((n, n), np.nan)
+            values[slab] = f.values[slab]
+            got = _hessian_rows(values, g.h, b) + _gradient_rows(values, g.h, b)
+            for rows_got, want in zip(got, whole):
+                assert np.array_equal(rows_got.view(np.int64), want[b].view(np.int64))
+
+    def test_edge_slabs_hold_four_rows(self):
+        assert _slab(129, slice(128, 129)) == (slice(125, 129), slice(3, 4))
+        assert _slab(129, slice(0, 1)) == (slice(0, 4), slice(0, 1))
+        assert _slab(66, slice(64, 66)) == (slice(62, 66), slice(2, 4))
+        assert _slab(67, slice(65, 66)) == (slice(63, 67), slice(2, 3))
+        # a band of two or more interior rows keeps one halo row each side
+        assert _slab(67, slice(1, 65)) == (slice(0, 66), slice(1, 65))
 
 
 class TestDiskQuadrature:

@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 import lmce.identities
 from lmce.errors import PreconditionError
-from lmce.geometry import _lift_phase_gradient, bundle, bundle_from_hessian, laplace_beltrami
-from lmce.grid import ScalarField2, _cutoff, build_grid, sample
+from lmce.geometry import bundle, bundle_from_hessian, laplace_beltrami
+from lmce.grid import ScalarField2, _cutoff, build_grid, gradient_fd, hessian_fd, sample
 from lmce.identities import (
     check_complex_factorization,
     check_coordinate_laplacian,
@@ -277,8 +277,8 @@ class TestSlopeVolume:
 class TestCoordinateLaplacian:
     def test_constant_metric_trivial(self):
         g = build_grid(4.0, 65)
-        B = bundle(sample(lambda x1, x2: 0.5 * (x1 * x1 + x2 * x2), g))
-        rep = check_coordinate_laplacian(B)
+        u = sample(lambda x1, x2: 0.5 * (x1 * x1 + x2 * x2), g)
+        rep = check_coordinate_laplacian(bundle(u), u)
         assert rep.passed
         assert rep.max_residual <= 1e-11
 
@@ -287,7 +287,7 @@ class TestCoordinateLaplacian:
         for n in (65, 129):
             g = build_grid(4.0, n)
             prob = manufacture(perturbed_family(0.1), g)
-            rep = check_coordinate_laplacian(bundle(prob.u_exact), prob.psi)
+            rep = check_coordinate_laplacian(bundle(prob.u_exact), prob.u_exact, prob.psi)
             assert rep.passed
             resids.append(rep.max_residual)
         assert 2.5 <= resids[0] / resids[1] <= 6.0
@@ -298,8 +298,13 @@ class TestCoordinateLaplacian:
         g = build_grid(4.0, 65)
         prob = manufacture(family, g)
         B = bundle(prob.u_exact)
-        rep = check_coordinate_laplacian(B, prob.psi)
-        mw1, mw2 = _lift_phase_gradient(B, prob.psi)
+        rep = check_coordinate_laplacian(B, prob.u_exact, prob.psi)
+        # the lift M g^{-1} D psi from whole arrays, as plain expressions
+        m11, m12, m22 = hessian_fd(prob.u_exact)
+        p1, p2 = gradient_fd(prob.psi)
+        w1 = B.inv11 * p1 + B.inv12 * p2
+        w2 = B.inv12 * p1 + B.inv22 * p2
+        mw1, mw2 = m11 * w1 + m12 * w2, m12 * w1 + m22 * w2
         x1, x2 = g.coords()
         lap1 = laplace_beltrami(ScalarField2(g, x1 + np.zeros_like(x2)), B).values
         lap2 = laplace_beltrami(ScalarField2(g, x2 + np.zeros_like(x1)), B).values
@@ -311,14 +316,45 @@ class TestCoordinateLaplacian:
 
     def test_tie_goes_to_first_component(self, monkeypatch):
         g = build_grid(4.0, 17)
-        B = bundle(sample(lambda x1, x2: 0.5 * (x1 * x1 + x2 * x2), g))
-        flat = lambda f, B: ScalarField2(f.grid, np.ones((f.grid.n, f.grid.n)))
-        monkeypatch.setattr(lmce.identities, "laplace_beltrami", flat)
+        u = sample(lambda x1, x2: 0.5 * (x1 * x1 + x2 * x2), g)
+        # the operator's rows on the interior columns, all 1
+        flat = lambda values, B, rows: np.ones((rows.stop - rows.start, B.grid.n - 2))
+        monkeypatch.setattr(lmce.identities, "_lb_rows", flat)
         # a constant phase has a zero gradient, so both residuals are 1 everywhere
-        rep = check_coordinate_laplacian(B, const_field(g, 0.5 * math.pi))
+        rep = check_coordinate_laplacian(bundle(u), u, const_field(g, 0.5 * math.pi))
         assert rep.max_residual == 1.0
         assert rep.location == (2, 2)
         assert rep.details["component"] == 1
+
+
+class TestBandHeight:
+    """The checks that work one band of rows at a time report the same
+    entries, bit for bit, whatever the band height."""
+
+    @pytest.mark.parametrize("family", [perturbed_family(0.1), anisotropic_family(-0.4, -1.0)])
+    def test_reports_do_not_depend_on_the_band_height(self, monkeypatch, family):
+        from lmce.geometry import SlopeConstants
+        from lmce.inequalities import check_jacobi_integral
+
+        g = build_grid(4.0, 33)
+        prob = manufacture(family, g)
+
+        def entries():
+            B = bundle(prob.u_exact)
+            reports = [
+                check_form_equivalence(B, prob.psi),
+                check_complex_factorization(B),
+                check_volume_formula(B),
+                check_coordinate_laplacian(B, prob.u_exact, prob.psi),
+                check_jacobi_integral(B, SlopeConstants(A=0.5), 0.3),
+            ]
+            return [r.entry() for r in reports]
+
+        monkeypatch.setattr(lmce.grid, "LB_BAND_ROWS", 33)
+        whole = entries()
+        for rows in (1, 2, 3, 7):
+            monkeypatch.setattr(lmce.grid, "LB_BAND_ROWS", rows)
+            assert entries() == whole, rows
 
 
 class TestAlgebraicResidualsGridIndependent:
