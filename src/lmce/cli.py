@@ -17,8 +17,9 @@ Outputs are CSV tables (RFC-4180, header row, repr-formatted floats: a given
 config and seed reproduce them byte for byte), one JSON summary per run, and
 optional 8-bit P5 graymaps with their min/max recorded in the JSON.  Exit
 codes: 0 all pass, 1 a check failed, 2 solver non-convergence, 3 invalid
-input, 4 an internal fault (any other exception: one `lmce: internal error`
-line on stderr, and its traceback too with -v).
+input (a ConfigError, an OSError, or an input file that is not text),
+4 an internal fault (any other exception: one `lmce: internal error` line on
+stderr, and its traceback too with -v).
 """
 
 from __future__ import annotations
@@ -96,6 +97,13 @@ EXIT_NO_CONVERGENCE = 2
 EXIT_INVALID_INPUT = 3
 EXIT_INTERNAL_ERROR = 4
 
+# manufactured family -> its analytic potential (`family=field` reads `field_file`)
+_FAMILIES = {
+    "quadratic": lambda cfg: quadratic_family(cfg.a),
+    "anisotropic": lambda cfg: anisotropic_family(cfg.theta1, cfg.theta2),
+    "perturbed": lambda cfg: perturbed_family(cfg.eps),
+}
+
 
 @dataclass
 class RunConfig:
@@ -135,27 +143,31 @@ class RunConfig:
             self.sweep_values = [self.sweep_values]
         if any(math.isnan(_number(v)) for v in self.sweep_values):
             raise ConfigError(f"sweep_values must be numbers, got {self.sweep_values!r}")
-        for name in ("n", "trials", "max_iter", "seed"):
+        for name, least in (("n", 5), ("trials", 1), ("max_iter", 0), ("seed", 0)):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
-        for name in ("L", "R", "rho", "delta", "tol"):
+            if value < least:
+                raise ConfigError(f"{name} must be at least {least}, got {value}")
+        if not 0 < _number(self.L) < math.inf:
+            raise ConfigError(f"L must be a positive finite number, got {self.L!r}")
+        for name in ("R", "rho", "delta", "tol"):
             value = getattr(self, name)
             if not _number(value) > 0:
                 raise ConfigError(f"{name} must be a positive number, got {value!r}")
-        if self.trials < 1:
-            raise ConfigError(f"trials must be at least 1, got {self.trials}")
-        for name in ("max_iter", "seed"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be non-negative, got {getattr(self, name)}")
         if not (isinstance(self.out, str) and self.out):
             raise ConfigError(f"out must be a directory path, got {self.out!r}")
+        for name in ("field_file", "input", "sweep_param"):
+            if not isinstance(getattr(self, name), str):
+                raise ConfigError(f"{name} must be a string, got {getattr(self, name)!r}")
         if not isinstance(self.heatmaps, bool):
             raise ConfigError(f"heatmaps must be true or false, got {self.heatmaps!r}")
         if self.source not in ("manufactured", "solved"):
             raise ConfigError(f"source must be manufactured or solved, got {self.source!r}")
-        if self.family not in ("quadratic", "anisotropic", "perturbed", "field"):
-            raise ConfigError(f"unknown family {self.family!r}")
+        if self.family not in (*_FAMILIES, "field"):
+            raise ConfigError(
+                f"family must be one of {', '.join(_FAMILIES)} or field, got {self.family!r}"
+            )
         if self.family == "field" and not self.field_file:
             raise ConfigError("family=field needs field_file")
         if not 0.0 < _number(self.c) <= 1.0:
@@ -175,37 +187,25 @@ class RunConfig:
                 f"sweep_param must be a numeric config key ({', '.join(_SWEEPABLE)}), "
                 f"got {self.sweep_param!r}"
             )
-        if self.family != "field":
-            build_grid(self.L, self.n)  # n too small for the stencils is invalid input
-
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
-    @classmethod
-    def from_dict(cls, raw: dict) -> "RunConfig":
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(raw) - known
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        return cls(**raw)
 
     @classmethod
     def from_file(cls, path: str | Path) -> "RunConfig":
         text = Path(path).read_text()
-        stripped = text.lstrip()
-        if stripped.startswith("{"):
+        if text.lstrip().startswith("{"):
             try:
                 raw = json.loads(text)
             except json.JSONDecodeError as exc:
                 raise ConfigError(f"bad JSON config: {exc}") from exc
         else:
             raw = _parse_flat(text)
-        return cls.from_dict(raw)
+        unknown = set(raw) - {f.name for f in dataclasses.fields(cls)}
+        if unknown:
+            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        return cls(**raw)
 
 
 def _number(value) -> float:
-    """value as a float if it is an int or a float, else NaN, which fails
-    every comparison."""
+    """value as a float if it is an int or a float, else NaN (failing every comparison)."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         return math.nan
     return float(value)
@@ -214,7 +214,7 @@ def _number(value) -> float:
 def _require_sampler_grid(cfg: RunConfig, grid) -> None:
     """A grid too coarse for a requested sampled check, or without the disk
     of radius rho that a requested check reads, is invalid input to the
-    commands that run checks, verify and sweep, before any set-up work."""
+    commands that run checks, verify and sweep (see `_read_inputs`)."""
     # the sampled checks read rho through the modified slope, the others
     # through the fit of A
     reads_rho = ["weak_max_principle", "super_iso", "subharmonic"]
@@ -231,6 +231,16 @@ def _require_sampler_grid(cfg: RunConfig, grid) -> None:
         problem = name in cfg.checks and sampler_grid_problem(grid, radius)
         if problem:
             raise ConfigError(f"{name}: {problem}")
+
+
+def _read_inputs(configs: list[RunConfig]) -> ScalarField2 | None:
+    """Read the configs' field file once (None for a manufactured family)
+    and check the grid rule of each config that verify or sweep runs, all
+    before any set-up work; return the field read."""
+    potential = read_field_csv(configs[0].field_file) if configs[0].family == "field" else None
+    for sub in configs:
+        _require_sampler_grid(sub, potential.grid if potential else build_grid(sub.L, sub.n))
+    return potential
 
 
 # the scalar numeric config keys a sweep may vary -> the type of their values
@@ -416,16 +426,6 @@ def _write_run(command: str, report: RunReport, header, rows, /, **extra) -> Non
     (outdir / f"{command}.json").write_text(text + "\n")
 
 
-def _build_family(cfg: RunConfig):
-    if cfg.family == "quadratic":
-        return quadratic_family(cfg.a)
-    if cfg.family == "anisotropic":
-        return anisotropic_family(cfg.theta1, cfg.theta2)
-    if cfg.family == "perturbed":
-        return perturbed_family(cfg.eps)
-    return None
-
-
 def _timed(ctx: "_Context", key: str, run):
     """run(), charging ctx.timings[key] the time it took less that of any
     lazy state of ctx built inside it, which is charged to its own key."""
@@ -462,25 +462,20 @@ class _Context:
     (`_SET_UP`) and each lazily built field of the bundle once no remaining
     check reads it, so heatmaps and a sweep's errors against the exact
     solution are taken first.  potential is the field of `cfg.field_file`
-    if already read (a sweep reads it once).
+    if already read (`_read_inputs`).
     """
 
     def __init__(self, cfg: RunConfig, potential: ScalarField2 | None = None):
         self.cfg = cfg
-        self.analytic = _build_family(cfg)
         self.problem = self.solve_state = None
-        if self.analytic is None:
+        if cfg.family == "field":
             self.u = read_field_csv(cfg.field_file) if potential is None else potential
             self.grid = self.u.grid
         else:
             self.grid = build_grid(cfg.L, cfg.n)
-        _require_sampler_grid(cfg, self.grid)
-        if self.analytic is not None:
-            self.problem = manufacture(self.analytic, self.grid)
+            self.problem = manufacture(_FAMILIES[cfg.family](cfg), self.grid)
             if cfg.source == "solved":
-                self.solve_state = newton_solve(
-                    self.problem.psi, self.problem.u_exact, tol=cfg.tol, max_iter=cfg.max_iter
-                )
+                self.solve_state = _solve(cfg, self.problem)
                 if not self.solve_state.converged:
                     raise NonConvergenceError(
                         f"solver did not converge: {self.solve_state.message}"
@@ -595,15 +590,13 @@ INEQUALITY_CHECKS = {
 _CHECKS = {**IDENTITY_CHECKS, **INEQUALITY_CHECKS}
 ALL_CHECKS = list(_CHECKS)
 
-# lazily built field -> the lazily built fields its build reads; a field even
-# under u -> -u reads its twin bundle ("negated"), which may have built it
+# lazily built field of the context -> the lazily built fields its build reads
 _BUILT_FROM = {
     "constants": ("slope_laplacian", "paraboloid_laplacian", "negated"),
     "bmod": ("constants", "negated"),
     "bmod_grad_norm": ("bmod",),
     "wmp": ("bmod", "bmod_grad_norm"),
     "pointwise": ("constants", "negated", "slope_laplacian", "slope_grad_norm2"),
-    "paraboloid_laplacian": ("negated",),
 }
 # the set-up attributes of the context, never rebuilt once dropped
 _SET_UP = ("u", "psi", "problem", "solve_state")
@@ -613,9 +606,8 @@ def _release(ctx: _Context, remaining: list[str]) -> None:
     """From the context, its bundle and the bundle's negated twin, drop each
     lazily built field and set-up attribute that no remaining check reads.
 
-    A field a holder has not built keeps what it is built from there (so a
-    bundle without lap_g q keeps its link to the twin it may take it from);
-    a built one does not."""
+    A field of the context not yet built keeps what its build reads; a
+    built one does not."""
     reads = [f for name in remaining for f in _CHECKS[name].reads]
     holders = [ctx, ctx.bundle]
     if "negated" in ctx.bundle.__dict__:
@@ -679,8 +671,8 @@ def _run_checks(ctx: _Context, names: list[str], timings: dict) -> list[dict]:
 
 def cmd_verify(cfg: RunConfig) -> tuple[RunReport, int]:
     t0 = time.perf_counter()
-    report = RunReport(config=cfg.to_dict())
-    ctx = _Context(cfg)
+    report = RunReport(config=dataclasses.asdict(cfg))
+    ctx = _Context(cfg, _read_inputs([cfg]))
     report.timings["setup_s"] = time.perf_counter() - t0
     if ctx.solve_state is not None:
         report.solver = _solver_summary(ctx.solve_state)
@@ -707,15 +699,21 @@ def _solver_summary(state) -> dict:
     }
 
 
+def _solve(cfg: RunConfig, problem):
+    """Newton-solve a manufactured problem; a phase outside (0, pi) is invalid input."""
+    try:
+        return newton_solve(problem.psi, problem.u_exact, tol=cfg.tol, max_iter=cfg.max_iter)
+    except PreconditionError as exc:
+        raise ConfigError(f"family {cfg.family}: {exc}") from exc
+
+
 def cmd_solve(cfg: RunConfig) -> tuple[RunReport, int]:
     t0 = time.perf_counter()
-    report = RunReport(config=cfg.to_dict())
-    grid = build_grid(cfg.L, cfg.n)
-    analytic = _build_family(cfg)
-    if analytic is None:
+    report = RunReport(config=dataclasses.asdict(cfg))
+    if cfg.family not in _FAMILIES:
         raise ConfigError("solve needs a manufactured family, not a field file")
-    problem = manufacture(analytic, grid)
-    state = newton_solve(problem.psi, problem.u_exact, tol=cfg.tol, max_iter=cfg.max_iter)
+    problem = manufacture(_FAMILIES[cfg.family](cfg), build_grid(cfg.L, cfg.n))
+    state = _solve(cfg, problem)
     report.timings["solve_s"] = time.perf_counter() - t0
     certified = phase_residual(state.u, problem.psi)
     err_exact = _sup_error((state.u.values, problem.u_exact.values))
@@ -749,7 +747,7 @@ def _sup_error(*pairs) -> float:
 def _exact_errors(ctx: _Context) -> dict:
     """Sup errors of a solved field, its differenced gradient and Hessian
     against the exact solution, and the Newton steps taken."""
-    exact_grad = ctx.analytic.gradient(*ctx.grid.coords())
+    exact_grad = ctx.problem.analytic.gradient(*ctx.grid.coords())
     return {
         "err_u": _sup_error((ctx.u.values, ctx.problem.u_exact.values)),
         "err_grad": _sup_error(*zip(gradient_fd(ctx.u), exact_grad)),
@@ -765,8 +763,8 @@ def _sweep_rows(cfg: RunConfig, timings: dict) -> tuple[list[str], list[list[str
     A solved run of an analytic family adds the sup errors against the exact
     solution and, when h changed from the previous row, the observed orders
     log(e0/e1)/log(h0/h1), blank where either error is at round-off (1e-12).
-    Every swept config is built, and so validated, with the grid rule of
-    the sampled checks, before any runs.
+    Every swept config is built, and so validated, and passes the grid rule
+    of the sampled checks before any runs.
     """
     if not cfg.sweep_param or not cfg.sweep_values:
         raise ConfigError("sweep needs sweep_param and sweep_values")
@@ -776,10 +774,8 @@ def _sweep_rows(cfg: RunConfig, timings: dict) -> tuple[list[str], list[list[str
         dataclasses.replace(cfg, **{param: float(v) if as_float else v})
         for v in cfg.sweep_values
     ]
-    # a field file fixes the grid of every value; it is read once, here
-    potential = read_field_csv(cfg.field_file) if cfg.family == "field" else None
-    for sub in configs:
-        _require_sampler_grid(sub, potential.grid if potential else build_grid(sub.L, sub.n))
+    # a field file fixes the grid of every value
+    potential = _read_inputs(configs)
     rows: list[dict] = []
     all_ok = True
     for sub in configs:
@@ -811,7 +807,7 @@ def _sweep_rows(cfg: RunConfig, timings: dict) -> tuple[list[str], list[list[str
 
 def cmd_sweep(cfg: RunConfig) -> tuple[RunReport, int]:
     t0 = time.perf_counter()
-    report = RunReport(config=cfg.to_dict())
+    report = RunReport(config=dataclasses.asdict(cfg))
     header, rows, all_ok = _sweep_rows(cfg, report.timings)
     report.timings["sweep_s"] = time.perf_counter() - t0
     report.entries = [CheckReport(f"sweep_{cfg.sweep_param}", "sweep", all_ok).entry()]
@@ -847,18 +843,27 @@ def cmd_report(cfg: RunConfig) -> tuple[RunReport, int]:
     outdir = Path(cfg.out)
     outdir.mkdir(parents=True, exist_ok=True)
     _write_csv(outdir / "merged.csv", columns, merged)
-    report = RunReport(config=cfg.to_dict())
+    report = RunReport(config=dataclasses.asdict(cfg))
     report.entries = [CheckReport("report_merge", "report", True).entry()]
     return report, EXIT_PASS
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error is invalid input: the usage line, then a ConfigError."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise ConfigError(message)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="lmce",
         description="Solve and verify the two-dimensional Lagrangian mean curvature equation on manufactured problems.",
     )
+    commands = {"solve": cmd_solve, "verify": cmd_verify, "sweep": cmd_sweep, "report": cmd_report}
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("solve", "verify", "sweep", "report"):
+    for name in commands:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="JSON or key=value config file")
         p.add_argument("--out", default=None, help="output directory override")
@@ -866,27 +871,24 @@ def main(argv: list[str] | None = None) -> int:
         p.add_argument(
             "-v", "--verbose", action="store_true", help="print the traceback of an internal fault"
         )
-    args = parser.parse_args(argv)
+    verbose = False
     try:
+        args = parser.parse_args(argv)
+        verbose = args.verbose
         cfg = RunConfig.from_file(args.config)
         # the command-line overrides, validated as the file's keys are
         overrides = {"out": args.out, "seed": args.seed}
         cfg = dataclasses.replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
-        command = {
-            "solve": cmd_solve,
-            "verify": cmd_verify,
-            "sweep": cmd_sweep,
-            "report": cmd_report,
-        }[args.command]
-        report, code = command(cfg)
-    except (ConfigError, ValueError, OSError) as exc:
+        report, code = commands[args.command](cfg)
+    # UnicodeDecodeError: an input file that is not text
+    except (ConfigError, OSError, UnicodeDecodeError) as exc:
         print(f"lmce: invalid input: {exc}", file=sys.stderr)
         return EXIT_INVALID_INPUT
     except NonConvergenceError as exc:
         print(f"lmce: {exc}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
     except Exception as exc:
-        if args.verbose:
+        if verbose:
             traceback.print_exc()
         print(f"lmce: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL_ERROR

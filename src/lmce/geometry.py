@@ -147,9 +147,8 @@ class GeometryBundle:
     read-only arrays.
     negated is the bundle of the negated potential, kept the same way so the
     checks that canonicalize a negative-phase bundle share its fields too; it
-    shares the metric arrays and grad_norm of this bundle, its own negated is
-    this bundle, and paraboloid_laplacian, even under u -> -u, is built once
-    per pair.
+    shares the metric arrays and grad_norm of this bundle, and its own
+    negated is this bundle.
     """
 
     grid: Grid2
@@ -189,10 +188,6 @@ class GeometryBundle:
 
     @cached_property
     def paraboloid_laplacian(self) -> np.ndarray:
-        # even under u -> -u: the twin's, when the twin has built it
-        twin = self.__dict__.get("negated")
-        if twin is not None and "paraboloid_laplacian" in twin.__dict__:
-            return twin.paraboloid_laplacian
         q = self.grid.radius2()
         q *= 0.5
         return laplace_beltrami(ScalarField2(self.grid, q), self).values
@@ -205,8 +200,7 @@ class GeometryBundle:
         twin shares vol, inv11/12/22 and grad_norm, the very arrays a rebuild
         would compute bit for bit.  The eigenvalues of -M are exactly (-lam2,
         -lam1), as IEEE negation and rounding are symmetric.  The two bundles
-        are each other's `negated`, so each takes the even fields the other
-        has built.
+        are each other's `negated`.
         """
         lam1, lam2 = -self.lam2, -self.lam1
         phase, b = _phase_slope(lam1, lam2)

@@ -286,8 +286,12 @@ def _argmin_on(values: np.ndarray, mask: np.ndarray) -> tuple[int, int]:
 def _fit_region(grid: Grid2, rho: float) -> np.ndarray:
     """The interior nodes of |x| <= rho: where the weight A is fitted and the
     subharmonic check reads, and the region whose phase picks the bundle of
-    the modified slope."""
-    return _interior_mask(grid.n) & grid.disk_mask(rho)
+    the modified slope.  A disk whose interior holds no node fails the
+    precondition of the check that reads it."""
+    mask = _interior_mask(grid.n) & grid.disk_mask(rho)
+    if not mask.any():
+        raise PreconditionError(f"no interior node in the disk of radius rho={rho}")
+    return mask
 
 
 def check_jacobi_pointwise(

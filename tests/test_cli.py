@@ -3,6 +3,7 @@
 import collections
 import contextlib
 import csv
+import dataclasses
 import functools
 import importlib
 import importlib.util
@@ -638,21 +639,24 @@ class TestMainExitCodes:
 
     @pytest.mark.parametrize("verbose", [False, True])
     def test_internal_fault_exit_4(self, tmp_path, monkeypatch, capsys, verbose):
-        def broken(B):
-            raise ZeroDivisionError("injected fault")
+        # a ValueError raised after the config is loaded is a fault, not bad input
+        for fault in (ZeroDivisionError, ValueError):
 
-        monkeypatch.setattr(lmce.cli, "check_slope_volume", broken)
-        p = tmp_path / "ok.cfg"
-        p.write_text(f"family=quadratic\na=1\nn=17\nchecks=slope_volume\nout={tmp_path / 'o'}\n")
-        argv = ["verify", "--config", str(p)] + (["-v"] if verbose else [])
-        assert main(argv) == EXIT_INTERNAL_ERROR
-        err = capsys.readouterr().err
-        assert err.endswith("lmce: internal error: ZeroDivisionError: injected fault\n")
-        if verbose:
-            assert err.startswith("Traceback (most recent call last):")
-            assert "in broken" in err
-        else:
-            assert err.count("\n") == 1
+            def broken(B):
+                raise fault("injected fault")
+
+            monkeypatch.setattr(lmce.cli, "check_slope_volume", broken)
+            p = tmp_path / "ok.cfg"
+            p.write_text(f"family=quadratic\na=1\nn=17\nchecks=slope_volume\nout={tmp_path / 'o'}\n")
+            argv = ["verify", "--config", str(p)] + (["-v"] if verbose else [])
+            assert main(argv) == EXIT_INTERNAL_ERROR
+            err = capsys.readouterr().err
+            assert err.endswith(f"lmce: internal error: {fault.__name__}: injected fault\n")
+            if verbose:
+                assert err.startswith("Traceback (most recent call last):")
+                assert "in broken" in err
+            else:
+                assert err.count("\n") == 1
 
     def test_runs_as_a_module(self, tmp_path):
         p = tmp_path / "ok.cfg"
@@ -836,6 +840,134 @@ class TestNonConvergence:
         code = main(["verify", "--config", str(self._config(tmp_path))])
         assert code == EXIT_INTERNAL_ERROR
         assert capsys.readouterr().err == "lmce: internal error: RuntimeError: internal fault\n"
+
+
+# one value of each kind, and the kind each annotated config type takes (A
+# also takes "fit", checks a name or a list of names, sweep_values a list)
+_KINDS = {"list": [[1.0]], "dict": {"k": 1.0}, "bool": True, "number": 7, "string": "abc"}
+_TAKES = {
+    "int": "number", "float": "number", "float | None": "number", "float | str": "number",
+    "list[float]": "number", "str": "string", "list[str]": "string", "bool": "bool",
+}
+
+
+class TestFrontDoor:
+    """Exit 3 is a ConfigError raised where the input is read (or an input
+    file that cannot be read or is not text); any other exception after
+    that, a ValueError included, is exit 4."""
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            pytest.param(f.name, value, id=f"{f.name}-{kind}")
+            for f in dataclasses.fields(RunConfig)
+            for kind, value in _KINDS.items()
+            if kind != _TAKES[f.type]
+        ],
+    )
+    def test_wrong_kind_named_at_load(self, tmp_path, key, value):
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps({key: value}))
+        with pytest.raises(ConfigError, match=rf"^{key}\b"):
+            RunConfig.from_file(p)
+
+    @pytest.mark.parametrize(
+        "command, key, line",
+        [
+            # a number for a path opened a file descriptor
+            ("verify", "field_file", "family=field\nfield_file=7"),
+            ("verify", "field_file", "family=field\nfield_file=a.csv,b.csv"),
+            ("report", "input", "input=5"),
+            ("sweep", "sweep_param", "family=perturbed\nsweep_param=n,a\nsweep_values=17,33"),
+            ("solve", "n", "n=3"),
+            ("solve", "L", "L=inf"),
+        ],
+        ids=["field_file-fd", "field_file-list", "input", "sweep_param", "n", "L"],
+    )
+    def test_bad_key_exit_3_names_it(self, tmp_path, capsys, command, key, line):
+        p = tmp_path / "bad.cfg"
+        p.write_text(f"n=17\nchecks=slope_volume\nout={tmp_path / 'o'}\n{line}\n")
+        assert main([command, "--config", str(p)]) == EXIT_INVALID_INPUT
+        assert capsys.readouterr().err.startswith(f"lmce: invalid input: {key} must be")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--config", "run.cfg", "--seed", "abc"],
+            ["verify"],
+            ["frobnicate", "--config", "run.cfg"],
+            [],
+        ],
+        ids=["bad-seed", "no-config", "unknown-command", "no-command"],
+    )
+    def test_usage_error_exit_3(self, capsys, argv):
+        # exit 2 is non-convergence only; main returns rather than exiting
+        assert main(argv) == EXIT_INVALID_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("usage: lmce")
+        assert err.count("\nlmce: invalid input: ") == 1
+
+    def test_help_exit_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "-h"])
+        assert exc.value.code == 0
+        assert "--config" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("name", ["config", "field file"])
+    def test_input_not_text_exit_3(self, tmp_path, name):
+        binary = tmp_path / "binary"
+        binary.write_bytes(b"\xff\xfe\x00\x81 not text\n")
+        p = tmp_path / "run.cfg"
+        p.write_text(f"family=field\nfield_file={binary}\nchecks=slope_volume\nout={tmp_path / 'o'}\n")
+        config = binary if name == "config" else p
+        assert main(["verify", "--config", str(config)]) == EXIT_INVALID_INPUT
+
+    def test_overflowing_field_exit_4(self, tmp_path, capsys):
+        p = tmp_path / "big.cfg"
+        p.write_text(f"family=quadratic\na=1e308\nn=17\nchecks=slope_volume\nout={tmp_path / 'o'}\n")
+        with np.errstate(over="ignore"):
+            assert main(["verify", "--config", str(p)]) == EXIT_INTERNAL_ERROR
+        err = capsys.readouterr().err
+        assert err == "lmce: internal error: ValueError: field contains non-finite values\n"
+
+    @pytest.mark.parametrize(
+        "command, extra", [("solve", ""), ("verify", "source=solved\n")], ids=["solve", "verify"]
+    )
+    def test_phase_outside_the_solver_range_exit_3(self, tmp_path, capsys, command, extra):
+        p = tmp_path / "neg.cfg"
+        p.write_text(f"family=quadratic\na=-1\nn=17\nchecks=slope_volume\n{extra}out={tmp_path}\n")
+        assert main([command, "--config", str(p)]) == EXIT_INVALID_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("lmce: invalid input: family quadratic: solver needs supercritical")
+
+    @pytest.mark.parametrize(
+        "check", ["jacobi_pointwise", "jacobi_integral", "weak_max_principle", "super_iso"]
+    )
+    def test_rho_disk_without_an_interior_node(self, tmp_path, check):
+        # no node of the even grid lies within 0.01 of the origin
+        cfg = RunConfig(family="perturbed", n=64, rho=0.01, checks=[check], out=str(tmp_path))
+        report, code = cmd_verify(cfg)
+        assert code == EXIT_CHECK_FAILED
+        (entry,) = report.entries
+        assert entry["status"] == "precondition_failed"
+        assert entry["details"]["error"] == "no interior node in the disk of radius rho=0.01"
+
+    def test_grid_rule_once_per_config(self, tmp_path, monkeypatch):
+        calls = []
+        rule = lmce.cli._require_sampler_grid
+        monkeypatch.setattr(
+            lmce.cli, "_require_sampler_grid", lambda cfg, grid: calls.append(cfg) or rule(cfg, grid)
+        )
+        cfg = RunConfig(family="perturbed", n=65, checks=["weak_max_principle"], out=str(tmp_path))
+        cmd_verify(cfg)
+        assert calls == [cfg]
+        calls.clear()
+        cmd_sweep(dataclasses.replace(cfg, sweep_param="eps", sweep_values=[0.1, 0.2]))
+        assert [sub.eps for sub in calls] == [0.1, 0.2]
+        calls.clear()
+        lmce.cli._Context(cfg)  # set-up validates nothing
+        assert calls == []
 
 
 class TestCheckRegistry:
