@@ -97,11 +97,15 @@ EXIT_NO_CONVERGENCE = 2
 EXIT_INVALID_INPUT = 3
 EXIT_INTERNAL_ERROR = 4
 
-# manufactured family -> its analytic potential (`family=field` reads `field_file`)
+# family -> the config keys its potential reads, and its analytic potential
+# (`family=field` reads `field_file`, whose header fixes the grid)
 _FAMILIES = {
-    "quadratic": lambda cfg: quadratic_family(cfg.a),
-    "anisotropic": lambda cfg: anisotropic_family(cfg.theta1, cfg.theta2),
-    "perturbed": lambda cfg: perturbed_family(cfg.eps),
+    "quadratic": (("L", "n", "a"), lambda cfg: quadratic_family(cfg.a)),
+    "anisotropic": (
+        ("L", "n", "theta1", "theta2"), lambda cfg: anisotropic_family(cfg.theta1, cfg.theta2)
+    ),
+    "perturbed": (("L", "n", "eps"), lambda cfg: perturbed_family(cfg.eps)),
+    "field": ((), None),
 }
 
 
@@ -164,20 +168,21 @@ class RunConfig:
             raise ConfigError(f"heatmaps must be true or false, got {self.heatmaps!r}")
         if self.source not in ("manufactured", "solved"):
             raise ConfigError(f"source must be manufactured or solved, got {self.source!r}")
-        if self.family not in (*_FAMILIES, "field"):
-            raise ConfigError(
-                f"family must be one of {', '.join(_FAMILIES)} or field, got {self.family!r}"
-            )
+        if not isinstance(self.family, str) or self.family not in _FAMILIES:
+            raise ConfigError(f"family must be one of {', '.join(_FAMILIES)}, got {self.family!r}")
         if self.family == "field" and not self.field_file:
             raise ConfigError("family=field needs field_file")
-        if not 0.0 < _number(self.c) <= 1.0:
-            raise ConfigError(f"c must be a number in (0, 1], got {self.c!r}")
-        if self.A != "fit" and not _number(self.A) >= 0.0:
-            raise ConfigError(f"A must be a non-negative number or 'fit', got {self.A!r}")
+        if self.family == "field" and self.source == "solved":
+            raise ConfigError("source must be manufactured for family=field, got 'solved'")
+        # the jacobi integral's bound divides by c^2
+        if not (0.0 < _number(self.c) <= 1.0 and self.c**2 > 0.0):
+            raise ConfigError(f"c must be a number in (0, 1], its square nonzero, got {self.c!r}")
+        if self.A != "fit" and not 0.0 <= _number(self.A) < math.inf:
+            raise ConfigError(f"A must be a non-negative finite number or 'fit', got {self.A!r}")
         for name in ("a", "eps", "theta1", "theta2"):
             value = getattr(self, name)
-            if math.isnan(_number(value)):
-                raise ConfigError(f"{name} must be a number, got {value!r}")
+            if not math.isfinite(_number(value)):
+                raise ConfigError(f"{name} must be a finite number, got {value!r}")
         for name in ("C_budget", "Cstar_budget"):
             value = getattr(self, name)
             if (value is not None or name == "Cstar_budget") and not _number(value) >= 0.0:
@@ -186,6 +191,12 @@ class RunConfig:
             raise ConfigError(
                 f"sweep_param must be a numeric config key ({', '.join(_SWEEPABLE)}), "
                 f"got {self.sweep_param!r}"
+            )
+        # a family key that this family ignores would give identical rows
+        ignored = {k for ks, _ in _FAMILIES.values() for k in ks} - {*_FAMILIES[self.family][0]}
+        if self.sweep_param in ignored:
+            raise ConfigError(
+                f"sweep_param must be a key family={self.family} reads, got {self.sweep_param!r}"
             )
 
     @classmethod
@@ -208,7 +219,10 @@ def _number(value) -> float:
     """value as a float if it is an int or a float, else NaN (failing every comparison)."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         return math.nan
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:  # an int beyond the float range
+        return math.nan
 
 
 def _require_sampler_grid(cfg: RunConfig, grid) -> None:
@@ -473,7 +487,7 @@ class _Context:
             self.grid = self.u.grid
         else:
             self.grid = build_grid(cfg.L, cfg.n)
-            self.problem = manufacture(_FAMILIES[cfg.family](cfg), self.grid)
+            self.problem = manufacture(_FAMILIES[cfg.family][1](cfg), self.grid)
             if cfg.source == "solved":
                 self.solve_state = _solve(cfg, self.problem)
                 if not self.solve_state.converged:
@@ -608,25 +622,22 @@ def _release(ctx: _Context, remaining: list[str]) -> None:
 
     A field of the context not yet built keeps what its build reads; a
     built one does not."""
-    reads = [f for name in remaining for f in _CHECKS[name].reads]
+    keep: set[str] = set()
+    todo = [f for name in remaining for f in _CHECKS[name].reads]
+    while todo:
+        name = todo.pop()
+        if name not in keep:
+            keep.add(name)
+            if name not in ctx.__dict__:
+                todo.extend(_BUILT_FROM.get(name, ()))
     holders = [ctx, ctx.bundle]
     if "negated" in ctx.bundle.__dict__:
         holders.append(ctx.bundle.negated)
     for holder in holders:
-        built = holder.__dict__
-        keep: set[str] = set()
-        todo = list(reads)
-        while todo:
-            name = todo.pop()
-            if name in keep:
-                continue
-            keep.add(name)
-            if name not in built and name not in ctx.__dict__:
-                todo.extend(_BUILT_FROM.get(name, ()))
         lazy = [k for k, v in vars(type(holder)).items() if isinstance(v, cached_property)]
         for name in lazy + list(_SET_UP):
             if name not in keep:
-                built.pop(name, None)
+                holder.__dict__.pop(name, None)
 
 
 def _json_default(obj):
@@ -710,9 +721,9 @@ def _solve(cfg: RunConfig, problem):
 def cmd_solve(cfg: RunConfig) -> tuple[RunReport, int]:
     t0 = time.perf_counter()
     report = RunReport(config=dataclasses.asdict(cfg))
-    if cfg.family not in _FAMILIES:
+    if cfg.family == "field":
         raise ConfigError("solve needs a manufactured family, not a field file")
-    problem = manufacture(_FAMILIES[cfg.family](cfg), build_grid(cfg.L, cfg.n))
+    problem = manufacture(_FAMILIES[cfg.family][1](cfg), build_grid(cfg.L, cfg.n))
     state = _solve(cfg, problem)
     report.timings["solve_s"] = time.perf_counter() - t0
     certified = phase_residual(state.u, problem.psi)

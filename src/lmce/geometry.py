@@ -351,17 +351,10 @@ def _lb_rows(values: np.ndarray, B: GeometryBundle, rows: slice, out=None) -> np
 
     def flux(axis, v, d, c, c_cross):
         # the flux A_aa D_a f + A_ab D_b f (A = W g^{-1}) through the half
-        # nodes along axis a: c*(v[k+1] - v[k])/h + c_cross*(d[k+1] + d[k]),
-        # d the nodal central derivative along the other axis b, with each
-        # product and quotient taken in place in that order
+        # nodes along axis a, d the nodal central derivative along the other
+        # axis b
         lo, hi = _NEIGHBOUR_LINES[axis]
-        fa = v[hi] - v[lo]
-        fa *= c
-        fa /= h
-        cross = d[hi] + d[lo]
-        cross *= c_cross
-        fa += cross
-        return fa
+        return c * (v[hi] - v[lo]) / h + c_cross * (d[hi] + d[lo])
 
     # the coefficients carry the factors of the flux stencils: (W g^11)/2
     # and (W g^12)/4 at (i+1/2, j) between slab rows, (W g^22)/2 and
@@ -375,17 +368,9 @@ def _lb_rows(values: np.ndarray, B: GeometryBundle, rows: slice, out=None) -> np
     A = W[on] * B.inv22[rows]
     c12 = 0.25 * (A12[on, 1:] + A12[on, :-1])
     f2 = flux(1, v[on], _d1(v, h, axis=0)[on], 0.5 * (A[:, 1:] + A[:, :-1]), c12)
-    del A, A12, c12
     # ((f1[i+1/2] - f1[i-1/2])/h + (f2[j+1/2] - f2[j-1/2])/h)/W
-    band = np.subtract(f1[on, 1:-1], f1[on.start - 1 : on.stop - 1, 1:-1], out=out)
-    del f1
-    band /= h
-    f2 = f2[:, 1:] - f2[:, :-1]
-    f2 /= h
-    band += f2
-    del f2
-    band /= W[on, 1:-1]
-    return band
+    div = (f1[on, 1:-1] - f1[on.start - 1 : on.stop - 1, 1:-1]) / h
+    return np.divide(div + (f2[:, 1:] - f2[:, :-1]) / h, W[on, 1:-1], out=out)
 
 
 def slope(B: GeometryBundle) -> ScalarField2:

@@ -307,6 +307,8 @@ def _cutoff(r1: float, r2: float, grid: Grid2, with_phi: bool):
         phi *= t
         phi *= poly
         np.subtract(1.0, phi, out=phi)
+        # near t = 1 round-off can leave t^3 (10 - 15 t + 6 t^2) just above 1
+        np.maximum(phi, 0.0, out=phi)
         del t, poly
     dphi = _quintic_slope(rho, r1, r2)
     # rho becomes the divisor of the unit radial direction; the transition

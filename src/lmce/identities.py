@@ -157,15 +157,8 @@ def check_form_equivalence(B: GeometryBundle, psi: ScalarField2) -> CheckReport:
     max_r1 = float(np.max([np.max(np.abs(B.phase[b] - psi.values[b])) for b in _bands(0, g.n)]))
 
     def r2(b):
-        # formed in place, with the operations of the plain expression
         lam1, lam2, p = B.lam1[b], B.lam2[b], psi.values[b]
-        r = np.cos(p)
-        r *= lam1 + lam2
-        t = lam1 * lam2
-        t -= 1.0
-        t *= np.sin(p)
-        r += t
-        return r
+        return np.cos(p) * (lam1 + lam2) + np.sin(p) * (lam1 * lam2 - 1.0)
 
     vmax = float(np.max(B.vol))
     scale_tol = (1.0 + vmax) * max_r1 + FORM_SLACK_COEFF * h * h
@@ -194,14 +187,11 @@ def check_complex_factorization(B: GeometryBundle) -> CheckReport:
     """
 
     def resid(b):
-        # (1 - sig2) - V cos(phase) and sig1 - V sin(phase), formed in place
+        # the larger of |(1 - sig2) - V cos(phase)| and |sig1 - V sin(phase)|
         lam1, lam2, vol = B.lam1[b], B.lam2[b], B.vol[b]
-        re = np.subtract(1.0, lam1 * lam2)
-        im = vol * B.cos_phase[b]
-        re -= im
-        np.multiply(vol, B.sin_phase[b], out=im)
-        np.subtract(lam1 + lam2, im, out=im)
-        return np.maximum(np.abs(re, out=re), np.abs(im, out=im), out=re)
+        re = 1.0 - lam1 * lam2 - vol * B.cos_phase[b]
+        im = lam1 + lam2 - vol * B.sin_phase[b]
+        return np.maximum(np.abs(re), np.abs(im))
 
     tol = FACTORIZATION_RTOL * (1.0 + float(np.max(B.vol)))
     return _report("complex_factorization", _worst_rows(B.grid.n, resid), tol, "algebraic")
@@ -293,17 +283,9 @@ def check_slope_volume(B: GeometryBundle) -> CheckReport:
     """Slope dominated by volume element: b <= V node-wise (zero tolerance)."""
     resid = B.slope - B.vol
     i, j = np.unravel_index(np.argmax(resid), resid.shape)
-    loc = (int(i), int(j))
-    mx = float(resid[loc])
-    return CheckReport(
-        name="slope_volume",
-        kind="identity/algebraic",
-        passed=bool(mx <= 0.0),
-        max_residual=mx,
-        tolerance=0.0,
-        location=loc,
-        details={"min_margin": float(np.min(B.vol - B.slope))},
-    )
+    mx = float(resid[i, j])
+    # b <= ln V < V leaves no zero, so -mx is the smallest V - b bit for bit
+    return _report("slope_volume", ((int(i), int(j)), mx), 0.0, "algebraic", {"min_margin": -mx})
 
 
 def check_coordinate_laplacian(
@@ -330,36 +312,22 @@ def check_coordinate_laplacian(
     coords = [np.broadcast_to(xk, (g.n, g.n)) for xk in g.coords()]
     parts = ([], [])
     for rows in _bands(m, g.n - m):
-        # the lift M w, w = g^{-1} D(psi), on the band, formed in place with
-        # the operands of the plain expressions (inv11*p1 + inv12*p2, ...)
+        # the lift M w, w = g^{-1} D(psi), on the band, its inputs freed first
         p1, p2 = _gradient_rows(psi.values, g.h, rows)
-        w1 = B.inv11[rows] * p1
-        w1 += B.inv12[rows] * p2
-        w2 = B.inv12[rows] * p1
-        w2 += B.inv22[rows] * p2
+        w1 = B.inv11[rows] * p1 + B.inv12[rows] * p2
+        w2 = B.inv12[rows] * p1 + B.inv22[rows] * p2
+        del p1, p2
         m11, m12, m22 = _hessian_rows(u.values, g.h, rows)
-        mw1 = m11 * w1
-        mw1 += m12 * w2
-        w1 *= m12
-        w2 *= m22
-        w1 += w2
-        del p1, p2, w2, m11, m12, m22
-        for k, (xk, mw) in enumerate(zip(coords, (mw1, w1))):
+        lift = (m11 * w1 + m12 * w2, m12 * w1 + m22 * w2)
+        del w1, w2, m11, m12, m22
+        for k, (xk, mw) in enumerate(zip(coords, lift)):
             # |lap_g x_k - (-(M w)_k)| on the inner nodes, summed into the lift
             core = mw[:, m:-m]
             core += _lb_rows(xk, B, rows)[:, m - 1 : g.n - m - 1]
             parts[k].append((k + 1, _worst(core, rows.start, m)))
     # the node np.argmax picks on the two components stacked
     stacked = parts[0] + parts[1]
-    k, ((i, j), mx) = stacked[int(np.argmax([mx for _, (_, mx) in stacked]))]
+    k, worst = stacked[int(np.argmax([mx for _, (_, mx) in stacked]))]
     scale = 1.0 + float(max(np.max(B.lam1), -np.min(B.lam1))) ** 2
     tol = LAPLACIAN_SLACK_COEFF * g.h ** 2 * scale
-    return CheckReport(
-        name="coordinate_laplacian",
-        kind="identity/differencing",
-        passed=bool(mx <= tol),
-        max_residual=mx,
-        tolerance=float(tol),
-        location=(i, j),
-        details={"component": k},
-    )
+    return _report("coordinate_laplacian", worst, tol, "differencing", {"component": k})

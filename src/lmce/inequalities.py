@@ -276,11 +276,11 @@ def _interior_mask(n: int) -> np.ndarray:
     return m
 
 
-def _argmin_on(values: np.ndarray, mask: np.ndarray) -> tuple[int, int]:
-    """The first node in C order of the smallest value on mask (values off it become +inf)."""
+def _argmin_on(values: np.ndarray, mask: np.ndarray) -> tuple[tuple[int, int], float]:
+    """(node, value) of the minimum on mask, first node in C order; values off mask become +inf."""
     np.copyto(values, np.inf, where=~mask)
     i, j = np.unravel_index(np.argmin(values), values.shape)
-    return int(i), int(j)
+    return (int(i), int(j)), float(values[i, j])
 
 
 def _fit_region(grid: Grid2, rho: float) -> np.ndarray:
@@ -331,12 +331,12 @@ def check_jacobi_pointwise(
             raise PreconditionError("eigenvalue-gap filter excluded every node")
     defect = K.c * gn
     np.subtract(lap, defect, out=defect)
-    m = float(np.min(defect[mask]))
+    loc, m = _argmin_on(defect, mask)
     c_hat = max(0.0, -m)
     return CheckReport(
         name="jacobi_pointwise",
         kind="inequality",
-        location=_argmin_on(defect, mask),
+        location=loc,
         lhs=c_hat,
         rhs=float(C_budget),
         margin=float(C_budget) - c_hat,
@@ -420,7 +420,7 @@ def check_subharmonic_modified_slope(
             f"modified-slope check needs phase >= delta={K.delta} on the region"
         )
     lap = B.slope_laplacian + K.A * B.paraboloid_laplacian
-    m = float(np.min(lap[mask]))
+    loc, m = _argmin_on(lap, mask)
     radius = min(rho, SAMPLED_RADIUS)
     if wmp is None or radius != SAMPLED_RADIUS:
         bmod = modified_slope(B, K)
@@ -429,7 +429,7 @@ def check_subharmonic_modified_slope(
     return CheckReport(
         name="subharmonic",
         kind="inequality",
-        location=_argmin_on(lap, mask),
+        location=loc,
         lhs=0.0,
         rhs=m,
         margin=m,
@@ -492,24 +492,17 @@ def check_jacobi_integral(B: GeometryBundle, K: SlopeConstants, C_hat: float) ->
     integrand *= B.slope_laplacian[bb]
     integrand *= V[bb]
     ibp_lhs = float(np.sum(whole) * h * h)
-    # <grad_g phi, grad_g b>_g = inv11 phi_1 b_1 + inv12 (phi_1 b_2 + phi_2 b_1)
-    # + inv22 phi_2 b_2, each product left to right, one band of box rows at a time
+    # <2 phi grad_g phi, grad_g b>_g V, one band of box rows at a time
     phi *= 2.0
     for rows in _bands(box.start, box.stop):
         gb1, gb2 = (gk[:, box] for gk in _gradient_rows(B.slope, h, rows))
         k = slice(rows.start - box.start, rows.stop - box.start)
-        term = dphi1[k] * gb2
-        cross = np.multiply(dphi2[k], gb1, out=whole[rows, box])
-        term += cross
-        term *= B.inv12[rows, box]
-        np.multiply(B.inv11[rows, box], dphi1[k], out=cross)
-        cross *= gb1
-        cross += term
-        np.multiply(B.inv22[rows, box], dphi2[k], out=term)
-        term *= gb2
-        cross += term
-        cross *= phi[k]
-        cross *= V[rows, box]
+        form = (
+            B.inv11[rows, box] * dphi1[k] * gb1
+            + B.inv12[rows, box] * (dphi1[k] * gb2 + dphi2[k] * gb1)
+            + B.inv22[rows, box] * dphi2[k] * gb2
+        )
+        whole[rows, box] = form * phi[k] * V[rows, box]
     ibp_rhs = float(-np.sum(whole) * h * h)
     ibp_resid = abs(ibp_lhs - ibp_rhs)
     ibp_tol = IBP_COEFF * h

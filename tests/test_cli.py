@@ -881,12 +881,56 @@ class TestFrontDoor:
             ("sweep", "sweep_param", "family=perturbed\nsweep_param=n,a\nsweep_values=17,33"),
             ("solve", "n", "n=3"),
             ("solve", "L", "L=inf"),
+            # each fails only after load otherwise: a non-finite field, a math
+            # domain error, or 4/c^2 dividing by zero
+            ("verify", "a", "a=inf"),
+            ("verify", "eps", "family=perturbed\neps=inf"),
+            ("verify", "theta1", "family=anisotropic\ntheta1=inf"),
+            ("verify", "theta2", "family=anisotropic\ntheta2=-inf"),
+            ("verify", "A", "family=perturbed\nn=65\nchecks=subharmonic\nA=inf"),
+            ("verify", "c", "family=perturbed\nn=65\nchecks=jacobi_integral\nc=1e-320"),
         ],
-        ids=["field_file-fd", "field_file-list", "input", "sweep_param", "n", "L"],
+        ids=[
+            "field_file-fd", "field_file-list", "input", "sweep_param", "n", "L",
+            "a-inf", "eps-inf", "theta1-inf", "theta2-inf", "A-inf", "c-square-zero",
+        ],
     )
     def test_bad_key_exit_3_names_it(self, tmp_path, capsys, command, key, line):
         p = tmp_path / "bad.cfg"
         p.write_text(f"n=17\nchecks=slope_volume\nout={tmp_path / 'o'}\n{line}\n")
+        assert main([command, "--config", str(p)]) == EXIT_INVALID_INPUT
+        assert capsys.readouterr().err.startswith(f"lmce: invalid input: {key} must be")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "key", ["L", "delta", "c", "R", "rho", "tol", "a", "Cstar_budget", "A", "sweep_values"]
+    )
+    def test_overflowing_integer_exit_3_names_it(self, tmp_path, capsys, key):
+        # float() of an integer beyond the float range raises OverflowError
+        p = tmp_path / "big.cfg"
+        p.write_text(
+            f"family=perturbed\nn=17\nchecks=slope_volume\nout={tmp_path / 'o'}\n{key}={'9' * 401}\n"
+        )
+        assert main(["verify", "--config", str(p)]) == EXIT_INVALID_INPUT
+        assert capsys.readouterr().err.startswith(f"lmce: invalid input: {key} must be")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "command, key, line",
+        [
+            ("verify", "source", "source=solved"),
+            # the file's header fixes the grid of every swept value
+            ("sweep", "sweep_param", "sweep_param=n\nsweep_values=17,65"),
+        ],
+        ids=["solved", "swept-n"],
+    )
+    def test_key_a_field_file_ignores_exit_3(self, tmp_path, capsys, command, key, line):
+        path = tmp_path / "u.csv"
+        write_field_csv(path, sample(lambda x1, x2: x1 * x1 + x2 * x2, build_grid(4.0, 33)))
+        p = tmp_path / "field.cfg"
+        p.write_text(
+            f"family=field\nfield_file={path}\nchecks=slope_volume\nout={tmp_path / 'o'}\n{line}\n"
+        )
         assert main([command, "--config", str(p)]) == EXIT_INVALID_INPUT
         assert capsys.readouterr().err.startswith(f"lmce: invalid input: {key} must be")
         assert not (tmp_path / "o").exists()
