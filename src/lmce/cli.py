@@ -46,7 +46,7 @@ from .geometry import (
     classify_phase,
     modified_slope,
 )
-from .grid import ScalarField2, build_grid, gradient_fd, gradient_norm, hessian_fd
+from .grid import MAX_NODES, ScalarField2, build_grid, gradient_fd, gradient_norm, hessian_fd
 from .identities import (
     CheckReport,
     check_complex_factorization,
@@ -153,6 +153,8 @@ class RunConfig:
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
             if value < least:
                 raise ConfigError(f"{name} must be at least {least}, got {value}")
+        if self.n > MAX_NODES:
+            raise ConfigError(f"n must be at most {MAX_NODES}, got {self.n}")
         if not 0 < _number(self.L) < math.inf:
             raise ConfigError(f"L must be a positive finite number, got {self.L!r}")
         for name in ("R", "rho", "delta", "tol"):

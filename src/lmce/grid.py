@@ -46,7 +46,7 @@ class Grid2:
     """Uniform n x n node grid on [-L, L]^2 with spacing h = 2L/(n-1).
 
     Node (i, j) sits at (-L + i*h, -L + j*h); coordinates are symmetric
-    about the origin. n >= 5 so that all stencils in this module fit.
+    about the origin. 5 <= n <= MAX_NODES: all stencils in this module fit.
     Each disk mask is built once per grid and radius and kept (one byte per
     node); equality and hashing read L and n only.
     """
@@ -56,8 +56,8 @@ class Grid2:
     _disk_masks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.n < 5:
-            raise ValueError(f"grid needs n >= 5 nodes per axis, got n={self.n}")
+        if not 5 <= self.n <= MAX_NODES:
+            raise ValueError(f"grid needs 5 <= n <= {MAX_NODES} nodes per axis, got n={self.n}")
         if not (np.isfinite(self.L) and self.L > 0):
             raise ValueError(f"grid half-width must be positive, got L={self.L}")
 
@@ -139,6 +139,9 @@ def sample(f, grid: Grid2) -> ScalarField2:
 # line carries one-sided stencils, and a second differencing reads it from
 # the next line in
 INTERIOR_MARGIN = 2
+# the finest grid, 2^12 + 1 nodes per axis: a Newton solve holds about 27
+# arrays of n^2 floats at its peak, 3.6 GB at this n
+MAX_NODES = 4097
 
 
 def _d1(values: np.ndarray, h: float, axis: int) -> np.ndarray:

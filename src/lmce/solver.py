@@ -162,8 +162,6 @@ def manufacture(analytic: AnalyticFunction2, grid: Grid2) -> ManufacturedProblem
     u = sample(analytic.value, grid)
     lam1, lam2 = eigen_sym2(*_sample_hessian(analytic, grid))
     psi_vals = np.arctan(lam1) + np.arctan(lam2)
-    if not np.all(np.isfinite(psi_vals)):
-        raise ValueError("phase overflow while manufacturing the problem")
     return ManufacturedProblem(analytic=analytic, u_exact=u, psi=ScalarField2(grid, psi_vals))
 
 
@@ -201,9 +199,19 @@ def phase_residual(u: ScalarField2, psi: ScalarField2) -> float:
     Recomputed from scratch (fresh differencing, no reused intermediates);
     used to certify converged states independently of the solve loop.
     """
-    lam1, lam2 = eigen_sym2(*hessian_fd(u))
-    r = np.arctan(lam1) + np.arctan(lam2) - psi.values
-    return float(np.max(np.abs(r[1:-1, 1:-1])))
+    r, _, _ = _phase_defect(hessian_fd(u), psi)
+    return float(np.max(np.abs(r)))
+
+
+def _phase_defect(hess, psi: ScalarField2):
+    """(arctan(lam1) + arctan(lam2) - psi, lam1, lam2) of hess on the interior nodes."""
+    lam1, lam2 = (lam[1:-1, 1:-1] for lam in eigen_sym2(*hess))
+    return np.arctan(lam1) + np.arctan(lam2) - psi.values[1:-1, 1:-1], lam1, lam2
+
+
+def _interior(grid: Grid2, v) -> np.ndarray:
+    """The interior nodes of a node array, or of a scalar broadcast to one."""
+    return np.broadcast_to(np.asarray(v, dtype=float), (grid.n, grid.n))[1:-1, 1:-1]
 
 
 # the 9-point neighbours (di, dj) of an interior node in the column order of
@@ -213,11 +221,11 @@ _NEIGHBOURS = [(di, dj) for di in (-1, 0, 1) for dj in (-1, 0, 1)]
 
 @dataclass(frozen=True, eq=False)
 class Stencil9:
-    """A 9-point operator on the m x m interior nodes, matrix-free:
-    coef[k][i, j] couples node (i, j) to its neighbour _NEIGHBOURS[k];
-    couplings that would leave the interior are not part of it."""
+    """A 9-point operator on the m x m interior nodes, matrix-free: coef[k][i, j]
+    couples node (i, j) to its neighbour _NEIGHBOURS[k], and equal couplings share
+    one array; couplings that would leave the interior are not part of it."""
 
-    coef: np.ndarray
+    coef: tuple[np.ndarray, ...]
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -225,7 +233,7 @@ class Stencil9:
 
     def _couplings(self):
         """(coefficients, nodes, their neighbours) as 2-D slices, per neighbour."""
-        m = self.coef.shape[1]
+        m = self.coef[0].shape[0]
 
         def span(d):  # along an axis: the nodes with a neighbour at shift d, those neighbours
             return slice(max(0, -d), m - max(0, d)), slice(max(0, d), m + min(0, d))
@@ -237,7 +245,7 @@ class Stencil9:
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         """A x, each row summed from 0 in column order: rounded exactly as
         the product of its CSC matrix."""
-        x = np.reshape(x, self.coef.shape[1:])
+        x = np.reshape(x, self.coef[0].shape)
         y = np.zeros(x.shape)
         for c, row, col in self._couplings():
             y[row] += c * x[col]
@@ -251,17 +259,13 @@ def _assemble_linearization(grid: Grid2, inv11, inv12, inv22) -> Stencil9:
     couplings to boundary nodes are dropped since corrections vanish there.
     Coefficients are node arrays or scalars.
     """
-    n = grid.n
     h2 = grid.h * grid.h
-
-    def interior(v):
-        return np.broadcast_to(np.asarray(v, dtype=float), (n, n))[1:-1, 1:-1]
-
-    a = interior(inv11) / h2
-    c = interior(inv22) / h2
-    b = interior(inv12) / (2.0 * h2)
+    a = _interior(grid, inv11) / h2
+    c = _interior(grid, inv22) / h2
+    b = _interior(grid, inv12) / (2.0 * h2)
+    nb = -b
     # in _NEIGHBOURS order
-    return Stencil9(np.stack([b, a, -b, c, -2.0 * a - 2.0 * c, c, -b, a, b]))
+    return Stencil9((b, a, nb, c, -2.0 * a - 2.0 * c, c, nb, a, b))
 
 
 def _bicgstab(A, b: np.ndarray, psolve, rtol: float, maxiter: int) -> tuple[np.ndarray, int]:
@@ -378,11 +382,7 @@ def _sine_preconditioner(grid: Grid2, inv11, inv22):
     coefficients spread about (a, 0, c), the more BiCGSTAB iterations a
     system takes.
     """
-    inner = np.s_[1:-1, 1:-1]
-    p11, p22 = (
-        np.broadcast_to(np.asarray(v, dtype=float), (grid.n, grid.n))[inner]
-        for v in (inv11, inv22)
-    )
+    p11, p22 = _interior(grid, inv11), _interior(grid, inv22)
     s = 0.5 * (p11 + p22)
     a, c = float(np.mean(p11 / s)), float(np.mean(p22 / s))
     s = s.ravel()
@@ -475,31 +475,27 @@ def newton_solve(
         )
     n = grid.n
 
-    def residual(uarr: np.ndarray) -> tuple[np.ndarray, float, tuple]:
-        """The phase residual on interior nodes, the smallest eigenvalue of
-        g^{-1} = (I + M^2)^{-1} there (the ellipticity of the linearization
-        at uarr) and the differenced Hessian M.  The eigenvalue is
-        1/(1 + max lam^2), which keeps full precision where the eigenvalues
+    def residual(uarr: np.ndarray) -> tuple[np.ndarray, float, float, tuple]:
+        """The phase residual on interior nodes, its sup-norm, the smallest
+        eigenvalue of g^{-1} = (I + M^2)^{-1} there (the ellipticity of the
+        linearization at uarr) and the differenced Hessian M.  The eigenvalue
+        is 1/(1 + max lam^2), which keeps full precision where the eigenvalues
         of g^{-1} itself cancel (one lam huge, one O(1)); as lam1 >= lam2,
         the largest |lam| is max lam1 or -min lam2."""
         hess = hessian_fd(ScalarField2(grid, uarr))
-        lam1, lam2 = eigen_sym2(*hess)
-        theta = np.arctan(lam1) + np.arctan(lam2)
-        big = max(float(np.max(lam1[1:-1, 1:-1])), -float(np.min(lam2[1:-1, 1:-1])))
-        return (theta - psi.values)[1:-1, 1:-1], 1.0 / (1.0 + big * big), hess
+        r, lam1, lam2 = _phase_defect(hess, psi)
+        big = max(float(np.max(lam1)), -float(np.min(lam2)))
+        return r, float(np.max(np.abs(r))), 1.0 / (1.0 + big * big), hess
 
     u = _initial_iterate(grid, boundary, psi, initial)
-    residuals: list[float] = []
-    damping: list[float] = []
+    r, rn, ell, hess = residual(u)
+    residuals: list[float] = [rn]
+    damping: list[float] = []  # one step length per Newton step taken
     systems: list[SystemSolve] = []
     message = ""
-    it = 0
-    r, ell, hess = residual(u)
-    rn = float(np.max(np.abs(r)))
-    residuals.append(rn)
     eta = ETA_MAX
     while rn > tol:
-        if it >= max_iter:
+        if len(damping) >= max_iter:
             message = f"no convergence within {max_iter} iterations"
             break
         if not ell > 0.0:
@@ -510,7 +506,8 @@ def newton_solve(
         del hess  # not kept through the solve: each line-search trial binds its own
         A = _assemble_linearization(grid, inv11, inv12, inv22)
         M = _sine_preconditioner(grid, inv11, inv22)
-        if it:
+        del inv11, inv12, inv22  # A and M hold what they read
+        if damping:
             eta = _forcing_term(rn / residuals[-2], eta)
         try:
             s_int = linear_solve(A, -r.ravel(), M, tol=eta, record=systems)
@@ -522,8 +519,7 @@ def newton_solve(
         t = 1.0
         while t >= MIN_STEP:
             trial = u + t * step
-            r_new, ell_new, hess = residual(trial)
-            rn_new = float(np.max(np.abs(r_new)))
+            r_new, rn_new, ell_new, hess = residual(trial)
             if rn_new <= (1.0 - ARMIJO * t) * rn:
                 break
             t *= 0.5
@@ -534,14 +530,13 @@ def newton_solve(
         r, rn, ell = r_new, rn_new, ell_new
         residuals.append(rn)
         damping.append(t)
-        it += 1
     return SolveState(
         u=ScalarField2(grid, u),
         residuals=residuals,
         damping=damping,
         tolerance=tol,
         converged=rn <= tol,
-        iterations=it,
+        iterations=len(damping),
         message=message,
         systems=systems,
     )

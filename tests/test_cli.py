@@ -43,9 +43,9 @@ from lmce.cli import (
 )
 from lmce.errors import ConfigError
 from lmce.geometry import GeometryBundle, bundle_from_hessian
-from lmce.grid import ScalarField2, build_grid, hessian_fd, sample
+from lmce.grid import MAX_NODES, ScalarField2, build_grid, hessian_fd, sample
 from lmce.identities import CheckReport
-from lmce.solver import anisotropic_family, manufacture, perturbed_family
+from lmce.solver import anisotropic_family, manufacture, newton_solve, perturbed_family
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
@@ -163,7 +163,7 @@ class TestFieldFile:
     @pytest.mark.parametrize(
         "header, problem",
         [
-            ("# L=4.0 n=3", "grid needs n >= 5 nodes per axis, got n=3"),
+            ("# L=4.0 n=3", f"grid needs 5 <= n <= {MAX_NODES} nodes per axis, got n=3"),
             ("# L=-1.0 n=33", "grid half-width must be positive, got L=-1.0"),
             ("# L=4.0 n=3.5", "invalid literal for int"),
         ],
@@ -916,6 +916,45 @@ class TestFrontDoor:
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize(
+        "command, line, problem",
+        [
+            ("verify", f"n={'9' * 401}", f"n must be at most {MAX_NODES}, got {'9' * 401}"),
+            ("verify", f"n={MAX_NODES + 1}", f"n must be at most {MAX_NODES}, got {MAX_NODES + 1}"),
+            (
+                "sweep",
+                f"sweep_param=n\nsweep_values=17,{MAX_NODES + 1}",
+                f"n must be at most {MAX_NODES}, got {MAX_NODES + 1}",
+            ),
+            (
+                "verify",
+                "family=field\nfield_file={header}",
+                f"field file {{header}} header: grid needs 5 <= n <= {MAX_NODES} nodes per axis, "
+                f"got n={MAX_NODES + 1}",
+            ),
+        ],
+        ids=["401-digits", "above-the-bound", "swept", "field-file-header"],
+    )
+    def test_n_above_the_finest_grid_exit_3(self, tmp_path, capsys, command, line, problem):
+        # rejected where it is read, before any array of the grid exists
+        header = tmp_path / "u.csv"
+        header.write_text(f"# L=4.0 n={MAX_NODES + 1}\ni,j,value\n")
+        p = tmp_path / "big.cfg"
+        p.write_text(
+            f"family=perturbed\nn=17\nchecks=slope_volume\nout={tmp_path / 'o'}\n"
+            + line.format(header=header) + "\n"
+        )
+        tracemalloc.start()
+        try:
+            code = main([command, "--config", str(p)])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_INVALID_INPUT
+        assert capsys.readouterr().err == f"lmce: invalid input: {problem.format(header=header)}\n"
+        assert peak < 2**20  # one array of the grid asked for is 134 MB
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
         "command, key, line",
         [
             ("verify", "source", "source=solved"),
@@ -1213,6 +1252,26 @@ class TestVerifyWork:
         # leaves about one array of headroom.  It was 20.6 with the Hessian
         # and the slope gradient stored and whole-grid temporaries.
         assert self._full_verify_at_129(tmp_path) < 18.6
+
+    def test_peak_memory_of_a_newton_solve(self):
+        # the traced peak is 26.9 float arrays of n^2 nodes at n=129; 28.0
+        # leaves about one array of headroom.  It was 33.9 with the stencil's
+        # nine coefficients stacked and the inverse metric alive through the
+        # Krylov solve and the line search.
+        def problem(n):
+            return manufacture(perturbed_family(0.1), build_grid(4.0, n))
+
+        warm = problem(65)  # a first solve loads what only a first solve allocates
+        newton_solve(warm.psi, warm.u_exact)
+        prob = problem(129)
+        tracemalloc.start()
+        try:
+            state = newton_solve(prob.psi, prob.u_exact)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert state.converged
+        assert peak / (8 * 129 * 129) < 28.0
 
     def test_peak_memory_of_set_up(self, monkeypatch):
         # bands of 16 rows are the share of the grid at n=257 that bands of

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -36,6 +37,7 @@ from lmce.solver import (
     _dirichlet_rhs,
     _forcing_term,
     _initial_iterate,
+    _phase_defect,
     _poisson_solve,
     _sine_preconditioner,
 )
@@ -46,7 +48,7 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 def _csc(A):
     """The CSC matrix of a Stencil9, built from its coupling triplets; zero
     coefficients stay stored."""
-    nodes = np.arange(A.shape[0]).reshape(A.coef.shape[1:])
+    nodes = np.arange(A.shape[0]).reshape(A.coef[0].shape)
     data, rows, cols = [], [], []
     for c, row, col in A._couplings():
         data.append(c.ravel())
@@ -115,8 +117,7 @@ def _first_newton_system(g, prob):
     from the default start."""
     u0 = _initial_iterate(g, prob.u_exact, prob.psi, "phase_matched")
     hess = hessian_fd(ScalarField2(g, u0))
-    lam1, lam2 = eigen_sym2(*hess)
-    r = (np.arctan(lam1) + np.arctan(lam2) - prob.psi.values)[1:-1, 1:-1]
+    r, _, _ = _phase_defect(hess, prob.psi)
     *_, inv11, inv12, inv22 = _induced_metric(*hess)
     A = _assemble_linearization(g, inv11, inv12, inv22)
     return A, _sine_preconditioner(g, inv11, inv22), -r.ravel()
@@ -221,6 +222,8 @@ class TestNewtonSolve:
         prob = manufacture(perturbed_family(0.1), g)
         state = newton_solve(prob.psi, prob.u_exact)
         assert phase_residual(state.u, prob.psi) <= 2.0 * state.tolerance
+        # the certificate and the solve share one residual kernel
+        assert phase_residual(state.u, prob.psi) == state.residuals[-1]
 
     def test_phase_consistency(self):
         g = build_grid(4.0, 65)
@@ -294,6 +297,36 @@ class TestNewtonSolve:
         matched = newton_solve(psi, boundary, max_iter=40)
         assert not matched.converged
         assert matched.message == "line search failed to reduce the residual"
+
+    def test_inverse_metric_released_before_the_krylov_solve(self, monkeypatch):
+        # A and M hold what they read of g^{-1}, so no inverse-metric array
+        # is alive in a linear solve or a line-search trial's differencing
+        metrics, alive = [], []
+        induced, solve, hessian = (
+            lmce.solver._induced_metric, lmce.solver.linear_solve, lmce.solver.hessian_fd
+        )
+
+        def spy(real):
+            def wrapper(*args, **kwargs):
+                alive.append(sum(ref() is not None for ref in metrics))
+                return real(*args, **kwargs)
+
+            return wrapper
+
+        def metric(*hess):
+            out = induced(*hess)
+            metrics.extend(weakref.ref(inv) for inv in out[3:])
+            return out
+
+        monkeypatch.setattr(lmce.solver, "_induced_metric", metric)
+        monkeypatch.setattr(lmce.solver, "linear_solve", spy(solve))
+        monkeypatch.setattr(lmce.solver, "hessian_fd", spy(hessian))
+        g = build_grid(4.0, 33)
+        prob = manufacture(anisotropic_family(1.4, 0.2), g)
+        state = newton_solve(prob.psi, prob.u_exact)
+        assert state.converged
+        assert len(metrics) == 3 * state.iterations
+        assert len(alive) > 2 * state.iterations and not any(alive)
 
 
 class TestLinearSolve:
@@ -411,6 +444,14 @@ class TestAssembly:
         A = _assemble_linearization(g, inv11, inv12, inv22)
         x = rng.standard_normal(A.shape[0])
         assert np.array_equal(A @ x, _csc(A) @ x)
+
+    def test_equal_couplings_share_one_array(self):
+        # b, a, -b, c and the diagonal, each held once
+        g = build_grid(2.0, 9)
+        A = _assemble_linearization(g, 1.0, 0.5, 2.0)
+        assert len(A.coef) == 9
+        assert len({id(c) for c in A.coef}) == 5
+        assert A.coef[2] is A.coef[6] and A.coef[1] is A.coef[7]
 
     @pytest.mark.parametrize("n", [5, 6, 33, 129])
     def test_poisson_solve_inverts_laplacian(self, n):
