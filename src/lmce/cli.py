@@ -58,8 +58,7 @@ from .identities import (
 )
 from .inequalities import (
     SAMPLED_RADIUS,
-    _canonical,
-    _fit_region,
+    _canonical_on_disk,
     check_hessian_estimate,
     check_jacobi_integral,
     check_jacobi_pointwise,
@@ -155,12 +154,10 @@ class RunConfig:
                 raise ConfigError(f"{name} must be at least {least}, got {value}")
         if self.n > MAX_NODES:
             raise ConfigError(f"n must be at most {MAX_NODES}, got {self.n}")
-        if not 0 < _number(self.L) < math.inf:
-            raise ConfigError(f"L must be a positive finite number, got {self.L!r}")
-        for name in ("R", "rho", "delta", "tol"):
+        for name in ("L", "R", "rho", "delta", "tol"):
             value = getattr(self, name)
-            if not _number(value) > 0:
-                raise ConfigError(f"{name} must be a positive number, got {value!r}")
+            if not 0 < _number(value) < math.inf:
+                raise ConfigError(f"{name} must be a positive finite number, got {value!r}")
         if not (isinstance(self.out, str) and self.out):
             raise ConfigError(f"out must be a directory path, got {self.out!r}")
         for name in ("field_file", "input", "sweep_param"):
@@ -229,22 +226,19 @@ def _number(value) -> float:
 
 def _require_sampler_grid(cfg: RunConfig, grid) -> None:
     """A grid too coarse for a requested sampled check, or without the disk
-    of radius rho that a requested check reads, is invalid input to the
+    of radius rho that its modified slope reads, is invalid input to the
     commands that run checks, verify and sweep (see `_read_inputs`)."""
-    # the sampled checks read rho through the modified slope, the others
-    # through the fit of A
-    reads_rho = ["weak_max_principle", "super_iso", "subharmonic"]
-    if cfg.A == "fit":
-        reads_rho += ["jacobi_pointwise", "jacobi_integral"]
-    if cfg.rho > grid.L and any(name in cfg.checks for name in reads_rho):
-        raise ConfigError(f"rho={cfg.rho} exceeds the grid half-width L={grid.L}")
+    # the sampled checks, the only ones that read rho, -> the disk they sample
     sampled = {
         "weak_max_principle": SAMPLED_RADIUS,
         "super_iso": SAMPLED_RADIUS,
         "subharmonic": min(cfg.rho, SAMPLED_RADIUS),
     }
-    for name, radius in sampled.items():
-        problem = name in cfg.checks and sampler_grid_problem(grid, radius)
+    requested = [name for name in sampled if name in cfg.checks]
+    if requested and cfg.rho > grid.L:
+        raise ConfigError(f"rho={cfg.rho} exceeds the grid half-width L={grid.L}")
+    for name in requested:
+        problem = sampler_grid_problem(grid, sampled[name])
         if problem:
             raise ConfigError(f"{name}: {problem}")
 
@@ -466,12 +460,15 @@ class _Context:
 
     Set-up builds the potential u, the phase psi and the bundle of u (the
     manufactured problem also holds the exact u and psi, the solve state the
-    solved u); coordinate_laplacian reads u itself.  Built on first use:
-    the slope constants (with the fit of A), the modified slope, its
-    gradient norm |D b_mod| (shared by the sampler and super_iso), the
-    weak-maximum-principle sample of the modified slope (shared by the
-    weak_max_principle, super_iso and subharmonic checks) and the
-    jacobi_pointwise report (whose C_hat jacobi_integral reads).  `timings`
+    solved u) and `fixed`, the slope constants delta and c (all that
+    jacobi_pointwise, jacobi_integral and volume_bound read);
+    coordinate_laplacian reads u itself.  Built on first use: `constants`,
+    those with the weight A (fitted or given) that the modified slope and
+    subharmonic read, the modified slope, its gradient norm |D b_mod|
+    (shared by the sampler and super_iso), the weak-maximum-principle
+    sample of the modified slope (shared by the weak_max_principle,
+    super_iso and subharmonic checks) and the jacobi_pointwise report
+    (whose C_hat jacobi_integral reads).  `timings`
     holds each one's own time and each check's, and `lazy_s` the total of
     all timed work, so no check is charged for state it builds first (see
     `_timed`).  `_run_checks` drops each of them, each set-up attribute
@@ -504,6 +501,7 @@ class _Context:
         if self.problem is None:
             self.psi = ScalarField2(self.grid, self.bundle.phase)
         self.regime = classify_phase(self.bundle.phase, cfg.delta)
+        self.fixed = SlopeConstants(delta=cfg.delta, c=cfg.c)
         self.timings: dict[str, float] = {}
         self.lazy_s = 0.0
 
@@ -512,12 +510,12 @@ class _Context:
         a = self.cfg.A
         if a == "fit":
             a, _ = fit_modification_weight(self.bundle, rho=self.cfg.rho)
-        return SlopeConstants(delta=self.cfg.delta, c=self.cfg.c, A=float(a))
+        return dataclasses.replace(self.fixed, A=float(a))
 
     @_timed_lazy
     def bmod(self) -> ScalarField2:
         # the slope of the bundle that the weight A is fitted on
-        B, _ = _canonical(self.bundle, _fit_region(self.grid, self.cfg.rho))
+        B, _, _ = _canonical_on_disk(self.bundle, self.cfg.rho)
         return modified_slope(B, self.constants)
 
     @_timed_lazy
@@ -533,7 +531,7 @@ class _Context:
     @_timed_lazy
     def pointwise(self) -> CheckReport:
         budget = math.inf if self.cfg.C_budget is None else self.cfg.C_budget
-        return check_jacobi_pointwise(self.bundle, self.constants, C_budget=budget)
+        return check_jacobi_pointwise(self.bundle, self.fixed, C_budget=budget)
 
 
 class _Check(NamedTuple):
@@ -588,14 +586,10 @@ INEQUALITY_CHECKS = {
         ("constants", "negated", "slope_laplacian", "paraboloid_laplacian", "wmp"),
     ),
     "jacobi_integral": _Check(
-        lambda ctx: check_jacobi_integral(ctx.bundle, ctx.constants, ctx.pointwise.fitted["C_hat"]),
-        ("pointwise", "constants", "negated", "slope_laplacian", "slope_grad_norm2"),
+        lambda ctx: check_jacobi_integral(ctx.bundle, ctx.fixed, ctx.pointwise.fitted["C_hat"]),
+        ("pointwise", "negated", "slope_laplacian", "slope_grad_norm2"),
     ),
-    # the last two read only delta, so they do not pay for the fit of A
-    "volume_bound": _Check(
-        lambda ctx: check_volume_bound(ctx.bundle, SlopeConstants(delta=ctx.cfg.delta)),
-        ("negated",),
-    ),
+    "volume_bound": _Check(lambda ctx: check_volume_bound(ctx.bundle, ctx.fixed), ("negated",)),
     "hessian_estimate": _Check(
         lambda ctx: check_hessian_estimate(
             ctx.bundle, ctx.cfg.R, delta=ctx.cfg.delta, C_budget=ctx.cfg.Cstar_budget
@@ -612,7 +606,7 @@ _BUILT_FROM = {
     "bmod": ("constants", "negated"),
     "bmod_grad_norm": ("bmod",),
     "wmp": ("bmod", "bmod_grad_norm"),
-    "pointwise": ("constants", "negated", "slope_laplacian", "slope_grad_norm2"),
+    "pointwise": ("negated", "slope_laplacian", "slope_grad_norm2"),
 }
 # the set-up attributes of the context, never rebuilt once dropped
 _SET_UP = ("u", "psi", "problem", "solve_state")

@@ -209,14 +209,14 @@ class GeometryBundle:
         return neg
 
 
-def _induced_metric(m11, m12, m22):
-    """The metric g = I + M^2 of a symmetric Hessian M and its inverse,
-    elementwise: (g11, g12, g22, inv11, inv12, inv22)."""
+def _inverse_metric(m11, m12, m22):
+    """The inverse (inv11, inv12, inv22) of the metric g = I + M^2 of a
+    symmetric Hessian M, elementwise."""
     g11 = 1.0 + m11 * m11 + m12 * m12
     g12 = m12 * (m11 + m22)
     g22 = 1.0 + m22 * m22 + m12 * m12
     detg = g11 * g22 - g12 * g12
-    return g11, g12, g22, g22 / detg, -g12 / detg, g11 / detg
+    return g22 / detg, -g12 / detg, g11 / detg
 
 
 def _phase_slope(lam1, lam2):
@@ -232,7 +232,7 @@ def _build(grid: Grid2, hess_rows, grad_norm) -> GeometryBundle:
     for rows in _bands(0, grid.n):
         m = hess_rows(rows)
         lam1[rows], lam2[rows] = eigen_sym2(*m)
-        inv11[rows], inv12[rows], inv22[rows] = _induced_metric(*m)[3:]
+        inv11[rows], inv12[rows], inv22[rows] = _inverse_metric(*m)
         l1, l2 = lam1[rows], lam2[rows]
         vol[rows] = np.sqrt((1.0 + l1 * l1) * (1.0 + l2 * l2))
         phase[rows], b[rows] = _phase_slope(l1, l2)

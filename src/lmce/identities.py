@@ -63,10 +63,14 @@ class CheckReport:
 
     kind is "identity/algebraic", "identity/differencing" or "inequality".
     An identity passes iff max_residual <= tolerance, with location the node
-    of the largest residual; an inequality passes iff margin >= -slack, with
-    lhs and rhs its two sides (jacobi_pointwise and subharmonic also name the
-    node where they come closest to failing).  Fields that do not apply to
-    the kind are None.
+    of the largest residual.  An inequality has lhs and rhs its two sides
+    (jacobi_pointwise and subharmonic also name the node where they come
+    closest to failing).  Every inequality but subharmonic counts the slack
+    it grants inside margin and passes iff margin >= 0; subharmonic's margin
+    is min lap_g(b_mod) itself, and it passes iff margin >= -slack.
+    jacobi_integral also needs its integration-by-parts residual within
+    tolerance, and subharmonic its weak-maximum-principle sample to pass.
+    Fields that do not apply to the kind are None.
     fitted holds the constants the check fitted, excluded the number of nodes
     or trials it left out, status "ran" or "precondition_failed".
     """

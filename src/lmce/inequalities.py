@@ -283,15 +283,16 @@ def _argmin_on(values: np.ndarray, mask: np.ndarray) -> tuple[tuple[int, int], f
     return (int(i), int(j)), float(values[i, j])
 
 
-def _fit_region(grid: Grid2, rho: float) -> np.ndarray:
-    """The interior nodes of |x| <= rho: where the weight A is fitted and the
-    subharmonic check reads, and the region whose phase picks the bundle of
-    the modified slope.  A disk whose interior holds no node fails the
-    precondition of the check that reads it."""
-    mask = _interior_mask(grid.n) & grid.disk_mask(rho)
+def _canonical_on_disk(B: GeometryBundle, rho: float) -> tuple[GeometryBundle, np.ndarray, bool]:
+    """The bundle of the modified slope: B canonical on the interior nodes of
+    |x| <= rho, that region (where the weight A is fitted and the subharmonic
+    check reads), and whether B was flipped.  A disk whose interior holds no
+    node fails the precondition of the check that reads it."""
+    mask = _interior_mask(B.grid.n) & B.grid.disk_mask(rho)
     if not mask.any():
         raise PreconditionError(f"no interior node in the disk of radius rho={rho}")
-    return mask
+    B, flipped = _canonical(B, mask)
+    return B, mask, flipped
 
 
 def check_jacobi_pointwise(
@@ -363,8 +364,7 @@ def fit_modification_weight(B: GeometryBundle, *, rho: float) -> tuple[float, fl
     on the bundle canonical on it, the one the subharmonic check reads.
     Returns (A_hat, attained minimum at A_hat).
     """
-    mask = _fit_region(B.grid, rho)
-    B, _ = _canonical(B, mask)
+    B, mask, _ = _canonical_on_disk(B, rho)
     lap_b = B.slope_laplacian[mask]
     lap_q = B.paraboloid_laplacian[mask]
 
@@ -413,8 +413,7 @@ def check_subharmonic_modified_slope(
     sampler when the check samples that same disk, i.e. rho >= SAMPLED_RADIUS.
     location is the node of the smallest lap_g(b_mod) on the region.
     """
-    mask = _fit_region(B.grid, rho)
-    B, flipped = _canonical(B, mask)
+    B, mask, flipped = _canonical_on_disk(B, rho)
     if classify_phase(B.phase[mask], K.delta) == "subcritical":
         raise PreconditionError(
             f"modified-slope check needs phase >= delta={K.delta} on the region"

@@ -27,7 +27,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import LinearSolveError, PreconditionError
-from .geometry import _induced_metric, eigen_sym2
+from .geometry import _inverse_metric, eigen_sym2
 from .grid import Grid2, ScalarField2, hessian_fd, sample
 
 __all__ = [
@@ -59,8 +59,14 @@ ETA_MIN = 1e-12
 # sup-norm falls to (1 - ARMIJO t) of its value, the customary 1e-4
 ARMIJO = 1e-4
 # the line search halves t from 1 and gives up once t < MIN_STEP, after 21
-# trials; a step that short is a stall, reported as a failed line search
+# trials; a step that short is a stall
 MIN_STEP = 2.0**-20
+# a direction the line search gives up on is solved again to eta /
+# ETA_RESOLVE_DIVISOR (at least ETA_MIN): a loose direction can be too poor to
+# descend where a tight one is not.  Once it gives up on a direction solved to
+# eta <= ETA_RESOLVE_LIMIT, the line search has failed
+ETA_RESOLVE_DIVISOR = 100.0
+ETA_RESOLVE_LIMIT = 1e-10
 
 
 @dataclass(frozen=True)
@@ -458,7 +464,10 @@ def newton_solve(
     as coefficients (positive definite at any iterate, so descent directions
     never degenerate).  Each system is solved only to the relative residual
     that _forcing_term gives.  Steps are damped by Armijo backtracking on
-    the residual sup-norm (ARMIJO, halving down to MIN_STEP).
+    the residual sup-norm (ARMIJO, halving down to MIN_STEP); a step whose
+    backtracking fails is solved again to a tighter tolerance (see
+    ETA_RESOLVE_DIVISOR), which then stands as the previous tolerance of the
+    next forcing term.
     Non-convergence within max_iter returns the state with the converged
     flag unset rather than raising.  The grid is psi's; boundary supplies the
     Dirichlet data on its boundary ring.
@@ -487,6 +496,21 @@ def newton_solve(
         big = max(float(np.max(lam1)), -float(np.min(lam2)))
         return r, float(np.max(np.abs(r))), 1.0 / (1.0 + big * big), hess
 
+    def line_search(s_int: np.ndarray):
+        """(t, u + t s, its residual) for the longest t = 1, 1/2, ... down to
+        MIN_STEP that passes the Armijo test, s being s_int on the interior
+        nodes and 0 on the boundary ring; None if no t does."""
+        step = np.zeros((n, n))
+        step[1:-1, 1:-1] = s_int.reshape(n - 2, n - 2)
+        t = 1.0
+        while t >= MIN_STEP:
+            trial = u + t * step
+            r_new, rn_new, ell_new, hess = residual(trial)
+            if rn_new <= (1.0 - ARMIJO * t) * rn:
+                return t, trial, r_new, rn_new, ell_new, hess
+            t *= 0.5
+        return None
+
     u = _initial_iterate(grid, boundary, psi, initial)
     r, rn, ell, hess = residual(u)
     residuals: list[float] = [rn]
@@ -502,32 +526,29 @@ def newton_solve(
             # only a Hessian eigenvalue whose square overflows gets here
             message = "linearization lost ellipticity"
             break
-        inv11, inv12, inv22 = _induced_metric(*hess)[3:]
+        inv11, inv12, inv22 = _inverse_metric(*hess)
         del hess  # not kept through the solve: each line-search trial binds its own
         A = _assemble_linearization(grid, inv11, inv12, inv22)
         M = _sine_preconditioner(grid, inv11, inv22)
         del inv11, inv12, inv22  # A and M hold what they read
         if damping:
             eta = _forcing_term(rn / residuals[-2], eta)
-        try:
-            s_int = linear_solve(A, -r.ravel(), M, tol=eta, record=systems)
-        except LinearSolveError as exc:
-            message = str(exc)
-            break
-        step = np.zeros((n, n))
-        step[1:-1, 1:-1] = s_int.reshape(n - 2, n - 2)
-        t = 1.0
-        while t >= MIN_STEP:
-            trial = u + t * step
-            r_new, rn_new, ell_new, hess = residual(trial)
-            if rn_new <= (1.0 - ARMIJO * t) * rn:
+        taken = None
+        while taken is None:
+            try:
+                taken = line_search(linear_solve(A, -r.ravel(), M, tol=eta, record=systems))
+            except LinearSolveError as exc:
+                message = str(exc)
                 break
-            t *= 0.5
-        else:
-            message = "line search failed to reduce the residual"
+            if taken is None:
+                if eta <= ETA_RESOLVE_LIMIT:
+                    message = "line search failed to reduce the residual"
+                    break
+                eta = max(eta / ETA_RESOLVE_DIVISOR, ETA_MIN)
+        if taken is None:
             break
-        u = trial
-        r, rn, ell = r_new, rn_new, ell_new
+        t, u, r, rn, ell, hess = taken
+        del taken  # so that the next step's `del hess` frees the Hessian
         residuals.append(rn)
         damping.append(t)
     return SolveState(

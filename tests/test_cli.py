@@ -774,8 +774,6 @@ class TestStrictConfig:
             (["weak_max_principle"], 1.0),
             (["super_iso"], 1.0),
             (["subharmonic"], 1.0),
-            (["jacobi_pointwise"], "fit"),
-            (["jacobi_integral"], "fit"),
         ],
     )
     def test_rho_beyond_the_grid_rejected_at_load(self, tmp_path, monkeypatch, capsys, checks, A):
@@ -794,10 +792,14 @@ class TestStrictConfig:
         assert not (tmp_path / "o").exists()
 
     def test_rho_beyond_the_grid_unread(self, tmp_path):
-        # no check reads rho: jacobi checks with a given A, and the rest
-        for checks, A in ((["jacobi_integral"], 1.0), (["identity", "volume_bound"], "fit")):
+        # no check but the sampled ones reads rho, nor the fit of A
+        jacobi = ["jacobi_pointwise", "jacobi_integral"]
+        for checks, A in ((jacobi, 1.0), (jacobi, "fit"), (["identity", "volume_bound"], "fit")):
             cfg = {**self.BASE, "rho": 5.0, "checks": checks, "A": A, "out": str(tmp_path / "v")}
-            assert cmd_verify(RunConfig(**cfg))[1] == EXIT_PASS
+            cfg = RunConfig(**cfg)
+            assert cmd_verify(cfg)[1] == EXIT_PASS
+            swept = dataclasses.replace(cfg, sweep_param="eps", sweep_values=[0.1])
+            assert cmd_sweep(swept)[1] == EXIT_PASS
         # a field file's grid is known only once it is read
         path = tmp_path / "u.csv"
         write_field_csv(path, sample(lambda x1, x2: x1 * x1 + x2 * x2, build_grid(4.0, 65)))
@@ -881,6 +883,12 @@ class TestFrontDoor:
             ("sweep", "sweep_param", "family=perturbed\nsweep_param=n,a\nsweep_values=17,33"),
             ("solve", "n", "n=3"),
             ("solve", "L", "L=inf"),
+            # tol=inf certified a solve of 0 Newton steps; the others failed
+            # inside the checks
+            ("solve", "tol", "family=perturbed\nn=33\ntol=inf"),
+            ("verify", "delta", "family=perturbed\nn=65\nchecks=volume_bound\ndelta=inf"),
+            ("verify", "R", "family=perturbed\nn=65\nchecks=hessian_estimate\nR=inf"),
+            ("verify", "rho", "family=perturbed\nn=65\nchecks=subharmonic\nrho=inf"),
             # each fails only after load otherwise: a non-finite field, a math
             # domain error, or 4/c^2 dividing by zero
             ("verify", "a", "a=inf"),
@@ -892,6 +900,7 @@ class TestFrontDoor:
         ],
         ids=[
             "field_file-fd", "field_file-list", "input", "sweep_param", "n", "L",
+            "tol-inf", "delta-inf", "R-inf", "rho-inf",
             "a-inf", "eps-inf", "theta1-inf", "theta2-inf", "A-inf", "c-square-zero",
         ],
     )
@@ -1024,9 +1033,7 @@ class TestFrontDoor:
         err = capsys.readouterr().err
         assert err.startswith("lmce: invalid input: family quadratic: solver needs supercritical")
 
-    @pytest.mark.parametrize(
-        "check", ["jacobi_pointwise", "jacobi_integral", "weak_max_principle", "super_iso"]
-    )
+    @pytest.mark.parametrize("check", ["weak_max_principle", "super_iso"])
     def test_rho_disk_without_an_interior_node(self, tmp_path, check):
         # no node of the even grid lies within 0.01 of the origin
         cfg = RunConfig(family="perturbed", n=64, rho=0.01, checks=[check], out=str(tmp_path))
@@ -1035,6 +1042,22 @@ class TestFrontDoor:
         (entry,) = report.entries
         assert entry["status"] == "precondition_failed"
         assert entry["details"]["error"] == "no interior node in the disk of radius rho=0.01"
+
+    @pytest.mark.parametrize(
+        "n, rho", [(65, 5.0), (64, 0.01)], ids=["beyond-L", "no-interior-node"]
+    )
+    def test_jacobi_checks_read_neither_A_nor_rho(self, tmp_path, n, rho):
+        # lap_g b >= c |grad_g b|^2 - C reads c; A and rho belong to the modified slope
+        runs = []
+        for A in ("fit", 0.0, 3.0):
+            cfg = RunConfig(
+                family="perturbed", n=n, rho=rho, A=A,
+                checks=["jacobi_pointwise", "jacobi_integral"], out=str(tmp_path / str(A)),
+            )
+            report, code = cmd_verify(cfg)
+            assert code == EXIT_PASS
+            runs.append(report.entries)
+        assert runs[0] == runs[1] == runs[2]
 
     def test_grid_rule_once_per_config(self, tmp_path, monkeypatch):
         calls = []
@@ -1170,16 +1193,27 @@ class TestVerifyWork:
         assert geometry_calls["bundle"] == 1
         assert geometry_calls["laplace_beltrami"] <= 4
 
-    @pytest.mark.parametrize("command", ["verify", "sweep"])
-    def test_hessian_estimate_skips_the_fit(self, tmp_path, geometry_calls, command):
-        # the estimate reads only delta from the slope constants
+    @pytest.mark.parametrize(
+        "command, checks, lb_calls",
+        [
+            pytest.param("verify", ["hessian_estimate"], 0, id="verify"),
+            pytest.param("sweep", ["hessian_estimate"], 0, id="sweep"),
+            # lap_g b once per field, and no lap_g |x|^2/2 for a fit
+            pytest.param("verify", ["jacobi_pointwise", "jacobi_integral"], 1, id="verify-jacobi"),
+            pytest.param("sweep", ["jacobi_pointwise", "jacobi_integral"], 2, id="sweep-jacobi"),
+        ],
+    )
+    def test_hessian_estimate_skips_the_fit(
+        self, tmp_path, geometry_calls, command, checks, lb_calls
+    ):
+        # neither the estimate nor the jacobi checks read the weight A
         cfg = RunConfig(
-            family="quadratic", n=65, checks=["hessian_estimate"], out=str(tmp_path / "o"),
+            family="quadratic", n=65, checks=checks, out=str(tmp_path / "o"),
             sweep_param="a", sweep_values=[1.0, 4.0],
         )
         report, code = (cmd_verify if command == "verify" else cmd_sweep)(cfg)
         assert code == EXIT_PASS
-        assert geometry_calls["laplace_beltrami"] == 0
+        assert geometry_calls["laplace_beltrami"] == lb_calls
         assert "constants_s" not in report.timings
 
     @pytest.mark.parametrize(

@@ -13,7 +13,7 @@ from lmce.geometry import (
     PHASE_SPLIT,
     REGIME_CUSHION,
     SlopeConstants,
-    _induced_metric,
+    _inverse_metric,
     _nondiv_kernel,
     bundle,
     bundle_from_hessian,
@@ -32,6 +32,11 @@ def laplace_beltrami_nondiv(f, B):
     """Laplace-Beltrami in non-divergence form, g^{ij} f_ij plus first-order
     terms with differenced coefficients: the oracle of the divergence form."""
     return ScalarField2(B.grid, _nondiv_kernel(f.values, B.vol, B.inv11, B.inv12, B.inv22, B.grid.h))
+
+
+def _metric(m11, m12, m22):
+    """The metric g = I + M^2 of a symmetric Hessian M: (g11, g12, g22)."""
+    return 1.0 + m11 * m11 + m12 * m12, m12 * (m11 + m22), 1.0 + m22 * m22 + m12 * m12
 
 
 def paraboloid(a=1.0):
@@ -102,7 +107,7 @@ class TestBundle:
         g = build_grid(2.0, 33)
         u = sample(lambda x1, x2: 0.5 * (x1 * x1 + x2 * x2) + 0.2 * np.sin(x1) * np.cos(x2), g)
         B = bundle(u)
-        g11, g12, g22, *_ = _induced_metric(*hessian_fd(u))
+        g11, g12, g22 = _metric(*hessian_fd(u))
         detg = g11 * g22 - g12 * g12
         np.testing.assert_allclose(B.vol, np.sqrt(detg), rtol=1e-12)
 
@@ -110,8 +115,10 @@ class TestBundle:
         g = build_grid(2.0, 17)
         u = sample(lambda x1, x2: 0.5 * x1 * x1 + 0.3 * x1 * x2, g)
         B = bundle(u)
-        g11, g12, g22, inv11, inv12, inv22 = _induced_metric(*hessian_fd(u))
-        # the bundle stores the inverse that _induced_metric returns
+        hess = hessian_fd(u)
+        g11, g12, g22 = _metric(*hess)
+        inv11, inv12, inv22 = _inverse_metric(*hess)
+        # the bundle stores the inverse that _inverse_metric returns
         for stored, computed in ((B.inv11, inv11), (B.inv12, inv12), (B.inv22, inv22)):
             np.testing.assert_array_equal(stored, computed)
         np.testing.assert_allclose(g11 * inv11 + g12 * inv12, 1.0, atol=1e-12)
@@ -346,7 +353,7 @@ def _whole_bundle(hess):
     """The bundle's arrays by whole-array expressions: the oracle of the
     banded build."""
     lam1, lam2 = eigen_sym2(*hess)
-    inv11, inv12, inv22 = _induced_metric(*hess)[3:]
+    inv11, inv12, inv22 = _inverse_metric(*hess)
     return {
         "lam1": lam1,
         "lam2": lam2,

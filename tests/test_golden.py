@@ -85,6 +85,28 @@ def test_verify_json_entries_only_gain_keys(name, tmp_path):
             assert after[key] == value, (before["check"], key)
 
 
+def _passes(e: dict) -> bool:
+    """An inequality entry's verdict by the rule `CheckReport` states."""
+    if e["check"] == "subharmonic":
+        return e["margin"] >= -e["slack"] and e["details"]["wmp_passed"]
+    if e["check"] == "jacobi_integral":
+        return e["margin"] >= 0.0 and e["fitted"]["ibp_residual"] <= e["fitted"]["ibp_tolerance"]
+    return e["margin"] >= 0.0
+
+
+@pytest.mark.parametrize("name", sorted(VERIFY_CASES))
+def test_inequalities_pass_by_the_documented_rule(name, tmp_path):
+    _run(name, tmp_path / "o")
+    inequalities = [e for e in _entries(tmp_path / "o") if e["kind"] == "inequality"]
+    assert len(inequalities) == 7
+    for e in inequalities:
+        assert e["passed"] == _passes(e), e["check"]
+        if e["slack"] > 0.0 and e["check"] != "subharmonic":
+            # the slack is inside the margin (the sampler's rhs holds it already)
+            granted = 0.0 if e["check"] == "weak_max_principle" else e["slack"]
+            assert e["margin"] == e["rhs"] + granted - e["lhs"], e["check"]
+
+
 def _csv_cells(text: str) -> dict:
     header, *body = csv.reader(text.splitlines())
     return {(r, col): v for r, row in enumerate(body, 1) for col, v in zip(header, row)}

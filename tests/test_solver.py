@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 import lmce.solver
 from lmce.errors import LinearSolveError, PreconditionError
-from lmce.geometry import _induced_metric, classify_phase, eigen_sym2
+from lmce.geometry import _inverse_metric, classify_phase, eigen_sym2
 from lmce.grid import ScalarField2, build_grid, hessian_fd, sample
 from lmce.solver import (
     anisotropic_family,
@@ -28,6 +28,7 @@ from lmce.solver import (
     quadratic_family,
 )
 from lmce.solver import (
+    ETA_MAX,
     ETA_MIN,
     KRYLOV_MAXITER,
     AnalyticFunction2,
@@ -118,7 +119,7 @@ def _first_newton_system(g, prob):
     u0 = _initial_iterate(g, prob.u_exact, prob.psi, "phase_matched")
     hess = hessian_fd(ScalarField2(g, u0))
     r, _, _ = _phase_defect(hess, prob.psi)
-    *_, inv11, inv12, inv22 = _induced_metric(*hess)
+    inv11, inv12, inv22 = _inverse_metric(*hess)
     A = _assemble_linearization(g, inv11, inv12, inv22)
     return A, _sine_preconditioner(g, inv11, inv22), -r.ravel()
 
@@ -302,8 +303,8 @@ class TestNewtonSolve:
         # A and M hold what they read of g^{-1}, so no inverse-metric array
         # is alive in a linear solve or a line-search trial's differencing
         metrics, alive = [], []
-        induced, solve, hessian = (
-            lmce.solver._induced_metric, lmce.solver.linear_solve, lmce.solver.hessian_fd
+        inverse, solve, hessian = (
+            lmce.solver._inverse_metric, lmce.solver.linear_solve, lmce.solver.hessian_fd
         )
 
         def spy(real):
@@ -314,11 +315,11 @@ class TestNewtonSolve:
             return wrapper
 
         def metric(*hess):
-            out = induced(*hess)
-            metrics.extend(weakref.ref(inv) for inv in out[3:])
+            out = inverse(*hess)
+            metrics.extend(weakref.ref(inv) for inv in out)
             return out
 
-        monkeypatch.setattr(lmce.solver, "_induced_metric", metric)
+        monkeypatch.setattr(lmce.solver, "_inverse_metric", metric)
         monkeypatch.setattr(lmce.solver, "linear_solve", spy(solve))
         monkeypatch.setattr(lmce.solver, "hessian_fd", spy(hessian))
         g = build_grid(4.0, 33)
@@ -327,6 +328,41 @@ class TestNewtonSolve:
         assert state.converged
         assert len(metrics) == 3 * state.iterations
         assert len(alive) > 2 * state.iterations and not any(alive)
+
+    @staticmethod
+    def _useless_while(monkeypatch, useless):
+        """newton_solve's linear_solve, but returning the zero direction for
+        the tolerances where useless(tol) holds, each system still recorded."""
+        solve = lmce.solver.linear_solve
+
+        def patched(A, rhs, M, tol, record):
+            x = solve(A, rhs, M, tol=tol, record=record)
+            return np.zeros_like(x) if useless(tol) else x
+
+        monkeypatch.setattr(lmce.solver, "linear_solve", patched)
+
+    def test_failed_line_search_solves_the_system_again(self, monkeypatch):
+        # no step length along the direction solved to eta = 0.1 reduces the
+        # residual: the same system is solved again to 1e-3, and that step is
+        # taken in full
+        prob = manufacture(perturbed_family(0.1), build_grid(4.0, 33))
+        plain = newton_solve(prob.psi, prob.u_exact)
+        self._useless_while(monkeypatch, lambda tol: tol == ETA_MAX)
+        state = newton_solve(prob.psi, prob.u_exact)
+        assert state.converged
+        rtols = [rec.rtol for rec in state.systems]
+        assert rtols[:2] == [ETA_MAX, pytest.approx(1e-3, rel=1e-15)]
+        assert len(rtols) == state.iterations + 1 == plain.iterations + 1
+        assert state.damping[0] == 1.0 and state.residuals[0] == plain.residuals[0]
+
+    def test_line_search_fails_once_eta_is_at_most_1e_10(self, monkeypatch):
+        prob = manufacture(perturbed_family(0.1), build_grid(4.0, 33))
+        self._useless_while(monkeypatch, lambda tol: True)
+        state = newton_solve(prob.psi, prob.u_exact)
+        assert not state.converged and state.iterations == 0
+        assert state.message == "line search failed to reduce the residual"
+        rtols = [rec.rtol for rec in state.systems]
+        assert rtols == pytest.approx([0.1, 1e-3, 1e-5, 1e-7, 1e-9, 1e-11], rel=1e-15)
 
 
 class TestLinearSolve:
