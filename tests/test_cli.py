@@ -774,6 +774,9 @@ class TestStrictConfig:
             (["weak_max_principle"], 1.0),
             (["super_iso"], 1.0),
             (["subharmonic"], 1.0),
+            # the jacobi checks read no rho, but a sampled check beside them does
+            (["jacobi_pointwise", "subharmonic"], "fit"),
+            (["jacobi_integral", "super_iso"], "fit"),
         ],
     )
     def test_rho_beyond_the_grid_rejected_at_load(self, tmp_path, monkeypatch, capsys, checks, A):
