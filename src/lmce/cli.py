@@ -325,14 +325,13 @@ class RunReport:
 def write_field_csv(path: str | Path, f: ScalarField2) -> None:
     """Field interchange: `# L=<float> n=<int>` comment, then i,j,value rows."""
     g = f.grid
-    # the rows csv.writer would write (no cell needs quoting), in one string
-    rows = "".join(
-        f"{i},{j},{v!r}\r\n" for i, row in enumerate(f.values.tolist()) for j, v in enumerate(row)
-    )
+    cells = [f",{j}," for j in range(g.n)]
     with open(path, "w", newline="") as fh:
         fh.write(f"# L={g.L!r} n={g.n}\n")
         fh.write("i,j,value\r\n")
-        fh.write(rows)
+        # the rows csv.writer would write (no cell needs quoting), one grid row at a time
+        for i, row in enumerate(f.values):
+            fh.write("".join([f"{i}{cell}{v!r}\r\n" for cell, v in zip(cells, row.tolist())]))
 
 
 def read_field_csv(path: str | Path) -> ScalarField2:

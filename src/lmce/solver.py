@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import LinearSolveError, PreconditionError
 from .geometry import _inverse_metric, eigen_sym2
-from .grid import Grid2, ScalarField2, hessian_fd, sample
+from .grid import Grid2, ScalarField2, _bands, hessian_fd, sample
 
 __all__ = [
     "AnalyticFunction2",
@@ -221,15 +221,21 @@ def _interior(grid: Grid2, v) -> np.ndarray:
 
 
 # the 9-point neighbours (di, dj) of an interior node in the column order of
-# its matrix row: neighbour (i+di, j+dj) sits di*m + dj columns right of (i, j)
-_NEIGHBOURS = [(di, dj) for di in (-1, 0, 1) for dj in (-1, 0, 1)]
+# its matrix row: neighbour (i+di, j+dj) sits di*m + dj columns right of (i, j);
+# with each, its coupling in Stencil9.coef = (b, a, c, diag) and that one's sign
+_NEIGHBOURS = [
+    (-1, -1, 0, 1), (-1, 0, 1, 1), (-1, 1, 0, -1),
+    (0, -1, 2, 1), (0, 0, 3, 1), (0, 1, 2, 1),
+    (1, -1, 0, -1), (1, 0, 1, 1), (1, 1, 0, 1),
+]
 
 
 @dataclass(frozen=True, eq=False)
 class Stencil9:
-    """A 9-point operator on the m x m interior nodes, matrix-free: coef[k][i, j]
-    couples node (i, j) to its neighbour _NEIGHBOURS[k], and equal couplings share
-    one array; couplings that would leave the interior are not part of it."""
+    """A 9-point operator on the m x m interior nodes, matrix-free: coef holds
+    the four distinct couplings (b, a, c, diag), and _NEIGHBOURS gives the one
+    coupling node (i, j) to each neighbour, and its sign; couplings that would
+    leave the interior are not part of it."""
 
     coef: tuple[np.ndarray, ...]
 
@@ -238,23 +244,27 @@ class Stencil9:
         return (self.coef[0].size,) * 2
 
     def _couplings(self):
-        """(coefficients, nodes, their neighbours) as 2-D slices, per neighbour."""
+        """(coefficients, sign, nodes, their neighbours) as 2-D slices, per
+        neighbour."""
         m = self.coef[0].shape[0]
 
         def span(d):  # along an axis: the nodes with a neighbour at shift d, those neighbours
             return slice(max(0, -d), m - max(0, d)), slice(max(0, d), m + min(0, d))
 
-        for c, (di, dj) in zip(self.coef, _NEIGHBOURS):
+        for di, dj, k, sign in _NEIGHBOURS:
             (ri, ni), (rj, nj) = span(di), span(dj)
-            yield c[ri, rj], (ri, rj), (ni, nj)
+            yield self.coef[k][ri, rj], sign, (ri, rj), (ni, nj)
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         """A x, each row summed from 0 in column order: rounded exactly as
-        the product of its CSC matrix."""
+        the product of its CSC matrix, as y - c x is y + (-c) x in IEEE."""
         x = np.reshape(x, self.coef[0].shape)
         y = np.zeros(x.shape)
-        for c, row, col in self._couplings():
-            y[row] += c * x[col]
+        for c, sign, row, col in self._couplings():
+            if sign > 0:
+                y[row] += c * x[col]
+            else:
+                y[row] -= c * x[col]
         return y.ravel()
 
 
@@ -269,52 +279,54 @@ def _assemble_linearization(grid: Grid2, inv11, inv12, inv22) -> Stencil9:
     a = _interior(grid, inv11) / h2
     c = _interior(grid, inv22) / h2
     b = _interior(grid, inv12) / (2.0 * h2)
-    nb = -b
-    # in _NEIGHBOURS order
-    return Stencil9((b, a, nb, c, -2.0 * a - 2.0 * c, c, nb, a, b))
+    return Stencil9((b, a, c, -2.0 * a - 2.0 * c))
 
 
 def _bicgstab(A, b: np.ndarray, psolve, rtol: float, maxiter: int) -> tuple[np.ndarray, int]:
     """BiCGSTAB (van der Vorst, SIAM J. Sci. Stat. Comput. 13, 1992) from x = 0,
-    preconditioned by psolve, to |r| < rtol |b|: the loop of the reference
-    BiCGSTAB in the tests (atol=0) line for line, so the same x.  Returns x
-    and the completed iterations."""
+    preconditioned by psolve, to |r| < rtol |b|: the same operations on each
+    array in the same order as the loop of the reference BiCGSTAB in the tests
+    (atol=0), so the same x.  No vector the rest of the loop does not read is
+    bound while psolve or A runs.  Returns x and the completed iterations."""
     x = np.zeros_like(b)
     atol = max(0.0, rtol * float(np.linalg.norm(b)))
     # breakdown tolerances of the original Fortran template
     rhotol = omegatol = np.finfo(float).eps ** 2
-    r, rtilde = b.copy(), b.copy()
+    r = b.copy()  # the shadow residual is b itself, never written
     for it in range(maxiter):
         if np.linalg.norm(r) < atol:
             return x, it
-        rho = np.dot(rtilde, r)
+        rho = np.dot(b, r)
         if np.abs(rho) < rhotol:
             return x, it
         if it > 0:
             if np.abs(omega) < omegatol:
                 return x, it
             beta = (rho / rho_prev) * (alpha / omega)
-            p -= omega * v
+            v *= omega
+            p -= v
+            del v
             p *= beta
             p += r
         else:
             p = r.copy()
         phat = psolve(p)
         v = A @ phat
-        rv = np.dot(rtilde, v)
+        rv = np.dot(b, v)
         if rv == 0:
             return x, it
         alpha = rho / rv
         r -= alpha * v
+        x += alpha * phat
+        del phat
         if np.linalg.norm(r) < atol:
-            x += alpha * phat
             return x, it
         shat = psolve(r)
         t = A @ shat
         omega = np.dot(t, r) / np.dot(t, t)
-        x += alpha * phat
         x += omega * shat
         r -= omega * t
+        del shat, t
         rho_prev = rho
     return x, maxiter
 
@@ -352,16 +364,20 @@ def linear_solve(A, rhs: np.ndarray, M, tol: float = 1e-12, record=None) -> np.n
 
 def _dst1(x: np.ndarray, axis: int) -> np.ndarray:
     """Unnormalized type-I sine transform y_k = sum_j x_j sin(pi j k/(m+1)),
-    j, k = 1..m, along one axis, from the FFT of the odd extension.
+    j, k = 1..m, along one axis of a 2-D array, from the FFT of the odd
+    extension, formed in bands of rows (grid._bands) so that the extension
+    and its spectrum are only band-sized; each row is the whole array's.
 
     Applied twice it returns x scaled by (m+1)/2.
     """
     x = np.moveaxis(x, axis, -1)
     m = x.shape[-1]
-    z = np.zeros(x.shape[:-1] + (2 * m + 2,))
-    z[..., 1 : m + 1] = x
-    z[..., m + 2 :] = -x[..., ::-1]
-    y = -0.5 * np.fft.rfft(z, axis=-1)[..., 1 : m + 1].imag
+    y = np.empty(x.shape)
+    for band in _bands(0, len(x)):
+        z = np.zeros((band.stop - band.start, 2 * m + 2))
+        z[:, 1 : m + 1] = x[band]
+        z[:, m + 2 :] = -x[band, ::-1]
+        y[band] = -0.5 * np.fft.rfft(z)[:, 1 : m + 1].imag
     return np.moveaxis(y, -1, axis)
 
 
@@ -372,9 +388,15 @@ def _poisson_solve(grid: Grid2, rhs: np.ndarray, a: float = 1.0, c: float = 1.0)
     """
     m = grid.n - 2
     lam = -4.0 * np.sin(0.5 * np.pi * np.arange(1, m + 1) / (m + 1)) ** 2 / (grid.h * grid.h)
-    f = _dst1(_dst1(np.reshape(rhs, (m, m)), 0), 1)
+    f = _dst1(np.reshape(rhs, (m, m)), 0)
+    del rhs  # freed here when the caller passed a temporary
+    # each transform rebinds f, so at most two whole arrays are alive
+    f = _dst1(f, 1)
     f /= a * lam[:, None] + c * lam[None, :]
-    return (_dst1(_dst1(f, 0), 1) * (2.0 / (m + 1)) ** 2).ravel()
+    f = _dst1(f, 0)
+    f = _dst1(f, 1)
+    f *= (2.0 / (m + 1)) ** 2
+    return f.ravel()
 
 
 def _sine_preconditioner(grid: Grid2, inv11, inv22):
@@ -496,18 +518,37 @@ def newton_solve(
         big = max(float(np.max(lam1)), -float(np.min(lam2)))
         return r, float(np.max(np.abs(r))), 1.0 / (1.0 + big * big), hess
 
+    def direction() -> np.ndarray:
+        """The Newton direction at u on the interior nodes, solved to eta.
+        r and hess are released once read, A and M on return: none is alive
+        in the line search.  A re-solve rebuilds r and hess from u, bit for bit."""
+        nonlocal r, hess
+        if hess is None:
+            r, _, _, hess = residual(u)
+        inv11, inv12, inv22 = _inverse_metric(*hess)
+        hess = None
+        A = _assemble_linearization(grid, inv11, inv12, inv22)
+        M = _sine_preconditioner(grid, inv11, inv22)
+        del inv11, inv12, inv22  # A and M hold what they read
+        rhs = -r.ravel()
+        r = None
+        return linear_solve(A, rhs, M, tol=eta, record=systems)
+
     def line_search(s_int: np.ndarray):
         """(t, u + t s, its residual) for the longest t = 1, 1/2, ... down to
         MIN_STEP that passes the Armijo test, s being s_int on the interior
-        nodes and 0 on the boundary ring; None if no t does."""
+        nodes and 0 on the boundary ring; None if no t does.  The caller
+        passes s_int unbound, so it is released once spread into step."""
         step = np.zeros((n, n))
         step[1:-1, 1:-1] = s_int.reshape(n - 2, n - 2)
+        del s_int
         t = 1.0
         while t >= MIN_STEP:
             trial = u + t * step
             r_new, rn_new, ell_new, hess = residual(trial)
             if rn_new <= (1.0 - ARMIJO * t) * rn:
                 return t, trial, r_new, rn_new, ell_new, hess
+            del trial, r_new, hess  # not alive in the next trial
             t *= 0.5
         return None
 
@@ -526,17 +567,12 @@ def newton_solve(
             # only a Hessian eigenvalue whose square overflows gets here
             message = "linearization lost ellipticity"
             break
-        inv11, inv12, inv22 = _inverse_metric(*hess)
-        del hess  # not kept through the solve: each line-search trial binds its own
-        A = _assemble_linearization(grid, inv11, inv12, inv22)
-        M = _sine_preconditioner(grid, inv11, inv22)
-        del inv11, inv12, inv22  # A and M hold what they read
         if damping:
             eta = _forcing_term(rn / residuals[-2], eta)
         taken = None
         while taken is None:
             try:
-                taken = line_search(linear_solve(A, -r.ravel(), M, tol=eta, record=systems))
+                taken = line_search(direction())
             except LinearSolveError as exc:
                 message = str(exc)
                 break
@@ -548,7 +584,7 @@ def newton_solve(
         if taken is None:
             break
         t, u, r, rn, ell, hess = taken
-        del taken  # so that the next step's `del hess` frees the Hessian
+        del taken  # so that direction() frees the Hessian
         residuals.append(rn)
         damping.append(t)
     return SolveState(

@@ -1291,10 +1291,12 @@ class TestVerifyWork:
         assert self._full_verify_at_129(tmp_path) < 18.6
 
     def test_peak_memory_of_a_newton_solve(self):
-        # the traced peak is 26.9 float arrays of n^2 nodes at n=129; 28.0
-        # leaves about one array of headroom.  It was 33.9 with the stencil's
-        # nine coefficients stacked and the inverse metric alive through the
-        # Krylov solve and the line search.
+        # the traced peak is 15.75 float arrays of n^2 nodes at n=129, set in
+        # a BiCGSTAB product; 17.0 leaves about one array of headroom.  It
+        # was 24.97 with five stencil arrays, the shadow residual a copy,
+        # the whole-array sine transform and the Newton system alive through
+        # the line search, and 33.9 with nine stacked coefficients and the
+        # inverse metric alive through the Krylov solve and the line search.
         def problem(n):
             return manufacture(perturbed_family(0.1), build_grid(4.0, n))
 
@@ -1308,7 +1310,23 @@ class TestVerifyWork:
         finally:
             tracemalloc.stop()
         assert state.converged
-        assert peak / (8 * 129 * 129) < 28.0
+        assert peak / (8 * 129 * 129) < 17.0
+
+    def test_peak_memory_of_writing_a_field(self, tmp_path):
+        # u.csv is formatted one grid row at a time: the writer peaks at 0.1
+        # arrays of n^2 nodes over what is alive at n=257, within one.  It
+        # was 14.5 with the whole file formatted in one string.
+        f = manufacture(perturbed_family(0.1), build_grid(4.0, 257)).u_exact
+        write_field_csv(tmp_path / "warm.csv", f)  # loads what only a first call allocates
+        tracemalloc.start()
+        try:
+            alive, _ = tracemalloc.get_traced_memory()
+            write_field_csv(tmp_path / "u.csv", f)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (tmp_path / "u.csv").read_bytes() == (tmp_path / "warm.csv").read_bytes()
+        assert peak - alive <= 8 * 257 * 257
 
     def test_peak_memory_of_set_up(self, monkeypatch):
         # bands of 16 rows are the share of the grid at n=257 that bands of

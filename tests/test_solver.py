@@ -36,6 +36,7 @@ from lmce.solver import (
     _assemble_linearization,
     _bicgstab,
     _dirichlet_rhs,
+    _dst1,
     _forcing_term,
     _initial_iterate,
     _phase_defect,
@@ -47,12 +48,12 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def _csc(A):
-    """The CSC matrix of a Stencil9, built from its coupling triplets; zero
-    coefficients stay stored."""
+    """The CSC matrix of a Stencil9, built from its coupling triplets, each
+    coupling with its sign; zero coefficients stay stored."""
     nodes = np.arange(A.shape[0]).reshape(A.coef[0].shape)
     data, rows, cols = [], [], []
-    for c, row, col in A._couplings():
-        data.append(c.ravel())
+    for c, sign, row, col in A._couplings():
+        data.append(sign * c.ravel())
         rows.append(nodes[row].ravel())
         cols.append(nodes[col].ravel())
     triplets = np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))
@@ -329,31 +330,65 @@ class TestNewtonSolve:
         assert len(metrics) == 3 * state.iterations
         assert len(alive) > 2 * state.iterations and not any(alive)
 
+    def test_system_released_before_the_line_search(self, monkeypatch):
+        # the stencil, the right-hand side and the direction of a Newton
+        # system are not alive in any line-search trial's differencing, nor
+        # is any Hessian differenced before, a failed trial's included
+        systems, hessians, alive = [], [], []
+        solve, hessian = lmce.solver.linear_solve, lmce.solver.hessian_fd
+
+        def solve_spy(A, rhs, M, tol, record):
+            x = solve(A, rhs, M, tol=tol, record=record)
+            systems.extend(weakref.ref(v) for v in (*A.coef, rhs, x))
+            return x
+
+        def hessian_spy(f):
+            alive.append(sum(ref() is not None for ref in systems + hessians))
+            out = hessian(f)
+            hessians.extend(weakref.ref(m) for m in out)
+            return out
+
+        monkeypatch.setattr(lmce.solver, "linear_solve", solve_spy)
+        monkeypatch.setattr(lmce.solver, "hessian_fd", hessian_spy)
+        prob = manufacture(anisotropic_family(1.4, 0.2), build_grid(4.0, 33))
+        state = newton_solve(prob.psi, prob.u_exact)
+        assert state.converged and min(state.damping) < 0.5  # trials fail
+        assert len(systems) == 6 * state.iterations
+        assert len(alive) > state.iterations + 1 and not any(alive)
+
     @staticmethod
     def _useless_while(monkeypatch, useless):
         """newton_solve's linear_solve, but returning the zero direction for
-        the tolerances where useless(tol) holds, each system still recorded."""
-        solve = lmce.solver.linear_solve
+        the tolerances where useless(tol) holds, each system still recorded.
+        Returns the list of (rhs, the Stencil9's arrays) it appends a copy of
+        each system to."""
+        solve, seen = lmce.solver.linear_solve, []
 
         def patched(A, rhs, M, tol, record):
+            seen.append((rhs.copy(), [c.copy() for c in A.coef]))
             x = solve(A, rhs, M, tol=tol, record=record)
             return np.zeros_like(x) if useless(tol) else x
 
         monkeypatch.setattr(lmce.solver, "linear_solve", patched)
+        return seen
 
     def test_failed_line_search_solves_the_system_again(self, monkeypatch):
         # no step length along the direction solved to eta = 0.1 reduces the
-        # residual: the same system is solved again to 1e-3, and that step is
-        # taken in full
+        # residual: the same system, rebuilt bit for bit, is solved again to
+        # 1e-3, and that step is taken in full
         prob = manufacture(perturbed_family(0.1), build_grid(4.0, 33))
         plain = newton_solve(prob.psi, prob.u_exact)
-        self._useless_while(monkeypatch, lambda tol: tol == ETA_MAX)
+        seen = self._useless_while(monkeypatch, lambda tol: tol == ETA_MAX)
         state = newton_solve(prob.psi, prob.u_exact)
         assert state.converged
         rtols = [rec.rtol for rec in state.systems]
         assert rtols[:2] == [ETA_MAX, pytest.approx(1e-3, rel=1e-15)]
         assert len(rtols) == state.iterations + 1 == plain.iterations + 1
         assert state.damping[0] == 1.0 and state.residuals[0] == plain.residuals[0]
+        (rhs, coef), (rhs_again, coef_again) = seen[:2]
+        assert np.array_equal(rhs, rhs_again)
+        assert len(coef) == len(coef_again) == 4
+        assert all(np.array_equal(c, d) for c, d in zip(coef, coef_again))
 
     def test_line_search_fails_once_eta_is_at_most_1e_10(self, monkeypatch):
         prob = manufacture(perturbed_family(0.1), build_grid(4.0, 33))
@@ -482,12 +517,12 @@ class TestAssembly:
         assert np.array_equal(A @ x, _csc(A) @ x)
 
     def test_equal_couplings_share_one_array(self):
-        # b, a, -b, c and the diagonal, each held once
+        # b, a, c and the diagonal, each held once; -b is applied as a sign
         g = build_grid(2.0, 9)
         A = _assemble_linearization(g, 1.0, 0.5, 2.0)
-        assert len(A.coef) == 9
-        assert len({id(c) for c in A.coef}) == 5
-        assert A.coef[2] is A.coef[6] and A.coef[1] is A.coef[7]
+        assert len(A.coef) == 4
+        assert len({id(c) for c in A.coef}) == 4
+        assert [float(c[0, 0]) for c in A.coef] == [0.5 / (2 * g.h**2), 1 / g.h**2, 2 / g.h**2, -6 / g.h**2]
 
     @pytest.mark.parametrize("n", [5, 6, 33, 129])
     def test_poisson_solve_inverts_laplacian(self, n):
@@ -500,6 +535,27 @@ class TestAssembly:
         A = _assemble_linearization(g, 3.0, 0, 0.5)
         x = _poisson_solve(g, rhs, 3.0, 0.5)
         assert np.linalg.norm(A @ x - rhs) <= 1e-12 * np.linalg.norm(rhs)
+
+
+def _dst1_whole(x, axis):
+    """The type-I sine transform of the whole array at once, from the FFT of
+    its odd extension: the reference of the banded one."""
+    x = np.moveaxis(x, axis, -1)
+    m = x.shape[-1]
+    z = np.zeros(x.shape[:-1] + (2 * m + 2,))
+    z[..., 1 : m + 1] = x
+    z[..., m + 2 :] = -x[..., ::-1]
+    return np.moveaxis(-0.5 * np.fft.rfft(z, axis=-1)[..., 1 : m + 1].imag, -1, axis)
+
+
+class TestSineTransform:
+    # m straddles LB_BAND_ROWS = 64: one band short of it, one full band, a
+    # band and one row, two bands
+    @pytest.mark.parametrize("axis", [0, 1])
+    @pytest.mark.parametrize("m", [63, 64, 65, 127])
+    def test_banded_equals_the_whole_array_transform(self, m, axis):
+        x = np.random.default_rng(m).standard_normal((m, m))
+        assert np.array_equal(_dst1(x, axis), _dst1_whole(x, axis))
 
 
 class TestSinePreconditioner:
