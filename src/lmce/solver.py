@@ -48,25 +48,19 @@ __all__ = [
 # up to 117 in one system (constant phase 3.0, n=129, harmonic start)
 KRYLOV_MAXITER = 200
 # Eisenstat-Walker forcing terms (choice 2): the first Newton system is solved
-# to relative residual ETA_MAX, system k to ETA_GAMMA (rn_k/rn_{k-1})^2, kept
-# at least ETA_GAMMA eta_{k-1}^2 once that exceeds ETA_SAFEGUARD, capped at
-# ETA_MAX and never below ETA_MIN
+# to relative residual ETA_MAX, system k to ETA_GAMMA (rn_k/rn_{k-1})^2, capped
+# at ETA_MAX and never below ETA_MIN
 ETA_MAX = 0.1
 ETA_GAMMA = 0.9
-ETA_SAFEGUARD = 0.1
 ETA_MIN = 1e-12
 # Armijo sufficient decrease: a step of length t is taken once the residual
 # sup-norm falls to (1 - ARMIJO t) of its value, the customary 1e-4
 ARMIJO = 1e-4
 # the line search halves t from 1 and gives up once t < MIN_STEP, after 21
-# trials; a step that short is a stall
+# trials; a step that short is a stall.  A direction it gives up on is solved
+# again, once, to ETA_MIN: a loose direction can be too poor to descend where a
+# tight one is not
 MIN_STEP = 2.0**-20
-# a direction the line search gives up on is solved again to eta /
-# ETA_RESOLVE_DIVISOR (at least ETA_MIN): a loose direction can be too poor to
-# descend where a tight one is not.  Once it gives up on a direction solved to
-# eta <= ETA_RESOLVE_LIMIT, the line search has failed
-ETA_RESOLVE_DIVISOR = 100.0
-ETA_RESOLVE_LIMIT = 1e-10
 
 
 @dataclass(frozen=True)
@@ -449,8 +443,6 @@ def _initial_iterate(grid: Grid2, boundary: ScalarField2, psi: ScalarField2, mod
     u0 = harmonic(boundary.values)
     if mode == "harmonic":
         return u0
-    if mode != "phase_matched":
-        raise ValueError(f"unknown initial iterate mode {mode!r}")
     psibar = float(np.mean(psi.values[1:-1, 1:-1]))
     t = math.tan(0.5 * psibar)
     q = 0.5 * grid.radius2()
@@ -460,15 +452,11 @@ def _initial_iterate(grid: Grid2, boundary: ScalarField2, psi: ScalarField2, mod
     return u0 + t * (q - harmonic(q))
 
 
-def _forcing_term(ratio: float, eta_prev: float) -> float:
+def _forcing_term(ratio: float) -> float:
     """Relative tolerance of Newton system k >= 1 (Eisenstat-Walker choice
-    2) from ratio, the last residual sup-norm over the one before it, and
-    eta_prev, the tolerance of system k - 1; system 0 takes ETA_MAX."""
-    eta = ETA_GAMMA * ratio * ratio
-    kept = ETA_GAMMA * eta_prev * eta_prev
-    if kept > ETA_SAFEGUARD:
-        eta = max(eta, kept)
-    return max(min(eta, ETA_MAX), ETA_MIN)
+    2) from ratio, the last residual sup-norm over the one before it; system
+    0 takes ETA_MAX."""
+    return max(min(ETA_GAMMA * ratio * ratio, ETA_MAX), ETA_MIN)
 
 
 def newton_solve(
@@ -487,9 +475,8 @@ def newton_solve(
     never degenerate).  Each system is solved only to the relative residual
     that _forcing_term gives.  Steps are damped by Armijo backtracking on
     the residual sup-norm (ARMIJO, halving down to MIN_STEP); a step whose
-    backtracking fails is solved again to a tighter tolerance (see
-    ETA_RESOLVE_DIVISOR), which then stands as the previous tolerance of the
-    next forcing term.
+    backtracking fails is solved again, once, to ETA_MIN; if that one
+    fails too, or the first was already solved to ETA_MIN, the solve ends.
     Non-convergence within max_iter returns the state with the converged
     flag unset rather than raising.  The grid is psi's; boundary supplies the
     Dirichlet data on its boundary ring.
@@ -497,6 +484,8 @@ def newton_solve(
     grid = psi.grid
     if boundary.grid != grid:
         raise ValueError("phase and boundary grids must match")
+    if initial not in ("harmonic", "phase_matched"):
+        raise ValueError(f"unknown initial iterate mode {initial!r}")
     pmin = float(np.min(psi.values))
     pmax = float(np.max(psi.values))
     if not (0.0 < pmin and pmax < math.pi):
@@ -518,7 +507,7 @@ def newton_solve(
         big = max(float(np.max(lam1)), -float(np.min(lam2)))
         return r, float(np.max(np.abs(r))), 1.0 / (1.0 + big * big), hess
 
-    def direction() -> np.ndarray:
+    def direction(eta: float) -> np.ndarray:
         """The Newton direction at u on the interior nodes, solved to eta.
         r and hess are released once read, A and M on return: none is alive
         in the line search.  A re-solve rebuilds r and hess from u, bit for bit."""
@@ -558,7 +547,6 @@ def newton_solve(
     damping: list[float] = []  # one step length per Newton step taken
     systems: list[SystemSolve] = []
     message = ""
-    eta = ETA_MAX
     while rn > tol:
         if len(damping) >= max_iter:
             message = f"no convergence within {max_iter} iterations"
@@ -567,21 +555,16 @@ def newton_solve(
             # only a Hessian eigenvalue whose square overflows gets here
             message = "linearization lost ellipticity"
             break
-        if damping:
-            eta = _forcing_term(rn / residuals[-2], eta)
-        taken = None
-        while taken is None:
-            try:
-                taken = line_search(direction())
-            except LinearSolveError as exc:
-                message = str(exc)
-                break
-            if taken is None:
-                if eta <= ETA_RESOLVE_LIMIT:
-                    message = "line search failed to reduce the residual"
-                    break
-                eta = max(eta / ETA_RESOLVE_DIVISOR, ETA_MIN)
+        eta = _forcing_term(rn / residuals[-2]) if damping else ETA_MAX
+        try:
+            taken = line_search(direction(eta))
+            if taken is None and eta > ETA_MIN:
+                taken = line_search(direction(ETA_MIN))
+        except LinearSolveError as exc:
+            message = str(exc)
+            break
         if taken is None:
+            message = "line search failed to reduce the residual"
             break
         t, u, r, rn, ell, hess = taken
         del taken  # so that direction() frees the Hessian

@@ -279,6 +279,20 @@ class TestNewtonSolve:
         with pytest.raises(TypeError):
             newton_solve(prob.psi, prob.u_exact, g)
 
+    def test_unknown_initial_mode_rejected_before_any_solve(self, monkeypatch):
+        calls = []
+        poisson = lmce.solver._poisson_solve
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return poisson(*args, **kwargs)
+
+        monkeypatch.setattr(lmce.solver, "_poisson_solve", spy)
+        prob = manufacture(perturbed_family(0.1), build_grid(4.0, 17))
+        with pytest.raises(ValueError, match="unknown initial iterate mode 'bogus'"):
+            newton_solve(prob.psi, prob.u_exact, initial="bogus")
+        assert calls == []
+
     def test_harmonic_initial_mode(self):
         g = build_grid(4.0, 33)
         prob = manufacture(perturbed_family(0.1), g)
@@ -375,14 +389,14 @@ class TestNewtonSolve:
     def test_failed_line_search_solves_the_system_again(self, monkeypatch):
         # no step length along the direction solved to eta = 0.1 reduces the
         # residual: the same system, rebuilt bit for bit, is solved again to
-        # 1e-3, and that step is taken in full
+        # ETA_MIN, and that step is taken in full
         prob = manufacture(perturbed_family(0.1), build_grid(4.0, 33))
         plain = newton_solve(prob.psi, prob.u_exact)
         seen = self._useless_while(monkeypatch, lambda tol: tol == ETA_MAX)
         state = newton_solve(prob.psi, prob.u_exact)
         assert state.converged
         rtols = [rec.rtol for rec in state.systems]
-        assert rtols[:2] == [ETA_MAX, pytest.approx(1e-3, rel=1e-15)]
+        assert rtols[:2] == [ETA_MAX, ETA_MIN]
         assert len(rtols) == state.iterations + 1 == plain.iterations + 1
         assert state.damping[0] == 1.0 and state.residuals[0] == plain.residuals[0]
         (rhs, coef), (rhs_again, coef_again) = seen[:2]
@@ -390,14 +404,22 @@ class TestNewtonSolve:
         assert len(coef) == len(coef_again) == 4
         assert all(np.array_equal(c, d) for c, d in zip(coef, coef_again))
 
-    def test_line_search_fails_once_eta_is_at_most_1e_10(self, monkeypatch):
+    def test_line_search_fails_after_one_re_solve(self, monkeypatch):
         prob = manufacture(perturbed_family(0.1), build_grid(4.0, 33))
         self._useless_while(monkeypatch, lambda tol: True)
         state = newton_solve(prob.psi, prob.u_exact)
         assert not state.converged and state.iterations == 0
         assert state.message == "line search failed to reduce the residual"
-        rtols = [rec.rtol for rec in state.systems]
-        assert rtols == pytest.approx([0.1, 1e-3, 1e-5, 1e-7, 1e-9, 1e-11], rel=1e-15)
+        assert [rec.rtol for rec in state.systems] == [0.1, 1e-12]
+
+    def test_no_re_solve_of_a_system_solved_to_eta_min(self, monkeypatch):
+        prob = manufacture(perturbed_family(0.1), build_grid(4.0, 33))
+        monkeypatch.setattr(lmce.solver, "ETA_MAX", ETA_MIN)
+        seen = self._useless_while(monkeypatch, lambda tol: True)
+        state = newton_solve(prob.psi, prob.u_exact)
+        assert not state.converged and state.iterations == 0
+        assert state.message == "line search failed to reduce the residual"
+        assert [rec.rtol for rec in state.systems] == [ETA_MIN] and len(seen) == 1
 
 
 class TestLinearSolve:
@@ -678,18 +700,17 @@ class TestForcingTerm:
         if case == "anisotropic":  # damped steps barely reduce the residual
             assert rtols.count(0.1) > 1
 
-    def test_cap_floor_and_safeguard(self, monkeypatch):
-        assert _forcing_term(1.0, 0.1) == 0.1  # cap
-        assert _forcing_term(1e-9, 0.1) == 1e-12  # floor
-        assert _forcing_term(0.1, 0.1) == pytest.approx(0.9e-2)
-        # below a cap of 0.1 the safeguard cannot fire (0.9 * 0.1^2 < 0.1);
-        # with a cap of 0.9 it keeps eta near its previous value
-        monkeypatch.setattr(lmce.solver, "ETA_MAX", 0.9)
-        assert _forcing_term(0.01, 0.5) == pytest.approx(0.9 * 0.5**2)
-        assert _forcing_term(0.01, 0.3) == pytest.approx(0.9 * 0.01**2)
-        for ratio, prev in ((0.01, 0.5), (0.5, 0.9), (1e-9, 0.2), (2.0, 0.1), (0.2, 0.4)):
-            expected = _eisenstat_walker_step(ratio, prev, cap=0.9)
-            assert _forcing_term(ratio, prev) == pytest.approx(expected, rel=1e-12)
+    def test_cap_floor_and_safeguard(self):
+        assert _forcing_term(1.0) == 0.1  # cap
+        assert _forcing_term(1e-9) == 1e-12  # floor
+        assert _forcing_term(0.1) == pytest.approx(0.9e-2)
+        # below the cap of 0.1 choice 2's safeguard cannot fire (0.9 * 0.1^2
+        # < 0.1), so whatever the previous eta the rule is the same; the
+        # oracle's gamma * ratio**2 may round apart from gamma * ratio * ratio
+        for prev in (0.1, 1e-3, 1e-12):
+            for ratio in (2.0, 1.0, 0.5, 0.2, 0.1, 0.01, 1e-5, 1e-9):
+                expected = _eisenstat_walker_step(ratio, prev)
+                assert _forcing_term(ratio) == pytest.approx(expected, rel=1e-15)
 
 
 SCIPY_FREE = """
