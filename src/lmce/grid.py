@@ -139,8 +139,8 @@ def sample(f, grid: Grid2) -> ScalarField2:
 # line carries one-sided stencils, and a second differencing reads it from
 # the next line in
 INTERIOR_MARGIN = 2
-# the finest grid, 2^12 + 1 nodes per axis: a Newton solve holds about 27
-# arrays of n^2 floats at its peak, 3.6 GB at this n
+# the finest grid, 2^12 + 1 nodes per axis: a Newton solve holds about 12
+# arrays of n^2 floats at its peak, 1.6 GB at this n
 MAX_NODES = 4097
 
 

@@ -199,24 +199,36 @@ def phase_residual(u: ScalarField2, psi: ScalarField2) -> float:
     Recomputed from scratch (fresh differencing, no reused intermediates);
     used to certify converged states independently of the solve loop.
     """
-    r, _, _ = _phase_defect(hessian_fd(u), psi)
-    return float(np.max(np.abs(r)))
+    return _phase_defect(hessian_fd(u), psi)[1]
 
 
 def _phase_defect(hess, psi: ScalarField2):
-    """(arctan(lam1) + arctan(lam2) - psi, lam1, lam2) of hess on the interior nodes."""
-    lam1, lam2 = (lam[1:-1, 1:-1] for lam in eigen_sym2(*hess))
-    return np.arctan(lam1) + np.arctan(lam2) - psi.values[1:-1, 1:-1], lam1, lam2
+    """(r, max |r|, max |lam|) for r = arctan(lam1) + arctan(lam2) - psi of
+    hess on the interior nodes and lam its eigenvalues there.
 
-
-def _interior(grid: Grid2, v) -> np.ndarray:
-    """The interior nodes of a node array, or of a scalar broadcast to one."""
-    return np.broadcast_to(np.asarray(v, dtype=float), (grid.n, grid.n))[1:-1, 1:-1]
+    Formed one band of rows at a time, so only r is grid-sized; each value
+    is the whole-grid expression's.  A non-finite entry of hess raises
+    ValueError also on the boundary ring, which r does not read, as
+    eigen_sym2 of the whole grid would.
+    """
+    n = len(psi.values)
+    eigen_sym2(*(m[:: n - 1] for m in hess))  # rows 0 and n - 1, checked finite
+    r = np.empty((n - 2, n - 2))
+    rn = big = 0.0
+    for band in _bands(1, n - 1):
+        lam1, lam2 = (lam[:, 1:-1] for lam in eigen_sym2(*(m[band] for m in hess)))
+        r_band = r[band.start - 1 : band.stop - 1]
+        r_band[:] = np.arctan(lam1) + np.arctan(lam2) - psi.values[band, 1:-1]
+        rn = max(rn, float(np.max(np.abs(r_band))))
+        # as lam1 >= lam2, the largest |lam| is max lam1 or -min lam2
+        big = max(big, float(np.max(lam1)), -float(np.min(lam2)))
+    return r, rn, big
 
 
 # the 9-point neighbours (di, dj) of an interior node in the column order of
 # its matrix row: neighbour (i+di, j+dj) sits di*m + dj columns right of (i, j);
-# with each, its coupling in Stencil9.coef = (b, a, c, diag) and that one's sign
+# with each, its coupling k in (b, a, c, diag) and that one's sign, where
+# Stencil9.coef holds (b, a, c) and diag is -2a - 2c
 _NEIGHBOURS = [
     (-1, -1, 0, 1), (-1, 0, 1, 1), (-1, 1, 0, -1),
     (0, -1, 2, 1), (0, 0, 3, 1), (0, 1, 2, 1),
@@ -227,53 +239,91 @@ _NEIGHBOURS = [
 @dataclass(frozen=True, eq=False)
 class Stencil9:
     """A 9-point operator on the m x m interior nodes, matrix-free: coef holds
-    the four distinct couplings (b, a, c, diag), and _NEIGHBOURS gives the one
-    coupling node (i, j) to each neighbour, and its sign; couplings that would
-    leave the interior are not part of it."""
+    the three distinct couplings (b, a, c), each (m, m), the diagonal being
+    -2a - 2c, and _NEIGHBOURS gives the one coupling node (i, j) to each
+    neighbour, and its sign; couplings that would leave the interior are not
+    part of it."""
 
-    coef: tuple[np.ndarray, ...]
+    coef: tuple[np.ndarray, np.ndarray, np.ndarray]
 
     @property
     def shape(self) -> tuple[int, int]:
         return (self.coef[0].size,) * 2
 
-    def _couplings(self):
-        """(coefficients, sign, nodes, their neighbours) as 2-D slices, per
-        neighbour."""
-        m = self.coef[0].shape[0]
-
-        def span(d):  # along an axis: the nodes with a neighbour at shift d, those neighbours
-            return slice(max(0, -d), m - max(0, d)), slice(max(0, d), m + min(0, d))
-
-        for di, dj, k, sign in _NEIGHBOURS:
-            (ri, ni), (rj, nj) = span(di), span(dj)
-            yield self.coef[k][ri, rj], sign, (ri, rj), (ni, nj)
-
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         """A x, each row summed from 0 in column order: rounded exactly as
-        the product of its CSC matrix, as y - c x is y + (-c) x in IEEE."""
-        x = np.reshape(x, self.coef[0].shape)
-        y = np.zeros(x.shape)
-        for c, sign, row, col in self._couplings():
-            if sign > 0:
-                y[row] += c * x[col]
-            else:
-                y[row] -= c * x[col]
-        return y.ravel()
+        the product of its CSC matrix, as y - c x is y + (-c) x in IEEE.
+
+        Formed one band of rows at a time, the band's diagonal with it, so
+        only y is grid-sized.  Each coupling's products are one contiguous
+        run of the flat arrays, which numpy forms without buffering; where
+        the run wraps past the end of a row the product is set to 0, and y
+        is never -0 (it starts at +0), so adding or subtracting that 0
+        leaves y's bits."""
+        b, a, c = self.coef
+        m = len(a)
+        x = np.ravel(x)
+        y = np.zeros(m * m)
+        for band in _bands(0, m):
+            diag = -2.0 * a[band]
+            diag -= 2.0 * c[band]
+            coupling = [v.ravel() for v in (b[band], a[band], c[band], diag)]
+            prod = np.empty(diag.size)  # each coupling's products in turn
+            for di, dj, k, sign in _NEIGHBOURS:
+                r0, r1 = max(band.start, -di), min(band.stop, m - di)
+                if r0 >= r1:
+                    continue
+                # flat nodes of rows r0 .. r1 - 1, less the first (dj < 0) or
+                # last (dj > 0), whose neighbour sits `shift` further on
+                lo, hi = r0 * m + max(0, -dj), r1 * m - max(0, dj)
+                shift, off = di * m + dj, band.start * m
+                run = np.multiply(
+                    coupling[k][lo - off : hi - off], x[lo + shift : hi + shift], out=prod[: hi - lo]
+                )
+                if dj:
+                    run[m - 1 :: m] = 0.0  # pairs across a row end
+                if sign > 0:
+                    y[lo:hi] += run
+                else:
+                    y[lo:hi] -= run
+            del diag, coupling, prod, run  # not alive while the next band's are formed
+        return y
 
 
-def _assemble_linearization(grid: Grid2, inv11, inv12, inv22) -> Stencil9:
-    """The operator inv11*D11 + 2*inv12*D12 + inv22*D22 on interior nodes.
+def _newton_system(grid: Grid2, inverse_rows):
+    """The operator inv11*D11 + 2*inv12*D12 + inv22*D22 on interior nodes,
+    as a Stencil9, and its sine preconditioner M.
 
-    Central stencils throughout (interior nodes have full neighborhoods);
-    couplings to boundary nodes are dropped since corrections vanish there.
-    Coefficients are node arrays or scalars.
+    inverse_rows(rows) gives (inv11, inv12, inv22) on the interior nodes of
+    the grid rows `rows` (arrays, or scalars that broadcast).  Central
+    stencils throughout (interior nodes have full neighborhoods); couplings
+    to boundary nodes are dropped since corrections vanish there.
+
+    With s = (inv11 + inv22)/2 the operator is s times one whose coefficients
+    inv11/s, inv12/s, inv22/s are frozen at their interior means a, 0, c for
+    M, which divides by s and solves a*D11 + c*D22 exactly by sine transform
+    (Concus & Golub, SIAM J. Numer. Anal. 10, 1973).  The further the scaled
+    coefficients spread about (a, 0, c), the more BiCGSTAB iterations a
+    system takes.  Every array is filled one band of rows at a time; the
+    means are taken over whole contiguous inv11/s and inv22/s arrays, which
+    are then freed.
     """
+    m = grid.n - 2
     h2 = grid.h * grid.h
-    a = _interior(grid, inv11) / h2
-    c = _interior(grid, inv22) / h2
-    b = _interior(grid, inv12) / (2.0 * h2)
-    return Stencil9((b, a, c, -2.0 * a - 2.0 * c))
+    b, a, c, s = (np.empty((m, m)) for _ in range(4))
+    for band in _bands(1, grid.n - 1):
+        k = slice(band.start - 1, band.stop - 1)
+        # a and c hold inv11 and inv22 until the means are taken
+        a[k], b[k], c[k] = inverse_rows(band)
+        b[k] /= 2.0 * h2
+        s[k] = 0.5 * (a[k] + c[k])
+    q = a / s
+    mean11 = float(np.mean(q))
+    mean22 = float(np.mean(np.divide(c, s, out=q)))
+    del q
+    a /= h2
+    c /= h2
+    return Stencil9((b, a, c)), lambda r: _poisson_solve(grid, r, mean11, mean22, s)
 
 
 def _bicgstab(A, b: np.ndarray, psolve, rtol: float, maxiter: int) -> tuple[np.ndarray, int]:
@@ -281,7 +331,10 @@ def _bicgstab(A, b: np.ndarray, psolve, rtol: float, maxiter: int) -> tuple[np.n
     preconditioned by psolve, to |r| < rtol |b|: the same operations on each
     array in the same order as the loop of the reference BiCGSTAB in the tests
     (atol=0), so the same x.  No vector the rest of the loop does not read is
-    bound while psolve or A runs.  Returns x and the completed iterations."""
+    bound while psolve or A runs, and phat, shat and t, read no more once
+    scaled, are scaled in place: x += (omega shat) rounds the same either
+    way, with no grid-sized temporary.  Returns x and the completed
+    iterations."""
     x = np.zeros_like(b)
     atol = max(0.0, rtol * float(np.linalg.norm(b)))
     # breakdown tolerances of the original Fortran template
@@ -311,15 +364,18 @@ def _bicgstab(A, b: np.ndarray, psolve, rtol: float, maxiter: int) -> tuple[np.n
             return x, it
         alpha = rho / rv
         r -= alpha * v
-        x += alpha * phat
+        phat *= alpha
+        x += phat
         del phat
         if np.linalg.norm(r) < atol:
             return x, it
         shat = psolve(r)
         t = A @ shat
         omega = np.dot(t, r) / np.dot(t, t)
-        x += omega * shat
-        r -= omega * t
+        shat *= omega
+        x += shat
+        t *= omega
+        r -= t
         del shat, t
         rho_prev = rho
     return x, maxiter
@@ -356,59 +412,50 @@ def linear_solve(A, rhs: np.ndarray, M, tol: float = 1e-12, record=None) -> np.n
     return x
 
 
-def _dst1(x: np.ndarray, axis: int) -> np.ndarray:
+def _dst1(x: np.ndarray, axis: int) -> None:
     """Unnormalized type-I sine transform y_k = sum_j x_j sin(pi j k/(m+1)),
-    j, k = 1..m, along one axis of a 2-D array, from the FFT of the odd
-    extension, formed in bands of rows (grid._bands) so that the extension
-    and its spectrum are only band-sized; each row is the whole array's.
+    j, k = 1..m, along one axis of a 2-D array x, in place, from the FFT of
+    the odd extension.  It runs on bands (grid._bands) of the lines along
+    that axis, each band read whole before it is written, so that the
+    extension and its spectrum are only band-sized; each line is the whole
+    array's.
 
     Applied twice it returns x scaled by (m+1)/2.
     """
     x = np.moveaxis(x, axis, -1)
     m = x.shape[-1]
-    y = np.empty(x.shape)
     for band in _bands(0, len(x)):
         z = np.zeros((band.stop - band.start, 2 * m + 2))
         z[:, 1 : m + 1] = x[band]
-        z[:, m + 2 :] = -x[band, ::-1]
-        y[band] = -0.5 * np.fft.rfft(z)[:, 1 : m + 1].imag
-    return np.moveaxis(y, -1, axis)
+        np.negative(z[:, m:0:-1], out=z[:, m + 2 :])
+        spectrum = np.fft.rfft(z)
+        del z  # not alive with the band's result
+        x[band] = -0.5 * spectrum[:, 1 : m + 1].imag
+        del spectrum  # not alive while the next band's is formed
 
 
-def _poisson_solve(grid: Grid2, rhs: np.ndarray, a: float = 1.0, c: float = 1.0) -> np.ndarray:
-    """Exact solve of a*D11 + c*D22 (5-point, Dirichlet) on interior nodes,
-    the system _assemble_linearization(grid, a, 0, c), by diagonalizing it
-    with the sine transform.  rhs and the result are flat interior vectors.
+def _poisson_solve(grid: Grid2, rhs: np.ndarray, a: float = 1.0, c: float = 1.0, s=1.0) -> np.ndarray:
+    """Exact solve of a*D11 + c*D22 (5-point, Dirichlet) on interior nodes
+    for the right-hand side rhs / s, by diagonalizing it with the sine
+    transform.  rhs and the result are flat interior vectors, s an (m, m)
+    interior array or a scalar.
+
+    The result is the one grid-sized array formed: it starts as rhs / s,
+    and the four transforms and the division by the eigenvalue sums run on
+    it in place, band by band.
     """
     m = grid.n - 2
     lam = -4.0 * np.sin(0.5 * np.pi * np.arange(1, m + 1) / (m + 1)) ** 2 / (grid.h * grid.h)
-    f = _dst1(np.reshape(rhs, (m, m)), 0)
+    f = np.reshape(rhs, (m, m)) / s
     del rhs  # freed here when the caller passed a temporary
-    # each transform rebinds f, so at most two whole arrays are alive
-    f = _dst1(f, 1)
-    f /= a * lam[:, None] + c * lam[None, :]
-    f = _dst1(f, 0)
-    f = _dst1(f, 1)
+    _dst1(f, 0)
+    _dst1(f, 1)
+    for band in _bands(0, m):
+        f[band] /= a * lam[band, None] + c * lam[None, :]
+    _dst1(f, 0)
+    _dst1(f, 1)
     f *= (2.0 / (m + 1)) ** 2
     return f.ravel()
-
-
-def _sine_preconditioner(grid: Grid2, inv11, inv22):
-    """Preconditioner for the Newton operator inv11*D11 + 2 inv12*D12 +
-    inv22*D22, which does not read inv12.
-
-    With s = (inv11 + inv22)/2 the operator is s times one whose coefficients
-    inv11/s, inv12/s, inv22/s are frozen at the interior means a, 0, c; M
-    divides by s and solves a*D11 + c*D22 exactly by sine transform
-    (Concus & Golub, SIAM J. Numer. Anal. 10, 1973).  The further the scaled
-    coefficients spread about (a, 0, c), the more BiCGSTAB iterations a
-    system takes.
-    """
-    p11, p22 = _interior(grid, inv11), _interior(grid, inv22)
-    s = 0.5 * (p11 + p22)
-    a, c = float(np.mean(p11 / s)), float(np.mean(p22 / s))
-    s = s.ravel()
-    return lambda r: _poisson_solve(grid, np.ravel(r) / s, a, c)
 
 
 def _dirichlet_rhs(grid: Grid2, boundary_vals: np.ndarray) -> np.ndarray:
@@ -500,25 +547,21 @@ def newton_solve(
         eigenvalue of g^{-1} = (I + M^2)^{-1} there (the ellipticity of the
         linearization at uarr) and the differenced Hessian M.  The eigenvalue
         is 1/(1 + max lam^2), which keeps full precision where the eigenvalues
-        of g^{-1} itself cancel (one lam huge, one O(1)); as lam1 >= lam2,
-        the largest |lam| is max lam1 or -min lam2."""
+        of g^{-1} itself cancel (one lam huge, one O(1))."""
         hess = hessian_fd(ScalarField2(grid, uarr))
-        r, lam1, lam2 = _phase_defect(hess, psi)
-        big = max(float(np.max(lam1)), -float(np.min(lam2)))
-        return r, float(np.max(np.abs(r))), 1.0 / (1.0 + big * big), hess
+        r, rn, big = _phase_defect(hess, psi)
+        return r, rn, 1.0 / (1.0 + big * big), hess
 
     def direction(eta: float) -> np.ndarray:
         """The Newton direction at u on the interior nodes, solved to eta.
-        r and hess are released once read, A and M on return: none is alive
-        in the line search.  A re-solve rebuilds r and hess from u, bit for bit."""
+        The inverse metric is formed band by band from hess; r and hess are
+        released once read, A and M on return: none is alive in the line
+        search.  A re-solve rebuilds r and hess from u, bit for bit."""
         nonlocal r, hess
         if hess is None:
             r, _, _, hess = residual(u)
-        inv11, inv12, inv22 = _inverse_metric(*hess)
+        A, M = _newton_system(grid, lambda rows: _inverse_metric(*(m[rows, 1:-1] for m in hess)))
         hess = None
-        A = _assemble_linearization(grid, inv11, inv12, inv22)
-        M = _sine_preconditioner(grid, inv11, inv22)
-        del inv11, inv12, inv22  # A and M hold what they read
         rhs = -r.ravel()
         r = None
         return linear_solve(A, rhs, M, tol=eta, record=systems)

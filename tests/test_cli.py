@@ -45,7 +45,13 @@ from lmce.errors import ConfigError
 from lmce.geometry import GeometryBundle, bundle_from_hessian
 from lmce.grid import MAX_NODES, ScalarField2, build_grid, hessian_fd, sample
 from lmce.identities import CheckReport
-from lmce.solver import anisotropic_family, manufacture, newton_solve, perturbed_family
+from lmce.solver import (
+    anisotropic_family,
+    manufacture,
+    newton_solve,
+    perturbed_family,
+    phase_residual,
+)
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
@@ -1291,12 +1297,17 @@ class TestVerifyWork:
         assert self._full_verify_at_129(tmp_path) < 18.6
 
     def test_peak_memory_of_a_newton_solve(self):
-        # the traced peak is 15.75 float arrays of n^2 nodes at n=129, set in
-        # a BiCGSTAB product; 17.0 leaves about one array of headroom.  It
-        # was 24.97 with five stencil arrays, the shadow residual a copy,
-        # the whole-array sine transform and the Newton system alive through
-        # the line search, and 33.9 with nine stacked coefficients and the
-        # inverse metric alive through the Krylov solve and the line search.
+        # the traced peak is 12.79 float arrays of n^2 nodes at n=129, set in
+        # the BiCGSTAB loop, by the stencil product and the preconditioner
+        # alike (a band is half the grid at this n); 13.8 leaves about one
+        # array of headroom.  It was 15.75 with a whole-grid product per
+        # coupling, the stencil's diagonal stored, r / s and two transforms
+        # alive in the preconditioner and the Newton system and phase defect
+        # formed on the whole grid; 24.97 with five stencil arrays, the
+        # shadow residual a copy, the whole-array sine transform and the
+        # Newton system alive through the line search; and 33.9 with nine
+        # stacked coefficients and the inverse metric alive through the
+        # Krylov solve and the line search.
         def problem(n):
             return manufacture(perturbed_family(0.1), build_grid(4.0, n))
 
@@ -1310,7 +1321,23 @@ class TestVerifyWork:
         finally:
             tracemalloc.stop()
         assert state.converged
-        assert peak / (8 * 129 * 129) < 17.0
+        assert peak / (8 * 129 * 129) < 13.8
+
+    def test_peak_memory_of_the_phase_residual(self):
+        # over what is alive, phase_residual peaks at 5.74 arrays of n^2
+        # nodes at n=257: the differenced Hessian, the residual and one band
+        # of eigenvalues; 6.7 leaves about one array of headroom.  It was 8.0
+        # with whole-grid eigenvalues and arctangents.
+        prob = manufacture(perturbed_family(0.1), build_grid(4.0, 257))
+        phase_residual(prob.u_exact, prob.psi)  # loads what only a first call allocates
+        tracemalloc.start()
+        try:
+            alive, _ = tracemalloc.get_traced_memory()
+            phase_residual(prob.u_exact, prob.psi)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (peak - alive) / (8 * 257 * 257) < 6.7
 
     def test_peak_memory_of_writing_a_field(self, tmp_path):
         # u.csv is formatted one grid row at a time: the writer peaks at 0.1

@@ -14,6 +14,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import given, settings, strategies as st
 
+import lmce.grid
 import lmce.solver
 from lmce.errors import LinearSolveError, PreconditionError
 from lmce.geometry import _inverse_metric, classify_phase, eigen_sym2
@@ -33,29 +34,61 @@ from lmce.solver import (
     KRYLOV_MAXITER,
     AnalyticFunction2,
     SystemSolve,
-    _assemble_linearization,
+    _NEIGHBOURS,
     _bicgstab,
     _dirichlet_rhs,
     _dst1,
     _forcing_term,
     _initial_iterate,
+    _newton_system,
     _phase_defect,
     _poisson_solve,
-    _sine_preconditioner,
 )
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
+def _node_rows(g, inv11, inv12, inv22):
+    """The inverse_rows of _newton_system for coefficients given as node
+    arrays or scalars."""
+    def rows(band):
+        return tuple(
+            np.broadcast_to(np.asarray(v, dtype=float), (g.n, g.n))[band, 1:-1]
+            for v in (inv11, inv12, inv22)
+        )
+
+    return rows
+
+
+def _assemble_linearization(g, inv11, inv12, inv22):
+    """The Stencil9 of inv11*D11 + 2*inv12*D12 + inv22*D22, coefficients
+    given as node arrays or scalars."""
+    return _newton_system(g, _node_rows(g, inv11, inv12, inv22))[0]
+
+
+def _sine_preconditioner(g, inv11, inv22):
+    """The sine preconditioner of the operator with these coefficients."""
+    return _newton_system(g, _node_rows(g, inv11, 0.0, inv22))[1]
+
+
 def _csc(A):
-    """The CSC matrix of a Stencil9, built from its coupling triplets, each
-    coupling with its sign; zero coefficients stay stored."""
-    nodes = np.arange(A.shape[0]).reshape(A.coef[0].shape)
+    """The CSC matrix of a Stencil9, built from its couplings (b, a, c) and
+    the diagonal -2a - 2c, each placed by _NEIGHBOURS with its sign; zero
+    coefficients stay stored."""
+    b, a, c = A.coef
+    coupling = (b, a, c, -2.0 * a - 2.0 * c)
+    m = len(a)
+    nodes = np.arange(m * m).reshape(m, m)
+
+    def span(d):  # along an axis: the nodes with a neighbour at shift d, those neighbours
+        return slice(max(0, -d), m - max(0, d)), slice(max(0, d), m + min(0, d))
+
     data, rows, cols = [], [], []
-    for c, sign, row, col in A._couplings():
-        data.append(sign * c.ravel())
-        rows.append(nodes[row].ravel())
-        cols.append(nodes[col].ravel())
+    for di, dj, k, sign in _NEIGHBOURS:
+        (ri, ni), (rj, nj) = span(di), span(dj)
+        data.append(sign * coupling[k][ri, rj].ravel())
+        rows.append(nodes[ri, rj].ravel())
+        cols.append(nodes[ni, nj].ravel())
     triplets = np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))
     return sp.coo_matrix(triplets, shape=A.shape).tocsc()
 
@@ -367,7 +400,7 @@ class TestNewtonSolve:
         prob = manufacture(anisotropic_family(1.4, 0.2), build_grid(4.0, 33))
         state = newton_solve(prob.psi, prob.u_exact)
         assert state.converged and min(state.damping) < 0.5  # trials fail
-        assert len(systems) == 6 * state.iterations
+        assert len(systems) == 5 * state.iterations
         assert len(alive) > state.iterations + 1 and not any(alive)
 
     @staticmethod
@@ -401,7 +434,7 @@ class TestNewtonSolve:
         assert state.damping[0] == 1.0 and state.residuals[0] == plain.residuals[0]
         (rhs, coef), (rhs_again, coef_again) = seen[:2]
         assert np.array_equal(rhs, rhs_again)
-        assert len(coef) == len(coef_again) == 4
+        assert len(coef) == len(coef_again) == 3
         assert all(np.array_equal(c, d) for c, d in zip(coef, coef_again))
 
     def test_line_search_fails_after_one_re_solve(self, monkeypatch):
@@ -420,6 +453,33 @@ class TestNewtonSolve:
         assert not state.converged and state.iterations == 0
         assert state.message == "line search failed to reduce the residual"
         assert [rec.rtol for rec in state.systems] == [ETA_MIN] and len(seen) == 1
+
+    @pytest.mark.parametrize("case", ["perturbed", "anisotropic"])
+    def test_band_height_does_not_move_the_solve(self, case, monkeypatch):
+        # the stencil product, the preconditioner, the phase defect and the
+        # Newton system are formed in bands of LB_BAND_ROWS rows: each value
+        # is the whole grid's, so any band height gives the same solve
+        psi, boundary, initial = _newton_case(case)
+        solves = []
+        for rows in (7, 16, 64):
+            monkeypatch.setattr(lmce.grid, "LB_BAND_ROWS", rows)
+            state = newton_solve(psi, boundary, initial=initial)
+            assert phase_residual(state.u, psi) == state.residuals[-1]
+            solves.append(
+                (state.u.values.tobytes(), state.residuals, state.damping, state.systems)
+            )
+        assert solves[0] == solves[1] == solves[2]
+        assert len(solves[0][1]) == NEWTON_STEPS[case][0] + 1
+
+    @pytest.mark.parametrize("node", [(0, 3), (-1, -1), (5, 0), (5, -1), (5, 5)])
+    def test_phase_defect_refuses_a_non_finite_hessian(self, node):
+        # also on the boundary ring, which the residual does not read
+        g = build_grid(4.0, 33)
+        prob = manufacture(perturbed_family(0.1), g)
+        m11, m12, m22 = (np.array(m) for m in hessian_fd(prob.u_exact))
+        m12[node] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            _phase_defect((m11, m12, m22), prob.psi)
 
 
 class TestLinearSolve:
@@ -529,22 +589,27 @@ class TestAssembly:
         assert _csc(_assemble_linearization(g, 1.0, 0.0, 1.0)).nnz == (3 * n - 8) ** 2
 
     @pytest.mark.parametrize("n", [5, 6, 33])
-    def test_matvec_bitwise_equals_csc(self, n):
-        # each row is summed in the CSC column order, so the bits agree
+    def test_matvec_bitwise_equals_csc(self, n, monkeypatch):
+        # each row is summed in the CSC column order, so the bits agree, in
+        # bands of any height
         g = build_grid(2.0, n)
         rng = np.random.default_rng(100 + n)
         inv11, inv12, inv22 = (rng.uniform(-2.0, 2.0, (n, n)) for _ in range(3))
         A = _assemble_linearization(g, inv11, inv12, inv22)
         x = rng.standard_normal(A.shape[0])
-        assert np.array_equal(A @ x, _csc(A) @ x)
+        for rows in (1, 7, 64):
+            monkeypatch.setattr(lmce.grid, "LB_BAND_ROWS", rows)
+            assert np.array_equal(A @ x, _csc(A) @ x)
 
     def test_equal_couplings_share_one_array(self):
-        # b, a, c and the diagonal, each held once; -b is applied as a sign
+        # b, a and c, each held once; -b is applied as a sign and the
+        # diagonal -2a - 2c is formed in each product
         g = build_grid(2.0, 9)
         A = _assemble_linearization(g, 1.0, 0.5, 2.0)
-        assert len(A.coef) == 4
-        assert len({id(c) for c in A.coef}) == 4
-        assert [float(c[0, 0]) for c in A.coef] == [0.5 / (2 * g.h**2), 1 / g.h**2, 2 / g.h**2, -6 / g.h**2]
+        assert len(A.coef) == 3
+        assert len({id(c) for c in A.coef}) == 3
+        assert [float(c[0, 0]) for c in A.coef] == [0.5 / (2 * g.h**2), 1 / g.h**2, 2 / g.h**2]
+        assert float(_csc(A)[0, 0]) == -6 / g.h**2
 
     @pytest.mark.parametrize("n", [5, 6, 33, 129])
     def test_poisson_solve_inverts_laplacian(self, n):
@@ -577,7 +642,9 @@ class TestSineTransform:
     @pytest.mark.parametrize("m", [63, 64, 65, 127])
     def test_banded_equals_the_whole_array_transform(self, m, axis):
         x = np.random.default_rng(m).standard_normal((m, m))
-        assert np.array_equal(_dst1(x, axis), _dst1_whole(x, axis))
+        y = x.copy()
+        _dst1(y, axis)  # in place
+        assert np.array_equal(y, _dst1_whole(x, axis))
 
 
 class TestSinePreconditioner:
