@@ -693,16 +693,12 @@ def cmd_verify(cfg: RunConfig) -> tuple[RunReport, int]:
 
 
 def _solver_summary(state) -> dict:
-    return {
-        "converged": state.converged,
-        "iterations": state.iterations,
-        "final_residual": state.residuals[-1],
-        "residuals": list(state.residuals),
-        "damping": list(state.damping),
-        "message": state.message,
-        "krylov_iterations": sum(s.krylov_iterations for s in state.systems),
-        "systems": [s._asdict() for s in state.systems],
-    }
+    """Every field of the SolveState but u, and two totals."""
+    summary = dataclasses.asdict(dataclasses.replace(state, u=None))
+    del summary["u"]
+    summary["final_residual"] = state.residuals[-1]
+    summary["krylov_iterations"] = sum(s.krylov_iterations for s in state.systems)
+    return summary
 
 
 def _solve(cfg: RunConfig, problem):
@@ -729,7 +725,7 @@ def cmd_solve(cfg: RunConfig) -> tuple[RunReport, int]:
     report.regime = classify_phase(problem.psi.values, cfg.delta)
     passed = state.converged and certified <= 2.0 * cfg.tol
     entry = CheckReport(
-        "residual_certification", "solver", passed, max_residual=certified, tolerance=2.0 * cfg.tol
+        "residual_certification", "solver", passed, residual=certified, tolerance=2.0 * cfg.tol
     )
     report.entries.append(entry.entry())
     if cfg.heatmaps:

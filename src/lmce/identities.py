@@ -11,7 +11,7 @@ to mask an algebraic failure, so the two classes are never mixed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -59,10 +59,11 @@ LAPLACIAN_SLACK_COEFF = 20.0
 
 @dataclass(frozen=True)
 class CheckReport:
-    """Outcome of one check.
+    """Outcome of the check named check; each field is written under its own
+    name in a JSON entry (entry()) and in verify.csv.
 
     kind is "identity/algebraic", "identity/differencing" or "inequality".
-    An identity passes iff max_residual <= tolerance, with location the node
+    An identity passes iff residual <= tolerance, with location the node
     of the largest residual.  An inequality has lhs and rhs its two sides
     (jacobi_pointwise and subharmonic also name the node where they come
     closest to failing).  Every inequality but subharmonic counts the slack
@@ -75,10 +76,10 @@ class CheckReport:
     or trials it left out, status "ran" or "precondition_failed".
     """
 
-    name: str
+    check: str
     kind: str
     passed: bool
-    max_residual: float | None = None
+    residual: float | None = None
     tolerance: float | None = None
     location: tuple[int, int] | None = None
     lhs: float | None = None
@@ -92,23 +93,7 @@ class CheckReport:
 
     def entry(self) -> dict:
         """The report as one entry of a JSON summary, without the None fields."""
-        entry = {
-            "check": self.name,
-            "kind": self.kind,
-            "status": self.status,
-            "passed": bool(self.passed),
-            "residual": self.max_residual,
-            "tolerance": self.tolerance,
-            "location": self.location,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "margin": self.margin,
-            "slack": self.slack,
-            "fitted": dict(self.fitted),
-            "excluded": self.excluded,
-            "details": dict(self.details),
-        }
-        return {k: v for k, v in entry.items() if v is not None}
+        return {k: v for k, v in asdict(self).items() if v is not None}
 
 
 def _worst(resid: np.ndarray, r0: int = 0, c0: int = 0) -> tuple[tuple[int, int], float]:
@@ -128,10 +113,10 @@ def _worst_rows(n: int, resid) -> tuple[tuple[int, int], float]:
 def _report(name, worst, tol, tol_class, details=None, excluded=0) -> CheckReport:
     loc, mx = worst
     return CheckReport(
-        name=name,
+        check=name,
         kind=f"identity/{tol_class}",
         passed=bool(mx <= tol),
-        max_residual=mx,
+        residual=mx,
         tolerance=float(tol),
         location=loc,
         excluded=excluded,
@@ -169,10 +154,10 @@ def check_form_equivalence(B: GeometryBundle, psi: ScalarField2) -> CheckReport:
     phase_tol = FORM_SLACK_COEFF * h * h
     loc, max_r2 = _worst_rows(g.n, r2)
     return CheckReport(
-        name="form_equivalence",
+        check="form_equivalence",
         kind="identity/differencing",
         passed=(max_r2 <= scale_tol) and (max_r1 <= phase_tol),
-        max_residual=max_r2,
+        residual=max_r2,
         tolerance=float(scale_tol),
         location=loc,
         details={

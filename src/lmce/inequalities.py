@@ -203,7 +203,7 @@ def check_weak_max_principle(
     if ran == 0:
         raise PreconditionError("no admissible subdomains at this resolution")
     return CheckReport(
-        name="weak_max_principle",
+        check="weak_max_principle",
         kind="inequality",
         lhs=worst_lhs,
         rhs=worst_rhs,
@@ -258,7 +258,7 @@ def check_super_iso(
     rhs = int_grad + int_f
     margin = rhs + slack - lhs
     return CheckReport(
-        name="super_iso",
+        check="super_iso",
         kind="inequality",
         lhs=lhs,
         rhs=rhs,
@@ -335,7 +335,7 @@ def check_jacobi_pointwise(
     loc, m = _argmin_on(defect, mask)
     c_hat = max(0.0, -m)
     return CheckReport(
-        name="jacobi_pointwise",
+        check="jacobi_pointwise",
         kind="inequality",
         location=loc,
         lhs=c_hat,
@@ -426,7 +426,7 @@ def check_subharmonic_modified_slope(
         wmp = check_weak_max_principle(bmod, trials=trials, seed=seed, radius=radius)
     passed = (m >= -SUBHARMONIC_SLACK) and wmp.passed
     return CheckReport(
-        name="subharmonic",
+        check="subharmonic",
         kind="inequality",
         location=loc,
         lhs=0.0,
@@ -507,7 +507,7 @@ def check_jacobi_integral(B: GeometryBundle, K: SlopeConstants, C_hat: float) ->
     ibp_tol = IBP_COEFF * h
     passed = (margin >= 0.0) and (ibp_resid <= ibp_tol)
     return CheckReport(
-        name="jacobi_integral",
+        check="jacobi_integral",
         kind="inequality",
         lhs=lhs,
         rhs=rhs,
@@ -570,7 +570,7 @@ def check_volume_bound(B: GeometryBundle, K: SlopeConstants) -> CheckReport:
         du_sup = sup_norm_disk(dmag, mid)
         c2 = sd * int_v / du_sup if du_sup > 0 else 0.0
         return CheckReport(
-            name="volume_bound",
+            check="volume_bound",
             kind="inequality",
             lhs=float(np.max(B.vol[region] * sd)),
             rhs=float(np.max(sig1)),
@@ -595,7 +595,7 @@ def check_volume_bound(B: GeometryBundle, K: SlopeConstants) -> CheckReport:
     alt_rhs = math.pi * du_mid * du_mid
     alt_slack = _disk_quad_slack(g.h, mid, float(np.max(np.abs(excess))))
     return CheckReport(
-        name="volume_bound",
+        check="volume_bound",
         kind="inequality",
         lhs=lhs,
         rhs=rhs,
@@ -680,7 +680,7 @@ def check_hessian_estimate(
             growth = growth**2
         c_star = fit_exp_budget(level, growth)
     return CheckReport(
-        name="hessian_estimate",
+        check="hessian_estimate",
         kind="inequality",
         lhs=c_star,
         rhs=float(C_budget),

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -61,6 +60,12 @@ ARMIJO = 1e-4
 # again, once, to ETA_MIN: a loose direction can be too poor to descend where a
 # tight one is not
 MIN_STEP = 2.0**-20
+# differencing u rounds each second difference by about phi = eps max|u|/h^2,
+# the residual's round-off floor: the exact solution's own residual is ~phi,
+# and solves that cannot go lower stop at 0.72-1.22 phi.  A line search or
+# linear solve that fails within FLOOR_FACTOR phi ends the solve, as no
+# re-solve can help there
+FLOOR_FACTOR = 2.0
 
 
 @dataclass(frozen=True)
@@ -165,7 +170,8 @@ def manufacture(analytic: AnalyticFunction2, grid: Grid2) -> ManufacturedProblem
     return ManufacturedProblem(analytic=analytic, u_exact=u, psi=ScalarField2(grid, psi_vals))
 
 
-class SystemSolve(NamedTuple):
+@dataclass(frozen=True)
+class SystemSolve:
     """How one linear system was solved: the BiCGSTAB iterations run (also
     those of a solve that did not certify) and the relative tolerance asked
     for."""
@@ -176,19 +182,21 @@ class SystemSolve(NamedTuple):
 
 @dataclass(eq=False)
 class SolveState:
-    """Newton iteration record for one Dirichlet solve.
+    """Newton iteration record for one Dirichlet solve; every field but u is
+    written under its own name in the solver summary of a JSON output.
 
     When converged is set, residuals is strictly decreasing and ends at or
-    below the tolerance; every iterate carries the boundary trace exactly.
-    systems holds how each Newton system was solved, in step order.
+    below the solve's tol; every iterate carries the boundary trace exactly.
+    systems holds how each Newton system was solved, in step order, and
+    residual_floor the round-off floor phi of the residual (newton_solve).
     """
 
     u: ScalarField2
     residuals: list[float]
     damping: list[float]
-    tolerance: float
     converged: bool
     iterations: int
+    residual_floor: float
     message: str = ""
     systems: list[SystemSolve] = field(default_factory=list)
 
@@ -524,9 +532,13 @@ def newton_solve(
     the residual sup-norm (ARMIJO, halving down to MIN_STEP); a step whose
     backtracking fails is solved again, once, to ETA_MIN; if that one
     fails too, or the first was already solved to ETA_MIN, the solve ends.
-    Non-convergence within max_iter returns the state with the converged
-    flag unset rather than raising.  The grid is psi's; boundary supplies the
-    Dirichlet data on its boundary ring.
+    phi = eps max|u|/h^2, max|u| that of the boundary data, is the residual's
+    round-off floor: a failed line search or linear solve at a residual
+    within FLOOR_FACTOR phi ends the solve at once, with a message that
+    names the residual, phi and tol.  Non-convergence within max_iter
+    returns the state with the converged flag unset rather than raising.
+    The grid is psi's; boundary supplies the Dirichlet data on its boundary
+    ring.
     """
     grid = psi.grid
     if boundary.grid != grid:
@@ -541,6 +553,9 @@ def newton_solve(
             f"[{pmin:.4f}, {pmax:.4f}]"
         )
     n = grid.n
+    # max|u| of the boundary ring, the only part of boundary the solve reads
+    ring = np.abs(boundary.values[:: n - 1]), np.abs(boundary.values[:, :: n - 1])
+    floor = np.finfo(float).eps * max(float(np.max(v)) for v in ring) / (grid.h * grid.h)
 
     def residual(uarr: np.ndarray) -> tuple[np.ndarray, float, float, tuple]:
         """The phase residual on interior nodes, its sup-norm, the smallest
@@ -601,13 +616,16 @@ def newton_solve(
         eta = _forcing_term(rn / residuals[-2]) if damping else ETA_MAX
         try:
             taken = line_search(direction(eta))
-            if taken is None and eta > ETA_MIN:
+            if taken is None and eta > ETA_MIN and rn > FLOOR_FACTOR * floor:
                 taken = line_search(direction(ETA_MIN))
+            if taken is None:
+                message = "line search failed to reduce the residual"
         except LinearSolveError as exc:
             message = str(exc)
-            break
-        if taken is None:
-            message = "line search failed to reduce the residual"
+        if message:
+            if rn <= FLOOR_FACTOR * floor:
+                message = f"residual {rn:.3e} is at the round-off floor {floor:.3e} "
+                message += f"of the grid, above tol {tol:.3e}"
             break
         t, u, r, rn, ell, hess = taken
         del taken  # so that direction() frees the Hessian
@@ -617,9 +635,9 @@ def newton_solve(
         u=ScalarField2(grid, u),
         residuals=residuals,
         damping=damping,
-        tolerance=tol,
         converged=rn <= tol,
         iterations=len(damping),
+        residual_floor=floor,
         message=message,
         systems=systems,
     )

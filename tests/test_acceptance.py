@@ -102,8 +102,8 @@ def test_criterion_1_algebraic_identity_suite(grid_full, families):
         ok_fam = (
             fact.passed
             and volf.passed
-            and fact.max_residual <= 1e-10 * scale
-            and volf.max_residual <= 1e-10 * scale
+            and fact.residual <= 1e-10 * scale
+            and volf.residual <= 1e-10 * scale
             and elapsed < 5.0
         )
         ok &= ok_fam
@@ -119,8 +119,8 @@ def test_criterion_2_form_equivalence_orders():
         g = build_grid(L_FULL, n)
         prob = manufacture(perturbed_family(0.05), g)
         rep = check_form_equivalence(bundle(prob.u_exact), prob.psi)
-        ok &= rep.passed and rep.max_residual <= 10.0 * g.h**2
-        resids.append(rep.max_residual)
+        ok &= rep.passed and rep.residual <= 10.0 * g.h**2
+        resids.append(rep.residual)
     orders = [math.log2(a / b) for a, b in zip(resids, resids[1:])]
     ok &= all(o >= 1.8 for o in orders)
     _verdict(2, ok, f"residuals {['%.2e' % r for r in resids]}, orders {['%.2f' % o for o in orders]}")

@@ -46,6 +46,7 @@ from lmce.geometry import GeometryBundle, bundle_from_hessian
 from lmce.grid import MAX_NODES, ScalarField2, build_grid, hessian_fd, sample
 from lmce.identities import CheckReport
 from lmce.solver import (
+    SolveState,
     anisotropic_family,
     manufacture,
     newton_solve,
@@ -414,6 +415,38 @@ class TestSolveCommand:
         assert sum(rec["krylov_iterations"] for rec in systems) == solved["krylov_iterations"]
         assert systems[0]["rtol"] == 0.1
         assert all(a["rtol"] > b["rtol"] for a, b in zip(systems, systems[1:]))
+
+    def test_entries_are_their_reports_own_fields(self, tmp_path):
+        # an identity, an inequality, a precondition_failed entry and
+        # residual_certification: each entry is its CheckReport's non-None fields
+        checks = ["complex_factorization", "volume_bound"]
+        ran, _ = cmd_verify(RunConfig(family="quadratic", n=33, checks=checks, out=str(tmp_path / "a")))
+        failed, _ = cmd_verify(RunConfig(
+            family="anisotropic", theta1=math.pi / 3, theta2=-math.pi / 3,
+            n=33, checks=["volume_formula"], out=str(tmp_path / "b"),
+        ))
+        solved, _ = cmd_solve(RunConfig(family="perturbed", eps=0.1, n=33, out=str(tmp_path / "c")))
+        entries = ran.entries + failed.entries + solved.entries
+        assert [e["kind"] for e in entries] == [
+            "identity/algebraic", "inequality", "precondition", "solver"
+        ]
+        for entry in entries:
+            report = CheckReport(**entry)
+            own = {f.name: getattr(report, f.name) for f in dataclasses.fields(report)}
+            assert entry == {k: v for k, v in own.items() if v is not None}
+
+    def test_solver_summary_is_the_solve_state(self, tmp_path):
+        # every SolveState field but u, and the two totals; solve adds its
+        # certificate and the error against the exact solution
+        base = dict(family="perturbed", eps=0.1, n=33)
+        cmd_solve(RunConfig(**base, out=str(tmp_path / "s")))
+        cmd_verify(RunConfig(**base, source="solved", checks=["volume_formula"], out=str(tmp_path / "v")))
+        solved = json.loads((tmp_path / "s" / "solve.json").read_text())["solver"]
+        verified = json.loads((tmp_path / "v" / "verify.json").read_text())["solver"]
+        own = {f.name for f in dataclasses.fields(SolveState)} - {"u"}
+        assert set(verified) == own | {"final_residual", "krylov_iterations"}
+        assert set(solved) == set(verified) | {"certified_residual", "error_vs_exact"}
+        assert solved["residual_floor"] == verified["residual_floor"] > 0.0
 
     def test_nonconvergence_exit_code(self, tmp_path):
         from lmce.cli import EXIT_NO_CONVERGENCE
@@ -1121,8 +1154,8 @@ class TestCheckRegistry:
 
     def test_check_looked_up_at_call_time(self, tmp_path, monkeypatch):
         stub = CheckReport(
-            name="slope_volume", kind="identity/algebraic", passed=False,
-            max_residual=123.0, tolerance=0.0, location=(1, 2),
+            check="slope_volume", kind="identity/algebraic", passed=False,
+            residual=123.0, tolerance=0.0, location=(1, 2),
         )
         monkeypatch.setattr(lmce.cli, "check_slope_volume", lambda B: stub)
         cfg = RunConfig(family="quadratic", n=17, checks=["slope_volume"], out=str(tmp_path / "o"))

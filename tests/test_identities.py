@@ -38,7 +38,7 @@ class TestFormEquivalence:
         u = sample(lambda x1, x2: 0.5 * (x1 * x1 + x2 * x2), g)
         rep = check_form_equivalence(bundle(u), const_field(g, math.pi / 2))
         assert rep.passed
-        assert rep.max_residual <= 1e-12
+        assert rep.residual <= 1e-12
         assert rep.details["max_arctan_residual"] <= 1e-12
 
     def test_saddle_zero_phase(self):
@@ -46,7 +46,7 @@ class TestFormEquivalence:
         u = sample(lambda x1, x2: x1 * x2, g)
         rep = check_form_equivalence(bundle(u), const_field(g, 0.0))
         assert rep.passed
-        assert rep.max_residual <= 1e-12
+        assert rep.residual <= 1e-12
 
     @pytest.mark.parametrize("n", [65, 129])
     def test_manufactured_pair_small_residual(self, n):
@@ -54,7 +54,7 @@ class TestFormEquivalence:
         prob = manufacture(perturbed_family(0.05), g)
         rep = check_form_equivalence(bundle(prob.u_exact), prob.psi)
         assert rep.passed
-        assert rep.max_residual <= 10.0 * g.h**2
+        assert rep.residual <= 10.0 * g.h**2
 
     def test_mismatched_pair_fails_informatively(self):
         g = build_grid(4.0, 65)
@@ -73,7 +73,7 @@ class TestFormEquivalence:
             g, prob.u_exact.values + 1.7 - 0.4 * (x1 + np.zeros_like(x2)) + 0.9 * (x2 + np.zeros_like(x1))
         )
         rep1 = check_form_equivalence(bundle(shifted), prob.psi)
-        assert rep1.max_residual == pytest.approx(rep0.max_residual, abs=1e-10)
+        assert rep1.residual == pytest.approx(rep0.residual, abs=1e-10)
 
     def test_grid_mismatch(self):
         u = sample(lambda x1, x2: x1 * x2, build_grid(4.0, 65))
@@ -89,7 +89,7 @@ class TestComplexFactorization:
         rep = check_complex_factorization(B)
         assert rep.passed
         # (1 - sig2, sig1) = (0, 2) = 2 (cos pi/2, sin pi/2)
-        assert rep.max_residual <= 1e-15 * 3.0
+        assert rep.residual <= 1e-15 * 3.0
 
     def test_saddle_exact(self):
         g = build_grid(4.0, 65)
@@ -144,7 +144,7 @@ class TestVolumeFormula:
         B = bundle(sample(lambda x1, x2: x1 * x1 + x2 * x2, g))
         rep = check_volume_formula(B)
         assert rep.passed
-        assert rep.max_residual <= 1e-10 * 5.0
+        assert rep.residual <= 1e-10 * 5.0
 
     def test_zero_phase_rejected(self):
         g = build_grid(4.0, 65)
@@ -162,8 +162,8 @@ class TestVolumeFormula:
         assert float(np.max(B.negated.phase)) < 0.0
         pos, neg = check_volume_formula(B), check_volume_formula(B.negated)
         assert neg.passed
-        assert (neg.max_residual, neg.tolerance, neg.location, neg.excluded) == (
-            pos.max_residual, pos.tolerance, pos.location, pos.excluded
+        assert (neg.residual, neg.tolerance, neg.location, neg.excluded) == (
+            pos.residual, pos.tolerance, pos.location, pos.excluded
         )
 
     def test_mixed_sign_phase_rejected(self):
@@ -197,7 +197,7 @@ class TestCutoffVolume:
         rep = check_cutoff_volume_identity(B)
         loc = np.unravel_index(np.argmax(np.abs(violation)), violation.shape)
         assert rep.location == tuple(int(k) for k in loc)
-        assert rep.max_residual == float(np.abs(violation[loc]))
+        assert rep.residual == float(np.abs(violation[loc]))
         margin = float(np.min(rhs - lhs))
         assert (rep.details["min_margin"], math.copysign(1.0, rep.details["min_margin"])) == (
             margin, math.copysign(1.0, margin)
@@ -209,7 +209,7 @@ class TestCutoffVolume:
         B = bundle(sample(lambda x1, x2: 0.5 * (x1 * x1 + x2 * x2), g))
         rep = check_cutoff_volume_identity(B)
         assert rep.passed
-        assert rep.max_residual == 0.0
+        assert rep.residual == 0.0
         assert rep.details["min_margin"] >= 0.0
 
     def test_plateau_is_equality(self):
@@ -280,7 +280,7 @@ class TestCoordinateLaplacian:
         u = sample(lambda x1, x2: 0.5 * (x1 * x1 + x2 * x2), g)
         rep = check_coordinate_laplacian(bundle(u), u)
         assert rep.passed
-        assert rep.max_residual <= 1e-11
+        assert rep.residual <= 1e-11
 
     def test_perturbed_refinement(self):
         resids = []
@@ -289,7 +289,7 @@ class TestCoordinateLaplacian:
             prob = manufacture(perturbed_family(0.1), g)
             rep = check_coordinate_laplacian(bundle(prob.u_exact), prob.u_exact, prob.psi)
             assert rep.passed
-            resids.append(rep.max_residual)
+            resids.append(rep.residual)
         assert 2.5 <= resids[0] / resids[1] <= 6.0
 
     @pytest.mark.parametrize("family", [perturbed_family(0.1), anisotropic_family(1.2, 0.3)])
@@ -310,7 +310,7 @@ class TestCoordinateLaplacian:
         lap2 = laplace_beltrami(ScalarField2(g, x2 + np.zeros_like(x1)), B).values
         core = np.abs(np.stack([lap1, lap2]) - np.stack([-mw1, -mw2]))[:, 2:-2, 2:-2]
         k, i, j = np.unravel_index(np.argmax(core), core.shape)
-        assert rep.max_residual == core[k, i, j]
+        assert rep.residual == core[k, i, j]
         assert rep.location == (i + 2, j + 2)
         assert rep.details["component"] == k + 1
 
@@ -322,7 +322,7 @@ class TestCoordinateLaplacian:
         monkeypatch.setattr(lmce.identities, "_lb_rows", flat)
         # a constant phase has a zero gradient, so both residuals are 1 everywhere
         rep = check_coordinate_laplacian(bundle(u), u, const_field(g, 0.5 * math.pi))
-        assert rep.max_residual == 1.0
+        assert rep.residual == 1.0
         assert rep.location == (2, 2)
         assert rep.details["component"] == 1
 
@@ -363,5 +363,5 @@ class TestAlgebraicResidualsGridIndependent:
         for n in (33, 65):
             g = build_grid(4.0, n)
             B = bundle(sample(lambda x1, x2: x1 * x1 + 0.25 * x2 * x2 + 0.5 * x1 * x2, g))
-            assert check_complex_factorization(B).max_residual <= 5e-15
+            assert check_complex_factorization(B).residual <= 5e-15
             assert check_slope_volume(B).passed

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import weakref
+from dataclasses import astuple
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +32,7 @@ from lmce.solver import (
 from lmce.solver import (
     ETA_MAX,
     ETA_MIN,
+    FLOOR_FACTOR,
     KRYLOV_MAXITER,
     AnalyticFunction2,
     SystemSolve,
@@ -256,7 +258,7 @@ class TestNewtonSolve:
         g = build_grid(4.0, 65)
         prob = manufacture(perturbed_family(0.1), g)
         state = newton_solve(prob.psi, prob.u_exact)
-        assert phase_residual(state.u, prob.psi) <= 2.0 * state.tolerance
+        assert phase_residual(state.u, prob.psi) <= 2.0 * 1e-10
         # the certificate and the solve share one residual kernel
         assert phase_residual(state.u, prob.psi) == state.residuals[-1]
 
@@ -264,7 +266,7 @@ class TestNewtonSolve:
         g = build_grid(4.0, 65)
         prob = manufacture(perturbed_family(0.1), g)
         state = newton_solve(prob.psi, prob.u_exact)
-        assert phase_residual(state.u, prob.psi) <= state.tolerance + 10.0 * g.h**2
+        assert phase_residual(state.u, prob.psi) <= 1e-10 + 10.0 * g.h**2
 
     def test_nonconvergence_returns_state(self):
         g = build_grid(4.0, 65)
@@ -342,7 +344,7 @@ class TestNewtonSolve:
         boundary = sample(quadratic_family(1.0).value, g)
         harmonic = newton_solve(psi, boundary, max_iter=40, initial="harmonic")
         assert harmonic.converged
-        assert phase_residual(harmonic.u, psi) <= harmonic.tolerance
+        assert phase_residual(harmonic.u, psi) <= 1e-10
         matched = newton_solve(psi, boundary, max_iter=40)
         assert not matched.converged
         assert matched.message == "line search failed to reduce the residual"
@@ -480,6 +482,45 @@ class TestNewtonSolve:
         m12[node] = np.nan
         with pytest.raises(ValueError, match="finite"):
             _phase_defect((m11, m12, m22), prob.psi)
+
+
+class TestRoundOffFloor:
+    """phi = eps max|u|/h^2: no iterate's residual can be trusted below it."""
+
+    @staticmethod
+    def _floor(prob) -> float:
+        return newton_solve(prob.psi, prob.u_exact, max_iter=0).residual_floor
+
+    @pytest.mark.parametrize("n, ratio", [(33, 1.04), (65, 1.08), (129, 1.09)])
+    def test_floor_is_the_exact_solutions_own_residual(self, n, ratio):
+        # a quadratic has no truncation error: its discrete residual is round-off
+        g = build_grid(4.0, n)
+        prob = manufacture(anisotropic_family(1.4, 0.2), g)
+        phi = self._floor(prob)
+        eps = np.finfo(float).eps
+        assert phi == pytest.approx(eps * np.max(np.abs(prob.u_exact.values)) / g.h**2, rel=1e-14)
+        assert phase_residual(prob.u_exact, prob.psi) / phi == pytest.approx(ratio, abs=0.005)
+
+    @pytest.mark.parametrize(
+        "family, n",
+        [(anisotropic_family(1.4, 0.2), 33), (perturbed_family(0.1), 33), (perturbed_family(0.1), 65)],
+        ids=["anisotropic-33", "perturbed-33", "perturbed-65"],
+    )
+    def test_solve_below_the_floor_ends_there(self, family, n):
+        # with tol = phi/10 no iterate can pass: the failed line search (or
+        # linear solve) ends the solve at once, with no re-solve to ETA_MIN
+        prob = manufacture(family, build_grid(4.0, n))
+        phi = self._floor(prob)
+        state = newton_solve(prob.psi, prob.u_exact, tol=phi / 10)
+        assert not state.converged and state.residual_floor == phi
+        rn = state.residuals[-1]
+        assert rn <= FLOOR_FACTOR * phi
+        assert state.message == (
+            f"residual {rn:.3e} is at the round-off floor {phi:.3e} of the grid, "
+            f"above tol {phi / 10:.3e}"
+        )
+        assert ETA_MIN not in [rec.rtol for rec in state.systems]
+        assert len(state.systems) == state.iterations + 1
 
 
 class TestLinearSolve:
@@ -710,7 +751,7 @@ class TestKrylovPath:
         assert state.converged
         # the first system certifies inside its first half-iteration: 0
         # completed iterations, as scipy's callback counts them
-        assert [tuple(rec) for rec in state.systems] == [
+        assert [astuple(rec) for rec in state.systems] == [
             (0, 0.1),
             (1, 0.002361113015801119),
             (2, 5.95512766142267e-05),
