@@ -212,7 +212,8 @@ def phase_residual(u: ScalarField2, psi: ScalarField2) -> float:
 
 def _phase_defect(hess, psi: ScalarField2):
     """(r, max |r|, max |lam|) for r = arctan(lam1) + arctan(lam2) - psi of
-    hess on the interior nodes and lam its eigenvalues there.
+    hess on the interior nodes, r an (n, n) array that is 0 on the boundary
+    ring, and lam the eigenvalues on the interior nodes.
 
     Formed one band of rows at a time, so only r is grid-sized; each value
     is the whole-grid expression's.  A non-finite entry of hess raises
@@ -221,11 +222,11 @@ def _phase_defect(hess, psi: ScalarField2):
     """
     n = len(psi.values)
     eigen_sym2(*(m[:: n - 1] for m in hess))  # rows 0 and n - 1, checked finite
-    r = np.empty((n - 2, n - 2))
+    r = np.zeros((n, n))
     rn = big = 0.0
     for band in _bands(1, n - 1):
         lam1, lam2 = (lam[:, 1:-1] for lam in eigen_sym2(*(m[band] for m in hess)))
-        r_band = r[band.start - 1 : band.stop - 1]
+        r_band = r[band, 1:-1]
         r_band[:] = np.arctan(lam1) + np.arctan(lam2) - psi.values[band, 1:-1]
         rn = max(rn, float(np.max(np.abs(r_band))))
         # as lam1 >= lam2, the largest |lam| is max lam1 or -min lam2
@@ -233,68 +234,48 @@ def _phase_defect(hess, psi: ScalarField2):
     return r, rn, big
 
 
-# the 9-point neighbours (di, dj) of an interior node in the column order of
-# its matrix row: neighbour (i+di, j+dj) sits di*m + dj columns right of (i, j);
-# with each, its coupling k in (b, a, c, diag) and that one's sign, where
-# Stencil9.coef holds (b, a, c) and diag is -2a - 2c
-_NEIGHBOURS = [
-    (-1, -1, 0, 1), (-1, 0, 1, 1), (-1, 1, 0, -1),
-    (0, -1, 2, 1), (0, 0, 3, 1), (0, 1, 2, 1),
-    (1, -1, 0, -1), (1, 0, 1, 1), (1, 1, 0, 1),
-]
-
-
 @dataclass(frozen=True, eq=False)
 class Stencil9:
-    """A 9-point operator on the m x m interior nodes, matrix-free: coef holds
-    the three distinct couplings (b, a, c), each (m, m), the diagonal being
-    -2a - 2c, and _NEIGHBOURS gives the one coupling node (i, j) to each
-    neighbour, and its sign; couplings that would leave the interior are not
-    part of it."""
+    """A 9-point operator on the n x n grid, matrix-free: coef holds its
+    three couplings (b, a, c), each (n, n) and 0 on the boundary ring, and
+
+        A x = a (x_N + x_S - 2x) + c (x_W + x_E - 2x) + b ((x_SE - x_NE) - (x_SW - x_NW))
+
+    with N, S the neighbours along axis 0 and W, E those along axis 1."""
 
     coef: tuple[np.ndarray, np.ndarray, np.ndarray]
 
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (self.coef[0].size,) * 2
-
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        """A x, each row summed from 0 in column order: rounded exactly as
-        the product of its CSC matrix, as y - c x is y + (-c) x in IEEE.
+        """A x of an (n, n) x, as an (n, n) array that is 0 on the boundary
+        ring, as the couplings are.
 
-        Formed one band of rows at a time, the band's diagonal with it, so
-        only y is grid-sized.  Each coupling's products are one contiguous
-        run of the flat arrays, which numpy forms without buffering; where
-        the run wraps past the end of a row the product is set to 0, and y
-        is never -0 (it starts at +0), so adding or subtracting that 0
-        leaves y's bits."""
-        b, a, c = self.coef
-        m = len(a)
+        Formed one band of rows at a time over the band's flat run, from the
+        node after the band's first to the node before its last, so that
+        every neighbour read lies on the grid: each term is one contiguous
+        run of the flat arrays, and only y is grid-sized."""
+        b, a, c = (v.ravel() for v in self.coef)
+        n = len(self.coef[0])
         x = np.ravel(x)
-        y = np.zeros(m * m)
-        for band in _bands(0, m):
-            diag = -2.0 * a[band]
-            diag -= 2.0 * c[band]
-            coupling = [v.ravel() for v in (b[band], a[band], c[band], diag)]
-            prod = np.empty(diag.size)  # each coupling's products in turn
-            for di, dj, k, sign in _NEIGHBOURS:
-                r0, r1 = max(band.start, -di), min(band.stop, m - di)
-                if r0 >= r1:
-                    continue
-                # flat nodes of rows r0 .. r1 - 1, less the first (dj < 0) or
-                # last (dj > 0), whose neighbour sits `shift` further on
-                lo, hi = r0 * m + max(0, -dj), r1 * m - max(0, dj)
-                shift, off = di * m + dj, band.start * m
-                run = np.multiply(
-                    coupling[k][lo - off : hi - off], x[lo + shift : hi + shift], out=prod[: hi - lo]
-                )
-                if dj:
-                    run[m - 1 :: m] = 0.0  # pairs across a row end
-                if sign > 0:
-                    y[lo:hi] += run
-                else:
-                    y[lo:hi] -= run
-            del diag, coupling, prod, run  # not alive while the next band's are formed
+        y = np.zeros((n, n))
+        for band in _bands(1, n - 1):
+            lo, hi = band.start * n + 1, band.stop * n - 1
+
+            def at(shift):
+                return x[lo + shift : hi + shift]
+
+            twice = 2.0 * at(0)
+            d = at(-n) + at(n)
+            d -= twice
+            run = np.multiply(a[lo:hi], d, out=y.ravel()[lo:hi])
+            np.add(at(-1), at(1), out=d)
+            d -= twice
+            d *= c[lo:hi]
+            run += d
+            np.subtract(at(n + 1), at(1 - n), out=d)
+            d -= np.subtract(at(n - 1), at(-n - 1), out=twice)
+            d *= b[lo:hi]
+            run += d
+            del twice, d  # not alive while the next band's are formed
         return y
 
 
@@ -304,8 +285,8 @@ def _newton_system(grid: Grid2, inverse_rows):
 
     inverse_rows(rows) gives (inv11, inv12, inv22) on the interior nodes of
     the grid rows `rows` (arrays, or scalars that broadcast).  Central
-    stencils throughout (interior nodes have full neighborhoods); couplings
-    to boundary nodes are dropped since corrections vanish there.
+    stencils throughout; the couplings (b, a, c) and s are (n, n) arrays,
+    0 on the boundary ring, where corrections vanish.
 
     With s = (inv11 + inv22)/2 the operator is s times one whose coefficients
     inv11/s, inv12/s, inv22/s are frozen at their interior means a, 0, c for
@@ -313,49 +294,61 @@ def _newton_system(grid: Grid2, inverse_rows):
     (Concus & Golub, SIAM J. Numer. Anal. 10, 1973).  The further the scaled
     coefficients spread about (a, 0, c), the more BiCGSTAB iterations a
     system takes.  Every array is filled one band of rows at a time; the
-    means are taken over whole contiguous inv11/s and inv22/s arrays, which
-    are then freed.
+    means are taken over whole contiguous interior inv11/s and inv22/s
+    arrays, which are then freed.
     """
-    m = grid.n - 2
     h2 = grid.h * grid.h
-    b, a, c, s = (np.empty((m, m)) for _ in range(4))
+    b, a, c, s = (np.zeros((grid.n, grid.n)) for _ in range(4))
     for band in _bands(1, grid.n - 1):
-        k = slice(band.start - 1, band.stop - 1)
+        k = band, slice(1, -1)
         # a and c hold inv11 and inv22 until the means are taken
         a[k], b[k], c[k] = inverse_rows(band)
         b[k] /= 2.0 * h2
         s[k] = 0.5 * (a[k] + c[k])
-    q = a / s
+    inner = s[1:-1, 1:-1]
+    q = a[1:-1, 1:-1] / inner
     mean11 = float(np.mean(q))
-    mean22 = float(np.mean(np.divide(c, s, out=q)))
+    mean22 = float(np.mean(np.divide(c[1:-1, 1:-1], inner, out=q)))
     del q
     a /= h2
     c /= h2
-    return Stencil9((b, a, c)), lambda r: _poisson_solve(grid, r, mean11, mean22, s)
+    return Stencil9((b, a, c)), lambda r: _poisson_solve(grid, r, mean11, mean22, inner)
+
+
+def _dot(u: np.ndarray, v: np.ndarray) -> float:
+    """The dot product of u and v over all their entries, by numpy's own
+    loop, which does not depend on the BLAS thread count."""
+    return float(np.einsum("i,i->", np.ravel(u), np.ravel(v)))
+
+
+def _norm(u: np.ndarray) -> float:
+    """The 2-norm of u, from _dot."""
+    return math.sqrt(_dot(u, u))
 
 
 def _bicgstab(A, b: np.ndarray, psolve, rtol: float, maxiter: int) -> tuple[np.ndarray, int]:
     """BiCGSTAB (van der Vorst, SIAM J. Sci. Stat. Comput. 13, 1992) from x = 0,
-    preconditioned by psolve, to |r| < rtol |b|: the same operations on each
-    array in the same order as the loop of the reference BiCGSTAB in the tests
-    (atol=0), so the same x.  No vector the rest of the loop does not read is
-    bound while psolve or A runs, and phat, shat and t, read no more once
-    scaled, are scaled in place: x += (omega shat) rounds the same either
-    way, with no grid-sized temporary.  Returns x and the completed
+    preconditioned by psolve, to |r| < rtol |b|: the operations of the loop
+    of the reference BiCGSTAB in the tests (atol=0), in the same order, but
+    every dot product and norm is _dot's, so x agrees with the reference's
+    to round-off, not bit for bit.  No vector the rest of the loop does not
+    read is bound while psolve or A runs, and phat, shat and t, read no
+    more once scaled, are scaled in place: x += (omega shat) rounds the same
+    either way, with no grid-sized temporary.  Returns x and the completed
     iterations."""
     x = np.zeros_like(b)
-    atol = max(0.0, rtol * float(np.linalg.norm(b)))
+    atol = max(0.0, rtol * _norm(b))
     # breakdown tolerances of the original Fortran template
     rhotol = omegatol = np.finfo(float).eps ** 2
     r = b.copy()  # the shadow residual is b itself, never written
     for it in range(maxiter):
-        if np.linalg.norm(r) < atol:
+        if _norm(r) < atol:
             return x, it
-        rho = np.dot(b, r)
-        if np.abs(rho) < rhotol:
+        rho = _dot(b, r)
+        if abs(rho) < rhotol:
             return x, it
         if it > 0:
-            if np.abs(omega) < omegatol:
+            if abs(omega) < omegatol:
                 return x, it
             beta = (rho / rho_prev) * (alpha / omega)
             v *= omega
@@ -367,7 +360,7 @@ def _bicgstab(A, b: np.ndarray, psolve, rtol: float, maxiter: int) -> tuple[np.n
             p = r.copy()
         phat = psolve(p)
         v = A @ phat
-        rv = np.dot(b, v)
+        rv = _dot(b, v)
         if rv == 0:
             return x, it
         alpha = rho / rv
@@ -375,11 +368,11 @@ def _bicgstab(A, b: np.ndarray, psolve, rtol: float, maxiter: int) -> tuple[np.n
         phat *= alpha
         x += phat
         del phat
-        if np.linalg.norm(r) < atol:
+        if _norm(r) < atol:
             return x, it
         shat = psolve(r)
         t = A @ shat
-        omega = np.dot(t, r) / np.dot(t, t)
+        omega = _dot(t, r) / _dot(t, t)
         shat *= omega
         x += shat
         t *= omega
@@ -390,21 +383,21 @@ def _bicgstab(A, b: np.ndarray, psolve, rtol: float, maxiter: int) -> tuple[np.n
 
 
 def linear_solve(A, rhs: np.ndarray, M, tol: float = 1e-12, record=None) -> np.ndarray:
-    """Solve A x = rhs (A anything with A @ x, such as a Stencil9) by
-    BiCGSTAB preconditioned by the callable M.
+    """Solve A x = rhs (A anything with A @ x, such as a Stencil9, and x of
+    rhs's shape) by BiCGSTAB preconditioned by the callable M.
 
     tol is the relative residual BiCGSTAB stops at; newton_solve passes
     its forcing term, loose while the outer residual is large.  The measured
-    relative residual certifies the answer: it must be finite and at most
-    max(min(10 tol, 0.5), 1e-9), below 1 so that x = 0 (a breakdown before
-    the first update) never certifies.  Returns x (zeros for a zero
-    right-hand side); a nonzero one appends its SystemSolve to the list
-    record, certified or not.  An answer that does not certify raises
-    LinearSolveError, and so does a right-hand side whose norm is not
-    finite, at once, with no iteration run.
+    relative residual, a _norm as are BiCGSTAB's, certifies the answer: it
+    must be finite and at most max(min(10 tol, 0.5), 1e-9), below 1 so that
+    x = 0 (a breakdown before the first update) never certifies.  Returns x
+    (zeros for a zero right-hand side); a nonzero one appends its
+    SystemSolve to the list record, certified or not.  An answer that does
+    not certify raises LinearSolveError, and so does a right-hand side
+    whose norm is not finite, at once, with no iteration run.
     """
     rhs = np.asarray(rhs, dtype=float)
-    norm = float(np.linalg.norm(rhs))
+    norm = _norm(rhs)
     if norm == 0.0:
         return np.zeros_like(rhs)
     if not math.isfinite(norm):
@@ -414,8 +407,8 @@ def linear_solve(A, rhs: np.ndarray, M, tol: float = 1e-12, record=None) -> np.n
     x, iterations = _bicgstab(A, rhs, M, tol, KRYLOV_MAXITER)
     if record is not None:
         record.append(SystemSolve(iterations, tol))
-    res = float(np.linalg.norm(A @ x - rhs)) / norm
-    if not (np.isfinite(res) and res <= max(min(10.0 * tol, 0.5), 1e-9)):
+    res = _norm(A @ x - rhs) / norm
+    if not (math.isfinite(res) and res <= max(min(10.0 * tol, 0.5), 1e-9)):
         raise LinearSolveError(f"linear solve stagnated at relative residual {res:.3e}")
     return x
 
@@ -445,16 +438,18 @@ def _dst1(x: np.ndarray, axis: int) -> None:
 def _poisson_solve(grid: Grid2, rhs: np.ndarray, a: float = 1.0, c: float = 1.0, s=1.0) -> np.ndarray:
     """Exact solve of a*D11 + c*D22 (5-point, Dirichlet) on interior nodes
     for the right-hand side rhs / s, by diagonalizing it with the sine
-    transform.  rhs and the result are flat interior vectors, s an (m, m)
-    interior array or a scalar.
+    transform.  rhs and the result are (n, n) arrays, of which the solve
+    reads rhs's interior nodes only and the result is 0 on the boundary
+    ring; s is an (n - 2, n - 2) interior array or a scalar.
 
-    The result is the one grid-sized array formed: it starts as rhs / s,
-    and the four transforms and the division by the eigenvalue sums run on
-    it in place, band by band.
+    The result is the one grid-sized array formed: its interior starts as
+    rhs / s, and the four transforms and the division by the eigenvalue
+    sums run on it in place, band by band.
     """
     m = grid.n - 2
     lam = -4.0 * np.sin(0.5 * np.pi * np.arange(1, m + 1) / (m + 1)) ** 2 / (grid.h * grid.h)
-    f = np.reshape(rhs, (m, m)) / s
+    x = np.zeros((grid.n, grid.n))
+    f = np.divide(rhs[1:-1, 1:-1], s, out=x[1:-1, 1:-1])
     del rhs  # freed here when the caller passed a temporary
     _dst1(f, 0)
     _dst1(f, 1)
@@ -463,37 +458,29 @@ def _poisson_solve(grid: Grid2, rhs: np.ndarray, a: float = 1.0, c: float = 1.0,
     _dst1(f, 0)
     _dst1(f, 1)
     f *= (2.0 / (m + 1)) ** 2
-    return f.ravel()
-
-
-def _dirichlet_rhs(grid: Grid2, boundary_vals: np.ndarray) -> np.ndarray:
-    """Right side of a constant-coefficient Laplace problem with Dirichlet data."""
-    n = grid.n
-    h2 = grid.h * grid.h
-    rhs = np.zeros((n - 2, n - 2))
-    rhs[0, :] -= boundary_vals[0, 1:-1] / h2
-    rhs[-1, :] -= boundary_vals[-1, 1:-1] / h2
-    rhs[:, 0] -= boundary_vals[1:-1, 0] / h2
-    rhs[:, -1] -= boundary_vals[1:-1, -1] / h2
-    return rhs.ravel()
+    return x
 
 
 def _initial_iterate(grid: Grid2, boundary: ScalarField2, psi: ScalarField2, mode: str):
     """Discrete harmonic extension of the boundary data, optionally bent to
     match the mean phase.
 
+    The harmonic extension of a trace is the trace with a zero interior,
+    plus the Poisson solve of minus that array's hessian_fd Laplacian
+    m11 + m22, whose interior holds the Dirichlet data's share of the
+    5-point Laplacian.
     "harmonic": plain harmonic extension.
     "phase_matched": adds t*(q - harmonic extension of q's trace) where q is
     the paraboloid |x|^2/2 and t = tan(mean(psi)/2); for isotropic quadratic
     boundary data this reproduces the exact discrete solution, and in general
     it starts the iteration at the right mean curvature.
     """
-    n = grid.n
 
-    def harmonic(trace: np.ndarray) -> np.ndarray:
-        ext = trace.copy()
-        ext[1:-1, 1:-1] = _poisson_solve(grid, _dirichlet_rhs(grid, trace)).reshape(n - 2, n - 2)
-        return ext
+    def harmonic(values: np.ndarray) -> np.ndarray:
+        trace = values.copy()
+        trace[1:-1, 1:-1] = 0.0
+        m11, _, m22 = hessian_fd(ScalarField2(grid, trace))
+        return trace + _poisson_solve(grid, -(m11 + m22))
 
     u0 = harmonic(boundary.values)
     if mode == "harmonic":
@@ -558,17 +545,18 @@ def newton_solve(
     floor = np.finfo(float).eps * max(float(np.max(v)) for v in ring) / (grid.h * grid.h)
 
     def residual(uarr: np.ndarray) -> tuple[np.ndarray, float, float, tuple]:
-        """The phase residual on interior nodes, its sup-norm, the smallest
-        eigenvalue of g^{-1} = (I + M^2)^{-1} there (the ellipticity of the
-        linearization at uarr) and the differenced Hessian M.  The eigenvalue
-        is 1/(1 + max lam^2), which keeps full precision where the eigenvalues
-        of g^{-1} itself cancel (one lam huge, one O(1))."""
+        """The phase residual (0 on the boundary ring), its sup-norm, the
+        smallest eigenvalue of g^{-1} = (I + M^2)^{-1} on the interior nodes
+        (the ellipticity of the linearization at uarr) and the differenced
+        Hessian M.  The eigenvalue is 1/(1 + max lam^2), which keeps full
+        precision where the eigenvalues of g^{-1} itself cancel (one lam
+        huge, one O(1))."""
         hess = hessian_fd(ScalarField2(grid, uarr))
         r, rn, big = _phase_defect(hess, psi)
         return r, rn, 1.0 / (1.0 + big * big), hess
 
     def direction(eta: float) -> np.ndarray:
-        """The Newton direction at u on the interior nodes, solved to eta.
+        """The Newton direction at u, 0 on the boundary ring, solved to eta.
         The inverse metric is formed band by band from hess; r and hess are
         released once read, A and M on return: none is alive in the line
         search.  A re-solve rebuilds r and hess from u, bit for bit."""
@@ -577,18 +565,13 @@ def newton_solve(
             r, _, _, hess = residual(u)
         A, M = _newton_system(grid, lambda rows: _inverse_metric(*(m[rows, 1:-1] for m in hess)))
         hess = None
-        rhs = -r.ravel()
+        rhs = -r
         r = None
         return linear_solve(A, rhs, M, tol=eta, record=systems)
 
-    def line_search(s_int: np.ndarray):
-        """(t, u + t s, its residual) for the longest t = 1, 1/2, ... down to
-        MIN_STEP that passes the Armijo test, s being s_int on the interior
-        nodes and 0 on the boundary ring; None if no t does.  The caller
-        passes s_int unbound, so it is released once spread into step."""
-        step = np.zeros((n, n))
-        step[1:-1, 1:-1] = s_int.reshape(n - 2, n - 2)
-        del s_int
+    def line_search(step: np.ndarray):
+        """(t, u + t step, its residual) for the longest t = 1, 1/2, ... down
+        to MIN_STEP that passes the Armijo test; None if no t does."""
         t = 1.0
         while t >= MIN_STEP:
             trial = u + t * step

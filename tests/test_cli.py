@@ -1330,10 +1330,11 @@ class TestVerifyWork:
         assert self._full_verify_at_129(tmp_path) < 18.6
 
     def test_peak_memory_of_a_newton_solve(self):
-        # the traced peak is 12.79 float arrays of n^2 nodes at n=129, set in
+        # the traced peak is 13.15 float arrays of n^2 nodes at n=129, set in
         # the BiCGSTAB loop, by the stencil product and the preconditioner
-        # alike (a band is half the grid at this n); 13.8 leaves about one
-        # array of headroom.  It was 15.75 with a whole-grid product per
+        # alike (a band is half the grid at this n); 13.8 leaves over half an
+        # array of headroom.  It was 12.79 with the Newton system's arrays on
+        # the (n-2)^2 interior nodes, 15.75 with a whole-grid product per
         # coupling, the stencil's diagonal stored, r / s and two transforms
         # alive in the preconditioner and the Newton system and phase defect
         # formed on the whole grid; 24.97 with five stencil arrays, the

@@ -36,9 +36,7 @@ from lmce.solver import (
     KRYLOV_MAXITER,
     AnalyticFunction2,
     SystemSolve,
-    _NEIGHBOURS,
     _bicgstab,
-    _dirichlet_rhs,
     _dst1,
     _forcing_term,
     _initial_iterate,
@@ -73,31 +71,65 @@ def _sine_preconditioner(g, inv11, inv22):
     return _newton_system(g, _node_rows(g, inv11, 0.0, inv22))[1]
 
 
+def _on_grid(g, interior):
+    """An (n, n) array that is 0 on the boundary ring and holds the values
+    of interior, in row order, on the interior nodes."""
+    out = np.zeros((g.n, g.n))
+    out[1:-1, 1:-1] = np.reshape(interior, (g.n - 2, g.n - 2))
+    return out
+
+
+def _dirichlet_rhs(g, boundary_vals):
+    """Right side of a constant-coefficient Laplace problem with Dirichlet
+    data, as a flat interior vector: the ring neighbours' values over h^2,
+    subtracted from 0 one edge at a time.  The reference of the harmonic
+    extension in _initial_iterate."""
+    n = g.n
+    h2 = g.h * g.h
+    rhs = np.zeros((n - 2, n - 2))
+    rhs[0, :] -= boundary_vals[0, 1:-1] / h2
+    rhs[-1, :] -= boundary_vals[-1, 1:-1] / h2
+    rhs[:, 0] -= boundary_vals[1:-1, 0] / h2
+    rhs[:, -1] -= boundary_vals[1:-1, -1] / h2
+    return rhs.ravel()
+
+
+# the 9 entries of a Stencil9 row: neighbour (i+di, j+dj) of node (i, j), the
+# coupling k in (b, a, c, diag), diag = -2a - 2c, and its weight
+_NEIGHBOURS = [
+    (-1, -1, 0, 1), (-1, 0, 1, 1), (-1, 1, 0, -1),
+    (0, -1, 2, 1), (0, 0, 3, 1), (0, 1, 2, 1),
+    (1, -1, 0, -1), (1, 0, 1, 1), (1, 1, 0, 1),
+]
+
+
 def _csc(A):
-    """The CSC matrix of a Stencil9, built from its couplings (b, a, c) and
-    the diagonal -2a - 2c, each placed by _NEIGHBOURS with its sign; zero
-    coefficients stay stored."""
+    """The n^2 x n^2 CSC matrix of a Stencil9 on the flat grid, built from
+    its couplings (b, a, c) and the diagonal -2a - 2c, each placed by
+    _NEIGHBOURS with its weight: a row of 9 entries for each interior node,
+    zero coefficients stored, and no entry in the rows of the ring."""
     b, a, c = A.coef
     coupling = (b, a, c, -2.0 * a - 2.0 * c)
-    m = len(a)
-    nodes = np.arange(m * m).reshape(m, m)
-
-    def span(d):  # along an axis: the nodes with a neighbour at shift d, those neighbours
-        return slice(max(0, -d), m - max(0, d)), slice(max(0, d), m + min(0, d))
-
+    n = len(a)
+    nodes = np.arange(n * n).reshape(n, n)
     data, rows, cols = [], [], []
     for di, dj, k, sign in _NEIGHBOURS:
-        (ri, ni), (rj, nj) = span(di), span(dj)
-        data.append(sign * coupling[k][ri, rj].ravel())
-        rows.append(nodes[ri, rj].ravel())
-        cols.append(nodes[ni, nj].ravel())
+        data.append(sign * coupling[k][1:-1, 1:-1].ravel())
+        rows.append(nodes[1:-1, 1:-1].ravel())
+        cols.append(nodes[1 + di : n - 1 + di, 1 + dj : n - 1 + dj].ravel())
     triplets = np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))
-    return sp.coo_matrix(triplets, shape=A.shape).tocsc()
+    return sp.coo_matrix(triplets, shape=(n * n, n * n)).tocsc()
 
 
 def _exact_solve(A, rhs, M, tol=1e-12, record=None):
-    """linear_solve's signature, answered by a sparse direct solve."""
-    return spla.spsolve(_csc(A), rhs)
+    """linear_solve's signature, answered by a sparse direct solve of the
+    interior nodes' block."""
+    n = len(rhs)
+    inner = np.arange(n * n).reshape(n, n)[1:-1, 1:-1].ravel()
+    K = _csc(A)[inner][:, inner]
+    x = np.zeros((n, n))
+    x.ravel()[inner] = spla.spsolve(K, rhs.ravel()[inner])
+    return x
 
 
 def _newton_case(case):
@@ -157,7 +189,7 @@ def _first_newton_system(g, prob):
     r, _, _ = _phase_defect(hess, prob.psi)
     inv11, inv12, inv22 = _inverse_metric(*hess)
     A = _assemble_linearization(g, inv11, inv12, inv22)
-    return A, _sine_preconditioner(g, inv11, inv22), -r.ravel()
+    return A, _sine_preconditioner(g, inv11, inv22), -r
 
 
 class TestManufacture:
@@ -380,15 +412,16 @@ class TestNewtonSolve:
         assert len(alive) > 2 * state.iterations and not any(alive)
 
     def test_system_released_before_the_line_search(self, monkeypatch):
-        # the stencil, the right-hand side and the direction of a Newton
-        # system are not alive in any line-search trial's differencing, nor
-        # is any Hessian differenced before, a failed trial's included
+        # the stencil and the right-hand side of a Newton system are not
+        # alive in any line-search trial's differencing, nor is any Hessian
+        # differenced before, a failed trial's included; the direction is the
+        # line search's step
         systems, hessians, alive = [], [], []
         solve, hessian = lmce.solver.linear_solve, lmce.solver.hessian_fd
 
         def solve_spy(A, rhs, M, tol, record):
             x = solve(A, rhs, M, tol=tol, record=record)
-            systems.extend(weakref.ref(v) for v in (*A.coef, rhs, x))
+            systems.extend(weakref.ref(v) for v in (*A.coef, rhs))
             return x
 
         def hessian_spy(f):
@@ -402,7 +435,7 @@ class TestNewtonSolve:
         prob = manufacture(anisotropic_family(1.4, 0.2), build_grid(4.0, 33))
         state = newton_solve(prob.psi, prob.u_exact)
         assert state.converged and min(state.damping) < 0.5  # trials fail
-        assert len(systems) == 5 * state.iterations
+        assert len(systems) == 4 * state.iterations
         assert len(alive) > state.iterations + 1 and not any(alive)
 
     @staticmethod
@@ -540,9 +573,9 @@ class TestLinearSolve:
         zeros = np.zeros((g.n, g.n))
         A = _assemble_linearization(g, ones, zeros, ones)
         q = 0.5 * g.radius2()
-        rhs = _dirichlet_rhs(g, q) + 2.0
+        rhs = _on_grid(g, _dirichlet_rhs(g, q) + 2.0)
         x = linear_solve(A, rhs, _sine_preconditioner(g, ones, ones))
-        np.testing.assert_allclose(x, q[1:-1, 1:-1].ravel(), atol=1e-9)
+        np.testing.assert_allclose(x, _on_grid(g, q[1:-1, 1:-1]), atol=1e-9)
 
     def test_newton_system_residual(self):
         # first Newton system of the perturbed problem, residual recomputed
@@ -557,7 +590,7 @@ class TestLinearSolve:
         det = g11 * g22 - g12**2
         A = _assemble_linearization(g, g22 / det, -g12 / det, g11 / det)
         M = _sine_preconditioner(g, g22 / det, g11 / det)
-        rhs = np.sin(np.arange(A.shape[0]))
+        rhs = _on_grid(g, np.sin(np.arange((g.n - 2) ** 2)))
         x = linear_solve(A, rhs, M, tol=1e-12)
         assert np.linalg.norm(A @ x - rhs) <= 1e-9 * np.linalg.norm(rhs)
 
@@ -567,7 +600,7 @@ class TestLinearSolve:
         ones = np.ones((g.n, g.n))
         zeros = np.zeros((g.n, g.n))
         A = _assemble_linearization(g, ones, zeros, ones)
-        rhs = np.cos(np.arange(A.shape[0]) * 0.01)
+        rhs = _on_grid(g, np.cos(np.arange((g.n - 2) ** 2) * 0.01))
         x = linear_solve(A, rhs, _sine_preconditioner(g, ones, ones), tol=1e-12)
         assert np.linalg.norm(A @ x - rhs) <= 1e-10 * np.linalg.norm(rhs)
 
@@ -580,8 +613,8 @@ class TestLinearSolve:
     def test_non_finite_rhs_reports(self, bad):
         g = build_grid(2.0, 9)
         A = _assemble_linearization(g, 1.0, 0.0, 1.0)
-        rhs = np.ones(A.shape[0])
-        rhs[3] = bad
+        rhs = _on_grid(g, np.ones((g.n - 2) ** 2))
+        rhs[1, 4] = bad
         with pytest.raises(LinearSolveError):
             linear_solve(A, rhs, np.copy)
 
@@ -601,8 +634,8 @@ class TestLinearSolve:
             applied.append("M")
             return np.copy(r)
 
-        rhs = np.ones(stencil.shape[0])
-        rhs[3] = bad
+        rhs = _on_grid(g, np.ones((g.n - 2) ** 2))
+        rhs[1, 4] = bad
         record = []
         with pytest.raises(LinearSolveError, match="right-hand side"):
             linear_solve(Counted(), rhs, M, record=record)
@@ -620,27 +653,30 @@ class TestAssembly:
         v[1:-1, 1:-1] = rng.standard_normal((n - 2, n - 2))
         A = _assemble_linearization(g, inv11, inv12, inv22)
         m11, m12, m22 = hessian_fd(ScalarField2(g, v))
-        oracle = (inv11 * m11 + 2.0 * inv12 * m12 + inv22 * m22)[1:-1, 1:-1].ravel()
+        oracle = _on_grid(g, (inv11 * m11 + 2.0 * inv12 * m12 + inv22 * m22)[1:-1, 1:-1])
         scale = float(np.max(np.abs(oracle)))
-        np.testing.assert_allclose(
-            A @ v[1:-1, 1:-1].ravel(), oracle, rtol=1e-12, atol=1e-12 * scale
-        )
-        assert _csc(A).nnz == (3 * n - 8) ** 2
+        np.testing.assert_allclose(A @ v, oracle, rtol=1e-12, atol=1e-12 * scale)
+        assert _csc(A).nnz == 9 * (n - 2) ** 2
         # zero coefficients stay stored: the pattern depends only on n
-        assert _csc(_assemble_linearization(g, 1.0, 0.0, 1.0)).nnz == (3 * n - 8) ** 2
+        assert _csc(_assemble_linearization(g, 1.0, 0.0, 1.0)).nnz == 9 * (n - 2) ** 2
 
     @pytest.mark.parametrize("n", [5, 6, 33])
-    def test_matvec_bitwise_equals_csc(self, n, monkeypatch):
-        # each row is summed in the CSC column order, so the bits agree, in
-        # bands of any height
+    def test_matvec_agrees_with_csc(self, n, monkeypatch):
+        # the three-term product rounds apart from the CSC matrix's sums in
+        # column order, but not by more than round-off; and it is the same
+        # bits in bands of any height
         g = build_grid(2.0, n)
         rng = np.random.default_rng(100 + n)
         inv11, inv12, inv22 = (rng.uniform(-2.0, 2.0, (n, n)) for _ in range(3))
         A = _assemble_linearization(g, inv11, inv12, inv22)
-        x = rng.standard_normal(A.shape[0])
+        x = _on_grid(g, rng.standard_normal((n - 2) ** 2))
+        want = (_csc(A) @ x.ravel()).reshape(n, n)
+        products = []
         for rows in (1, 7, 64):
             monkeypatch.setattr(lmce.grid, "LB_BAND_ROWS", rows)
-            assert np.array_equal(A @ x, _csc(A) @ x)
+            products.append(A @ x)
+        assert all(np.array_equal(y, products[0]) for y in products)
+        assert np.linalg.norm(products[0] - want) <= 1e-15 * np.linalg.norm(want)
 
     def test_equal_couplings_share_one_array(self):
         # b, a and c, each held once; -b is applied as a sign and the
@@ -649,14 +685,14 @@ class TestAssembly:
         A = _assemble_linearization(g, 1.0, 0.5, 2.0)
         assert len(A.coef) == 3
         assert len({id(c) for c in A.coef}) == 3
-        assert [float(c[0, 0]) for c in A.coef] == [0.5 / (2 * g.h**2), 1 / g.h**2, 2 / g.h**2]
-        assert float(_csc(A)[0, 0]) == -6 / g.h**2
+        assert [float(c[1, 1]) for c in A.coef] == [0.5 / (2 * g.h**2), 1 / g.h**2, 2 / g.h**2]
+        assert float(_csc(A)[g.n + 1, g.n + 1]) == -6 / g.h**2
 
     @pytest.mark.parametrize("n", [5, 6, 33, 129])
     def test_poisson_solve_inverts_laplacian(self, n):
         g = build_grid(2.0, n)
         A = _assemble_linearization(g, 1, 0, 1)
-        rhs = np.random.default_rng(n).standard_normal(A.shape[0])
+        rhs = _on_grid(g, np.random.default_rng(n).standard_normal((n - 2) ** 2))
         x = _poisson_solve(g, rhs)
         assert np.linalg.norm(A @ x - rhs) <= 1e-12 * np.linalg.norm(rhs)
         # and the scaled operator a*D11 + c*D22
@@ -695,8 +731,33 @@ class TestSinePreconditioner:
         inv11, inv12, inv22 = (np.full((n, n), v) for v in (0.7, 0.0, 0.2))
         A = _assemble_linearization(g, inv11, inv12, inv22)
         M = _sine_preconditioner(g, inv11, inv22)
-        r = np.random.default_rng(n).standard_normal(A.shape[0])
+        r = _on_grid(g, np.random.default_rng(n).standard_normal((n - 2) ** 2))
         assert np.linalg.norm(A @ M(r) - r) <= 1e-12 * np.linalg.norm(r)
+
+
+class TestInitialIterate:
+    @pytest.mark.parametrize("mode", ["harmonic", "phase_matched"])
+    @pytest.mark.parametrize("n", [5, 6, 33, 64, 65])
+    def test_harmonic_extension_is_the_dirichlet_rhs_solve(self, n, mode):
+        # the extension is the Poisson solve of _dirichlet_rhs, trace
+        # restored, bit for bit: minus the hessian_fd Laplacian of the trace
+        # is that right-hand side on the interior nodes
+        g = build_grid(4.0, n)
+        prob = manufacture(perturbed_family(0.1), g)
+
+        def harmonic(values):
+            ext = _poisson_solve(g, _on_grid(g, _dirichlet_rhs(g, values)))
+            for ring in (np.s_[:: n - 1], np.s_[:, :: n - 1]):
+                ext[ring] = values[ring]
+            return ext
+
+        want = harmonic(prob.u_exact.values)
+        if mode == "phase_matched":
+            q = 0.5 * g.radius2()
+            t = math.tan(0.5 * float(np.mean(prob.psi.values[1:-1, 1:-1])))
+            want = want + t * (q - harmonic(q))
+        got = _initial_iterate(g, prob.u_exact, prob.psi, mode)
+        assert got.tobytes() == want.tobytes()
 
 
 class TestKrylovPath:
@@ -705,34 +766,36 @@ class TestKrylovPath:
         monkeypatch.setattr(lmce.solver, "KRYLOV_MAXITER", 25)
         g = build_grid(2.0, 33)
         A = _assemble_linearization(g, 1.0, 0.0, 1.0)
-        rhs = np.cos(np.arange(A.shape[0]) * 0.1)
+        rhs = _on_grid(g, np.cos(np.arange((g.n - 2) ** 2) * 0.1))
         record = []
         with pytest.raises(LinearSolveError, match="stagnated"):
-            linear_solve(A, rhs, lambda r: -np.ravel(r), record=record)
+            linear_solve(A, rhs, np.negative, record=record)
         assert record == [SystemSolve(25, 1e-12)]
 
     def test_bicgstab_port_matches_scipy(self):
-        # the first perturbed Newton system: the same array, bit for bit
+        # the first perturbed Newton system on the flat grid: scipy reduces
+        # with BLAS and the port with _dot, so x agrees to round-off, after
+        # the same number of completed iterations
         g = build_grid(4.0, 65)
         A, M, rhs = _first_newton_system(g, manufacture(perturbed_family(0.1), g))
-        size = A.shape[0]
+        size = g.n * g.n
         completed = []
         ref, info = spla.bicgstab(
-            _csc(A), rhs, rtol=1e-12, atol=0.0, maxiter=KRYLOV_MAXITER,
-            M=spla.LinearOperator((size, size), matvec=M),
+            _csc(A), rhs.ravel(), rtol=1e-12, atol=0.0, maxiter=KRYLOV_MAXITER,
+            M=spla.LinearOperator((size, size), matvec=lambda v: M(v.reshape(g.n, g.n)).ravel()),
             callback=lambda xk: completed.append(1),
         )
         x, iterations = _bicgstab(A, rhs, M, 1e-12, KRYLOV_MAXITER)
         assert info == 0
-        assert np.array_equal(x, ref)
+        assert np.linalg.norm(x.ravel() - ref) <= 1e-13 * np.linalg.norm(ref)
         assert iterations == len(completed) > 0
 
     def test_non_finite_rhs_reports_with_preconditioner(self):
         g = build_grid(2.0, 9)
         A = _assemble_linearization(g, 1.0, 0.0, 1.0)
         M = _sine_preconditioner(g, 1.0, 1.0)
-        rhs = np.ones(A.shape[0])
-        rhs[3] = np.nan
+        rhs = _on_grid(g, np.ones((g.n - 2) ** 2))
+        rhs[1, 4] = np.nan
         with pytest.raises(LinearSolveError):
             linear_solve(A, rhs, M)
 
@@ -753,8 +816,8 @@ class TestKrylovPath:
         # completed iterations, as scipy's callback counts them
         assert [astuple(rec) for rec in state.systems] == [
             (0, 0.1),
-            (1, 0.002361113015801119),
-            (2, 5.95512766142267e-05),
+            (1, 0.002361113015800919),
+            (2, 5.955127661423173e-05),
             (3, 2.7440784674210174e-09),
         ]
 
@@ -778,10 +841,10 @@ class TestKrylovPath:
         # first update: x = 0 has relative residual 1 and must not certify
         g = build_grid(2.0, 33)
         A = _assemble_linearization(g, 1.0, 0.0, 1.0)
-        rhs = np.cos(np.arange(A.shape[0]) * 0.1)
+        rhs = _on_grid(g, np.cos(np.arange((g.n - 2) ** 2) * 0.1))
         record = []
         with pytest.raises(LinearSolveError):
-            linear_solve(A, rhs, lambda r: np.zeros(np.size(r)), tol=0.1, record=record)
+            linear_solve(A, rhs, np.zeros_like, tol=0.1, record=record)
         assert record == [SystemSolve(0, 0.1)]
 
 
@@ -872,6 +935,22 @@ def test_runtime_never_loads_scipy(tmp_path):
     solver = json.loads((tmp_path / "solve" / "solve.json").read_text())["solver"]
     assert "factorizations" not in solver
     assert solver["krylov_iterations"] > 0
+
+
+def test_solve_output_does_not_depend_on_the_blas_thread_count(tmp_path):
+    # the solve reduces with numpy's own loop, never with BLAS, so one and two
+    # OpenBLAS threads write the same bytes
+    config = tmp_path / "solve.json"
+    config.write_text(json.dumps({"family": "perturbed", "eps": 0.1, "n": 257}))
+    for threads in ("1", "2"):
+        subprocess.run(
+            [sys.executable, "-m", "lmce", "solve", "--config", str(config),
+             "--out", str(tmp_path / threads)],
+            env={**os.environ, "PYTHONPATH": str(SRC), "OPENBLAS_NUM_THREADS": threads},
+            capture_output=True, check=True,
+        )
+    for name in ("u.csv", "solve.csv"):
+        assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
 
 
 @st.composite
