@@ -78,14 +78,22 @@ class Grid2:
         return x1 * x1 + x2 * x2
 
     def disk_mask(self, r: float) -> np.ndarray:
-        """Read-only boolean mask of nodes with |x| <= r.  Requires r <= L."""
+        """Read-only boolean mask of nodes with |x| <= r.  Requires r <= L.
+
+        Filled band by band from x1*x1 + x2*x2 <= r*r, so it holds the bits
+        of `radius2() <= r*r` with no float |x|^2 of the grid's size."""
         if r > self.L:
             raise ValueError(f"disk radius {r} exceeds grid half-width {self.L}")
         if r < 0:
             raise ValueError(f"disk radius must be non-negative, got {r}")
         mask = self._disk_masks.get(r)
         if mask is None:
-            mask = self._disk_masks[r] = _ro(self.radius2() <= r * r)
+            x1, x2 = self.coords()
+            x2_sq = x2 * x2
+            mask = np.empty((self.n, self.n), dtype=bool)
+            for b in _bands(0, self.n):
+                np.less_equal(x1[b] * x1[b] + x2_sq, r * r, out=mask[b])
+            mask = self._disk_masks[r] = _ro(mask)
         return mask
 
     def origin_index(self) -> tuple[int, int]:
@@ -278,23 +286,31 @@ def _quintic_slope(rho, r1: float, r2: float):
     return slope
 
 
-def _cutoff(r1: float, r2: float, grid: Grid2, with_phi: bool):
+def _box(grid: Grid2, r: float) -> slice:
+    """The slice of either axis that the box |x_i| <= r spans."""
+    ax = grid.axis()
+    return slice(int(np.searchsorted(ax, -r)), int(np.searchsorted(ax, r, side="right")))
+
+
+def _cutoff(r1: float, r2: float, grid: Grid2, with_phi: bool, rows: slice | None = None):
     """(box, phi, (phi_1, phi_2)): the slice of either axis that the box
-    |x_i| <= r2 spans, and the blocks on the box of the quintic-smoothstep
-    radial cutoff phi (None unless with_phi), 1 on |x| <= r1 and 0 on
-    |x| >= r2, and of its analytic gradient at the nodes (no differencing).
+    |x_i| <= r2 spans, and the blocks on grid rows `rows` (default: the
+    box's) and the box's columns of the quintic-smoothstep radial cutoff phi
+    (None unless with_phi), 1 on |x| <= r1 and 0 on |x| >= r2, and of its
+    analytic gradient at the nodes (no differencing).
 
     The transition is the quintic 10t^3 - 15t^4 + 6t^5, which is C^2 in the
     radius.  Its slope peaks at 15/8, so max |grad phi| = 1.875/(r2 - r1)
     on the whole plane, below the generic spline bound 3/(r2 - r1).  Off the
     box |x| > r2, where phi and its gradient vanish.  Each array is formed
-    in place with the operations of the closed form.
+    in place with the operations of the closed form, node by node, so the
+    rows of one band of the box are those rows of the whole box bit for bit.
     """
     if not (0.0 < r1 < r2 <= grid.L):
         raise ValueError(f"cutoff radii must satisfy 0 < r1 < r2 <= L, got ({r1}, {r2})")
     ax = grid.axis()
-    box = slice(int(np.searchsorted(ax, -r2)), int(np.searchsorted(ax, r2, side="right")))
-    x1, x2 = ax[box][:, None], ax[box][None, :]
+    box = _box(grid, r2)
+    x1, x2 = ax[box if rows is None else rows][:, None], ax[box][None, :]
     rho = np.hypot(*np.broadcast_arrays(x1, x2))
     phi = None
     if with_phi:

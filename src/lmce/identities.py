@@ -23,6 +23,7 @@ from .grid import (
     INTERIOR_MARGIN,
     ScalarField2,
     _bands,
+    _box,
     _cutoff,
     _gradient_rows,
     _hessian_rows,
@@ -240,29 +241,32 @@ def check_cutoff_volume_identity(B: GeometryBundle) -> CheckReport:
         )
     g = B.grid
     radii = (CUTOFF_PLATEAU_RADIUS, CUTOFF_SUPPORT_RADIUS)
-    box, _, (g1, g2) = _cutoff(*radii, g, with_phi=False)
-    # on the box of the cutoff's support, formed in place with the operations
-    # and operands of the closed form
-    bb = (box, box)
-    lhs = _quadform_inv(B, g1, g2, bb)
-    lhs *= B.vol[bb]
-    dphi2 = g1 * g1
-    del g1
-    rhs = g2 * g2
-    del g2
-    dphi2 += rhs
-    np.add(B.lam1[bb], B.lam2[bb], out=rhs)
-    rhs *= B.sin_phase[bb]
-    rhs += 2.0 * B.cos_phase[bb]
-    rhs *= dphi2
-    del dphi2
     # rhs - lhs on the whole grid: its smallest value is often a zero, of the
     # sign np.min picks.  Off the box both sides are +0, as g^{-1} is positive
     # definite and the factor of |D phi|^2 is (2 + lam1^2 + lam2^2)/V > 0.
     margin = np.zeros_like(B.vol)
-    np.subtract(rhs, lhs, out=margin[bb])
+    box = _box(g, CUTOFF_SUPPORT_RADIUS)
+    for rows in _bands(box.start, box.stop):
+        # one band of the box of the cutoff's support, formed in place with
+        # the operations and operands of the closed form
+        _, _, (g1, g2) = _cutoff(*radii, g, with_phi=False, rows=rows)
+        rb = (rows, box)
+        lhs = _quadform_inv(B, g1, g2, rb)
+        lhs *= B.vol[rb]
+        dphi2 = g1 * g1
+        del g1
+        rhs = g2 * g2
+        del g2
+        dphi2 += rhs
+        np.add(B.lam1[rb], B.lam2[rb], out=rhs)
+        rhs *= B.sin_phase[rb]
+        rhs += 2.0 * B.cos_phase[rb]
+        rhs *= dphi2
+        del dphi2
+        np.subtract(rhs, lhs, out=margin[rb])
     min_margin = float(np.min(margin))
-    violation = np.subtract(lhs, rhs, out=margin[bb])
+    # the violation max(lhs - rhs, 0), lhs - rhs being rhs - lhs negated exactly
+    violation = np.negative(margin, out=margin)
     np.maximum(violation, 0.0, out=violation)
     tol = CUTOFF_SLACK_COEFF * g.h ** 2
     return _report("cutoff_volume", _worst(margin), tol, "differencing", {"min_margin": min_margin})

@@ -38,6 +38,7 @@ from .grid import (
     Grid2,
     ScalarField2,
     _bands,
+    _box,
     _cutoff,
     _gradient_rows,
     gradient_norm,
@@ -276,11 +277,16 @@ def _interior_mask(n: int) -> np.ndarray:
     return m
 
 
-def _argmin_on(values: np.ndarray, mask: np.ndarray) -> tuple[tuple[int, int], float]:
-    """(node, value) of the minimum on mask, first node in C order; values off mask become +inf."""
-    np.copyto(values, np.inf, where=~mask)
-    i, j = np.unravel_index(np.argmin(values), values.shape)
-    return (int(i), int(j)), float(values[i, j])
+def _argmin_rows(inner: slice, values) -> tuple[tuple[int, int], float]:
+    """(node, value) of the minimum of the block (inner, inner) of the grid,
+    formed band by band by values(rows), +inf off the nodes it keeps: the
+    first node in C order, as np.argmin on the whole block picks."""
+    parts = []
+    for rows in _bands(inner.start, inner.stop):
+        v = values(rows)
+        i, j = np.unravel_index(np.argmin(v), v.shape)
+        parts.append(((int(i) + rows.start, int(j) + inner.start), float(v[i, j])))
+    return parts[int(np.argmin([m for _, m in parts]))]
 
 
 def _canonical_on_disk(B: GeometryBundle, rho: float) -> tuple[GeometryBundle, np.ndarray, bool]:
@@ -318,21 +324,33 @@ def check_jacobi_pointwise(
     g = B.grid
     lap = B.slope_laplacian
     gn = B.slope_grad_norm2
-    include = _interior_mask(g.n)
-    gap_ok = (B.lam1 - B.lam2) >= EIGEN_GAP_FLOOR * (1.0 + np.abs(B.lam1))
-    excluded = int(np.count_nonzero(include & ~gap_ok))
-    mask = include & gap_ok
-    if not mask.any():
+    k = INTERIOR_MARGIN
+    inner = slice(k, g.n - k)
+    excluded = 0
+
+    def defect(rows, gap_filter):
+        # lap - c |grad_g b|^2 on the band's interior nodes, +inf on those
+        # the eigenvalue-gap filter leaves out
+        nonlocal excluded
+        d = K.c * gn[rows, inner]
+        np.subtract(lap[rows, inner], d, out=d)
+        if gap_filter:
+            lam1 = B.lam1[rows, inner]
+            gap_ok = (lam1 - B.lam2[rows, inner]) >= EIGEN_GAP_FLOOR * (1.0 + np.abs(lam1))
+            excluded += gap_ok.size - int(np.count_nonzero(gap_ok))
+            np.copyto(d, np.inf, where=~gap_ok)
+        return d
+
+    loc, m = _argmin_rows(inner, lambda rows: defect(rows, True))
+    nodes = (g.n - 2 * k) ** 2
+    if excluded == nodes:
         span = float(np.max(B.slope) - np.min(B.slope))
         if span <= 1e-12 * (1.0 + float(np.max(np.abs(B.slope)))):
             # coalesced eigenvalues with constant slope: smooth, keep all nodes
-            mask = include
+            loc, m = _argmin_rows(inner, lambda rows: defect(rows, False))
             excluded = 0
         else:
             raise PreconditionError("eigenvalue-gap filter excluded every node")
-    defect = K.c * gn
-    np.subtract(lap, defect, out=defect)
-    loc, m = _argmin_on(defect, mask)
     c_hat = max(0.0, -m)
     return CheckReport(
         check="jacobi_pointwise",
@@ -345,7 +363,7 @@ def check_jacobi_pointwise(
         slack=0.0,
         fitted={"C_hat": c_hat, "c": K.c, "min_defect": m},
         excluded=excluded,
-        details={"canonicalized": flipped, "nodes_checked": int(np.count_nonzero(mask))},
+        details={"canonicalized": flipped, "nodes_checked": nodes - excluded},
     )
 
 
@@ -418,8 +436,14 @@ def check_subharmonic_modified_slope(
         raise PreconditionError(
             f"modified-slope check needs phase >= delta={K.delta} on the region"
         )
-    lap = B.slope_laplacian + K.A * B.paraboloid_laplacian
-    loc, m = _argmin_on(lap, mask)
+    inner = slice(INTERIOR_MARGIN, B.grid.n - INTERIOR_MARGIN)
+
+    def lap_mod(rows):
+        lap = B.slope_laplacian[rows, inner] + K.A * B.paraboloid_laplacian[rows, inner]
+        np.copyto(lap, np.inf, where=~mask[rows, inner])
+        return lap
+
+    loc, m = _argmin_rows(inner, lap_mod)
     radius = min(rho, SAMPLED_RADIUS)
     if wmp is None or radius != SAMPLED_RADIUS:
         bmod = modified_slope(B, K)
@@ -466,42 +490,55 @@ def check_jacobi_integral(B: GeometryBundle, K: SlopeConstants, C_hat: float) ->
     h = g.h
     V = B.vol
     gn = B.slope_grad_norm2
-    # each integrand is formed in place on the box of the cutoff's support
-    # and released once it is integrated.  The disk integrals gather B_{r1}
-    # and B_{r2} from it in the same order (r2^2 = 9 is exact, so no node of
-    # B_{r2} lies off the box); the sums over the grid keep zeros around the
-    # box, as their pairwise grouping depends on where each node sits
+    # each integrand is formed in place one band of rows of the box of the
+    # cutoff's support at a time.  The disk integrals gather B_{r1} and
+    # B_{r2} from it band after band, in C order, into one array each
+    # (r2^2 = 9 is exact, so no node of B_{r2} lies off the box); the sums
+    # over the grid keep zeros around the box, as their pairwise grouping
+    # depends on where each node sits
     sup_int = float(np.max([np.max(gn[b] * V[b]) for b in _bands(0, g.n)]))
-    box, phi, (dphi1, dphi2) = _cutoff(r1, r2, g, with_phi=True)
-    bb = (box, box)
-    lhs = float(np.sum((gn[bb] * V[bb])[g.disk_mask(r1)[bb]]) * h * h)
-    disk = g.disk_mask(r2)[bb]
-    integrand = _quadform_inv(B, dphi1, dphi2, bb)
-    integrand *= V[bb]
-    i_phi = float(np.sum(integrand[disk]) * h * h)
-    integrand = np.multiply(phi, phi, out=integrand)
-    integrand *= V[bb]
-    i_phi2 = float(np.sum(integrand[disk]) * h * h)
-    del integrand, disk
+    box = _box(g, r2)
+    plateau, support = g.disk_mask(r1), g.disk_mask(r2)
+    grad_b = np.empty(np.count_nonzero(plateau[box, box]))
+    size = np.count_nonzero(support[box, box])
+    grad_phi, phi2 = np.empty(size), np.empty(size)
+    whole = np.zeros_like(V)
+    at1 = at2 = 0
+    for rows in _bands(box.start, box.stop):
+        _, phi, (dphi1, dphi2) = _cutoff(r1, r2, g, with_phi=True, rows=rows)
+        rb = (rows, box)
+        kept1, kept2 = plateau[rb], support[rb]
+        k1, k2 = np.count_nonzero(kept1), np.count_nonzero(kept2)
+        grad_b[at1 : at1 + k1] = (gn[rb] * V[rb])[kept1]
+        integrand = _quadform_inv(B, dphi1, dphi2, rb)
+        integrand *= V[rb]
+        grad_phi[at2 : at2 + k2] = integrand[kept2]
+        integrand = np.multiply(phi, phi, out=integrand)
+        integrand *= V[rb]
+        phi2[at2 : at2 + k2] = integrand[kept2]
+        integrand = np.multiply(phi, phi, out=whole[rb])
+        integrand *= B.slope_laplacian[rb]
+        integrand *= V[rb]
+        at1, at2 = at1 + k1, at2 + k2
+    lhs = float(np.sum(grad_b) * h * h)
+    i_phi = float(np.sum(grad_phi) * h * h)
+    i_phi2 = float(np.sum(phi2) * h * h)
+    del grad_b, grad_phi, phi2
     rhs = (4.0 / K.c**2) * i_phi + (2.0 / K.c) * C_hat * i_phi2
     slack = _disk_quad_slack(h, r1, sup_int)
     margin = rhs + slack - lhs
-    whole = np.zeros_like(V)
-    integrand = np.multiply(phi, phi, out=whole[bb])
-    integrand *= B.slope_laplacian[bb]
-    integrand *= V[bb]
     ibp_lhs = float(np.sum(whole) * h * h)
     # <2 phi grad_g phi, grad_g b>_g V, one band of box rows at a time
-    phi *= 2.0
     for rows in _bands(box.start, box.stop):
+        _, phi, (dphi1, dphi2) = _cutoff(r1, r2, g, with_phi=True, rows=rows)
+        phi *= 2.0
         gb1, gb2 = (gk[:, box] for gk in _gradient_rows(B.slope, h, rows))
-        k = slice(rows.start - box.start, rows.stop - box.start)
         form = (
-            B.inv11[rows, box] * dphi1[k] * gb1
-            + B.inv12[rows, box] * (dphi1[k] * gb2 + dphi2[k] * gb1)
-            + B.inv22[rows, box] * dphi2[k] * gb2
+            B.inv11[rows, box] * dphi1 * gb1
+            + B.inv12[rows, box] * (dphi1 * gb2 + dphi2 * gb1)
+            + B.inv22[rows, box] * dphi2 * gb2
         )
-        whole[rows, box] = form * phi[k] * V[rows, box]
+        whole[rows, box] = form * phi * V[rows, box]
     ibp_rhs = float(-np.sum(whole) * h * h)
     ibp_resid = abs(ibp_lhs - ibp_rhs)
     ibp_tol = IBP_COEFF * h

@@ -13,6 +13,7 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 import time
 import tracemalloc
 import types
@@ -1429,6 +1430,28 @@ class TestVerifyWork:
         assert len(peaks) == 2
         assert peaks[-1] < 7.5 * 8 * 129 * 129
 
+    # over what is alive when it starts, each check's traced peak in arrays
+    # of n^2 nodes at n=257 in bands of 16 rows (the share of the grid that
+    # bands of LB_BAND_ROWS = 64 rows are at n=1025), and what it was before
+    # the disk masks, the cutoff rows and the masked minima went to bands:
+    # cutoff_volume 1.34 (2.39), jacobi_pointwise 1.33 (3.25) with the slope
+    # gradient it builds, subharmonic 0.38 (1.25), super_iso 0.33 (1.26),
+    # weak_max_principle 0.76 (1.26) and jacobi_integral 2.63 (3.33) with its
+    # grid-sized sums
+    @pytest.mark.parametrize(
+        "check, bound",
+        [
+            ("check_cutoff_volume_identity", 1.6),
+            ("check_jacobi_pointwise", 1.6),
+            ("check_subharmonic_modified_slope", 0.6),
+            ("check_super_iso", 0.6),
+            ("check_weak_max_principle", 1.0),
+            ("check_jacobi_integral", 3.0),
+        ],
+    )
+    def test_peak_memory_of_a_check(self, check, bound):
+        assert _check_peaks_at_257()[check] < bound
+
     def test_lazy_state_has_its_own_timings(self, tmp_path):
         cfg = RunConfig(family="perturbed", eps=0.1, n=65, checks=["all"], out=str(tmp_path / "o"))
         t0 = time.perf_counter()
@@ -1442,6 +1465,44 @@ class TestVerifyWork:
         # disjoint pieces: none is charged twice
         assert all(t >= 0.0 for t in timings.values())
         assert sum(timings.values()) <= wall
+
+
+@functools.lru_cache(maxsize=None)
+def _check_peaks_at_257() -> dict:
+    """Traced peak of each check function of a checks=all verify of
+    perturbed(0.1) at n=257 in bands of 16 rows, over what is alive when it
+    starts, in arrays of n^2 nodes; a check run twice keeps its larger one."""
+    peaks = {}
+
+    def spy(name, check):
+        def measured(*args, **kwargs):
+            alive, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            report = check(*args, **kwargs)
+            peak = (tracemalloc.get_traced_memory()[1] - alive) / (8 * 257 * 257)
+            peaks[name] = max(peaks.get(name, 0.0), peak)
+            return report
+
+        return measured
+
+    with pytest.MonkeyPatch.context() as mp, tempfile.TemporaryDirectory() as tmp:
+        mp.setattr(lmce.grid, "LB_BAND_ROWS", 16)
+        for name in [k for k in vars(lmce.cli) if k.startswith("check_")]:
+            mp.setattr(lmce.cli, name, spy(name, getattr(lmce.cli, name)))
+
+        def config(n, out):
+            return RunConfig(family="perturbed", eps=0.1, n=n, checks=["all"], out=str(out))
+
+        # a coarse run first loads what only a first run allocates
+        cmd_verify(config(65, Path(tmp) / "warm"))
+        peaks.clear()
+        tracemalloc.start()
+        try:
+            _, code = cmd_verify(config(257, Path(tmp) / "o"))
+        finally:
+            tracemalloc.stop()
+    assert code == EXIT_PASS
+    return peaks
 
 
 _RELEASE_CASES = {

@@ -6,11 +6,12 @@ entry, never drop or change one.
 
 Regenerate (only when an output change is intended) with
 
-    PYTHONPATH=src python tests/test_golden.py
+    PYTHONPATH=src python tests/test_golden.py [NAME ...]
 
-which prints every cell that changes (`file, row, column: old -> new`; a
-JSON cell is one leaf of an entry, named by its dotted key) before it
-overwrites a file, so the diff can be audited.
+which rewrites the named cases (all of them when none is named) and prints
+every cell that changes (`file, row, column: old -> new`; a JSON cell is one
+leaf of an entry, named by its dotted key) before it overwrites a file, so
+the diff can be audited.
 """
 
 import csv
@@ -107,6 +108,18 @@ def test_inequalities_pass_by_the_documented_rule(name, tmp_path):
             assert e["margin"] == e["rhs"] + granted - e["lhs"], e["check"]
 
 
+def test_regenerating_named_cases_writes_only_theirs(tmp_path, monkeypatch, capsys):
+    golden = GOLDEN
+    monkeypatch.setitem(globals(), "GOLDEN", tmp_path)
+    _regenerate(["sweep_a", "verify_perturbed"])
+    written = ["sweep_a.csv", "verify_perturbed.csv", "verify_perturbed.entries.json"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == written
+    for name in written:
+        assert (tmp_path / name).read_bytes() == (golden / name).read_bytes(), name
+    with pytest.raises(SystemExit, match="no golden case named sweep_z"):
+        _regenerate(["sweep_z"])
+
+
 def _csv_cells(text: str) -> dict:
     header, *body = csv.reader(text.splitlines())
     return {(r, col): v for r, row in enumerate(body, 1) for col, v in zip(header, row)}
@@ -138,10 +151,13 @@ def _rewrite(path: Path, text: str, cells) -> None:
     path.write_bytes(text.encode())
 
 
-def _regenerate() -> None:
+def _regenerate(names: list[str]) -> None:
     import tempfile
 
-    for name in list(VERIFY_CASES) + list(SWEEP_CASES):
+    unknown = sorted(set(names) - VERIFY_CASES.keys() - SWEEP_CASES.keys())
+    if unknown:
+        sys.exit(f"no golden case named {', '.join(unknown)}")
+    for name in names:
         with tempfile.TemporaryDirectory() as tmp:
             out = Path(tmp)
             produced = _run(name, out)
@@ -153,4 +169,4 @@ def _regenerate() -> None:
 
 
 if __name__ == "__main__":
-    _regenerate()
+    _regenerate(sys.argv[1:] or list(VERIFY_CASES) + list(SWEEP_CASES))

@@ -272,6 +272,20 @@ class TestDiskQuadrature:
         assert other == g and hash(other) == hash(g)
         assert other.disk_mask(2.0) is not mask
 
+    # odd and even n, the smallest grid, bands below, at and off the height
+    @pytest.mark.parametrize("n", [5, 6, 64, 65, 129])
+    @pytest.mark.parametrize("rows", [1, 7, 64])
+    def test_banded_mask_is_the_whole_grid_comparison(self, monkeypatch, n, rows):
+        monkeypatch.setattr(lmce.grid, "LB_BAND_ROWS", rows)
+        L = 4.0
+        q = np.unique(build_grid(L, n).radius2())
+        # r = L, 0, the node circles themselves and radii between them
+        radii = [L, 0.0, 2.0, *np.sqrt(q[q <= L * L][:40])]
+        radii += [math.sqrt(0.5 * (a + b)) for a, b in zip(q[:40], q[1:41]) if b <= L * L]
+        for r in radii:
+            g = build_grid(L, n)  # a fresh grid, so no mask is cached
+            assert np.array_equal(g.disk_mask(r), g.radius2() <= r * r), r
+
 
 class TestSupNorm:
     def test_linear(self):
@@ -367,6 +381,25 @@ class TestCutoff:
         for want in expected:
             assert np.all(want[off] == 0.0)
         assert not np.any(g.disk_mask(3.0) & off)
+
+    @pytest.mark.parametrize("L, n", [(4.0, 65), (4.0, 64), (3.0, 33), (4.0, 257)])
+    @pytest.mark.parametrize("rows", [1, 7, 64])
+    @pytest.mark.parametrize("with_phi", [True, False])
+    def test_band_rows_are_the_whole_box_rows(self, monkeypatch, L, n, rows, with_phi):
+        monkeypatch.setattr(lmce.grid, "LB_BAND_ROWS", rows)
+        g = build_grid(L, n)
+        box, phi, grad = _cutoff(2.0, 3.0, g, with_phi=with_phi)
+        whole = ([phi] if with_phi else []) + grad
+        bands = _bands(box.start, box.stop)
+        assert [r for b in bands for r in range(b.start, b.stop)] == list(range(n))[box]
+        for b in bands:
+            band_box, band_phi, band_grad = _cutoff(2.0, 3.0, g, with_phi=with_phi, rows=b)
+            assert band_box == box
+            assert (band_phi is None) == (not with_phi)
+            k = slice(b.start - box.start, b.stop - box.start)
+            for got, want in zip(([band_phi] if with_phi else []) + band_grad, whole):
+                assert got.shape == (b.stop - b.start, box.stop - box.start)
+                assert np.array_equal(got.view(np.int64), want[k].view(np.int64))
 
     def test_slope_is_the_closed_form(self):
         # formed in place, the profile's slope keeps the bits of the

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import lmce.grid
 from lmce.errors import PreconditionError
 from lmce.geometry import (
     SlopeConstants,
@@ -229,7 +230,7 @@ class TestJacobiPointwise:
 class TestLocations:
     """jacobi_pointwise and subharmonic name the node of their smallest value:
     np.argmin over the masked full array, so the first node in C order on a
-    tie."""
+    tie, whatever the height of the bands they take their minima in."""
 
     @staticmethod
     def _argmin(values, mask):
@@ -246,6 +247,15 @@ class TestLocations:
         ],
     )
     def test_node_of_the_smallest_value(self, family):
+        self._assert_smallest_value(family)
+
+    @pytest.mark.parametrize("family", [perturbed_family(0.1), quadratic_family(1.0)])
+    @pytest.mark.parametrize("rows", [1, 7])
+    def test_band_height_keeps_the_node(self, monkeypatch, family, rows):
+        monkeypatch.setattr(lmce.grid, "LB_BAND_ROWS", rows)
+        self._assert_smallest_value(family)
+
+    def _assert_smallest_value(self, family):
         g = build_grid(4.0, 65)
         B = bundle(manufacture(family, g).u_exact)
         K = SlopeConstants(c=0.5, A=fit_modification_weight(B, rho=2.0)[0])
@@ -258,6 +268,8 @@ class TestLocations:
         mask = interior & gap if np.any(interior & gap) else interior
         assert rep.location == self._argmin(defect, mask)
         assert defect[rep.location] == rep.fitted["min_defect"]
+        assert rep.details["nodes_checked"] == np.count_nonzero(mask)
+        assert rep.excluded == np.count_nonzero(interior & ~mask)
         rep = check_subharmonic_modified_slope(B, K, trials=20)
         C = B.negated if rep.details["canonicalized"] else B
         lap = C.slope_laplacian + K.A * C.paraboloid_laplacian
@@ -267,6 +279,12 @@ class TestLocations:
 
     def test_tie_takes_the_first_node(self, grid129):
         # constant slope: every defect is 0, so the first interior node
+        B = bundle(sample(lambda x1, x2: 0.5 * (x1 * x1 + x2 * x2), grid129))
+        assert check_jacobi_pointwise(B, K_DEFAULT).location == (2, 2)
+
+    def test_tie_across_bands_takes_the_first_band(self, monkeypatch, grid129):
+        # every band of one row holds the smallest defect, 0
+        monkeypatch.setattr(lmce.grid, "LB_BAND_ROWS", 1)
         B = bundle(sample(lambda x1, x2: 0.5 * (x1 * x1 + x2 * x2), grid129))
         assert check_jacobi_pointwise(B, K_DEFAULT).location == (2, 2)
 
