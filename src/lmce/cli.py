@@ -514,7 +514,7 @@ class _Context:
     @_timed_lazy
     def bmod(self) -> ScalarField2:
         # the slope of the bundle that the weight A is fitted on
-        B, _, _ = _canonical_on_disk(self.bundle, self.cfg.rho)
+        B = _canonical_on_disk(self.bundle, self.cfg.rho)[0]
         return modified_slope(B, self.constants)
 
     @_timed_lazy

@@ -50,9 +50,13 @@ PHASE_SPLIT = 0.75 * math.pi
 REGIME_CUSHION = 1e-12
 
 
-def _negative_phase(pmin: float, pmax: float) -> bool:
-    """Whether a phase with these extremes is <= 0 everywhere, < 0 somewhere."""
-    return pmax <= 0.0 and pmin < 0.0
+def _canonical_span(pmin: float, pmax: float) -> tuple[bool, tuple[float, float]]:
+    """Whether the checks negate the potential of a phase with these extremes,
+    as they do when it is <= 0 everywhere and < 0 somewhere, and the extremes
+    of the phase they then read: the negated phase's, these negated and swapped."""
+    if pmax <= 0.0 and pmin < 0.0:
+        return True, (-pmax, -pmin)
+    return False, (pmin, pmax)
 
 
 def classify_phase(phase: np.ndarray, delta: float) -> str:
@@ -62,10 +66,9 @@ def classify_phase(phase: np.ndarray, delta: float) -> str:
     the checks negate its potential.  Then, each boundary closed by
     REGIME_CUSHION: "subcritical" if min < delta, "case2" if min > 3pi/4,
     "case1" if max <= 3pi/4, else "straddle" (supercritical, both regimes
-    present).  Callers pass the phase on the region they read."""
-    pmin, pmax = float(np.min(phase)), float(np.max(phase))
-    if _negative_phase(pmin, pmax):
-        pmin, pmax = -pmax, -pmin
+    present).  Callers pass the phase on the region they read, or its
+    (min, max), which falls in the same regime."""
+    _, (pmin, pmax) = _canonical_span(float(np.min(phase)), float(np.max(phase)))
     if pmin < delta - REGIME_CUSHION:
         return "subcritical"
     if pmin > PHASE_SPLIT + REGIME_CUSHION:

@@ -187,6 +187,34 @@ def _bands(lo: int, hi: int) -> list[slice]:
     return [slice(r0, min(r0 + LB_BAND_ROWS, hi)) for r0 in range(lo, hi, LB_BAND_ROWS)]
 
 
+def _extreme(block: np.ndarray, r0: int, c0: int, pick) -> tuple[tuple[int, int], float]:
+    """(node, value) of the entry pick (np.argmin or np.argmax) chooses in a
+    block whose first node is (r0, c0): its first such node in C order."""
+    i, j = np.unravel_index(pick(block), block.shape)
+    return (int(i) + r0, int(j) + c0), float(block[i, j])
+
+
+def _located(values, rows: slice, col0: int = 0, pick=np.argmin) -> tuple[tuple[int, int], float]:
+    """_extreme of the block of grid rows `rows`, first column col0, formed
+    band by band by values(band), as pick chooses on the whole block."""
+    parts = [_extreme(values(b), b.start, col0, pick) for b in _bands(rows.start, rows.stop)]
+    return parts[int(pick([x for _, x in parts]))]
+
+
+def _span(values, mask: np.ndarray) -> tuple[float, float]:
+    """(min, max) over the nodes of an (n, n) boolean mask of the array formed
+    band by band by values(band), with no gather: the values np.min and
+    np.max take on the masked nodes, NaN included; (inf, -inf) for an empty mask."""
+    lows, highs = [math.inf], [-math.inf]
+    for b in _bands(0, len(mask)):
+        if mask[b].any():
+            v = values(b)
+            lows.append(np.min(v, initial=math.inf, where=mask[b]))
+            highs.append(np.max(v, initial=-math.inf, where=mask[b]))
+            del v  # freed before the next band's values are formed
+    return float(np.min(lows)), float(np.max(highs))
+
+
 def _slab(n: int, band: slice) -> tuple[slice, slice]:
     """(slab, the band's rows in it): the band and a halo row each side, widened
     to the four rows of the one-sided stencils, which _d2 forms at the slab's
@@ -252,11 +280,11 @@ def integrate_disk(f: ScalarField2, r: float) -> float:
 
 
 def sup_norm_disk(f: ScalarField2, r: float) -> float:
-    """Max of |f| over grid nodes with |x| <= r."""
+    """Max of |f| over grid nodes with |x| <= r, formed band by band."""
     mask = f.grid.disk_mask(r)
     if not mask.any():
         raise ValueError(f"no grid nodes inside disk of radius {r}")
-    return float(np.max(np.abs(f.values[mask])))
+    return _span(lambda b: np.abs(f.values[b]), mask)[1]
 
 
 # the cutoff that tests the slope curvature inequality: plateau B_2, the disk

@@ -25,8 +25,10 @@ from .grid import (
     _bands,
     _box,
     _cutoff,
+    _extreme,
     _gradient_rows,
     _hessian_rows,
+    _located,
 )
 
 __all__ = [
@@ -97,20 +99,6 @@ class CheckReport:
         return {k: v for k, v in asdict(self).items() if v is not None}
 
 
-def _worst(resid: np.ndarray, r0: int = 0, c0: int = 0) -> tuple[tuple[int, int], float]:
-    """The first node in C order of the largest |resid|, offset by (r0, c0),
-    and that value; resid becomes |resid|."""
-    np.abs(resid, out=resid)
-    i, j = np.unravel_index(np.argmax(resid), resid.shape)
-    return (int(i) + r0, int(j) + c0), float(resid[i, j])
-
-
-def _worst_rows(n: int, resid) -> tuple[tuple[int, int], float]:
-    """_worst of an (n, n) residual formed band by band by resid(b), as np.argmax picks."""
-    parts = [_worst(resid(b), b.start) for b in _bands(0, n)]
-    return parts[int(np.argmax([mx for _, mx in parts]))]
-
-
 def _report(name, worst, tol, tol_class, details=None, excluded=0) -> CheckReport:
     loc, mx = worst
     return CheckReport(
@@ -148,12 +136,13 @@ def check_form_equivalence(B: GeometryBundle, psi: ScalarField2) -> CheckReport:
 
     def r2(b):
         lam1, lam2, p = B.lam1[b], B.lam2[b], psi.values[b]
-        return np.cos(p) * (lam1 + lam2) + np.sin(p) * (lam1 * lam2 - 1.0)
+        r = np.cos(p) * (lam1 + lam2) + np.sin(p) * (lam1 * lam2 - 1.0)
+        return np.abs(r, out=r)
 
     vmax = float(np.max(B.vol))
     scale_tol = (1.0 + vmax) * max_r1 + FORM_SLACK_COEFF * h * h
     phase_tol = FORM_SLACK_COEFF * h * h
-    loc, max_r2 = _worst_rows(g.n, r2)
+    loc, max_r2 = _located(r2, slice(0, g.n), pick=np.argmax)
     return CheckReport(
         check="form_equivalence",
         kind="identity/differencing",
@@ -183,8 +172,9 @@ def check_complex_factorization(B: GeometryBundle) -> CheckReport:
         im = lam1 + lam2 - vol * B.sin_phase[b]
         return np.maximum(np.abs(re), np.abs(im))
 
+    worst = _located(resid, slice(0, B.grid.n), pick=np.argmax)
     tol = FACTORIZATION_RTOL * (1.0 + float(np.max(B.vol)))
-    return _report("complex_factorization", _worst_rows(B.grid.n, resid), tol, "algebraic")
+    return _report("complex_factorization", worst, tol, "algebraic")
 
 
 def check_volume_formula(B: GeometryBundle) -> CheckReport:
@@ -204,16 +194,16 @@ def check_volume_formula(B: GeometryBundle) -> CheckReport:
     excluded = 0
 
     def resid(b):
-        # V - sig1/sin(phase) on the kept nodes, 0 on the others
+        # |V - sig1/sin(phase)| on the kept nodes, 0 on the others
         nonlocal excluded
         sin = B.sin_phase[b]
         mask = np.abs(sin) >= math.sin(VOLUME_SIN_FLOOR)
         excluded += mask.size - np.count_nonzero(mask)
         r = np.divide(B.lam1[b] + B.lam2[b], sin, out=np.zeros_like(sin), where=mask)
         np.subtract(B.vol[b], r, out=r, where=mask)
-        return r
+        return np.abs(r, out=r)
 
-    worst = _worst_rows(B.grid.n, resid)
+    worst = _located(resid, slice(0, B.grid.n), pick=np.argmax)
     if excluded == B.vol.size:
         raise PreconditionError("no nodes with sin(phase) above the cutoff")
     tol = VOLUME_RTOL * float(np.max(B.vol))
@@ -265,20 +255,19 @@ def check_cutoff_volume_identity(B: GeometryBundle) -> CheckReport:
         del dphi2
         np.subtract(rhs, lhs, out=margin[rb])
     min_margin = float(np.min(margin))
-    # the violation max(lhs - rhs, 0), lhs - rhs being rhs - lhs negated exactly
+    # the violation |max(lhs - rhs, 0)|, lhs - rhs being rhs - lhs negated exactly
     violation = np.negative(margin, out=margin)
-    np.maximum(violation, 0.0, out=violation)
+    np.abs(np.maximum(violation, 0.0, out=violation), out=violation)
+    worst = _located(lambda b: violation[b], slice(0, g.n), pick=np.argmax)
     tol = CUTOFF_SLACK_COEFF * g.h ** 2
-    return _report("cutoff_volume", _worst(margin), tol, "differencing", {"min_margin": min_margin})
+    return _report("cutoff_volume", worst, tol, "differencing", {"min_margin": min_margin})
 
 
 def check_slope_volume(B: GeometryBundle) -> CheckReport:
     """Slope dominated by volume element: b <= V node-wise (zero tolerance)."""
-    resid = B.slope - B.vol
-    i, j = np.unravel_index(np.argmax(resid), resid.shape)
-    mx = float(resid[i, j])
-    # b <= ln V < V leaves no zero, so -mx is the smallest V - b bit for bit
-    return _report("slope_volume", ((int(i), int(j)), mx), 0.0, "algebraic", {"min_margin": -mx})
+    worst = _located(lambda b: B.slope[b] - B.vol[b], slice(0, B.grid.n), pick=np.argmax)
+    # b <= ln V < V leaves no zero, so -max(b - V) is the smallest V - b bit for bit
+    return _report("slope_volume", worst, 0.0, "algebraic", {"min_margin": -worst[1]})
 
 
 def check_coordinate_laplacian(
@@ -317,7 +306,7 @@ def check_coordinate_laplacian(
             # |lap_g x_k - (-(M w)_k)| on the inner nodes, summed into the lift
             core = mw[:, m:-m]
             core += _lb_rows(xk, B, rows)[:, m - 1 : g.n - m - 1]
-            parts[k].append((k + 1, _worst(core, rows.start, m)))
+            parts[k].append((k + 1, _extreme(np.abs(core, out=core), rows.start, m, np.argmax)))
     # the node np.argmax picks on the two components stacked
     stacked = parts[0] + parts[1]
     k, worst = stacked[int(np.argmax([mx for _, (_, mx) in stacked]))]

@@ -11,9 +11,9 @@ inequality and the stability of its constants under refinement.
 Quadrature slack convention: node-indicator disk quadrature carries an O(h)
 boundary layer, so integral comparisons over a disk of radius r receive
 20*h*r*sup|integrand| of slack, reported in the result so a failure can
-never be a boundary-layer artifact.  Each check that needs a phase regime
-takes it from `classify_phase` on the region it reads, and uniformly
-negative-phase bundles are canonicalized by negating the potential.
+never be a boundary-layer artifact.  A check that reads a uniformly
+negative phase negates the potential, and takes that flip and any phase
+regime (`classify_phase`) from one (min, max) of its region's phase.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from .errors import PreconditionError
 from .geometry import (
     GeometryBundle,
     SlopeConstants,
-    _negative_phase,
+    _canonical_span,
     _quadform_inv,
     classify_phase,
     modified_slope,
@@ -41,6 +41,8 @@ from .grid import (
     _box,
     _cutoff,
     _gradient_rows,
+    _located,
+    _span,
     gradient_norm,
     integrate_disk,
     sup_norm_disk,
@@ -87,13 +89,17 @@ def _disk_quad_slack(h: float, r: float, sup_integrand: float) -> float:
     return 20.0 * h * r * max(1.0, sup_integrand)
 
 
-def _canonical(B: GeometryBundle, region=None) -> tuple[GeometryBundle, bool]:
-    """Flip to the negated potential when the phase is uniformly <= 0 on the
-    region the check reads (default: the whole grid), the region it classifies."""
-    phase = B.phase if region is None else B.phase[region]
-    if _negative_phase(float(np.min(phase)), float(np.max(phase))):
-        return B.negated, True
-    return B, False
+def _canonical(B: GeometryBundle, region=None) -> tuple[GeometryBundle, bool, tuple[float, float]]:
+    """(bundle, flipped, span): B or, when its phase is uniformly <= 0 on the
+    region the check reads (a boolean mask; default: the whole grid), the
+    bundle of the negated potential, and that bundle's phase (min, max) on the
+    region, all from one pass over B's phase (see geometry._canonical_span)."""
+    if region is None:
+        span = float(np.min(B.phase)), float(np.max(B.phase))
+    else:
+        span = _span(lambda b: B.phase[b], region)
+    flipped, span = _canonical_span(*span)
+    return (B.negated if flipped else B), flipped, span
 
 
 def sampler_grid_problem(grid: Grid2, radius: float) -> str:
@@ -138,8 +144,7 @@ def check_weak_max_principle(
     vals = f.values
     if grad_norm is None:
         grad_norm = gradient_norm(f)
-    lip_mask = g.disk_mask(min(g.L, radius + 2 * h))
-    lip = float(np.max(grad_norm.values[lip_mask]))
+    lip = sup_norm_disk(grad_norm, min(g.L, radius + 2 * h))
     slack = WMP_SLACK_COEFF * h * lip
     band = 2.0 * h
     size_lo = max(6.0 * h, 0.15)
@@ -241,7 +246,8 @@ def check_super_iso(
             f"{SAMPLED_RADIUS}"
         )
     b2 = g.disk_mask(SAMPLED_RADIUS)
-    if float(np.min(f.values[b2])) < 0.0:
+    f_min, f_max = _span(lambda b: f.values[b], b2)
+    if f_min < 0.0:
         raise PreconditionError("super isoperimetric check needs f >= 0 on B2")
     dmag = gradient_norm(f) if grad_norm is None else grad_norm
     if wmp is None:
@@ -254,7 +260,7 @@ def check_super_iso(
     lhs = sup_norm_disk(f, 1.0)
     int_grad = integrate_disk(dmag, SAMPLED_RADIUS)
     int_f = integrate_disk(f, SAMPLED_RADIUS)
-    sup_int = float(np.max(dmag.values[b2]) + np.max(f.values[b2]))
+    sup_int = _span(lambda b: dmag.values[b], b2)[1] + f_max
     slack = _disk_quad_slack(g.h, SAMPLED_RADIUS, sup_int)
     rhs = int_grad + int_f
     margin = rhs + slack - lhs
@@ -270,35 +276,17 @@ def check_super_iso(
     )
 
 
-def _interior_mask(n: int) -> np.ndarray:
-    m = np.zeros((n, n), dtype=bool)
-    k = INTERIOR_MARGIN
-    m[k:-k, k:-k] = True
-    return m
-
-
-def _argmin_rows(inner: slice, values) -> tuple[tuple[int, int], float]:
-    """(node, value) of the minimum of the block (inner, inner) of the grid,
-    formed band by band by values(rows), +inf off the nodes it keeps: the
-    first node in C order, as np.argmin on the whole block picks."""
-    parts = []
-    for rows in _bands(inner.start, inner.stop):
-        v = values(rows)
-        i, j = np.unravel_index(np.argmin(v), v.shape)
-        parts.append(((int(i) + rows.start, int(j) + inner.start), float(v[i, j])))
-    return parts[int(np.argmin([m for _, m in parts]))]
-
-
-def _canonical_on_disk(B: GeometryBundle, rho: float) -> tuple[GeometryBundle, np.ndarray, bool]:
-    """The bundle of the modified slope: B canonical on the interior nodes of
-    |x| <= rho, that region (where the weight A is fitted and the subharmonic
-    check reads), and whether B was flipped.  A disk whose interior holds no
-    node fails the precondition of the check that reads it."""
-    mask = _interior_mask(B.grid.n) & B.grid.disk_mask(rho)
+def _canonical_on_disk(B: GeometryBundle, rho: float):
+    """(bundle, flipped, span, mask): _canonical of B on the interior nodes of
+    |x| <= rho, where the weight A is fitted and the subharmonic check reads
+    (the bundle of the modified slope), with their mask.  A disk whose
+    interior holds no node fails the precondition of the check that reads it."""
+    disk, k = B.grid.disk_mask(rho), INTERIOR_MARGIN
+    mask = np.zeros_like(disk)
+    mask[k:-k, k:-k] = disk[k:-k, k:-k]
     if not mask.any():
         raise PreconditionError(f"no interior node in the disk of radius rho={rho}")
-    B, flipped = _canonical(B, mask)
-    return B, mask, flipped
+    return (*_canonical(B, mask), mask)
 
 
 def check_jacobi_pointwise(
@@ -320,10 +308,8 @@ def check_jacobi_pointwise(
     the bundle's cached slope fields.  location is the node of the smallest
     defect.
     """
-    B, flipped = _canonical(B)
+    B, flipped, _ = _canonical(B)
     g = B.grid
-    lap = B.slope_laplacian
-    gn = B.slope_grad_norm2
     k = INTERIOR_MARGIN
     inner = slice(k, g.n - k)
     excluded = 0
@@ -332,8 +318,8 @@ def check_jacobi_pointwise(
         # lap - c |grad_g b|^2 on the band's interior nodes, +inf on those
         # the eigenvalue-gap filter leaves out
         nonlocal excluded
-        d = K.c * gn[rows, inner]
-        np.subtract(lap[rows, inner], d, out=d)
+        d = K.c * B.slope_grad_norm2[rows, inner]
+        np.subtract(B.slope_laplacian[rows, inner], d, out=d)
         if gap_filter:
             lam1 = B.lam1[rows, inner]
             gap_ok = (lam1 - B.lam2[rows, inner]) >= EIGEN_GAP_FLOOR * (1.0 + np.abs(lam1))
@@ -341,13 +327,14 @@ def check_jacobi_pointwise(
             np.copyto(d, np.inf, where=~gap_ok)
         return d
 
-    loc, m = _argmin_rows(inner, lambda rows: defect(rows, True))
+    loc, m = _located(lambda rows: defect(rows, True), inner, k)
     nodes = (g.n - 2 * k) ** 2
     if excluded == nodes:
-        span = float(np.max(B.slope) - np.min(B.slope))
-        if span <= 1e-12 * (1.0 + float(np.max(np.abs(B.slope)))):
+        # the slope is >= 0, so its largest value is its largest magnitude
+        lo, hi = float(np.min(B.slope)), float(np.max(B.slope))
+        if hi - lo <= 1e-12 * (1.0 + hi):
             # coalesced eigenvalues with constant slope: smooth, keep all nodes
-            loc, m = _argmin_rows(inner, lambda rows: defect(rows, False))
+            loc, m = _located(lambda rows: defect(rows, False), inner, k)
             excluded = 0
         else:
             raise PreconditionError("eigenvalue-gap filter excluded every node")
@@ -382,7 +369,7 @@ def fit_modification_weight(B: GeometryBundle, *, rho: float) -> tuple[float, fl
     on the bundle canonical on it, the one the subharmonic check reads.
     Returns (A_hat, attained minimum at A_hat).
     """
-    B, mask, _ = _canonical_on_disk(B, rho)
+    B, _, _, mask = _canonical_on_disk(B, rho)
     lap_b = B.slope_laplacian[mask]
     lap_q = B.paraboloid_laplacian[mask]
 
@@ -431,11 +418,9 @@ def check_subharmonic_modified_slope(
     sampler when the check samples that same disk, i.e. rho >= SAMPLED_RADIUS.
     location is the node of the smallest lap_g(b_mod) on the region.
     """
-    B, mask, flipped = _canonical_on_disk(B, rho)
-    if classify_phase(B.phase[mask], K.delta) == "subcritical":
-        raise PreconditionError(
-            f"modified-slope check needs phase >= delta={K.delta} on the region"
-        )
+    B, flipped, span, mask = _canonical_on_disk(B, rho)
+    if classify_phase(span, K.delta) == "subcritical":
+        raise PreconditionError(f"modified-slope check needs phase >= delta={K.delta} on the region")
     inner = slice(INTERIOR_MARGIN, B.grid.n - INTERIOR_MARGIN)
 
     def lap_mod(rows):
@@ -443,7 +428,7 @@ def check_subharmonic_modified_slope(
         np.copyto(lap, np.inf, where=~mask[rows, inner])
         return lap
 
-    loc, m = _argmin_rows(inner, lap_mod)
+    loc, m = _located(lap_mod, inner, inner.start)
     radius = min(rho, SAMPLED_RADIUS)
     if wmp is None or radius != SAMPLED_RADIUS:
         bmod = modified_slope(B, K)
@@ -479,7 +464,7 @@ def check_jacobi_integral(B: GeometryBundle, K: SlopeConstants, C_hat: float) ->
     nodal-versus-half-node quadrature mismatch, since phi vanishes well
     inside the grid (its support must stay INTERIOR_MARGIN nodes inside).
     """
-    B, flipped = _canonical(B)
+    B, flipped, _ = _canonical(B)
     g = B.grid
     r1, r2 = CUTOFF_PLATEAU_RADIUS, CUTOFF_SUPPORT_RADIUS
     if r2 > g.L - INTERIOR_MARGIN * g.h:
@@ -590,47 +575,42 @@ def check_volume_bound(B: GeometryBundle, K: SlopeConstants) -> CheckReport:
     if mid > g.L:
         raise PreconditionError(f"volume bound needs the grid to contain the disk of radius {mid}")
     middle = g.disk_mask(mid)
-    B, flipped = _canonical(B, middle)
-    regime = classify_phase(B.phase[middle], K.delta)
+    B, flipped, span = _canonical(B, middle)
+    regime = classify_phase(span, K.delta)
     if regime not in ("case1", "case2"):
         raise PreconditionError(
             f"volume bound needs one supercritical regime on the middle disk, got {regime!r}"
         )
     dmag = ScalarField2(g, B.grad_norm)
+    du_mid = sup_norm_disk(dmag, mid)
     if regime == "case1":
         region = g.disk_mask(inner)
         sd = math.sin(K.delta)
-        sig1 = B.sig1[region]
-        margin_nodes = sig1 - B.vol[region] * sd
-        node_min = float(np.min(margin_nodes))
+        node_min, _ = _span(lambda b: B.lam1[b] + B.lam2[b] - B.vol[b] * sd, region)
         int_v = integrate_disk(ScalarField2(g, B.vol), inner)
-        du_sup = sup_norm_disk(dmag, mid)
-        c2 = sd * int_v / du_sup if du_sup > 0 else 0.0
+        c2 = sd * int_v / du_mid if du_mid > 0 else 0.0
         return CheckReport(
             check="volume_bound",
             kind="inequality",
-            lhs=float(np.max(B.vol[region] * sd)),
-            rhs=float(np.max(sig1)),
+            lhs=_span(lambda b: B.vol[b] * sd, region)[1],
+            rhs=_span(lambda b: B.lam1[b] + B.lam2[b], region)[1],
             margin=node_min,
             passed=bool(node_min >= 0.0),
             slack=0.0,
-            fitted={"C2": c2, "int_vol": int_v, "grad_sup": du_sup},
+            fitted={"C2": c2, "int_vol": int_v, "grad_sup": du_mid},
             details={"regime": regime, "canonicalized": flipped},
         )
     if outer > g.L:
-        raise PreconditionError(
-            f"case2 needs the grid to contain the disk of radius {outer}"
-        )
+        raise PreconditionError(f"case2 needs the grid to contain the disk of radius {outer}")
     lhs = integrate_disk(ScalarField2(g, B.vol), mid)
     du_outer = sup_norm_disk(dmag, outer)
     rhs = math.sqrt(2.0) * du_outer * du_outer
-    slack = _disk_quad_slack(g.h, mid, float(np.max(B.vol[middle])))
+    slack = _disk_quad_slack(g.h, mid, _span(lambda b: B.vol[b], middle)[1])
     margin = rhs + slack - lhs
     excess = B.sig2 - 1.0
     alt_lhs = integrate_disk(ScalarField2(g, excess), mid)
-    du_mid = sup_norm_disk(dmag, mid)
     alt_rhs = math.pi * du_mid * du_mid
-    alt_slack = _disk_quad_slack(g.h, mid, float(np.max(np.abs(excess))))
+    alt_slack = _disk_quad_slack(g.h, mid, max(float(np.max(excess)), -float(np.min(excess))))
     return CheckReport(
         check="volume_bound",
         kind="inequality",
@@ -698,18 +678,16 @@ def check_hessian_estimate(
         raise PreconditionError(f"estimate needs the grid to contain B_R, R={R}")
     if g.n % 2 == 0:
         raise PreconditionError(f"estimate needs the origin as a node, an odd n, got n={g.n}")
-    disk = g.disk_mask(R)
-    B, flipped = _canonical(B, disk)
+    B, flipped, span = _canonical(B, g.disk_mask(R))
     oi, oj = g.origin_index()
     level = float(max(abs(B.lam1[oi, oj]), abs(B.lam2[oi, oj])))
     du_sup = sup_norm_disk(ScalarField2(g, B.grad_norm), R)
     regime, growth, c_star = "degenerate", du_sup / R, 0.0
     if level > 1e-14:
-        regime = classify_phase(B.phase[disk], delta)
+        regime = classify_phase(span, delta)
         if regime == "subcritical":
             raise PreconditionError(
-                f"estimate needs supercritical phase >= delta={delta} on B_R "
-                f"(min {float(np.min(B.phase[disk])):.4f})"
+                f"estimate needs supercritical phase >= delta={delta} on B_R (min {span[0]:.4f})"
             )
         if regime == "straddle":
             raise PreconditionError("phase range straddles 3pi/4")

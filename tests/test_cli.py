@@ -1228,6 +1228,34 @@ class TestBenchmarkOutputs:
         assert bench.Workload.check(w, {"returncode": code}) == []
 
 
+# each check's bound on its traced peak over what is alive when it starts, in
+# arrays of n^2 nodes at n=257 in bands of 16 rows (the share of the grid that
+# bands of LB_BAND_ROWS = 64 rows are at n=1025).  Measured: cutoff_volume
+# 1.34 and jacobi_integral 2.63 with their grid-sized margin and sums,
+# complex_factorization 2.32 with the cos and sin of the phase it builds,
+# jacobi_pointwise 1.33 with the slope gradient it builds, coordinate_laplacian
+# 0.87, weak_max_principle 0.76, hessian_estimate 0.33, super_iso 0.33,
+# subharmonic 0.32, form_equivalence 0.25, volume_bound 0.20, volume_formula
+# 0.14 and slope_volume 0.07.  Before they
+# reduced through the banded kernels slope_volume formed 1.00, volume_bound
+# 1.27 and hessian_estimate 1.68
+_CHECK_PEAK_BOUNDS = {
+    "check_form_equivalence": 0.4,
+    "check_complex_factorization": 2.6,
+    "check_volume_formula": 0.3,
+    "check_cutoff_volume_identity": 1.6,
+    "check_slope_volume": 0.3,
+    "check_coordinate_laplacian": 1.1,
+    "check_weak_max_principle": 1.0,
+    "check_super_iso": 0.6,
+    "check_jacobi_pointwise": 1.6,
+    "check_subharmonic_modified_slope": 0.6,
+    "check_jacobi_integral": 3.0,
+    "check_volume_bound": 0.4,
+    "check_hessian_estimate": 0.5,
+}
+
+
 class TestVerifyWork:
     def test_geometry_built_once_per_run(self, tmp_path, geometry_calls):
         cfg = RunConfig(family="perturbed", eps=0.1, n=65, checks=["all"], out=str(tmp_path / "o"))
@@ -1430,27 +1458,15 @@ class TestVerifyWork:
         assert len(peaks) == 2
         assert peaks[-1] < 7.5 * 8 * 129 * 129
 
-    # over what is alive when it starts, each check's traced peak in arrays
-    # of n^2 nodes at n=257 in bands of 16 rows (the share of the grid that
-    # bands of LB_BAND_ROWS = 64 rows are at n=1025), and what it was before
-    # the disk masks, the cutoff rows and the masked minima went to bands:
-    # cutoff_volume 1.34 (2.39), jacobi_pointwise 1.33 (3.25) with the slope
-    # gradient it builds, subharmonic 0.38 (1.25), super_iso 0.33 (1.26),
-    # weak_max_principle 0.76 (1.26) and jacobi_integral 2.63 (3.33) with its
-    # grid-sized sums
-    @pytest.mark.parametrize(
-        "check, bound",
-        [
-            ("check_cutoff_volume_identity", 1.6),
-            ("check_jacobi_pointwise", 1.6),
-            ("check_subharmonic_modified_slope", 0.6),
-            ("check_super_iso", 0.6),
-            ("check_weak_max_principle", 1.0),
-            ("check_jacobi_integral", 3.0),
-        ],
-    )
+    @pytest.mark.parametrize("check, bound", sorted(_CHECK_PEAK_BOUNDS.items()))
     def test_peak_memory_of_a_check(self, check, bound):
         assert _check_peaks_at_257()[check] < bound
+
+    def test_every_check_has_a_peak_bound(self):
+        # one function per registry check ran, and each has its bound above
+        peaks = _check_peaks_at_257()
+        assert len(peaks) == len(ALL_CHECKS)
+        assert set(peaks) == set(_CHECK_PEAK_BOUNDS)
 
     def test_lazy_state_has_its_own_timings(self, tmp_path):
         cfg = RunConfig(family="perturbed", eps=0.1, n=65, checks=["all"], out=str(tmp_path / "o"))

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 import lmce
 from lmce.geometry import (
@@ -522,6 +523,38 @@ class TestPhaseSignFacts:
             assert lam1 + lam2 > 0.0
         if math.pi / 2 < phase < math.pi:
             assert lam1 * lam2 > 1.0
+
+
+class TestNegatedPhase:
+    """The one-pass phase rule reads the negated bundle's phase extremes off
+    this bundle's: that phase is this one's negation, as arctan is odd."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(arrays(np.float64, (3, 5, 5), elements=st.floats(-1e6, 1e6)))
+    def test_negation_in_value_and_sign_bit(self, hess):
+        B = bundle_from_hessian(build_grid(1.0, 5), tuple(hess))
+        neg = B.negated.phase
+        assert np.array_equal(neg, -B.phase)
+        # the same bits off zero; a zero phase from two arctangents that
+        # cancel is +0 in both twins (below)
+        nonzero = B.phase != 0
+        assert _same_bits(neg[nonzero], -B.phase[nonzero])
+
+    def test_a_cancelled_phase_is_plus_zero_in_both_twins(self):
+        # a saddle, lam = (1, -1): a sign of zero that no comparison of the
+        # phase rule can see, so the flip and the regime do not depend on it
+        hess = (np.ones((5, 5)), np.zeros((5, 5)), -np.ones((5, 5)))
+        B = bundle_from_hessian(build_grid(1.0, 5), hess)
+        assert _same_bits(B.phase, np.zeros((5, 5)))
+        assert _same_bits(B.negated.phase, np.zeros((5, 5)))
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.lists(st.floats(-3.1, 3.1), min_size=1, max_size=20), st.floats(0.01, 1.0))
+    def test_regime_of_the_extremes_is_the_regime_of_the_phase(self, phase, delta):
+        phase = np.array(phase)
+        regime = classify_phase(phase, delta)
+        assert classify_phase((phase.min(), phase.max()), delta) == regime
+        assert classify_phase((-phase.max(), -phase.min()), delta) == classify_phase(-phase, delta)
 
 
 class TestSlopeConstants:

@@ -86,6 +86,18 @@ def test_verify_json_entries_only_gain_keys(name, tmp_path):
             assert after[key] == value, (before["check"], key)
 
 
+@pytest.mark.parametrize("name", sorted(VERIFY_CASES))
+def test_negated_phase_is_the_negation_bit_for_bit(name, tmp_path):
+    # what lets the checks take the negated bundle's phase (min, max) from
+    # one pass over this bundle's phase
+    import numpy as np
+
+    from lmce.cli import RunConfig, _Context
+
+    B = _Context(RunConfig(**VERIFY_CASES[name], out=str(tmp_path))).bundle
+    assert np.array_equal(B.negated.phase.view(np.int64), (-B.phase).view(np.int64))
+
+
 def _passes(e: dict) -> bool:
     """An inequality entry's verdict by the rule `CheckReport` states."""
     if e["check"] == "subharmonic":

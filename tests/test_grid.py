@@ -16,8 +16,10 @@ from lmce.grid import (
     _d2,
     _gradient_rows,
     _hessian_rows,
+    _located,
     _quintic_slope,
     _slab,
+    _span,
     build_grid,
     gradient_fd,
     hessian_fd,
@@ -285,6 +287,78 @@ class TestDiskQuadrature:
         for r in radii:
             g = build_grid(L, n)  # a fresh grid, so no mask is cached
             assert np.array_equal(g.disk_mask(r), g.radius2() <= r * r), r
+
+
+class TestBandedReductions:
+    """The located extremum and the masked span, formed band by band, are the
+    whole-array numpy reductions bit for bit, whatever the band height."""
+
+    @pytest.mark.parametrize("rows", [1, 3, 64])
+    @pytest.mark.parametrize("lo, c0", [(0, 0), (2, 2), (3, 5)])
+    def test_located_is_the_first_node_numpy_picks(self, monkeypatch, rows, lo, c0):
+        monkeypatch.setattr(lmce.grid, "LB_BAND_ROWS", rows)
+        n = 70
+        a = np.random.default_rng(rows + lo).integers(-2, 3, size=(n, n)).astype(float)
+        # each extreme ties across the first band boundary of the block, in a
+        # later column before it than after it, and twice within the later band
+        edge = min(lo + rows, n - 3)
+        a[edge - 1, 60] = a[edge, 10] = a[edge, 30] = -3.0
+        a[edge - 1, 50] = a[edge, 20] = a[edge, 40] = 3.0
+        block_rows = slice(lo, n - 2)
+        block = a[block_rows, c0:]
+        for pick, want_node in ((np.argmin, (edge - 1, 60)), (np.argmax, (edge - 1, 50))):
+            i, j = np.unravel_index(pick(block), block.shape)
+            assert (int(i) + lo, int(j) + c0) == want_node
+            node, value = _located(lambda b: a[b, c0:], block_rows, c0, pick)
+            assert node == want_node
+            assert np.float64(value).view(np.int64) == block[i, j].view(np.int64)
+
+    @pytest.mark.parametrize("rows", [1, 3, 64])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_span_is_the_extremes_of_the_gather(self, monkeypatch, rows, seed):
+        monkeypatch.setattr(lmce.grid, "LB_BAND_ROWS", rows)
+        rng = np.random.default_rng(seed)
+        g = build_grid(4.0, 70)
+        a = rng.standard_normal((70, 70)) * 10.0 ** rng.uniform(-5, 5, (70, 70))
+        tied = rng.integers(-2, 3, size=(70, 70)).astype(float)
+        masks = [g.disk_mask(r) for r in (0.1, 1.0, 2.5, 4.0)] + [rng.random((70, 70)) < 0.01]
+        for mask in masks:
+            # the extremes also at the first and the last masked node
+            planted = a.copy()
+            nodes = np.flatnonzero(mask)
+            planted.flat[nodes[0]], planted.flat[nodes[-1]] = 1e300, -1e300
+            for values in (a, tied, planted):
+                lo, hi = _span(lambda b: values[b], mask)
+                want = values[mask]
+                assert np.float64(lo).view(np.int64) == np.min(want).view(np.int64)
+                assert np.float64(hi).view(np.int64) == np.max(want).view(np.int64)
+
+    def test_span_of_an_empty_mask(self):
+        mask = np.zeros((6, 6), dtype=bool)
+        assert _span(lambda b: np.zeros((b.stop - b.start, 6)), mask) == (math.inf, -math.inf)
+
+    def test_span_propagates_a_masked_nan(self, monkeypatch):
+        monkeypatch.setattr(lmce.grid, "LB_BAND_ROWS", 3)
+        values = np.arange(64.0).reshape(8, 8)
+        values[6, 6] = np.nan
+        mask = np.zeros((8, 8), dtype=bool)
+        mask[1, 1] = True
+        assert _span(lambda b: values[b], mask) == (9.0, 9.0)
+        mask[6, 6] = True
+        assert all(math.isnan(x) for x in _span(lambda b: values[b], mask))
+
+    def test_span_skips_bands_without_a_masked_node(self, monkeypatch):
+        monkeypatch.setattr(lmce.grid, "LB_BAND_ROWS", 4)
+        mask = np.zeros((12, 12), dtype=bool)
+        mask[5, 7] = True
+        formed = []
+
+        def values(b):
+            formed.append(b)
+            return np.arange(b.start * 12, b.stop * 12, dtype=float).reshape(-1, 12)
+
+        assert _span(values, mask) == (67.0, 67.0)
+        assert formed == [slice(4, 8)]
 
 
 class TestSupNorm:

@@ -17,6 +17,7 @@ from lmce.geometry import (
 from lmce.grid import ScalarField2, build_grid, hessian_fd, sample
 from lmce.inequalities import (
     EIGEN_GAP_FLOOR,
+    _canonical,
     check_hessian_estimate,
     check_jacobi_integral,
     check_jacobi_pointwise,
@@ -519,6 +520,17 @@ class TestCanonicalOnRegion:
         assert (rep.details["regime"], rep.details["canonicalized"]) == ("case1", True)
         assert fit_modification_weight(B, rho=2.0) == fit_modification_weight(B.negated, rho=2.0)
 
+    @pytest.mark.parametrize("rows", [1, 7, 64])
+    def test_one_pass_span_is_the_canonical_bundles_own(self, B, monkeypatch, rows):
+        # the flip and the regime come from one (min, max) of B's phase on the
+        # region: they are the gathered extremes of the bundle it returns
+        monkeypatch.setattr(lmce.grid, "LB_BAND_ROWS", rows)
+        for region, flips in ((B.grid.disk_mask(3.0), True), (None, False)):
+            canon, flipped, span = _canonical(B, region)
+            assert (canon is B.negated, flipped) == (flips, flips)
+            phase = canon.phase if region is None else canon.phase[region]
+            assert span == (np.min(phase), np.max(phase))
+
 
 class TestExpBudgetFit:
     def test_unit_root(self):
@@ -623,6 +635,16 @@ class TestHessianEstimate:
         u = manufacture(quadratic_family(0.1), g).u_exact
         with pytest.raises(PreconditionError, match="supercritical"):
             check_hessian_estimate(bundle(u), 4.0)
+
+    def test_subcritical_message_on_a_negative_phase(self):
+        # the minimum it names is the negated bundle's, from the one
+        # (min, max) pass over this bundle's phase on B_R
+        u = manufacture(quadratic_family(0.1), build_grid(4.0, 65)).u_exact
+        with pytest.raises(PreconditionError) as exc:
+            check_hessian_estimate(bundle(ScalarField2(u.grid, -u.values)), 4.0)
+        assert str(exc.value) == (
+            "estimate needs supercritical phase >= delta=0.3 on B_R (min 0.1993)"
+        )
 
     def test_disk_must_fit(self):
         g = build_grid(2.0, 65)
