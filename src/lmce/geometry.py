@@ -257,17 +257,9 @@ def bundle(u: ScalarField2) -> GeometryBundle:
 def _quadform_inv(B: GeometryBundle, v1: np.ndarray, v2: np.ndarray, region=...) -> np.ndarray:
     """g^{ij} v_i v_j elementwise on a region of the grid (default all of
     it), with v1, v2 given on that region: inv11 v1 v1 + 2 inv12 v1 v2 +
-    inv22 v2 v2, each product formed left to right in place."""
-    q = B.inv11[region] * v1
-    q *= v1
-    t = 2.0 * B.inv12[region]
-    t *= v1
-    t *= v2
-    q += t
-    np.multiply(B.inv22[region], v2, out=t)
-    t *= v2
-    q += t
-    return q
+    inv22 v2 v2, each product formed left to right."""
+    inv11, inv12, inv22 = B.inv11[region], B.inv12[region], B.inv22[region]
+    return inv11 * v1 * v1 + 2.0 * inv12 * v1 * v2 + inv22 * v2 * v2
 
 
 def grad_g_norm2(f: ScalarField2, B: GeometryBundle) -> ScalarField2:

@@ -297,21 +297,10 @@ CUTOFF_SUPPORT_RADIUS = 3.0
 
 def _quintic_slope(rho, r1: float, r2: float):
     """Radial derivative of the quintic-smoothstep cutoff: -30 t^2 (1-t)^2/w
-    for t = (rho - r1)/w in (0, 1), w = r2 - r1, and 0 elsewhere; formed in
-    place with the operations of that expression."""
+    for t = (rho - r1)/w in (0, 1), w = r2 - r1, and 0 elsewhere."""
     w = r2 - r1
-    t = np.asarray(rho, dtype=float) - r1
-    t /= w
-    outside = ~((t > 0.0) & (t < 1.0))
-    t[outside] = 0.0
-    slope = -30.0 * t
-    slope *= t
-    np.subtract(1.0, t, out=t)
-    t *= t
-    slope *= t
-    slope /= w
-    slope[outside] = 0.0
-    return slope
+    t = (np.asarray(rho, dtype=float) - r1) / w
+    return np.where((t > 0.0) & (t < 1.0), -30.0 * t * t * (1.0 - t) ** 2 / w, 0.0)
 
 
 def _box(grid: Grid2, r: float) -> slice:
@@ -330,41 +319,24 @@ def _cutoff(r1: float, r2: float, grid: Grid2, with_phi: bool, rows: slice | Non
     The transition is the quintic 10t^3 - 15t^4 + 6t^5, which is C^2 in the
     radius.  Its slope peaks at 15/8, so max |grad phi| = 1.875/(r2 - r1)
     on the whole plane, below the generic spline bound 3/(r2 - r1).  Off the
-    box |x| > r2, where phi and its gradient vanish.  Each array is formed
-    in place with the operations of the closed form, node by node, so the
-    rows of one band of the box are those rows of the whole box bit for bit.
+    box |x| > r2, where phi and its gradient vanish.  Each array is the
+    closed form evaluated node by node, so the rows of one band of the box
+    are those rows of the whole box bit for bit.
     """
     if not (0.0 < r1 < r2 <= grid.L):
         raise ValueError(f"cutoff radii must satisfy 0 < r1 < r2 <= L, got ({r1}, {r2})")
     ax = grid.axis()
     box = _box(grid, r2)
     x1, x2 = ax[box if rows is None else rows][:, None], ax[box][None, :]
-    rho = np.hypot(*np.broadcast_arrays(x1, x2))
+    rho = np.hypot(x1, x2)
     phi = None
     if with_phi:
-        # 1 - t^3 (10 + t (-15 + 6 t)), t = clip((rho - r1)/(r2 - r1), 0, 1)
-        t = rho - r1
-        t /= r2 - r1
-        np.clip(t, 0.0, 1.0, out=t)
-        poly = 6.0 * t
-        poly += -15.0
-        poly *= t
-        poly += 10.0
-        phi = t * t
-        phi *= t
-        phi *= poly
-        np.subtract(1.0, phi, out=phi)
+        t = np.clip((rho - r1) / (r2 - r1), 0.0, 1.0)
         # near t = 1 round-off can leave t^3 (10 - 15 t + 6 t^2) just above 1
-        np.maximum(phi, 0.0, out=phi)
-        del t, poly
+        phi = np.maximum(1.0 - t * t * t * (10.0 + t * (-15.0 + 6.0 * t)), 0.0)
     dphi = _quintic_slope(rho, r1, r2)
-    # rho becomes the divisor of the unit radial direction; the transition
-    # zone excludes the origin, so the rho = 0 guard only affects nodes where
-    # dphi is already zero
-    np.copyto(rho, 1.0, where=~(rho > 0.0))
-    grad = []
-    for xk in (x1, x2):
-        gk = dphi * xk
-        gk /= rho
-        grad.append(gk)
-    return box, phi, grad
+    # rho is the divisor of the unit radial direction; the transition zone
+    # excludes the origin, so the rho = 0 guard only affects nodes where dphi
+    # is already zero
+    rho = np.where(rho > 0.0, rho, 1.0)
+    return box, phi, [dphi * x1 / rho, dphi * x2 / rho]

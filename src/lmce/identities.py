@@ -136,8 +136,7 @@ def check_form_equivalence(B: GeometryBundle, psi: ScalarField2) -> CheckReport:
 
     def r2(b):
         lam1, lam2, p = B.lam1[b], B.lam2[b], psi.values[b]
-        r = np.cos(p) * (lam1 + lam2) + np.sin(p) * (lam1 * lam2 - 1.0)
-        return np.abs(r, out=r)
+        return np.abs(np.cos(p) * (lam1 + lam2) + np.sin(p) * (lam1 * lam2 - 1.0))
 
     vmax = float(np.max(B.vol))
     scale_tol = (1.0 + vmax) * max_r1 + FORM_SLACK_COEFF * h * h
@@ -237,23 +236,12 @@ def check_cutoff_volume_identity(B: GeometryBundle) -> CheckReport:
     margin = np.zeros_like(B.vol)
     box = _box(g, CUTOFF_SUPPORT_RADIUS)
     for rows in _bands(box.start, box.stop):
-        # one band of the box of the cutoff's support, formed in place with
-        # the operations and operands of the closed form
+        # one band of the box of the cutoff's support
         _, _, (g1, g2) = _cutoff(*radii, g, with_phi=False, rows=rows)
         rb = (rows, box)
-        lhs = _quadform_inv(B, g1, g2, rb)
-        lhs *= B.vol[rb]
-        dphi2 = g1 * g1
-        del g1
-        rhs = g2 * g2
-        del g2
-        dphi2 += rhs
-        np.add(B.lam1[rb], B.lam2[rb], out=rhs)
-        rhs *= B.sin_phase[rb]
-        rhs += 2.0 * B.cos_phase[rb]
-        rhs *= dphi2
-        del dphi2
-        np.subtract(rhs, lhs, out=margin[rb])
+        lhs = _quadform_inv(B, g1, g2, rb) * B.vol[rb]
+        factor = 2.0 * B.cos_phase[rb] + (B.lam1[rb] + B.lam2[rb]) * B.sin_phase[rb]
+        margin[rb] = (g1 * g1 + g2 * g2) * factor - lhs
     min_margin = float(np.min(margin))
     # the violation |max(lhs - rhs, 0)|, lhs - rhs being rhs - lhs negated exactly
     violation = np.negative(margin, out=margin)

@@ -318,13 +318,12 @@ def check_jacobi_pointwise(
         # lap - c |grad_g b|^2 on the band's interior nodes, +inf on those
         # the eigenvalue-gap filter leaves out
         nonlocal excluded
-        d = K.c * B.slope_grad_norm2[rows, inner]
-        np.subtract(B.slope_laplacian[rows, inner], d, out=d)
+        d = B.slope_laplacian[rows, inner] - K.c * B.slope_grad_norm2[rows, inner]
         if gap_filter:
             lam1 = B.lam1[rows, inner]
             gap_ok = (lam1 - B.lam2[rows, inner]) >= EIGEN_GAP_FLOOR * (1.0 + np.abs(lam1))
             excluded += gap_ok.size - int(np.count_nonzero(gap_ok))
-            np.copyto(d, np.inf, where=~gap_ok)
+            d = np.where(gap_ok, d, np.inf)
         return d
 
     loc, m = _located(lambda rows: defect(rows, True), inner, k)
@@ -425,8 +424,7 @@ def check_subharmonic_modified_slope(
 
     def lap_mod(rows):
         lap = B.slope_laplacian[rows, inner] + K.A * B.paraboloid_laplacian[rows, inner]
-        np.copyto(lap, np.inf, where=~mask[rows, inner])
-        return lap
+        return np.where(mask[rows, inner], lap, np.inf)
 
     loc, m = _located(lap_mod, inner, inner.start)
     radius = min(rho, SAMPLED_RADIUS)
@@ -475,12 +473,12 @@ def check_jacobi_integral(B: GeometryBundle, K: SlopeConstants, C_hat: float) ->
     h = g.h
     V = B.vol
     gn = B.slope_grad_norm2
-    # each integrand is formed in place one band of rows of the box of the
-    # cutoff's support at a time.  The disk integrals gather B_{r1} and
-    # B_{r2} from it band after band, in C order, into one array each
-    # (r2^2 = 9 is exact, so no node of B_{r2} lies off the box); the sums
-    # over the grid keep zeros around the box, as their pairwise grouping
-    # depends on where each node sits
+    # each integrand is formed one band of rows of the box of the cutoff's
+    # support at a time.  The disk integrals gather B_{r1} and B_{r2} from
+    # it band after band, in C order, into one array each (r2^2 = 9 is
+    # exact, so no node of B_{r2} lies off the box); the sums over the grid
+    # keep zeros around the box, as their pairwise grouping depends on where
+    # each node sits
     sup_int = float(np.max([np.max(gn[b] * V[b]) for b in _bands(0, g.n)]))
     box = _box(g, r2)
     plateau, support = g.disk_mask(r1), g.disk_mask(r2)
@@ -495,15 +493,9 @@ def check_jacobi_integral(B: GeometryBundle, K: SlopeConstants, C_hat: float) ->
         kept1, kept2 = plateau[rb], support[rb]
         k1, k2 = np.count_nonzero(kept1), np.count_nonzero(kept2)
         grad_b[at1 : at1 + k1] = (gn[rb] * V[rb])[kept1]
-        integrand = _quadform_inv(B, dphi1, dphi2, rb)
-        integrand *= V[rb]
-        grad_phi[at2 : at2 + k2] = integrand[kept2]
-        integrand = np.multiply(phi, phi, out=integrand)
-        integrand *= V[rb]
-        phi2[at2 : at2 + k2] = integrand[kept2]
-        integrand = np.multiply(phi, phi, out=whole[rb])
-        integrand *= B.slope_laplacian[rb]
-        integrand *= V[rb]
+        grad_phi[at2 : at2 + k2] = (_quadform_inv(B, dphi1, dphi2, rb) * V[rb])[kept2]
+        phi2[at2 : at2 + k2] = (phi * phi * V[rb])[kept2]
+        whole[rb] = phi * phi * B.slope_laplacian[rb] * V[rb]
         at1, at2 = at1 + k1, at2 + k2
     lhs = float(np.sum(grad_b) * h * h)
     i_phi = float(np.sum(grad_phi) * h * h)
@@ -516,14 +508,13 @@ def check_jacobi_integral(B: GeometryBundle, K: SlopeConstants, C_hat: float) ->
     # <2 phi grad_g phi, grad_g b>_g V, one band of box rows at a time
     for rows in _bands(box.start, box.stop):
         _, phi, (dphi1, dphi2) = _cutoff(r1, r2, g, with_phi=True, rows=rows)
-        phi *= 2.0
         gb1, gb2 = (gk[:, box] for gk in _gradient_rows(B.slope, h, rows))
         form = (
             B.inv11[rows, box] * dphi1 * gb1
             + B.inv12[rows, box] * (dphi1 * gb2 + dphi2 * gb1)
             + B.inv22[rows, box] * dphi2 * gb2
         )
-        whole[rows, box] = form * phi * V[rows, box]
+        whole[rows, box] = form * (2.0 * phi) * V[rows, box]
     ibp_rhs = float(-np.sum(whole) * h * h)
     ibp_resid = abs(ibp_lhs - ibp_rhs)
     ibp_tol = IBP_COEFF * h
@@ -607,10 +598,21 @@ def check_volume_bound(B: GeometryBundle, K: SlopeConstants) -> CheckReport:
     rhs = math.sqrt(2.0) * du_outer * du_outer
     slack = _disk_quad_slack(g.h, mid, _span(lambda b: B.vol[b], middle)[1])
     margin = rhs + slack - lhs
-    excess = B.sig2 - 1.0
-    alt_lhs = integrate_disk(ScalarField2(g, excess), mid)
+
+    def excess(b):
+        return B.lam1[b] * B.lam2[b] - 1.0
+
+    # sup |sig2 - 1| over the whole grid, and its integral over B_mid from
+    # the gather integrate_disk would sum, filled band by band in C order
+    sup_excess = float(np.max([np.max(np.abs(excess(b))) for b in _bands(0, g.n)]))
+    gathered, at = np.empty(np.count_nonzero(middle)), 0
+    for b in _bands(0, g.n):
+        k = np.count_nonzero(middle[b])
+        gathered[at : at + k] = excess(b)[middle[b]]
+        at += k
+    alt_lhs = float(np.sum(gathered) * g.h * g.h)
     alt_rhs = math.pi * du_mid * du_mid
-    alt_slack = _disk_quad_slack(g.h, mid, max(float(np.max(excess)), -float(np.min(excess))))
+    alt_slack = _disk_quad_slack(g.h, mid, sup_excess)
     return CheckReport(
         check="volume_bound",
         kind="inequality",

@@ -16,6 +16,7 @@ from lmce.geometry import (
     SlopeConstants,
     _inverse_metric,
     _nondiv_kernel,
+    _quadform_inv,
     bundle,
     bundle_from_hessian,
     classify_phase,
@@ -155,6 +156,22 @@ class TestMetricGradient:
         B = bundle(sample(paraboloid(2.0), g))
         f = sample(lambda x1, x2: x1 + x2, g)
         np.testing.assert_allclose(grad_g_norm2(f, B).values, 0.4, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "region",
+        [..., (slice(0, 1), slice(None)), (slice(7, 23), slice(3, 40)), (slice(40, 65), slice(60, 65))],
+    )
+    def test_quadform_on_a_region_is_the_whole_arrays(self, region):
+        # g^{ij} v_i v_j on a block of rows and columns, zero signs included
+        g = build_grid(4.0, 65)
+        B = bundle(manufacture(anisotropic_family(-0.4, -1.0), g).u_exact)
+        rng = np.random.default_rng(5)
+        v1, v2 = rng.standard_normal((2, g.n, g.n))
+        v1[::3] = 0.0
+        v2[:, ::4] = -0.0
+        whole = B.inv11 * v1 * v1 + 2.0 * B.inv12 * v1 * v2 + B.inv22 * v2 * v2
+        got = _quadform_inv(B, v1[region], v2[region], region)
+        assert np.array_equal(got.view(np.int64), whole[region].view(np.int64))
 
 
 class TestLaplaceBeltrami:

@@ -476,8 +476,7 @@ class TestCutoff:
                 assert np.array_equal(got.view(np.int64), want[k].view(np.int64))
 
     def test_slope_is_the_closed_form(self):
-        # formed in place, the profile's slope keeps the bits of the
-        # expression, zero signs included
+        # the profile's slope keeps the bits of the expression, zero signs included
         rho = np.linspace(0.0, 4.0, 4001)
         t = (rho - 1.3) / (2.9 - 1.3)
         inside = (t > 0.0) & (t < 1.0)

@@ -14,7 +14,15 @@ from lmce.geometry import (
     classify_phase,
     modified_slope,
 )
-from lmce.grid import ScalarField2, build_grid, hessian_fd, sample
+from lmce.grid import (
+    ScalarField2,
+    _cutoff,
+    build_grid,
+    gradient_fd,
+    hessian_fd,
+    sample,
+    sup_norm_disk,
+)
 from lmce.inequalities import (
     EIGEN_GAP_FLOOR,
     _canonical,
@@ -417,6 +425,42 @@ class TestJacobiIntegral:
             resids.append(rep.fitted["ibp_residual"])
         assert resids[1] <= 0.7 * resids[0] + 1e-12
 
+    @pytest.mark.parametrize(
+        "family, flipped",
+        [(perturbed_family(0.1), False), (anisotropic_family(-0.4, -1.0), True)],
+        ids=["perturbed", "negative"],
+    )
+    @pytest.mark.parametrize("rows", [1, 7, 64])
+    def test_same_bits_as_the_closed_form(self, monkeypatch, family, flipped, rows):
+        # each integral from whole-array expressions on the canonical bundle,
+        # the cutoff and its gradient zero off the box of its support
+        monkeypatch.setattr(lmce.grid, "LB_BAND_ROWS", rows)
+        g = build_grid(4.0, 65)
+        B = bundle(manufacture(family, g).u_exact)
+        rep = check_jacobi_integral(B, K_DEFAULT, 0.25)
+        assert rep.details["canonicalized"] == flipped
+        C = B.negated if flipped else B
+        box, phi_box, grad_box = _cutoff(2.0, 3.0, g, with_phi=True)
+        phi, d1, d2 = (np.zeros((g.n, g.n)) for _ in range(3))
+        for whole, block in zip((phi, d1, d2), (phi_box, *grad_box)):
+            whole[box, box] = block
+        h, V, c = g.h, C.vol, K_DEFAULT.c
+        plateau, support = g.disk_mask(2.0), g.disk_mask(3.0)
+        grad_b = C.slope_grad_norm2 * V
+        grad_phi = (C.inv11 * d1 * d1 + 2.0 * C.inv12 * d1 * d2 + C.inv22 * d2 * d2) * V
+        lhs = float(np.sum(grad_b[plateau]) * h * h)
+        i_phi = float(np.sum(grad_phi[support]) * h * h)
+        i_phi2 = float(np.sum((phi * phi * V)[support]) * h * h)
+        rhs = (4.0 / c**2) * i_phi + (2.0 / c) * 0.25 * i_phi2
+        slack = 20.0 * h * 2.0 * max(1.0, float(np.max(grad_b)))
+        gb1, gb2 = gradient_fd(ScalarField2(g, C.slope))
+        form = C.inv11 * d1 * gb1 + C.inv12 * (d1 * gb2 + d2 * gb1) + C.inv22 * d2 * gb2
+        ibp_lhs = float(np.sum(phi * phi * C.slope_laplacian * V) * h * h)
+        ibp_rhs = float(-np.sum(form * (2.0 * phi) * V) * h * h)
+        assert (rep.lhs, rep.rhs, rep.margin) == (lhs, rhs, rhs + slack - lhs)
+        assert (rep.details["int_grad_phi"], rep.details["int_phi2"]) == (i_phi, i_phi2)
+        assert rep.fitted["ibp_residual"] == abs(ibp_lhs - ibp_rhs)
+
     def test_cutoff_support_too_wide(self):
         # the support B_3 reaches the edge of [-3, 3]^2
         g = build_grid(3.0, 65)
@@ -464,6 +508,30 @@ class TestVolumeBound:
         assert rep.fitted["alt_passed"] == 1.0
         assert rep.fitted["alt_lhs"] == pytest.approx(24.0 * 9.0 * math.pi, rel=0.02)
         assert rep.fitted["alt_rhs"] == pytest.approx(math.pi * 225.0, rel=1e-6)
+
+    @pytest.mark.parametrize("rows", [1, 7, 64])
+    def test_case2_alternative_is_the_closed_form(self, monkeypatch, rows):
+        # sig2 - 1 integrated over B_3 from the whole-array gather, its sup
+        # over the whole grid, where the quartic term makes it largest
+        monkeypatch.setattr(lmce.grid, "LB_BAND_ROWS", rows)
+        g = build_grid(4.0, 129)
+        B = bundle(
+            sample(
+                lambda x1, x2: 2.0 * (x1 * x1 + x2 * x2)
+                + 0.02 * (x1 * x1 + x2 * x2) ** 2
+                + 0.1 * np.sin(x1) * np.sin(x2),
+                g,
+            )
+        )
+        rep = check_volume_bound(B, K_DEFAULT)
+        assert rep.details["regime"] == "case2"
+        excess = B.lam1 * B.lam2 - 1.0
+        alt_lhs = float(np.sum(excess[g.disk_mask(3.0)]) * g.h * g.h)
+        du = sup_norm_disk(ScalarField2(g, B.grad_norm), 3.0)
+        sup = float(np.max(np.abs(excess)))
+        assert sup > float(np.max(np.abs(excess[g.disk_mask(3.0)])))
+        alt_margin = math.pi * du * du + 20.0 * g.h * 3.0 * max(1.0, sup) - alt_lhs
+        assert (rep.fitted["alt_lhs"], rep.fitted["alt_margin"]) == (alt_lhs, alt_margin)
 
     def test_regime_classified_on_middle_disk(self, grid129):
         steep = bundle(manufacture(quadratic_family(5.0), grid129).u_exact)
