@@ -258,7 +258,7 @@ def gradient_norm(f: ScalarField2) -> ScalarField2:
 
 def hessian_fd(f: ScalarField2) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Hessian (m11, m12, m22) by second-order differences, each a read-only
-    (n, n) array, not checked for finiteness (eigen_sym2 is).
+    (n, n) array, not checked for finiteness (its readers check it).
 
     Pure second derivatives use central stencils inside and one-sided
     four-point stencils on the boundary band; the mixed derivative is a

@@ -479,7 +479,6 @@ def check_jacobi_integral(B: GeometryBundle, K: SlopeConstants, C_hat: float) ->
     # exact, so no node of B_{r2} lies off the box); the sums over the grid
     # keep zeros around the box, as their pairwise grouping depends on where
     # each node sits
-    sup_int = float(np.max([np.max(gn[b] * V[b]) for b in _bands(0, g.n)]))
     box = _box(g, r2)
     plateau, support = g.disk_mask(r1), g.disk_mask(r2)
     grad_b = np.empty(np.count_nonzero(plateau[box, box]))
@@ -498,6 +497,7 @@ def check_jacobi_integral(B: GeometryBundle, K: SlopeConstants, C_hat: float) ->
         whole[rb] = phi * phi * B.slope_laplacian[rb] * V[rb]
         at1, at2 = at1 + k1, at2 + k2
     lhs = float(np.sum(grad_b) * h * h)
+    sup_int = float(np.max(grad_b))  # the lhs integrand's sup on B_{r1}
     i_phi = float(np.sum(grad_phi) * h * h)
     i_phi2 = float(np.sum(phi2) * h * h)
     del grad_b, grad_phi, phi2
@@ -599,18 +599,15 @@ def check_volume_bound(B: GeometryBundle, K: SlopeConstants) -> CheckReport:
     slack = _disk_quad_slack(g.h, mid, _span(lambda b: B.vol[b], middle)[1])
     margin = rhs + slack - lhs
 
-    def excess(b):
-        return B.lam1[b] * B.lam2[b] - 1.0
-
-    # sup |sig2 - 1| over the whole grid, and its integral over B_mid from
-    # the gather integrate_disk would sum, filled band by band in C order
-    sup_excess = float(np.max([np.max(np.abs(excess(b))) for b in _bands(0, g.n)]))
+    # sig2 - 1 on B_mid, the gather integrate_disk would sum, filled band
+    # by band in C order; its integral and its sup |.| there
     gathered, at = np.empty(np.count_nonzero(middle)), 0
     for b in _bands(0, g.n):
         k = np.count_nonzero(middle[b])
-        gathered[at : at + k] = excess(b)[middle[b]]
+        gathered[at : at + k] = (B.lam1[b] * B.lam2[b] - 1.0)[middle[b]]
         at += k
     alt_lhs = float(np.sum(gathered) * g.h * g.h)
+    sup_excess = max(float(np.max(gathered)), -float(np.min(gathered)))
     alt_rhs = math.pi * du_mid * du_mid
     alt_slack = _disk_quad_slack(g.h, mid, sup_excess)
     return CheckReport(

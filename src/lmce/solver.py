@@ -7,9 +7,11 @@ by construction and doubles as ground truth for convergence sweeps.  The
 Newton solver discretizes the arctangent form of the equation, whose
 linearization has the inverse graph metric as coefficients and is therefore
 uniformly elliptic at every iterate; the product form is kept only as a
-residual cross-check elsewhere.  Each Newton system is a matrix-free 9-point
-stencil, solved by BiCGSTAB preconditioned with an exact sine-transform solve
-of a frozen, row-scaled constant-coefficient operator; everything is numpy.
+residual cross-check elsewhere.  Its phase is atan2(tr M, 1 - det M) of the
+differenced Hessian M, by the complex factorization, so the solve forms no
+eigenvalue.  Each Newton system is a matrix-free 9-point stencil, solved by
+BiCGSTAB preconditioned with an exact sine-transform solve of a frozen,
+row-scaled constant-coefficient operator; everything is numpy.
 The Newton iteration is inexact (Dembo, Eisenstat & Steihaug, SIAM J. Numer.
 Anal. 19, 1982): each system is solved only to the relative residual eta_k
 that the outer convergence needs, the forcing term of Eisenstat & Walker
@@ -211,27 +213,25 @@ def phase_residual(u: ScalarField2, psi: ScalarField2) -> float:
 
 
 def _phase_defect(hess, psi: ScalarField2):
-    """(r, max |r|, max |lam|) for r = arctan(lam1) + arctan(lam2) - psi of
-    hess on the interior nodes, r an (n, n) array that is 0 on the boundary
-    ring, and lam the eigenvalues on the interior nodes.
+    """(r, max |r|) for r = arctan(lam1) + arctan(lam2) - psi of hess on the
+    interior nodes, r an (n, n) array that is 0 on the boundary ring.
 
-    Formed one band of rows at a time, so only r is grid-sized; each value
-    is the whole-grid expression's.  A non-finite entry of hess raises
-    ValueError also on the boundary ring, which r does not read, as
-    eigen_sym2 of the whole grid would.
+    No eigenvalue is formed: the complex factorization (1 + i lam1)(1 + i
+    lam2) = (1 - det M) + i tr M makes the phase, which lies in (-pi, pi),
+    atan2(tr M, 1 - det M).  Formed one band of rows at a time, so only r is
+    grid-sized.  max |r| is NaN when an entry of r is (a det M that
+    overflowed to inf - inf).
+    A non-finite entry of hess raises ValueError, also on the boundary ring.
     """
+    if not all(math.isfinite(f(m)) for m in hess for f in (np.min, np.max)):
+        raise ValueError("Hessian entries must be finite")  # min, max see NaN, inf
     n = len(psi.values)
-    eigen_sym2(*(m[:: n - 1] for m in hess))  # rows 0 and n - 1, checked finite
     r = np.zeros((n, n))
-    rn = big = 0.0
     for band in _bands(1, n - 1):
-        lam1, lam2 = (lam[:, 1:-1] for lam in eigen_sym2(*(m[band] for m in hess)))
-        r_band = r[band, 1:-1]
-        r_band[:] = np.arctan(lam1) + np.arctan(lam2) - psi.values[band, 1:-1]
-        rn = max(rn, float(np.max(np.abs(r_band))))
-        # as lam1 >= lam2, the largest |lam| is max lam1 or -min lam2
-        big = max(big, float(np.max(lam1)), -float(np.min(lam2)))
-    return r, rn, big
+        m11, m12, m22 = (m[band, 1:-1] for m in hess)
+        phase = np.arctan2(m11 + m22, 1.0 - (m11 * m22 - m12 * m12))
+        r[band, 1:-1] = phase - psi.values[band, 1:-1]
+    return r, max(float(np.max(r)), -float(np.min(r)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -512,9 +512,12 @@ def newton_solve(
     """Damped Newton iteration for the arctangent-form Dirichlet problem.
 
     The residual at interior nodes is arctan(lam1) + arctan(lam2) - psi of
-    the differenced Hessian; the Newton system has the inverse graph metric
-    as coefficients (positive definite at any iterate, so descent directions
-    never degenerate).  Each system is solved only to the relative residual
+    the differenced Hessian M, formed as atan2(tr M, 1 - det M) - psi
+    (_phase_defect); the Newton system has the inverse graph metric as
+    coefficients (positive definite at any iterate, so descent directions
+    never degenerate).  An iterate whose metric I + M^2 may overflow ends
+    the solve with "linearization lost ellipticity" before its system is
+    built.  Each system is solved only to the relative residual
     that _forcing_term gives.  Steps are damped by Armijo backtracking on
     the residual sup-norm (ARMIJO, halving down to MIN_STEP); a step whose
     backtracking fails is solved again, once, to ETA_MIN; if that one
@@ -544,16 +547,11 @@ def newton_solve(
     ring = np.abs(boundary.values[:: n - 1]), np.abs(boundary.values[:, :: n - 1])
     floor = np.finfo(float).eps * max(float(np.max(v)) for v in ring) / (grid.h * grid.h)
 
-    def residual(uarr: np.ndarray) -> tuple[np.ndarray, float, float, tuple]:
-        """The phase residual (0 on the boundary ring), its sup-norm, the
-        smallest eigenvalue of g^{-1} = (I + M^2)^{-1} on the interior nodes
-        (the ellipticity of the linearization at uarr) and the differenced
-        Hessian M.  The eigenvalue is 1/(1 + max lam^2), which keeps full
-        precision where the eigenvalues of g^{-1} itself cancel (one lam
-        huge, one O(1))."""
+    def residual(uarr: np.ndarray) -> tuple[np.ndarray, float, tuple]:
+        """The phase residual (0 on the boundary ring), its sup-norm and the
+        differenced Hessian M."""
         hess = hessian_fd(ScalarField2(grid, uarr))
-        r, rn, big = _phase_defect(hess, psi)
-        return r, rn, 1.0 / (1.0 + big * big), hess
+        return (*_phase_defect(hess, psi), hess)
 
     def direction(eta: float) -> np.ndarray:
         """The Newton direction at u, 0 on the boundary ring, solved to eta.
@@ -562,7 +560,7 @@ def newton_solve(
         search.  A re-solve rebuilds r and hess from u, bit for bit."""
         nonlocal r, hess
         if hess is None:
-            r, _, _, hess = residual(u)
+            r, _, hess = residual(u)
         A, M = _newton_system(grid, lambda rows: _inverse_metric(*(m[rows, 1:-1] for m in hess)))
         hess = None
         rhs = -r
@@ -575,25 +573,28 @@ def newton_solve(
         t = 1.0
         while t >= MIN_STEP:
             trial = u + t * step
-            r_new, rn_new, ell_new, hess = residual(trial)
+            r_new, rn_new, hess = residual(trial)
             if rn_new <= (1.0 - ARMIJO * t) * rn:
-                return t, trial, r_new, rn_new, ell_new, hess
+                return t, trial, r_new, rn_new, hess
             del trial, r_new, hess  # not alive in the next trial
             t *= 0.5
         return None
 
     u = _initial_iterate(grid, boundary, psi, initial)
-    r, rn, ell, hess = residual(u)
+    r, rn, hess = residual(u)
     residuals: list[float] = [rn]
     damping: list[float] = []  # one step length per Newton step taken
     systems: list[SystemSolve] = []
     message = ""
-    while rn > tol:
+    while not rn <= tol:  # a NaN residual is not converged
         if len(damping) >= max_iter:
             message = f"no convergence within {max_iter} iterations"
             break
-        if not ell > 0.0:
-            # only a Hessian eigenvalue whose square overflows gets here
+        # 1 + 2 max|m_ij|^2 bounds each entry of g = I + M^2 on the interior
+        # nodes; where it overflows, so may 1 + lam^2, and the smallest
+        # eigenvalue 1/(1 + lam^2) of the linearization's g^{-1} is 0
+        top = max(max(float(np.max(m[1:-1, 1:-1])), -float(np.min(m[1:-1, 1:-1]))) for m in hess)
+        if not 1.0 + 2.0 * top * top < math.inf:
             message = "linearization lost ellipticity"
             break
         eta = _forcing_term(rn / residuals[-2]) if damping else ETA_MAX
@@ -610,7 +611,7 @@ def newton_solve(
                 message = f"residual {rn:.3e} is at the round-off floor {floor:.3e} "
                 message += f"of the grid, above tol {tol:.3e}"
             break
-        t, u, r, rn, ell, hess = taken
+        t, u, r, rn, hess = taken
         del taken  # so that direction() frees the Hessian
         residuals.append(rn)
         damping.append(t)

@@ -1387,10 +1387,10 @@ class TestVerifyWork:
         assert peak / (8 * 129 * 129) < 13.8
 
     def test_peak_memory_of_the_phase_residual(self):
-        # over what is alive, phase_residual peaks at 5.74 arrays of n^2
+        # over what is alive, phase_residual peaks at 5.24 arrays of n^2
         # nodes at n=257: the differenced Hessian, the residual and one band
-        # of eigenvalues; 6.7 leaves about one array of headroom.  It was 8.0
-        # with whole-grid eigenvalues and arctangents.
+        # of the atan2 form's operands.  It was 5.75 with a band of
+        # eigenvalues, and 8.0 with whole-grid eigenvalues and arctangents.
         prob = manufacture(perturbed_family(0.1), build_grid(4.0, 257))
         phase_residual(prob.u_exact, prob.psi)  # loads what only a first call allocates
         tracemalloc.start()
@@ -1400,7 +1400,7 @@ class TestVerifyWork:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert (peak - alive) / (8 * 257 * 257) < 6.7
+        assert (peak - alive) / (8 * 257 * 257) < 5.5
 
     def test_peak_memory_of_writing_a_field(self, tmp_path):
         # u.csv is formatted one grid row at a time: the writer peaks at 0.1

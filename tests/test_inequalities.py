@@ -452,7 +452,7 @@ class TestJacobiIntegral:
         i_phi = float(np.sum(grad_phi[support]) * h * h)
         i_phi2 = float(np.sum((phi * phi * V)[support]) * h * h)
         rhs = (4.0 / c**2) * i_phi + (2.0 / c) * 0.25 * i_phi2
-        slack = 20.0 * h * 2.0 * max(1.0, float(np.max(grad_b)))
+        slack = 20.0 * h * 2.0 * max(1.0, float(np.max(grad_b[plateau])))
         gb1, gb2 = gradient_fd(ScalarField2(g, C.slope))
         form = C.inv11 * d1 * gb1 + C.inv12 * (d1 * gb2 + d2 * gb1) + C.inv22 * d2 * gb2
         ibp_lhs = float(np.sum(phi * phi * C.slope_laplacian * V) * h * h)
@@ -460,6 +460,23 @@ class TestJacobiIntegral:
         assert (rep.lhs, rep.rhs, rep.margin) == (lhs, rhs, rhs + slack - lhs)
         assert (rep.details["int_grad_phi"], rep.details["int_phi2"]) == (i_phi, i_phi2)
         assert rep.fitted["ibp_residual"] == abs(ibp_lhs - ibp_rhs)
+
+    def test_slack_sup_is_taken_on_the_plateau(self):
+        # |grad_g b|^2 V exceeds 1 only off B_2, where the lhs integrates
+        # nothing: the slack is 20 h r1 max(1, sup on B_2) = 20 h r1
+        g = build_grid(4.0, 65)
+        B = bundle(
+            sample(
+                lambda x1, x2: 0.5 * (x1 * x1 + x2 * x2)
+                + 0.02 * np.cos(3.0 * x1) * (x1 * x1 / 4.0) ** 2,
+                g,
+            )
+        )
+        grad_b = B.slope_grad_norm2 * B.vol
+        assert float(np.max(grad_b[g.disk_mask(2.0)])) < 1.0 < float(np.max(grad_b))
+        rep = check_jacobi_integral(B, K_DEFAULT, 0.25)
+        assert rep.slack == 20.0 * g.h * 2.0
+        assert rep.margin == rep.rhs + rep.slack - rep.lhs
 
     def test_cutoff_support_too_wide(self):
         # the support B_3 reaches the edge of [-3, 3]^2
@@ -511,8 +528,9 @@ class TestVolumeBound:
 
     @pytest.mark.parametrize("rows", [1, 7, 64])
     def test_case2_alternative_is_the_closed_form(self, monkeypatch, rows):
-        # sig2 - 1 integrated over B_3 from the whole-array gather, its sup
-        # over the whole grid, where the quartic term makes it largest
+        # sig2 - 1 integrated over B_3 from the whole-array gather, and the
+        # slack from its sup over B_3, not over the whole grid, where the
+        # quartic term makes it largest
         monkeypatch.setattr(lmce.grid, "LB_BAND_ROWS", rows)
         g = build_grid(4.0, 129)
         B = bundle(
@@ -528,8 +546,8 @@ class TestVolumeBound:
         excess = B.lam1 * B.lam2 - 1.0
         alt_lhs = float(np.sum(excess[g.disk_mask(3.0)]) * g.h * g.h)
         du = sup_norm_disk(ScalarField2(g, B.grad_norm), 3.0)
-        sup = float(np.max(np.abs(excess)))
-        assert sup > float(np.max(np.abs(excess[g.disk_mask(3.0)])))
+        sup = float(np.max(np.abs(excess[g.disk_mask(3.0)])))
+        assert float(np.max(np.abs(excess))) > sup > 1.0
         alt_margin = math.pi * du * du + 20.0 * g.h * 3.0 * max(1.0, sup) - alt_lhs
         assert (rep.fitted["alt_lhs"], rep.fitted["alt_margin"]) == (alt_lhs, alt_margin)
 

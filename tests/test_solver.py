@@ -15,6 +15,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import given, settings, strategies as st
 
+import lmce.geometry
 import lmce.grid
 import lmce.solver
 from lmce.errors import LinearSolveError, PreconditionError
@@ -163,6 +164,34 @@ def _assert_same_path(case, inexact, exact):
     assert np.max(np.abs(inexact.u.values - exact.u.values)) <= 1e-9
 
 
+def _anisotropic_bump(theta1, theta2, eps):
+    """anisotropic_family(theta1, theta2) + eps sin(x1) sin(x2)."""
+    t1, t2 = math.tan(theta1), math.tan(theta2)
+    return AnalyticFunction2(
+        value=lambda x1, x2: 0.5 * (t1 * x1 * x1 + t2 * x2 * x2) + eps * np.sin(x1) * np.sin(x2),
+        gradient=lambda x1, x2: (
+            t1 * x1 + eps * np.cos(x1) * np.sin(x2),
+            t2 * x2 + eps * np.sin(x1) * np.cos(x2),
+        ),
+        hessian=lambda x1, x2: (
+            t1 - eps * np.sin(x1) * np.sin(x2),
+            eps * np.cos(x1) * np.cos(x2),
+            t2 - eps * np.sin(x1) * np.sin(x2),
+        ),
+    )
+
+
+def _assert_eigenvalue_phase(hess, psi):
+    """_phase_defect's residual is arctan(lam1) + arctan(lam2) - psi of the
+    eigenvalues, on the interior nodes, within 4 ulp of pi."""
+    r, rn = _phase_defect(hess, psi)
+    lam1, lam2 = eigen_sym2(*hess)
+    oracle = np.arctan(lam1) + np.arctan(lam2) - psi.values
+    assert np.max(np.abs(r[1:-1, 1:-1] - oracle[1:-1, 1:-1])) <= 4 * np.spacing(math.pi)
+    assert rn == np.max(np.abs(r))
+    assert not np.any(r[[0, -1]]) and not np.any(r[:, [0, -1]])
+
+
 def _eisenstat_walker_step(ratio, eta_prev, cap=0.1, gamma=0.9, floor=1e-12):
     """Eisenstat-Walker choice 2, written out independently of the solver:
     min(cap, gamma ratio^2), raised to gamma eta_prev^2 when that exceeds
@@ -186,7 +215,7 @@ def _first_newton_system(g, prob):
     from the default start."""
     u0 = _initial_iterate(g, prob.u_exact, prob.psi, "phase_matched")
     hess = hessian_fd(ScalarField2(g, u0))
-    r, _, _ = _phase_defect(hess, prob.psi)
+    r, _ = _phase_defect(hess, prob.psi)
     inv11, inv12, inv22 = _inverse_metric(*hess)
     A = _assemble_linearization(g, inv11, inv12, inv22)
     return A, _sine_preconditioner(g, inv11, inv22), -r
@@ -370,13 +399,15 @@ class TestNewtonSolve:
     def test_near_pi_returns_a_state(self, gap):
         # one Hessian eigenvalue of order 1/gap: the smallest eigenvalue of the
         # inverse metric is tiny but positive, and the ellipticity guard must
-        # not cancel it to a false alarm
+        # not cancel it to a false alarm; the solved state's eigenvalues
+        # reach 1.4e11 and the residual is still their phase's
         g = build_grid(4.0, 33)
         psi = sample(lambda x1, x2: math.pi - gap, g)
         boundary = sample(quadratic_family(1.0).value, g)
         harmonic = newton_solve(psi, boundary, max_iter=40, initial="harmonic")
         assert harmonic.converged
         assert phase_residual(harmonic.u, psi) <= 1e-10
+        _assert_eigenvalue_phase(hessian_fd(harmonic.u), psi)
         matched = newton_solve(psi, boundary, max_iter=40)
         assert not matched.converged
         assert matched.message == "line search failed to reduce the residual"
@@ -515,6 +546,52 @@ class TestNewtonSolve:
         m12[node] = np.nan
         with pytest.raises(ValueError, match="finite"):
             _phase_defect((m11, m12, m22), prob.psi)
+
+    @pytest.mark.parametrize(
+        "family",
+        [perturbed_family(0.1), anisotropic_family(1.565, 1.5), _anisotropic_bump(1.56, 1.3, 0.5)],
+        ids=["perturbed", "anisotropic-near-pi", "anisotropic-bump"],
+    )
+    def test_phase_defect_is_the_eigenvalue_phase(self, family):
+        prob = manufacture(family, build_grid(4.0, 257))
+        _assert_eigenvalue_phase(hessian_fd(prob.u_exact), prob.psi)
+
+    def test_no_eigenvalues_in_the_solve(self, monkeypatch):
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return eigen_sym2(*args)
+
+        prob = manufacture(anisotropic_family(1.4, 0.2), build_grid(4.0, 33))
+        for module in (lmce.solver, lmce.geometry):
+            monkeypatch.setattr(module, "eigen_sym2", spy)
+        assert newton_solve(prob.psi, prob.u_exact).converged
+        phase_residual(prob.u_exact, prob.psi)
+        assert calls == []
+
+    @pytest.mark.parametrize("scale", [1e150, 1e160, 1e200, 1e300])
+    def test_overflowing_hessian_ends_the_solve(self, scale):
+        # data scale |x|^2/2 at psi = pi/2, so the start's differenced Hessian
+        # is of order scale.  From 1e160 the metric I + M^2 overflows: the
+        # solve ends before any Newton system is built.  At 1e150 only its
+        # determinant does, in the inverse metric; the linear solve then
+        # fails, at a residual far below the round-off floor
+        g = build_grid(4.0, 33)
+        psi = sample(lambda x1, x2: math.pi / 2, g)
+        boundary = sample(lambda x1, x2: scale * 0.5 * (x1 * x1 + x2 * x2), g)
+        with np.errstate(all="ignore"):  # the overflows the test is about
+            state = newton_solve(psi, boundary)
+        assert not state.converged and state.iterations == 0
+        if scale < 1e160:
+            assert state.systems
+            assert state.message == (
+                f"residual {math.pi / 2:.3e} is at the round-off floor "
+                f"{state.residual_floor:.3e} of the grid, above tol 1.000e-10"
+            )
+        else:
+            assert state.systems == []
+            assert state.message == "linearization lost ellipticity"
 
 
 class TestRoundOffFloor:
@@ -826,10 +903,10 @@ class TestKrylovPath:
         psi = ScalarField2(g, np.full((g.n, g.n), 3.13))
         boundary = sample(quadratic_family(1.0).value, g)
         state = newton_solve(psi, boundary)
-        assert state.converged and state.iterations == 24
+        assert state.converged and state.iterations == 23
         assert len(state.systems) == state.iterations
         assert all(isinstance(rec, SystemSolve) for rec in state.systems)
-        assert max(rec.krylov_iterations for rec in state.systems) == 42
+        assert max(rec.krylov_iterations for rec in state.systems) == 38
         # under a cap of 25 that system does not certify and the solve ends
         monkeypatch.setattr(lmce.solver, "KRYLOV_MAXITER", 25)
         capped = newton_solve(psi, boundary)
