@@ -58,15 +58,12 @@ ETA_MIN = 1e-12
 # sup-norm falls to (1 - ARMIJO t) of its value, the customary 1e-4
 ARMIJO = 1e-4
 # the line search halves t from 1 and gives up once t < MIN_STEP, after 21
-# trials; a step that short is a stall.  A direction it gives up on is solved
-# again, once, to ETA_MIN: a loose direction can be too poor to descend where a
-# tight one is not
+# trials; a step that short is a stall, and it ends the solve
 MIN_STEP = 2.0**-20
 # differencing u rounds each second difference by about phi = eps max|u|/h^2,
 # the residual's round-off floor: the exact solution's own residual is ~phi,
 # and solves that cannot go lower stop at 0.72-1.22 phi.  A line search or
-# linear solve that fails within FLOOR_FACTOR phi ends the solve, as no
-# re-solve can help there
+# linear solve that fails within FLOOR_FACTOR phi says so in the message
 FLOOR_FACTOR = 2.0
 
 
@@ -189,8 +186,10 @@ class SolveState:
 
     When converged is set, residuals is strictly decreasing and ends at or
     below the solve's tol; every iterate carries the boundary trace exactly.
-    systems holds how each Newton system was solved, in step order, and
-    residual_floor the round-off floor phi of the residual (newton_solve).
+    systems holds how each Newton system was solved, in step order: one per
+    step taken, and one for the step the solve ended in, if it solved one,
+    so iterations <= len(systems) <= iterations + 1.  residual_floor is
+    the round-off floor phi of the residual (newton_solve).
     """
 
     u: ScalarField2
@@ -515,20 +514,18 @@ def newton_solve(
     the differenced Hessian M, formed as atan2(tr M, 1 - det M) - psi
     (_phase_defect); the Newton system has the inverse graph metric as
     coefficients (positive definite at any iterate, so descent directions
-    never degenerate).  An iterate whose metric I + M^2 may overflow ends
-    the solve with "linearization lost ellipticity" before its system is
-    built.  Each system is solved only to the relative residual
-    that _forcing_term gives.  Steps are damped by Armijo backtracking on
-    the residual sup-norm (ARMIJO, halving down to MIN_STEP); a step whose
-    backtracking fails is solved again, once, to ETA_MIN; if that one
-    fails too, or the first was already solved to ETA_MIN, the solve ends.
-    phi = eps max|u|/h^2, max|u| that of the boundary data, is the residual's
-    round-off floor: a failed line search or linear solve at a residual
-    within FLOOR_FACTOR phi ends the solve at once, with a message that
-    names the residual, phi and tol.  Non-convergence within max_iter
-    returns the state with the converged flag unset rather than raising.
-    The grid is psi's; boundary supplies the Dirichlet data on its boundary
-    ring.
+    never degenerate).  An iterate whose metric I + M^2, or its
+    determinant, may overflow ends the solve with "linearization lost
+    ellipticity".  Each step solves one system, to the relative residual
+    _forcing_term gives, and is damped by Armijo backtracking on the
+    residual sup-norm (ARMIJO, halving down to MIN_STEP); a system that
+    does not certify, or a line search that finds no step, ends the solve,
+    and at a residual within FLOOR_FACTOR of the round-off floor phi = eps
+    max|u|/h^2 (max|u| the boundary data's) the message names it and tol.
+    Non-convergence returns the state with the converged flag unset; a
+    start iterate that overflows raises PreconditionError, as no finite
+    iterate exists.  The grid is psi's; boundary supplies the Dirichlet
+    data on its boundary ring.
     """
     grid = psi.grid
     if boundary.grid != grid:
@@ -557,14 +554,11 @@ def newton_solve(
         """The Newton direction at u, 0 on the boundary ring, solved to eta.
         The inverse metric is formed band by band from hess; r and hess are
         released once read, A and M on return: none is alive in the line
-        search.  A re-solve rebuilds r and hess from u, bit for bit."""
+        search."""
         nonlocal r, hess
-        if hess is None:
-            r, _, hess = residual(u)
         A, M = _newton_system(grid, lambda rows: _inverse_metric(*(m[rows, 1:-1] for m in hess)))
         hess = None
-        rhs = -r
-        r = None
+        rhs, r = -r, None
         return linear_solve(A, rhs, M, tol=eta, record=systems)
 
     def line_search(step: np.ndarray):
@@ -581,7 +575,10 @@ def newton_solve(
         return None
 
     u = _initial_iterate(grid, boundary, psi, initial)
-    r, rn, hess = residual(u)
+    try:
+        r, rn, hess = residual(u)
+    except ValueError as exc:  # u or its differenced Hessian is not finite
+        raise PreconditionError(f"boundary data too large to difference: {exc}") from None
     residuals: list[float] = [rn]
     damping: list[float] = []  # one step length per Newton step taken
     systems: list[SystemSolve] = []
@@ -590,18 +587,17 @@ def newton_solve(
         if len(damping) >= max_iter:
             message = f"no convergence within {max_iter} iterations"
             break
-        # 1 + 2 max|m_ij|^2 bounds each entry of g = I + M^2 on the interior
-        # nodes; where it overflows, so may 1 + lam^2, and the smallest
-        # eigenvalue 1/(1 + lam^2) of the linearization's g^{-1} is 0
+        # g = 1 + 2 max|m_ij|^2 bounds each interior entry of the metric I + M^2
+        # and g^2 each product in the determinant _inverse_metric divides by;
+        # where these overflow, g^{-1}'s smallest eigenvalue 1/(1 + lam^2) is lost
         top = max(max(float(np.max(m[1:-1, 1:-1])), -float(np.min(m[1:-1, 1:-1]))) for m in hess)
-        if not 1.0 + 2.0 * top * top < math.inf:
+        g = 1.0 + 2.0 * top * top
+        if not g * g < math.inf:  # a product: float ** raises on overflow
             message = "linearization lost ellipticity"
             break
         eta = _forcing_term(rn / residuals[-2]) if damping else ETA_MAX
         try:
             taken = line_search(direction(eta))
-            if taken is None and eta > ETA_MIN and rn > FLOOR_FACTOR * floor:
-                taken = line_search(direction(ETA_MIN))
             if taken is None:
                 message = "line search failed to reduce the residual"
         except LinearSolveError as exc:

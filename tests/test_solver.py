@@ -469,56 +469,22 @@ class TestNewtonSolve:
         assert len(systems) == 4 * state.iterations
         assert len(alive) > state.iterations + 1 and not any(alive)
 
-    @staticmethod
-    def _useless_while(monkeypatch, useless):
-        """newton_solve's linear_solve, but returning the zero direction for
-        the tolerances where useless(tol) holds, each system still recorded.
-        Returns the list of (rhs, the Stencil9's arrays) it appends a copy of
-        each system to."""
-        solve, seen = lmce.solver.linear_solve, []
+    @pytest.mark.parametrize("eta", [ETA_MAX, ETA_MIN], ids=["ETA_MAX", "ETA_MIN"])
+    def test_useless_direction_ends_the_solve(self, eta, monkeypatch):
+        # no step length along the zero direction reduces the residual: the
+        # solve ends after the step's one system, however tightly solved
+        solve = lmce.solver.linear_solve
 
-        def patched(A, rhs, M, tol, record):
-            seen.append((rhs.copy(), [c.copy() for c in A.coef]))
-            x = solve(A, rhs, M, tol=tol, record=record)
-            return np.zeros_like(x) if useless(tol) else x
+        def useless(A, rhs, M, tol, record):
+            return np.zeros_like(solve(A, rhs, M, tol=tol, record=record))
 
-        monkeypatch.setattr(lmce.solver, "linear_solve", patched)
-        return seen
-
-    def test_failed_line_search_solves_the_system_again(self, monkeypatch):
-        # no step length along the direction solved to eta = 0.1 reduces the
-        # residual: the same system, rebuilt bit for bit, is solved again to
-        # ETA_MIN, and that step is taken in full
+        monkeypatch.setattr(lmce.solver, "ETA_MAX", eta)
+        monkeypatch.setattr(lmce.solver, "linear_solve", useless)
         prob = manufacture(perturbed_family(0.1), build_grid(4.0, 33))
-        plain = newton_solve(prob.psi, prob.u_exact)
-        seen = self._useless_while(monkeypatch, lambda tol: tol == ETA_MAX)
-        state = newton_solve(prob.psi, prob.u_exact)
-        assert state.converged
-        rtols = [rec.rtol for rec in state.systems]
-        assert rtols[:2] == [ETA_MAX, ETA_MIN]
-        assert len(rtols) == state.iterations + 1 == plain.iterations + 1
-        assert state.damping[0] == 1.0 and state.residuals[0] == plain.residuals[0]
-        (rhs, coef), (rhs_again, coef_again) = seen[:2]
-        assert np.array_equal(rhs, rhs_again)
-        assert len(coef) == len(coef_again) == 3
-        assert all(np.array_equal(c, d) for c, d in zip(coef, coef_again))
-
-    def test_line_search_fails_after_one_re_solve(self, monkeypatch):
-        prob = manufacture(perturbed_family(0.1), build_grid(4.0, 33))
-        self._useless_while(monkeypatch, lambda tol: True)
         state = newton_solve(prob.psi, prob.u_exact)
         assert not state.converged and state.iterations == 0
         assert state.message == "line search failed to reduce the residual"
-        assert [rec.rtol for rec in state.systems] == [0.1, 1e-12]
-
-    def test_no_re_solve_of_a_system_solved_to_eta_min(self, monkeypatch):
-        prob = manufacture(perturbed_family(0.1), build_grid(4.0, 33))
-        monkeypatch.setattr(lmce.solver, "ETA_MAX", ETA_MIN)
-        seen = self._useless_while(monkeypatch, lambda tol: True)
-        state = newton_solve(prob.psi, prob.u_exact)
-        assert not state.converged and state.iterations == 0
-        assert state.message == "line search failed to reduce the residual"
-        assert [rec.rtol for rec in state.systems] == [ETA_MIN] and len(seen) == 1
+        assert [rec.rtol for rec in state.systems] == [eta]
 
     @pytest.mark.parametrize("case", ["perturbed", "anisotropic"])
     def test_band_height_does_not_move_the_solve(self, case, monkeypatch):
@@ -570,20 +536,21 @@ class TestNewtonSolve:
         phase_residual(prob.u_exact, prob.psi)
         assert calls == []
 
-    @pytest.mark.parametrize("scale", [1e150, 1e160, 1e200, 1e300])
+    @pytest.mark.parametrize("scale", [1e70, 1e80, 1e150, 1e160, 1e200, 1e300])
     def test_overflowing_hessian_ends_the_solve(self, scale):
         # data scale |x|^2/2 at psi = pi/2, so the start's differenced Hessian
-        # is of order scale.  From 1e160 the metric I + M^2 overflows: the
-        # solve ends before any Newton system is built.  At 1e150 only its
-        # determinant does, in the inverse metric; the linear solve then
-        # fails, at a residual far below the round-off floor
+        # is of order scale.  From 1e80 the determinant of the metric I + M^2,
+        # which the inverse metric divides by, may overflow (from 1e160 the
+        # metric itself does): the solve ends before any Newton system is
+        # built.  At 1e70 the system is solved, and the line search fails at
+        # a residual far below the round-off floor
         g = build_grid(4.0, 33)
         psi = sample(lambda x1, x2: math.pi / 2, g)
         boundary = sample(lambda x1, x2: scale * 0.5 * (x1 * x1 + x2 * x2), g)
         with np.errstate(all="ignore"):  # the overflows the test is about
             state = newton_solve(psi, boundary)
         assert not state.converged and state.iterations == 0
-        if scale < 1e160:
+        if scale < 1e80:
             assert state.systems
             assert state.message == (
                 f"residual {math.pi / 2:.3e} is at the round-off floor "
@@ -592,6 +559,17 @@ class TestNewtonSolve:
         else:
             assert state.systems == []
             assert state.message == "linearization lost ellipticity"
+
+    @pytest.mark.parametrize("L", [1.0, 4.0])
+    def test_overflowing_start_is_a_precondition_error(self, L):
+        # finite data 1e306 |x|^2/2 whose start iterate or its differenced
+        # Hessian overflows: there is no finite iterate to return as a state
+        g = build_grid(L, 33)
+        psi = sample(lambda x1, x2: math.pi / 2, g)
+        boundary = sample(lambda x1, x2: 1e306 * 0.5 * (x1 * x1 + x2 * x2), g)
+        with np.errstate(all="ignore"):  # the overflows the test is about
+            with pytest.raises(PreconditionError, match="boundary data too large to difference"):
+                newton_solve(psi, boundary)
 
 
 class TestRoundOffFloor:
@@ -618,7 +596,7 @@ class TestRoundOffFloor:
     )
     def test_solve_below_the_floor_ends_there(self, family, n):
         # with tol = phi/10 no iterate can pass: the failed line search (or
-        # linear solve) ends the solve at once, with no re-solve to ETA_MIN
+        # linear solve) ends the solve at once, after its step's one system
         prob = manufacture(family, build_grid(4.0, n))
         phi = self._floor(prob)
         state = newton_solve(prob.psi, prob.u_exact, tol=phi / 10)
@@ -944,6 +922,7 @@ class TestForcingTerm:
         psi, boundary, initial = _newton_case(case)
         state = newton_solve(psi, boundary, initial=initial)
         rtols = [rec.rtol for rec in state.systems]
+        assert state.iterations <= len(rtols) <= state.iterations + 1  # one system a step
         assert rtols == pytest.approx(_eisenstat_walker(state.residuals)[: len(rtols)], rel=1e-12)
         if case == "anisotropic":  # damped steps barely reduce the residual
             assert rtols.count(0.1) > 1
@@ -1057,3 +1036,4 @@ class TestSolverProperty:
         psi, boundary, initial = data
         state = newton_solve(psi, boundary, initial=initial)
         assert state.converged or state.message
+        assert state.iterations <= len(state.systems) <= state.iterations + 1
