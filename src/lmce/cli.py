@@ -40,13 +40,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import ConfigError, NonConvergenceError, PreconditionError
-from .geometry import (
-    SlopeConstants,
-    bundle as make_bundle,
-    classify_phase,
-    modified_slope,
-)
-from .grid import MAX_NODES, ScalarField2, build_grid, gradient_fd, gradient_norm, hessian_fd
+from .geometry import SlopeConstants, bundle as make_bundle, classify_phase
+from .grid import MAX_NODES, ScalarField2, build_grid, gradient_fd, hessian_fd
 from .identities import (
     CheckReport,
     check_complex_factorization,
@@ -59,6 +54,9 @@ from .identities import (
 from .inequalities import (
     SAMPLED_RADIUS,
     _canonical_on_disk,
+    _paraboloid_on_disk,
+    _sampled_grad_norm,
+    _sampled_slope,
     check_hessian_estimate,
     check_jacobi_integral,
     check_jacobi_pointwise,
@@ -435,23 +433,32 @@ def _write_run(command: str, report: RunReport, header, rows, /, **extra) -> Non
     (outdir / f"{command}.json").write_text(text + "\n")
 
 
-def _timed(ctx: "_Context", key: str, run):
-    """run(), charging ctx.timings[key] the time it took less that of any
-    lazy state of ctx built inside it, which is charged to its own key."""
-    outer = ctx.lazy_s
+@dataclass
+class _Clock:
+    """The own time of each piece of timed work of a verify context, by key,
+    and lazy_s, the total of all of it (see `_timed`)."""
+
+    timings: dict[str, float] = field(default_factory=dict)
+    lazy_s: float = 0.0
+
+
+def _timed(clock: _Clock, key: str, run):
+    """run(), charging clock.timings[key] the time it took less that of any
+    lazy state built inside it, which is charged to its own key."""
+    outer = clock.lazy_s
     t0 = time.perf_counter()
     try:
         return run()
     finally:
         spent = time.perf_counter() - t0
-        ctx.timings[key] = spent - (ctx.lazy_s - outer)
-        ctx.lazy_s = outer + spent
+        clock.timings[key] = spent - (clock.lazy_s - outer)
+        clock.lazy_s = outer + spent
 
 
 def _timed_lazy(build):
     """A cached property of `_Context`, its build `_timed` under `timings["<name>_s"]`."""
     key = f"{build.__name__}_s"
-    return cached_property(wraps(build)(lambda self: _timed(self, key, lambda: build(self))))
+    return cached_property(wraps(build)(lambda self: _timed(self.clock, key, lambda: build(self))))
 
 
 class _Context:
@@ -463,14 +470,16 @@ class _Context:
     jacobi_pointwise, jacobi_integral and volume_bound read);
     coordinate_laplacian reads u itself.  Built on first use: `constants`,
     those with the weight A (fitted or given) that the modified slope and
-    subharmonic read, the modified slope, its gradient norm |D b_mod|
-    (shared by the sampler and super_iso), the weak-maximum-principle
-    sample of the modified slope (shared by the weak_max_principle,
-    super_iso and subharmonic checks) and the jacobi_pointwise report
-    (whose C_hat jacobi_integral reads).  `timings`
-    holds each one's own time and each check's, and `lazy_s` the total of
-    all timed work, so no check is charged for state it builds first (see
-    `_timed`).  `_run_checks` drops each of them, each set-up attribute
+    subharmonic read, lap_g(|x|^2/2) on the box of the disk of radius rho
+    (shared by the fit and subharmonic), the modified slope and its gradient
+    norm |D b_mod| on the box of the disk the sampler reads (shared by the
+    sampler and super_iso), the weak-maximum-principle sample of the
+    modified slope (shared by the weak_max_principle, super_iso and
+    subharmonic checks) and the jacobi_pointwise report (whose C_hat
+    jacobi_integral reads).  `clock` holds each one's own time, each
+    check's and that of each lazily built field of the bundle and its twin,
+    so no check is charged for state it builds first (see `_timed`).
+    `_run_checks` drops each of them, each set-up attribute
     (`_SET_UP`) and each lazily built field of the bundle once no remaining
     check reads it, so heatmaps and a sweep's errors against the exact
     solution are taken first.  potential is the field of `cfg.field_file`
@@ -501,25 +510,35 @@ class _Context:
             self.psi = ScalarField2(self.grid, self.bundle.phase)
         self.regime = classify_phase(self.bundle.phase, cfg.delta)
         self.fixed = SlopeConstants(delta=cfg.delta, c=cfg.c)
-        self.timings: dict[str, float] = {}
-        self.lazy_s = 0.0
+        self.clock = clock = _Clock()
+        # each lazily built field of the bundle and its twin under its own key;
+        # the hook holds the clock alone, so it keeps no context alive
+        self.bundle.__dict__["_build_field"] = lambda name, build: _timed(
+            clock, f"{name}_s", build
+        )
 
     @_timed_lazy
     def constants(self) -> SlopeConstants:
         a = self.cfg.A
         if a == "fit":
-            a, _ = fit_modification_weight(self.bundle, rho=self.cfg.rho)
+            a, _ = fit_modification_weight(
+                self.bundle, rho=self.cfg.rho, lap_q=self.paraboloid_laplacian
+            )
         return dataclasses.replace(self.fixed, A=float(a))
+
+    @_timed_lazy
+    def paraboloid_laplacian(self) -> tuple[slice, np.ndarray]:
+        return _paraboloid_on_disk(self.bundle, self.cfg.rho)
 
     @_timed_lazy
     def bmod(self) -> ScalarField2:
         # the slope of the bundle that the weight A is fitted on
         B = _canonical_on_disk(self.bundle, self.cfg.rho)[0]
-        return modified_slope(B, self.constants)
+        return _sampled_slope(B, self.constants)
 
     @_timed_lazy
     def bmod_grad_norm(self) -> ScalarField2:
-        return gradient_norm(self.bmod)
+        return _sampled_grad_norm(self.bmod)
 
     @_timed_lazy
     def wmp(self) -> CheckReport:
@@ -581,6 +600,7 @@ INEQUALITY_CHECKS = {
             seed=ctx.cfg.seed,
             # the shared sample is the one the check draws on B_2
             wmp=ctx.wmp if ctx.cfg.rho >= SAMPLED_RADIUS else None,
+            lap_q=ctx.paraboloid_laplacian,
         ),
         ("constants", "negated", "slope_laplacian", "paraboloid_laplacian", "wmp"),
     ),
@@ -662,7 +682,7 @@ def _run_checks(ctx: _Context, names: list[str], timings: dict) -> list[dict]:
     _release(ctx, names)
     for k, name in enumerate(names):
         try:
-            report = _timed(ctx, f"{name}_s", lambda: _CHECKS[name].run(ctx))
+            report = _timed(ctx.clock, f"{name}_s", lambda: _CHECKS[name].run(ctx))
         except PreconditionError as exc:
             details = {"error": str(exc)}
             report = CheckReport(
@@ -670,7 +690,7 @@ def _run_checks(ctx: _Context, names: list[str], timings: dict) -> list[dict]:
             )
         entries.append(report.entry())
         _release(ctx, names[k + 1 :])
-    for key, value in ctx.timings.items():
+    for key, value in ctx.clock.timings.items():
         timings[key] = timings.get(key, 0.0) + value
     return entries
 

@@ -6,14 +6,16 @@ sig1 = lam1 + lam2 and sig2 = lam1*lam2, the induced metric g = I + (D^2 u)^2
 with its inverse, the volume element V = sqrt(det g), and the slope function
 b = ln sqrt(1 + lam1^2).  On top of the metric it provides the squared metric
 gradient norm and a divergence-form Laplace-Beltrami operator with exact
-discrete summation by parts.
+discrete summation by parts.  For readers of one block of the grid alone,
+lap_g(|x|^2/2) and the modified slope are also formed on that block only,
+each value the whole-grid one bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, wraps
 
 import numpy as np
 
@@ -89,7 +91,8 @@ def eigen_sym2(m11, m12, m22):
     m11 = np.asarray(m11, dtype=float)
     m12 = np.asarray(m12, dtype=float)
     m22 = np.asarray(m22, dtype=float)
-    if not (np.all(np.isfinite(m11)) and np.all(np.isfinite(m12)) and np.all(np.isfinite(m22))):
+    # min and max propagate NaN and reach +-inf, with no boolean temporary
+    if not all(math.isfinite(np.min(m)) and math.isfinite(np.max(m)) for m in (m11, m12, m22)):
         raise ValueError("symmetric matrix entries must be finite")
     mid = 0.5 * (m11 + m22)
     disc = (0.5 * (m11 - m22)) ** 2 + m12 * m12
@@ -122,6 +125,13 @@ class SlopeConstants:
             raise ValueError(f"A must be non-negative, got {self.A}")
 
 
+def _lazy(build):
+    """A cached property of GeometryBundle, built as bundle._build_field(name,
+    build) returns it (see GeometryBundle)."""
+    name = build.__name__
+    return cached_property(wraps(build)(lambda self: self._build_field(name, lambda: build(self))))
+
+
 @dataclass(frozen=True, eq=False)
 class GeometryBundle:
     """All per-node graph geometry derived from one Hessian field.
@@ -143,15 +153,15 @@ class GeometryBundle:
     The fields below are computed on first access and then kept until the
     verify runner drops them (once no remaining check reads them), so every
     check reading them shares one computation: cos_phase and sin_phase
-    (cos and sin of phase), slope_laplacian (lap_g b, divergence form),
-    slope_grad_norm2 (|grad_g b|^2) and paraboloid_laplacian (lap_g q of the
-    quadratic q = |x|^2/2 that the modified slope b + A q adds, so that
-    lap_g(b + A q) = slope_laplacian + A paraboloid_laplacian), all
-    read-only arrays.
+    (cos and sin of phase), slope_laplacian (lap_g b, divergence form) and
+    slope_grad_norm2 (|grad_g b|^2), all read-only arrays.
     negated is the bundle of the negated potential, kept the same way so the
     checks that canonicalize a negative-phase bundle share its fields too; it
     shares the metric arrays and grad_norm of this bundle, and its own
-    negated is this bundle.
+    negated is this bundle.  Each of these fields is built as
+    _build_field(name, build) returns build(): plain build() unless a caller
+    sets its own on the bundle (the verify runner charges each build to its
+    own timing key), which the negated twin takes over.
     """
 
     grid: Grid2
@@ -165,6 +175,9 @@ class GeometryBundle:
     slope: np.ndarray
     grad_norm: np.ndarray | None = None
 
+    # not a field: no bundle is built with it, and replace() does not copy it
+    _build_field = staticmethod(lambda name, build: build())
+
     @property
     def sig1(self) -> np.ndarray:
         return _ro(self.lam1 + self.lam2)
@@ -173,29 +186,23 @@ class GeometryBundle:
     def sig2(self) -> np.ndarray:
         return _ro(self.lam1 * self.lam2)
 
-    @cached_property
+    @_lazy
     def cos_phase(self) -> np.ndarray:
         return _ro(np.cos(self.phase))
 
-    @cached_property
+    @_lazy
     def sin_phase(self) -> np.ndarray:
         return _ro(np.sin(self.phase))
 
-    @cached_property
+    @_lazy
     def slope_laplacian(self) -> np.ndarray:
         return laplace_beltrami(slope(self), self).values
 
-    @cached_property
+    @_lazy
     def slope_grad_norm2(self) -> np.ndarray:
         return grad_g_norm2(slope(self), self).values
 
-    @cached_property
-    def paraboloid_laplacian(self) -> np.ndarray:
-        q = self.grid.radius2()
-        q *= 0.5
-        return laplace_beltrami(ScalarField2(self.grid, q), self).values
-
-    @cached_property
+    @_lazy
     def negated(self) -> "GeometryBundle":
         """Bundle of the negated potential (phase flips sign, metric unchanged).
 
@@ -208,7 +215,7 @@ class GeometryBundle:
         lam1, lam2 = -self.lam2, -self.lam1
         phase, b = _phase_slope(lam1, lam2)
         neg = replace(self, lam1=_ro(lam1), lam2=_ro(lam2), phase=_ro(phase), slope=_ro(b))
-        neg.__dict__["negated"] = self
+        neg.__dict__.update(negated=self, _build_field=self._build_field)
         return neg
 
 
@@ -338,11 +345,14 @@ def laplace_beltrami(f: ScalarField2, B: GeometryBundle) -> ScalarField2:
     return ScalarField2(g, out)
 
 
-def _lb_rows(values: np.ndarray, B: GeometryBundle, rows: slice, out=None) -> np.ndarray:
-    """laplace_beltrami's values on interior rows `rows` and columns 1 .. n-2
-    (into out when given) of an (n, n) array, maybe a read-only view such as
-    a broadcast coordinate, from the rows' slab alone (see grid._slab)."""
-    h = B.grid.h
+def _lb_rows(values, B: GeometryBundle, rows: slice, cols: slice | None = None, out=None, origin=0):
+    """laplace_beltrami's values on interior rows `rows` and interior columns
+    `cols` (default 1 .. n-2), into out when given, of the field whose nodes
+    from (origin, origin) on values holds (an (n, n) array when origin is 0,
+    maybe a read-only view such as a broadcast coordinate), from the rows'
+    slab (see grid._slab) and the columns around cols alone."""
+    h, n = B.grid.h, B.grid.n
+    cols = slice(1, n - 1) if cols is None else cols
 
     def flux(axis, v, d, c, c_cross):
         # the flux A_aa D_a f + A_ab D_b f (A = W g^{-1}) through the half
@@ -355,17 +365,36 @@ def _lb_rows(values: np.ndarray, B: GeometryBundle, rows: slice, out=None) -> np
     # and (W g^12)/4 at (i+1/2, j) between slab rows, (W g^22)/2 and
     # (W g^12)/4 at (i, j+1/2) on the band's rows.  A slab that is not
     # C-contiguous is copied: numpy would lay its stencils out in F order.
-    slab, on = _slab(B.grid.n, rows)
-    v, W = np.ascontiguousarray(values[slab]), B.vol[slab]
-    A = W * B.inv11[slab]
-    A12 = W * B.inv12[slab]
+    slab, on = _slab(n, rows)
+    span = slice(cols.start - 1, cols.stop + 1)
+    at = tuple(slice(s.start - origin, s.stop - origin) for s in (slab, span))
+    v, W = np.ascontiguousarray(values[at]), B.vol[slab, span]
+    A = W * B.inv11[slab, span]
+    A12 = W * B.inv12[slab, span]
     f1 = flux(0, v, _d1(v, h, axis=1), 0.5 * (A[1:] + A[:-1]), 0.25 * (A12[1:] + A12[:-1]))
-    A = W[on] * B.inv22[rows]
+    A = W[on] * B.inv22[rows, span]
     c12 = 0.25 * (A12[on, 1:] + A12[on, :-1])
     f2 = flux(1, v[on], _d1(v, h, axis=0)[on], 0.5 * (A[:, 1:] + A[:, :-1]), c12)
     # ((f1[i+1/2] - f1[i-1/2])/h + (f2[j+1/2] - f2[j-1/2])/h)/W
     div = (f1[on, 1:-1] - f1[on.start - 1 : on.stop - 1, 1:-1]) / h
     return np.divide(div + (f2[:, 1:] - f2[:, :-1]) / h, W[on, 1:-1], out=out)
+
+
+def _paraboloid_laplacian(B: GeometryBundle, box: slice) -> np.ndarray:
+    """lap_g(|x|^2/2) on the block box x box of the grid's interior (box
+    within 1 .. n-2), each value laplace_beltrami's on the whole grid bit
+    for bit.  |x|^2/2 is formed only on the block and the nodes its
+    stencils read, three around it (the widest slab reaches that far)."""
+    n = B.grid.n
+    near = slice(max(box.start - 3, 0), min(box.stop + 3, n))
+    x = B.grid.axis()[near]
+    q = x[:, None] * x[:, None] + x[None, :] * x[None, :]
+    q *= 0.5
+    out = np.empty((box.stop - box.start,) * 2)
+    for rows in _bands(box.start, box.stop):
+        at = slice(rows.start - box.start, rows.stop - box.start)
+        _lb_rows(q, B, rows, box, out=out[at], origin=near.start)
+    return _ro(out)
 
 
 def slope(B: GeometryBundle) -> ScalarField2:
@@ -380,3 +409,15 @@ def modified_slope(B: GeometryBundle, K: SlopeConstants) -> ScalarField2:
     q *= 0.5 * K.A
     q += B.slope
     return ScalarField2(B.grid, q)
+
+
+def _modified_slope_on(B: GeometryBundle, K: SlopeConstants, box: slice) -> ScalarField2:
+    """modified_slope's values on the block box x box, bit for bit, and 0
+    off it: a field for readers of the block alone."""
+    out = np.zeros((B.grid.n, B.grid.n))
+    x = B.grid.axis()[box]
+    q = out[box, box]
+    np.add(x[:, None] * x[:, None], x[None, :] * x[None, :], out=q)
+    q *= 0.5 * K.A
+    q += B.slope[box, box]
+    return ScalarField2(B.grid, out)

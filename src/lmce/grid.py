@@ -3,7 +3,8 @@
 Provides the grid and its scalar field used throughout the package together
 with second-order finite differences (a gradient as a pair of arrays, a
 Hessian as the triple (m11, m12, m22)), node-indicator disk quadrature, disk
-sup norms, and a smooth radial cutoff with its analytic gradient.
+sup norms, and a smooth radial cutoff with its analytic gradient.  The
+gradient norm is also formed on one block alone, for readers of that block.
 Fields and differenced arrays are immutable after construction (marked
 read-only), so they are safe to share across threads.
 
@@ -225,10 +226,15 @@ def _slab(n: int, band: slice) -> tuple[slice, slice]:
     return slice(lo, hi), slice(band.start - lo, band.stop - lo)
 
 
-def _gradient_rows(values: np.ndarray, h: float, band: slice):
-    """Rows `band` of gradient_fd's (d1, d2) of an (n, n) array, from the band's slab."""
-    slab, k = _slab(len(values), band)
-    return _d1(values[slab], h, axis=0)[k], _d1(values[band], h, axis=1)
+def _gradient_rows(values: np.ndarray, h: float, band: slice, cols: slice | None = None):
+    """Rows `band` of gradient_fd's (d1, d2) of an (n, n) array on columns
+    cols (default all), from the band's slab and a column around cols."""
+    n = len(values)
+    cols = slice(0, n) if cols is None else cols
+    slab, k = _slab(n, band)
+    span = _halo(cols, n)
+    d2 = _d1(values[band, span], h, axis=1)[:, cols.start - span.start : cols.stop - span.start]
+    return _d1(values[slab, cols], h, axis=0)[k], d2
 
 
 def _hessian_rows(values: np.ndarray, h: float, band: slice):
@@ -254,6 +260,28 @@ def gradient_norm(f: ScalarField2) -> ScalarField2:
     for b in _bands(0, f.grid.n):
         out[b] = np.hypot(*_gradient_rows(f.values, f.grid.h, b))
     return ScalarField2(f.grid, out)
+
+
+def _gradient_norm_on(f: ScalarField2, box: slice) -> ScalarField2:
+    """gradient_norm's values on the block box x box, bit for bit, and 0 off
+    it: a field for readers of the block alone.  It reads f on the block and
+    one node around it."""
+    out = np.zeros((f.grid.n, f.grid.n))
+    for b in _bands(box.start, box.stop):
+        out[b, box] = np.hypot(*_gradient_rows(f.values, f.grid.h, b, box))
+    return ScalarField2(f.grid, out)
+
+
+def _mask_box(mask: np.ndarray) -> slice:
+    """The slice of either axis that the nodes of a mask span, for a nonempty
+    mask symmetric under x1 <-> x2, as a disk mask is."""
+    kept = np.flatnonzero(mask.any(axis=1))
+    return slice(int(kept[0]), int(kept[-1]) + 1)
+
+
+def _halo(box: slice, n: int) -> slice:
+    """box widened by one node each side, within 0 .. n-1."""
+    return slice(max(box.start - 1, 0), min(box.stop + 1, n))
 
 
 def hessian_fd(f: ScalarField2) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

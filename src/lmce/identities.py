@@ -6,6 +6,9 @@ residuals are pure eigenvalue algebra and must sit at round-off (1e-10 to
 1e-12 relative), while "identity/differencing" residuals involve finite
 differences and are allowed C*h^2.  Discretization noise must never be able
 to mask an algebraic failure, so the two classes are never mixed.
+
+The coordinate Laplacian takes the divergence-form operator in the closed
+form it has on a linear coordinate, with the operator's bits.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .errors import PreconditionError
-from .geometry import GeometryBundle, _lb_rows, _quadform_inv
+from .geometry import GeometryBundle, _quadform_inv
 from .grid import (
     CUTOFF_PLATEAU_RADIUS,
     CUTOFF_SUPPORT_RADIUS,
@@ -258,6 +261,54 @@ def check_slope_volume(B: GeometryBundle) -> CheckReport:
     return _report("slope_volume", worst, 0.0, "algebraic", {"min_margin": -worst[1]})
 
 
+def _coordinate_laplacians(B: GeometryBundle, rows: slice, cols: slice):
+    """(lap_g x1, lap_g x2) on the block rows x cols of the grid's interior
+    (both within 1 .. n-2), each bit for bit laplace_beltrami's values of the
+    coordinate, as geometry._lb_rows forms them from the broadcast coordinate.
+
+    A coordinate is constant across its own axis, so every difference across
+    that axis is exactly 0 and its terms in the flux stencils drop: each flux
+    is a half-node coefficient times the coordinate's step along its own axis,
+    or times twice its central derivative there, taken from grid.axis().  One
+    coordinate's coefficients are formed and freed before the other's.
+    """
+    h, ax = B.grid.h, B.grid.axis()
+    # the block and the node line around it: (W g^12)/4 at the half nodes of
+    # both coordinates comes from one product
+    near_rows = slice(rows.start - 1, rows.stop + 1)
+    near_cols = slice(cols.start - 1, cols.stop + 1)
+    W = B.vol[near_rows, near_cols]
+    A12 = W * B.inv12[near_rows, near_cols]
+    W_on = W[1:-1, 1:-1]
+
+    def lap(f1, f2):
+        # ((f1[i+1/2] - f1[i-1/2])/h + (f2[j+1/2] - f2[j-1/2])/h)/W
+        return ((f1[1:] - f1[:-1]) / h + (f2[:, 1:] - f2[:, :-1]) / h) / W_on
+
+    def central(x):
+        # grid._d1's central derivative of the axis at its inner nodes
+        return (x[2:] - x[:-2]) / (2.0 * h)
+
+    # x1: (W g^11)/2 times its step between rows, (W g^12)/4 times twice
+    # its derivative between columns
+    A = W[:, 1:-1] * B.inv11[near_rows, cols]
+    x = ax[near_rows]
+    f1 = 0.5 * (A[1:] + A[:-1]) * (x[1:] - x[:-1])[:, None] / h
+    d = central(x)[:, None]
+    f2 = 0.25 * (A12[1:-1, 1:] + A12[1:-1, :-1]) * (d + d)
+    lap1 = lap(f1, f2)
+    del A, f1, f2
+    # x2: (W g^12)/4 times twice its derivative between rows, (W g^22)/2
+    # times its step between columns
+    x = ax[near_cols]
+    d = central(x)[None, :]
+    f1 = 0.25 * (A12[1:, 1:-1] + A12[:-1, 1:-1]) * (d + d)
+    del A12
+    A = W[1:-1] * B.inv22[rows, near_cols]
+    f2 = 0.5 * (A[:, 1:] + A[:, :-1]) * (x[1:] - x[:-1])[None, :] / h
+    return lap1, lap(f1, f2)
+
+
 def check_coordinate_laplacian(
     B: GeometryBundle, u: ScalarField2, psi: ScalarField2 | None = None
 ) -> CheckReport:
@@ -267,9 +318,10 @@ def check_coordinate_laplacian(
     equals the matching mean curvature component; in base coordinates
       lap_g x_k = -(M g^{-1} D psi)_k,  M = D^2 u.
     B is the bundle of the potential u, and psi defaults to its phase.  The
-    left side runs through the divergence-form operator, the right side is
-    pointwise algebra on the bundle, the differenced Hessian of u and one
-    gradient of the phase, so agreement at O(h^2) exercises both routes, to
+    left side is the divergence-form operator's, in the closed form it takes
+    on a coordinate (_coordinate_laplacians), the right side is pointwise
+    algebra on the bundle, the differenced Hessian of u and one gradient of
+    the phase, so agreement at O(h^2) exercises both routes, to
     LAPLACIAN_SLACK_COEFF h^2 (1 + max lam1^2).  Checked on the interior
     (INTERIOR_MARGIN nodes away from the boundary), one band at a time.
     """
@@ -279,7 +331,7 @@ def check_coordinate_laplacian(
     if psi.grid != g or u.grid != g:
         raise ValueError("potential, phase field and bundle grids differ")
     m = INTERIOR_MARGIN
-    coords = [np.broadcast_to(xk, (g.n, g.n)) for xk in g.coords()]
+    inner = slice(m, g.n - m)
     parts = ([], [])
     for rows in _bands(m, g.n - m):
         # the lift M w, w = g^{-1} D(psi), on the band, its inputs freed first
@@ -290,10 +342,10 @@ def check_coordinate_laplacian(
         m11, m12, m22 = _hessian_rows(u.values, g.h, rows)
         lift = (m11 * w1 + m12 * w2, m12 * w1 + m22 * w2)
         del w1, w2, m11, m12, m22
-        for k, (xk, mw) in enumerate(zip(coords, lift)):
+        for k, (lap, mw) in enumerate(zip(_coordinate_laplacians(B, rows, inner), lift)):
             # |lap_g x_k - (-(M w)_k)| on the inner nodes, summed into the lift
-            core = mw[:, m:-m]
-            core += _lb_rows(xk, B, rows)[:, m - 1 : g.n - m - 1]
+            core = mw[:, inner]
+            core += lap
             parts[k].append((k + 1, _extreme(np.abs(core, out=core), rows.start, m, np.argmax)))
     # the node np.argmax picks on the two components stacked
     stacked = parts[0] + parts[1]

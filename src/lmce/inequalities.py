@@ -14,6 +14,10 @@ boundary layer, so integral comparisons over a disk of radius r receive
 never be a boundary-layer artifact.  A check that reads a uniformly
 negative phase negates the potential, and takes that flip and any phase
 regime (`classify_phase`) from one (min, max) of its region's phase.
+
+The fields of the modified slope are formed only on the box of the disk
+their readers read: lap_g(|x|^2/2) on the box of the fit's region, b_mod
+and |D b_mod| on the box of the sampled disk widened by 2h.
 """
 
 from __future__ import annotations
@@ -27,9 +31,10 @@ from .geometry import (
     GeometryBundle,
     SlopeConstants,
     _canonical_span,
+    _modified_slope_on,
+    _paraboloid_laplacian,
     _quadform_inv,
     classify_phase,
-    modified_slope,
 )
 from .grid import (
     CUTOFF_PLATEAU_RADIUS,
@@ -40,8 +45,11 @@ from .grid import (
     _bands,
     _box,
     _cutoff,
+    _gradient_norm_on,
     _gradient_rows,
+    _halo,
     _located,
+    _mask_box,
     _span,
     gradient_norm,
     integrate_disk,
@@ -276,17 +284,66 @@ def check_super_iso(
     )
 
 
-def _canonical_on_disk(B: GeometryBundle, rho: float):
-    """(bundle, flipped, span, mask): _canonical of B on the interior nodes of
-    |x| <= rho, where the weight A is fitted and the subharmonic check reads
-    (the bundle of the modified slope), with their mask.  A disk whose
+def _disk_region(grid: Grid2, rho: float) -> tuple[np.ndarray, slice]:
+    """(mask, box): the interior nodes of |x| <= rho (INTERIOR_MARGIN nodes
+    from the boundary), where the weight A is fitted and the subharmonic
+    check reads, and the slice of either axis that they span.  A disk whose
     interior holds no node fails the precondition of the check that reads it."""
-    disk, k = B.grid.disk_mask(rho), INTERIOR_MARGIN
+    disk, k = grid.disk_mask(rho), INTERIOR_MARGIN
     mask = np.zeros_like(disk)
     mask[k:-k, k:-k] = disk[k:-k, k:-k]
     if not mask.any():
         raise PreconditionError(f"no interior node in the disk of radius rho={rho}")
-    return (*_canonical(B, mask), mask)
+    return mask, _mask_box(mask)
+
+
+def _canonical_on_disk(B: GeometryBundle, rho: float):
+    """(bundle, flipped, span, mask, box): _canonical of B on the region of
+    _disk_region, the bundle of the modified slope, with the region's mask
+    and box."""
+    mask, box = _disk_region(B.grid, rho)
+    return (*_canonical(B, mask), mask, box)
+
+
+def _paraboloid_on_disk(B: GeometryBundle, rho: float) -> tuple[slice, np.ndarray]:
+    """(box, block): the box of _disk_region and lap_g(|x|^2/2) on box x box,
+    all of it that the fit and the subharmonic check read.  The metric is
+    even in the potential, so the bundle and its negated twin give the same."""
+    box = _disk_region(B.grid, rho)[1]
+    return box, _paraboloid_laplacian(B, box)
+
+
+def _on_box(lap_q: tuple[slice, np.ndarray] | None, B: GeometryBundle, box: slice) -> np.ndarray:
+    """lap_g(|x|^2/2) on box x box: lap_q's block, once its box is this one,
+    or formed when lap_q is None."""
+    if lap_q is None:
+        return _paraboloid_laplacian(B, box)
+    if lap_q[0] != box:
+        raise ValueError(f"lap_g q was formed on the box {lap_q[0]}, the region spans {box}")
+    return lap_q[1]
+
+
+def _sampled_slope(
+    B: GeometryBundle, K: SlopeConstants, radius: float = SAMPLED_RADIUS
+) -> ScalarField2:
+    """The modified slope of B, bit for bit, on the box of the disk where
+    check_weak_max_principle reads its gradient norm when it samples the disk
+    of this radius and on the node around that box, and 0 off them
+    (_sampled_box): all of the field that the sampler and check_super_iso read."""
+    return _modified_slope_on(B, K, _halo(_sampled_box(B.grid, radius), B.grid.n))
+
+
+def _sampled_grad_norm(f: ScalarField2, radius: float = SAMPLED_RADIUS) -> ScalarField2:
+    """|Df| on the box of _sampled_box, bit for bit, and 0 off it, from f on
+    that box and the node around it: what the sampler and check_super_iso read."""
+    return _gradient_norm_on(f, _sampled_box(f.grid, radius))
+
+
+def _sampled_box(grid: Grid2, radius: float) -> slice:
+    """The slice of either axis spanned by the disk of radius min(L, radius +
+    2h), where check_weak_max_principle takes Lip(f) from |Df| when sampling
+    the disk of this radius; every subdomain window lies inside it."""
+    return _mask_box(grid.disk_mask(min(grid.L, radius + 2 * grid.h)))
 
 
 def check_jacobi_pointwise(
@@ -353,7 +410,9 @@ def check_jacobi_pointwise(
     )
 
 
-def fit_modification_weight(B: GeometryBundle, *, rho: float) -> tuple[float, float]:
+def fit_modification_weight(
+    B: GeometryBundle, *, rho: float, lap_q: tuple[slice, np.ndarray] | None = None
+) -> tuple[float, float]:
     """Smallest weight A >= 0 making the modified slope subharmonic on |x| <= rho.
 
     The operator is linear, so min over the region of
@@ -362,15 +421,19 @@ def fit_modification_weight(B: GeometryBundle, *, rho: float) -> tuple[float, fl
     the optimum is the closed-form max of -lap_g(b)/lap_g(q).  Otherwise the
     minimum over the rising lines (lap_g(q) > 0) increases and the minimum
     over the others does not, so on [0, 1e3] the optimum is where the two
-    cross, found by bisection (A = 0 when no line rises).  Both Laplacians
-    are the bundle's cached fields.  The region is the interior
-    (INTERIOR_MARGIN nodes from the boundary) of the disk, and the fit runs
-    on the bundle canonical on it, the one the subharmonic check reads.
+    cross, found by bisection (A = 0 when no line rises).  lap_g(b) is the
+    bundle's cached field, lap_g(q) is formed on the box of the region alone
+    (lap_q, when given, is _paraboloid_on_disk's (box, block) pair and stands
+    in for forming it).  The region is the interior (INTERIOR_MARGIN nodes
+    from the boundary) of the disk, gathered from its box in C order, and the
+    fit runs on the bundle canonical on it, the one the subharmonic check reads.
     Returns (A_hat, attained minimum at A_hat).
     """
-    B, _, _, mask = _canonical_on_disk(B, rho)
-    lap_b = B.slope_laplacian[mask]
-    lap_q = B.paraboloid_laplacian[mask]
+    B, _, _, mask, box = _canonical_on_disk(B, rho)
+    lap_q = _on_box(lap_q, B, box)
+    kept = mask[box, box]
+    lap_b = B.slope_laplacian[box, box][kept]
+    lap_q = lap_q[kept]
 
     def attained(a: float) -> float:
         return float(np.min(lap_b + a * lap_q))
@@ -401,13 +464,15 @@ def check_subharmonic_modified_slope(
     trials: int = 200,
     seed: int = 0,
     wmp: CheckReport | None = None,
+    lap_q: tuple[slice, np.ndarray] | None = None,
 ) -> CheckReport:
     """Subharmonicity of the modified slope b + (A/2)|x|^2 on |x| <= rho.
 
     Requires a phase on the region that classify_phase does not call
     subcritical (phase >= delta); the region is the one fit_modification_weight
     fits on.  Evaluates min lap_g(b_mod) over the region, by linearity from
-    the bundle's cached Laplacians of b and |x|^2/2, and demands it be
+    the bundle's cached Laplacian of b and lap_g(|x|^2/2) on the region's box
+    (lap_q as fit_modification_weight takes it), and demands it be
     >= -SUBHARMONIC_SLACK; then runs the weak-maximum-principle sampler on
     the modified slope of the bundle canonical on the region, on the disk of
     radius min(rho, SAMPLED_RADIUS), since that is the property the
@@ -417,20 +482,22 @@ def check_subharmonic_modified_slope(
     sampler when the check samples that same disk, i.e. rho >= SAMPLED_RADIUS.
     location is the node of the smallest lap_g(b_mod) on the region.
     """
-    B, flipped, span, mask = _canonical_on_disk(B, rho)
+    B, flipped, span, mask, box = _canonical_on_disk(B, rho)
     if classify_phase(span, K.delta) == "subcritical":
         raise PreconditionError(f"modified-slope check needs phase >= delta={K.delta} on the region")
-    inner = slice(INTERIOR_MARGIN, B.grid.n - INTERIOR_MARGIN)
+    lap_q = _on_box(lap_q, B, box)
 
     def lap_mod(rows):
-        lap = B.slope_laplacian[rows, inner] + K.A * B.paraboloid_laplacian[rows, inner]
-        return np.where(mask[rows, inner], lap, np.inf)
+        at = slice(rows.start - box.start, rows.stop - box.start)
+        lap = B.slope_laplacian[rows, box] + K.A * lap_q[at]
+        return np.where(mask[rows, box], lap, np.inf)
 
-    loc, m = _located(lap_mod, inner, inner.start)
+    loc, m = _located(lap_mod, box, box.start)
     radius = min(rho, SAMPLED_RADIUS)
     if wmp is None or radius != SAMPLED_RADIUS:
-        bmod = modified_slope(B, K)
-        wmp = check_weak_max_principle(bmod, trials=trials, seed=seed, radius=radius)
+        bmod = _sampled_slope(B, K, radius)
+        dmag = _sampled_grad_norm(bmod, radius)
+        wmp = check_weak_max_principle(bmod, trials=trials, seed=seed, radius=radius, grad_norm=dmag)
     passed = (m >= -SUBHARMONIC_SLACK) and wmp.passed
     return CheckReport(
         check="subharmonic",

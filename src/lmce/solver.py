@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import LinearSolveError, PreconditionError
 from .geometry import _inverse_metric, eigen_sym2
-from .grid import Grid2, ScalarField2, _bands, hessian_fd, sample
+from .grid import Grid2, ScalarField2, _bands, _d2, hessian_fd, sample
 
 __all__ = [
     "AnalyticFunction2",
@@ -162,10 +162,15 @@ def _sample_hessian(analytic: AnalyticFunction2, grid: Grid2):
 
 
 def manufacture(analytic: AnalyticFunction2, grid: Grid2) -> ManufacturedProblem:
-    """Sample an analytic potential and define its phase from the equation."""
+    """Sample an analytic potential and define its phase from the equation,
+    band by band from the analytic Hessian's rows, with the whole-grid
+    expressions' bits and no grid-sized eigenvalue temporary."""
     u = sample(analytic.value, grid)
-    lam1, lam2 = eigen_sym2(*_sample_hessian(analytic, grid))
-    psi_vals = np.arctan(lam1) + np.arctan(lam2)
+    hess = _sample_hessian(analytic, grid)
+    psi_vals = np.empty((grid.n, grid.n))
+    for band in _bands(0, grid.n):
+        lam1, lam2 = eigen_sym2(*(m[band] for m in hess))
+        psi_vals[band] = np.arctan(lam1) + np.arctan(lam2)
     return ManufacturedProblem(analytic=analytic, u_exact=u, psi=ScalarField2(grid, psi_vals))
 
 
@@ -465,9 +470,9 @@ def _initial_iterate(grid: Grid2, boundary: ScalarField2, psi: ScalarField2, mod
     match the mean phase.
 
     The harmonic extension of a trace is the trace with a zero interior,
-    plus the Poisson solve of minus that array's hessian_fd Laplacian
-    m11 + m22, whose interior holds the Dirichlet data's share of the
-    5-point Laplacian.
+    plus the Poisson solve of minus that array's Laplacian m11 + m22 (the
+    pure second differences of hessian_fd), whose interior holds the
+    Dirichlet data's share of the 5-point Laplacian.
     "harmonic": plain harmonic extension.
     "phase_matched": adds t*(q - harmonic extension of q's trace) where q is
     the paraboloid |x|^2/2 and t = tan(mean(psi)/2); for isotropic quadratic
@@ -478,7 +483,7 @@ def _initial_iterate(grid: Grid2, boundary: ScalarField2, psi: ScalarField2, mod
     def harmonic(values: np.ndarray) -> np.ndarray:
         trace = values.copy()
         trace[1:-1, 1:-1] = 0.0
-        m11, _, m22 = hessian_fd(ScalarField2(grid, trace))
+        m11, m22 = _d2(trace, grid.h, axis=0), _d2(trace, grid.h, axis=1)
         return trace + _poisson_solve(grid, -(m11 + m22))
 
     u0 = harmonic(boundary.values)

@@ -43,8 +43,8 @@ from lmce.cli import (
     write_pgm,
 )
 from lmce.errors import ConfigError
-from lmce.geometry import GeometryBundle, bundle_from_hessian
-from lmce.grid import MAX_NODES, ScalarField2, build_grid, hessian_fd, sample
+from lmce.geometry import GeometryBundle, bundle_from_hessian, laplace_beltrami, modified_slope
+from lmce.grid import MAX_NODES, ScalarField2, build_grid, gradient_norm, hessian_fd, sample
 from lmce.identities import CheckReport
 from lmce.solver import (
     SolveState,
@@ -1210,6 +1210,116 @@ def wmp_calls(monkeypatch):
     return _count_calls(monkeypatch, {lmce.inequalities.check_weak_max_principle: "wmp"})
 
 
+# rho -> the grid of a checks=all verify that reads the fields formed on the
+# box of B_rho or B_{2+2h}; the sampler on B_0.5 needs h < 0.0583
+_BOX_RUNS = {0.5: 3.5, 1.5: 4.0, 2.0: 4.0, 3.0: 4.0}
+
+
+class TestBoxBoundFields:
+    """lap_g(|x|^2/2), b_mod and |D b_mod| are formed on the box of the disk
+    their readers read alone: nothing off it reaches an output, and no more
+    nodes than the box holds are formed."""
+
+    @staticmethod
+    def _verify(tmp_path, rho, tag):
+        cfg = RunConfig(
+            family="perturbed", eps=0.1, L=_BOX_RUNS[rho], R=_BOX_RUNS[rho], n=129, rho=rho,
+            checks=["all"],
+            out=str(tmp_path / f"{tag}-{rho}"),
+        )
+        report, _ = cmd_verify(cfg)
+        assert all(e["status"] == "ran" for e in report.entries)
+        return (tmp_path / f"{tag}-{rho}" / "verify.csv").read_bytes()
+
+    @pytest.mark.parametrize("rho", sorted(_BOX_RUNS))
+    def test_nothing_off_the_box_is_read(self, tmp_path, monkeypatch, rho):
+        import lmce.inequalities
+
+        def off_box(f, box):
+            # f with every node off the block box x box set to 1e300
+            values = np.full_like(f.values, 1e300)
+            values[box, box] = f.values[box, box]
+            return ScalarField2(f.grid, values)
+
+        slope_on = lmce.inequalities._modified_slope_on
+        grad_on = lmce.inequalities._gradient_norm_on
+        with monkeypatch.context() as m:
+            m.setattr(
+                lmce.inequalities, "_modified_slope_on",
+                lambda B, K, box: off_box(slope_on(B, K, box), box),
+            )
+            m.setattr(
+                lmce.inequalities, "_gradient_norm_on", lambda f, box: off_box(grad_on(f, box), box)
+            )
+            off = self._verify(tmp_path, rho, "sentinel")
+        # the whole-grid fields the public functions form, as the runner
+        # formed them before it formed them on a box
+        q = lambda B: ScalarField2(B.grid, 0.5 * B.grid.radius2())
+        with monkeypatch.context() as m:
+            m.setattr(
+                lmce.inequalities, "_modified_slope_on", lambda B, K, box: modified_slope(B, K)
+            )
+            m.setattr(lmce.inequalities, "_gradient_norm_on", lambda f, box: gradient_norm(f))
+            m.setattr(
+                lmce.inequalities, "_paraboloid_laplacian",
+                lambda B, box: laplace_beltrami(q(B), B).values[box, box],
+            )
+            whole = self._verify(tmp_path, rho, "whole")
+        assert off == whole == self._verify(tmp_path, rho, "box")
+
+    @pytest.mark.parametrize("rho", sorted(_BOX_RUNS))
+    def test_work_is_bound_by_the_box(self, tmp_path, monkeypatch, rho):
+        import lmce.geometry
+        import lmce.inequalities
+
+        formed = collections.defaultdict(list)
+
+        def counting(name, kernel, size):
+            def wrapper(*args):
+                value = kernel(*args)
+                formed[name].append(size(value))
+                return value
+
+            return wrapper
+
+        def nonzero(f):
+            return np.count_nonzero(f.values)
+
+        for name, size in [
+            ("_paraboloid_laplacian", np.size), ("_modified_slope_on", nonzero),
+            ("_gradient_norm_on", nonzero),
+        ]:
+            monkeypatch.setattr(
+                lmce.inequalities, name, counting(name, getattr(lmce.inequalities, name), size)
+            )
+        calls = _count_calls(
+            monkeypatch,
+            {
+                lmce.geometry.laplace_beltrami: "laplace_beltrami",
+                lmce.geometry.modified_slope: "modified_slope",
+                gradient_norm: "gradient_norm",
+            },
+        )
+        self._verify(tmp_path, rho, "count")
+        g = build_grid(_BOX_RUNS[rho], 129)
+
+        def nodes(radius, halo=0):
+            # the nodes of the box that the disk spans, widened by halo nodes
+            spanned = np.count_nonzero(g.disk_mask(radius).any(axis=1))
+            return min(spanned + 2 * halo, g.n) ** 2
+
+        # the shared sample reads B_{2+2h}, subharmonic's own one for rho < 2 less
+        sampled = 2.0 + 2 * g.h
+        assert max(formed["_paraboloid_laplacian"]) <= nodes(rho)
+        assert max(formed["_modified_slope_on"]) <= nodes(sampled, halo=1)
+        assert max(formed["_gradient_norm_on"]) <= nodes(sampled)
+        # formed on all n^2 nodes, through the public functions, they took
+        # a laplace_beltrami of |x|^2/2, a modified_slope and a gradient_norm
+        # of it; what is left is lap_g b and the set-up's |Du|
+        assert max(max(v) for v in formed.values()) < g.n ** 2
+        assert [calls[k] for k in ("laplace_beltrami", "modified_slope", "gradient_norm")] == [1, 0, 1]
+
+
 class TestBenchmarkOutputs:
     """The JSON summaries pass the benchmark's own output check, on the
     config keys of its workloads (the verify one on a smaller grid)."""
@@ -1234,9 +1344,10 @@ class TestBenchmarkOutputs:
 # 1.34 and jacobi_integral 2.63 with their grid-sized margin and sums,
 # complex_factorization 2.32 with the cos and sin of the phase it builds,
 # jacobi_pointwise 1.33 with the slope gradient it builds, coordinate_laplacian
-# 0.87, weak_max_principle 0.76, hessian_estimate 0.33, super_iso 0.33,
-# subharmonic 0.32, form_equivalence 0.25, volume_bound 0.20, volume_formula
-# 0.14 and slope_volume 0.07.  Before they
+# 0.79 (0.87 through the general operator), weak_max_principle 0.63 (0.76 with
+# b_mod and |D b_mod| on the whole grid), hessian_estimate 0.33, super_iso 0.33,
+# subharmonic 0.23 (0.32 with lap_g |x|^2/2 on the whole grid), form_equivalence
+# 0.25, volume_bound 0.20, volume_formula 0.14 and slope_volume 0.07.  Before they
 # reduced through the banded kernels slope_volume formed 1.00, volume_bound
 # 1.27 and hessian_estimate 1.68
 _CHECK_PEAK_BOUNDS = {
@@ -1353,9 +1464,10 @@ class TestVerifyWork:
         return peak / (8 * 129 * 129)
 
     def test_peak_memory_of_a_full_verify(self, tmp_path):
-        # the traced peak is 17.6 float arrays of n^2 nodes at n=129; 18.6
-        # leaves about one array of headroom.  It was 20.6 with the Hessian
-        # and the slope gradient stored and whole-grid temporaries.
+        # the traced peak is 16.6 float arrays of n^2 nodes at n=129; 18.6
+        # leaves about two arrays of headroom.  It was 17.6 with lap_g
+        # |x|^2/2, b_mod and |D b_mod| on the whole grid, and 20.6 with the
+        # Hessian and the slope gradient stored and whole-grid temporaries.
         assert self._full_verify_at_129(tmp_path) < 18.6
 
     def test_peak_memory_of_a_newton_solve(self):
@@ -1474,18 +1586,24 @@ class TestVerifyWork:
         assert set(peaks) == set(_CHECK_PEAK_BOUNDS)
 
     def test_lazy_state_has_its_own_timings(self, tmp_path):
-        cfg = RunConfig(family="perturbed", eps=0.1, n=65, checks=["all"], out=str(tmp_path / "o"))
-        t0 = time.perf_counter()
-        report, _ = cmd_verify(cfg)
-        wall = time.perf_counter() - t0
-        timings = json.loads((tmp_path / "o" / "verify.json").read_text())["timings"]
-        assert timings == report.timings
-        expected = {"setup_s", "constants_s", "bmod_s", "bmod_grad_norm_s", "wmp_s", "pointwise_s"}
-        expected |= {f"{name}_s" for name in ALL_CHECKS}
-        assert set(timings) == expected
-        # disjoint pieces: none is charged twice
-        assert all(t >= 0.0 for t in timings.values())
-        assert sum(timings.values()) <= wall
+        for case in ("perturbed", "negative"):
+            out = tmp_path / case
+            cfg = RunConfig(**_RELEASE_CASES[case], n=65, checks=["all"], out=str(out))
+            t0 = time.perf_counter()
+            report, _ = cmd_verify(cfg)
+            wall = time.perf_counter() - t0
+            timings = json.loads((out / "verify.json").read_text())["timings"]
+            assert timings == report.timings
+            # the context's lazily built state, lap_g(|x|^2/2) on the box of
+            # B_rho among it, and the bundle's lazily built fields
+            lazy = ["constants", "paraboloid_laplacian", "bmod", "bmod_grad_norm", "wmp"]
+            lazy += ["pointwise", "slope_laplacian", "slope_grad_norm2", "cos_phase", "sin_phase"]
+            lazy += ["negated"] if case == "negative" else []
+            expected = {f"{name}_s" for name in ["setup"] + lazy + ALL_CHECKS}
+            assert set(timings) == expected
+            # disjoint pieces: none is charged twice
+            assert all(t >= 0.0 for t in timings.values())
+            assert sum(timings.values()) <= wall
 
 
 # the checks=all verifies _check_peaks_at_257 measures, with the regime and
@@ -1549,34 +1667,18 @@ def _lazy_fields(cls):
     return [k for k, v in vars(cls).items() if isinstance(v, functools.cached_property)]
 
 
-# the lazily built bundle fields even under u -> -u, which a bundle and its
-# negated twin share
-_EVEN_FIELDS = ("paraboloid_laplacian",)
-
-
 @contextlib.contextmanager
 def _count_lazy_builds():
     """Counts of builds of each lazily built field of the verify context and
-    of every geometry bundle, keyed by (id of the object, field name).  An
-    even field is keyed by the id of the original of its twin pair, and one
-    taken over from the twin is not a build."""
+    of every geometry bundle, keyed by (id of the object, field name)."""
     builds = collections.Counter()
     alive = []  # every counted object, so that no id is reused
-    original = {}  # id of a negated bundle -> id of the bundle it negates
 
     def counting(build, name):
         def wrapper(obj):
             alive.append(obj)
-            value = build(obj)
-            twin = vars(obj).get("negated")
-            if name in _EVEN_FIELDS and twin is not None and vars(twin).get(name) is value:
-                return value
-            if name == "negated":
-                alive.append(value)
-                original[id(value)] = id(obj)
-            owner = original.get(id(obj), id(obj)) if name in _EVEN_FIELDS else id(obj)
-            builds[owner, name] += 1
-            return value
+            builds[id(obj), name] += 1
+            return build(obj)
 
         return wrapper
 
@@ -1642,28 +1744,33 @@ class TestReleaseTable:
 
 
     def test_negative_data_drop_the_paraboloid_laplacian(self, monkeypatch):
-        # the fit and subharmonic read the negated twin's lap_g q, so the
-        # original never builds its own, and once subharmonic has run
-        # neither twin keeps it
+        # the fit and subharmonic read the context's lap_g q, formed on the
+        # box of B_rho from the metric that both twins share, so neither twin
+        # builds one, and once subharmonic has run the context keeps none
         held = {}
+        ctx = lmce.cli._Context(RunConfig(**_RELEASE_CASES["negative"], n=65, checks=["all"]))
 
         def spy(name):
             check = getattr(lmce.cli, name)
 
             def wrapper(B, *args, **kwargs):
-                held[name] = tuple("paraboloid_laplacian" in vars(b) for b in (B, B.negated))
+                twins = [vars(b) for b in (B, B.negated)]
+                held[name] = ("paraboloid_laplacian" in vars(ctx),) + tuple(
+                    "paraboloid_laplacian" in t or "paraboloid_laplacian_s" in t for t in twins
+                )
                 return check(B, *args, **kwargs)
 
             return wrapper
 
         for name in ("check_jacobi_pointwise", "check_jacobi_integral"):
             monkeypatch.setattr(lmce.cli, name, spy(name))
-        cfg = RunConfig(**_RELEASE_CASES["negative"], n=65, checks=["all"])
-        lmce.cli._run_checks(lmce.cli._Context(cfg), cfg.checks, {})
+        lmce.cli._run_checks(ctx, ctx.cfg.checks, {})
         assert held == {
-            "check_jacobi_pointwise": (False, True),
-            "check_jacobi_integral": (False, False),
+            "check_jacobi_pointwise": (True, False, False),
+            "check_jacobi_integral": (False, False, False),
         }
+        box, block = lmce.cli._paraboloid_on_disk(ctx.bundle, ctx.cfg.rho)
+        assert block.shape == (box.stop - box.start,) * 2 and box.stop - box.start < 65
 
 
 def _set_up_refs(ctx) -> dict:

@@ -15,7 +15,10 @@ from lmce.geometry import (
     REGIME_CUSHION,
     SlopeConstants,
     _inverse_metric,
+    _lb_rows,
+    _modified_slope_on,
     _nondiv_kernel,
+    _paraboloid_laplacian,
     _quadform_inv,
     bundle,
     bundle_from_hessian,
@@ -26,7 +29,15 @@ from lmce.geometry import (
     modified_slope,
     slope,
 )
-from lmce.grid import ScalarField2, build_grid, gradient_fd, gradient_norm, hessian_fd, sample
+from lmce.grid import (
+    ScalarField2,
+    _gradient_norm_on,
+    build_grid,
+    gradient_fd,
+    gradient_norm,
+    hessian_fd,
+    sample,
+)
 from lmce.solver import anisotropic_family, manufacture, perturbed_family
 
 
@@ -62,6 +73,14 @@ class TestEigen:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             eigen_sym2(np.inf, 0.0, 1.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("at", [0, 1, 2])
+    def test_rejects_a_non_finite_entry_anywhere(self, bad, at):
+        entries = [np.ones((4, 5)), np.zeros((4, 5)), np.ones((4, 5))]
+        entries[at][3, 1] = bad
+        with pytest.raises(ValueError, match="symmetric matrix entries must be finite"):
+            eigen_sym2(*entries)
 
     @settings(deadline=None, max_examples=100)
     @given(
@@ -247,8 +266,6 @@ class TestLazySlopeFields:
         b = slope(B)
         assert np.array_equal(B.slope_laplacian, laplace_beltrami(b, B).values)
         assert np.array_equal(B.slope_grad_norm2, grad_g_norm2(b, B).values)
-        q = ScalarField2(B.grid, 0.5 * B.grid.radius2())
-        assert np.array_equal(B.paraboloid_laplacian, laplace_beltrami(q, B).values)
         neg = B.negated
         assert np.array_equal(B.negated.slope, neg.slope)
         assert np.array_equal(B.negated.slope_laplacian, neg.slope_laplacian)
@@ -257,11 +274,18 @@ class TestLazySlopeFields:
         B = self._bundle()
         assert B.slope_laplacian is B.slope_laplacian
         assert B.slope_grad_norm2 is B.slope_grad_norm2
-        assert B.paraboloid_laplacian is B.paraboloid_laplacian
         assert B.negated is B.negated
-        arrays = (B.slope_laplacian, B.slope_grad_norm2, B.paraboloid_laplacian)
-        for arr in arrays:
+        for arr in (B.slope_laplacian, B.slope_grad_norm2):
             assert not arr.flags.writeable
+
+    def test_each_build_goes_through_the_hook_the_twin_takes_over(self):
+        B = self._bundle()
+        built = []
+        B.__dict__["_build_field"] = lambda name, build: built.append(name) or build()
+        B.slope_laplacian, B.negated.slope_grad_norm2, B.cos_phase
+        assert B.slope_laplacian is B.slope_laplacian
+        assert built == ["slope_laplacian", "negated", "slope_grad_norm2", "cos_phase"]
+        assert self._bundle()._build_field("x", lambda: 1.0) == 1.0
 
 
 class TestCachedFields:
@@ -306,7 +330,8 @@ class TestCachedFields:
         fresh = bundle_from_hessian(B.grid, tuple(-m for m in hessian_fd(u)), neg.grad_norm)
         for name in ("lam1", "lam2", "phase", "vol", "inv11", "inv12", "inv22", "slope"):
             assert np.array_equal(getattr(neg, name), getattr(fresh, name))
-        assert _same_bits(neg.paraboloid_laplacian, fresh.paraboloid_laplacian)
+        box = slice(2, B.grid.n - 2)
+        assert _same_bits(_paraboloid_laplacian(neg, box), _paraboloid_laplacian(fresh, box))
         assert np.array_equal(neg.grad_norm, fresh.grad_norm)
 
     def test_twins_take_even_fields_from_each_other(self):
@@ -318,9 +343,9 @@ class TestCachedFields:
     def test_negation_builds_no_unread_field(self):
         B = self._negative()
         neg = B.negated
-        assert "paraboloid_laplacian" not in neg.__dict__
-        q = ScalarField2(B.grid, 0.5 * B.grid.radius2())
-        assert _same_bits(neg.paraboloid_laplacian, laplace_beltrami(q, B).values)
+        lazy = ("cos_phase", "sin_phase", "slope_laplacian", "slope_grad_norm2")
+        assert not set(lazy) & set(vars(neg))
+        assert not set(lazy) & set(vars(B))
 
 
 def _same_bits(a, b):
@@ -365,6 +390,53 @@ class TestBands:
         before = set(vars(B))
         laplace_beltrami(slope(B), B)
         assert set(vars(B)) == before
+
+
+class TestBoxFields:
+    """The fields formed on a box alone hold, on it, the whole-grid field's
+    values bit for bit, whatever the band height."""
+
+    BOXES = [slice(2, 63), slice(20, 45), slice(31, 34), slice(1, 64)]
+
+    @pytest.mark.parametrize("rows", [1, 7, 64])
+    @pytest.mark.parametrize("family", [perturbed_family(0.1), anisotropic_family(-0.4, -1.0)])
+    def test_paraboloid_laplacian_on_a_box(self, monkeypatch, family, rows):
+        g = build_grid(4.0, 65)
+        B = bundle(manufacture(family, g).u_exact)
+        whole = laplace_beltrami(ScalarField2(g, 0.5 * g.radius2()), B).values
+        monkeypatch.setattr(lmce.grid, "LB_BAND_ROWS", rows)
+        for box in self.BOXES:
+            block = _paraboloid_laplacian(B, box)
+            assert not block.flags.writeable
+            assert _same_bits(block, whole[box, box])
+            assert _same_bits(_paraboloid_laplacian(B.negated, box), block)
+
+    @pytest.mark.parametrize("rows", [1, 7, 64])
+    def test_modified_slope_and_its_gradient_norm_on_a_box(self, monkeypatch, rows):
+        g = build_grid(4.0, 65)
+        B = bundle(manufacture(anisotropic_family(-0.4, -1.0), g).u_exact)
+        K = SlopeConstants(A=0.7)
+        whole = modified_slope(B, K)
+        grad = gradient_norm(whole).values
+        monkeypatch.setattr(lmce.grid, "LB_BAND_ROWS", rows)
+        for box in self.BOXES + [slice(0, 65), slice(0, 10), slice(60, 65)]:
+            on = _modified_slope_on(B, K, box)
+            assert _same_bits(on.values[box, box], whole.values[box, box])
+            assert np.count_nonzero(on.values) <= (box.stop - box.start) ** 2
+            # the gradient reads the block and one node around it
+            inner = slice(box.start + (box.start > 0), box.stop - (box.stop < g.n))
+            norm = _gradient_norm_on(on, inner)
+            assert _same_bits(norm.values[inner, inner], grad[inner, inner])
+            assert np.count_nonzero(norm.values) <= (inner.stop - inner.start) ** 2
+
+    @pytest.mark.parametrize("cols", [slice(1, 64), slice(5, 17), slice(40, 41)])
+    def test_lb_rows_on_some_columns(self, cols):
+        g = build_grid(4.0, 65)
+        B = bundle(manufacture(perturbed_family(0.1), g).u_exact)
+        f = sample(lambda x1, x2: np.sin(x1) * np.cos(0.5 * x2), g)
+        whole = laplace_beltrami(f, B).values
+        rows = slice(3, 12)
+        assert _same_bits(_lb_rows(f.values, B, rows, cols), whole[rows, cols])
 
 
 def _whole_bundle(hess):

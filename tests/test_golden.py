@@ -33,6 +33,11 @@ VERIFY_CASES = {
     "verify_anisotropic_negative": dict(
         family="anisotropic", theta1=-0.4, theta2=-1.0, n=65, checks=["all"], seed=3
     ),
+    # the widest disk the fit and subharmonic read, so the widest box of the
+    # fields formed only where the checks read them
+    "verify_perturbed_rho3": dict(
+        family="perturbed", eps=0.1, n=65, rho=3.0, checks=["all"], seed=3
+    ),
 }
 
 SWEEP_CASES = {

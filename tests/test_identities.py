@@ -1,5 +1,6 @@
 """Algebraic and structural identity checks."""
 
+import functools
 import math
 
 import numpy as np
@@ -8,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 import lmce.identities
 from lmce.errors import PreconditionError
-from lmce.geometry import bundle, bundle_from_hessian, laplace_beltrami
+import lmce.grid
+from lmce.geometry import _lb_rows, bundle, bundle_from_hessian, laplace_beltrami
 from lmce.grid import ScalarField2, _cutoff, build_grid, gradient_fd, hessian_fd, sample
 from lmce.identities import (
     check_complex_factorization,
@@ -18,7 +20,8 @@ from lmce.identities import (
     check_slope_volume,
     check_volume_formula,
 )
-from lmce.solver import anisotropic_family, manufacture, perturbed_family
+from lmce.identities import _coordinate_laplacians
+from lmce.solver import anisotropic_family, manufacture, perturbed_family, quadratic_family
 
 
 def const_field(grid, value):
@@ -317,14 +320,60 @@ class TestCoordinateLaplacian:
     def test_tie_goes_to_first_component(self, monkeypatch):
         g = build_grid(4.0, 17)
         u = sample(lambda x1, x2: 0.5 * (x1 * x1 + x2 * x2), g)
-        # the operator's rows on the interior columns, all 1
-        flat = lambda values, B, rows: np.ones((rows.stop - rows.start, B.grid.n - 2))
-        monkeypatch.setattr(lmce.identities, "_lb_rows", flat)
+        # both coordinates' Laplacians on the block, all 1
+        def flat(B, rows, cols):
+            return [np.ones((rows.stop - rows.start, cols.stop - cols.start))] * 2
+
+        monkeypatch.setattr(lmce.identities, "_coordinate_laplacians", flat)
         # a constant phase has a zero gradient, so both residuals are 1 everywhere
         rep = check_coordinate_laplacian(bundle(u), u, const_field(g, 0.5 * math.pi))
         assert rep.residual == 1.0
         assert rep.location == (2, 2)
         assert rep.details["component"] == 1
+
+
+_COORDINATE_CASES = [
+    (n, rows, family)
+    for n in (64, 65, 129)
+    for rows in (1, 7, 64)
+    for family in ("perturbed", "anisotropic")
+] + [(1025, 64, "perturbed"), (1025, 64, "anisotropic"), (65, 7, "quadratic")]
+
+_COORDINATE_FAMILIES = {
+    "perturbed": perturbed_family(0.1),
+    "anisotropic": anisotropic_family(-0.4, -1.0),
+    # g^12 = -0.0 or 0.0 everywhere: the dropped zero terms meet signed zeros
+    "quadratic": quadratic_family(4.0),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _coordinate_bundle(n, family):
+    return bundle(manufacture(_COORDINATE_FAMILIES[family], build_grid(4.0, n)).u_exact)
+
+
+@pytest.mark.parametrize("n, rows, family", _COORDINATE_CASES)
+def test_coordinate_closed_form_is_the_operator_bit_for_bit(monkeypatch, n, rows, family):
+    # the operator on the broadcast coordinates, band by band, sign of zero included
+    B = _coordinate_bundle(n, family)
+    monkeypatch.setattr(lmce.grid, "LB_BAND_ROWS", rows)
+    coords = [np.broadcast_to(xk, (n, n)) for xk in B.grid.coords()]
+    inner = slice(2, n - 2)
+    for band in lmce.grid._bands(2, n - 2):
+        for xk, lap in zip(coords, _coordinate_laplacians(B, band, inner)):
+            want = _lb_rows(xk, B, band)[:, 1 : n - 3]
+            assert np.array_equal(lap.view(np.int64), want.view(np.int64))
+
+
+def test_coordinate_closed_form_on_any_block():
+    # every interior block, the outermost ring of the interior included
+    B = _coordinate_bundle(65, "anisotropic")
+    coords = [np.broadcast_to(xk, (65, 65)) for xk in B.grid.coords()]
+    blocks = [(1, 64, 1, 64), (1, 2, 30, 35), (63, 64, 1, 3)]
+    for rows, cols in [(slice(r0, r1), slice(c0, c1)) for r0, r1, c0, c1 in blocks]:
+        for xk, lap in zip(coords, _coordinate_laplacians(B, rows, cols)):
+            want = _lb_rows(xk, B, rows, cols)
+            assert np.array_equal(lap.view(np.int64), want.view(np.int64))
 
 
 class TestBandHeight:

@@ -44,6 +44,7 @@ from lmce.solver import (
     _newton_system,
     _phase_defect,
     _poisson_solve,
+    _sample_hessian,
 )
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -210,6 +211,28 @@ def _eisenstat_walker(residuals):
     return etas
 
 
+@pytest.mark.parametrize("mode", ["harmonic", "phase_matched"])
+@pytest.mark.parametrize("n", [33, 65])
+def test_initial_iterate_keeps_its_bits(n, mode):
+    # the start as it was formed from the whole of hessian_fd, m12 included
+    g = build_grid(4.0, n)
+    prob = manufacture(perturbed_family(0.1), g)
+
+    def harmonic(values):
+        trace = values.copy()
+        trace[1:-1, 1:-1] = 0.0
+        m11, _, m22 = hessian_fd(ScalarField2(g, trace))
+        return trace + _poisson_solve(g, -(m11 + m22))
+
+    want = harmonic(prob.u_exact.values)
+    if mode == "phase_matched":
+        q = 0.5 * g.radius2()
+        t = math.tan(0.5 * float(np.mean(prob.psi.values[1:-1, 1:-1])))
+        want = want + t * (q - harmonic(q))
+    u0 = _initial_iterate(g, prob.u_exact, prob.psi, mode)
+    assert np.array_equal(u0.view(np.int64), want.view(np.int64))
+
+
 def _first_newton_system(g, prob):
     """Operator, preconditioner and right-hand side of the first Newton step
     from the default start."""
@@ -222,6 +245,17 @@ def _first_newton_system(g, prob):
 
 
 class TestManufacture:
+    @pytest.mark.parametrize("rows", [1, 7, 64])
+    @pytest.mark.parametrize("n", [65, 1025])
+    def test_phase_bands_are_the_whole_grid_bits(self, monkeypatch, n, rows):
+        g = build_grid(4.0, n)
+        monkeypatch.setattr(lmce.grid, "LB_BAND_ROWS", rows)
+        for family in (perturbed_family(0.1), anisotropic_family(-0.4, -1.0), quadratic_family(4)):
+            lam1, lam2 = eigen_sym2(*_sample_hessian(family, g))
+            want = np.arctan(lam1) + np.arctan(lam2)
+            psi = manufacture(family, g).psi.values
+            assert np.array_equal(psi.view(np.int64), want.view(np.int64))
+
     def test_paraboloid_case1(self):
         g = build_grid(4.0, 65)
         prob = manufacture(quadratic_family(1.0), g)
@@ -944,7 +978,7 @@ SCIPY_FREE = """
 import json, sys
 import numpy as np
 import lmce.cli
-from lmce.geometry import bundle_from_hessian
+from lmce.geometry import bundle_from_hessian, laplace_beltrami
 from lmce.grid import ScalarField2, build_grid, sample
 from lmce.inequalities import fit_modification_weight
 from lmce.solver import newton_solve, quadratic_family
@@ -960,7 +994,7 @@ x1, x2 = g.coords()
 m11 = np.exp(4.0 * (x1 - 1.2)) + 0.3 * np.sin(x2)
 zero, half = np.zeros((g.n, g.n)), np.full((g.n, g.n), 0.5)
 B = bundle_from_hessian(g, (m11, zero, half))
-lap_q = B.paraboloid_laplacian[g.disk_mask(2.0)]
+lap_q = laplace_beltrami(ScalarField2(g, 0.5 * g.radius2()), B).values[g.disk_mask(2.0)]
 a_hat, _ = fit_modification_weight(B, rho=2.0)
 print(json.dumps({
     "near_pi": state.converged,
