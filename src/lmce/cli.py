@@ -33,14 +33,14 @@ import sys
 import time
 import traceback
 from dataclasses import dataclass, field
-from functools import cached_property, wraps
+from functools import cached_property
 from pathlib import Path
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .errors import ConfigError, NonConvergenceError, PreconditionError
-from .geometry import SlopeConstants, bundle as make_bundle, classify_phase
+from .geometry import SlopeConstants, _lazy, bundle as make_bundle, classify_phase
 from .grid import MAX_NODES, ScalarField2, build_grid, gradient_fd, hessian_fd
 from .identities import (
     CheckReport,
@@ -57,6 +57,7 @@ from .inequalities import (
     _paraboloid_on_disk,
     _sampled_grad_norm,
     _sampled_slope,
+    _subharmonic_radius,
     check_hessian_estimate,
     check_jacobi_integral,
     check_jacobi_pointwise,
@@ -230,7 +231,7 @@ def _require_sampler_grid(cfg: RunConfig, grid) -> None:
     sampled = {
         "weak_max_principle": SAMPLED_RADIUS,
         "super_iso": SAMPLED_RADIUS,
-        "subharmonic": min(cfg.rho, SAMPLED_RADIUS),
+        "subharmonic": _subharmonic_radius(cfg.rho),
     }
     requested = [name for name in sampled if name in cfg.checks]
     if requested and cfg.rho > grid.L:
@@ -455,12 +456,6 @@ def _timed(clock: _Clock, key: str, run):
         clock.lazy_s = outer + spent
 
 
-def _timed_lazy(build):
-    """A cached property of `_Context`, its build `_timed` under `timings["<name>_s"]`."""
-    key = f"{build.__name__}_s"
-    return cached_property(wraps(build)(lambda self: _timed(self.clock, key, lambda: build(self))))
-
-
 class _Context:
     """Shared state for one verify run, or one swept value.
 
@@ -476,9 +471,11 @@ class _Context:
     sampler and super_iso), the weak-maximum-principle sample of the
     modified slope (shared by the weak_max_principle, super_iso and
     subharmonic checks) and the jacobi_pointwise report (whose C_hat
-    jacobi_integral reads).  `clock` holds each one's own time, each
-    check's and that of each lazily built field of the bundle and its twin,
-    so no check is charged for state it builds first (see `_timed`).
+    jacobi_integral reads).  Each of these, like each lazily built field of
+    the bundle and its twin, is a `geometry._lazy` field built through one
+    `_build_field` hook, which charges its own time to its `<name>_s` key of
+    `clock`, beside each check's, so no check is charged for state it
+    builds first (see `_timed`).
     `_run_checks` drops each of them, each set-up attribute
     (`_SET_UP`) and each lazily built field of the bundle once no remaining
     check reads it, so heatmaps and a sweep's errors against the exact
@@ -511,13 +508,13 @@ class _Context:
         self.regime = classify_phase(self.bundle.phase, cfg.delta)
         self.fixed = SlopeConstants(delta=cfg.delta, c=cfg.c)
         self.clock = clock = _Clock()
-        # each lazily built field of the bundle and its twin under its own key;
-        # the hook holds the clock alone, so it keeps no context alive
-        self.bundle.__dict__["_build_field"] = lambda name, build: _timed(
-            clock, f"{name}_s", build
-        )
+        # each lazily built field of the context, the bundle and its twin under
+        # its own key; the hook holds the clock alone, so the bundle keeps no
+        # context alive
+        self._build_field = lambda name, build: _timed(clock, f"{name}_s", build)
+        self.bundle.__dict__["_build_field"] = self._build_field
 
-    @_timed_lazy
+    @_lazy
     def constants(self) -> SlopeConstants:
         a = self.cfg.A
         if a == "fit":
@@ -526,27 +523,27 @@ class _Context:
             )
         return dataclasses.replace(self.fixed, A=float(a))
 
-    @_timed_lazy
+    @_lazy
     def paraboloid_laplacian(self) -> tuple[slice, np.ndarray]:
         return _paraboloid_on_disk(self.bundle, self.cfg.rho)
 
-    @_timed_lazy
+    @_lazy
     def bmod(self) -> ScalarField2:
         # the slope of the bundle that the weight A is fitted on
         B = _canonical_on_disk(self.bundle, self.cfg.rho)[0]
         return _sampled_slope(B, self.constants)
 
-    @_timed_lazy
+    @_lazy
     def bmod_grad_norm(self) -> ScalarField2:
         return _sampled_grad_norm(self.bmod)
 
-    @_timed_lazy
+    @_lazy
     def wmp(self) -> CheckReport:
         return check_weak_max_principle(
             self.bmod, trials=self.cfg.trials, seed=self.cfg.seed, grad_norm=self.bmod_grad_norm
         )
 
-    @_timed_lazy
+    @_lazy
     def pointwise(self) -> CheckReport:
         budget = math.inf if self.cfg.C_budget is None else self.cfg.C_budget
         return check_jacobi_pointwise(self.bundle, self.fixed, C_budget=budget)
@@ -599,7 +596,7 @@ INEQUALITY_CHECKS = {
             trials=ctx.cfg.trials,
             seed=ctx.cfg.seed,
             # the shared sample is the one the check draws on B_2
-            wmp=ctx.wmp if ctx.cfg.rho >= SAMPLED_RADIUS else None,
+            wmp=ctx.wmp if _subharmonic_radius(ctx.cfg.rho) == SAMPLED_RADIUS else None,
             lap_q=ctx.paraboloid_laplacian,
         ),
         ("constants", "negated", "slope_laplacian", "paraboloid_laplacian", "wmp"),

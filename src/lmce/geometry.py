@@ -7,8 +7,10 @@ with its inverse, the volume element V = sqrt(det g), and the slope function
 b = ln sqrt(1 + lam1^2).  On top of the metric it provides the squared metric
 gradient norm and a divergence-form Laplace-Beltrami operator with exact
 discrete summation by parts.  For readers of one block of the grid alone,
-lap_g(|x|^2/2) and the modified slope are also formed on that block only,
-each value the whole-grid one bit for bit.
+lap_g(|x|^2/2) and the modified slope are formed on that block only, each
+value the whole-grid one bit for bit; `modified_slope` is the block of the
+whole grid.  `_lazy` is the decorator of every lazily built field, here and
+in the verify runner's context.
 """
 
 from __future__ import annotations
@@ -126,8 +128,9 @@ class SlopeConstants:
 
 
 def _lazy(build):
-    """A cached property of GeometryBundle, built as bundle._build_field(name,
-    build) returns it (see GeometryBundle)."""
+    """A cached property, built as its owner's _build_field(name, build)
+    returns it: the one decorator of lazily built state, of a GeometryBundle
+    and of the verify runner's context alike (see GeometryBundle)."""
     name = build.__name__
     return cached_property(wraps(build)(lambda self: self._build_field(name, lambda: build(self))))
 
@@ -403,17 +406,13 @@ def slope(B: GeometryBundle) -> ScalarField2:
 
 
 def modified_slope(B: GeometryBundle, K: SlopeConstants) -> ScalarField2:
-    """Slope plus the quadratic (A/2)|x|^2 that restores subharmonicity,
-    formed in the array of |x|^2."""
-    q = B.grid.radius2()
-    q *= 0.5 * K.A
-    q += B.slope
-    return ScalarField2(B.grid, q)
+    """Slope plus the quadratic (A/2)|x|^2 that restores subharmonicity."""
+    return _modified_slope_on(B, K, slice(0, B.grid.n))
 
 
 def _modified_slope_on(B: GeometryBundle, K: SlopeConstants, box: slice) -> ScalarField2:
-    """modified_slope's values on the block box x box, bit for bit, and 0
-    off it: a field for readers of the block alone."""
+    """The modified slope on the block box x box, formed in the block of
+    |x|^2, and 0 off it: a field for readers of the block alone."""
     out = np.zeros((B.grid.n, B.grid.n))
     x = B.grid.axis()[box]
     q = out[box, box]

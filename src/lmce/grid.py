@@ -4,7 +4,8 @@ Provides the grid and its scalar field used throughout the package together
 with second-order finite differences (a gradient as a pair of arrays, a
 Hessian as the triple (m11, m12, m22)), node-indicator disk quadrature, disk
 sup norms, and a smooth radial cutoff with its analytic gradient.  The
-gradient norm is also formed on one block alone, for readers of that block.
+gradient norm is formed on a block (`_gradient_norm_on`), for readers of
+that block alone; `gradient_norm` is its block of the whole grid.
 Fields and differenced arrays are immutable after construction (marked
 read-only), so they are safe to share across threads.
 
@@ -256,16 +257,13 @@ def gradient_fd(f: ScalarField2) -> tuple[np.ndarray, np.ndarray]:
 
 def gradient_norm(f: ScalarField2) -> ScalarField2:
     """|Df|, the hypot of the differenced gradient, formed band by band."""
-    out = np.empty((f.grid.n, f.grid.n))
-    for b in _bands(0, f.grid.n):
-        out[b] = np.hypot(*_gradient_rows(f.values, f.grid.h, b))
-    return ScalarField2(f.grid, out)
+    return _gradient_norm_on(f, slice(0, f.grid.n))
 
 
 def _gradient_norm_on(f: ScalarField2, box: slice) -> ScalarField2:
-    """gradient_norm's values on the block box x box, bit for bit, and 0 off
-    it: a field for readers of the block alone.  It reads f on the block and
-    one node around it."""
+    """|Df| on the block box x box and 0 off it, each value on the block the
+    same whatever block it is formed on: a field for readers of the block
+    alone.  It reads f on the block and one node around it."""
     out = np.zeros((f.grid.n, f.grid.n))
     for b in _bands(box.start, box.stop):
         out[b, box] = np.hypot(*_gradient_rows(f.values, f.grid.h, b, box))

@@ -51,7 +51,6 @@ from .grid import (
     _located,
     _mask_box,
     _span,
-    gradient_norm,
     integrate_disk,
     sup_norm_disk,
 )
@@ -140,8 +139,8 @@ def check_weak_max_principle(
     is the sharpest coefficient with headroom.  Subdomains too small to hold
     both node sets are skipped and counted.  The report carries the worst
     margin over all admissible trials.  grad_norm, when given, is |Df| from
-    the differenced gradient (`gradient_norm(f)`), and stands in
-    for differencing f again.
+    the differenced gradient on (at least) the box of _lip_disk, and stands
+    in for forming it there (_sampled_grad_norm).
     """
     g = f.grid
     problem = sampler_grid_problem(g, radius)
@@ -151,8 +150,8 @@ def check_weak_max_principle(
     ax = g.axis()
     vals = f.values
     if grad_norm is None:
-        grad_norm = gradient_norm(f)
-    lip = sup_norm_disk(grad_norm, min(g.L, radius + 2 * h))
+        grad_norm = _sampled_grad_norm(f, radius)
+    lip = sup_norm_disk(grad_norm, _lip_disk(g, radius)[0])
     slack = WMP_SLACK_COEFF * h * lip
     band = 2.0 * h
     size_lo = max(6.0 * h, 0.15)
@@ -171,9 +170,6 @@ def check_weak_max_principle(
     for trial in range(trials):
         if trial % 2 == 0:
             rho = rng.uniform(size_lo, 0.8 * radius)
-            if rho <= 3.0 * h + band:
-                degenerate += 1
-                continue
             ang = rng.uniform(0.0, 2.0 * math.pi)
             rad = math.sqrt(rng.uniform(0.0, 1.0)) * (radius - rho)
             c1, c2 = rad * math.cos(ang), rad * math.sin(ang)
@@ -193,7 +189,7 @@ def check_weak_max_principle(
                 if (abs(c1) + w1) ** 2 + (abs(c2) + w2) ** 2 <= radius * radius:
                     ok = True
                     break
-            if not ok or min(w1, w2) <= 3.0 * h + band:
+            if not ok:
                 degenerate += 1
                 continue
             s1, s2 = window(c1, w1), window(c2, w2)
@@ -257,7 +253,7 @@ def check_super_iso(
     f_min, f_max = _span(lambda b: f.values[b], b2)
     if f_min < 0.0:
         raise PreconditionError("super isoperimetric check needs f >= 0 on B2")
-    dmag = gradient_norm(f) if grad_norm is None else grad_norm
+    dmag = _sampled_grad_norm(f) if grad_norm is None else grad_norm
     if wmp is None:
         wmp = check_weak_max_principle(f, trials=trials, seed=seed, grad_norm=dmag)
     if not wmp.passed:
@@ -329,21 +325,29 @@ def _sampled_slope(
     """The modified slope of B, bit for bit, on the box of the disk where
     check_weak_max_principle reads its gradient norm when it samples the disk
     of this radius and on the node around that box, and 0 off them
-    (_sampled_box): all of the field that the sampler and check_super_iso read."""
-    return _modified_slope_on(B, K, _halo(_sampled_box(B.grid, radius), B.grid.n))
+    (_lip_disk): all of the field that the sampler and check_super_iso read."""
+    return _modified_slope_on(B, K, _halo(_lip_disk(B.grid, radius)[1], B.grid.n))
 
 
 def _sampled_grad_norm(f: ScalarField2, radius: float = SAMPLED_RADIUS) -> ScalarField2:
-    """|Df| on the box of _sampled_box, bit for bit, and 0 off it, from f on
+    """|Df| on the box of _lip_disk, bit for bit, and 0 off it, from f on
     that box and the node around it: what the sampler and check_super_iso read."""
-    return _gradient_norm_on(f, _sampled_box(f.grid, radius))
+    return _gradient_norm_on(f, _lip_disk(f.grid, radius)[1])
 
 
-def _sampled_box(grid: Grid2, radius: float) -> slice:
-    """The slice of either axis spanned by the disk of radius min(L, radius +
-    2h), where check_weak_max_principle takes Lip(f) from |Df| when sampling
-    the disk of this radius; every subdomain window lies inside it."""
-    return _mask_box(grid.disk_mask(min(grid.L, radius + 2 * grid.h)))
+def _lip_disk(grid: Grid2, radius: float) -> tuple[float, slice]:
+    """(r, box): the radius r = radius + 2h, within the grid, of the disk
+    where check_weak_max_principle takes Lip(f) when it samples the disk of
+    radius, and the slice of either axis that disk spans, in which every
+    subdomain window lies."""
+    r = min(grid.L, radius + 2 * grid.h)
+    return r, _mask_box(grid.disk_mask(r))
+
+
+def _subharmonic_radius(rho: float) -> float:
+    """The radius of the disk check_subharmonic_modified_slope samples: rho,
+    up to SAMPLED_RADIUS, where it shares the sampler's own disk."""
+    return min(rho, SAMPLED_RADIUS)
 
 
 def check_jacobi_pointwise(
@@ -475,11 +479,11 @@ def check_subharmonic_modified_slope(
     (lap_q as fit_modification_weight takes it), and demands it be
     >= -SUBHARMONIC_SLACK; then runs the weak-maximum-principle sampler on
     the modified slope of the bundle canonical on the region, on the disk of
-    radius min(rho, SAMPLED_RADIUS), since that is the property the
+    radius _subharmonic_radius(rho), since that is the property the
     subharmonicity is for.  Passes only if both hold.  wmp, when given, is
     check_weak_max_principle's report on that modified slope on the disk of
     radius SAMPLED_RADIUS with these trials and seed; it stands in for the
-    sampler when the check samples that same disk, i.e. rho >= SAMPLED_RADIUS.
+    sampler when the check samples that same disk.
     location is the node of the smallest lap_g(b_mod) on the region.
     """
     B, flipped, span, mask, box = _canonical_on_disk(B, rho)
@@ -493,11 +497,10 @@ def check_subharmonic_modified_slope(
         return np.where(mask[rows, box], lap, np.inf)
 
     loc, m = _located(lap_mod, box, box.start)
-    radius = min(rho, SAMPLED_RADIUS)
+    radius = _subharmonic_radius(rho)
     if wmp is None or radius != SAMPLED_RADIUS:
         bmod = _sampled_slope(B, K, radius)
-        dmag = _sampled_grad_norm(bmod, radius)
-        wmp = check_weak_max_principle(bmod, trials=trials, seed=seed, radius=radius, grad_norm=dmag)
+        wmp = check_weak_max_principle(bmod, trials=trials, seed=seed, radius=radius)
     passed = (m >= -SUBHARMONIC_SLACK) and wmp.passed
     return CheckReport(
         check="subharmonic",
@@ -575,7 +578,7 @@ def check_jacobi_integral(B: GeometryBundle, K: SlopeConstants, C_hat: float) ->
     # <2 phi grad_g phi, grad_g b>_g V, one band of box rows at a time
     for rows in _bands(box.start, box.stop):
         _, phi, (dphi1, dphi2) = _cutoff(r1, r2, g, with_phi=True, rows=rows)
-        gb1, gb2 = (gk[:, box] for gk in _gradient_rows(B.slope, h, rows))
+        gb1, gb2 = _gradient_rows(B.slope, h, rows, box)
         form = (
             B.inv11[rows, box] * dphi1 * gb1
             + B.inv12[rows, box] * (dphi1 * gb2 + dphi2 * gb1)

@@ -43,7 +43,7 @@ from lmce.cli import (
     write_pgm,
 )
 from lmce.errors import ConfigError
-from lmce.geometry import GeometryBundle, bundle_from_hessian, laplace_beltrami, modified_slope
+from lmce.geometry import GeometryBundle, bundle_from_hessian, laplace_beltrami
 from lmce.grid import MAX_NODES, ScalarField2, build_grid, gradient_norm, hessian_fd, sample
 from lmce.identities import CheckReport
 from lmce.solver import (
@@ -54,6 +54,7 @@ from lmce.solver import (
     perturbed_family,
     phase_residual,
 )
+from test_geometry import whole_gradient_norm, whole_modified_slope
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
@@ -1252,14 +1253,18 @@ class TestBoxBoundFields:
                 lmce.inequalities, "_gradient_norm_on", lambda f, box: off_box(grad_on(f, box), box)
             )
             off = self._verify(tmp_path, rho, "sentinel")
-        # the whole-grid fields the public functions form, as the runner
+        # the whole-grid fields by whole-array expressions, as the runner
         # formed them before it formed them on a box
         q = lambda B: ScalarField2(B.grid, 0.5 * B.grid.radius2())
         with monkeypatch.context() as m:
             m.setattr(
-                lmce.inequalities, "_modified_slope_on", lambda B, K, box: modified_slope(B, K)
+                lmce.inequalities, "_modified_slope_on",
+                lambda B, K, box: ScalarField2(B.grid, whole_modified_slope(B, K)),
             )
-            m.setattr(lmce.inequalities, "_gradient_norm_on", lambda f, box: gradient_norm(f))
+            m.setattr(
+                lmce.inequalities, "_gradient_norm_on",
+                lambda f, box: ScalarField2(f.grid, whole_gradient_norm(f)),
+            )
             m.setattr(
                 lmce.inequalities, "_paraboloid_laplacian",
                 lambda B, box: laplace_beltrami(q(B), B).values[box, box],

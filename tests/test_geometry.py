@@ -1,6 +1,7 @@
 """Eigenvalues, geometry bundles, metric operators, slope."""
 
 import ast
+import functools
 import math
 from pathlib import Path
 
@@ -32,12 +33,14 @@ from lmce.geometry import (
 from lmce.grid import (
     ScalarField2,
     _gradient_norm_on,
+    _halo,
     build_grid,
     gradient_fd,
     gradient_norm,
     hessian_fd,
     sample,
 )
+from lmce.inequalities import _disk_region, _lip_disk, _subharmonic_radius
 from lmce.solver import anisotropic_family, manufacture, perturbed_family
 
 
@@ -416,18 +419,39 @@ class TestBoxFields:
         g = build_grid(4.0, 65)
         B = bundle(manufacture(anisotropic_family(-0.4, -1.0), g).u_exact)
         K = SlopeConstants(A=0.7)
-        whole = modified_slope(B, K)
-        grad = gradient_norm(whole).values
+        whole = whole_modified_slope(B, K)
+        grad = whole_gradient_norm(ScalarField2(g, whole))
         monkeypatch.setattr(lmce.grid, "LB_BAND_ROWS", rows)
         for box in self.BOXES + [slice(0, 65), slice(0, 10), slice(60, 65)]:
             on = _modified_slope_on(B, K, box)
-            assert _same_bits(on.values[box, box], whole.values[box, box])
+            assert _same_bits(on.values[box, box], whole[box, box])
             assert np.count_nonzero(on.values) <= (box.stop - box.start) ** 2
             # the gradient reads the block and one node around it
             inner = slice(box.start + (box.start > 0), box.stop - (box.stop < g.n))
             norm = _gradient_norm_on(on, inner)
             assert _same_bits(norm.values[inner, inner], grad[inner, inner])
             assert np.count_nonzero(norm.values) <= (inner.stop - inner.start) ** 2
+
+    @pytest.mark.parametrize("rows", [1, 7, 64])
+    @pytest.mark.parametrize("n", [64, 65, 129])
+    def test_modified_slope_former_on_every_verify_block(self, monkeypatch, n, rows):
+        B, K = _verify_case(n)
+        want = whole_modified_slope(B, K)
+        monkeypatch.setattr(lmce.grid, "LB_BAND_ROWS", rows)
+        assert _same_bits(modified_slope(B, K).values, want)
+        for box in _verify_blocks(B.grid):
+            _assert_block_of(_modified_slope_on(B, K, box), want, box)
+
+    @pytest.mark.parametrize("rows", [1, 7, 64])
+    @pytest.mark.parametrize("n", [64, 65, 129])
+    def test_gradient_norm_former_on_every_verify_block(self, monkeypatch, n, rows):
+        B, K = _verify_case(n)
+        f = ScalarField2(B.grid, whole_modified_slope(B, K))
+        want = whole_gradient_norm(f)
+        monkeypatch.setattr(lmce.grid, "LB_BAND_ROWS", rows)
+        assert _same_bits(gradient_norm(f).values, want)
+        for box in _verify_blocks(B.grid):
+            _assert_block_of(_gradient_norm_on(f, box), want, box)
 
     @pytest.mark.parametrize("cols", [slice(1, 64), slice(5, 17), slice(40, 41)])
     def test_lb_rows_on_some_columns(self, cols):
@@ -437,6 +461,45 @@ class TestBoxFields:
         whole = laplace_beltrami(f, B).values
         rows = slice(3, 12)
         assert _same_bits(_lb_rows(f.values, B, rows, cols), whole[rows, cols])
+
+
+def whole_modified_slope(B, K):
+    """b + (A/2)|x|^2 by whole-array expressions: the oracle of the block former."""
+    q = B.grid.radius2()
+    q *= 0.5 * K.A
+    q += B.slope
+    return q
+
+
+def whole_gradient_norm(f):
+    """|Df| by whole-array expressions: the oracle of the block former."""
+    return np.hypot(*np.gradient(f.values, f.grid.h, edge_order=2))
+
+
+@functools.cache
+def _verify_case(n):
+    """An anisotropic bundle on n nodes and a weight A, for the block formers."""
+    g = build_grid(4.0, n)
+    return bundle(manufacture(anisotropic_family(-0.4, -1.0), g).u_exact), SlopeConstants(A=0.7)
+
+
+def _verify_blocks(g):
+    """Every block verify forms b_mod or |D b_mod| on: the whole grid, the
+    box of the interior of B_rho for rho in (0.5, 2, 3), and the box of each
+    disk the sampler reads Lip(f) on, for the radii it samples, and its halo."""
+    boxes = [slice(0, g.n)] + [_disk_region(g, rho)[1] for rho in (0.5, 2.0, 3.0)]
+    for rho in (0.5, 2.0, 3.0):
+        box = _lip_disk(g, _subharmonic_radius(rho))[1]
+        boxes += [box, _halo(box, g.n)]
+    return boxes
+
+
+def _assert_block_of(field, want, box):
+    """field holds want's values on box x box bit for bit, and 0 off it."""
+    assert _same_bits(field.values[box, box], want[box, box])
+    rest = field.values.copy()
+    rest[box, box] = 0.0
+    assert not rest.any()
 
 
 def _whole_bundle(hess):

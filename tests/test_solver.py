@@ -1027,6 +1027,17 @@ def test_runtime_never_loads_scipy(tmp_path):
     assert solver["krylov_iterations"] > 0
 
 
+def test_readme_library_quick_start_runs(capsys):
+    # the README's "Library quick start" block, run as it is written there
+    readme = (SRC.parent / "README.md").read_text()
+    section = readme.split("## Library quick start\n", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, "README.md", "exec"), {})
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in lines[:2]] == ["identity/algebraic", "inequality"]
+    assert lines[2].startswith("{'check': 'hessian_estimate'")
+
+
 def test_solve_output_does_not_depend_on_the_blas_thread_count(tmp_path):
     # the solve reduces with numpy's own loop, never with BLAS, so one and two
     # OpenBLAS threads write the same bytes
