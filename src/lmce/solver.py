@@ -16,7 +16,7 @@ The Newton iteration is inexact (Dembo, Eisenstat & Steihaug, SIAM J. Numer.
 Anal. 19, 1982): each system is solved only to the relative residual eta_k
 that the outer convergence needs, the forcing term of Eisenstat & Walker
 (SIAM J. Sci. Comput. 17, 1996), choice 2, which starts at ETA_MAX and falls
-with the square of the residual ratio.  The initial iterate's harmonic
+with the square of the residual ratio.  The default start's harmonic
 extensions are exact sine-transform Poisson solves.
 """
 
@@ -46,7 +46,7 @@ __all__ = [
 ]
 
 # BiCGSTAB iteration cap per Newton system; near pi a converging solve took
-# up to 117 in one system (constant phase 3.0, n=129, harmonic start)
+# up to 117 in one system (constant phase 3.0, n=129, harmonic extension start)
 KRYLOV_MAXITER = 200
 # Eisenstat-Walker forcing terms (choice 2): the first Newton system is solved
 # to relative residual ETA_MAX, system k to ETA_GAMMA (rn_k/rn_{k-1})^2, capped
@@ -465,19 +465,16 @@ def _poisson_solve(grid: Grid2, rhs: np.ndarray, a: float = 1.0, c: float = 1.0,
     return x
 
 
-def _initial_iterate(grid: Grid2, boundary: ScalarField2, psi: ScalarField2, mode: str):
-    """Discrete harmonic extension of the boundary data, optionally bent to
-    match the mean phase.
+def _initial_iterate(grid: Grid2, boundary: ScalarField2, psi: ScalarField2):
+    """The phase-matched start: the harmonic extension of the boundary data
+    plus t*(q - harmonic extension of q's trace), q the paraboloid |x|^2/2
+    and t = tan(mean(psi)/2).  It keeps the trace, starts at the right mean
+    curvature and, for isotropic quadratic data, is the exact discrete solution.
 
     The harmonic extension of a trace is the trace with a zero interior,
     plus the Poisson solve of minus that array's Laplacian m11 + m22 (the
     pure second differences of hessian_fd), whose interior holds the
     Dirichlet data's share of the 5-point Laplacian.
-    "harmonic": plain harmonic extension.
-    "phase_matched": adds t*(q - harmonic extension of q's trace) where q is
-    the paraboloid |x|^2/2 and t = tan(mean(psi)/2); for isotropic quadratic
-    boundary data this reproduces the exact discrete solution, and in general
-    it starts the iteration at the right mean curvature.
     """
 
     def harmonic(values: np.ndarray) -> np.ndarray:
@@ -486,16 +483,10 @@ def _initial_iterate(grid: Grid2, boundary: ScalarField2, psi: ScalarField2, mod
         m11, m22 = _d2(trace, grid.h, axis=0), _d2(trace, grid.h, axis=1)
         return trace + _poisson_solve(grid, -(m11 + m22))
 
-    u0 = harmonic(boundary.values)
-    if mode == "harmonic":
-        return u0
-    psibar = float(np.mean(psi.values[1:-1, 1:-1]))
-    t = math.tan(0.5 * psibar)
+    t = math.tan(0.5 * float(np.mean(psi.values[1:-1, 1:-1])))
     q = 0.5 * grid.radius2()
-    # q - harmonic(q) vanishes on the boundary ring and has discrete Laplacian
-    # 2, so u0 keeps the trace exactly while matching the mean curvature; for
-    # isotropic quadratic data it is the exact discrete solution
-    return u0 + t * (q - harmonic(q))
+    # q - harmonic(q) is 0 on the boundary ring and has discrete Laplacian 2
+    return harmonic(boundary.values) + t * (q - harmonic(q))
 
 
 def _forcing_term(ratio: float) -> float:
@@ -511,7 +502,7 @@ def newton_solve(
     *,
     tol: float = 1e-10,
     max_iter: int = 30,
-    initial: str = "phase_matched",
+    start: np.ndarray | None = None,
 ) -> SolveState:
     """Damped Newton iteration for the arctangent-form Dirichlet problem.
 
@@ -530,13 +521,14 @@ def newton_solve(
     Non-convergence returns the state with the converged flag unset; a
     start iterate that overflows raises PreconditionError, as no finite
     iterate exists.  The grid is psi's; boundary supplies the Dirichlet
-    data on its boundary ring.
+    data on its boundary ring, and so also on that of start, the first
+    iterate: an (n, n) array, copied, so the caller's is never written.
+    None starts from _initial_iterate's phase-matched iterate.
     """
     grid = psi.grid
+    n = grid.n
     if boundary.grid != grid:
         raise ValueError("phase and boundary grids must match")
-    if initial not in ("harmonic", "phase_matched"):
-        raise ValueError(f"unknown initial iterate mode {initial!r}")
     pmin = float(np.min(psi.values))
     pmax = float(np.max(psi.values))
     if not (0.0 < pmin and pmax < math.pi):
@@ -544,10 +536,16 @@ def newton_solve(
             f"solver needs supercritical phase in (0, pi), got range "
             f"[{pmin:.4f}, {pmax:.4f}]"
         )
-    n = grid.n
     # max|u| of the boundary ring, the only part of boundary the solve reads
-    ring = np.abs(boundary.values[:: n - 1]), np.abs(boundary.values[:, :: n - 1])
-    floor = np.finfo(float).eps * max(float(np.max(v)) for v in ring) / (grid.h * grid.h)
+    rings = np.s_[:: n - 1], np.s_[:, :: n - 1]
+    bound = max(float(np.max(np.abs(boundary.values[ring]))) for ring in rings)
+    floor = np.finfo(float).eps * bound / (grid.h * grid.h)
+    if start is not None:
+        start = np.array(start, dtype=float)  # a copy
+        if start.shape != (n, n):
+            raise ValueError(f"start iterate has shape {start.shape}, not the grid's {(n, n)}")
+        for ring in rings:
+            start[ring] = boundary.values[ring]
 
     def residual(uarr: np.ndarray) -> tuple[np.ndarray, float, tuple]:
         """The phase residual (0 on the boundary ring), its sup-norm and the
@@ -579,11 +577,12 @@ def newton_solve(
             t *= 0.5
         return None
 
-    u = _initial_iterate(grid, boundary, psi, initial)
+    u = _initial_iterate(grid, boundary, psi) if start is None else start
     try:
         r, rn, hess = residual(u)
     except ValueError as exc:  # u or its differenced Hessian is not finite
-        raise PreconditionError(f"boundary data too large to difference: {exc}") from None
+        what = "boundary data too large" if start is None else "start iterate not finite or too large"
+        raise PreconditionError(f"{what} to difference: {exc}") from None
     residuals: list[float] = [rn]
     damping: list[float] = []  # one step length per Newton step taken
     systems: list[SystemSolve] = []

@@ -96,6 +96,17 @@ def _dirichlet_rhs(g, boundary_vals):
     return rhs.ravel()
 
 
+def _harmonic_extension(g, values):
+    """The discrete harmonic extension of the trace of an (n, n) array: the
+    Poisson solve of _dirichlet_rhs, trace restored.  Bit for bit the
+    extension _initial_iterate forms; as a start of newton_solve it is the
+    hard start near pi."""
+    ext = _poisson_solve(g, _on_grid(g, _dirichlet_rhs(g, values)))
+    for ring in (np.s_[:: g.n - 1], np.s_[:, :: g.n - 1]):
+        ext[ring] = values[ring]
+    return ext
+
+
 # the 9 entries of a Stencil9 row: neighbour (i+di, j+dj) of node (i, j), the
 # coupling k in (b, a, c, diag), diag = -2a - 2c, and its weight
 _NEIGHBOURS = [
@@ -139,15 +150,17 @@ def _newton_case(case):
     if case == "perturbed":
         g = build_grid(4.0, 65)
         prob = manufacture(perturbed_family(0.1), g)
-        return prob.psi, prob.u_exact, "phase_matched"
+        return prob.psi, prob.u_exact, None
     if case == "anisotropic":
         g = build_grid(4.0, 33)
         prob = manufacture(anisotropic_family(1.4, 0.2), g)
-        return prob.psi, prob.u_exact, "phase_matched"
-    # near pi, where the damped steps need many BiCGSTAB iterations
+        return prob.psi, prob.u_exact, None
+    # near pi from the harmonic extension, where the damped steps need many
+    # BiCGSTAB iterations
     g = build_grid(4.0, 33)
     psi = ScalarField2(g, np.full((g.n, g.n), 3.13))
-    return psi, sample(quadratic_family(1.0).value, g), "harmonic"
+    boundary = sample(quadratic_family(1.0).value, g)
+    return psi, boundary, _harmonic_extension(g, boundary.values)
 
 
 # Newton steps of each _newton_case with inexact solves and with exact ones:
@@ -211,9 +224,8 @@ def _eisenstat_walker(residuals):
     return etas
 
 
-@pytest.mark.parametrize("mode", ["harmonic", "phase_matched"])
 @pytest.mark.parametrize("n", [33, 65])
-def test_initial_iterate_keeps_its_bits(n, mode):
+def test_initial_iterate_keeps_its_bits(n):
     # the start as it was formed from the whole of hessian_fd, m12 included
     g = build_grid(4.0, n)
     prob = manufacture(perturbed_family(0.1), g)
@@ -224,19 +236,17 @@ def test_initial_iterate_keeps_its_bits(n, mode):
         m11, _, m22 = hessian_fd(ScalarField2(g, trace))
         return trace + _poisson_solve(g, -(m11 + m22))
 
-    want = harmonic(prob.u_exact.values)
-    if mode == "phase_matched":
-        q = 0.5 * g.radius2()
-        t = math.tan(0.5 * float(np.mean(prob.psi.values[1:-1, 1:-1])))
-        want = want + t * (q - harmonic(q))
-    u0 = _initial_iterate(g, prob.u_exact, prob.psi, mode)
+    q = 0.5 * g.radius2()
+    t = math.tan(0.5 * float(np.mean(prob.psi.values[1:-1, 1:-1])))
+    want = harmonic(prob.u_exact.values) + t * (q - harmonic(q))
+    u0 = _initial_iterate(g, prob.u_exact, prob.psi)
     assert np.array_equal(u0.view(np.int64), want.view(np.int64))
 
 
 def _first_newton_system(g, prob):
     """Operator, preconditioner and right-hand side of the first Newton step
     from the default start."""
-    u0 = _initial_iterate(g, prob.u_exact, prob.psi, "phase_matched")
+    u0 = _initial_iterate(g, prob.u_exact, prob.psi)
     hess = hessian_fd(ScalarField2(g, u0))
     r, _ = _phase_defect(hess, prob.psi)
     inv11, inv12, inv22 = _inverse_metric(*hess)
@@ -366,7 +376,8 @@ class TestNewtonSolve:
     def test_nonconvergence_returns_state(self):
         g = build_grid(4.0, 65)
         prob = manufacture(perturbed_family(0.1), g)
-        state = newton_solve(prob.psi, prob.u_exact, max_iter=1, initial="harmonic")
+        start = _harmonic_extension(g, prob.u_exact.values)
+        state = newton_solve(prob.psi, prob.u_exact, max_iter=1, start=start)
         assert not state.converged
         assert state.message
 
@@ -404,12 +415,17 @@ class TestNewtonSolve:
         prob = manufacture(quadratic_family(1.0), g)
         with pytest.raises(ValueError, match="grids must match"):
             newton_solve(prob.psi, sample(quadratic_family(1.0).value, build_grid(4.0, 17)))
-        # tol, max_iter and initial are keyword-only: a grid passed third is
-        # refused at the call rather than taken as the tolerance
+        # tol, max_iter and start are keyword-only: a grid or a start passed
+        # third is refused at the call rather than taken as the tolerance
         with pytest.raises(TypeError):
             newton_solve(prob.psi, prob.u_exact, g)
+        with pytest.raises(TypeError):
+            newton_solve(prob.psi, prob.u_exact, prob.u_exact.values)
 
-    def test_unknown_initial_mode_rejected_before_any_solve(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "shape", [(16, 16), (17, 18), (17 * 17,), (17, 17, 1)], ids=["coarser", "wider", "flat", "3d"]
+    )
+    def test_start_of_wrong_shape_rejected_before_any_solve(self, monkeypatch, shape):
         calls = []
         poisson = lmce.solver._poisson_solve
 
@@ -419,14 +435,48 @@ class TestNewtonSolve:
 
         monkeypatch.setattr(lmce.solver, "_poisson_solve", spy)
         prob = manufacture(perturbed_family(0.1), build_grid(4.0, 17))
-        with pytest.raises(ValueError, match="unknown initial iterate mode 'bogus'"):
-            newton_solve(prob.psi, prob.u_exact, initial="bogus")
+        with pytest.raises(ValueError, match=r"start iterate has shape .*, not the grid's \(17, 17\)"):
+            newton_solve(prob.psi, prob.u_exact, start=np.zeros(shape))
         assert calls == []
+
+    def test_start_takes_the_boundary_ring(self):
+        # a start whose ring is wrong, not finite even, solves as the same
+        # start with the boundary's ring: the ring comes from boundary bit
+        # for bit, the interior is used as given, and the caller's array is
+        # not written
+        g = build_grid(4.0, 33)
+        prob = manufacture(perturbed_family(0.1), g)
+        start = _harmonic_extension(g, prob.u_exact.values)
+        wrong = start.copy()
+        wrong[0] = 7.0
+        wrong[:, -1] = -np.inf
+        wrong[-1, 3] = np.nan
+        given = wrong.copy()
+        first = newton_solve(prob.psi, prob.u_exact, max_iter=0, start=wrong)
+        assert first.u.values.tobytes() == start.tobytes()
+        assert not first.converged and first.iterations == 0
+        solved = newton_solve(prob.psi, prob.u_exact, start=wrong)
+        assert solved.converged
+        assert wrong.tobytes() == given.tobytes()
+        want = newton_solve(prob.psi, prob.u_exact, start=start)
+        assert solved.u.values.tobytes() == want.u.values.tobytes()
+        assert (solved.residuals, solved.damping) == (want.residuals, want.damping)
+
+    @pytest.mark.parametrize("node, value", [((5, 5), np.nan), ((1, 1), np.nan), ((16, 16), np.inf)])
+    def test_non_finite_start_is_named(self, node, value):
+        g = build_grid(4.0, 33)
+        prob = manufacture(perturbed_family(0.1), g)
+        start = prob.u_exact.values.copy()
+        start[node] = value
+        with pytest.raises(PreconditionError, match="^start iterate not finite") as info:
+            newton_solve(prob.psi, prob.u_exact, start=start)
+        assert "boundary data" not in str(info.value)
 
     def test_harmonic_initial_mode(self):
         g = build_grid(4.0, 33)
         prob = manufacture(perturbed_family(0.1), g)
-        state = newton_solve(prob.psi, prob.u_exact, initial="harmonic")
+        start = _harmonic_extension(g, prob.u_exact.values)
+        state = newton_solve(prob.psi, prob.u_exact, start=start)
         assert state.converged
 
     @pytest.mark.parametrize("gap", [1e-7, 1e-9])
@@ -438,7 +488,8 @@ class TestNewtonSolve:
         g = build_grid(4.0, 33)
         psi = sample(lambda x1, x2: math.pi - gap, g)
         boundary = sample(quadratic_family(1.0).value, g)
-        harmonic = newton_solve(psi, boundary, max_iter=40, initial="harmonic")
+        start = _harmonic_extension(g, boundary.values)
+        harmonic = newton_solve(psi, boundary, max_iter=40, start=start)
         assert harmonic.converged
         assert phase_residual(harmonic.u, psi) <= 1e-10
         _assert_eigenvalue_phase(hessian_fd(harmonic.u), psi)
@@ -525,11 +576,11 @@ class TestNewtonSolve:
         # the stencil product, the preconditioner, the phase defect and the
         # Newton system are formed in bands of LB_BAND_ROWS rows: each value
         # is the whole grid's, so any band height gives the same solve
-        psi, boundary, initial = _newton_case(case)
+        psi, boundary, start = _newton_case(case)
         solves = []
         for rows in (7, 16, 64):
             monkeypatch.setattr(lmce.grid, "LB_BAND_ROWS", rows)
-            state = newton_solve(psi, boundary, initial=initial)
+            state = newton_solve(psi, boundary, start=start)
             assert phase_residual(state.u, psi) == state.residuals[-1]
             solves.append(
                 (state.u.values.tobytes(), state.residuals, state.damping, state.systems)
@@ -825,27 +876,18 @@ class TestSinePreconditioner:
 
 
 class TestInitialIterate:
-    @pytest.mark.parametrize("mode", ["harmonic", "phase_matched"])
     @pytest.mark.parametrize("n", [5, 6, 33, 64, 65])
-    def test_harmonic_extension_is_the_dirichlet_rhs_solve(self, n, mode):
-        # the extension is the Poisson solve of _dirichlet_rhs, trace
+    def test_harmonic_extension_is_the_dirichlet_rhs_solve(self, n):
+        # the extensions are the Poisson solves of _dirichlet_rhs, trace
         # restored, bit for bit: minus the hessian_fd Laplacian of the trace
         # is that right-hand side on the interior nodes
         g = build_grid(4.0, n)
         prob = manufacture(perturbed_family(0.1), g)
-
-        def harmonic(values):
-            ext = _poisson_solve(g, _on_grid(g, _dirichlet_rhs(g, values)))
-            for ring in (np.s_[:: n - 1], np.s_[:, :: n - 1]):
-                ext[ring] = values[ring]
-            return ext
-
-        want = harmonic(prob.u_exact.values)
-        if mode == "phase_matched":
-            q = 0.5 * g.radius2()
-            t = math.tan(0.5 * float(np.mean(prob.psi.values[1:-1, 1:-1])))
-            want = want + t * (q - harmonic(q))
-        got = _initial_iterate(g, prob.u_exact, prob.psi, mode)
+        q = 0.5 * g.radius2()
+        t = math.tan(0.5 * float(np.mean(prob.psi.values[1:-1, 1:-1])))
+        want = _harmonic_extension(g, prob.u_exact.values)
+        want = want + t * (q - _harmonic_extension(g, q))
+        got = _initial_iterate(g, prob.u_exact, prob.psi)
         assert got.tobytes() == want.tobytes()
 
 
@@ -890,10 +932,10 @@ class TestKrylovPath:
 
     @pytest.mark.parametrize("case", ["perturbed", "anisotropic", "near_pi"])
     def test_same_newton_steps_as_lu(self, case, monkeypatch):
-        psi, boundary, initial = _newton_case(case)
-        krylov = newton_solve(psi, boundary, initial=initial)
+        psi, boundary, start = _newton_case(case)
+        krylov = newton_solve(psi, boundary, start=start)
         monkeypatch.setattr(lmce.solver, "linear_solve", _exact_solve)
-        exact = newton_solve(psi, boundary, initial=initial)
+        exact = newton_solve(psi, boundary, start=start)
         _assert_same_path(case, krylov, exact)
 
     def test_fast_path_does_not_factor(self):
@@ -940,11 +982,11 @@ class TestKrylovPath:
 class TestForcingTerm:
     @pytest.mark.parametrize("case", ["perturbed", "anisotropic", "near_pi"])
     def test_same_newton_path_as_fixed_tolerance(self, case, monkeypatch):
-        psi, boundary, initial = _newton_case(case)
-        inexact = newton_solve(psi, boundary, initial=initial)
+        psi, boundary, start = _newton_case(case)
+        inexact = newton_solve(psi, boundary, start=start)
         # a cap at the floor solves every system to a fixed 1e-12
         monkeypatch.setattr(lmce.solver, "ETA_MAX", ETA_MIN)
-        fixed = newton_solve(psi, boundary, initial=initial)
+        fixed = newton_solve(psi, boundary, start=start)
         assert {rec.rtol for rec in fixed.systems} == {1e-12}
         _assert_same_path(case, inexact, fixed)
         if case == "perturbed":
@@ -953,8 +995,8 @@ class TestForcingTerm:
 
     @pytest.mark.parametrize("case", ["perturbed", "anisotropic", "near_pi"])
     def test_rtol_sequence_follows_the_rule(self, case):
-        psi, boundary, initial = _newton_case(case)
-        state = newton_solve(psi, boundary, initial=initial)
+        psi, boundary, start = _newton_case(case)
+        state = newton_solve(psi, boundary, start=start)
         rtols = [rec.rtol for rec in state.systems]
         assert state.iterations <= len(rtols) <= state.iterations + 1  # one system a step
         assert rtols == pytest.approx(_eisenstat_walker(state.residuals)[: len(rtols)], rel=1e-12)
@@ -987,7 +1029,7 @@ for command, config, out in zip(("verify", "solve"), sys.argv[1:3], sys.argv[3:5
     assert lmce.cli.main([command, "--config", config, "--out", out]) == 0, command
 g = build_grid(4.0, 33)
 near_pi = ScalarField2(g, np.full((g.n, g.n), 3.13))
-state = newton_solve(near_pi, sample(quadratic_family(1.0).value, g), initial="harmonic")
+state = newton_solve(near_pi, sample(quadratic_family(1.0).value, g))  # the default start
 # lap_g(|x|^2/2) changes sign on B2 for this Hessian (test_mixed_sign_fit_matches_scan)
 g = build_grid(4.0, 65)
 x1, x2 = g.coords()
@@ -1056,8 +1098,9 @@ def test_solve_output_does_not_depend_on_the_blas_thread_count(tmp_path):
 
 @st.composite
 def smooth_phases(draw, delta=0.3):
-    """A grid, a smooth phase with values in [delta, pi - delta] and
-    quadratic boundary data."""
+    """A grid, a smooth phase with values in [delta, pi - delta], quadratic
+    boundary data and a start: the default one (None) or the harmonic
+    extension of the data."""
     n = draw(st.sampled_from([9, 17, 33]))
     g = build_grid(draw(st.sampled_from([2.0, 4.0])), n)
     x1, x2 = g.coords()
@@ -1071,14 +1114,14 @@ def smooth_phases(draw, delta=0.3):
     amp = draw(st.floats(0.0, 1.0)) * min(mid - delta, math.pi - delta - mid)
     psi = ScalarField2(g, mid + amp * wave)
     boundary = sample(quadratic_family(draw(st.floats(0.2, 3.0))).value, g)
-    return psi, boundary, draw(st.sampled_from(["phase_matched", "harmonic"]))
+    return psi, boundary, _harmonic_extension(g, boundary.values) if draw(st.booleans()) else None
 
 
 class TestSolverProperty:
     @settings(deadline=None, max_examples=25)
     @given(smooth_phases())
     def test_returns_a_state(self, data):
-        psi, boundary, initial = data
-        state = newton_solve(psi, boundary, initial=initial)
+        psi, boundary, start = data
+        state = newton_solve(psi, boundary, start=start)
         assert state.converged or state.message
         assert state.iterations <= len(state.systems) <= state.iterations + 1
